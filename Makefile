@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-report fuzz-smoke serve serve-smoke chaos-smoke wal-smoke shard-smoke replica-smoke bench-mixed bench-shard bench-oracle
+.PHONY: all build test race lint lint-report fuzz-smoke serve serve-smoke chaos-smoke wal-smoke shard-smoke replica-smoke bench
 
 all: build test lint
 
@@ -42,6 +42,14 @@ fuzz-smoke:
 	$(GO) test -run FuzzZOrder -fuzz FuzzZOrder -fuzztime $(FUZZTIME) ./internal/geo/
 	$(GO) test -run FuzzLoadGraph -fuzz FuzzLoadGraph -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run FuzzPageRoundTrip -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run FuzzFrontierVsReference -fuzz FuzzFrontierVsReference -fuzztime $(FUZZTIME) ./internal/core/
+
+# bench runs the benchmark spine BENCHMARK.json declares: four served
+# workloads, end-to-end metrics with their regression bounds
+# (bench/README.md). `go run ./bench -workload <w> -trace 1` adds the
+# per-layer run.
+bench:
+	$(GO) run ./bench
 
 # serve boots the HTTP query server on a generated dataset (docs/SERVING.md).
 serve:
@@ -61,15 +69,6 @@ serve-smoke:
 chaos-smoke:
 	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
 	./scripts/chaos-smoke.sh $(CURDIR)/bin/dsks-serve
-
-# bench-mixed mirrors the CI job: boot a cache-disabled server and run
-# the two-phase read-under-write benchmark — read-only baseline, then the
-# same reads under an insert storm — writing the throughput/latency
-# trajectory to BENCH_mixed.json and asserting the mixed read p99 stays
-# within 2x of the baseline (docs/CONCURRENCY.md).
-bench-mixed:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/bench-mixed.sh $(CURDIR)/bin/dsks-serve BENCH_mixed.json
 
 # shard-smoke mirrors the CI job: boot dsks-serve with the road network
 # sharded 4 ways behind the scatter-gather router (partial-result policy,
@@ -91,24 +90,6 @@ shard-smoke:
 replica-smoke:
 	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
 	./scripts/replica-smoke.sh $(CURDIR)/bin/dsks-serve
-
-# bench-shard mirrors the CI job: run the same read-only mix against
-# 1-, 2- and 4-shard servers over the same dataset, accumulate the data
-# points in BENCH_shard.json, and assert the 4-shard router sustains
-# >= 2.5x the single-shard read QPS at equal-or-better p99
-# (docs/SHARDING.md).
-bench-shard:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/bench-shard.sh $(CURDIR)/bin/dsks-serve BENCH_shard.json
-
-# bench-oracle mirrors the CI job: replay the same diversified-heavy mix
-# against a server without and with the ALT landmark oracle, accumulate
-# both data points in BENCH_oracle.json, and assert the oracle cuts
-# Dijkstra settled-node work >= 3x at equal-or-better p99
-# (docs/DISTANCE.md).
-bench-oracle:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/bench-oracle.sh $(CURDIR)/bin/dsks-serve BENCH_oracle.json
 
 # wal-smoke mirrors the CI job: boot a WAL-backed server, kill -9 it
 # mid-insert-storm, reboot on the same log, and assert every acknowledged

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -27,15 +26,6 @@ import (
 // object IDs in a shared pool, removes draw from it, and -strict
 // asserts that each worker observes a strictly increasing commit LSN
 // across its own acked mutations.
-//
-// -bench-mixed FILE switches the driver into the read-under-write
-// benchmark: phase A replays the read kinds of the mix with no writers
-// (the baseline), phase B replays the identical reads while dedicated
-// mutator workers sustain an insert storm. The JSON report written to
-// FILE holds both phases' read throughput and latency percentiles, the
-// p99 ratio between them (the MVCC views' headline number: reads never
-// block on writers, so it should stay near 1), and a per-interval
-// trajectory of read throughput and p99 across the mixed phase.
 
 var (
 	hammerTarget    *string
@@ -49,12 +39,6 @@ var (
 	hammerTimeout   *time.Duration
 	hammerChaos     *bool
 	hammerChaosSpec *string
-	hammerBench     *string
-	hammerBenchMutC *int
-	hammerBenchMax  *float64
-	hammerReport    *string
-	hammerReportLbl *string
-	hammerDelta     *float64
 )
 
 // hammerFlags registers the load-driver flags.
@@ -63,7 +47,6 @@ func hammerFlags(fs *flag.FlagSet) {
 	hammerN = fs.Int("n", 1000, "hammer: total requests")
 	hammerC = fs.Int("c", 8, "hammer: concurrent workers")
 	hammerDistinct = fs.Int("distinct", 32, "hammer: distinct queries in the mix (repeats exercise the cache)")
-	hammerDelta = fs.Float64("delta", 0, "hammer: δmax per query keyword (0 = dataset default; wider radii stress the pairwise distance engine)")
 	hammerMix = fs.String("mix", "search:4,diversified:3,knn:2,ranked:1", "hammer: endpoint mix as kind:weight pairs (kinds include insert and remove)")
 	hammerStrict = fs.Bool("strict", false, "hammer: exit non-zero on any 5xx, a 206 partial, or a cold cache")
 	hammerColdOK = fs.Bool("allow-cold-cache", false, "hammer: strict runs tolerate zero cache hits (for servers with the cache disabled)")
@@ -71,11 +54,6 @@ func hammerFlags(fs *flag.FlagSet) {
 	hammerTimeout = fs.Duration("client-timeout", 30*time.Second, "hammer: per-request client timeout")
 	hammerChaos = fs.Bool("chaos", false, "hammer: run the chaos campaign (server must be started with -enable-chaos)")
 	hammerChaosSpec = fs.String("chaos-spec", "read:every=1", "hammer: fault spec installed during the chaos phase")
-	hammerBench = fs.String("bench-mixed", "", "hammer: run the read-under-write benchmark, writing the JSON report to this file")
-	hammerBenchMutC = fs.Int("bench-mutators", 2, "bench-mixed: concurrent insert-storm workers during the mixed phase")
-	hammerBenchMax = fs.Float64("bench-max-ratio", 0, "bench-mixed: exit non-zero when mixed read p99 exceeds this multiple of the baseline (0 = report only)")
-	hammerReport = fs.String("report", "", "hammer: upsert this run's throughput and latency under -report-label in this JSON file")
-	hammerReportLbl = fs.String("report-label", "", "hammer: key for the -report entry (e.g. shards=4)")
 }
 
 // hammerResult is one request's outcome.
@@ -143,10 +121,6 @@ func runHammer(preset string, scale int, seed int64) error {
 			return fmt.Errorf("-chaos needs at least one query kind in -mix %q", *hammerMix)
 		}
 		return runChaos(client, base, urls)
-	}
-
-	if *hammerBench != "" {
-		return runBenchMixed(client, base, reqs, preset, scale, seed)
 	}
 
 	n, c := *hammerN, *hammerC
@@ -428,7 +402,6 @@ func hammerMixReqs(preset string, scale int, seed int64) ([]hammerReq, error) {
 	}
 	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
 		NumQueries: distinct, Keywords: 2, Seed: seed + 1,
-		DeltaMaxPerKeyword: *hammerDelta,
 	})
 	if err != nil {
 		return nil, err
@@ -585,9 +558,6 @@ func report(client *http.Client, base string, results []hammerResult, elapsed ti
 		} `json:"shards"`
 		Metrics struct {
 			Counters map[string]int64 `json:"Counters"`
-			Queries  map[string]struct {
-				PairDistCalcs int64 `json:"PairDistCalcs"`
-			} `json:"Queries"`
 		} `json:"metrics"`
 	}
 	if resp, err := client.Get(base + "/varz"); err == nil {
@@ -616,36 +586,6 @@ func report(client *http.Client, base string, results []hammerResult, elapsed ti
 				}
 			}
 		}
-	}
-
-	if *hammerReport != "" {
-		var pairCalcs int64
-		for _, q := range varz.Metrics.Queries {
-			pairCalcs += q.PairDistCalcs
-		}
-		entry := reportEntry{
-			Requests:        n,
-			Seconds:         elapsed.Seconds(),
-			QPS:             float64(n) / elapsed.Seconds(),
-			P50Micros:       pct(lats, 0.50).Microseconds(),
-			P95Micros:       pct(lats, 0.95).Microseconds(),
-			P99Micros:       pct(lats, 0.99).Microseconds(),
-			MaxMicros:       lats[n-1].Microseconds(),
-			Errors:          five + statuses[0],
-			CacheHits:       hits,
-			Shards:          len(varz.Shards),
-			FanoutLegs:      varz.Metrics.Counters["router_fanout_legs_total"],
-			PrunedLegs:      varz.Metrics.Counters["router_pruned_legs_total"],
-			PairDistCalcs:   pairCalcs,
-			DistSettled:     varz.Metrics.Counters["dist_settled_total"],
-			OracleLBPrunes:  varz.Metrics.Counters["oracle_lb_prunes_total"],
-			OracleUBHits:    varz.Metrics.Counters["oracle_ub_hits_total"],
-			OraclePopsSaved: varz.Metrics.Counters["oracle_astar_pops_saved_total"],
-		}
-		if err := upsertReport(*hammerReport, *hammerReportLbl, entry); err != nil {
-			return err
-		}
-		fmt.Printf("  report: %q upserted into %s\n", *hammerReportLbl, *hammerReport)
 	}
 
 	if *hammerStrict {
@@ -681,307 +621,11 @@ func report(client *http.Client, base string, results []hammerResult, elapsed ti
 	return nil
 }
 
-// reportEntry is one labeled hammer run in the -report JSON file: the
-// shard-scaling benchmark upserts one entry per shard count, the oracle
-// benchmark one entry per oracle setting, so a single file accumulates
-// the data points of one comparison. The distance-work fields come from
-// the server's /varz after the run: PairDistCalcs counts pairwise
-// distance evaluations, DistSettled the nodes settled by the distance
-// engine's Dijkstra/A* sweeps, and the oracle counters how much of that
-// work the ALT landmarks avoided.
-type reportEntry struct {
-	Requests        int     `json:"requests"`
-	Seconds         float64 `json:"seconds"`
-	QPS             float64 `json:"qps"`
-	P50Micros       int64   `json:"p50Micros"`
-	P95Micros       int64   `json:"p95Micros"`
-	P99Micros       int64   `json:"p99Micros"`
-	MaxMicros       int64   `json:"maxMicros"`
-	Errors          int     `json:"errors"`
-	CacheHits       int     `json:"cacheHits"`
-	Shards          int     `json:"shards,omitempty"`
-	FanoutLegs      int64   `json:"fanoutLegs,omitempty"`
-	PrunedLegs      int64   `json:"prunedLegs,omitempty"`
-	PairDistCalcs   int64   `json:"pairDistCalcs,omitempty"`
-	DistSettled     int64   `json:"distSettled,omitempty"`
-	OracleLBPrunes  int64   `json:"oracleLBPrunes,omitempty"`
-	OracleUBHits    int64   `json:"oracleUBHits,omitempty"`
-	OraclePopsSaved int64   `json:"oraclePopsSaved,omitempty"`
-}
-
-// upsertReport merges one labeled entry into the JSON report file,
-// preserving entries from earlier runs.
-func upsertReport(path, label string, entry reportEntry) error {
-	if label == "" {
-		return fmt.Errorf("-report needs -report-label")
-	}
-	entries := map[string]reportEntry{}
-	if body, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(body, &entries); err != nil {
-			return fmt.Errorf("existing report %s is not a label map: %w", path, err)
-		}
-	}
-	entries[label] = entry
-	body, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(body, '\n'), 0o644)
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// benchPhase aggregates the read side of one benchmark phase.
-type benchPhase struct {
-	Requests    int     `json:"requests"`
-	Errors      int64   `json:"errors"`
-	Seconds     float64 `json:"seconds"`
-	ReadsPerSec float64 `json:"readsPerSec"`
-	P50Micros   int64   `json:"p50Micros"`
-	P95Micros   int64   `json:"p95Micros"`
-	P99Micros   int64   `json:"p99Micros"`
-	MaxMicros   int64   `json:"maxMicros"`
-}
-
-// benchBucket is one interval of the mixed phase's read trajectory.
-type benchBucket struct {
-	OffsetSeconds float64 `json:"offsetSeconds"`
-	Reads         int     `json:"reads"`
-	ReadsPerSec   float64 `json:"readsPerSec"`
-	P99Micros     int64   `json:"p99Micros"`
-}
-
-// benchReport is the -bench-mixed JSON document.
-type benchReport struct {
-	Target          string        `json:"target"`
-	Mix             string        `json:"mix"`
-	Readers         int           `json:"readers"`
-	Mutators        int           `json:"mutators"`
-	Baseline        benchPhase    `json:"baseline"`
-	Mixed           benchPhase    `json:"mixed"`
-	Mutations       int64         `json:"mutations"`
-	MutationErrors  int64         `json:"mutationErrors"`
-	MutationsPerSec float64       `json:"mutationsPerSec"`
-	ReadP99Ratio    float64       `json:"readP99Ratio"`
-	Trajectory      []benchBucket `json:"trajectory"`
-}
-
-// runBenchMixed measures read-under-write behavior in two phases: the
-// same -n reads are replayed once with no writers (baseline) and once
-// under a sustained insert storm (mixed). Under MVCC read views neither
-// phase's reads ever wait on the writer, so the p99 ratio between them
-// is the headline regression number the report and -bench-max-ratio
-// guard.
-func runBenchMixed(client *http.Client, base string, reqs []hammerReq, preset string, scale int, seed int64) error {
-	var reads []hammerReq
-	for _, r := range reqs {
-		if r.body == nil {
-			reads = append(reads, r)
-		}
-	}
-	if len(reads) == 0 {
-		return fmt.Errorf("-bench-mixed needs at least one query kind in -mix %q", *hammerMix)
-	}
-	bodies, err := benchInsertBodies(preset, scale, seed)
-	if err != nil {
-		return err
-	}
-	n, c := *hammerN, *hammerC
-	if c < 1 {
-		c = 1
-	}
-
-	fmt.Printf("bench-mixed: baseline: %d reads over %d workers, no writers\n", n, c)
-	baseline, _ := benchReads(client, base, reads, n, c, false)
-
-	mutC := *hammerBenchMutC
-	if mutC < 1 {
-		mutC = 1
-	}
-	stop := make(chan struct{})
-	var mutations, mutErrs atomic.Int64
-	var mwg sync.WaitGroup
-	for w := 0; w < mutC; w++ {
-		mwg.Add(1)
-		go func(w int) {
-			defer mwg.Done()
-			for i := w; ; i += mutC {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := client.Post(base+"/v1/insert", "application/json",
-					bytes.NewReader(bodies[i%len(bodies)]))
-				if err != nil {
-					mutErrs.Add(1)
-					continue
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					mutations.Add(1)
-				} else {
-					mutErrs.Add(1)
-				}
-			}
-		}(w)
-	}
-
-	fmt.Printf("bench-mixed: mixed: %d reads over %d workers under %d insert-storm workers\n", n, c, mutC)
-	mixed, traj := benchReads(client, base, reads, n, c, true)
-	close(stop)
-	mwg.Wait()
-
-	rep := benchReport{
-		Target:         base,
-		Mix:            *hammerMix,
-		Readers:        c,
-		Mutators:       mutC,
-		Baseline:       baseline,
-		Mixed:          mixed,
-		Mutations:      mutations.Load(),
-		MutationErrors: mutErrs.Load(),
-		Trajectory:     traj,
-	}
-	if mixed.Seconds > 0 {
-		rep.MutationsPerSec = float64(rep.Mutations) / mixed.Seconds
-	}
-	baseP99 := baseline.P99Micros
-	if baseP99 < 1 {
-		baseP99 = 1 // a sub-microsecond baseline still yields a finite ratio
-	}
-	rep.ReadP99Ratio = float64(mixed.P99Micros) / float64(baseP99)
-
-	body, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*hammerBench, append(body, '\n'), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", *hammerBench, err)
-	}
-	fmt.Printf("bench-mixed: baseline p99 %dµs (%.0f reads/s), mixed p99 %dµs (%.0f reads/s) under %.0f inserts/s — ratio %.2f\n",
-		baseline.P99Micros, baseline.ReadsPerSec, mixed.P99Micros, mixed.ReadsPerSec,
-		rep.MutationsPerSec, rep.ReadP99Ratio)
-	fmt.Printf("bench-mixed: report written to %s\n", *hammerBench)
-
-	if baseline.Errors > 0 || mixed.Errors > 0 {
-		return fmt.Errorf("bench-mixed: %d baseline + %d mixed read errors", baseline.Errors, mixed.Errors)
-	}
-	if rep.Mutations == 0 {
-		return fmt.Errorf("bench-mixed: the insert storm landed no mutations (%d errors)", rep.MutationErrors)
-	}
-	if max := *hammerBenchMax; max > 0 && rep.ReadP99Ratio > max {
-		return fmt.Errorf("bench-mixed: mixed read p99 is %.2fx the baseline, want <= %.2fx — reads are blocking on writers",
-			rep.ReadP99Ratio, max)
-	}
-	return nil
-}
-
-// benchReads replays n round-robin reads over c workers and aggregates
-// one phase; with trajectory set, each read's completion offset is kept
-// and bucketed into the per-interval trajectory.
-func benchReads(client *http.Client, base string, reads []hammerReq, n, c int, trajectory bool) (benchPhase, []benchBucket) {
-	lats := make([]time.Duration, n)
-	offs := make([]float64, n)
-	var next, errs atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < c; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				t0 := time.Now()
-				status, _, _ := issueBody(client, base+reads[i%len(reads)].url)
-				lats[i] = time.Since(t0)
-				offs[i] = time.Since(start).Seconds()
-				if status != http.StatusOK {
-					errs.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	phase := benchPhase{
-		Requests:  n,
-		Errors:    errs.Load(),
-		Seconds:   elapsed.Seconds(),
-		P50Micros: pct(sorted, 0.50).Microseconds(),
-		P95Micros: pct(sorted, 0.95).Microseconds(),
-		P99Micros: pct(sorted, 0.99).Microseconds(),
-		MaxMicros: sorted[len(sorted)-1].Microseconds(),
-	}
-	if phase.Seconds > 0 {
-		phase.ReadsPerSec = float64(n) / phase.Seconds
-	}
-	if !trajectory {
-		return phase, nil
-	}
-	return phase, benchTrajectory(offs, lats)
-}
-
-// benchTrajectory buckets reads into fixed intervals by completion time.
-func benchTrajectory(offs []float64, lats []time.Duration) []benchBucket {
-	const width = 0.5 // seconds
-	byBucket := map[int][]time.Duration{}
-	for i, o := range offs {
-		b := int(o / width)
-		byBucket[b] = append(byBucket[b], lats[i])
-	}
-	keys := make([]int, 0, len(byBucket))
-	for k := range byBucket {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]benchBucket, 0, len(keys))
-	for _, k := range keys {
-		ls := byBucket[k]
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-		out = append(out, benchBucket{
-			OffsetSeconds: float64(k) * width,
-			Reads:         len(ls),
-			ReadsPerSec:   float64(len(ls)) / width,
-			P99Micros:     pct(ls, 0.99).Microseconds(),
-		})
-	}
-	return out
-}
-
-// benchInsertBodies builds the insert POST bodies of the mixed phase's
-// mutation storm: workload positions and keywords from the same preset,
-// offset by a different seed so the storm does not mirror the read mix.
-func benchInsertBodies(preset string, scale int, seed int64) ([][]byte, error) {
-	ds, err := dsks.GeneratePreset(dsks.Preset(preset), scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
-		NumQueries: 256, Keywords: 2, Seed: seed + 2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	bodies := make([][]byte, len(ws))
-	for i, q := range ws {
-		bodies[i], _ = json.Marshal(map[string]any{
-			"edge": q.Pos.Edge, "offset": q.Pos.Offset, "terms": q.Terms,
-		})
-	}
-	return bodies, nil
 }
 
 // pct reads the q-quantile of sorted latencies.

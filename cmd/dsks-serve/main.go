@@ -175,6 +175,10 @@ func run() error {
 		closeBackend = db.Close
 		durable = func() string { return fmt.Sprintf("durable LSN %d", db.DurableLSN()) }
 	}
+	// Installed before the listener binds: a signal that arrives the moment
+	// the server first answers still drains and exits cleanly.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	errc, err := srv.Start()
 	if err != nil {
 		return err
@@ -185,8 +189,6 @@ func run() error {
 		fmt.Printf("dsks-serve: write-ahead log in %s (%s)\n", *walDir, durable())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		return err

@@ -541,8 +541,8 @@ func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 	}
 	for len(level) > 1 {
 		var next []nodeRef
-		for start := 0; start < len(level); start += perNode + 1 {
-			end := start + perNode + 1
+		for start, end := 0, 0; start < len(level); start = end {
+			end = start + perNode + 1
 			if end > len(level) {
 				end = len(level)
 			}

@@ -188,6 +188,30 @@ func TestBulkLoad(t *testing.T) {
 	}
 }
 
+// TestBulkLoadLinksEveryLeaf loads leaf counts around the internal fan-out
+// and reads every key back through the root: when a level ends one node
+// past a full group, the group before it gives up its last child so the
+// trailing parent gets two, and that child must still hang under a parent.
+func TestBulkLoadLinksEveryLeaf(t *testing.T) {
+	perLeaf := MaxLeafEntries * 3 / 4
+	fanout := MaxInternalKeys*3/4 + 1
+	for _, leaves := range []int{fanout, fanout + 1, fanout + 2, 2*fanout + 1} {
+		entries := make([]Entry, leaves*perLeaf)
+		for i := range entries {
+			entries[i] = Entry{Key: uint64(i) * 3, Value: uint64(i)}
+		}
+		tr, err := BulkLoad(newPool(256), entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if v, err := tr.Get(e.Key); err != nil || v != e.Value {
+				t.Fatalf("%d leaves: Get(%d) = %d, %v; want %d", leaves, e.Key, v, err, e.Value)
+			}
+		}
+	}
+}
+
 func TestBulkLoadRejectsUnsorted(t *testing.T) {
 	if _, err := BulkLoad(newPool(8), []Entry{{2, 0}, {1, 0}}); err == nil {
 		t.Error("unsorted input accepted")

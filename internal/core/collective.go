@@ -67,25 +67,17 @@ func SearchCollectiveTraced(ctx context.Context, net ccam.Network, loader index.
 	start := time.Now()
 	terms := obj.NormalizeTerms(append([]obj.TermID(nil), q.Terms...))
 
-	// Collect OR-candidates within the range via the ranked machinery's
-	// expansion, run to exhaustion (alpha = 1 disables textual influence
-	// on arrival order, which is irrelevant here; no early stop because
-	// K is set beyond any possible candidate count... instead we reuse the
-	// plain expansion below).
-	rs := &rankedSearch{
-		ctx:     ctx,
-		net:     net,
-		loader:  loader,
-		q:       RankedQuery{Pos: q.Pos, Terms: terms, K: math.MaxInt32, Alpha: 1, DeltaMax: q.DeltaMax},
-		terms:   terms,
-		nodeDst: make(map[graph.NodeID]float64),
-		settled: make(map[graph.NodeID]bool),
-		visited: make(map[graph.EdgeID]bool),
-		best:    make(map[index.ObjectRef]RankedResult),
-	}
-	if err := rs.run(); err != nil {
+	// Collect the OR-candidates in range: the shared expansion, run out.
+	x, err := newExpansion(ctx, net, q.Pos, q.DeltaMax, loadAny(ctx, loader, terms))
+	if err != nil {
 		return CollectiveResult{}, SearchStats{}, Trace{}, err
 	}
+	for more := true; more; {
+		if more, err = x.step(); err != nil {
+			return CollectiveResult{}, SearchStats{}, Trace{}, err
+		}
+	}
+	x.stats.Candidates = int64(len(x.objs))
 
 	// Which keywords each candidate covers requires the term sets; the
 	// union loader reports only counts, so re-derive coverage by probing
@@ -99,12 +91,12 @@ func SearchCollectiveTraced(ctx context.Context, net ccam.Network, loader index.
 	}
 	cands := make(map[index.ObjectRef]*cand)
 	edges := make(map[graph.EdgeID]bool)
-	for ref, res := range rs.best {
-		if res.Dist > q.DeltaMax {
+	for _, o := range x.objs {
+		if o.dist > q.DeltaMax {
 			continue
 		}
-		cands[ref] = &cand{ref: ref, dist: res.Dist, covers: make(map[obj.TermID]bool)}
-		edges[ref.Edge] = true
+		cands[o.ref] = &cand{ref: o.ref, dist: o.dist, covers: make(map[obj.TermID]bool)}
+		edges[o.ref.Edge] = true
 	}
 	coverStart := time.Now()
 	for e := range edges {
@@ -120,7 +112,7 @@ func SearchCollectiveTraced(ctx context.Context, net ccam.Network, loader index.
 			}
 		}
 	}
-	trace := rs.trace
+	trace := x.trace
 	trace.PostingReads += time.Since(coverStart)
 	divStart := time.Now()
 
@@ -183,5 +175,5 @@ func SearchCollectiveTraced(ctx context.Context, net ccam.Network, loader index.
 	})
 	trace.Diversify = time.Since(divStart)
 	trace.Total = time.Since(start)
-	return result, rs.stats, trace, nil
+	return result, x.stats, trace, nil
 }

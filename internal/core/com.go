@@ -123,29 +123,19 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 		}
 	}
 
-	// Assemble the result from the core objects (Line 17), padding to k
-	// with the most relevant non-core survivor when k is odd.
-	core := c.pairs.CoreObjects()
+	// Assemble the result from the core objects (Line 17). An odd k is
+	// padded the way Algorithm 1 pads it: with the earliest arrival outside
+	// the core pairs, which is one of the first k since at most k-1 objects
+	// are core (pruning may have dropped it from c.alive, never from first).
 	result := make([]Candidate, 0, q.K)
-	inCore := make(map[obj.ID]bool, len(core))
-	for _, id := range core {
+	inCore := make(map[obj.ID]bool, q.K)
+	for _, id := range c.pairs.CoreObjects() {
 		result = append(result, c.cands[id])
 		inCore[id] = true
 	}
-	if len(result) < q.K {
-		best := Candidate{Dist: -1}
-		for _, id := range c.alive {
-			if inCore[id] {
-				continue
-			}
-			cand := c.cands[id]
-			if best.Dist < 0 || cand.Dist < best.Dist ||
-				(cand.Dist == best.Dist && cand.Ref.ID < best.Ref.ID) {
-				best = cand
-			}
-		}
-		if best.Dist >= 0 {
-			result = append(result, best)
+	for _, cand := range first {
+		if len(result) < q.K && !inCore[cand.Ref.ID] {
+			result = append(result, cand)
 		}
 	}
 	res, err := finish(result)

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"dsks/internal/ccam"
 	"dsks/internal/graph"
@@ -13,9 +13,10 @@ import (
 // DistEngine computes pairwise network distances between positions on the
 // road network, on demand. Since no pre-computation (Voronoi diagrams,
 // shortcuts) is assumed by the paper, each distance is resolved by a
-// bounded Dijkstra over the disk-resident network; per-source node
-// distance maps are cached for the lifetime of one query, so the n×n
-// pairwise matrix of SEQ costs n traversals rather than n².
+// bounded run of the traversal kernel over the disk-resident network, on
+// one frontier every traversal of the query reuses; per-source distance
+// tables are cached for the lifetime of one query, so the n×n pairwise
+// matrix of SEQ costs n traversals rather than n².
 //
 // The bound is sound for diversification: two objects within DeltaMax of
 // the query are within 2·DeltaMax of each other (through the query), so a
@@ -35,10 +36,9 @@ import (
 //     the nodes the blind bounded Dijkstra would while producing the
 //     same distance.
 type DistEngine struct {
-	ctx   context.Context // query-scoped: the engine lives for one query
-	net   ccam.Network
+	f     *frontier // query-scoped, like its context: the engine lives for one query
 	bound float64
-	cache map[graph.Position][]nodeDist
+	cache map[graph.Position][]label
 	stats *SearchStats
 
 	oracle    LandmarkOracle
@@ -46,12 +46,8 @@ type DistEngine struct {
 	posVecs   map[graph.Position][]float64 // per-position landmark vectors
 	nodeVecs  map[graph.NodeID][]float64   // per-node landmark vectors (page reads amortized)
 	astarRuns map[graph.Position]int       // A* runs per source, for the table cutover
-	vecBuf    []float64                    // scratch row for oracle reads
-}
-
-type nodeDist struct {
-	node graph.NodeID
-	dist float64
+	target    []float64                    // landmark vector of the running A*'s destination
+	pot       func(graph.NodeID) (float64, error)
 }
 
 // astarTableCutover is how many goal-directed A* runs a single source
@@ -72,35 +68,20 @@ func NewDistEngine(ctx context.Context, net ccam.Network, bound float64, stats *
 	if stats == nil {
 		stats = &SearchStats{}
 	}
-	d := &DistEngine{
-		ctx:   ctx,
-		net:   net,
-		bound: bound,
-		cache: make(map[graph.Position][]nodeDist),
-		stats: stats,
-	}
+	d := &DistEngine{bound: bound, cache: make(map[graph.Position][]label), stats: stats}
 	if an, ok := net.(*assistedNetwork); ok {
-		d.net = an.Network
+		net = an.Network
 		d.counters = an.counters
 		if an.oracle != nil {
 			d.oracle = an.oracle
 			d.posVecs = make(map[graph.Position][]float64)
 			d.nodeVecs = make(map[graph.NodeID][]float64)
 			d.astarRuns = make(map[graph.Position]int)
-			d.vecBuf = make([]float64, an.oracle.NumLandmarks())
+			d.pot = d.potential // bound once: a method value allocates
 		}
 	}
+	d.f = newFrontier(ctx, net)
 	return d
-}
-
-// Reset drops the per-query cache.
-func (d *DistEngine) Reset() {
-	d.cache = make(map[graph.Position][]nodeDist)
-	if d.oracle != nil {
-		d.posVecs = make(map[graph.Position][]float64)
-		d.nodeVecs = make(map[graph.NodeID][]float64)
-		d.astarRuns = make(map[graph.Position]int)
-	}
 }
 
 // Dist returns the exact network distance between a and b, or +Inf when it
@@ -109,7 +90,7 @@ func (d *DistEngine) Dist(a, b graph.Position) (float64, error) {
 	d.stats.PairDistCalcs++
 	direct := math.Inf(1)
 	if a.Edge == b.Edge {
-		info, err := d.net.EdgeInfo(a.Edge)
+		info, err := d.f.net.EdgeInfo(a.Edge)
 		if err != nil {
 			return 0, err
 		}
@@ -140,7 +121,7 @@ func (d *DistEngine) viaTable(src, dst graph.Position, direct float64) (float64,
 	if err != nil {
 		return 0, err
 	}
-	info, err := d.net.EdgeInfo(dst.Edge)
+	info, err := d.f.net.EdgeInfo(dst.Edge)
 	if err != nil {
 		return 0, err
 	}
@@ -207,7 +188,7 @@ func (d *DistEngine) nodeVec(n graph.NodeID) ([]float64, error) {
 		return v, nil
 	}
 	v := make([]float64, d.oracle.NumLandmarks())
-	if err := d.oracle.NodeVec(d.ctx, n, v); err != nil {
+	if err := d.oracle.NodeVec(d.f.ctx, n, v); err != nil {
 		return nil, mapCtxErr(err)
 	}
 	d.nodeVecs[n] = v
@@ -221,7 +202,7 @@ func (d *DistEngine) posVec(p graph.Position) ([]float64, error) {
 	if v, ok := d.posVecs[p]; ok {
 		return v, nil
 	}
-	info, err := d.net.EdgeInfo(p.Edge)
+	info, err := d.f.net.EdgeInfo(p.Edge)
 	if err != nil {
 		return nil, err
 	}
@@ -266,214 +247,104 @@ func oracleBounds(va, vb []float64) (lb, ub float64) {
 	return lb, ub
 }
 
-// astarEntry orders the A* frontier by f = g + potential; g rides along
-// for the staleness check.
-type astarEntry struct {
-	node graph.NodeID
-	g, f float64
+// potential is the A* landmark potential toward the running search's
+// destination: π(n) = maxₗ|vn[l]−target[l]|, a lower bound on the distance
+// from n to it, consistent by the triangle inequality.
+func (d *DistEngine) potential(n graph.NodeID) (float64, error) {
+	vn, err := d.nodeVec(n)
+	if err != nil {
+		return 0, err
+	}
+	lb, _ := oracleBounds(vn, d.target)
+	return lb, nil
 }
 
-type astarPQ []astarEntry
-
-func (h astarPQ) Len() int            { return len(h) }
-func (h astarPQ) Less(i, j int) bool  { return h[i].f < h[j].f }
-func (h astarPQ) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *astarPQ) Push(x interface{}) { *h = append(*h, x.(astarEntry)) }
-func (h *astarPQ) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// astar runs the goal-directed bounded search from src toward dst, using
-// the landmark potential π(n) = maxₗ|vn[l]−vdst[l]| (a lower bound on
-// d(n, dst), consistent by the triangle inequality). Tentative labels are
-// pruned at the engine bound exactly like the blind Dijkstra's, a node
-// whose label later improves is re-expanded (so the result never depends
-// on floating-point slack in the potential), and the search stops once
-// the cheapest frontier f cannot beat the best target value — which is
-// why it settles only a sliver of the bounded ball.
+// astar runs the goal-directed bounded search from src toward dst: the
+// frontier under the landmark potential. Tentative labels are pruned at
+// the engine bound exactly like the blind Dijkstra's, a node whose label
+// later improves is re-expanded (so the result never depends on
+// floating-point slack in the potential), and the search stops once the
+// cheapest frontier key cannot beat the best target value — which is why
+// it settles only a sliver of the bounded ball.
 //
 // best is seeded with the oracle upper bound when it lies within the
 // engine bound: ub ≥ d(src,dst) always, and if the true distance is
-// smaller the optimal path's f values are all ≤ d < ub, so the stop rule
+// smaller the optimal path's keys are all ≤ d < ub, so the stop rule
 // cannot fire before the exact distance is found; if d == ub the bound
 // is already the answer. Beyond the engine bound the seed is skipped so
 // the engine still reports +Inf exactly like the blind table.
 func (d *DistEngine) astar(src graph.Position, vdst []float64, dst graph.Position, ub float64) (float64, error) {
 	d.stats.SourceDijkstra++
-	ainfo, err := d.net.EdgeInfo(src.Edge)
+	binfo, err := d.f.net.EdgeInfo(dst.Edge)
 	if err != nil {
 		return 0, err
 	}
-	binfo, err := d.net.EdgeInfo(dst.Edge)
-	if err != nil {
-		return 0, err
-	}
-	w1a := offsetCost(ainfo.Weight, ainfo.Length, src.Offset)
 	w1b := offsetCost(binfo.Weight, binfo.Length, dst.Offset)
-	w2b := binfo.Weight - w1b
-
-	pot := func(n graph.NodeID) (float64, error) {
-		vn, err := d.nodeVec(n)
-		if err != nil {
-			return 0, err
-		}
-		p := 0.0
-		for i, x := range vn {
-			y := vdst[i]
-			if math.IsInf(x, 1) && math.IsInf(y, 1) {
-				continue
-			}
-			if diff := math.Abs(x - y); diff > p {
-				p = diff
-			}
-		}
-		return p, nil
-	}
-
 	best := math.Inf(1)
 	if ub <= d.bound {
 		best = ub
 	}
-	dist := make(map[graph.NodeID]float64)
-	pq := &astarPQ{}
-	relax := func(n graph.NodeID, g float64) error {
-		// g alone is a lower bound on any src→dst path through n, so a
-		// label that cannot beat best (which never goes below the true
-		// distance) is dead on arrival.
-		if g > d.bound || g >= best {
-			return nil
-		}
-		if cur, ok := dist[n]; !ok || g < cur {
-			dist[n] = g
-			p, err := pot(n)
-			if err != nil {
-				return err
-			}
-			heap.Push(pq, astarEntry{node: n, g: g, f: g + p})
-		}
-		return nil
-	}
-	if err := relax(ainfo.N1, w1a); err != nil {
+	// A label's distance is a lower bound on any src→dst path through its
+	// node, so one that cannot beat best (never below the true distance)
+	// is dead on arrival: the limit sits just under best.
+	limit := func() float64 { return math.Min(d.bound, math.Nextafter(best, math.Inf(-1))) }
+	d.target = vdst
+	if _, _, err := d.f.start(src, limit(), d.pot); err != nil {
 		return 0, err
 	}
-	if err := relax(ainfo.N2, ainfo.Weight-w1a); err != nil {
-		return 0, err
-	}
-	settled := make(map[graph.NodeID]bool)
-	var settledCount int64
-	for pq.Len() > 0 {
-		if (*pq)[0].f >= best {
+	for {
+		top, ok := d.f.peek()
+		if !ok || top.Key >= best {
 			break
 		}
-		if err := ctxErr(d.ctx); err != nil {
+		if graph.NodeID(top.ID) == binfo.N1 {
+			best = math.Min(best, top.Val+w1b)
+		}
+		if graph.NodeID(top.ID) == binfo.N2 {
+			best = math.Min(best, top.Val+(binfo.Weight-w1b))
+		}
+		d.f.limit = limit()
+		if _, _, _, err := d.f.settle(); err != nil {
 			return 0, err
-		}
-		cur := heap.Pop(pq).(astarEntry)
-		if cur.g > dist[cur.node] {
-			continue // stale
-		}
-		if !settled[cur.node] {
-			settled[cur.node] = true
-			settledCount++
-		}
-		if cur.node == binfo.N1 {
-			if c := cur.g + w1b; c < best {
-				best = c
-			}
-		}
-		if cur.node == binfo.N2 {
-			if c := cur.g + w2b; c < best {
-				best = c
-			}
-		}
-		adj, err := d.net.Adjacency(d.ctx, cur.node)
-		if err != nil {
-			return 0, mapCtxErr(err)
-		}
-		for _, a := range adj {
-			if err := relax(a.Other, cur.g+a.Weight); err != nil {
-				return 0, err
-			}
 		}
 	}
 	// Every labeled node has a path ≤ bound, so the blind bounded
 	// Dijkstra would have settled all of them; the unsettled remainder
 	// is work the potential provably saved.
-	if saved := int64(len(dist)) - settledCount; saved > 0 {
+	if saved := int64(len(d.f.labels)) - d.f.settledN; saved > 0 {
 		d.stats.OraclePopsSaved += saved
 		addCounter(d.counters.PopsSaved, saved)
 	}
-	d.stats.DistSettled += settledCount
-	addCounter(d.counters.Settled, settledCount)
+	d.stats.DistSettled += d.f.settledN
+	addCounter(d.counters.Settled, d.f.settledN)
 	return best, nil
 }
 
 // fromSource returns (computing and caching if needed) the bounded
-// node-distance table from position p.
-func (d *DistEngine) fromSource(p graph.Position) ([]nodeDist, error) {
+// node-distance table from position p: the frontier run to exhaustion
+// under the engine bound, its labels sorted by node.
+func (d *DistEngine) fromSource(p graph.Position) ([]label, error) {
 	if cached, ok := d.cache[p]; ok {
 		return cached, nil
 	}
 	d.stats.SourceDijkstra++
-	info, err := d.net.EdgeInfo(p.Edge)
-	if err != nil {
+	if _, _, err := d.f.start(p, d.bound, nil); err != nil {
 		return nil, err
 	}
-	w1 := offsetCost(info.Weight, info.Length, p.Offset)
-
-	dist := make(map[graph.NodeID]float64)
-	pq := &nodePQ{}
-	relax := func(n graph.NodeID, dd float64) {
-		if dd > d.bound {
-			return
-		}
-		if cur, ok := dist[n]; !ok || dd < cur {
-			dist[n] = dd
-			heap.Push(pq, nodeEntry{node: n, dist: dd})
-		}
-	}
-	relax(info.N1, w1)
-	relax(info.N2, info.Weight-w1)
-	settled := make(map[graph.NodeID]bool)
-	var settledCount int64
-	for pq.Len() > 0 {
-		if err := ctxErr(d.ctx); err != nil {
+	for _, ok := d.f.peek(); ok; _, ok = d.f.peek() {
+		if _, _, _, err := d.f.settle(); err != nil {
 			return nil, err
 		}
-		cur := heap.Pop(pq).(nodeEntry)
-		if settled[cur.node] || cur.dist > dist[cur.node] {
-			continue
-		}
-		settled[cur.node] = true
-		settledCount++
-		adj, err := d.net.Adjacency(d.ctx, cur.node)
-		if err != nil {
-			return nil, mapCtxErr(err)
-		}
-		for _, a := range adj {
-			relax(a.Other, cur.dist+a.Weight)
-		}
 	}
-	d.stats.DistSettled += settledCount
-	addCounter(d.counters.Settled, settledCount)
-	out := make([]nodeDist, 0, len(dist))
-	for n, dd := range dist {
-		out = append(out, nodeDist{node: n, dist: dd})
-	}
-	sortNodeDists(out)
+	d.stats.DistSettled += d.f.settledN
+	addCounter(d.counters.Settled, d.f.settledN)
+	out := slices.Clone(d.f.labels)
+	slices.SortFunc(out, func(a, b label) int { return cmp.Compare(a.node, b.node) })
 	d.cache[p] = out
 	return out, nil
 }
 
-func sortNodeDists(nd []nodeDist) {
-	sort.Slice(nd, func(i, j int) bool { return nd[i].node < nd[j].node })
-}
-
-func lookupNodeDist(nd []nodeDist, n graph.NodeID) (float64, bool) {
+func lookupNodeDist(nd []label, n graph.NodeID) (float64, bool) {
 	lo, hi := 0, len(nd)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -484,10 +355,7 @@ func lookupNodeDist(nd []nodeDist, n graph.NodeID) (float64, bool) {
 		}
 	}
 	if lo < len(nd) && nd[lo].node == n {
-		return nd[lo].dist, true
+		return nd[lo].g, true
 	}
 	return 0, false
 }
-
-// Stats returns the engine's counters.
-func (d *DistEngine) Stats() SearchStats { return *d.stats }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dsks/internal/core"
+	"dsks/internal/dataset"
 	"dsks/internal/harness"
 	"dsks/internal/obj"
 )
@@ -277,11 +278,52 @@ func TestThetaTMonotone(t *testing.T) {
 	}
 }
 
+// denseWorld is a denser network at a wider radius than testWorld, where
+// COM's object pruning regularly leaves no visited object outside the
+// core pairs.
+func denseWorld(t testing.TB) (*harness.System, []dataset.Query) {
+	t.Helper()
+	ds, err := dataset.GeneratePreset(dataset.PresetNA, 400, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := harness.Build(ds, []harness.IndexKind{harness.KindSIF}, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := dataset.GenerateWorkload(ds.Objects, ds.VocabSize, dataset.WorkloadConfig{
+		NumQueries: 20, Keywords: 2, DeltaMaxPerKeyword: 2000, Seed: 28,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, ws
+}
+
 func TestSEQAndCOMAgree(t *testing.T) {
 	sys, ws := testWorld(t, 21)
+	dense, denseWs := denseWorld(t)
+	for _, tc := range []struct {
+		name string
+		sys  *harness.System
+		ws   []dataset.Query
+		k    int
+	}{
+		{"even k", sys, ws, 6},
+		{"odd k", sys, ws, 5},
+		{"even k, pruned", dense, denseWs, 6},
+		{"odd k, pruned", dense, denseWs, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testSEQAndCOMAgree(t, tc.sys, tc.ws, tc.k)
+		})
+	}
+}
+
+func testSEQAndCOMAgree(t *testing.T, sys *harness.System, ws []dataset.Query, k int) {
 	ran := 0
 	for _, wq := range ws {
-		q := harness.DivQueryOf(wq, 6, 0.8)
+		q := harness.DivQueryOf(wq, k, 0.8)
 		seq, err := sys.RunDiv(context.Background(), harness.KindSIF, harness.AlgoSEQ, q)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sort"
@@ -72,199 +71,52 @@ func SearchRankedTraced(ctx context.Context, net ccam.Network, loader index.Unio
 	if err := q.Validate(); err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
+	start := time.Now()
 	terms := obj.NormalizeTerms(append([]obj.TermID(nil), q.Terms...))
-	rs := &rankedSearch{
-		ctx:     ctx,
-		net:     net,
-		loader:  loader,
-		q:       q,
-		terms:   terms,
-		nodeDst: make(map[graph.NodeID]float64),
-		settled: make(map[graph.NodeID]bool),
-		visited: make(map[graph.EdgeID]bool),
-		best:    make(map[index.ObjectRef]RankedResult),
-	}
-	if err := rs.run(); err != nil {
+	x, err := newExpansion(ctx, net, q.Pos, q.DeltaMax, loadAny(ctx, loader, terms))
+	if err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
-	return rs.topK(), rs.stats, rs.trace, nil
-}
-
-// rankedSearch mirrors SKSearch's expansion but scores with OR semantics.
-// Distances of loaded objects are finalized the same way: via settled
-// end-nodes, with the same-edge direct path handled at the start.
-type rankedSearch struct {
-	ctx    context.Context // query-scoped: the search lives for one query
-	net    ccam.Network
-	loader index.UnionLoader
-	q      RankedQuery
-	terms  []obj.TermID
-
-	pq      nodePQ
-	nodeDst map[graph.NodeID]float64
-	settled map[graph.NodeID]bool
-	visited map[graph.EdgeID]bool
-
-	best  map[index.ObjectRef]RankedResult // best-known distance per object
-	stats SearchStats
-	trace Trace
-}
-
-// loadAny times a union-loader call into the trace's PostingReads stage.
-func (r *rankedSearch) loadAny(e graph.EdgeID) ([]index.ObjectMatch, error) {
-	start := time.Now()
-	matches, err := r.loader.LoadObjectsAny(r.ctx, e, r.terms)
-	r.trace.PostingReads += time.Since(start)
-	return matches, err
-}
-
-func (r *rankedSearch) score(dist float64, matched int) float64 {
-	spatial := 1 - dist/r.q.DeltaMax
-	if spatial < 0 {
-		spatial = 0
-	}
-	textual := float64(matched) / float64(len(r.terms))
-	return r.q.Alpha*spatial + (1-r.q.Alpha)*textual
-}
-
-// kthBest returns the current k-th best score (0 if fewer than k seen).
-func (r *rankedSearch) kthBest() float64 {
-	if len(r.best) < r.q.K {
-		return -1
-	}
-	scores := make([]float64, 0, len(r.best))
-	for ref, res := range r.best {
-		_ = ref
-		scores = append(scores, res.Score)
-	}
-	sort.Float64s(scores)
-	return scores[len(scores)-r.q.K]
-}
-
-func (r *rankedSearch) run() error {
-	if err := ctxErr(r.ctx); err != nil {
-		return err
-	}
-	runStart := time.Now()
-	defer func() {
-		r.trace.Total = time.Since(runStart)
-		r.trace.Expansion = r.trace.Total - r.trace.PostingReads
-	}()
-	info, err := r.net.EdgeInfo(r.q.Pos.Edge)
-	if err != nil {
-		return err
-	}
-	wq1 := offsetCost(info.Weight, info.Length, r.q.Pos.Offset)
-	wq2 := info.Weight - wq1
-	r.relax(info.N1, wq1)
-	r.relax(info.N2, wq2)
-
-	r.visited[r.q.Pos.Edge] = true
-	r.stats.EdgesVisited++
-	matches, err := r.loadAny(r.q.Pos.Edge)
-	if err != nil {
-		return mapCtxErr(err)
-	}
-	for _, m := range matches {
-		wo1 := offsetCost(info.Weight, info.Length, m.Ref.Offset)
-		direct := wo1 - wq1
-		if direct < 0 {
-			direct = -direct
+	score := func(dist float64, matched int) float64 {
+		spatial := 1 - dist/q.DeltaMax
+		if spatial < 0 {
+			spatial = 0
 		}
-		r.record(m, direct)
+		return q.Alpha*spatial + (1-q.Alpha)*float64(matched)/float64(len(terms))
 	}
-
+	var top []float64 // the K best scores of the found objects, ascending
 	for {
-		if err := ctxErr(r.ctx); err != nil {
-			return err
+		// Score what the last step found. A distance only ever shrinks, so
+		// a score only grows.
+		for _, i := range x.fresh {
+			o := &x.objs[i]
+			sc := score(o.dist, o.matched)
+			top = raiseTopK(top, q.K, o.score, sc)
+			o.score = sc
 		}
-		var cur nodeEntry
-		found := false
-		for r.pq.Len() > 0 {
-			cur = heap.Pop(&r.pq).(nodeEntry)
-			if !r.settled[cur.node] && cur.dist <= r.nodeDst[cur.node] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil
-		}
-		if cur.dist > r.q.DeltaMax {
-			return nil
+		next, ok := x.f.peek()
+		if !ok {
+			break
 		}
 		// Early termination: the best possible score of any unseen object
 		// (perfect textual match at the frontier distance) cannot displace
 		// the k-th best.
-		if kth := r.kthBest(); kth >= 0 && r.score(cur.dist, len(r.terms)) <= kth {
-			r.stats.EarlyTerminate = true
-			return nil
+		if len(top) == q.K && score(next.Val, len(terms)) <= top[0] {
+			x.stats.EarlyTerminate = true
+			break
 		}
-		r.settled[cur.node] = true
-		r.stats.NodesPopped++
-		adj, err := r.net.Adjacency(r.ctx, cur.node)
-		if err != nil {
-			return mapCtxErr(err)
-		}
-		for _, a := range adj {
-			r.relax(a.Other, cur.dist+a.Weight)
-			settledIsRef := cur.node < a.Other
-			if !r.visited[a.Edge] {
-				r.visited[a.Edge] = true
-				r.stats.EdgesVisited++
-				matches, err := r.loadAny(a.Edge)
-				if err != nil {
-					return mapCtxErr(err)
-				}
-				for _, m := range matches {
-					r.record(m, cur.dist+objCost(a, settledIsRef, m.Ref.Offset))
-				}
-			} else {
-				// Second end settled: distances may improve.
-				for ref, res := range r.best {
-					if ref.Edge != a.Edge {
-						continue
-					}
-					if d := cur.dist + objCost(a, settledIsRef, ref.Offset); d < res.Dist {
-						res.Dist = d
-						res.Score = r.score(d, res.Matched)
-						r.best[ref] = res
-					}
-				}
-			}
+		if _, err := x.step(); err != nil {
+			return nil, SearchStats{}, Trace{}, err
 		}
 	}
-}
+	x.stats.Candidates = int64(len(x.objs))
 
-func (r *rankedSearch) relax(n graph.NodeID, d float64) {
-	if r.settled[n] {
-		return
-	}
-	if cur, ok := r.nodeDst[n]; !ok || d < cur {
-		r.nodeDst[n] = d
-		heap.Push(&r.pq, nodeEntry{node: n, dist: d})
-	}
-}
-
-func (r *rankedSearch) record(m index.ObjectMatch, dist float64) {
-	res, ok := r.best[m.Ref]
-	if !ok || dist < res.Dist {
-		res = RankedResult{Ref: m.Ref, Dist: dist, Matched: m.Matched}
-		res.Score = r.score(dist, m.Matched)
-		r.best[m.Ref] = res
-	}
-	if !ok {
-		r.stats.Candidates++
-	}
-}
-
-// topK extracts the k best-scoring objects within range, ties broken by
-// distance then ID for determinism.
-func (r *rankedSearch) topK() []RankedResult {
-	all := make([]RankedResult, 0, len(r.best))
-	for _, res := range r.best {
-		if res.Dist <= r.q.DeltaMax {
-			all = append(all, res)
+	// The k best-scoring objects within range, ties broken by distance then
+	// ID for determinism.
+	all := make([]RankedResult, 0, len(x.objs))
+	for _, o := range x.objs {
+		if o.dist <= q.DeltaMax {
+			all = append(all, RankedResult{Ref: o.ref, Dist: o.dist, Matched: o.matched, Score: o.score})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -276,8 +128,37 @@ func (r *rankedSearch) topK() []RankedResult {
 		}
 		return all[i].Ref.ID < all[j].Ref.ID
 	})
-	if len(all) > r.q.K {
-		all = all[:r.q.K]
+	if len(all) > q.K {
+		all = all[:q.K]
 	}
-	return all
+	x.trace.Total = time.Since(start)
+	x.trace.Expansion = x.trace.Total - x.trace.PostingReads
+	return all, x.stats, x.trace, nil
+}
+
+// raiseTopK maintains top, the (at most) k largest values of a multiset
+// of scores in ascending order, when one member grows from old to score
+// (old = -1 adds a new member). Only the values matter for the k-th best,
+// so any copy of old stands for the member that grew: old is in top
+// whenever it is at least top[0], and otherwise score enters only by
+// displacing the current k-th.
+func raiseTopK(top []float64, k int, old, score float64) []float64 {
+	drop := sort.SearchFloat64s(top, old)
+	switch {
+	case drop < len(top) && top[drop] == old:
+	case len(top) < k:
+		drop = -1
+	case score <= top[0]:
+		return top
+	default:
+		drop = 0
+	}
+	if drop >= 0 {
+		top = append(top[:drop], top[drop+1:]...)
+	}
+	at := sort.SearchFloat64s(top, score)
+	top = append(top, 0)
+	copy(top[at+1:], top[at:])
+	top[at] = score
+	return top
 }

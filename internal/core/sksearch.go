@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"time"
@@ -9,41 +8,146 @@ import (
 	"dsks/internal/ccam"
 	"dsks/internal/graph"
 	"dsks/internal/index"
+	"dsks/internal/minheap"
+	"dsks/internal/obj"
 )
 
-// SKSearch is the incremental network expansion of Algorithm 3: it settles
-// road nodes in non-decreasing network distance from the query (Dijkstra
-// accumulated over the CCAM structure), loads the qualifying objects of
-// each newly visited edge through the object index (Algorithm 2), and
-// emits candidates in non-decreasing network distance — the arrival order
-// the diversified search (Algorithm 6) consumes.
-type SKSearch struct {
-	ctx    context.Context // query-scoped: the search lives for one query
-	net    ccam.Network
-	loader index.Loader
-	q      SKQuery
+// expansion is the edge-visiting network expansion of Algorithm 3, shared
+// by the boolean, ranked and collective searches: a frontier bounded by
+// DeltaMax settles road nodes in order of network distance from the
+// query; an edge's objects are loaded through the object index when its
+// first end settles (Algorithm 2) and brought closer when the other does.
+// The searches differ only in the loader call (AND refs or OR matches)
+// and in what they do with the found objects.
+type expansion struct {
+	f    *frontier
+	load func(e graph.EdgeID, into []foundObj) ([]foundObj, error)
 
-	pq      nodePQ
-	nodeDst map[graph.NodeID]float64 // tentative distances
-	settled map[graph.NodeID]bool    // marked nodes (final distance)
-	visited map[graph.EdgeID]bool    // edges whose objects were loaded
-
-	pending  objPQ                       // loaded, not yet emitted
-	inflight map[index.ObjectRef]*objRef // loaded objects by identity
-	byEdge   map[graph.EdgeID][]*objRef  // pending objects grouped by edge
-
-	deltaT float64 // lower bound on any future settled distance
-	done   bool
+	objs   []foundObj                // every loaded object, an edge's objects adjacent
+	byEdge map[graph.EdgeID][2]int32 // visited edge -> its [lo, hi) range of objs
+	fresh  []int32                   // objects the last step loaded or brought closer
+	deltaT float64                   // lower bound on any future settled distance
 	stats  SearchStats
 	trace  Trace
 }
 
-type objRef struct {
-	ref      index.ObjectRef
-	dist     float64 // best-known distance
-	endsSeen int     // how many marked end-nodes contributed
-	emitted  bool
-	heapIdx  int
+// foundObj is a loaded object with its best-known distance, which is final
+// once both ends of its edge have settled or the frontier has passed it.
+type foundObj struct {
+	ref     index.ObjectRef
+	dist    float64
+	matched int     // query terms contained (OR loads only)
+	score   float64 // ranked score at dist; -1 until scored (OR loads only)
+}
+
+// loadAll adapts a Loader's AND load to the expansion.
+func loadAll(ctx context.Context, loader index.Loader, terms []obj.TermID) func(graph.EdgeID, []foundObj) ([]foundObj, error) {
+	return func(e graph.EdgeID, into []foundObj) ([]foundObj, error) {
+		refs, err := loader.LoadObjects(ctx, e, terms)
+		for _, r := range refs {
+			into = append(into, foundObj{ref: r})
+		}
+		return into, err
+	}
+}
+
+// loadAny adapts a UnionLoader's OR load to the expansion.
+func loadAny(ctx context.Context, loader index.UnionLoader, terms []obj.TermID) func(graph.EdgeID, []foundObj) ([]foundObj, error) {
+	return func(e graph.EdgeID, into []foundObj) ([]foundObj, error) {
+		matches, err := loader.LoadObjectsAny(ctx, e, terms)
+		for _, m := range matches {
+			into = append(into, foundObj{ref: m.Ref, matched: m.Matched, score: -1})
+		}
+		return into, err
+	}
+}
+
+// newExpansion anchors the expansion at the two end-nodes of the query's
+// edge and loads that edge eagerly: its objects have a direct along-edge
+// distance at once, and paths through the end-nodes are applied as the
+// ends settle. A context that is already done fails here before any I/O.
+func newExpansion(ctx context.Context, net ccam.Network, pos graph.Position, deltaMax float64, load func(graph.EdgeID, []foundObj) ([]foundObj, error)) (*expansion, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	x := &expansion{f: newFrontier(ctx, net), load: load, byEdge: make(map[graph.EdgeID][2]int32)}
+	info, wq, err := x.f.start(pos, deltaMax, nil)
+	if err != nil {
+		return nil, err
+	}
+	span, err := x.visit(pos.Edge)
+	if err != nil {
+		return nil, err
+	}
+	for i := span[0]; i < span[1]; i++ {
+		o := &x.objs[i]
+		o.dist = math.Abs(offsetCost(info.Weight, info.Length, o.ref.Offset) - wq)
+		x.fresh = append(x.fresh, i)
+	}
+	return x, nil
+}
+
+// visit loads edge e's objects, timed into the trace's PostingReads stage.
+func (x *expansion) visit(e graph.EdgeID) ([2]int32, error) {
+	x.stats.EdgesVisited++
+	start := time.Now()
+	objs, err := x.load(e, x.objs)
+	x.trace.PostingReads += time.Since(start)
+	if err != nil {
+		return [2]int32{}, mapCtxErr(err)
+	}
+	span := [2]int32{int32(len(x.objs)), int32(len(objs))}
+	x.objs, x.byEdge[e] = objs, span
+	return span, nil
+}
+
+// step settles one node (one iteration of Algorithm 3's main loop) and
+// leaves in fresh the objects it loaded or brought closer; false means
+// every node within DeltaMax has settled.
+func (x *expansion) step() (bool, error) {
+	start, posting := time.Now(), x.trace.PostingReads
+	x.fresh = x.fresh[:0]
+	if _, ok := x.f.peek(); !ok {
+		return false, nil
+	}
+	node, g, adj, err := x.f.settle()
+	if err != nil {
+		return false, err
+	}
+	x.deltaT = g
+	x.stats.NodesPopped++
+	for _, a := range adj {
+		span, seen := x.byEdge[a.Edge]
+		if !seen {
+			if span, err = x.visit(a.Edge); err != nil {
+				return false, err
+			}
+		}
+		for i := span[0]; i < span[1]; i++ {
+			o := &x.objs[i]
+			// An offset counts from the reference node, the smaller end ID.
+			w := offsetCost(a.Weight, a.Length, o.ref.Offset)
+			if node > a.Other {
+				w = a.Weight - w
+			}
+			if d := g + w; !seen || d < o.dist {
+				o.dist = d
+				x.fresh = append(x.fresh, i)
+			}
+		}
+	}
+	x.trace.Expansion += time.Since(start) - (x.trace.PostingReads - posting)
+	return true, nil
+}
+
+// SKSearch is the incremental boolean spatial keyword search of Algorithm
+// 3: it drives the expansion and emits the qualifying objects in
+// non-decreasing network distance — the arrival order the diversified
+// search (Algorithm 6) consumes.
+type SKSearch struct {
+	x       *expansion
+	pending minheap.Heap[int32] // found, not yet emitted: key dist, ID object, Val index in x.objs
+	done    bool
 }
 
 // NewSKSearch prepares an incremental search; it performs the first edge
@@ -55,53 +159,11 @@ func NewSKSearch(ctx context.Context, net ccam.Network, loader index.Loader, q S
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	s := &SKSearch{
-		ctx:      ctx,
-		net:      net,
-		loader:   loader,
-		q:        q,
-		nodeDst:  make(map[graph.NodeID]float64),
-		settled:  make(map[graph.NodeID]bool),
-		visited:  make(map[graph.EdgeID]bool),
-		inflight: make(map[index.ObjectRef]*objRef),
-		byEdge:   make(map[graph.EdgeID][]*objRef),
-	}
-	info, err := net.EdgeInfo(q.Pos.Edge)
+	x, err := newExpansion(ctx, net, q.Pos, q.DeltaMax, loadAll(ctx, loader, q.Terms))
 	if err != nil {
 		return nil, err
 	}
-	// Anchor the expansion at the two end-nodes of the query's edge.
-	wq1 := offsetCost(info.Weight, info.Length, q.Pos.Offset)
-	wq2 := info.Weight - wq1
-	s.relax(info.N1, wq1)
-	s.relax(info.N2, wq2)
-
-	// Objects on the query's own edge: their direct along-edge distance is
-	// available immediately; paths through the end-nodes are applied as
-	// the ends settle.
-	s.visited[q.Pos.Edge] = true
-	s.stats.EdgesVisited++
-	refs, err := s.loadObjects(q.Pos.Edge)
-	if err != nil {
-		return nil, mapCtxErr(err)
-	}
-	for _, r := range refs {
-		wo1 := offsetCost(info.Weight, info.Length, r.Offset)
-		direct := math.Abs(wo1 - wq1)
-		s.addObject(r, direct)
-	}
-	return s, nil
-}
-
-// loadObjects times a Loader call into the trace's PostingReads stage.
-func (s *SKSearch) loadObjects(e graph.EdgeID) ([]index.ObjectRef, error) {
-	start := time.Now()
-	refs, err := s.loader.LoadObjects(s.ctx, e, s.q.Terms)
-	s.trace.PostingReads += time.Since(start)
-	return refs, err
+	return &SKSearch{x: x}, nil
 }
 
 // offsetCost converts a geometric offset from the reference node into a
@@ -118,160 +180,43 @@ func offsetCost(weight, length, offset float64) float64 {
 	return weight * offset / length
 }
 
-func (s *SKSearch) relax(n graph.NodeID, d float64) {
-	if s.settled[n] {
-		return
-	}
-	if cur, ok := s.nodeDst[n]; !ok || d < cur {
-		s.nodeDst[n] = d
-		heap.Push(&s.pq, nodeEntry{node: n, dist: d})
-	}
-}
-
-func (s *SKSearch) addObject(r index.ObjectRef, d float64) {
-	if o, ok := s.inflight[r]; ok {
-		if d < o.dist {
-			o.dist = d
-			heap.Fix(&s.pending, o.heapIdx)
-		}
-		o.endsSeen++
-		return
-	}
-	o := &objRef{ref: r, dist: d, endsSeen: 1}
-	s.inflight[r] = o
-	s.byEdge[r.Edge] = append(s.byEdge[r.Edge], o)
-	heap.Push(&s.pending, o)
-}
-
 // Next returns the next candidate in non-decreasing network distance. The
 // boolean is false when the search is exhausted (all qualifying objects
 // within DeltaMax have been emitted).
 func (s *SKSearch) Next() (Candidate, bool, error) {
 	for {
+		// Queue what the last step touched, under its new distance.
+		for _, i := range s.x.fresh {
+			o := &s.x.objs[i]
+			s.pending.Push(o.dist, int32(o.ref.ID), i)
+		}
+		s.x.fresh = s.x.fresh[:0]
 		// Emit a pending object once no future relaxation can undercut it:
 		// its distance is within the expansion frontier deltaT, or the
 		// expansion is finished.
-		if len(s.pending) > 0 {
-			top := s.pending[0]
-			if top.dist <= s.q.DeltaMax && (s.done || top.dist <= s.deltaT) {
-				heap.Pop(&s.pending)
-				delete(s.inflight, top.ref)
-				top.emitted = true
-				s.stats.Candidates++
-				return Candidate{Ref: top.ref, Dist: top.dist}, true, nil
+		for s.pending.Len() > 0 {
+			top := s.pending.Min()
+			o := &s.x.objs[top.Val]
+			if top.Key != o.dist {
+				s.pending.Pop() // queued under an earlier, longer distance
+				continue
 			}
-			if s.done && top.dist > s.q.DeltaMax {
-				// Everything left is out of range.
-				return Candidate{}, false, nil
+			if o.dist > s.x.f.limit || (!s.done && o.dist > s.x.deltaT) {
+				break
 			}
+			s.pending.Pop()
+			s.x.stats.Candidates++
+			return Candidate{Ref: o.ref, Dist: o.dist}, true, nil
 		}
 		if s.done {
 			return Candidate{}, false, nil
 		}
-		if err := s.expandOnce(); err != nil {
-			return Candidate{}, false, mapCtxErr(err)
+		more, err := s.x.step()
+		if err != nil {
+			return Candidate{}, false, err
 		}
+		s.done = !more
 	}
-}
-
-// expandOnce settles one node of the network expansion (one iteration of
-// Algorithm 3's main loop). The context is checked once per settled node,
-// so cancellation latency is bounded by a single node's work.
-func (s *SKSearch) expandOnce() error {
-	if err := ctxErr(s.ctx); err != nil {
-		return err
-	}
-	expandStart := time.Now()
-	postingBefore := s.trace.PostingReads
-	defer func() {
-		s.trace.Expansion += time.Since(expandStart) - (s.trace.PostingReads - postingBefore)
-	}()
-	// Pop the next unsettled node.
-	var cur nodeEntry
-	for {
-		if s.pq.Len() == 0 {
-			s.done = true
-			return nil
-		}
-		cur = heap.Pop(&s.pq).(nodeEntry)
-		if !s.settled[cur.node] && cur.dist <= s.nodeDst[cur.node] {
-			break
-		}
-	}
-	s.deltaT = cur.dist
-	if s.deltaT > s.q.DeltaMax {
-		// Any unsettled node — and hence any unseen object — is beyond
-		// the range (the termination test of Algorithm 3).
-		s.done = true
-		return nil
-	}
-	s.settled[cur.node] = true
-	s.stats.NodesPopped++
-
-	adj, err := s.net.Adjacency(s.ctx, cur.node)
-	if err != nil {
-		return err
-	}
-	for _, a := range adj {
-		s.relax(a.Other, cur.dist+a.Weight)
-
-		refNode := cur.node // reference node N1 = smaller end ID
-		if a.Other < cur.node {
-			refNode = a.Other
-		}
-		if !s.visited[a.Edge] {
-			// First visit: load qualifying objects (Algorithm 2).
-			s.visited[a.Edge] = true
-			s.stats.EdgesVisited++
-			refs, err := s.loadObjects(a.Edge)
-			if err != nil {
-				return err
-			}
-			for _, r := range refs {
-				s.addObject(r, cur.dist+objCost(a, refNode == cur.node, r.Offset))
-			}
-		} else {
-			// Edge seen before: the second settled end may shorten the
-			// distance of its pending objects.
-			for _, o := range s.pendingOnEdge(a.Edge) {
-				d := cur.dist + objCost(a, refNode == cur.node, o.ref.Offset)
-				if d < o.dist {
-					o.dist = d
-					heap.Fix(&s.pending, o.heapIdx)
-				}
-				o.endsSeen++
-			}
-		}
-	}
-	return nil
-}
-
-// objCost is the cost from a settled end-node to an object at the given
-// geometric offset from the edge's reference node.
-func objCost(a ccam.AdjEntry, settledIsRef bool, offset float64) float64 {
-	w1 := offsetCost(a.Weight, a.Length, offset)
-	if settledIsRef {
-		return w1
-	}
-	return a.Weight - w1
-}
-
-// pendingOnEdge returns the not-yet-emitted objects of edge e, compacting
-// the per-edge list as emitted entries are encountered.
-func (s *SKSearch) pendingOnEdge(e graph.EdgeID) []*objRef {
-	lst := s.byEdge[e]
-	alive := lst[:0]
-	for _, o := range lst {
-		if !o.emitted {
-			alive = append(alive, o)
-		}
-	}
-	if len(alive) == 0 {
-		delete(s.byEdge, e)
-		return nil
-	}
-	s.byEdge[e] = alive
-	return alive
 }
 
 // All drains the search, returning every candidate in distance order (the
@@ -291,68 +236,15 @@ func (s *SKSearch) All() ([]Candidate, error) {
 }
 
 // Stats returns the traversal counters so far.
-func (s *SKSearch) Stats() SearchStats { return s.stats }
+func (s *SKSearch) Stats() SearchStats { return s.x.stats }
 
 // Trace returns the stage timings accumulated so far (Total is left for
 // the caller, which owns the end-to-end clock).
-func (s *SKSearch) Trace() Trace { return s.trace }
-
-// Frontier returns the current expansion frontier deltaT: every not-yet-
-// emitted object is at least this far from the query.
-func (s *SKSearch) Frontier() float64 { return s.deltaT }
+func (s *SKSearch) Trace() Trace { return s.x.trace }
 
 // Stop abandons the expansion (Algorithm 6's early termination).
 func (s *SKSearch) Stop() {
 	s.done = true
-	s.pending = nil
-	s.inflight = nil
-	s.byEdge = nil
-}
-
-// --- heaps ------------------------------------------------------------------
-
-type nodeEntry struct {
-	node graph.NodeID
-	dist float64
-}
-
-type nodePQ []nodeEntry
-
-func (h nodePQ) Len() int            { return len(h) }
-func (h nodePQ) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h nodePQ) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodePQ) Push(x interface{}) { *h = append(*h, x.(nodeEntry)) }
-func (h *nodePQ) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-type objPQ []*objRef
-
-func (h objPQ) Len() int { return len(h) }
-func (h objPQ) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].ref.ID < h[j].ref.ID
-}
-func (h objPQ) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *objPQ) Push(x interface{}) {
-	o := x.(*objRef)
-	o.heapIdx = len(*h)
-	*h = append(*h, o)
-}
-func (h *objPQ) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	s.pending.Reset()
+	s.x.fresh = nil
 }

@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// This file provides exact in-memory shortest-path computation. It serves
-// as ground truth in tests and as the CPU-side of the pairwise network
-// distance engine (the disk-resident CCAM traversal is accounted
-// separately by the search algorithms).
+// This file provides exact in-memory shortest-path computation. It is the
+// ground truth the tests compare the disk-resident traversal kernel
+// (internal/core) against, which is why it shares no code with it, and it
+// serves the landmark sweeps and the route API.
 
 // nodeHeap is a min-priority queue of (node, dist) used by Dijkstra.
 type nodeItem struct {
@@ -33,39 +33,12 @@ func (h *nodeHeap) Pop() interface{} {
 // Inf is the distance reported for unreachable targets.
 var Inf = math.Inf(1)
 
-// DistancesFromNode runs Dijkstra from node src and returns the network
-// distance to every node. Distances above bound are not explored; pass
-// graph.Inf for an unbounded search. Unreached nodes report Inf.
-func (g *Graph) DistancesFromNode(src NodeID, bound float64) []float64 {
-	dist := make([]float64, g.NumNodes())
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[src] = 0
-	h := &nodeHeap{{src, 0}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(nodeItem)
-		if it.dist > dist[it.node] {
-			continue // stale entry
-		}
-		if it.dist > bound {
-			break
-		}
-		for _, eid := range g.Adjacent(it.node) {
-			e := g.Edge(eid)
-			m := e.OtherEnd(it.node)
-			if d := it.dist + e.Weight; d < dist[m] {
-				dist[m] = d
-				heap.Push(h, nodeItem{m, d})
-			}
-		}
-	}
-	return dist
-}
-
-// multiSourceDistances runs Dijkstra seeded with several (node, cost)
-// sources, which is how distances from a mid-edge position are computed.
-func (g *Graph) multiSourceDistances(seeds []nodeItem, bound float64) []float64 {
+// shortestPaths is the package's one Dijkstra loop: seeded with (node,
+// cost) sources — one for a node, two for a mid-edge position — it returns
+// the network distance to every node. Distances above bound are not
+// explored; unreached nodes report Inf. A non-nil parent records, for each
+// node whose distance improves past its seed, the edge it was reached by.
+func (g *Graph) shortestPaths(seeds []nodeItem, bound float64, parent []EdgeID) []float64 {
 	dist := make([]float64, g.NumNodes())
 	for i := range dist {
 		dist[i] = Inf
@@ -80,7 +53,7 @@ func (g *Graph) multiSourceDistances(seeds []nodeItem, bound float64) []float64 
 	for h.Len() > 0 {
 		it := heap.Pop(h).(nodeItem)
 		if it.dist > dist[it.node] {
-			continue
+			continue // stale entry
 		}
 		if it.dist > bound {
 			break
@@ -90,11 +63,21 @@ func (g *Graph) multiSourceDistances(seeds []nodeItem, bound float64) []float64 
 			m := e.OtherEnd(it.node)
 			if d := it.dist + e.Weight; d < dist[m] {
 				dist[m] = d
+				if parent != nil {
+					parent[m] = eid
+				}
 				heap.Push(h, nodeItem{m, d})
 			}
 		}
 	}
 	return dist
+}
+
+// DistancesFromNode runs Dijkstra from node src and returns the network
+// distance to every node. Distances above bound are not explored; pass
+// graph.Inf for an unbounded search. Unreached nodes report Inf.
+func (g *Graph) DistancesFromNode(src NodeID, bound float64) []float64 {
+	return g.shortestPaths([]nodeItem{{src, 0}}, bound, nil)
 }
 
 // DistancesFromPosition returns the network distance from position p to
@@ -103,7 +86,7 @@ func (g *Graph) DistancesFromPosition(p Position, bound float64) []float64 {
 	p = g.Clamp(p)
 	e := g.Edge(p.Edge)
 	w1, w2 := g.CostToEnds(p)
-	return g.multiSourceDistances([]nodeItem{{e.N1, w1}, {e.N2, w2}}, bound)
+	return g.shortestPaths([]nodeItem{{e.N1, w1}, {e.N2, w2}}, bound, nil)
 }
 
 // NetworkDist returns the exact network distance between two positions,

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Route is a least-cost path between two network positions: the traversed
 // edges in order and the total cost. The first and last edges are entered
@@ -37,43 +33,22 @@ func (g *Graph) ShortestRoute(a, b Position) (Route, error) {
 }
 
 // routeViaNodes runs Dijkstra from a's end-nodes to b's end-nodes,
-// tracking the entering edge of each settled node for reconstruction.
+// tracking the entering edge of each reached node for reconstruction.
 func (g *Graph) routeViaNodes(a, b Position) (Route, bool) {
 	ea, eb := g.Edge(a.Edge), g.Edge(b.Edge)
 	wa1, wa2 := g.CostToEnds(a)
 	wb1, wb2 := g.CostToEnds(b)
 
-	dist := make(map[NodeID]float64, 64)
-	parentEdge := make(map[NodeID]EdgeID, 64)
-	h := &nodeHeap{}
-	relax := func(n NodeID, d float64, via EdgeID) {
-		if cur, ok := dist[n]; !ok || d < cur {
-			dist[n] = d
-			parentEdge[n] = via
-			heap.Push(h, nodeItem{n, d})
-		}
-	}
-	relax(ea.N1, wa1, a.Edge)
-	relax(ea.N2, wa2, a.Edge)
-	settled := make(map[NodeID]bool, 64)
-	for h.Len() > 0 {
-		it := heap.Pop(h).(nodeItem)
-		if settled[it.node] || it.dist > dist[it.node] {
-			continue
-		}
-		settled[it.node] = true
-		for _, eid := range g.Adjacent(it.node) {
-			e := g.Edge(eid)
-			relax(e.OtherEnd(it.node), it.dist+e.Weight, eid)
-		}
-	}
-	best := math.Inf(1)
+	parentEdge := make([]EdgeID, g.NumNodes())
+	parentEdge[ea.N1], parentEdge[ea.N2] = a.Edge, a.Edge
+	dist := g.shortestPaths([]nodeItem{{ea.N1, wa1}, {ea.N2, wa2}}, Inf, parentEdge)
+	best := Inf
 	var endNode NodeID = InvalidNode
-	if d, ok := dist[eb.N1]; ok && d+wb1 < best {
-		best, endNode = d+wb1, eb.N1
+	if d := dist[eb.N1] + wb1; d < best {
+		best, endNode = d, eb.N1
 	}
-	if d, ok := dist[eb.N2]; ok && d+wb2 < best {
-		best, endNode = d+wb2, eb.N2
+	if d := dist[eb.N2] + wb2; d < best {
+		best, endNode = d, eb.N2
 	}
 	if endNode == InvalidNode {
 		return Route{}, false

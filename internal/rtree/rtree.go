@@ -10,12 +10,12 @@
 package rtree
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"sort"
 
 	"dsks/internal/geo"
+	"dsks/internal/minheap"
 	"dsks/internal/storage"
 )
 
@@ -538,16 +538,17 @@ type NearestRefine func(Entry) float64
 // MinDist as the lower bound and refine as the exact distance. It returns
 // the closest entry and its exact distance, or false for an empty tree.
 func (t *Tree) Nearest(p geo.Point, refine NearestRefine) (Entry, float64, bool) {
-	pq := &nnHeap{}
-	heap.Push(pq, nnItem{0, false, Entry{}, t.root})
+	var pq minheap.Heap[nnItem]
+	pq.Push(0, 0, nnItem{page: t.root})
 	bestDist := math.Inf(1)
 	var best Entry
 	found := false
 	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nnItem)
-		if it.dist >= bestDist {
+		top := pq.Pop()
+		if top.Key >= bestDist {
 			break
 		}
+		it := top.Val
 		if it.isEntry {
 			d := refine(it.entry)
 			if d < bestDist {
@@ -567,32 +568,21 @@ func (t *Tree) Nearest(p geo.Point, refine NearestRefine) (Entry, float64, bool)
 				continue
 			}
 			if kind == kindLeaf {
-				heap.Push(pq, nnItem{d, true, Entry{r, leafRef(page, i)}, storage.InvalidPageID})
+				ref := leafRef(page, i)
+				pq.Push(d, int32(ref), nnItem{isEntry: true, entry: Entry{r, ref}})
 			} else {
-				heap.Push(pq, nnItem{d, false, Entry{}, innerChild(page, i)})
+				child := innerChild(page, i)
+				pq.Push(d, int32(child), nnItem{page: child})
 			}
 		}
 	}
 	return best, bestDist, found
 }
 
+// nnItem is a queued subtree (page) or, once a leaf is opened, an entry
+// awaiting refinement; the heap key is its MinDist lower bound.
 type nnItem struct {
-	dist    float64
 	isEntry bool
 	entry   Entry
 	page    storage.PageID
-}
-
-type nnHeap []nnItem
-
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnItem)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -4,7 +4,8 @@
 # load shedding, then assert
 #   - zero 5xx / transport errors and a warm result cache (-strict),
 #   - 429s observed, every one carrying Retry-After (-expect-429),
-#   - SIGTERM drains cleanly with exit code 0.
+#   - SIGTERM drains cleanly with exit code 0,
+#   - so does a SIGTERM sent the moment /healthz first answers.
 set -u
 
 BIN="${1:?usage: serve-smoke.sh <path-to-dsks-serve>}"
@@ -29,4 +30,23 @@ if [ "$CODE" -ne 0 ]; then
     echo "serve-smoke: server exited $CODE after SIGTERM, want 0" >&2
     exit 1
 fi
-echo "serve-smoke: ok (shed under load, warm cache, clean drain)"
+# A second boot, signalled as early as a client can tell it is up: the
+# signal handler must already be installed when the listener binds.
+"$BIN" -addr "$ADDR" -preset SYN -scale 2000 -index SIF &
+SERVER=$!
+trap 'kill "$SERVER" 2>/dev/null' EXIT
+until curl -sf -m 2 -o /dev/null "http://$ADDR/healthz"; do
+    if ! kill -0 "$SERVER" 2>/dev/null; then
+        echo "serve-smoke: second boot died before turning healthy" >&2
+        exit 1
+    fi
+done
+kill -TERM "$SERVER"
+wait "$SERVER"
+CODE=$?
+trap - EXIT
+if [ "$CODE" -ne 0 ]; then
+    echo "serve-smoke: server exited $CODE on a SIGTERM at first /healthz, want 0" >&2
+    exit 1
+fi
+echo "serve-smoke: ok (shed under load, warm cache, clean drain, early SIGTERM)"
