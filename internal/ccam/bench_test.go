@@ -27,6 +27,7 @@ func BenchmarkAdjacencyWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.Adjacency(context.Background(), graph.NodeID(rng.Intn(g.NumNodes()))); err != nil {

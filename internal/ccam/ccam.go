@@ -4,7 +4,9 @@
 // of the node locations, recursively two-way-partitioned until each group's
 // adjacency lists fit into one page. Traversal fetches pages through an LRU
 // buffer pool, so spatially/topologically close nodes tend to share pages
-// and the expansion enjoys access locality.
+// and the expansion enjoys access locality. The memory-resident directory
+// addresses a node's entry by (page, byte offset), so a lookup is one
+// buffer-pool fetch and the decode of that entry alone.
 package ccam
 
 import (
@@ -61,13 +63,16 @@ const (
 
 func nodeEntrySize(degree int) int { return nodeHeaderSize + degree*adjRecordSize }
 
-// File is the disk-resident CCAM structure. The node→page directory is
-// kept in memory (as in the original design, where it is small and hot);
-// adjacency lists live on pages and every lookup goes through the buffer
-// pool.
+// File is the disk-resident CCAM structure. The node directory is kept in
+// memory (as in the original design, where it is small and hot) and names
+// each node's entry by page and byte offset, so a lookup reads the one
+// entry rather than scanning the page for it; adjacency lists live on
+// pages and every lookup goes through the buffer pool. Build fills the
+// directory on every open, so it has no persisted form.
 type File struct {
 	pool     *storage.BufferPool
 	dir      []storage.PageID // node -> page holding its adjacency list
+	slot     []uint16         // node -> byte offset of its entry on that page
 	edges    []EdgeInfo       // edge directory (memory-resident metadata)
 	numNodes int
 	numPages int
@@ -95,7 +100,7 @@ func Build(g *Graph, pool *storage.BufferPool) (*File, error) {
 		return order[i] < order[j]
 	})
 
-	f := &File{pool: pool, dir: make([]storage.PageID, n), numNodes: n}
+	f := &File{pool: pool, dir: make([]storage.PageID, n), slot: make([]uint16, n), numNodes: n}
 	f.edges = make([]EdgeInfo, g.NumEdges())
 	for i := range f.edges {
 		e := g.Edge(graph.EdgeID(i))
@@ -142,6 +147,7 @@ func (f *File) writeGroup(g *Graph, group []graph.NodeID) error {
 	off := pageHeaderSize
 	for _, nd := range group {
 		adj := g.Adjacent(nd)
+		f.dir[nd], f.slot[nd] = page.ID(), uint16(off)
 		page.PutUint32(off, uint32(nd))
 		page.PutUint16(off+4, uint16(len(adj)))
 		off += nodeHeaderSize
@@ -153,7 +159,6 @@ func (f *File) writeGroup(g *Graph, group []graph.NodeID) error {
 			page.PutFloat64(off+16, e.Weight)
 			off += adjRecordSize
 		}
-		f.dir[nd] = page.ID()
 	}
 	f.pool.MarkDirty(page.ID())
 	f.numPages++
@@ -170,7 +175,10 @@ func (f *File) NumPages() int { return f.numPages }
 func (f *File) SizeBytes() int64 { return int64(f.numPages) * storage.PageSize }
 
 // Adjacency fetches node n's adjacency list from disk (through the buffer
-// pool, counting a disk access on a miss). A done ctx aborts the read.
+// pool, counting a disk access on a miss). A done ctx aborts the read. An
+// entry that does not carry n's ID, or whose degree runs past the page, is
+// damage no checksum was on to catch: the error wraps
+// storage.ErrCorruptPage.
 func (f *File) Adjacency(ctx context.Context, n graph.NodeID) ([]AdjEntry, error) {
 	if n < 0 || int(n) >= f.numNodes {
 		return nil, fmt.Errorf("ccam: unknown node %d", n)
@@ -179,29 +187,26 @@ func (f *File) Adjacency(ctx context.Context, n graph.NodeID) ([]AdjEntry, error
 	if err != nil {
 		return nil, err
 	}
-	count := int(page.Uint16(0))
-	off := pageHeaderSize
-	for i := 0; i < count; i++ {
-		id := graph.NodeID(page.Uint32(off))
-		deg := int(page.Uint16(off + 4))
-		off += nodeHeaderSize
-		if id != n {
-			off += deg * adjRecordSize
-			continue
-		}
-		out := make([]AdjEntry, deg)
-		for j := 0; j < deg; j++ {
-			out[j] = AdjEntry{
-				Edge:   graph.EdgeID(page.Uint32(off)),
-				Other:  graph.NodeID(page.Uint32(off + 4)),
-				Length: page.Float64(off + 8),
-				Weight: page.Float64(off + 16),
-			}
-			off += adjRecordSize
-		}
-		return out, nil
+	off := int(f.slot[n])
+	if id := graph.NodeID(page.Uint32(off)); id != n {
+		return nil, fmt.Errorf("ccam: node %d missing from its directory slot (found node %d): %w", n, id, storage.ErrCorruptPage)
 	}
-	return nil, fmt.Errorf("ccam: node %d missing from its directory page", n)
+	deg := int(page.Uint16(off + 4))
+	if off+nodeEntrySize(deg) > storage.PageSize {
+		return nil, fmt.Errorf("ccam: node %d entry of degree %d runs past its page: %w", n, deg, storage.ErrCorruptPage)
+	}
+	off += nodeHeaderSize
+	out := make([]AdjEntry, deg)
+	for j := range out {
+		out[j] = AdjEntry{
+			Edge:   graph.EdgeID(page.Uint32(off)),
+			Other:  graph.NodeID(page.Uint32(off + 4)),
+			Length: page.Float64(off + 8),
+			Weight: page.Float64(off + 16),
+		}
+		off += adjRecordSize
+	}
+	return out, nil
 }
 
 // EdgeInfo implements Network.

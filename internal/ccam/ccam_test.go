@@ -188,3 +188,64 @@ func TestAdjacencyFaultPropagation(t *testing.T) {
 		t.Errorf("Adjacency under fault = %v", err)
 	}
 }
+
+// TestAdjacencyRejectsDamagedEntry reads hand-laid entries through a File
+// whose directory points at them: an entry that is not the node's, or whose
+// degree runs past the page (a flipped byte no checksum was on to catch),
+// is an error matching storage.ErrCorruptPage, never a panic or a list
+// decoded from another node's bytes. Build cannot produce a page that is
+// full to the last byte (no sum of entry sizes is 4094), so that boundary
+// is laid by hand too.
+func TestAdjacencyRejectsDamagedEntry(t *testing.T) {
+	lastSlot := storage.PageSize - nodeEntrySize(2)
+	for _, tc := range []struct {
+		name             string
+		slot             int
+		storedID, degree int // the entry header on the page
+		corrupt          bool
+	}{
+		{"intact", pageHeaderSize, 0, 2, false},
+		{"degree 0", pageHeaderSize, 0, 0, false},
+		{"last entry ends exactly at the page end", lastSlot, 0, 2, false},
+		{"another node's ID at the slot", pageHeaderSize, 7, 2, true},
+		{"degree one record past the page end", lastSlot, 0, 3, true},
+		{"degree field overwritten with 60000", pageHeaderSize, 0, 60000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := newPool(4)
+			page, err := pool.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			page.PutUint16(0, 1)
+			page.PutUint32(tc.slot, uint32(tc.storedID))
+			page.PutUint16(tc.slot+4, uint16(tc.degree))
+			for j, off := 0, tc.slot+nodeHeaderSize; off+adjRecordSize <= storage.PageSize && j < tc.degree; j, off = j+1, off+adjRecordSize {
+				page.PutUint32(off, uint32(j))
+				page.PutUint32(off+4, uint32(j+1))
+				page.PutFloat64(off+8, 1.5)
+				page.PutFloat64(off+16, 2.5)
+			}
+			pool.MarkDirty(page.ID())
+			f := &File{pool: pool, dir: []storage.PageID{page.ID()}, slot: []uint16{uint16(tc.slot)}, numNodes: 1, numPages: 1}
+			adj, err := f.Adjacency(context.Background(), 0)
+			if tc.corrupt {
+				if !errors.Is(err, storage.ErrCorruptPage) {
+					t.Fatalf("Adjacency = %v, %v; want an error matching storage.ErrCorruptPage", adj, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(adj) != tc.degree {
+				t.Fatalf("%d records, want %d", len(adj), tc.degree)
+			}
+			for j, a := range adj {
+				if want := (AdjEntry{Edge: graph.EdgeID(j), Other: graph.NodeID(j + 1), Length: 1.5, Weight: 2.5}); a != want {
+					t.Fatalf("record %d = %+v, want %+v", j, a, want)
+				}
+			}
+		})
+	}
+}

@@ -150,6 +150,53 @@ func BenchmarkDistOracle(b *testing.B) {
 	}
 }
 
+// BenchmarkDistOracleCOMShape replays the pair sequence Algorithm 6 sends
+// the engine: one engine per query, every arrival against each earlier one
+// before the next arrives. Unlike BenchmarkDistOracle's cycling pairs, the
+// sources of consecutive traversals sit within one DeltaMax ball, so what
+// the engine remembers across the traversals of a query shows. One op is
+// one query's pairs.
+func BenchmarkDistOracleCOMShape(b *testing.B) {
+	sys, ws := benchWorld(b)
+	loader, err := sys.Loader(harness.KindSIF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := storage.NewBufferPool(storage.NewPageFile(), 1024, nil)
+	o, err := alt.Build(sys.DS.Graph, pool, alt.Config{Landmarks: 16, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := core.WithOracle(sys.Net, o, core.OracleCounters{})
+	arrivals := make([][]core.Candidate, len(ws))
+	pairs := 0
+	for i, wq := range ws {
+		s, err := core.NewSKSearch(context.Background(), sys.Net, loader, harness.SKQueryOf(wq))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if arrivals[i], err = s.All(); err != nil {
+			b.Fatal(err)
+		}
+		arrivals[i] = arrivals[i][:min(len(arrivals[i]), 48)]
+		pairs += len(arrivals[i]) * (len(arrivals[i]) - 1) / 2
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wq, cands := ws[i%len(ws)], arrivals[i%len(ws)]
+		eng := core.NewDistEngine(context.Background(), net, 2*wq.DeltaMax, nil)
+		for j, arrival := range cands {
+			for _, alive := range cands[:j] {
+				if _, err := eng.Dist(arrival.Ref.Pos(), alive.Ref.Pos()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(pairs)/float64(len(ws)), "pairs/query")
+}
+
 func BenchmarkCorePairUpdate(b *testing.B) {
 	// Synthetic θ world: measures Algorithm 5's maintenance cost alone.
 	const n = 512

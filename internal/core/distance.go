@@ -44,7 +44,9 @@ type DistEngine struct {
 	oracle    LandmarkOracle
 	counters  OracleCounters
 	posVecs   map[graph.Position][]float64 // per-position landmark vectors
-	nodeVecs  map[graph.NodeID][]float64   // per-node landmark vectors (page reads amortized)
+	width     int                          // oracle.NumLandmarks(), the length of every vector
+	vecs      []float64                    // per-node landmark vectors in one arena (page reads amortized)
+	vecOf     nodeTable                    // node -> where in vecs its vector starts
 	astarRuns map[graph.Position]int       // A* runs per source, for the table cutover
 	target    []float64                    // landmark vector of the running A*'s destination
 	pot       func(graph.NodeID) (float64, error)
@@ -73,9 +75,8 @@ func NewDistEngine(ctx context.Context, net ccam.Network, bound float64, stats *
 		net = an.Network
 		d.counters = an.counters
 		if an.oracle != nil {
-			d.oracle = an.oracle
+			d.oracle, d.width = an.oracle, an.oracle.NumLandmarks()
 			d.posVecs = make(map[graph.Position][]float64)
-			d.nodeVecs = make(map[graph.NodeID][]float64)
 			d.astarRuns = make(map[graph.Position]int)
 			d.pot = d.potential // bound once: a method value allocates
 		}
@@ -184,15 +185,17 @@ func (d *DistEngine) assisted(a, b graph.Position, direct float64) (float64, err
 // pool latch, possible miss latency — into a one-time cost per query,
 // which matters because A* consults the vector of every node it labels.
 func (d *DistEngine) nodeVec(n graph.NodeID) ([]float64, error) {
-	if v, ok := d.nodeVecs[n]; ok {
-		return v, nil
+	if at, ok := d.vecOf.get(n); ok {
+		return d.vecs[at:][:d.width], nil
 	}
-	v := make([]float64, d.oracle.NumLandmarks())
-	if err := d.oracle.NodeVec(d.f.ctx, n, v); err != nil {
+	at := len(d.vecs)
+	d.vecs = append(d.vecs, make([]float64, d.width)...)
+	if err := d.oracle.NodeVec(d.f.ctx, n, d.vecs[at:]); err != nil {
+		d.vecs = d.vecs[:at]
 		return nil, mapCtxErr(err)
 	}
-	d.nodeVecs[n] = v
-	return v, nil
+	d.vecOf.put(n, int32(at))
+	return d.vecs[at:], nil
 }
 
 // posVec returns (computing and caching if needed) position p's landmark
@@ -247,6 +250,18 @@ func oracleBounds(va, vb []float64) (lb, ub float64) {
 	return lb, ub
 }
 
+// triangleLB is oracleBounds' lower bound alone, bit for bit: Inf−Inf is
+// NaN, which never compares greater, so a landmark neither side reaches is
+// skipped without a test, and a one-sided Inf yields +Inf.
+func triangleLB(va, vb []float64) (lb float64) {
+	for i, x := range va {
+		if diff := math.Abs(x - vb[i]); diff > lb {
+			lb = diff
+		}
+	}
+	return lb
+}
+
 // potential is the A* landmark potential toward the running search's
 // destination: π(n) = maxₗ|vn[l]−target[l]|, a lower bound on the distance
 // from n to it, consistent by the triangle inequality.
@@ -255,8 +270,7 @@ func (d *DistEngine) potential(n graph.NodeID) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lb, _ := oracleBounds(vn, d.target)
-	return lb, nil
+	return triangleLB(vn, d.target), nil
 }
 
 // astar runs the goal-directed bounded search from src toward dst: the

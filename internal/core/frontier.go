@@ -26,6 +26,12 @@ import (
 // The heap orders by (key, node ID), so the settle order is a function of
 // the labels alone. One frontier serves every run of a query: start
 // resets the heap and the label table and keeps their storage.
+//
+// The adjacency list of a settled node is remembered until the query ends,
+// so a query that settles the same node in a thousand short runs fetches
+// and decodes it once. The view a query runs on is immutable, which keeps
+// a remembered list valid; a page miss still happens on the first fetch,
+// so only the buffer pool's logical reads fall.
 type frontier struct {
 	ctx context.Context
 	net ccam.Network
@@ -33,10 +39,13 @@ type frontier struct {
 	limit float64
 	pot   func(graph.NodeID) (float64, error)
 
-	heap     minheap.Heap[float64]  // key g+pot(node), ID node, Val g
-	labels   []label                // in first-touch order
-	index    map[graph.NodeID]int32 // node -> position in labels
-	settledN int64                  // distinct nodes settled by this run
+	heap     minheap.Heap[float64] // key g+pot(node), ID node, Val g
+	labels   []label               // in first-touch order
+	index    nodeTable             // node -> position in labels
+	settledN int64                 // distinct nodes settled by this run
+
+	adjs  [][]ccam.AdjEntry // every list this query fetched
+	adjOf nodeTable         // node -> position in adjs; start keeps it
 }
 
 // label is the best-known distance of one touched node (16 bytes: the
@@ -48,7 +57,7 @@ type label struct {
 }
 
 func newFrontier(ctx context.Context, net ccam.Network) *frontier {
-	return &frontier{ctx: ctx, net: net, index: make(map[graph.NodeID]int32)}
+	return &frontier{ctx: ctx, net: net}
 }
 
 // start begins a run from position p: it drops the previous run's labels,
@@ -57,7 +66,7 @@ func newFrontier(ctx context.Context, net ccam.Network) *frontier {
 func (f *frontier) start(p graph.Position, limit float64, pot func(graph.NodeID) (float64, error)) (ccam.EdgeInfo, float64, error) {
 	f.heap.Reset()
 	f.labels = f.labels[:0]
-	clear(f.index)
+	f.index.reset()
 	f.settledN = 0
 	f.limit, f.pot = limit, pot
 	info, err := f.net.EdgeInfo(p.Edge)
@@ -76,7 +85,7 @@ func (f *frontier) relax(n graph.NodeID, g float64) error {
 	if g > f.limit {
 		return nil
 	}
-	i, seen := f.index[n]
+	i, seen := f.index.get(n)
 	if seen && g >= f.labels[i].g {
 		return nil
 	}
@@ -91,7 +100,7 @@ func (f *frontier) relax(n graph.NodeID, g float64) error {
 	if seen {
 		f.labels[i].g = g
 	} else {
-		f.index[n] = int32(len(f.labels))
+		f.index.put(n, int32(len(f.labels)))
 		f.labels = append(f.labels, label{node: n, g: g})
 	}
 	f.heap.Push(key, int32(n), g)
@@ -104,7 +113,7 @@ func (f *frontier) relax(n graph.NodeID, g float64) error {
 func (f *frontier) peek() (minheap.Entry[float64], bool) {
 	for f.heap.Len() > 0 {
 		top := f.heap.Min()
-		if top.Val == f.labels[f.index[graph.NodeID(top.ID)]].g {
+		if i, _ := f.index.get(graph.NodeID(top.ID)); top.Val == f.labels[i].g {
 			return top, true
 		}
 		f.heap.Pop()
@@ -113,22 +122,31 @@ func (f *frontier) peek() (minheap.Entry[float64], bool) {
 }
 
 // settle takes the node peek announced: it fetches the node's adjacency
-// list, relaxes the neighbors, and hands node, distance and list to the
-// caller. This is the only place a traversal checks its context and
-// reads the network, so cancellation latency is one node's work.
+// list unless the query already has it, relaxes the neighbors, and hands
+// node, distance and list to the caller. This is the only place a
+// traversal checks its context and reads the network, so cancellation
+// latency is one node's work whether or not the list was remembered.
 func (f *frontier) settle() (graph.NodeID, float64, []ccam.AdjEntry, error) {
 	if err := ctxErr(f.ctx); err != nil {
 		return 0, 0, nil, err
 	}
 	top := f.heap.Pop()
 	n, g := graph.NodeID(top.ID), top.Val
-	if l := &f.labels[f.index[n]]; !l.settled {
+	i, _ := f.index.get(n)
+	if l := &f.labels[i]; !l.settled {
 		l.settled = true
 		f.settledN++
 	}
-	adj, err := f.net.Adjacency(f.ctx, n)
-	if err != nil {
-		return 0, 0, nil, mapCtxErr(err)
+	var adj []ccam.AdjEntry
+	if at, ok := f.adjOf.get(n); ok {
+		adj = f.adjs[at]
+	} else {
+		var err error
+		if adj, err = f.net.Adjacency(f.ctx, n); err != nil {
+			return 0, 0, nil, mapCtxErr(err)
+		}
+		f.adjOf.put(n, int32(len(f.adjs)))
+		f.adjs = append(f.adjs, adj)
 	}
 	for _, a := range adj {
 		if err := f.relax(a.Other, g+a.Weight); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,13 +204,28 @@ func TestDistEngineMatchesReferenceOnRandomGraphs(t *testing.T) {
 }
 
 // fixedNet is a Network whose Adjacency hands out prebuilt lists, so a
-// traversal over it allocates only what the frontier itself allocates.
+// traversal over it allocates only what the frontier itself allocates; it
+// counts the calls.
 type fixedNet struct {
 	ccam.InMemory
-	adj [][]ccam.AdjEntry
+	adj   [][]ccam.AdjEntry
+	calls *int
+}
+
+func newFixedNet(t *testing.T, g *graph.Graph) fixedNet {
+	net := fixedNet{InMemory: ccam.InMemory{G: g}, calls: new(int)}
+	for n := 0; n < g.NumNodes(); n++ {
+		adj, err := net.InMemory.Adjacency(context.Background(), graph.NodeID(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.adj = append(net.adj, adj)
+	}
+	return net
 }
 
 func (n fixedNet) Adjacency(_ context.Context, id graph.NodeID) ([]ccam.AdjEntry, error) {
+	*n.calls++
 	return n.adj[id], nil
 }
 
@@ -218,14 +234,7 @@ func (n fixedNet) Adjacency(_ context.Context, id graph.NodeID) ([]ccam.AdjEntry
 func TestFrontierReuseAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 200, false)
-	net := fixedNet{InMemory: ccam.InMemory{G: g}}
-	for n := 0; n < g.NumNodes(); n++ {
-		adj, err := net.InMemory.Adjacency(context.Background(), graph.NodeID(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		net.adj = append(net.adj, adj)
-	}
+	net := newFixedNet(t, g)
 	f := newFrontier(context.Background(), net)
 	p := graph.Position{Edge: 0, Offset: g.Edge(0).Length / 3}
 	run := func() {
@@ -244,6 +253,93 @@ func TestFrontierReuseAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("a run on a reused frontier allocated %v times, want 0", allocs)
+	}
+
+	// The same holds one level up: an oracle-assisted engine that has seen
+	// two positions answers the pair again — a whole A* run, since only
+	// source tables are cached — out of the storage it already has.
+	pool := storage.NewBufferPool(storage.NewPageFile(), 64, nil)
+	oracle, err := alt.Build(g, pool, alt.Config{Landmarks: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats SearchStats
+	eng := NewDistEngine(context.Background(), WithOracle(net, oracle, OracleCounters{}), math.Inf(1), &stats)
+	a, b := graph.Position{Edge: 150, Offset: g.Edge(150).Length / 3}, graph.Position{Edge: 0}
+	dist := func() {
+		if _, err := eng.Dist(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for stats.DistSettled == 0 { // skip the pairs the oracle bounds resolve outright
+		if b.Edge++; int(b.Edge) == g.NumEdges() {
+			t.Fatal("no pair needed a traversal; the test is vacuous")
+		}
+		dist()
+	}
+	if allocs := testing.AllocsPerRun(20, dist); allocs != 0 {
+		t.Errorf("Dist on an already-seen pair allocated %v times, want 0", allocs)
+	}
+}
+
+// TestSettleChecksContextOnMemoHit: a settle served from the adjacency
+// memo is still a settle, so a context cancelled once the memo is warm
+// aborts the very next one.
+func TestSettleChecksContextOnMemoHit(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)), 50, false)
+	net := newFixedNet(t, g)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := newFrontier(ctx, net)
+	p := graph.Position{Edge: 0}
+	for run := 0; run < 2; run++ {
+		if _, _, err := f.start(p, math.Inf(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, ok := f.peek(); ok; _, ok = f.peek() {
+			if _, _, _, err := f.settle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if int64(*net.calls) != f.settledN {
+		t.Fatalf("two runs settling %d nodes each made %d Adjacency calls, want one per node", f.settledN, *net.calls)
+	}
+	if _, _, err := f.start(p, math.Inf(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, ok := f.peek(); !ok {
+		t.Fatal("nothing to settle")
+	}
+	if _, _, _, err := f.settle(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("settle on a warm memo under a cancelled context: %v, want ErrCanceled", err)
+	}
+}
+
+// TestTriangleLBMatchesOracleBounds: the lb-only loop behind the A*
+// potential returns oracleBounds' lower bound bit for bit, including the
+// landmark columns that loop no longer tests for explicitly.
+func TestTriangleLBMatchesOracleBounds(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		va, vb []float64
+		want   float64
+	}{
+		{"finite", []float64{3, 10, 7.5}, []float64{4, 2.25, 7.5}, 7.75},
+		{"no landmarks", nil, nil, 0},
+		{"unreachable from both sides is skipped", []float64{inf, 5}, []float64{inf, 3}, 2},
+		{"every landmark unreachable from both sides", []float64{inf, inf}, []float64{inf, inf}, 0},
+		{"unreachable from a alone", []float64{inf, 5}, []float64{9, 3}, inf},
+		{"unreachable from b alone", []float64{1, 5}, []float64{2, inf}, inf},
+		{"one-sided after two-sided", []float64{inf, inf, 1}, []float64{inf, 4, 1}, inf},
+	} {
+		lb, _ := oracleBounds(tc.va, tc.vb)
+		got := triangleLB(tc.va, tc.vb)
+		if math.Float64bits(got) != math.Float64bits(lb) || got != tc.want {
+			t.Errorf("%s: triangleLB = %v, oracleBounds lb = %v, want %v", tc.name, got, lb, tc.want)
+		}
 	}
 }
 
