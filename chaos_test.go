@@ -1,6 +1,7 @@
 package dsks
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func chaosQuery(t *testing.T, db *DB, vocab *Vocabulary, origin Position) (Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db.Search(SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
+	return db.Search(context.Background(), SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
 }
 
 func TestSaveToCrashAtEveryPoint(t *testing.T) {

@@ -1,4 +1,4 @@
-// Command dsks-lint is the project's multichecker: it runs the eight
+// Command dsks-lint is the project's multichecker: it runs the seven
 // dsks-specific analyzers (see docs/LINTING.md) over the packages
 // matching the given patterns and exits non-zero when any invariant is
 // violated. Packages load in parallel and are analyzed in import-graph
@@ -33,7 +33,6 @@ import (
 	"dsks/internal/analysis/atomicfield"
 	"dsks/internal/analysis/commitorder"
 	"dsks/internal/analysis/countedio"
-	"dsks/internal/analysis/ctxpair"
 	"dsks/internal/analysis/detrand"
 	"dsks/internal/analysis/errsentinel"
 	"dsks/internal/analysis/lockio"
@@ -41,7 +40,6 @@ import (
 )
 
 var analyzers = []*analysis.Analyzer{
-	ctxpair.Analyzer,
 	errsentinel.Analyzer,
 	lockio.Analyzer,
 	detrand.Analyzer,

@@ -28,9 +28,8 @@ import (
 	"strings"
 	"time"
 
-	"dsks/internal/core"
+	"dsks"
 	"dsks/internal/dataset"
-	"dsks/internal/harness"
 	"dsks/internal/metrics"
 	"dsks/internal/obj"
 )
@@ -78,13 +77,13 @@ func run() error {
 	fmt.Printf("dataset %s: %d nodes, %d edges, %d objects, |V|=%d\n",
 		ds.Name, st.Nodes, st.Edges, st.Objects, st.VocabSize)
 
-	ik := harness.IndexKind(*kind)
-	sys, err := harness.Build(ds, []harness.IndexKind{ik}, harness.Options{})
+	db, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexKind(*kind)})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("index %s: %.2f MB, built in %v\n\n", ik,
-		float64(sys.IndexSize[ik])/(1<<20), sys.BuildTime[ik].Round(0))
+	defer db.Close()
+	fmt.Printf("index %s: %.2f MB, built in %v\n\n", *kind,
+		float64(db.IndexSizeBytes())/(1<<20), db.BuildTime().Round(0))
 
 	rng := rand.New(rand.NewSource(*seed + 100))
 	for qi := 0; qi < *queries; qi++ {
@@ -110,7 +109,7 @@ func run() error {
 		}
 		queryTerms = obj.NormalizeTerms(queryTerms)
 
-		skq := core.SKQuery{Pos: anchor.Pos, Terms: queryTerms, DeltaMax: *deltaMax}
+		skq := dsks.SKQuery{Pos: anchor.Pos, Terms: queryTerms, DeltaMax: *deltaMax}
 		fmt.Printf("query %d: edge %d offset %.1f, terms %v, δmax %.0f\n",
 			qi+1, skq.Pos.Edge, skq.Pos.Offset, skq.Terms, skq.DeltaMax)
 
@@ -119,10 +118,10 @@ func run() error {
 		if *timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 		}
-		err := runQuery(ctx, sys, ik, skq, *k, *lambda, *algo, *knn, *alpha)
+		err := runQuery(ctx, db, skq, *k, *lambda, *algo, *knn, *alpha)
 		cancel()
 		switch {
-		case errors.Is(err, core.ErrDeadlineExceeded):
+		case errors.Is(err, dsks.ErrDeadlineExceeded):
 			fmt.Printf("  query aborted: deadline of %v exceeded\n", *timeout)
 		case err != nil:
 			return err
@@ -130,21 +129,27 @@ func run() error {
 		fmt.Println()
 	}
 	if *stats {
-		printStats(sys.Metrics.Snapshot())
+		printStats(db.Snapshot())
 	}
 	return nil
 }
 
-// runQuery dispatches one query to the mode the flags select.
-func runQuery(ctx context.Context, sys *harness.System, ik harness.IndexKind,
-	skq core.SKQuery, k int, lambda float64, algo string, knn int, alpha float64) error {
+// runQuery dispatches one query to the mode the flags select, against a
+// view opened for it.
+func runQuery(ctx context.Context, db *dsks.DB,
+	skq dsks.SKQuery, k int, lambda float64, algo string, knn int, alpha float64) error {
+	v, err := db.View(ctx)
+	if err != nil {
+		return err
+	}
+	defer v.Close()
 	switch {
 	case alpha >= 0:
 		kk := k
 		if kk <= 0 {
 			kk = 10
 		}
-		res, err := sys.RunRanked(ctx, ik, core.RankedQuery{
+		res, err := v.SearchRanked(ctx, dsks.RankedQuery{
 			Pos: skq.Pos, Terms: skq.Terms, K: kk, Alpha: alpha, DeltaMax: skq.DeltaMax,
 		})
 		if err != nil {
@@ -157,7 +162,7 @@ func runQuery(ctx context.Context, sys *harness.System, ik harness.IndexKind,
 				i+1, r.Ref.ID, r.Score, r.Matched, len(skq.Terms), r.Dist)
 		}
 	case knn > 0:
-		res, err := sys.RunKNN(ctx, ik, core.KNNQuery{
+		res, err := v.SearchKNN(ctx, dsks.KNNQuery{
 			Pos: skq.Pos, Terms: skq.Terms, K: knn, MaxDist: skq.DeltaMax,
 		})
 		if err != nil {
@@ -170,7 +175,7 @@ func runQuery(ctx context.Context, sys *harness.System, ik harness.IndexKind,
 				i+1, c.Ref.ID, c.Ref.Edge, c.Dist)
 		}
 	case k <= 0:
-		res, err := sys.RunSK(ctx, ik, skq)
+		res, err := v.Search(ctx, skq)
 		if err != nil {
 			return err
 		}
@@ -185,15 +190,14 @@ func runQuery(ctx context.Context, sys *harness.System, ik harness.IndexKind,
 				i+1, c.Ref.ID, c.Ref.Edge, c.Dist)
 		}
 	default:
-		res, err := sys.RunDiv(ctx, ik, harness.DivAlgo(algo), harness.DivQueryOf(
-			dataset.Query{Pos: skq.Pos, Terms: skq.Terms, DeltaMax: skq.DeltaMax}, k, lambda))
+		res, err := v.SearchDiversifiedWith(ctx, dsks.Algo(algo), dsks.DivQuery{SKQuery: skq, K: k, Lambda: lambda})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  %s chose %d objects (f = %.4f) in %v; %d disk reads, %d candidates seen, %d pruned, early-stop=%v\n",
-			algo, len(res.Div.Objects), res.Div.F, res.Elapsed.Round(0),
+			algo, len(res.Candidates), res.F, res.Elapsed.Round(0),
 			res.DiskReads, res.Stats.Candidates, res.Stats.Pruned, res.Stats.EarlyTerminate)
-		for i, c := range res.Div.Objects {
+		for i, c := range res.Candidates {
 			fmt.Printf("  #%d object %d on edge %d at network distance %.1f\n",
 				i+1, c.Ref.ID, c.Ref.Edge, c.Dist)
 		}

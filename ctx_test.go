@@ -32,23 +32,23 @@ func TestPreCanceledQueries(t *testing.T) {
 
 	skq := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
 	queries := map[string]func() error{
-		"search": func() error { _, err := db.SearchCtx(ctx, skq); return err },
+		"search": func() error { _, err := db.Search(ctx, skq); return err },
 		"diversified": func() error {
-			_, err := db.SearchDiversifiedCtx(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+			_, err := db.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 			return err
 		},
 		"knn": func() error {
-			_, err := db.SearchKNNCtx(ctx, dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
+			_, err := db.SearchKNN(ctx, dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
 			return err
 		},
 		"ranked": func() error {
-			_, err := db.SearchRankedCtx(ctx, dsks.RankedQuery{
+			_, err := db.SearchRanked(ctx, dsks.RankedQuery{
 				Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500,
 			})
 			return err
 		},
 		"collective": func() error {
-			_, err := db.SearchCollectiveCtx(ctx, dsks.CollectiveQuery{
+			_, err := db.SearchCollective(ctx, dsks.CollectiveQuery{
 				Pos: origin, Terms: terms, DeltaMax: 500,
 			})
 			return err
@@ -102,7 +102,7 @@ func TestDeadlineExceededMidExpansion(t *testing.T) {
 	defer cancel()
 	// An unbounded range forces the expansion over the whole network:
 	// hundreds of cold page misses at 1ms each, far past the 5ms deadline.
-	_, err = db.SearchCtx(ctx, dsks.SKQuery{
+	_, err = db.Search(ctx, dsks.SKQuery{
 		Pos: anchor.Pos, Terms: anchor.Terms[:1], DeltaMax: 1e9,
 	})
 	if !errors.Is(err, dsks.ErrDeadlineExceeded) {
@@ -125,7 +125,7 @@ func TestStreamStopThenNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.Stream(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	s, err := db.Stream(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestStreamCtxCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := db.StreamCtx(ctx, dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	s, err := db.Stream(ctx, dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,28 +196,28 @@ func TestMetricsMatchGroundTruth(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		res, err := db.Search(skq)
+		res, err := db.Search(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		add(dsks.KindSearch, res)
 	}
-	div, err := db.SearchDiversified(dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+	div, err := db.SearchDiversified(context.Background(), dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindDiversified, div)
-	knn, err := db.SearchKNN(dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
+	knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindKNN, knn)
-	rk, err := db.SearchRanked(dsks.RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500})
+	rk, err := db.SearchRanked(context.Background(), dsks.RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindRanked, rk)
-	cl, err := db.SearchCollective(dsks.CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	cl, err := db.SearchCollective(context.Background(), dsks.CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := db.Search(skq); err != nil {
+				if _, err := db.Search(context.Background(), skq); err != nil {
 					t.Error(err)
 					return
 				}
@@ -297,10 +297,10 @@ func TestTraceHook(t *testing.T) {
 		mu.Unlock()
 	})
 	skq := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
-	if _, err := db.Search(skq); err != nil {
+	if _, err := db.Search(context.Background(), skq); err != nil {
 		t.Fatal(err)
 	}
-	div, err := db.SearchDiversified(dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+	div, err := db.SearchDiversified(context.Background(), dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestTraceHook(t *testing.T) {
 	// Uninstall: no further calls.
 	db.SetTraceHook(nil)
 	before := len(seen)
-	if _, err := db.Search(skq); err != nil {
+	if _, err := db.Search(context.Background(), skq); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != before {
@@ -380,27 +380,38 @@ func TestTypedErrors(t *testing.T) {
 	// index structures hit them unguarded (a term beyond the vocabulary
 	// used to panic inside the SIF signature test).
 	badEdge := dsks.SKQuery{Pos: dsks.Position{Edge: 999, Offset: 0}, Terms: terms, DeltaMax: 100}
-	if _, err := db.Search(badEdge); !errors.Is(err, dsks.ErrUnknownEdge) {
+	if _, err := db.Search(context.Background(), badEdge); !errors.Is(err, dsks.ErrUnknownEdge) {
 		t.Errorf("search on bad edge: err = %v, want ErrUnknownEdge", err)
 	}
 	badTerm := dsks.SKQuery{Pos: dsks.Position{Edge: edges[0], Offset: 0}, Terms: []dsks.TermID{9999}, DeltaMax: 100}
-	if _, err := db.Search(badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.Search(context.Background(), badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchDiversified(dsks.DivQuery{SKQuery: badTerm, K: 2, Lambda: 0.5}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.SearchDiversified(context.Background(), dsks.DivQuery{SKQuery: badTerm, K: 2, Lambda: 0.5}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("diversified search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchKNN(dsks.KNNQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("kNN search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchRanked(dsks.RankedQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2, Alpha: 0.5, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.SearchRanked(context.Background(), dsks.RankedQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2, Alpha: 0.5, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("ranked search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchCollective(dsks.CollectiveQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.SearchCollective(context.Background(), dsks.CollectiveQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("collective search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.Stream(badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.Stream(context.Background(), badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("stream with bad term: err = %v, want ErrTermOutOfRange", err)
+	}
+
+	// An algorithm name that selects nothing is a bad option, rejected
+	// before any page is read.
+	good := dsks.DivQuery{SKQuery: dsks.SKQuery{Pos: badTerm.Pos, Terms: terms, DeltaMax: 100}, K: 2, Lambda: 0.5}
+	before := poolLogicalReads(db)
+	if _, err := diversifiedWith(context.Background(), db, "bogus", good); !errors.Is(err, dsks.ErrBadOptions) {
+		t.Errorf("diversified search with unknown algorithm: err = %v, want ErrBadOptions", err)
+	}
+	if after := poolLogicalReads(db); after != before {
+		t.Errorf("unknown algorithm read %d pages before being rejected", after-before)
 	}
 }
 
@@ -435,7 +446,7 @@ func TestInsertClampRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 1e6})
+	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,8 +460,8 @@ func TestInsertClampRegression(t *testing.T) {
 	if got := c.Ref.Pos().Offset; got < 0 || got > 100 {
 		t.Errorf("stored offset %v not clamped to the edge", got)
 	}
-	exact := db.NetworkDistance(origin, c.Ref.Pos())
-	if diff := c.Dist - exact; diff > 1e-9 || diff < -1e-9 {
+	exact, err := db.NetworkDistance(context.Background(), origin, c.Ref.Pos())
+	if diff := c.Dist - exact; err != nil || diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("query distance %v != exact network distance %v", c.Dist, exact)
 	}
 }

@@ -15,15 +15,14 @@
 // inverted file, and all page reads flow through an LRU buffer pool whose
 // misses are reported as disk accesses.
 //
-// Every query has a context-aware variant (SearchCtx, SearchDiversifiedCtx,
-// ...) that honors cancellation and deadlines: the network expansion checks
-// the context between steps and before every simulated disk read, so a
-// canceled query stops promptly and returns an error matching ErrCanceled
-// or ErrDeadlineExceeded under errors.Is. The context-free methods are thin
-// wrappers over context.Background(). Per-query latencies, work counters
-// and buffer-pool hit rates are aggregated in a lock-free metrics registry
-// (Metrics, Snapshot); per-query stage timings can be observed with
-// SetTraceHook.
+// Every query takes a context and honors its cancellation and deadline: the
+// network expansion checks the context between steps and before every
+// simulated disk read, so a canceled query stops promptly and returns an
+// error matching ErrCanceled or ErrDeadlineExceeded under errors.Is. Every
+// query family and every stream is accounted on one path: per-query
+// latencies, work counters and buffer-pool hit rates are aggregated in a
+// lock-free metrics registry (Metrics, Snapshot), and per-query stage
+// timings can be observed with SetTraceHook.
 //
 // Quick start:
 //
@@ -40,7 +39,7 @@
 //
 //	db, _ := dsks.Open(g, objects, vocab.Size(), dsks.Options{})
 //	terms, _ := vocab.LookupAll([]string{"pancake", "lobster"})
-//	res, _ := db.SearchDiversified(dsks.DivQuery{
+//	res, _ := db.SearchDiversified(ctx, dsks.DivQuery{
 //	    SKQuery: dsks.SKQuery{
 //	        Pos: dsks.Position{Edge: road, Offset: 0}, Terms: terms, DeltaMax: 500,
 //	    },
@@ -59,12 +58,10 @@ import (
 
 	"dsks/internal/alt"
 	"dsks/internal/core"
-	"dsks/internal/dataset"
+	"dsks/internal/engine"
 	"dsks/internal/fault"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
-	"dsks/internal/harness"
-	"dsks/internal/invindex"
 	"dsks/internal/metrics"
 	"dsks/internal/obj"
 	"dsks/internal/sig"
@@ -123,7 +120,7 @@ type (
 	QueryKind = metrics.QueryKind
 	// TraceHook observes per-query stage timings; install with
 	// DB.SetTraceHook.
-	TraceHook = harness.TraceHook
+	TraceHook = engine.TraceHook
 )
 
 // The query kinds appearing in metrics snapshots.
@@ -154,8 +151,9 @@ var (
 	ErrUnknownEdge = errors.New("dsks: unknown edge")
 	// ErrTermOutOfRange reports a TermID at or beyond the vocabulary size.
 	ErrTermOutOfRange = errors.New("dsks: term outside vocabulary")
-	// ErrBadOptions reports invalid Options passed to Open.
-	ErrBadOptions = errors.New("dsks: bad options")
+	// ErrBadOptions reports invalid Options passed to Open, or an Algo
+	// that names no diversified algorithm.
+	ErrBadOptions = engine.ErrBadOptions
 	// ErrBadSnapshot reports a saved database directory that OpenPath
 	// cannot restore (unknown format version, corrupt or mismatched files).
 	ErrBadSnapshot = errors.New("dsks: invalid database snapshot")
@@ -202,26 +200,26 @@ func NewVocabulary() *Vocabulary { return obj.NewVocabulary() }
 func NewCollection() *Collection { return obj.NewCollection() }
 
 // IndexKind selects the object index structure backing a database.
-type IndexKind = harness.IndexKind
+type IndexKind = engine.IndexKind
 
 // The available index structures, in increasing pruning power: the
 // Euclidean inverted R-tree baseline, the plain inverted file, the
 // signature-enhanced inverted file, and the partition-refined signatures.
 const (
-	IndexIR   = harness.KindIR
-	IndexIF   = harness.KindIF
-	IndexSIF  = harness.KindSIF
-	IndexSIFP = harness.KindSIFP
+	IndexIR   = engine.KindIR
+	IndexIF   = engine.KindIF
+	IndexSIF  = engine.KindSIF
+	IndexSIFP = engine.KindSIFP
 )
 
 // Algo selects the diversified search algorithm: the incremental COM
 // (default) or the retrieve-everything SEQ baseline.
-type Algo = harness.DivAlgo
+type Algo = engine.DivAlgo
 
 // The two diversified search algorithms.
 const (
-	AlgoCOM = harness.AlgoCOM
-	AlgoSEQ = harness.AlgoSEQ
+	AlgoCOM = engine.AlgoCOM
+	AlgoSEQ = engine.AlgoSEQ
 )
 
 // Options configures a database.
@@ -325,10 +323,14 @@ func (o Options) validate() error {
 // docs/CONCURRENCY.md for the full protocol).
 //
 // Open a View explicitly for multi-query consistency, or call the one-shot
-// Search* methods, which open and close a view per call.
+// query methods — one per family, each with the signature of the View
+// method it opens a view for — which open and close a view per call.
+//
+// A DB stands on one internal/engine.Engine (the network, one object
+// index, the pools, the run path every query is accounted on) and adds
+// what makes it a database: versions, views and the commit protocol.
 type DB struct {
-	sys  *harness.System
-	kind IndexKind
+	eng *engine.Engine
 
 	// mu serializes mutators (Insert/Remove and WAL replay): one writer at
 	// a time builds and publishes the next version. It also protects the
@@ -390,7 +392,7 @@ func openDB(g *Graph, objects *Collection, vocabSize int, opts Options, walFrom 
 	if opts.Index == "" {
 		opts.Index = IndexSIFP
 	}
-	hOpts := harness.Options{
+	eOpts := engine.Options{
 		BufferFraction:   opts.BufferFraction,
 		IOLatency:        opts.IOLatency,
 		SIFPCuts:         opts.PartitionCuts,
@@ -403,41 +405,26 @@ func openDB(g *Graph, objects *Collection, vocabSize int, opts Options, walFrom 
 		OracleFile:       oraclePath,
 	}
 	if opts.QueryLog != nil {
-		hOpts.SIFPLog = sig.NewRealLog(opts.QueryLog)
+		eOpts.SIFPLog = sig.NewRealLog(opts.QueryLog)
 	}
-	ds := &dataset.Dataset{Name: "user", Graph: g, Objects: objects, VocabSize: vocabSize}
-	sys, err := harness.Build(ds, []harness.IndexKind{opts.Index}, hOpts)
+	eng, err := engine.Open(g, objects, vocabSize, opts.Index, eOpts)
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{sys: sys, kind: opts.Index}
-	db.roots.Store(db.initialRoots(walFrom))
+	db := &DB{eng: eng}
+	// The freshly built index state is version zero (or walFrom, when the
+	// built state already includes a snapshot's mutations).
+	r := &dbRoots{lsn: walFrom, live: objects.Live()}
+	if eng.Versions != nil {
+		r.idx = eng.Versions.Roots()
+	}
+	db.roots.Store(r)
 	if opts.WALDir != "" {
 		if err := db.attachWAL(opts, walFrom); err != nil {
 			return nil, err
 		}
 	}
 	return db, nil
-}
-
-// initialRoots captures the freshly built index state as version zero (or
-// walFrom, when the built state already includes a snapshot's mutations).
-func (db *DB) initialRoots(walFrom uint64) *dbRoots {
-	r := &dbRoots{lsn: walFrom, live: db.sys.DS.Objects.Live()}
-	switch db.kind {
-	case IndexSIF:
-		inv := db.sys.SIF.Index().Roots()
-		sr := db.sys.SIF.Roots()
-		r.inv, r.sif = &inv, &sr
-	case IndexSIFP:
-		inv := db.sys.SIFP.Index().Roots()
-		sr := db.sys.SIFP.Roots()
-		r.inv, r.sif = &inv, &sr
-	case IndexIF:
-		inv := db.sys.Inv.Roots()
-		r.inv = &inv
-	}
-	return r
 }
 
 // attachWAL opens the log, replays the records past walFrom over the
@@ -447,7 +434,7 @@ func (db *DB) attachWAL(opts Options, walFrom uint64) error {
 		SyncEvery:    opts.WALSyncEvery,
 		SyncInterval: opts.WALSyncInterval,
 		Strict:       opts.WALStrictSync,
-		Metrics:      db.sys.Metrics,
+		Metrics:      db.eng.Metrics,
 	})
 	if err != nil {
 		return fmt.Errorf("dsks: opening wal: %w", err)
@@ -479,7 +466,7 @@ func (db *DB) applyRecord(r wal.Record) error {
 		if err := db.checkInsert(pos, terms); err != nil {
 			return fmt.Errorf("%w: replaying insert at LSN %d: %w", ErrBadWAL, r.LSN, err)
 		}
-		id, err := db.applyInsertAt(r.LSN, db.sys.DS.Graph.Clamp(pos), terms)
+		id, err := db.applyInsertAt(r.LSN, db.eng.Graph.Clamp(pos), terms)
 		if err != nil {
 			return fmt.Errorf("dsks: replaying insert at LSN %d: %w", r.LSN, err)
 		}
@@ -516,7 +503,7 @@ func (db *DB) Close() error {
 
 // Metrics returns the database's metrics registry. Queries record into it
 // automatically; Reset zeroes the aggregates.
-func (db *DB) Metrics() *MetricsRegistry { return db.sys.Metrics }
+func (db *DB) Metrics() *MetricsRegistry { return db.eng.Metrics }
 
 // DistanceOracle is the read interface of the database's landmark
 // distance oracle (see Options.Oracle and docs/DISTANCE.md).
@@ -527,122 +514,71 @@ type DistanceOracle = core.LandmarkOracle
 // road network, so the returned handle stays valid across mutations; the
 // shard router attaches it to its cross-shard merge engine.
 func (db *DB) DistanceOracle() DistanceOracle {
-	if db.sys.Oracle == nil {
+	if db.eng.Oracle == nil {
 		return nil
 	}
-	return db.sys.Oracle
+	return db.eng.Oracle
 }
 
 // Snapshot captures the metrics registry: per-kind query counts, latency
 // quantiles (p50/p95/p99), work counters, and buffer-pool hit rates.
-func (db *DB) Snapshot() MetricsSnapshot { return db.sys.Metrics.Snapshot() }
+func (db *DB) Snapshot() MetricsSnapshot { return db.eng.Metrics.Snapshot() }
 
 // SetTraceHook installs (or, with nil, removes) a hook observing each
 // query's stage timings. The hook runs synchronously on the query
 // goroutine, so it must be fast, and it is called concurrently if queries
 // are.
-func (db *DB) SetTraceHook(h TraceHook) { db.sys.SetTraceHook(h) }
+func (db *DB) SetTraceHook(h TraceHook) { db.eng.SetTraceHook(h) }
 
 // Result is a query outcome with its cost metrics. Every query family
-// fills the shared fields (Elapsed, DiskReads, Stats, Trace); the payload
-// fields depend on the method: boolean, kNN and diversified searches fill
-// Candidates (and F for diversified), ranked searches fill Ranked, and
-// collective searches fill Collective.
-type Result struct {
-	// Candidates are the qualifying objects in non-decreasing network
-	// distance (boolean queries) or the chosen diversified set (in pair
-	// order, diversified queries).
-	Candidates []Candidate
-	// F is the diversification objective value f(S); zero for boolean
-	// queries.
-	F float64
-	// Ranked are the scored objects of a ranked query, best first.
-	Ranked []RankedResult
-	// Collective is the keyword-covering group of a collective query.
-	Collective *CollectiveResult
-	// Elapsed is the query's wall-clock time.
-	Elapsed time.Duration
-	// DiskReads counts buffer-pool misses during the query.
-	DiskReads int64
-	// Stats are the detailed cost counters.
-	Stats SearchStats
-	// Trace is the query's stage-timing breakdown.
-	Trace Trace
-}
+// fills the shared fields (Elapsed, DiskReads, Stats, Trace, with
+// Trace.Total equal to Elapsed); the payload fields depend on the method:
+// boolean, kNN and diversified searches fill Candidates (and F for
+// diversified), ranked searches fill Ranked, and collective searches fill
+// Collective.
+type Result = engine.Result
 
-// checkQuery validates the parts of a query the index structures index
-// into without bounds checks of their own: the query position's edge must
-// exist in the road network and every term must fall inside the
-// vocabulary. Violations fail with errors matching ErrUnknownEdge and
-// ErrTermOutOfRange — the same classification Insert gives them.
-func (db *DB) checkQuery(pos Position, terms []TermID) error {
-	if pos.Edge < 0 || int(pos.Edge) >= db.sys.DS.Graph.NumEdges() {
-		return fmt.Errorf("dsks: query on edge %d: %w", pos.Edge, ErrUnknownEdge)
+// checkPosTerms validates what the index structures index into without
+// bounds checks of their own, for a query or an insert (op names which):
+// the position's edge must exist in the road network and every term must
+// fall inside the vocabulary. Violations fail with errors matching
+// ErrUnknownEdge and ErrTermOutOfRange.
+func (db *DB) checkPosTerms(op string, pos Position, terms []TermID) error {
+	if pos.Edge < 0 || int(pos.Edge) >= db.eng.Graph.NumEdges() {
+		return fmt.Errorf("dsks: %s on edge %d: %w", op, pos.Edge, ErrUnknownEdge)
 	}
 	for _, t := range terms {
-		if t < 0 || int(t) >= db.sys.DS.VocabSize {
-			return fmt.Errorf("dsks: term %d with vocabulary of %d: %w", t, db.sys.DS.VocabSize, ErrTermOutOfRange)
+		if t < 0 || int(t) >= db.eng.VocabSize {
+			return fmt.Errorf("dsks: term %d with vocabulary of %d: %w", t, db.eng.VocabSize, ErrTermOutOfRange)
 		}
 	}
 	return nil
 }
 
-// Search runs a boolean spatial keyword query: all objects within
-// q.DeltaMax network distance containing every keyword of q.Terms,
-// in non-decreasing distance order.
-//
-// Deprecated-style convenience: prefer View (for multi-query consistency)
-// or SearchCtx (for cancellation); this delegates to SearchCtx with
-// context.Background().
-func (db *DB) Search(q SKQuery) (Result, error) {
-	return db.SearchCtx(context.Background(), q)
-}
-
-// SearchCtx is Search honoring the context's cancellation and deadline.
-// It opens a view for the single call; use View directly to run several
-// queries against one consistent snapshot.
-func (db *DB) SearchCtx(ctx context.Context, q SKQuery) (Result, error) {
+// oneShot runs one query against a view opened for the call.
+func oneShot[Q any](ctx context.Context, db *DB, q Q, run func(*View, context.Context, Q) (Result, error)) (Result, error) {
 	v, err := db.View(ctx)
 	if err != nil {
 		return Result{}, err
 	}
 	defer v.Close()
-	return v.Search(ctx, q)
+	return run(v, ctx, q)
+}
+
+// Search runs a boolean spatial keyword query: all objects within
+// q.DeltaMax network distance containing every keyword of q.Terms, in
+// non-decreasing distance order. Like every one-shot query method it opens
+// a view for the single call; use View directly to run several queries
+// against one consistent snapshot.
+func (db *DB) Search(ctx context.Context, q SKQuery) (Result, error) {
+	return oneShot(ctx, db, q, (*View).Search)
 }
 
 // SearchDiversified runs a diversified spatial keyword query with the
-// incremental COM algorithm (Algorithm 6 of the paper).
-//
-// Deprecated-style convenience: prefer View or SearchDiversifiedCtx; this
-// delegates with context.Background().
-func (db *DB) SearchDiversified(q DivQuery) (Result, error) {
-	return db.SearchDiversifiedWithCtx(context.Background(), AlgoCOM, q)
-}
-
-// SearchDiversifiedCtx is SearchDiversified honoring the context's
-// cancellation and deadline.
-func (db *DB) SearchDiversifiedCtx(ctx context.Context, q DivQuery) (Result, error) {
-	return db.SearchDiversifiedWithCtx(ctx, AlgoCOM, q)
-}
-
-// SearchDiversifiedWith runs a diversified query with an explicit
-// algorithm choice (COM or the SEQ baseline).
-//
-// Deprecated-style convenience: prefer View or SearchDiversifiedWithCtx;
-// this delegates with context.Background().
-func (db *DB) SearchDiversifiedWith(algo Algo, q DivQuery) (Result, error) {
-	return db.SearchDiversifiedWithCtx(context.Background(), algo, q)
-}
-
-// SearchDiversifiedWithCtx is SearchDiversifiedWith honoring the context's
-// cancellation and deadline. It opens a view for the single call.
-func (db *DB) SearchDiversifiedWithCtx(ctx context.Context, algo Algo, q DivQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchDiversifiedWith(ctx, algo, q)
+// incremental COM algorithm (Algorithm 6 of the paper). The explicit
+// algorithm choice lives on View (SearchDiversifiedWith).
+func (db *DB) SearchDiversified(ctx context.Context, q DivQuery) (Result, error) {
+	return oneShot(ctx, db, q, (*View).SearchDiversified)
 }
 
 // KNNQuery is a k-nearest-neighbor boolean spatial keyword query: the K
@@ -652,22 +588,8 @@ type KNNQuery = core.KNNQuery
 // SearchKNN returns the k nearest objects containing every query keyword,
 // in non-decreasing network distance. The expansion stops as soon as the
 // k-th match is emitted.
-//
-// Deprecated-style convenience: prefer View or SearchKNNCtx; this
-// delegates with context.Background().
-func (db *DB) SearchKNN(q KNNQuery) (Result, error) {
-	return db.SearchKNNCtx(context.Background(), q)
-}
-
-// SearchKNNCtx is SearchKNN honoring the context's cancellation and
-// deadline. It opens a view for the single call.
-func (db *DB) SearchKNNCtx(ctx context.Context, q KNNQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchKNN(ctx, q)
+func (db *DB) SearchKNN(ctx context.Context, q KNNQuery) (Result, error) {
+	return oneShot(ctx, db, q, (*View).SearchKNN)
 }
 
 // RankedQuery is a top-k ranked spatial keyword query: objects scored by
@@ -681,27 +603,8 @@ type RankedResult = core.RankedResult
 // scored objects in Result.Ranked. It requires an index with OR-semantics
 // support (IF, SIF or SIF-P); others fail with an error matching
 // ErrUnsupportedIndex.
-//
-// Deprecated-style convenience: prefer View or SearchRankedCtx; this
-// delegates with context.Background().
-func (db *DB) SearchRanked(q RankedQuery) (Result, error) {
-	return db.SearchRankedCtx(context.Background(), q)
-}
-
-// SearchRankedCtx is SearchRanked honoring the context's cancellation and
-// deadline. It opens a view for the single call.
-func (db *DB) SearchRankedCtx(ctx context.Context, q RankedQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchRanked(ctx, q)
-}
-
-// errUnsupportedQuery reports a query family the index kind cannot serve.
-func errUnsupportedQuery(family string, kind IndexKind) error {
-	return fmt.Errorf("dsks: %s query on index %s: %w", family, kind, ErrUnsupportedIndex)
+func (db *DB) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) {
+	return oneShot(ctx, db, q, (*View).SearchRanked)
 }
 
 // CollectiveQuery asks for a *group* of objects that together cover every
@@ -716,113 +619,38 @@ type CollectiveResult = core.CollectiveResult
 // approximate weighted set-cover greedy and returns it in
 // Result.Collective. It requires an index with OR-semantics support (IF,
 // SIF or SIF-P); others fail with an error matching ErrUnsupportedIndex.
-//
-// Deprecated-style convenience: prefer View or SearchCollectiveCtx; this
-// delegates with context.Background().
-func (db *DB) SearchCollective(q CollectiveQuery) (Result, error) {
-	return db.SearchCollectiveCtx(context.Background(), q)
-}
-
-// SearchCollectiveCtx is SearchCollective honoring the context's
-// cancellation and deadline. It opens a view for the single call.
-func (db *DB) SearchCollectiveCtx(ctx context.Context, q CollectiveQuery) (Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer v.Close()
-	return v.SearchCollective(ctx, q)
+func (db *DB) SearchCollective(ctx context.Context, q CollectiveQuery) (Result, error) {
+	return oneShot(ctx, db, q, (*View).SearchCollective)
 }
 
 // Stream is an incremental boolean search: candidates are pulled one at a
 // time in non-decreasing network distance, so a consumer can stop early
-// (the access pattern Algorithm 6 exploits internally). A stream created
-// with StreamCtx stops with an error matching ErrCanceled or
-// ErrDeadlineExceeded once its context ends.
+// (the access pattern Algorithm 6 exploits internally). It stops with an
+// error matching ErrCanceled or ErrDeadlineExceeded once its context ends,
+// and it is accounted like any other query — one metrics sample, one trace
+// — when it is exhausted, stopped or failed.
 //
-// A stream reads a pinned snapshot: one obtained from DB.Stream/StreamCtx
-// owns a private View released when the stream finishes, and one obtained
-// from View.Stream reads that view (which must stay open for the stream's
+// A stream reads a pinned snapshot: one obtained from DB.Stream owns a
+// private View released when the stream finishes, and one obtained from
+// View.Stream reads that view (which must stay open for the stream's
 // lifetime). Either way, concurrent Insert/Remove calls neither block the
 // stream nor change what it returns.
-type Stream struct {
-	search *core.SKSearch
-	sys    *harness.System
-	kind   IndexKind
-	start  time.Time
-	before int64
-	done   bool
-	// view, when non-nil, is owned by the stream and closed on finish.
-	view *View
-}
+type Stream = engine.Stream
 
-// Stream starts an incremental boolean search.
-//
-// Deprecated-style convenience: prefer View.Stream or StreamCtx; this
-// delegates with context.Background().
-func (db *DB) Stream(q SKQuery) (*Stream, error) {
-	return db.StreamCtx(context.Background(), q)
-}
-
-// StreamCtx is Stream honoring the context's cancellation and deadline:
-// the context is checked on every Next. The stream owns a private view of
-// the current version and releases it when exhausted, stopped, or failed.
-func (db *DB) StreamCtx(ctx context.Context, q SKQuery) (*Stream, error) {
+// Stream starts an incremental boolean search; the context is checked on
+// every Next. The stream owns a private view of the current version and
+// releases it when exhausted, stopped, or failed.
+func (db *DB) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
 	v, err := db.View(ctx)
 	if err != nil {
 		return nil, err
 	}
-	s, err := v.stream(ctx, q, true)
+	s, err := v.stream(ctx, q, func() { v.Close() })
 	if err != nil {
 		v.Close()
 		return nil, err
 	}
 	return s, nil
-}
-
-// Next returns the next candidate; ok is false when the stream is done.
-func (s *Stream) Next() (c Candidate, ok bool, err error) {
-	c, ok, err = s.search.Next()
-	if !ok || err != nil {
-		s.finish(err)
-	}
-	return c, ok, err
-}
-
-// Stop abandons the stream early.
-func (s *Stream) Stop() {
-	s.search.Stop()
-	s.finish(nil)
-}
-
-// Stats returns the traversal counters so far.
-func (s *Stream) Stats() SearchStats { return s.search.Stats() }
-
-// Trace returns the stream's stage timings so far.
-func (s *Stream) Trace() Trace { return s.search.Trace() }
-
-// finish records the stream's metrics sample exactly once and releases
-// the stream-owned view, if any.
-func (s *Stream) finish(err error) {
-	if s.done {
-		return
-	}
-	s.done = true
-	if s.view != nil {
-		s.view.Close()
-	}
-	stats := s.search.Stats()
-	s.sys.Metrics.Record(KindStream, metrics.Sample{
-		Elapsed:       time.Since(s.start),
-		Err:           err != nil,
-		Canceled:      errors.Is(err, ErrCanceled) || errors.Is(err, ErrDeadlineExceeded),
-		NodesPopped:   stats.NodesPopped,
-		EdgesVisited:  stats.EdgesVisited,
-		Candidates:    stats.Candidates,
-		Pruned:        stats.Pruned,
-		PairDistCalcs: stats.PairDistCalcs,
-		DiskReads:     s.sys.DiskReads(s.kind) - s.before,
-	})
 }
 
 // Insert adds a spatio-textual object to an open database: the object
@@ -871,14 +699,14 @@ func (db *DB) InsertAsync(pos Position, terms []TermID) (ObjectID, uint64, error
 		db.mu.Unlock()
 		return 0, 0, err
 	}
-	pos = db.sys.DS.Graph.Clamp(pos)
+	pos = db.eng.Graph.Clamp(pos)
 	lsn := db.roots.Load().lsn + 1
 	if db.wal != nil {
 		rec := wal.Record{
 			Type: wal.RecInsert,
 			// The ID the collection will assign, recorded so replay can
 			// verify it reassigns the same one.
-			ID:     int32(db.sys.DS.Objects.Len()),
+			ID:     int32(db.eng.Objects.Len()),
 			Edge:   int32(pos.Edge),
 			Offset: pos.Offset,
 			Terms:  make([]int32, len(terms)),
@@ -974,21 +802,13 @@ func (db *DB) ApplyShipped(r WALRecord) error {
 // checkInsert validates an insert without changing anything; callers
 // hold the write latch.
 func (db *DB) checkInsert(pos Position, terms []TermID) error {
-	g := db.sys.DS.Graph
-	if pos.Edge < 0 || int(pos.Edge) >= g.NumEdges() {
-		return fmt.Errorf("dsks: insert on edge %d: %w", pos.Edge, ErrUnknownEdge)
+	if err := db.checkPosTerms("insert", pos, terms); err != nil {
+		return err
 	}
-	for _, t := range terms {
-		if t < 0 || int(t) >= db.sys.DS.VocabSize {
-			return fmt.Errorf("dsks: term %d with vocabulary of %d: %w", t, db.sys.DS.VocabSize, ErrTermOutOfRange)
-		}
+	if db.eng.Versions == nil {
+		return fmt.Errorf("dsks: insert into index %s: %w", db.eng.Kind, ErrUnsupportedIndex)
 	}
-	switch db.kind {
-	case IndexSIF, IndexSIFP, IndexIF:
-		return nil
-	default:
-		return fmt.Errorf("dsks: insert into index %s: %w", db.kind, ErrUnsupportedIndex)
-	}
+	return nil
 }
 
 // applyInsertAt performs a validated insert copy-on-write at commit LSN
@@ -998,35 +818,16 @@ func (db *DB) checkInsert(pos Position, terms []TermID) error {
 // write latch. pos must already be clamped.
 func (db *DB) applyInsertAt(lsn uint64, pos Position, terms []TermID) (ObjectID, error) {
 	cur := db.roots.Load()
-	col := db.sys.DS.Objects
+	col := db.eng.Objects
 	// The ID the collection will assign below; indexing it before col.Add
 	// means a failed index mutation leaves the collection untouched.
 	id := ObjectID(col.Len())
 	// Collection.Add normalizes terms; the index must see the same set.
 	normTerms := obj.NormalizeTerms(append([]TermID(nil), terms...))
 
-	pool := db.sys.ObjPool(db.kind)
-	batch := pool.NewBatch(lsn)
-	next := &dbRoots{lsn: lsn, live: cur.live + 1, inv: cur.inv, sif: cur.sif}
-	var err error
-	switch db.kind {
-	case IndexSIF, IndexSIFP:
-		s := db.sys.SIF
-		if db.kind == IndexSIFP {
-			s = db.sys.SIFP
-		}
-		inv, sr := *cur.inv, *cur.sif
-		if err = s.InsertObjectAt(batch, &inv, &sr, id, pos.Edge, pos.Offset, normTerms); err == nil {
-			next.inv, next.sif = &inv, &sr
-		}
-	case IndexIF:
-		coder := invindex.GraphZCoder{G: db.sys.DS.Graph}
-		inv := *cur.inv
-		if err = db.sys.Inv.InsertObjectAt(batch, &inv, coder.EdgeZCode(pos.Edge), id, pos.Edge, pos.Offset, normTerms); err == nil {
-			next.inv = &inv
-		}
-	}
-	if err != nil {
+	batch := db.eng.Pool.NewBatch(lsn)
+	idx := *cur.idx
+	if err := db.eng.Versions.InsertObjectAt(batch, &idx, id, pos, normTerms); err != nil {
 		// The batch is dropped unpublished: no reader ever saw anything.
 		return 0, err
 	}
@@ -1034,7 +835,7 @@ func (db *DB) applyInsertAt(lsn uint64, pos Position, terms []TermID) (ObjectID,
 	if got != id {
 		return 0, fmt.Errorf("dsks: insert assigned object %d where the index recorded %d", got, id)
 	}
-	db.publish(batch, next)
+	db.publish(batch, &dbRoots{lsn: lsn, live: cur.live + 1, idx: &idx})
 	return id, nil
 }
 
@@ -1043,7 +844,7 @@ func (db *DB) applyInsertAt(lsn uint64, pos Position, terms []TermID) (ObjectID,
 // the root swap that makes the LSN reachable. Callers hold the write
 // latch.
 func (db *DB) publish(batch *storage.WriteBatch, next *dbRoots) {
-	db.sys.ObjPool(db.kind).Publish(batch)
+	db.eng.Pool.Publish(batch)
 	db.roots.Store(next)
 	db.version.Add(1)
 }
@@ -1052,14 +853,10 @@ func (db *DB) publish(batch *storage.WriteBatch, next *dbRoots) {
 // the base file. Fold errors are ignored here: the overlay stays
 // authoritative and the next reclaim retries.
 func (db *DB) reclaim() {
-	pool := db.sys.ObjPool(db.kind)
-	if pool == nil {
-		return
-	}
 	db.foldMu.Lock()
 	defer db.foldMu.Unlock()
 	h := db.epochs.FoldHorizon(db.roots.Load().lsn)
-	_ = pool.FoldTo(h)
+	_ = db.eng.Pool.FoldTo(h)
 }
 
 // Remove deletes an object from an open database: it is tombstoned in the
@@ -1104,55 +901,33 @@ func (db *DB) Remove(id ObjectID) error {
 // checkRemove validates a remove without changing anything; callers hold
 // the write latch.
 func (db *DB) checkRemove(id ObjectID) error {
-	col := db.sys.DS.Objects
+	col := db.eng.Objects
 	if id < 0 || int(id) >= col.Len() || col.Removed(id) {
 		return fmt.Errorf("dsks: remove object %d: %w", id, ErrUnknownObject)
 	}
-	switch db.kind {
-	case IndexSIF, IndexSIFP, IndexIF:
-		return nil
-	default:
-		return fmt.Errorf("dsks: remove from index %s: %w", db.kind, ErrUnsupportedIndex)
+	if db.eng.Versions == nil {
+		return fmt.Errorf("dsks: remove from index %s: %w", db.eng.Kind, ErrUnsupportedIndex)
 	}
+	return nil
 }
 
 // applyRemoveAt performs a validated remove copy-on-write at commit LSN
-// lsn (see applyInsertAt); callers hold the write latch. Signature roots
-// are unchanged by removes (bits stay set), so the new version shares
-// them.
+// lsn (see applyInsertAt); callers hold the write latch. Signatures are
+// unchanged by removes (bits stay set), so the new version shares them.
 func (db *DB) applyRemoveAt(lsn uint64, id ObjectID) error {
 	cur := db.roots.Load()
-	col := db.sys.DS.Objects
+	col := db.eng.Objects
 	o := col.Get(id)
 
-	pool := db.sys.ObjPool(db.kind)
-	batch := pool.NewBatch(lsn)
-	next := &dbRoots{lsn: lsn, live: cur.live - 1, inv: cur.inv, sif: cur.sif}
-	var err error
-	switch db.kind {
-	case IndexSIF, IndexSIFP:
-		s := db.sys.SIF
-		if db.kind == IndexSIFP {
-			s = db.sys.SIFP
-		}
-		inv := *cur.inv
-		if err = s.RemoveObjectAt(batch, &inv, id, o.Pos.Edge, o.Terms); err == nil {
-			next.inv = &inv
-		}
-	case IndexIF:
-		coder := invindex.GraphZCoder{G: db.sys.DS.Graph}
-		inv := *cur.inv
-		if err = db.sys.Inv.RemoveObjectAt(batch, &inv, coder.EdgeZCode(o.Pos.Edge), id, o.Terms); err == nil {
-			next.inv = &inv
-		}
-	}
-	if err != nil {
+	batch := db.eng.Pool.NewBatch(lsn)
+	idx := *cur.idx
+	if err := db.eng.Versions.RemoveObjectAt(batch, &idx, id, o.Pos.Edge, o.Terms); err != nil {
 		return err
 	}
 	if err := col.Remove(id); err != nil {
 		return err
 	}
-	db.publish(batch, next)
+	db.publish(batch, &dbRoots{lsn: lsn, live: cur.live - 1, idx: &idx})
 	return nil
 }
 
@@ -1165,19 +940,19 @@ func (db *DB) Version() uint64 { return db.version.Load() }
 // Graph exposes the road network the database was opened with. The
 // graph is immutable once frozen; callers (the shard router replicates
 // it across shard databases) must not modify it.
-func (db *DB) Graph() *Graph { return db.sys.DS.Graph }
+func (db *DB) Graph() *Graph { return db.eng.Graph }
 
 // ObjectCount is the total number of object IDs the database has ever
 // allocated, tombstones included (compare LiveObjects). IDs below it are
 // addressable by Object.
-func (db *DB) ObjectCount() int { return db.sys.DS.Objects.Len() }
+func (db *DB) ObjectCount() int { return db.eng.Objects.Len() }
 
 // Object reports an allocated object's position and terms, and whether
 // it is still live; ok is false for IDs that were never allocated. The
 // shard router uses it to rebuild its ID maps after a WAL replay moved a
 // shard past the state the router last saw.
 func (db *DB) Object(id ObjectID) (pos Position, terms []TermID, live, ok bool) {
-	col := db.sys.DS.Objects
+	col := db.eng.Objects
 	if id < 0 || int(id) >= col.Len() {
 		return Position{}, nil, false, false
 	}
@@ -1207,30 +982,16 @@ func (db *DB) DurableLSN() uint64 {
 }
 
 // NetworkDistance returns the exact network distance between two
-// positions (exposed for inspection and testing; computed in memory).
-// Unreachable pairs report +Inf; use NetworkDistanceCtx for an error-
-// carrying form.
-//
-//lint:ignore ctxpair the arities differ: this form folds every error into +Inf
-func (db *DB) NetworkDistance(a, b Position) float64 {
-	d, err := db.NetworkDistanceCtx(context.Background(), a, b)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return d
-}
-
-// NetworkDistanceCtx returns the exact network distance between two
-// positions, honoring the context and reporting unreachable pairs: a pair
-// no chain of road segments connects fails with an error matching
-// ErrNoPath, and a done context fails with an error matching ErrCanceled
-// or ErrDeadlineExceeded. Positions on edges outside the network fail
-// with an error matching ErrUnknownEdge.
-func (db *DB) NetworkDistanceCtx(ctx context.Context, a, b Position) (float64, error) {
+// positions (computed in memory; the road network is immutable, so no view
+// is involved). A pair no chain of road segments connects fails with an
+// error matching ErrNoPath, a done context with one matching ErrCanceled
+// or ErrDeadlineExceeded, and a position on an edge outside the network
+// with one matching ErrUnknownEdge.
+func (db *DB) NetworkDistance(ctx context.Context, a, b Position) (float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	g := db.sys.DS.Graph
+	g := db.eng.Graph
 	for _, p := range [2]Position{a, b} {
 		if p.Edge < 0 || int(p.Edge) >= g.NumEdges() {
 			return 0, fmt.Errorf("dsks: network distance at edge %d: %w", p.Edge, ErrUnknownEdge)
@@ -1250,14 +1011,14 @@ type Route = graph.Route
 // traversed edges in order plus the total cost — for presenting results
 // ("how do I get there") rather than just ranking them.
 func (db *DB) ShortestRoute(a, b Position) (Route, error) {
-	return db.sys.DS.Graph.ShortestRoute(a, b)
+	return db.eng.Graph.ShortestRoute(a, b)
 }
 
 // IndexSizeBytes returns the on-disk footprint of the object index.
-func (db *DB) IndexSizeBytes() int64 { return db.sys.IndexSize[db.kind] }
+func (db *DB) IndexSizeBytes() int64 { return db.eng.SizeBytes }
 
 // BuildTime returns how long the object index construction took.
-func (db *DB) BuildTime() time.Duration { return db.sys.BuildTime[db.kind] }
+func (db *DB) BuildTime() time.Duration { return db.eng.BuildTime }
 
 // ResetIO cools the buffer pools and zeroes the disk-access counters.
 // It is latch-free: counters are zeroed with atomic swaps and the pools
@@ -1265,7 +1026,7 @@ func (db *DB) BuildTime() time.Duration { return db.sys.BuildTime[db.kind] }
 // stalls queries or mutations (concurrent queries may observe partially
 // reset counters, which is inherent to any reset during traffic).
 func (db *DB) ResetIO() error {
-	return db.sys.ResetIO()
+	return db.eng.ResetIO()
 }
 
 // SetFaultSpec installs a deterministic fault-injection campaign on every
@@ -1290,7 +1051,7 @@ func (db *DB) SetFaultSpec(spec string) error {
 	if err != nil {
 		return fmt.Errorf("%w: fault spec %q: %v", ErrBadOptions, spec, err)
 	}
-	db.sys.SetInjector(in)
+	db.eng.SetInjector(in)
 	if db.wal != nil {
 		db.wal.SetInjector(in)
 	}
@@ -1302,7 +1063,7 @@ func (db *DB) SetFaultSpec(spec string) error {
 // a bit flip stays corrupt until rewritten (and is detected when read if
 // Options.Checksums is enabled).
 func (db *DB) ClearFaults() {
-	db.sys.SetInjector(nil)
+	db.eng.SetInjector(nil)
 	if db.wal != nil {
 		db.wal.SetInjector(nil)
 	}

@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -40,13 +41,24 @@ func buildTinyCity(t testing.TB) (*dsks.DB, *dsks.Vocabulary, dsks.Position, []d
 	return db, vocab, dsks.Position{Edge: edges[0], Offset: 0}, edges
 }
 
+// diversifiedWith runs one diversified query with an explicit algorithm
+// (the choice lives on View) against a view opened for the call.
+func diversifiedWith(ctx context.Context, db *dsks.DB, algo dsks.Algo, q dsks.DivQuery) (dsks.Result, error) {
+	v, err := db.View(ctx)
+	if err != nil {
+		return dsks.Result{}, err
+	}
+	defer v.Close()
+	return v.SearchDiversifiedWith(ctx, algo, q)
+}
+
 func TestPublicSearch(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, err := vocab.LookupAll([]string{"pizza", "pasta"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +80,7 @@ func TestPublicSearchRangeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 30})
+	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +100,11 @@ func TestPublicDiversified(t *testing.T) {
 		K:       2,
 		Lambda:  0.3, // diversity-leaning: expect the far place in the pair
 	}
-	com, err := db.SearchDiversified(q)
+	com, err := db.SearchDiversified(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := db.SearchDiversifiedWith(dsks.AlgoSEQ, q)
+	seq, err := diversifiedWith(context.Background(), db, dsks.AlgoSEQ, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +141,7 @@ func TestPublicAllIndexKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Search(dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 100})
+		res, err := db.Search(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 100})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -164,7 +176,7 @@ func TestPublicGenerateAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range ws {
-		if _, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
+		if _, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +189,7 @@ func TestPublicNetworkDistance(t *testing.T) {
 	db, _, _, edges := buildTinyCity(t)
 	a := dsks.Position{Edge: edges[0], Offset: 0}
 	b := dsks.Position{Edge: edges[0], Offset: 100}
-	if d := db.NetworkDistance(a, b); math.Abs(d-100) > 1e-9 {
+	if d, err := db.NetworkDistance(context.Background(), a, b); err != nil || math.Abs(d-100) > 1e-9 {
 		t.Errorf("NetworkDistance = %v, want 100", d)
 	}
 }
@@ -204,11 +216,11 @@ func TestPublicOnDisk(t *testing.T) {
 	}
 	for _, q := range ws {
 		skq := dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}
-		a, err := mem.Search(skq)
+		a, err := mem.Search(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := disk.Search(skq)
+		b, err := disk.Search(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,8 +244,8 @@ func TestPublicShortestRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r.Cost-db.NetworkDistance(a, b)) > 1e-9 {
-		t.Fatalf("route cost %v vs distance %v", r.Cost, db.NetworkDistance(a, b))
+	if d, err := db.NetworkDistance(context.Background(), a, b); err != nil || math.Abs(r.Cost-d) > 1e-9 {
+		t.Fatalf("route cost %v vs distance %v (%v)", r.Cost, d, err)
 	}
 	if len(r.Edges) < 2 {
 		t.Fatalf("route = %+v", r)

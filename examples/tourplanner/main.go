@@ -41,7 +41,7 @@ func main() {
 	var venue dsks.WorkloadQuery
 	best := 0
 	for _, q := range queries {
-		res, err := db.Search(dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		res, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,10 +96,10 @@ func main() {
 		fmt.Printf("  λ = %.1f: f = %.3f, avg hotel distance %5.0fm, closest pair %5.0fm apart\n",
 			lambda, res.F, avgDist, minPair)
 	}
-	view.Close() // release the pin so storage can reclaim old versions
 
 	// COM vs SEQ over the whole workload (k = 10, λ = 0.8 — the paper's
 	// defaults). COM prunes and terminates early; SEQ retrieves everything.
+	// The explicit algorithm choice lives on the view.
 	fmt.Println("\nincremental COM vs SEQ baseline over 30 queries (k = 10, λ = 0.8):")
 	for _, algo := range []dsks.Algo{dsks.AlgoSEQ, dsks.AlgoCOM} {
 		if err := db.ResetIO(); err != nil {
@@ -109,7 +109,7 @@ func main() {
 		var reads, pruned int64
 		var early int
 		for _, q := range queries {
-			res, err := db.SearchDiversifiedWith(algo, dsks.DivQuery{
+			res, err := view.SearchDiversifiedWith(ctx, algo, dsks.DivQuery{
 				SKQuery: dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax},
 				K:       10,
 				Lambda:  0.8,
@@ -130,11 +130,13 @@ func main() {
 			float64(reads)/float64(n), pruned, early, len(queries))
 	}
 
+	view.Close() // release the pin so storage can reclaim old versions
+
 	// An interactive planner wants to abandon a query the moment the user
-	// navigates away: every search has a context-aware variant.
-	ctx, cancel := context.WithCancel(context.Background())
+	// navigates away: every search honors its context.
+	ctx, cancel := context.WithCancel(ctx)
 	cancel() // the user already left
-	_, err = db.SearchDiversifiedCtx(ctx, dsks.DivQuery{
+	_, err = db.SearchDiversified(ctx, dsks.DivQuery{
 		SKQuery: dsks.SKQuery{Pos: venue.Pos, Terms: venue.Terms, DeltaMax: venue.DeltaMax},
 		K:       4,
 		Lambda:  0.8,

@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestInsertVisibleToQueries(t *testing.T) {
 			}
 
 			origin := dsks.Position{Edge: e.ID, Offset: 0}
-			res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: normalized(terms), DeltaMax: 1e9})
+			res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: normalized(terms), DeltaMax: 1e9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,8 +42,8 @@ func TestInsertVisibleToQueries(t *testing.T) {
 			for _, c := range res.Candidates {
 				if c.Ref.ID == id {
 					found = true
-					want := db.NetworkDistance(origin, pos)
-					if math.Abs(c.Dist-want) > 1e-6 {
+					want, err := db.NetworkDistance(context.Background(), origin, pos)
+					if err != nil || math.Abs(c.Dist-want) > 1e-6 {
 						t.Fatalf("inserted object at %v, want %v", c.Dist, want)
 					}
 				}
@@ -89,7 +90,7 @@ func TestInsertGrowsExistingList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 1e9})
+	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestRemoveHidesFromQueries(t *testing.T) {
 			ran := false
 			for _, wq := range ws {
 				q := dsks.SKQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: wq.DeltaMax}
-				before, err := db.Search(q)
+				before, err := db.Search(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +163,7 @@ func TestRemoveHidesFromQueries(t *testing.T) {
 				if err := db.Remove(victim); err != nil {
 					t.Fatal(err)
 				}
-				after, err := db.Search(q)
+				after, err := db.Search(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +209,7 @@ func TestInsertAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 				terms = terms[:2]
 			}
 			q := dsks.SKQuery{Pos: anchor.Pos, Terms: terms, DeltaMax: 800}
-			res, err := db.Search(q)
+			res, err := db.Search(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

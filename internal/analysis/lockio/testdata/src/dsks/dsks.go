@@ -43,13 +43,13 @@ type Result struct {
 
 type DB struct{}
 
-func (db *DB) SearchCtx(ctx context.Context, q SKQuery) (Result, error) {
+func (db *DB) Search(ctx context.Context, q SKQuery) (Result, error) {
 	_ = ctx
 	_ = q
 	return Result{}, nil
 }
 
-func (db *DB) SearchDiversifiedCtx(ctx context.Context, q DivQuery) (Result, error) {
+func (db *DB) SearchDiversified(ctx context.Context, q DivQuery) (Result, error) {
 	_ = ctx
 	_ = q
 	return Result{}, nil

@@ -24,12 +24,21 @@ func (c *cache) BadFill(ctx context.Context, key string, q dsks.DivQuery) (dsks.
 	if _, ok := c.entries[key]; ok {
 		return dsks.Result{}, nil
 	}
-	res, err := c.db.SearchDiversifiedCtx(ctx, q) // want `lockio: database SearchDiversifiedCtx call while c.mu is held`
+	res, err := c.db.SearchDiversified(ctx, q) // want `lockio: database SearchDiversified call while c.mu is held`
 	if err != nil {
 		return dsks.Result{}, err
 	}
 	c.entries[key] = nil
 	return res, nil
+}
+
+// BadLookup shows the one-signature query methods are classified like the
+// old ...Ctx pairs were: DB.Search(ctx, q) opens a view and runs the whole
+// expansion, so it is just as blocking under the latch.
+func (c *cache) BadLookup(ctx context.Context, q dsks.SKQuery) (dsks.Result, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.db.Search(ctx, q) // want `lockio: database Search call while c.mu is held`
 }
 
 // BadInsert mutates the database under the cache latch; Insert takes the
@@ -50,7 +59,7 @@ func (c *cache) GoodFill(ctx context.Context, key string, q dsks.DivQuery) (dsks
 	if ok {
 		return dsks.Result{}, nil
 	}
-	res, err := c.db.SearchDiversifiedCtx(ctx, q)
+	res, err := c.db.SearchDiversified(ctx, q)
 	if err != nil {
 		return dsks.Result{}, err
 	}

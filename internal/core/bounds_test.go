@@ -172,7 +172,7 @@ func TestKNNInternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wq := range ws[:5] {
-		cands, stats, err := core.SearchKNN(context.Background(), sys.Net, loader, core.KNNQuery{
+		cands, stats, _, err := core.SearchKNN(context.Background(), sys.Net, loader, core.KNNQuery{
 			Pos: wq.Pos, Terms: wq.Terms, K: 5,
 		})
 		if err != nil {

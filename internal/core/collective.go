@@ -52,15 +52,10 @@ type CollectiveResult struct {
 // candidates containing at least one query keyword are collected within
 // DeltaMax, then objects are repeatedly chosen by the lowest
 // distance-per-newly-covered-keyword ratio until all keywords are covered
-// (ties prefer closer objects, then smaller IDs).
-func SearchCollective(ctx context.Context, net ccam.Network, loader index.UnionLoader, q CollectiveQuery) (CollectiveResult, SearchStats, error) {
-	res, stats, _, err := SearchCollectiveTraced(ctx, net, loader, q)
-	return res, stats, err
-}
-
-// SearchCollectiveTraced is SearchCollective, additionally returning the
-// per-stage timings (the set-cover greedy is accounted to Diversify).
-func SearchCollectiveTraced(ctx context.Context, net ccam.Network, loader index.UnionLoader, q CollectiveQuery) (CollectiveResult, SearchStats, Trace, error) {
+// (ties prefer closer objects, then smaller IDs). The stats and the
+// per-stage timings (the set-cover greedy is accounted to Diversify) cover
+// the work done on the error path too.
+func SearchCollective(ctx context.Context, net ccam.Network, loader index.UnionLoader, q CollectiveQuery) (CollectiveResult, SearchStats, Trace, error) {
 	if err := q.Validate(); err != nil {
 		return CollectiveResult{}, SearchStats{}, Trace{}, err
 	}
@@ -74,7 +69,7 @@ func SearchCollectiveTraced(ctx context.Context, net ccam.Network, loader index.
 	}
 	for more := true; more; {
 		if more, err = x.step(); err != nil {
-			return CollectiveResult{}, SearchStats{}, Trace{}, err
+			return CollectiveResult{}, x.stats, x.trace, err
 		}
 	}
 	x.stats.Candidates = int64(len(x.objs))
@@ -103,7 +98,7 @@ func SearchCollectiveTraced(ctx context.Context, net ccam.Network, loader index.
 		for _, t := range terms {
 			refs, err := loader.LoadObjects(ctx, e, []obj.TermID{t})
 			if err != nil {
-				return CollectiveResult{}, SearchStats{}, Trace{}, mapCtxErr(err)
+				return CollectiveResult{}, x.stats, x.trace, mapCtxErr(err)
 			}
 			for _, r := range refs {
 				if c, ok := cands[r]; ok {

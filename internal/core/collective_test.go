@@ -24,7 +24,7 @@ func TestSearchCollectiveCovers(t *testing.T) {
 	col := sys.DS.Objects
 	covered := 0
 	for _, wq := range ws {
-		res, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+		res, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
 			Pos: wq.Pos, Terms: wq.Terms, DeltaMax: wq.DeltaMax,
 		})
 		if err != nil {
@@ -96,7 +96,7 @@ func TestSearchCollectiveBeatsNaivePerKeyword(t *testing.T) {
 	// Query anchored at an object that contains all its own terms: the
 	// group should be that single object at distance 0.
 	anchor := col.Get(3)
-	res, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+	res, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
 		Pos: anchor.Pos, Terms: anchor.Terms, DeltaMax: 1000,
 	})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestSearchCollectiveUncoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ul := loader.(index.UnionLoader)
-	res, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+	res, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
 		Pos:      col.Get(0).Pos, // at the near object
 		Terms:    []obj.TermID{0, 1},
 		DeltaMax: 100, // the far object is 900 away
@@ -157,10 +157,10 @@ func TestSearchCollectiveValidation(t *testing.T) {
 	sys, _ := testWorld(t, 77)
 	loader, _ := sys.Loader(harness.KindSIF)
 	ul := loader.(index.UnionLoader)
-	if _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{DeltaMax: 10}); err == nil {
+	if _, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{DeltaMax: 10}); err == nil {
 		t.Error("empty terms accepted")
 	}
-	if _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+	if _, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
 		Terms: []obj.TermID{1},
 	}); err == nil {
 		t.Error("zero range accepted")

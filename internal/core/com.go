@@ -53,14 +53,26 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 		pairs:   NewCorePairSet(q.K / 2),
 		prune:   prune,
 	}
+	// partial is the work done so far: the outcome of a query that fails
+	// mid-flight still reports what it cost.
+	partial := func() DivResult {
+		stats := sks.Stats()
+		stats.Add(distStats)
+		stats.Pruned = c.pruned
+		trace := sks.Trace()
+		trace.Diversify = c.divTime
+		trace.Total = time.Since(start)
+		return DivResult{Stats: stats, Trace: trace}
+	}
+	fail := func(err error) (DivResult, error) { return partial(), mapCtxErr(err) }
 	finish := func(result []Candidate) (DivResult, error) {
 		divStart := time.Now()
-		res, err := c.finish(result, sks, &distStats)
+		res := partial() // the counters leave out the objective's own pair distances
+		res.Objects, res.F = result, c.objective(result)
 		c.divTime += time.Since(divStart)
-		if err != nil {
-			return res, mapCtxErr(err)
+		if c.err != nil {
+			return fail(c.err)
 		}
-		res.Trace = sks.Trace()
 		res.Trace.Diversify = c.divTime
 		res.Trace.Total = time.Since(start)
 		return res, nil
@@ -72,7 +84,7 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 	for len(first) < q.K {
 		cand, ok, err := sks.Next()
 		if err != nil {
-			return DivResult{}, err
+			return fail(err)
 		}
 		if !ok {
 			break
@@ -96,7 +108,7 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 	}
 	c.divTime += time.Since(divStart)
 	if c.err != nil {
-		return DivResult{}, mapCtxErr(c.err)
+		return fail(c.err)
 	}
 
 	// Lines 2–16: the arrival loop.
@@ -104,7 +116,7 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 	for {
 		cand, ok, err := sks.Next()
 		if err != nil {
-			return DivResult{}, err
+			return fail(err)
 		}
 		if !ok {
 			break
@@ -114,7 +126,7 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 		stop := c.canTerminate(cand.Dist) && !prune.DisableEarlyStop
 		c.divTime += time.Since(divStart)
 		if err != nil {
-			return DivResult{}, mapCtxErr(err)
+			return fail(err)
 		}
 		if stop {
 			earlyStop = true
@@ -239,18 +251,13 @@ func (c *comState) canTerminate(gamma float64) bool {
 	return terminate
 }
 
-func (c *comState) finish(result []Candidate, sks *SKSearch, distStats *SearchStats) (DivResult, error) {
-	stats := sks.Stats()
-	stats.Add(*distStats)
-	stats.Pruned = c.pruned
+// objective evaluates f(S) of the chosen set (distance-engine errors land
+// in c.err, like every theta call).
+func (c *comState) objective(result []Candidate) float64 {
 	for _, cand := range result {
 		c.cands[cand.Ref.ID] = cand
 	}
-	f := SetObjective(len(result), func(i, j int) float64 {
+	return SetObjective(len(result), func(i, j int) float64 {
 		return c.theta(result[i].Ref.ID, result[j].Ref.ID)
 	})
-	if c.err != nil {
-		return DivResult{}, c.err
-	}
-	return DivResult{Objects: result, F: f, Stats: stats}, nil
 }

@@ -332,27 +332,27 @@ func testSEQAndCOMAgree(t *testing.T, sys *harness.System, ws []dataset.Query, k
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq.Div.Objects) != len(com.Div.Objects) {
-			t.Fatalf("SEQ chose %d, COM chose %d", len(seq.Div.Objects), len(com.Div.Objects))
+		if len(seq.Candidates) != len(com.Candidates) {
+			t.Fatalf("SEQ chose %d, COM chose %d", len(seq.Candidates), len(com.Candidates))
 		}
-		if len(seq.Div.Objects) == 0 {
+		if len(seq.Candidates) == 0 {
 			continue
 		}
 		ran++
 		// Both run the same greedy; with continuous distances the chosen
 		// sets must match.
-		a := core.CandidateIDs(seq.Div.Objects)
-		b := core.CandidateIDs(com.Div.Objects)
+		a := core.CandidateIDs(seq.Candidates)
+		b := core.CandidateIDs(com.Candidates)
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("result sets differ: SEQ %v vs COM %v (f: %v vs %v)",
-					a, b, seq.Div.F, com.Div.F)
+					a, b, seq.F, com.F)
 			}
 		}
-		if math.Abs(seq.Div.F-com.Div.F) > 1e-9 {
-			t.Fatalf("objective differs: %v vs %v", seq.Div.F, com.Div.F)
+		if math.Abs(seq.F-com.F) > 1e-9 {
+			t.Fatalf("objective differs: %v vs %v", seq.F, com.F)
 		}
 	}
 	if ran == 0 {
@@ -398,10 +398,10 @@ func TestCOMFewerThanK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(com.Div.Objects) != len(seq.Div.Objects) {
-		t.Fatalf("few-object case: COM %d vs SEQ %d", len(com.Div.Objects), len(seq.Div.Objects))
+	if len(com.Candidates) != len(seq.Candidates) {
+		t.Fatalf("few-object case: COM %d vs SEQ %d", len(com.Candidates), len(seq.Candidates))
 	}
-	if len(com.Div.Objects) == 0 {
+	if len(com.Candidates) == 0 {
 		t.Fatal("co-located object not found")
 	}
 }

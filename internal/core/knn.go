@@ -40,10 +40,12 @@ func (q KNNQuery) Validate() error {
 // SearchKNN runs the incremental expansion of Algorithm 3 and stops as
 // soon as k qualifying objects have been emitted (or the network is
 // exhausted). Because candidates arrive in non-decreasing network
-// distance, the first k emissions are exactly the k nearest.
-func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNNQuery) ([]Candidate, SearchStats, error) {
+// distance, the first k emissions are exactly the k nearest. The stats and
+// the stage timings cover the work done on the error path too; Trace.Total
+// is left for the caller, which owns the end-to-end clock.
+func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNNQuery) ([]Candidate, SearchStats, Trace, error) {
 	if err := q.Validate(); err != nil {
-		return nil, SearchStats{}, err
+		return nil, SearchStats{}, Trace{}, err
 	}
 	bound := q.MaxDist
 	if bound == 0 {
@@ -55,13 +57,13 @@ func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNN
 		DeltaMax: bound,
 	})
 	if err != nil {
-		return nil, SearchStats{}, err
+		return nil, SearchStats{}, Trace{}, err
 	}
 	out := make([]Candidate, 0, q.K)
 	for len(out) < q.K {
 		c, ok, err := sks.Next()
 		if err != nil {
-			return nil, SearchStats{}, err
+			return nil, sks.Stats(), sks.Trace(), err
 		}
 		if !ok {
 			break
@@ -69,5 +71,5 @@ func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNN
 		out = append(out, c)
 	}
 	sks.Stop()
-	return out, sks.Stats(), nil
+	return out, sks.Stats(), sks.Trace(), nil
 }

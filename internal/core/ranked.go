@@ -59,15 +59,9 @@ type RankedResult struct {
 // arrive (in non-decreasing network distance), and the expansion stops as
 // soon as even a perfect textual match at the current frontier could not
 // displace the k-th best score — the spatial part of the score is monotone
-// in the arrival order.
-func SearchRanked(ctx context.Context, net ccam.Network, loader index.UnionLoader, q RankedQuery) ([]RankedResult, SearchStats, error) {
-	res, stats, _, err := SearchRankedTraced(ctx, net, loader, q)
-	return res, stats, err
-}
-
-// SearchRankedTraced is SearchRanked, additionally returning the per-stage
-// timings of the expansion.
-func SearchRankedTraced(ctx context.Context, net ccam.Network, loader index.UnionLoader, q RankedQuery) ([]RankedResult, SearchStats, Trace, error) {
+// in the arrival order. The stats and the per-stage timings cover the work
+// done on the error path too.
+func SearchRanked(ctx context.Context, net ccam.Network, loader index.UnionLoader, q RankedQuery) ([]RankedResult, SearchStats, Trace, error) {
 	if err := q.Validate(); err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
@@ -106,7 +100,7 @@ func SearchRankedTraced(ctx context.Context, net ccam.Network, loader index.Unio
 			break
 		}
 		if _, err := x.step(); err != nil {
-			return nil, SearchStats{}, Trace{}, err
+			return nil, x.stats, x.trace, err
 		}
 	}
 	x.stats.Candidates = int64(len(x.objs))

@@ -74,7 +74,7 @@ func TestSearchRankedMatchesBruteForce(t *testing.T) {
 			q := core.RankedQuery{
 				Pos: wq.Pos, Terms: wq.Terms, K: 5, Alpha: alpha, DeltaMax: wq.DeltaMax,
 			}
-			got, _, err := core.SearchRanked(context.Background(), sys.Net, ul, q)
+			got, _, _, err := core.SearchRanked(context.Background(), sys.Net, ul, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestSearchRankedPureSpatial(t *testing.T) {
 	}
 	ul := loader.(index.UnionLoader)
 	wq := ws[0]
-	got, _, err := core.SearchRanked(context.Background(), sys.Net, ul, core.RankedQuery{
+	got, _, _, err := core.SearchRanked(context.Background(), sys.Net, ul, core.RankedQuery{
 		Pos: wq.Pos, Terms: wq.Terms, K: 10, Alpha: 1, DeltaMax: wq.DeltaMax,
 	})
 	if err != nil {
@@ -142,7 +142,7 @@ func TestSearchRankedEarlyTermination(t *testing.T) {
 	ul := loader.(index.UnionLoader)
 	sawEarly := false
 	for _, wq := range ws {
-		_, stats, err := core.SearchRanked(context.Background(), sys.Net, ul, core.RankedQuery{
+		_, stats, _, err := core.SearchRanked(context.Background(), sys.Net, ul, core.RankedQuery{
 			Pos: wq.Pos, Terms: wq.Terms, K: 2, Alpha: 0.9, DeltaMax: wq.DeltaMax,
 		})
 		if err != nil {
@@ -168,7 +168,7 @@ func TestSearchRankedValidation(t *testing.T) {
 		{Terms: []obj.TermID{1}, K: 1, Alpha: 0.5, DeltaMax: 0},  // no range
 	}
 	for i, q := range bad {
-		if _, _, err := core.SearchRanked(context.Background(), sys.Net, ul, q); err == nil {
+		if _, _, _, err := core.SearchRanked(context.Background(), sys.Net, ul, q); err == nil {
 			t.Errorf("bad query %d accepted", i)
 		}
 	}

@@ -34,10 +34,10 @@ func SearchSEQ(ctx context.Context, net ccam.Network, loader index.Loader, q Div
 		return DivResult{}, err
 	}
 	cands, err := sks.All()
-	if err != nil {
-		return DivResult{}, err
-	}
 	stats := sks.Stats()
+	if err != nil {
+		return DivResult{Stats: stats, Trace: sks.Trace()}, err
+	}
 
 	divStart := time.Now()
 	params := DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}
@@ -45,7 +45,7 @@ func SearchSEQ(ctx context.Context, net ccam.Network, loader index.Loader, q Div
 
 	theta, err := pairwiseTheta(cands, params, dist)
 	if err != nil {
-		return DivResult{}, mapCtxErr(err)
+		return DivResult{Stats: stats, Trace: sks.Trace()}, mapCtxErr(err)
 	}
 	chosen := GreedyDiversify(len(cands), q.K, theta)
 	result := make([]Candidate, len(chosen))

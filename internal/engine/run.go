@@ -1,0 +1,201 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"dsks/internal/core"
+	"dsks/internal/index"
+	"dsks/internal/metrics"
+)
+
+// Result is a query outcome with its cost metrics. Every query family
+// fills the shared fields (Elapsed, DiskReads, Stats, Trace); the payload
+// fields depend on the family: boolean, kNN and diversified searches fill
+// Candidates (and F for diversified), ranked searches fill Ranked, and
+// collective searches fill Collective.
+type Result struct {
+	// Candidates are the qualifying objects in non-decreasing network
+	// distance (boolean queries) or the chosen diversified set (in pair
+	// order, diversified queries).
+	Candidates []core.Candidate
+	// F is the diversification objective value f(S); zero for boolean
+	// queries.
+	F float64
+	// Ranked are the scored objects of a ranked query, best first.
+	Ranked []core.RankedResult
+	// Collective is the keyword-covering group of a collective query.
+	Collective *core.CollectiveResult
+	// Elapsed is the query's wall-clock time.
+	Elapsed time.Duration
+	// DiskReads counts buffer-pool misses during the query.
+	DiskReads int64
+	// Stats are the detailed cost counters.
+	Stats core.SearchStats
+	// Trace is the query's stage-timing breakdown; Trace.Total equals
+	// Elapsed.
+	Trace core.Trace
+}
+
+// DivAlgo selects the diversified search algorithm.
+type DivAlgo string
+
+// The two diversified algorithms of Section 5.2.
+const (
+	AlgoSEQ DivAlgo = "SEQ"
+	AlgoCOM DivAlgo = "COM"
+)
+
+// span is one query's accounting window: the read counters and the clock
+// as they stood when it began.
+type span struct {
+	e      *Engine
+	kind   metrics.QueryKind
+	before int64
+	start  time.Time
+}
+
+func (e *Engine) begin(kind metrics.QueryKind) span {
+	return span{e: e, kind: kind, before: e.DiskReads(), start: time.Now()}
+}
+
+// end is the one place a query is accounted: elapsed time and the
+// disk-read delta go into the envelope, one sample (with the work done up
+// to a failure, and cancellations classified) into the registry, and a
+// successful query's trace to the hook.
+func (s span) end(res Result, err error) (Result, error) {
+	res.Elapsed = time.Since(s.start)
+	res.DiskReads = s.e.DiskReads() - s.before
+	res.Trace.Total = res.Elapsed
+	s.e.Metrics.Record(s.kind, metrics.Sample{
+		Elapsed:       res.Elapsed,
+		Err:           err != nil,
+		Canceled:      errors.Is(err, core.ErrCanceled) || errors.Is(err, core.ErrDeadlineExceeded),
+		NodesPopped:   res.Stats.NodesPopped,
+		EdgesVisited:  res.Stats.EdgesVisited,
+		Candidates:    res.Stats.Candidates,
+		Pruned:        res.Stats.Pruned,
+		PairDistCalcs: res.Stats.PairDistCalcs,
+		DiskReads:     res.DiskReads,
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	if h, ok := s.e.traceHook.Load().(TraceHook); ok && h != nil {
+		h(s.kind, res.Trace)
+	}
+	return res, nil
+}
+
+// Search executes a boolean SK query (Algorithm 3) through loader — the
+// engine's own, or a snapshot-bound reader of the same index. ctx cancels
+// or deadline-bounds every family (core.ErrCanceled /
+// core.ErrDeadlineExceeded).
+func (e *Engine) Search(ctx context.Context, loader index.Loader, q core.SKQuery) (Result, error) {
+	s := e.begin(metrics.KindSearch)
+	search, err := core.NewSKSearch(ctx, e.File, loader, q)
+	if err != nil {
+		return s.end(Result{}, err)
+	}
+	cands, err := search.All()
+	return s.end(Result{Candidates: cands, Stats: search.Stats(), Trace: search.Trace()}, err)
+}
+
+// SearchDiversified executes a diversified SK query with SEQ or COM (the
+// paper evaluates both over SIF). An unknown algo fails with an error
+// matching ErrBadOptions before any I/O.
+func (e *Engine) SearchDiversified(ctx context.Context, loader index.Loader, algo DivAlgo, q core.DivQuery) (Result, error) {
+	search := core.SearchCOM
+	switch algo {
+	case AlgoCOM:
+	case AlgoSEQ:
+		search = core.SearchSEQ
+	default:
+		return Result{}, fmt.Errorf("%w: unknown diversified algorithm %q", ErrBadOptions, algo)
+	}
+	s := e.begin(metrics.KindDiversified)
+	res, err := search(ctx, e.SearchNet, loader, q)
+	return s.end(Result{Candidates: res.Objects, F: res.F, Stats: res.Stats, Trace: res.Trace}, err)
+}
+
+// SearchKNN executes a boolean kNN spatial keyword query.
+func (e *Engine) SearchKNN(ctx context.Context, loader index.Loader, q core.KNNQuery) (Result, error) {
+	s := e.begin(metrics.KindKNN)
+	cands, stats, trace, err := core.SearchKNN(ctx, e.File, loader, q)
+	return s.end(Result{Candidates: cands, Stats: stats, Trace: trace}, err)
+}
+
+// SearchRanked executes a top-k ranked spatial keyword query.
+func (e *Engine) SearchRanked(ctx context.Context, loader index.UnionLoader, q core.RankedQuery) (Result, error) {
+	s := e.begin(metrics.KindRanked)
+	ranked, stats, trace, err := core.SearchRanked(ctx, e.File, loader, q)
+	return s.end(Result{Ranked: ranked, Stats: stats, Trace: trace}, err)
+}
+
+// SearchCollective executes a collective (group keyword cover) query.
+func (e *Engine) SearchCollective(ctx context.Context, loader index.UnionLoader, q core.CollectiveQuery) (Result, error) {
+	s := e.begin(metrics.KindCollective)
+	group, stats, trace, err := core.SearchCollective(ctx, e.File, loader, q)
+	return s.end(Result{Collective: &group, Stats: stats, Trace: trace}, err)
+}
+
+// Stream is an incremental boolean search: candidates are pulled one at a
+// time in non-decreasing network distance, so a consumer can stop early
+// (the access pattern Algorithm 6 exploits internally). It stops with an
+// error matching core.ErrCanceled or core.ErrDeadlineExceeded once its
+// context ends. A stream is accounted like any other query — one sample,
+// one trace — when it is exhausted, stopped or failed.
+type Stream struct {
+	search  *core.SKSearch
+	span    span
+	release func()
+	done    bool
+}
+
+// Stream starts an incremental boolean search through loader. release,
+// when non-nil, runs once when the stream finishes (the database closes a
+// stream-owned view there).
+func (e *Engine) Stream(ctx context.Context, loader index.Loader, q core.SKQuery, release func()) (*Stream, error) {
+	s := e.begin(metrics.KindStream)
+	search, err := core.NewSKSearch(ctx, e.File, loader, q)
+	if err != nil {
+		_, err = s.end(Result{}, err)
+		return nil, err
+	}
+	return &Stream{search: search, span: s, release: release}, nil
+}
+
+// Next returns the next candidate; ok is false when the stream is done.
+func (s *Stream) Next() (c core.Candidate, ok bool, err error) {
+	c, ok, err = s.search.Next()
+	if !ok || err != nil {
+		s.finish(err)
+	}
+	return c, ok, err
+}
+
+// Stop abandons the stream early.
+func (s *Stream) Stop() {
+	s.search.Stop()
+	s.finish(nil)
+}
+
+// Stats returns the traversal counters so far.
+func (s *Stream) Stats() core.SearchStats { return s.search.Stats() }
+
+// Trace returns the stream's stage timings so far.
+func (s *Stream) Trace() core.Trace { return s.search.Trace() }
+
+// finish accounts the stream exactly once and runs the release hook.
+func (s *Stream) finish(err error) {
+	if s.done {
+		return
+	}
+	s.done = true
+	if s.release != nil {
+		s.release()
+	}
+	s.span.end(Result{Stats: s.search.Stats(), Trace: s.search.Trace()}, err)
+}

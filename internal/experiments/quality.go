@@ -98,7 +98,7 @@ func ExtraQuality(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			add(string(algo), params, wq, res.Div.Objects)
+			add(string(algo), params, wq, res.Candidates)
 		}
 	}
 	for _, name := range []string{"nearest-k", "random-k", "SEQ", "COM"} {

@@ -1,18 +1,15 @@
-// Package harness assembles a full disk-resident system instance — CCAM
-// road network plus any of the four object index structures — over a
-// generated dataset, and runs queries against it while collecting the cost
-// metrics the experiments report (response time, disk accesses, candidate
-// counts). It is the shared substrate of the experiment drivers, the
-// benchmarks, the examples and the integration tests.
+// Package harness is the experiments' client of internal/engine: it builds
+// several object index kinds — the engine's four plus the experiment-only
+// SIF-G and C1 baselines — over one shared disk-resident network, and runs
+// queries against any of them while collecting the cost metrics the
+// figures report (response time, disk accesses, candidate counts). It is
+// the substrate of the experiment drivers, the benchmark probes and the
+// core integration tests; the database itself stands on the engine alone.
 package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"dsks/internal/alt"
@@ -20,35 +17,24 @@ import (
 	"dsks/internal/core"
 	"dsks/internal/dataset"
 	"dsks/internal/edgestore"
+	"dsks/internal/engine"
 	"dsks/internal/index"
 	"dsks/internal/invindex"
-	"dsks/internal/ir"
-	"dsks/internal/metrics"
 	"dsks/internal/obj"
 	"dsks/internal/sig"
 	"dsks/internal/storage"
 )
 
 // IndexKind names one of the object index structures of the evaluation.
-type IndexKind string
+type IndexKind = engine.IndexKind
 
-// Names of the distance-oracle counters on /varz and /metricsz
-// (docs/DISTANCE.md). dist_settled_total counts with or without an
-// oracle, so the oracle's settled-work reduction reads directly off the
-// same counter across two runs.
+// The four structures of Section 5, plus the two experiment-only baselines.
 const (
-	CounterOracleLBPrunes  = "oracle_lb_prunes_total"
-	CounterOracleUBHits    = "oracle_ub_hits_total"
-	CounterOraclePopsSaved = "oracle_astar_pops_saved_total"
-	CounterDistSettled     = "dist_settled_total"
-)
-
-// The four structures of Section 5, plus the group-based SIF-G baseline.
-const (
-	KindIR   IndexKind = "IR"
-	KindIF   IndexKind = "IF"
-	KindSIF  IndexKind = "SIF"
-	KindSIFP IndexKind = "SIF-P"
+	KindIR   = engine.KindIR
+	KindIF   = engine.KindIF
+	KindSIF  = engine.KindSIF
+	KindSIFP = engine.KindSIFP
+	// KindSIFG is the group-based SIF-G baseline.
 	KindSIFG IndexKind = "SIF-G"
 	// KindC1 stores objects directly with their edges (no inverted
 	// structure), the C1 baseline of the paper's Section 3.2 analysis.
@@ -56,110 +42,28 @@ const (
 )
 
 // Options configures a system build.
-type Options struct {
-	// BufferFraction sizes every LRU pool as this fraction of the network
-	// dataset (the paper sets the buffer to 2% of the network dataset
-	// size, independent of which object index is attached — a bigger
-	// index must not buy itself a bigger cache). Zero defaults to 0.02,
-	// with a floor of 16 frames so tiny test datasets stay functional.
-	BufferFraction float64
-	// IOLatency injects a synthetic per-miss delay (zero = none).
-	IOLatency time.Duration
-	// SIFPCuts is the cut budget of SIF-P (paper default 3).
-	SIFPCuts int
-	// SIFPTopFraction selects which edges SIF-P partitions (paper: 0.1).
-	SIFPTopFraction float64
-	// SIFPLog overrides the query-log source for SIF-P construction; nil
-	// defaults to the frequency-based model (the paper's default).
-	SIFPLog sig.LogSource
-	// SIFPMethod picks greedy (default) or exact DP partitioning.
-	SIFPMethod sig.PartitionMethod
-	// GroupTopX is the number of frequent terms SIF-G combines pairwise.
-	GroupTopX int
-	// DiskDir, when set, places every page file on real disk under this
-	// directory instead of the in-memory simulation.
-	DiskDir string
-	// BufferFrames, when positive, fixes every pool's frame count
-	// directly, overriding BufferFraction (used by the buffer-sweep
-	// experiment).
-	BufferFrames int
-	// SelectivityOrder enables rarest-term-first probing in the inverted
-	// files (an engineering improvement over the paper's query-order
-	// baseline; see the ablation-selectivity experiment).
-	SelectivityOrder bool
-	// Checksums enables per-page CRC32C verification in every buffer
-	// pool: stamped on write-back, checked on miss, a mismatch failing
-	// the read with storage.ErrCorruptPage. Off by default so the
-	// paper's byte-exact I/O accounting is unchanged.
-	Checksums bool
-	// Oracle builds (or loads) the landmark distance oracle and routes
-	// diversified queries through the landmark-assisted distance engine
-	// (docs/DISTANCE.md). Off by default: results are bit-identical
-	// either way, but the paper's baseline cost accounting assumes the
-	// unassisted engine.
-	Oracle bool
-	// OracleLandmarks is the landmark count (default alt.DefaultLandmarks,
-	// max alt.MaxLandmarks).
-	OracleLandmarks int
-	// OracleSeed seeds the deterministic landmark selection (0 = seed 1).
-	OracleSeed uint64
-	// OracleFile, when set with Oracle, is a persisted oracle to load
-	// instead of rebuilding. A file that is missing, truncated, corrupt
-	// or built with a different landmark count/seed is discarded and the
-	// oracle is rebuilt from the graph (System.OracleRebuilt reports
-	// that) — a bad oracle file never fails the build.
-	OracleFile string
-}
+type Options = engine.Options
 
-func (o Options) withDefaults() Options {
-	if o.BufferFraction <= 0 {
-		o.BufferFraction = 0.02
-	}
-	if o.SIFPCuts == 0 {
-		o.SIFPCuts = 3
-	}
-	if o.SIFPTopFraction == 0 {
-		o.SIFPTopFraction = 0.1
-	}
-	if o.SIFPLog == nil {
-		o.SIFPLog = &sig.FreqLog{L: 3, N: 16, Seed: 99}
-	}
-	if o.GroupTopX == 0 {
-		o.GroupTopX = 10
-	}
-	return o
-}
+// DivAlgo selects the diversified search algorithm.
+type DivAlgo = engine.DivAlgo
+
+// The two diversified algorithms of Section 5.2.
+const (
+	AlgoSEQ = engine.AlgoSEQ
+	AlgoCOM = engine.AlgoCOM
+)
 
 // System is a built instance: the disk-resident network and the requested
-// object indexes, each on its own page file and buffer pool.
+// object indexes, each an engine over the one shared network.
 type System struct {
 	DS  *dataset.Dataset
 	Net *ccam.File
-
 	// Oracle is the landmark distance oracle, nil unless Options.Oracle
-	// was set; OracleRebuilt reports that a configured OracleFile could
-	// not be used and the oracle was rebuilt from the graph instead.
-	Oracle        *alt.Oracle
-	OracleRebuilt bool
+	// was set.
+	Oracle *alt.Oracle
 
-	// searchNet is Net plus the oracle attachment (core.WithOracle);
-	// diversified searches run over it so their distance engines pick up
-	// the landmark assists and the dist_settled counter. It is always
-	// set — without an oracle it carries the counters alone.
-	searchNet ccam.Network
-
-	netStats *storage.IOStats
-	netPool  *storage.BufferPool
-
-	oracleStats *storage.IOStats
-	oraclePool  *storage.BufferPool
-
-	objStats map[IndexKind]*storage.IOStats
-	objPools map[IndexKind]*storage.BufferPool
-
-	loaders map[IndexKind]index.Loader
-
-	// BuildTime and IndexSize per index kind (Figure 6b/6c).
+	// BuildTime and IndexSize per index kind (Figure 6b/6c); BuildTime
+	// also carries the landmark oracle's under "oracle".
 	BuildTime map[IndexKind]time.Duration
 	IndexSize map[IndexKind]int64
 
@@ -168,644 +72,193 @@ type System struct {
 	SIF   *sig.SIF
 	SIFP  *sig.SIF
 	Group *sig.Group
-	IR    *ir.Index
 	C1    *edgestore.Store
 
-	// Metrics aggregates query counts, latency histograms and buffer-pool
-	// hit rates across every Run* call.
-	Metrics *metrics.Registry
-
-	// traceHook, when set, receives each query's stage timings.
-	traceHook atomic.Value // of TraceHook
+	net     *engine.Network
+	engines map[IndexKind]*engine.Engine
+	pools   []*storage.BufferPool
 }
 
-// TraceHook observes per-query stage timings; install one with
-// SetTraceHook. Hooks run synchronously on the query goroutine, so they
-// must be fast and are expected to be safe for concurrent calls.
-type TraceHook func(kind metrics.QueryKind, trace core.Trace)
-
-// SetTraceHook installs (or, with nil, removes) the per-query trace hook.
-func (s *System) SetTraceHook(h TraceHook) { s.traceHook.Store(h) }
-
-func (s *System) emitTrace(kind metrics.QueryKind, trace core.Trace) {
-	if h, ok := s.traceHook.Load().(TraceHook); ok && h != nil {
-		h(kind, trace)
-	}
-}
-
-// record folds one finished query into the metrics registry.
-func (s *System) record(kind metrics.QueryKind, elapsed time.Duration, diskReads int64, stats core.SearchStats, err error) {
-	sample := metrics.Sample{
-		Elapsed:       elapsed,
-		NodesPopped:   stats.NodesPopped,
-		EdgesVisited:  stats.EdgesVisited,
-		Candidates:    stats.Candidates,
-		Pruned:        stats.Pruned,
-		PairDistCalcs: stats.PairDistCalcs,
-		DiskReads:     diskReads,
-	}
-	if err != nil {
-		sample.Err = true
-		if errors.Is(err, core.ErrCanceled) || errors.Is(err, core.ErrDeadlineExceeded) {
-			sample.Canceled = true
-		}
-	}
-	s.Metrics.Record(kind, sample)
-}
-
-// Build generates the disk layout for ds and constructs the requested
-// index kinds.
+// Build lays ds out on disk and constructs the requested index kinds.
 func Build(ds *dataset.Dataset, kinds []IndexKind, opts Options) (*System, error) {
-	opts = opts.withDefaults()
+	net, err := engine.NewNetwork(ds.Graph, opts)
+	if err != nil {
+		return nil, err
+	}
 	s := &System{
 		DS:        ds,
-		netStats:  &storage.IOStats{},
-		objStats:  make(map[IndexKind]*storage.IOStats),
-		objPools:  make(map[IndexKind]*storage.BufferPool),
-		loaders:   make(map[IndexKind]index.Loader),
+		Net:       net.File,
+		Oracle:    net.Oracle,
 		BuildTime: make(map[IndexKind]time.Duration),
 		IndexSize: make(map[IndexKind]int64),
-		Metrics:   metrics.NewRegistry(),
+		net:       net,
+		engines:   make(map[IndexKind]*engine.Engine),
+		pools:     net.Pools(),
 	}
-
-	// CCAM network file.
-	netFile, err := newPageStore(opts, "network")
-	if err != nil {
-		return nil, err
+	if net.OracleBuildTime > 0 {
+		s.BuildTime["oracle"] = net.OracleBuildTime
 	}
-	s.netPool = storage.NewBufferPool(netFile, 1<<20, s.netStats)
-	net, err := ccam.Build(ds.Graph, s.netPool)
-	if err != nil {
-		return nil, fmt.Errorf("harness: building CCAM: %w", err)
-	}
-	s.Net = net
-	// The paper's buffer budget: a fraction of the network dataset size,
-	// identical for every index structure (or an explicit frame count).
-	frames := opts.BufferFrames
-	if frames <= 0 {
-		frames = storage.FramesForBudget(int64(float64(netFile.SizeBytes()) * opts.BufferFraction))
-		if frames < 16 {
-			frames = 16
-		}
-	}
-	if err := shrinkPool(s.netPool, frames); err != nil {
-		return nil, err
-	}
-
-	// Landmark distance oracle: its own page file and pool, so oracle
-	// reads show up in IOStats and the buffer accounting like any other
-	// structure. A persisted file that fails validation (alt.ErrBadOracle
-	// covers truncation, corruption and config mismatches) is discarded
-	// and the oracle rebuilt from the graph — degrade, never fail.
-	if opts.Oracle {
-		oracleStats := &storage.IOStats{}
-		oracleFile, err := newPageStore(opts, "oracle")
-		if err != nil {
-			return nil, err
-		}
-		pool := storage.NewBufferPool(oracleFile, 1<<20, oracleStats)
-		cfg := alt.Config{Landmarks: opts.OracleLandmarks, Seed: opts.OracleSeed}
-		var oracle *alt.Oracle
-		if opts.OracleFile != "" {
-			if f, ferr := os.Open(opts.OracleFile); ferr == nil {
-				o, lerr := alt.Load(f, ds.Graph.NumNodes(), pool, cfg)
-				f.Close()
-				if lerr == nil {
-					oracle = o
-				}
-			}
-		}
-		if oracle == nil {
-			start := time.Now()
-			o, err := alt.Build(ds.Graph, pool, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("harness: building landmark oracle: %w", err)
-			}
-			s.BuildTime["oracle"] = time.Since(start)
-			oracle = o
-			s.OracleRebuilt = opts.OracleFile != ""
-		}
-		s.Oracle = oracle
-		s.oracleStats = oracleStats
-		s.oraclePool = pool
-		if err := shrinkPool(pool, frames); err != nil {
-			return nil, err
-		}
-	}
-
-	coder := invindex.GraphZCoder{G: ds.Graph}
-
-	// The inverted file underlies IF, SIF, SIF-P and SIF-G. Each kind gets
-	// its own page file so buffer budgets and I/O counts stay comparable.
-	buildInv := func(kind IndexKind) (*invindex.Index, *storage.BufferPool, error) {
-		stats := &storage.IOStats{}
-		file, err := newPageStore(opts, string(kind))
-		if err != nil {
-			return nil, nil, err
-		}
-		pool := storage.NewBufferPool(file, 1<<20, stats)
-		start := time.Now()
-		inv, err := invindex.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
-		if err != nil {
-			return nil, nil, fmt.Errorf("harness: building inverted index: %w", err)
-		}
-		s.BuildTime[kind] += time.Since(start)
-		s.objStats[kind] = stats
-		s.objPools[kind] = pool
-		if err := shrinkPool(pool, frames); err != nil {
-			return nil, nil, err
-		}
-		return inv, pool, nil
-	}
-
 	for _, kind := range kinds {
+		var e *engine.Engine
 		switch kind {
-		case KindIR:
-			stats := &storage.IOStats{}
-			file, err := newPageStore(opts, string(kind))
-			if err != nil {
-				return nil, err
-			}
-			pool := storage.NewBufferPool(file, 1<<20, stats)
-			start := time.Now()
-			idx, err := ir.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
-			if err != nil {
-				return nil, fmt.Errorf("harness: building IR: %w", err)
-			}
-			s.BuildTime[kind] = time.Since(start)
-			s.IndexSize[kind] = idx.SizeBytes()
-			s.objStats[kind] = stats
-			s.objPools[kind] = pool
-			s.loaders[kind] = idx
-			s.IR = idx
-			if err := shrinkPool(pool, frames); err != nil {
-				return nil, err
-			}
-
-		case KindIF:
-			inv, _, err := buildInv(kind)
-			if err != nil {
-				return nil, err
-			}
-			s.Inv = inv
-			s.IndexSize[kind] = inv.SizeBytes()
-			s.loaders[kind] = &invindex.Loader{Idx: inv, Coder: coder, SelectivityOrder: opts.SelectivityOrder}
-
-		case KindSIF:
-			inv, _, err := buildInv(kind)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			sifIdx, err := sig.BuildSIF(ds.Graph, ds.Objects, ds.VocabSize, inv, coder, sig.Options{
-				SelectivityOrder: opts.SelectivityOrder,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("harness: building SIF: %w", err)
-			}
-			s.BuildTime[kind] += time.Since(start)
-			s.IndexSize[kind] = sifIdx.SizeBytes()
-			s.loaders[kind] = sifIdx
-			s.SIF = sifIdx
-
-		case KindSIFP:
-			inv, _, err := buildInv(kind)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			sifp, err := sig.BuildSIF(ds.Graph, ds.Objects, ds.VocabSize, inv, coder, sig.Options{
-				MaxCuts:          opts.SIFPCuts,
-				TopFraction:      opts.SIFPTopFraction,
-				Method:           opts.SIFPMethod,
-				Log:              opts.SIFPLog,
-				SelectivityOrder: opts.SelectivityOrder,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("harness: building SIF-P: %w", err)
-			}
-			s.BuildTime[kind] += time.Since(start)
-			s.IndexSize[kind] = sifp.SizeBytes()
-			s.loaders[kind] = sifp
-			s.SIFP = sifp
-
-		case KindC1:
-			stats := &storage.IOStats{}
-			file, err := newPageStore(opts, string(kind))
-			if err != nil {
-				return nil, err
-			}
-			pool := storage.NewBufferPool(file, 1<<20, stats)
-			start := time.Now()
-			st, err := edgestore.Build(ds.Objects, ds.VocabSize, pool)
-			if err != nil {
-				return nil, fmt.Errorf("harness: building C1 store: %w", err)
-			}
-			s.BuildTime[kind] = time.Since(start)
-			s.IndexSize[kind] = st.SizeBytes()
-			s.objStats[kind] = stats
-			s.objPools[kind] = pool
-			s.loaders[kind] = st
-			s.C1 = st
-			if err := shrinkPool(pool, frames); err != nil {
-				return nil, err
-			}
-
 		case KindSIFG:
-			inv, _, err := buildInv(kind)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			base, err := sig.BuildSIF(ds.Graph, ds.Objects, ds.VocabSize, inv, coder, sig.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("harness: building SIF-G base: %w", err)
-			}
-			grp := sig.BuildGroup(base, ds.Objects, ds.VocabSize, opts.GroupTopX)
-			s.BuildTime[kind] += time.Since(start)
-			s.IndexSize[kind] = base.SizeBytes() + grp.ExtraSizeBytes()
-			s.loaders[kind] = grp
-			s.Group = grp
-
+			e, err = net.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
+				inv, err := invindex.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
+				if err != nil {
+					return nil, 0, err
+				}
+				base, err := sig.BuildSIF(ds.Graph, ds.Objects, ds.VocabSize, inv, invindex.GraphZCoder{G: ds.Graph}, sig.Options{})
+				if err != nil {
+					return nil, 0, err
+				}
+				grp := sig.BuildGroup(base, ds.Objects, ds.VocabSize, net.Opts.GroupTopX)
+				return grp, base.SizeBytes() + grp.ExtraSizeBytes(), nil
+			})
+		case KindC1:
+			e, err = net.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
+				st, err := edgestore.Build(ds.Objects, ds.VocabSize, pool)
+				if err != nil {
+					return nil, 0, err
+				}
+				return st, st.SizeBytes(), nil
+			})
 		default:
-			return nil, fmt.Errorf("harness: unknown index kind %q", kind)
+			e, err = net.BuildIndex(kind, ds.Objects, ds.VocabSize)
 		}
-		if opts.IOLatency > 0 {
-			s.objPools[kind].SetIOLatency(opts.IOLatency)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if opts.IOLatency > 0 {
-		s.netPool.SetIOLatency(opts.IOLatency)
-		if s.oraclePool != nil {
-			s.oraclePool.SetIOLatency(opts.IOLatency)
+		switch l := e.Loader.(type) {
+		case *invindex.Loader:
+			s.Inv = l.Idx
+		case *sig.SIF:
+			if kind == KindSIFP {
+				s.SIFP = l
+			} else {
+				s.SIF = l
+			}
+		case *sig.Group:
+			s.Group = l
+		case *edgestore.Store:
+			s.C1 = l
 		}
+		s.engines[kind], s.pools = e, append(s.pools, e.Pool)
+		s.BuildTime[kind], s.IndexSize[kind] = e.BuildTime, e.SizeBytes
 	}
-	if opts.Checksums {
-		s.SetChecksums(true)
-	}
-	s.Metrics.RegisterPool("network", poolFunc(s.netStats))
-	if s.oracleStats != nil {
-		s.Metrics.RegisterPool("oracle", poolFunc(s.oracleStats))
-	}
-	for kind, st := range s.objStats {
-		s.Metrics.RegisterPool(string(kind), poolFunc(st))
-	}
-	// The oracle attachment the diversified searches run over. Built
-	// even without an oracle so dist_settled_total counts the baseline's
-	// traversal work too — that is the denominator of the oracle's
-	// headline metric.
-	var lo core.LandmarkOracle
-	if s.Oracle != nil {
-		lo = s.Oracle
-	}
-	s.searchNet = core.WithOracle(s.Net, lo, core.OracleCounters{
-		LBPrunes:  s.Metrics.Counter(CounterOracleLBPrunes),
-		UBHits:    s.Metrics.Counter(CounterOracleUBHits),
-		PopsSaved: s.Metrics.Counter(CounterOraclePopsSaved),
-		Settled:   s.Metrics.Counter(CounterDistSettled),
-	})
 	return s, nil
 }
 
 // SearchNet returns the network the diversified searches run over: the
 // CCAM file plus the oracle attachment (which is counters-only when no
 // oracle is built).
-func (s *System) SearchNet() ccam.Network { return s.searchNet }
+func (s *System) SearchNet() ccam.Network { return s.net.SearchNet }
 
 // Pools returns every buffer pool of the system: the network pool first,
-// then one per built object index (iteration order unspecified).
-func (s *System) Pools() []*storage.BufferPool {
-	pools := []*storage.BufferPool{s.netPool}
-	if s.oraclePool != nil {
-		pools = append(pools, s.oraclePool)
-	}
-	for _, p := range s.objPools {
-		pools = append(pools, p)
-	}
-	return pools
-}
+// then the oracle's if one is built, then one per object index.
+func (s *System) Pools() []*storage.BufferPool { return s.pools }
 
-// SetChecksums toggles per-page CRC32C verification on every pool.
-func (s *System) SetChecksums(on bool) {
-	for _, p := range s.Pools() {
-		p.SetChecksums(on)
+// engine returns the engine of the given kind.
+func (s *System) engine(kind IndexKind) (*engine.Engine, error) {
+	e, ok := s.engines[kind]
+	if !ok {
+		return nil, fmt.Errorf("harness: index %q not built", kind)
 	}
-}
-
-// SetInjector installs (or clears, with nil) a fault injector on every
-// page store of the system — the network file and each object index file.
-// One injector sees the interleaved operation stream of all stores, so a
-// deterministic campaign spans the whole database.
-func (s *System) SetInjector(in storage.Injector) {
-	for _, p := range s.Pools() {
-		p.File().SetInjector(in)
-	}
-}
-
-// poolFunc adapts an IOStats to the registry's pull interface.
-func poolFunc(st *storage.IOStats) metrics.PoolFunc {
-	return func() metrics.PoolCounters {
-		snap := st.Snapshot()
-		return metrics.PoolCounters{
-			LogicalReads: snap.LogicalRead,
-			DiskReads:    snap.DiskRead,
-			DiskWrites:   snap.DiskWrite,
-			ReadRetries:  snap.ReadRetries,
-			CorruptPages: snap.CorruptPage,
-		}
-	}
-}
-
-// newPageStore creates the page backing for one structure: in-memory by
-// default, a real file under opts.DiskDir when requested.
-func newPageStore(opts Options, name string) (storage.File, error) {
-	if opts.DiskDir == "" {
-		return storage.NewPageFile(), nil
-	}
-	return storage.NewDiskPageFile(filepath.Join(opts.DiskDir, name+".pages"))
-}
-
-func shrinkPool(pool *storage.BufferPool, frames int) error {
-	if err := pool.SetCapacity(frames); err != nil {
-		return err
-	}
-	return pool.DropAll()
+	return e, nil
 }
 
 // Loader returns the query loader of the given kind.
 func (s *System) Loader(kind IndexKind) (index.Loader, error) {
-	l, ok := s.loaders[kind]
-	if !ok {
-		return nil, fmt.Errorf("harness: index %q not built", kind)
+	e, err := s.engine(kind)
+	if err != nil {
+		return nil, err
 	}
-	return l, nil
+	return e.Loader, nil
 }
 
 // ObjPool returns the buffer pool backing the given object index, or nil
-// when the kind is not built (or, like SIF-G sharing its base's file, has
-// no pool of its own registered). The MVCC layer uses it to open page
-// views and copy-on-write batches against the index's page file.
+// when the kind is not built.
 func (s *System) ObjPool(kind IndexKind) *storage.BufferPool {
-	return s.objPools[kind]
-}
-
-// ResetIO zeroes all I/O counters and cools all buffers.
-func (s *System) ResetIO() error {
-	s.netStats.Reset()
-	if err := s.netPool.DropAll(); err != nil {
-		return err
-	}
-	if s.oraclePool != nil {
-		s.oracleStats.Reset()
-		if err := s.oraclePool.DropAll(); err != nil {
-			return err
-		}
-	}
-	for kind, st := range s.objStats {
-		st.Reset()
-		if err := s.objPools[kind].DropAll(); err != nil {
-			return err
-		}
+	if e := s.engines[kind]; e != nil {
+		return e.Pool
 	}
 	return nil
 }
 
-// ResetCounters zeroes I/O counters without cooling buffers (for averaging
-// across a workload with warm caches, as the paper's workloads run).
-func (s *System) ResetCounters() {
-	s.netStats.Reset()
-	if s.oracleStats != nil {
-		s.oracleStats.Reset()
-	}
-	for _, st := range s.objStats {
-		st.Reset()
-	}
-}
+// ResetIO zeroes all I/O counters and cools all buffers.
+func (s *System) ResetIO() error { return engine.ResetIO(s.pools) }
 
 // DiskReads returns the disk accesses since the last reset: network +
 // the given index.
 func (s *System) DiskReads(kind IndexKind) int64 {
-	total := s.netStats.Snapshot().DiskRead
-	if s.oracleStats != nil {
-		total += s.oracleStats.Snapshot().DiskRead
+	e, err := s.engine(kind)
+	if err != nil {
+		return 0
 	}
-	if st, ok := s.objStats[kind]; ok {
-		total += st.Snapshot().DiskRead
-	}
-	return total
-}
-
-// QueryResult carries the outcome and cost of one query run. Every Run*
-// method fills the envelope fields (Elapsed, DiskReads, Stats, Trace);
-// which payload field is set depends on the query family.
-type QueryResult struct {
-	Candidates []core.Candidate
-	Div        core.DivResult
-	Ranked     []core.RankedResult
-	Collective *core.CollectiveResult
-	Elapsed    time.Duration
-	DiskReads  int64
-	Stats      core.SearchStats
-	Trace      core.Trace
+	return e.DiskReads()
 }
 
 // RunSK executes a boolean SK query (Algorithm 3) against the given index.
 // ctx cancels or deadline-bounds the search (core.ErrCanceled /
 // core.ErrDeadlineExceeded).
-func (s *System) RunSK(ctx context.Context, kind IndexKind, q core.SKQuery) (QueryResult, error) {
-	loader, err := s.Loader(kind)
+func (s *System) RunSK(ctx context.Context, kind IndexKind, q core.SKQuery) (engine.Result, error) {
+	e, err := s.engine(kind)
 	if err != nil {
-		return QueryResult{}, err
+		return engine.Result{}, err
 	}
-	return s.RunSKOn(ctx, kind, loader, q)
+	return e.Search(ctx, e.Loader, q)
 }
-
-// RunSKOn is RunSK against an explicit loader — a snapshot-bound reader on
-// the MVCC path — with I/O still accounted to kind's pools.
-func (s *System) RunSKOn(ctx context.Context, kind IndexKind, loader index.Loader, q core.SKQuery) (QueryResult, error) {
-	before := s.DiskReads(kind)
-	start := time.Now()
-	search, err := core.NewSKSearch(ctx, s.Net, loader, q)
-	if err != nil {
-		s.record(metrics.KindSearch, time.Since(start), s.DiskReads(kind)-before, core.SearchStats{}, err)
-		return QueryResult{}, err
-	}
-	cands, err := search.All()
-	elapsed := time.Since(start)
-	reads := s.DiskReads(kind) - before
-	s.record(metrics.KindSearch, elapsed, reads, search.Stats(), err)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	trace := search.Trace()
-	trace.Total = elapsed
-	s.emitTrace(metrics.KindSearch, trace)
-	return QueryResult{
-		Candidates: cands,
-		Elapsed:    elapsed,
-		DiskReads:  reads,
-		Stats:      search.Stats(),
-		Trace:      trace,
-	}, nil
-}
-
-// DivAlgo selects the diversified search algorithm.
-type DivAlgo string
-
-// The two diversified algorithms of Section 5.2.
-const (
-	AlgoSEQ DivAlgo = "SEQ"
-	AlgoCOM DivAlgo = "COM"
-)
 
 // RunDiv executes a diversified SK query with SEQ or COM over the given
 // index (the paper evaluates both over SIF).
-func (s *System) RunDiv(ctx context.Context, kind IndexKind, algo DivAlgo, q core.DivQuery) (QueryResult, error) {
-	loader, err := s.Loader(kind)
+func (s *System) RunDiv(ctx context.Context, kind IndexKind, algo DivAlgo, q core.DivQuery) (engine.Result, error) {
+	e, err := s.engine(kind)
 	if err != nil {
-		return QueryResult{}, err
+		return engine.Result{}, err
 	}
-	return s.RunDivOn(ctx, kind, loader, algo, q)
-}
-
-// RunDivOn is RunDiv against an explicit loader (see RunSKOn).
-func (s *System) RunDivOn(ctx context.Context, kind IndexKind, loader index.Loader, algo DivAlgo, q core.DivQuery) (QueryResult, error) {
-	before := s.DiskReads(kind)
-	start := time.Now()
-	var err error
-	var res core.DivResult
-	switch algo {
-	case AlgoSEQ:
-		res, err = core.SearchSEQ(ctx, s.searchNet, loader, q)
-	case AlgoCOM:
-		res, err = core.SearchCOM(ctx, s.searchNet, loader, q)
-	default:
-		return QueryResult{}, fmt.Errorf("harness: unknown algorithm %q", algo)
-	}
-	elapsed := time.Since(start)
-	reads := s.DiskReads(kind) - before
-	s.record(metrics.KindDiversified, elapsed, reads, res.Stats, err)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	s.emitTrace(metrics.KindDiversified, res.Trace)
-	return QueryResult{
-		Div:       res,
-		Elapsed:   elapsed,
-		DiskReads: reads,
-		Stats:     res.Stats,
-		Trace:     res.Trace,
-	}, nil
+	return e.SearchDiversified(ctx, e.Loader, algo, q)
 }
 
 // RunKNN executes a boolean kNN spatial keyword query.
-func (s *System) RunKNN(ctx context.Context, kind IndexKind, q core.KNNQuery) (QueryResult, error) {
-	loader, err := s.Loader(kind)
+func (s *System) RunKNN(ctx context.Context, kind IndexKind, q core.KNNQuery) (engine.Result, error) {
+	e, err := s.engine(kind)
 	if err != nil {
-		return QueryResult{}, err
+		return engine.Result{}, err
 	}
-	return s.RunKNNOn(ctx, kind, loader, q)
+	return e.SearchKNN(ctx, e.Loader, q)
 }
 
-// RunKNNOn is RunKNN against an explicit loader (see RunSKOn).
-func (s *System) RunKNNOn(ctx context.Context, kind IndexKind, loader index.Loader, q core.KNNQuery) (QueryResult, error) {
-	before := s.DiskReads(kind)
-	start := time.Now()
-	cands, stats, err := core.SearchKNN(ctx, s.Net, loader, q)
-	elapsed := time.Since(start)
-	reads := s.DiskReads(kind) - before
-	s.record(metrics.KindKNN, elapsed, reads, stats, err)
+// unionEngine returns the engine of the given kind with its loader as a
+// union loader, or an error when the index supports only boolean AND loads.
+func (s *System) unionEngine(kind IndexKind) (*engine.Engine, index.UnionLoader, error) {
+	e, err := s.engine(kind)
 	if err != nil {
-		return QueryResult{}, err
+		return nil, nil, err
 	}
-	trace := core.Trace{Total: elapsed}
-	s.emitTrace(metrics.KindKNN, trace)
-	return QueryResult{
-		Candidates: cands,
-		Elapsed:    elapsed,
-		DiskReads:  reads,
-		Stats:      stats,
-		Trace:      trace,
-	}, nil
-}
-
-// UnionLoader returns the union-capable loader of the given kind, or an
-// error when the index supports only boolean AND loads.
-func (s *System) UnionLoader(kind IndexKind) (index.UnionLoader, error) {
-	loader, err := s.Loader(kind)
-	if err != nil {
-		return nil, err
-	}
-	ul, ok := loader.(index.UnionLoader)
+	ul, ok := e.Loader.(index.UnionLoader)
 	if !ok {
-		return nil, fmt.Errorf("harness: index %q does not support union (OR) loads", kind)
+		return nil, nil, fmt.Errorf("harness: index %q does not support union (OR) loads", kind)
 	}
-	return ul, nil
+	return e, ul, nil
 }
 
 // RunRanked executes a top-k ranked spatial keyword query. The index must
 // provide union (OR) loads.
-func (s *System) RunRanked(ctx context.Context, kind IndexKind, q core.RankedQuery) (QueryResult, error) {
-	ul, err := s.UnionLoader(kind)
+func (s *System) RunRanked(ctx context.Context, kind IndexKind, q core.RankedQuery) (engine.Result, error) {
+	e, ul, err := s.unionEngine(kind)
 	if err != nil {
-		return QueryResult{}, err
+		return engine.Result{}, err
 	}
-	return s.RunRankedOn(ctx, kind, ul, q)
-}
-
-// RunRankedOn is RunRanked against an explicit union loader (see RunSKOn).
-func (s *System) RunRankedOn(ctx context.Context, kind IndexKind, ul index.UnionLoader, q core.RankedQuery) (QueryResult, error) {
-	before := s.DiskReads(kind)
-	start := time.Now()
-	ranked, stats, trace, err := core.SearchRankedTraced(ctx, s.Net, ul, q)
-	elapsed := time.Since(start)
-	reads := s.DiskReads(kind) - before
-	s.record(metrics.KindRanked, elapsed, reads, stats, err)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	trace.Total = elapsed
-	s.emitTrace(metrics.KindRanked, trace)
-	return QueryResult{
-		Ranked:    ranked,
-		Elapsed:   elapsed,
-		DiskReads: reads,
-		Stats:     stats,
-		Trace:     trace,
-	}, nil
+	return e.SearchRanked(ctx, ul, q)
 }
 
 // RunCollective executes a collective (group keyword cover) query. The
 // index must provide union (OR) loads.
-func (s *System) RunCollective(ctx context.Context, kind IndexKind, q core.CollectiveQuery) (QueryResult, error) {
-	ul, err := s.UnionLoader(kind)
+func (s *System) RunCollective(ctx context.Context, kind IndexKind, q core.CollectiveQuery) (engine.Result, error) {
+	e, ul, err := s.unionEngine(kind)
 	if err != nil {
-		return QueryResult{}, err
+		return engine.Result{}, err
 	}
-	return s.RunCollectiveOn(ctx, kind, ul, q)
-}
-
-// RunCollectiveOn is RunCollective against an explicit union loader (see
-// RunSKOn).
-func (s *System) RunCollectiveOn(ctx context.Context, kind IndexKind, ul index.UnionLoader, q core.CollectiveQuery) (QueryResult, error) {
-	before := s.DiskReads(kind)
-	start := time.Now()
-	res, stats, trace, err := core.SearchCollectiveTraced(ctx, s.Net, ul, q)
-	elapsed := time.Since(start)
-	reads := s.DiskReads(kind) - before
-	s.record(metrics.KindCollective, elapsed, reads, stats, err)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	trace.Total = elapsed
-	s.emitTrace(metrics.KindCollective, trace)
-	return QueryResult{
-		Collective: &res,
-		Elapsed:    elapsed,
-		DiskReads:  reads,
-		Stats:      stats,
-		Trace:      trace,
-	}, nil
+	return e.SearchCollective(ctx, ul, q)
 }
 
 // SKQueryOf converts a workload query into a core query.

@@ -373,25 +373,6 @@ func (idx *Index) RemoveObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj
 	return nil
 }
 
-// InsertObject adds a new object's postings to the live roots after the
-// initial build (single-threaded path; the MVCC path goes through
-// InsertObjectAt with a WriteBatch and a private Roots copy).
-func (idx *Index) InsertObject(zcode uint64, id obj.ID, e graph.EdgeID, offset float64, terms []obj.TermID) error {
-	if err := idx.InsertObjectAt(idx.pool, &idx.roots, zcode, id, e, offset, terms); err != nil {
-		return err
-	}
-	return idx.pool.Flush()
-}
-
-// RemoveObject deletes an object's postings from the live roots
-// (single-threaded path; see InsertObject).
-func (idx *Index) RemoveObject(zcode uint64, id obj.ID, terms []obj.TermID) error {
-	if err := idx.RemoveObjectAt(idx.pool, &idx.roots, zcode, id, terms); err != nil {
-		return err
-	}
-	return idx.pool.Flush()
-}
-
 // TermPostings returns term t's postings on edge e (the R_t of Algorithm
 // 2), loading them from disk. zcode must be the Z-code of e's center.
 func (idx *Index) TermPostings(t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
@@ -598,12 +579,8 @@ func (idx *Index) Pool() *storage.BufferPool { return idx.pool }
 // clones it, which is safe because published slices are never mutated.
 func (idx *Index) Roots() Roots { return idx.roots }
 
-// SetRoots replaces the live root set (the commit step of a successful
-// copy-on-write mutation on the legacy in-place path; the DB-level MVCC
-// path keeps roots in its own atomic pointer instead).
-func (idx *Index) SetRoots(r Roots) { idx.roots = r }
-
-// CurrentRoots returns a pointer to the live root set for legacy readers.
+// CurrentRoots returns a pointer to the as-built root set, which the
+// unversioned loaders read.
 func (idx *Index) CurrentRoots() *Roots { return &idx.roots }
 
 // Tree exposes the underlying B+-tree (for inspection in tests).

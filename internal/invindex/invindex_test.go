@@ -319,6 +319,9 @@ func TestLoaderIntersectionOrder(t *testing.T) {
 func TestDynamicModel(t *testing.T) {
 	g, col, idx, loader, _ := buildFixture(t, 200, 7)
 	coder := GraphZCoder{G: g}
+	// Mutations go through the copy-on-write forms over the index's own
+	// pool and a private root set, which the probes below then read.
+	roots := idx.Roots()
 	rng := rand.New(rand.NewSource(8))
 	nextID := obj.ID(col.Len())
 	// Model: live objects (the collection tracks them too).
@@ -338,7 +341,7 @@ func TestDynamicModel(t *testing.T) {
 			}
 			nextID++
 			o := col.Get(id)
-			if err := idx.InsertObject(coder.EdgeZCode(e), id, e, pos.Offset, o.Terms); err != nil {
+			if err := idx.InsertObjectAt(idx.Pool(), &roots, coder.EdgeZCode(e), id, e, pos.Offset, o.Terms); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -349,7 +352,7 @@ func TestDynamicModel(t *testing.T) {
 				continue
 			}
 			o := col.Get(id)
-			if err := idx.RemoveObject(coder.EdgeZCode(o.Pos.Edge), id, o.Terms); err != nil {
+			if err := idx.RemoveObjectAt(idx.Pool(), &roots, coder.EdgeZCode(o.Pos.Edge), id, o.Terms); err != nil {
 				t.Fatal(err)
 			}
 			if err := col.Remove(id); err != nil {
@@ -362,7 +365,7 @@ func TestDynamicModel(t *testing.T) {
 			ts := obj.NormalizeTerms([]obj.TermID{
 				obj.TermID(rng.Intn(20)), obj.TermID(rng.Intn(20)),
 			})
-			got, err := loader.LoadObjects(context.Background(), e, ts)
+			got, err := loader.At(idx.Pool(), &roots).LoadObjects(context.Background(), e, ts)
 			if err != nil {
 				t.Fatal(err)
 			}

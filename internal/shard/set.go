@@ -13,7 +13,7 @@ import (
 	"dsks"
 	"dsks/internal/ccam"
 	"dsks/internal/core"
-	"dsks/internal/harness"
+	"dsks/internal/engine"
 	"dsks/internal/metrics"
 )
 
@@ -240,10 +240,10 @@ func (s *Set) initSearchNet() {
 		}
 	}
 	s.searchNet = core.WithOracle(s.net, o, core.OracleCounters{
-		LBPrunes:  s.reg.Counter(harness.CounterOracleLBPrunes),
-		UBHits:    s.reg.Counter(harness.CounterOracleUBHits),
-		PopsSaved: s.reg.Counter(harness.CounterOraclePopsSaved),
-		Settled:   s.reg.Counter(harness.CounterDistSettled),
+		LBPrunes:  s.reg.Counter(engine.CounterOracleLBPrunes),
+		UBHits:    s.reg.Counter(engine.CounterOracleUBHits),
+		PopsSaved: s.reg.Counter(engine.CounterOraclePopsSaved),
+		Settled:   s.reg.Counter(engine.CounterDistSettled),
 	})
 }
 
@@ -416,10 +416,10 @@ func (s *Set) Snapshot() metrics.Snapshot {
 		}
 		sub := db.Snapshot()
 		for _, name := range []string{
-			harness.CounterOracleLBPrunes,
-			harness.CounterOracleUBHits,
-			harness.CounterOraclePopsSaved,
-			harness.CounterDistSettled,
+			engine.CounterOracleLBPrunes,
+			engine.CounterOracleUBHits,
+			engine.CounterOraclePopsSaved,
+			engine.CounterDistSettled,
 		} {
 			if v := sub.Counters[name]; v != 0 {
 				snap.Counters[name] += v

@@ -242,33 +242,6 @@ func (s *SIF) RemoveObjectAt(p storage.Pager, inv *invindex.Roots, id obj.ID, e 
 	return s.inner.Idx.RemoveObjectAt(p, inv, s.inner.Coder.EdgeZCode(e), id, terms)
 }
 
-// InsertObject adds a new object to the live roots (single-threaded path;
-// the MVCC path goes through InsertObjectAt with a WriteBatch and private
-// root copies).
-func (s *SIF) InsertObject(id obj.ID, e graph.EdgeID, offset float64, terms []obj.TermID) error {
-	pool := s.inner.Idx.Pool()
-	inv := s.inner.Idx.Roots()
-	r := s.roots
-	if err := s.InsertObjectAt(pool, &inv, &r, id, e, offset, terms); err != nil {
-		return err
-	}
-	s.inner.Idx.SetRoots(inv)
-	s.roots = r
-	return pool.Flush()
-}
-
-// RemoveObject deletes an object's postings from the live roots
-// (single-threaded path; see InsertObject).
-func (s *SIF) RemoveObject(id obj.ID, e graph.EdgeID, terms []obj.TermID) error {
-	pool := s.inner.Idx.Pool()
-	inv := s.inner.Idx.Roots()
-	if err := s.RemoveObjectAt(pool, &inv, id, e, terms); err != nil {
-		return err
-	}
-	s.inner.Idx.SetRoots(inv)
-	return pool.Flush()
-}
-
 // ReaderAt returns a SIFReader running the signature-filtered query logic
 // against the page source pr and the root snapshots inv (inverted file)
 // and r (signatures). With a pinned storage.PageView and published roots
@@ -449,14 +422,6 @@ func (s *SIF) Index() *invindex.Index { return s.inner.Idx }
 // Roots returns a copy of the live signature roots — the starting point
 // for a copy-on-write mutation or a published snapshot for readers.
 func (s *SIF) Roots() Roots { return s.roots }
-
-// SetRoots replaces the live signature roots (the commit step of the
-// legacy in-place path).
-func (s *SIF) SetRoots(r Roots) { s.roots = r }
-
-// CurrentRoots returns a pointer to the live signature roots for legacy
-// readers.
-func (s *SIF) CurrentRoots() *Roots { return &s.roots }
 
 // Layout exposes the slot layout (for tests and SIF-G).
 func (s *SIF) Layout() *Layout { return s.layout }

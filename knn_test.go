@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sort"
@@ -28,12 +29,12 @@ func TestSearchKNNMatchesRangeSearch(t *testing.T) {
 	checked := 0
 	for _, wq := range ws {
 		// Reference: a very wide range search, truncated to k.
-		full, err := db.Search(dsks.SKQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: 1e9})
+		full, err := db.Search(context.Background(), dsks.SKQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: 1e9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3, 10} {
-			knn, err := db.SearchKNN(dsks.KNNQuery{Pos: wq.Pos, Terms: wq.Terms, K: k})
+			knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: wq.Pos, Terms: wq.Terms, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +71,7 @@ func TestSearchKNNMaxDistCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchor := ds.Objects.Get(0)
-	knn, err := db.SearchKNN(dsks.KNNQuery{
+	knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{
 		Pos: anchor.Pos, Terms: anchor.Terms[:1], K: 100, MaxDist: 200,
 	})
 	if err != nil {
@@ -89,13 +90,13 @@ func TestSearchKNNValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SearchKNN(dsks.KNNQuery{Pos: origin, Terms: terms, K: 0}); err == nil {
+	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := db.SearchKNN(dsks.KNNQuery{Pos: origin, K: 3}); err == nil {
+	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, K: 3}); err == nil {
 		t.Error("empty terms accepted")
 	}
-	if _, err := db.SearchKNN(dsks.KNNQuery{Pos: origin, Terms: terms, K: 3, MaxDist: -1}); err == nil {
+	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 3, MaxDist: -1}); err == nil {
 		t.Error("negative MaxDist accepted")
 	}
 }
@@ -107,11 +108,11 @@ func TestStreamMatchesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
-	full, err := db.Search(q)
+	full, err := db.Search(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := db.Stream(q)
+	st, err := db.Stream(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestStreamEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := db.Stream(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	st, err := db.Stream(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestKNNDistancesSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 		anchor := ds.Objects.Get(obj.ID(seed % 10))
-		knn, err := db.SearchKNN(dsks.KNNQuery{Pos: anchor.Pos, Terms: anchor.Terms[:1], K: 20})
+		knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: anchor.Pos, Terms: anchor.Terms[:1], K: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestPublicRanked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.SearchRanked(dsks.RankedQuery{
+	r, err := db.SearchRanked(context.Background(), dsks.RankedQuery{
 		Pos: origin, Terms: terms, K: 3, Alpha: 0.5, DeltaMax: 500,
 	})
 	if err != nil {
@@ -227,7 +228,7 @@ func TestPublicRankedUnsupportedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	terms, _ := vocab.LookupAll([]string{"x"})
-	if _, err := db.SearchRanked(dsks.RankedQuery{
+	if _, err := db.SearchRanked(context.Background(), dsks.RankedQuery{
 		Pos: dsks.Position{Edge: e}, Terms: terms, K: 1, Alpha: 0.5, DeltaMax: 100,
 	}); !errors.Is(err, dsks.ErrUnsupportedIndex) {
 		t.Errorf("IR ranked query error = %v, want ErrUnsupportedIndex", err)
@@ -242,7 +243,7 @@ func TestPublicCollective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := db.SearchCollective(dsks.CollectiveQuery{
+	cr, err := db.SearchCollective(context.Background(), dsks.CollectiveQuery{
 		Pos: origin, Terms: terms, DeltaMax: 500,
 	})
 	if err != nil {

@@ -78,55 +78,55 @@ func checkOracleEquivalence(t *testing.T, phase string, base, assisted *dsks.DB,
 		dq := dsks.DivQuery{SKQuery: skq, K: 4, Lambda: 0.5}
 
 		for _, algo := range []dsks.Algo{dsks.AlgoSEQ, dsks.AlgoCOM} {
-			want, err := base.SearchDiversifiedWithCtx(ctx, algo, dq)
+			want, err := diversifiedWith(ctx, base, algo, dq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := assisted.SearchDiversifiedWithCtx(ctx, algo, dq)
+			got, err := diversifiedWith(ctx, assisted, algo, dq)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameResult(t, phase+": diversified "+string(algo)+" "+itoa(qi), want, got)
 		}
 
-		want, err := base.Search(skq)
+		want, err := base.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := assisted.Search(skq)
+		got, err := assisted.Search(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": search "+itoa(qi), want, got)
 
 		knn := dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 5}
-		want, err = base.SearchKNN(knn)
+		want, err = base.SearchKNN(ctx, knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchKNN(knn)
+		got, err = assisted.SearchKNN(ctx, knn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": knn "+itoa(qi), want, got)
 
 		rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: 0.5, DeltaMax: w.DeltaMax}
-		want, err = base.SearchRanked(rq)
+		want, err = base.SearchRanked(ctx, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchRanked(rq)
+		got, err = assisted.SearchRanked(ctx, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": ranked "+itoa(qi), want, got)
 
 		cq := dsks.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
-		want, err = base.SearchCollective(cq)
+		want, err = base.SearchCollective(ctx, cq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchCollective(cq)
+		got, err = assisted.SearchCollective(ctx, cq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func divAnswers(t *testing.T, db *dsks.DB, ws []dsks.WorkloadQuery) []dsks.Resul
 	t.Helper()
 	out := make([]dsks.Result, len(ws))
 	for i, w := range ws {
-		res, err := db.SearchDiversified(dsks.DivQuery{
+		res, err := db.SearchDiversified(context.Background(), dsks.DivQuery{
 			SKQuery: dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax},
 			K:       4, Lambda: 0.5,
 		})

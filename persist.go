@@ -210,7 +210,7 @@ func (db *DB) SaveTo(dir string) error {
 	// can block on I/O, and it depends only on the frozen network
 	// topology, which no mutation can change.
 	var oracleBytes []byte
-	if o := db.sys.Oracle; o != nil {
+	if o := db.eng.Oracle; o != nil {
 		var buf bytes.Buffer
 		if err := o.WriteTo(context.Background(), &buf); err != nil {
 			return fmt.Errorf("dsks: serializing oracle: %w", err)
@@ -273,7 +273,7 @@ func (db *DB) saveSnapshot(dir string, oracleBytes []byte) (walLSN uint64, err e
 		return 0, fail(err)
 	}
 	ent, err := writeSnapshotFile(filepath.Join(tmp, "graph"), func(w io.Writer) error {
-		if err := graph.Write(w, db.sys.DS.Graph); err != nil {
+		if err := graph.Write(w, db.eng.Graph); err != nil {
 			return fmt.Errorf("dsks: saving graph: %w", err)
 		}
 		return nil
@@ -287,7 +287,7 @@ func (db *DB) saveSnapshot(dir string, oracleBytes []byte) (walLSN uint64, err e
 		return 0, fail(err)
 	}
 	ent, err = writeSnapshotFile(filepath.Join(tmp, "objects"), func(w io.Writer) error {
-		if err := dataset.WriteObjects(w, db.sys.DS.Objects, db.sys.DS.VocabSize); err != nil {
+		if err := dataset.WriteObjects(w, db.eng.Objects, db.eng.VocabSize); err != nil {
 			return fmt.Errorf("dsks: saving objects: %w", err)
 		}
 		return nil
@@ -300,16 +300,16 @@ func (db *DB) saveSnapshot(dir string, oracleBytes []byte) (walLSN uint64, err e
 	if err := fireSaveHook("write-meta"); err != nil {
 		return 0, fail(err)
 	}
-	col := db.sys.DS.Objects
+	col := db.eng.Objects
 	meta := dbMeta{
 		Format:     dbMetaFormat,
-		Index:      db.kind,
-		VocabSize:  db.sys.DS.VocabSize,
+		Index:      db.eng.Kind,
+		VocabSize:  db.eng.VocabSize,
 		WALLSN:     walLSN,
 		Allocated:  col.Len(),
 		Tombstones: col.Tombstones(),
 	}
-	if o := db.sys.Oracle; o != nil {
+	if o := db.eng.Oracle; o != nil {
 		meta.OracleLandmarks = o.NumLandmarks()
 		meta.OracleSeed = o.Seed()
 	}

@@ -1,6 +1,7 @@
 package dsks_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -36,11 +37,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	// distances.
 	for _, q := range ws {
 		skq := dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}
-		a, err := db.Search(skq)
+		a, err := db.Search(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.Search(skq)
+		b, err := back.Search(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 func TestSaveExcludesRemoved(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, _ := vocab.LookupAll([]string{"pizza"})
-	before, err := db.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	before, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSaveExcludesRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := back.Search(dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	after, err := back.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestResetIOIsLatchFree(t *testing.T) {
 		t.Fatal("ResetIO blocked on the database write latch; it must be latch-free")
 	}
 
-	if got := db.sys.DiskReads(db.kind); got != 0 {
+	if got := db.eng.DiskReads(); got != 0 {
 		t.Fatalf("disk-read counter after reset = %d, want 0", got)
 	}
 }

@@ -3,32 +3,26 @@ package dsks
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
-	"time"
 
-	"dsks/internal/core"
+	"dsks/internal/engine"
 	"dsks/internal/index"
-	"dsks/internal/invindex"
-	"dsks/internal/sig"
-	"dsks/internal/storage"
 )
 
 // ErrViewClosed reports a query on a View after Close.
 var ErrViewClosed = errors.New("dsks: view closed")
 
 // dbRoots is one published version of the database: the commit LSN that
-// produced it, the live-object count, and the index root sets. A published
+// produced it, the live-object count, and the index root set. A published
 // dbRoots (and everything it points to) is immutable; mutators build a new
 // one from copies and install it with a single atomic pointer swap.
 type dbRoots struct {
 	lsn  uint64
 	live int
-	// inv is the inverted-file root set (IF, SIF, SIF-P); nil for index
-	// kinds without a versioned inverted file (IR), which are immutable
-	// after build and need no versioning.
-	inv *invindex.Roots
-	// sif is the signature root set (SIF, SIF-P); nil otherwise.
-	sif *sig.Roots
+	// idx is the object index's root set; nil for an index without
+	// versions (IR), which is immutable after build.
+	idx *engine.Roots
 }
 
 // View is a consistent read-only snapshot of the database, pinned at the
@@ -74,48 +68,14 @@ func (db *DB) View(ctx context.Context) (*View, error) {
 		// The loaded root set was folded away before we pinned it; the
 		// current one is always pinnable, so reload and retry.
 	}
-	loader, err := db.loaderAt(r)
-	if err != nil {
-		db.epochs.Unpin(r.lsn)
-		return nil, err
+	// Bind the index's query logic to the root snapshot and a page view
+	// pinned at its LSN; an index without versions reads the shared pool.
+	v := &View{db: db, roots: r, loader: db.eng.Loader}
+	if r.idx != nil {
+		v.loader = db.eng.Versions.ReaderAt(db.eng.Pool.ViewAt(r.lsn), r.idx)
 	}
-	v := &View{db: db, roots: r, loader: loader}
-	if ul, ok := loader.(index.UnionLoader); ok {
-		v.ul = ul
-	}
+	v.ul, _ = v.loader.(index.UnionLoader)
 	return v, nil
-}
-
-// loaderAt binds the index's query logic to the root snapshot r and a page
-// view pinned at r.lsn. Index kinds without versioned roots (IR) are
-// immutable after build and read the shared pool directly.
-func (db *DB) loaderAt(r *dbRoots) (index.Loader, error) {
-	pool := db.sys.ObjPool(db.kind)
-	var pr storage.PageReader = pool
-	if pool != nil {
-		pr = pool.ViewAt(r.lsn)
-	}
-	switch db.kind {
-	case IndexSIF:
-		if r.inv != nil && r.sif != nil {
-			return db.sys.SIF.ReaderAt(pr, r.inv, r.sif), nil
-		}
-	case IndexSIFP:
-		if r.inv != nil && r.sif != nil {
-			return db.sys.SIFP.ReaderAt(pr, r.inv, r.sif), nil
-		}
-	case IndexIF:
-		if r.inv != nil {
-			l, err := db.sys.Loader(db.kind)
-			if err != nil {
-				return nil, err
-			}
-			if il, ok := l.(*invindex.Loader); ok {
-				return il.At(pr, r.inv), nil
-			}
-		}
-	}
-	return db.sys.Loader(db.kind)
 }
 
 // Close releases the view's pin on its LSN. Idempotent; after the first
@@ -144,7 +104,7 @@ func (v *View) guard(pos Position, terms []TermID) error {
 	if v.closed.Load() {
 		return ErrViewClosed
 	}
-	return v.db.checkQuery(pos, terms)
+	return v.db.checkPosTerms("query", pos, terms)
 }
 
 // Search runs a boolean spatial keyword query against the view's snapshot:
@@ -154,17 +114,7 @@ func (v *View) Search(ctx context.Context, q SKQuery) (Result, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	r, err := v.db.sys.RunSKOn(ctx, v.db.kind, v.loader, q)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Candidates: r.Candidates,
-		Elapsed:    r.Elapsed,
-		DiskReads:  r.DiskReads,
-		Stats:      r.Stats,
-		Trace:      r.Trace,
-	}, nil
+	return v.db.eng.Search(ctx, v.loader, q)
 }
 
 // SearchDiversified runs a diversified spatial keyword query with the
@@ -174,23 +124,13 @@ func (v *View) SearchDiversified(ctx context.Context, q DivQuery) (Result, error
 }
 
 // SearchDiversifiedWith is SearchDiversified with an explicit algorithm
-// choice (COM or the SEQ baseline).
+// choice (COM or the SEQ baseline); any other Algo fails with an error
+// matching ErrBadOptions.
 func (v *View) SearchDiversifiedWith(ctx context.Context, algo Algo, q DivQuery) (Result, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	r, err := v.db.sys.RunDivOn(ctx, v.db.kind, v.loader, algo, q)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Candidates: r.Div.Objects,
-		F:          r.Div.F,
-		Elapsed:    r.Elapsed,
-		DiskReads:  r.DiskReads,
-		Stats:      r.Stats,
-		Trace:      r.Trace,
-	}, nil
+	return v.db.eng.SearchDiversified(ctx, v.loader, algo, q)
 }
 
 // SearchKNN returns the k nearest objects containing every query keyword,
@@ -199,17 +139,12 @@ func (v *View) SearchKNN(ctx context.Context, q KNNQuery) (Result, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	r, err := v.db.sys.RunKNNOn(ctx, v.db.kind, v.loader, q)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Candidates: r.Candidates,
-		Elapsed:    r.Elapsed,
-		DiskReads:  r.DiskReads,
-		Stats:      r.Stats,
-		Trace:      r.Trace,
-	}, nil
+	return v.db.eng.SearchKNN(ctx, v.loader, q)
+}
+
+// errUnsupportedQuery reports a query family the index kind cannot serve.
+func (v *View) errUnsupportedQuery(family string) error {
+	return fmt.Errorf("dsks: %s query on index %s: %w", family, v.db.eng.Kind, ErrUnsupportedIndex)
 }
 
 // SearchRanked runs the top-k ranked spatial keyword query against the
@@ -217,22 +152,12 @@ func (v *View) SearchKNN(ctx context.Context, q KNNQuery) (Result, error) {
 // or SIF-P); others fail with an error matching ErrUnsupportedIndex.
 func (v *View) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) {
 	if v.ul == nil {
-		return Result{}, errUnsupportedQuery("ranked", v.db.kind)
+		return Result{}, v.errUnsupportedQuery("ranked")
 	}
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	r, err := v.db.sys.RunRankedOn(ctx, v.db.kind, v.ul, q)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Ranked:    r.Ranked,
-		Elapsed:   r.Elapsed,
-		DiskReads: r.DiskReads,
-		Stats:     r.Stats,
-		Trace:     r.Trace,
-	}, nil
+	return v.db.eng.SearchRanked(ctx, v.ul, q)
 }
 
 // SearchCollective finds a keyword-covering group against the view's
@@ -240,22 +165,12 @@ func (v *View) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) 
 // SIF-P); others fail with an error matching ErrUnsupportedIndex.
 func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result, error) {
 	if v.ul == nil {
-		return Result{}, errUnsupportedQuery("collective", v.db.kind)
+		return Result{}, v.errUnsupportedQuery("collective")
 	}
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	r, err := v.db.sys.RunCollectiveOn(ctx, v.db.kind, v.ul, q)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Collective: r.Collective,
-		Elapsed:    r.Elapsed,
-		DiskReads:  r.DiskReads,
-		Stats:      r.Stats,
-		Trace:      r.Trace,
-	}, nil
+	return v.db.eng.SearchCollective(ctx, v.ul, q)
 }
 
 // Stream starts an incremental boolean search against the view's snapshot.
@@ -263,24 +178,15 @@ func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result,
 // view's pinned pages); a stream obtained from DB.Stream instead owns a
 // private view and releases it itself.
 func (v *View) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
-	return v.stream(ctx, q, false)
+	return v.stream(ctx, q, nil)
 }
 
-func (v *View) stream(ctx context.Context, q SKQuery, own bool) (*Stream, error) {
+// stream is Stream with the hook a stream-owned view is released through.
+func (v *View) stream(ctx context.Context, q SKQuery, release func()) (*Stream, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return nil, err
 	}
-	before := v.db.sys.DiskReads(v.db.kind)
-	start := time.Now()
-	s, err := core.NewSKSearch(ctx, v.db.sys.Net, v.loader, q)
-	if err != nil {
-		return nil, err
-	}
-	st := &Stream{search: s, sys: v.db.sys, kind: v.db.kind, start: start, before: before}
-	if own {
-		st.view = v
-	}
-	return st, nil
+	return v.db.eng.Stream(ctx, v.loader, q, release)
 }
 
 // NetworkDistance returns the exact network distance between two
@@ -291,5 +197,5 @@ func (v *View) NetworkDistance(ctx context.Context, a, b Position) (float64, err
 	if v.closed.Load() {
 		return 0, ErrViewClosed
 	}
-	return v.db.NetworkDistanceCtx(ctx, a, b)
+	return v.db.NetworkDistance(ctx, a, b)
 }

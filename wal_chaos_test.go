@@ -1,6 +1,7 @@
 package dsks
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -54,7 +55,7 @@ func searchIDs(t *testing.T, db *DB, vocab *Vocabulary, origin Position, word st
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
+	res, err := db.Search(context.Background(), SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestWALRecoversMutationsWithoutSnapshot(t *testing.T) {
 	if !gotWine[id] {
 		t.Fatalf("replayed insert %d missing from candidates %v", id, gotWine)
 	}
-	if !db2.sys.DS.Objects.Removed(0) {
+	if !db2.eng.Objects.Removed(0) {
 		t.Fatal("replayed remove of object 0 not applied")
 	}
 }
@@ -217,7 +218,7 @@ func TestWALCrashAtEveryMutationFaultPoint(t *testing.T) {
 				t.Fatalf("reopen after %s: %v", tc.name, err)
 			}
 			defer db2.Close()
-			col := db2.sys.DS.Objects
+			col := db2.eng.Objects
 			if col.Len() != baseLen+len(acked) {
 				t.Fatalf("recovered %d allocated IDs, want %d (base %d + %d acked inserts)",
 					col.Len(), baseLen+len(acked), baseLen, len(acked))
