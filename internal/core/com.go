@@ -43,26 +43,53 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 	if err != nil {
 		return DivResult{}, err
 	}
+	params := DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}
+	res, err := DiversifyArrivals(ctx, sks, net, params, prune)
+	res.Stats.Add(sks.Stats())
+	diversify := res.Trace.Diversify
+	res.Trace = sks.Trace()
+	res.Trace.Diversify = diversify
+	res.Trace.Total = time.Since(start)
+	return res, err
+}
+
+// ArrivalSource is where Algorithm 6's objects come from: the qualifying
+// objects of one boolean query, each exactly once, in non-decreasing
+// network distance from the query position. Next reports false once the
+// source is exhausted; Stop abandons it. A single node's source is its own
+// *SKSearch; the shard router's is the merge of its legs' streams. Nothing
+// in the algorithm depends on which.
+type ArrivalSource interface {
+	Next() (Candidate, bool, error)
+	Stop()
+}
+
+// DiversifyArrivals runs Algorithm 6 over src: the one arrival loop of the
+// tree, with the core pairs, the θ memo, both pruning rules, the odd-k
+// padding and the objective. Pair distances run on net within 2·DeltaMax.
+// The result carries the diversification side only — Objects, F, the
+// distance engine's counters with Pruned and EarlyTerminate, and
+// Trace.Diversify, the time spent outside src.Next; the caller adds what
+// its source cost. A failure (src's, or the context ending inside the
+// distance engine) returns the work done up to it beside the error. src is
+// stopped on an early termination and otherwise left to the caller.
+func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network, params DivParams, prune PruneOptions) (DivResult, error) {
 	var distStats SearchStats
 	c := &comState{
-		params:  DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax},
-		dist:    NewDistEngine(ctx, net, 2*q.DeltaMax, &distStats),
+		params:  params,
+		dist:    NewDistEngine(ctx, net, 2*params.DeltaMax, &distStats),
 		cands:   make(map[obj.ID]Candidate),
 		maxSeen: make(map[obj.ID]float64),
 		memo:    make(map[[2]obj.ID]float64),
-		pairs:   NewCorePairSet(q.K / 2),
+		pairs:   NewCorePairSet(params.K / 2),
 		prune:   prune,
 	}
 	// partial is the work done so far: the outcome of a query that fails
 	// mid-flight still reports what it cost.
 	partial := func() DivResult {
-		stats := sks.Stats()
-		stats.Add(distStats)
+		stats := distStats
 		stats.Pruned = c.pruned
-		trace := sks.Trace()
-		trace.Diversify = c.divTime
-		trace.Total = time.Since(start)
-		return DivResult{Stats: stats, Trace: trace}
+		return DivResult{Stats: stats, Trace: Trace{Diversify: c.divTime}}
 	}
 	fail := func(err error) (DivResult, error) { return partial(), mapCtxErr(err) }
 	finish := func(result []Candidate) (DivResult, error) {
@@ -74,15 +101,14 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 			return fail(c.err)
 		}
 		res.Trace.Diversify = c.divTime
-		res.Trace.Total = time.Since(start)
 		return res, nil
 	}
 
 	// Line 1: collect the first k arrivals and seed the core pairs with the
 	// greedy of Algorithm 1.
 	var first []Candidate
-	for len(first) < q.K {
-		cand, ok, err := sks.Next()
+	for len(first) < params.K {
+		cand, ok, err := src.Next()
 		if err != nil {
 			return fail(err)
 		}
@@ -95,7 +121,7 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 		c.cands[cand.Ref.ID] = cand
 		c.alive = append(c.alive, cand.Ref.ID)
 	}
-	if len(first) < q.K {
+	if len(first) < params.K {
 		// Fewer qualifying objects than k: everything is in the result.
 		return finish(first)
 	}
@@ -114,7 +140,7 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 	// Lines 2–16: the arrival loop.
 	earlyStop := false
 	for {
-		cand, ok, err := sks.Next()
+		cand, ok, err := src.Next()
 		if err != nil {
 			return fail(err)
 		}
@@ -130,7 +156,7 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 		}
 		if stop {
 			earlyStop = true
-			sks.Stop()
+			src.Stop()
 			break
 		}
 	}
@@ -139,14 +165,14 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 	// padded the way Algorithm 1 pads it: with the earliest arrival outside
 	// the core pairs, which is one of the first k since at most k-1 objects
 	// are core (pruning may have dropped it from c.alive, never from first).
-	result := make([]Candidate, 0, q.K)
-	inCore := make(map[obj.ID]bool, q.K)
+	result := make([]Candidate, 0, params.K)
+	inCore := make(map[obj.ID]bool, params.K)
 	for _, id := range c.pairs.CoreObjects() {
 		result = append(result, c.cands[id])
 		inCore[id] = true
 	}
 	for _, cand := range first {
-		if len(result) < q.K && !inCore[cand.Ref.ID] {
+		if len(result) < params.K && !inCore[cand.Ref.ID] {
 			result = append(result, cand)
 		}
 	}

@@ -424,3 +424,100 @@ func TestDivQueryValidation(t *testing.T) {
 		t.Errorf("valid query rejected: %v", err)
 	}
 }
+
+// sliceArrivals is an ArrivalSource over a materialized arrival list.
+type sliceArrivals struct {
+	cands   []core.Candidate
+	next    int
+	stopped int
+}
+
+func (s *sliceArrivals) Next() (core.Candidate, bool, error) {
+	if s.stopped > 0 || s.next == len(s.cands) {
+		return core.Candidate{}, false, nil
+	}
+	s.next++
+	return s.cands[s.next-1], true, nil
+}
+
+func (s *sliceArrivals) Stop() { s.stopped++ }
+
+// TestDiversifyArrivalsSourceIndependence: Algorithm 6 depends on its
+// arrivals, not on where they come from. Fed SKSearch.All()'s output from a
+// slice, DiversifyArrivals must reproduce SearchCOM on the same query —
+// objects in order, F, Pruned, PairDistCalcs and the early stop — and must
+// stop the source exactly when it terminates early, having read no further.
+func TestDiversifyArrivalsSourceIndependence(t *testing.T) {
+	ds, err := dataset.GeneratePreset(dataset.PresetNA, 400, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := harness.Build(ds, []harness.IndexKind{harness.KindSIF}, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := dataset.GenerateWorkload(ds.Objects, ds.VocabSize, dataset.WorkloadConfig{
+		NumQueries: 50, Keywords: 2, DeltaMaxPerKeyword: 2000, Seed: 31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := sys.Loader(harness.KindSIF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	early, pruned := 0, int64(0)
+	for qi, wq := range ws {
+		k := []int{5, 6, 3, 10}[qi%4]
+		q := harness.DivQueryOf(wq, k, 0.8)
+		want, err := core.SearchCOM(ctx, sys.Net, loader, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sks, err := core.NewSKSearch(ctx, sys.Net, loader, q.SKQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := sks.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &sliceArrivals{cands: all}
+		got, err := core.DiversifyArrivals(ctx, src, sys.Net,
+			core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}, core.PruneOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Objects) != len(want.Objects) {
+			t.Fatalf("query %d (k=%d): %d objects from a slice, %d from SearchCOM", qi, k, len(got.Objects), len(want.Objects))
+		}
+		for i := range want.Objects {
+			if got.Objects[i] != want.Objects[i] {
+				t.Fatalf("query %d (k=%d): object %d is %+v, want %+v", qi, k, i, got.Objects[i], want.Objects[i])
+			}
+		}
+		if got.F != want.F || got.Stats.Pruned != want.Stats.Pruned ||
+			got.Stats.PairDistCalcs != want.Stats.PairDistCalcs ||
+			got.Stats.EarlyTerminate != want.Stats.EarlyTerminate {
+			t.Fatalf("query %d (k=%d): F %v pruned %d pairdists %d early %v, want %v %d %d %v", qi, k,
+				got.F, got.Stats.Pruned, got.Stats.PairDistCalcs, got.Stats.EarlyTerminate,
+				want.F, want.Stats.Pruned, want.Stats.PairDistCalcs, want.Stats.EarlyTerminate)
+		}
+		if int64(src.next) != want.Stats.Candidates {
+			t.Fatalf("query %d: read %d arrivals, SearchCOM's expansion emitted %d", qi, src.next, want.Stats.Candidates)
+		}
+		wantStops := 0
+		if want.Stats.EarlyTerminate {
+			wantStops = 1
+			early++
+		}
+		if src.stopped != wantStops {
+			t.Fatalf("query %d: source stopped %d times, want %d", qi, src.stopped, wantStops)
+		}
+		pruned += want.Stats.Pruned
+	}
+	if early == 0 || pruned == 0 {
+		t.Fatalf("vacuous workload: %d early stops, %d pruned objects", early, pruned)
+	}
+}

@@ -152,6 +152,7 @@ type Stream struct {
 	span    span
 	release func()
 	done    bool
+	res     Result
 }
 
 // Stream starts an incremental boolean search through loader. release,
@@ -188,6 +189,13 @@ func (s *Stream) Stats() core.SearchStats { return s.search.Stats() }
 // Trace returns the stream's stage timings so far.
 func (s *Stream) Trace() core.Trace { return s.search.Trace() }
 
+// Result returns the envelope the stream was accounted with — Elapsed,
+// DiskReads, Stats and Trace, no payload — so a consumer that merges
+// several streams (the shard router) reports their cost as it reports any
+// other leg's. It is the zero Result until the stream is exhausted or
+// stopped, and stays zero for one that failed, as a failed query's is.
+func (s *Stream) Result() Result { return s.res }
+
 // finish accounts the stream exactly once and runs the release hook.
 func (s *Stream) finish(err error) {
 	if s.done {
@@ -197,5 +205,5 @@ func (s *Stream) finish(err error) {
 	if s.release != nil {
 		s.release()
 	}
-	s.span.end(Result{Stats: s.search.Stats(), Trace: s.search.Trace()}, err)
+	s.res, _ = s.span.end(Result{Stats: s.search.Stats(), Trace: s.search.Trace()}, err)
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"dsks"
 )
 
-// equivFixture builds the same dataset twice: once behind an unsharded
-// database and once behind an n-way shard set.
-func equivFixture(t *testing.T, n int, opts dsks.Options) (*dsks.DB, *Set, *dsks.Dataset) {
+// equivFixture builds the same dataset behind an unsharded database and
+// behind one shard set per entry of ns.
+func equivFixture(t testing.TB, ns []int, opts dsks.Options) (*dsks.DB, []*Set, *dsks.Dataset) {
 	t.Helper()
 	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
 	if err != nil {
@@ -23,18 +24,23 @@ func equivFixture(t *testing.T, n int, opts dsks.Options) (*dsks.DB, *Set, *dsks
 	}
 	t.Cleanup(func() { _ = single.Close() })
 
-	// The set needs its own collection: OpenDataset retains and mutates
-	// the dataset's, so regenerate for an identical, independent copy.
-	ds2, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
-	if err != nil {
-		t.Fatal(err)
+	sets := make([]*Set, len(ns))
+	for i, n := range ns {
+		// Each set needs its own collection: OpenDataset retains and
+		// mutates the dataset's, so regenerate for an identical,
+		// independent copy.
+		ds2, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := Open(ds2.Graph, ds2.Objects, ds2.VocabSize, n, Options{DB: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = set.Close() })
+		sets[i] = set
 	}
-	set, err := Open(ds2.Graph, ds2.Objects, ds2.VocabSize, n, Options{DB: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = set.Close() })
-	return single, set, ds
+	return single, sets, ds
 }
 
 // sortCandidates normalizes a candidate list to the router's merge
@@ -87,110 +93,131 @@ func workloadQueries(t *testing.T, ds *dsks.Dataset, n int, seed int64) []dsks.W
 }
 
 // TestShardSingleNodeEquivalence is the shard/single-node property test:
-// the same query mix against a 4-shard set and an unsharded database
-// over the same dataset must produce identical boolean, kNN and ranked
-// results, and diversification objective values within the greedy's
-// tie-break tolerance.
+// the same query mix against 1-, 2- and 4-shard sets and an unsharded
+// database over the same dataset must produce identical boolean, kNN and
+// ranked results, and — the router runs the single node's Algorithm 6 over
+// the single node's arrival sequence — the identical diversified answer at
+// the identical cost, before and after the same mutations.
 func TestShardSingleNodeEquivalence(t *testing.T) {
-	single, set, ds := equivFixture(t, 4, dsks.Options{Index: dsks.IndexSIF})
+	single, sets, ds := equivFixture(t, []int{1, 2, 4}, dsks.Options{Index: dsks.IndexSIF})
 	ctx := context.Background()
 	ws := workloadQueries(t, ds, 25, 11)
 
+	early, pruned, multiLeg := 0, int64(0), 0
 	check := func(phase string) {
 		t.Helper()
-		mv, err := set.View(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mv.Close()
 		sv, err := single.View(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sv.Close()
+		for _, set := range sets {
+			mv, err := set.View(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mv.Close()
+			tag := phase + ", " + itoa(set.Shards()) + " shards: "
 
-		for qi, w := range ws {
-			skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
+			for qi, w := range ws {
+				skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
 
-			// Boolean range search: identical candidate sets.
-			sres, err := sv.Search(ctx, skq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mres, err := mv.Search(ctx, skq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sortCandidates(sres.Candidates)
-			requireSameCandidates(t, phase+": search "+itoa(qi), sres.Candidates, mres.Candidates)
+				// Boolean range search: identical candidate sets.
+				sres, err := sv.Search(ctx, skq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mres, err := mv.Search(ctx, skq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sortCandidates(sres.Candidates)
+				requireSameCandidates(t, tag+"search "+itoa(qi), sres.Candidates, mres.Candidates)
 
-			// kNN: identical distance profile, ties tolerated at the cut.
-			knn := dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 5}
-			skres, err := sv.SearchKNN(ctx, knn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mkres, err := mv.SearchKNN(ctx, knn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sortCandidates(skres.Candidates)
-			requireSameCandidates(t, phase+": knn "+itoa(qi), skres.Candidates, mkres.Candidates)
+				// kNN: identical distance profile, ties tolerated at the cut.
+				knn := dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 5}
+				skres, err := sv.SearchKNN(ctx, knn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mkres, err := mv.SearchKNN(ctx, knn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sortCandidates(skres.Candidates)
+				requireSameCandidates(t, tag+"knn "+itoa(qi), skres.Candidates, mkres.Candidates)
 
-			// Ranked: identical (score, dist) sequences, tie-tolerant IDs.
-			rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: 0.5, DeltaMax: w.DeltaMax}
-			srres, err := sv.SearchRanked(ctx, rq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mrres, err := mv.SearchRanked(ctx, rq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sortRanked(srres.Ranked)
-			sortRanked(mrres.Ranked)
-			requireSameRanked(t, phase+": ranked "+itoa(qi), srres.Ranked, mrres.Ranked)
+				// Ranked: identical (score, dist) sequences, tie-tolerant IDs.
+				rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: 0.5, DeltaMax: w.DeltaMax}
+				srres, err := sv.SearchRanked(ctx, rq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mrres, err := mv.SearchRanked(ctx, rq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sortRanked(srres.Ranked)
+				sortRanked(mrres.Ranked)
+				requireSameRanked(t, tag+"ranked "+itoa(qi), srres.Ranked, mrres.Ranked)
 
-			// Diversified: objective values within greedy tie tolerance.
-			dq := dsks.DivQuery{SKQuery: skq, K: 4, Lambda: 0.5}
-			sdres, err := sv.SearchDiversified(ctx, dq)
-			if err != nil {
-				t.Fatal(err)
+				// Diversified: the same set in the same order at the same
+				// cost, over the whole (k, λ) grid — and with k beyond the
+				// qualifying objects, where everything is returned and no
+				// core pair forms.
+				for _, k := range []int{2, 3, 4, 5, 10, len(sres.Candidates) + 3} {
+					for _, lambda := range []float64{0, 0.5, 0.8, 1} {
+						dq := dsks.DivQuery{SKQuery: skq, K: k, Lambda: lambda}
+						dres := requireSameDiversified(t, tag+"diversified "+itoa(qi), sv, mv, dq)
+						pruned += dres.Stats.Pruned
+						if dres.Stats.EarlyTerminate {
+							early++
+						}
+						if len(mv.Meta().Queried) > 1 {
+							multiLeg++
+						}
+						if k > len(sres.Candidates) && (len(dres.Candidates) != len(sres.Candidates) ||
+							dres.Stats.Pruned != 0 || dres.Stats.EarlyTerminate) {
+							t.Fatalf("%sdiversified %d, k=%d over %d qualifying objects: chose %d, pruned %d, early %v",
+								tag, qi, k, len(sres.Candidates), len(dres.Candidates), dres.Stats.Pruned, dres.Stats.EarlyTerminate)
+						}
+					}
+				}
 			}
-			mdres, err := mv.SearchDiversified(ctx, dq)
-			if err != nil {
-				t.Fatal(err)
+
+			// A query no shard can hold a match for routes nowhere: an
+			// empty answer from zero legs, as the single node's is empty.
+			dq := dsks.DivQuery{SKQuery: dsks.SKQuery{
+				Pos: ws[0].Pos, Terms: []dsks.TermID{unusedTerm(t, ds)}, DeltaMax: ws[0].DeltaMax}, K: 4, Lambda: 0.5}
+			if dres := requireSameDiversified(t, tag+"unroutable", sv, mv, dq); len(dres.Candidates) != 0 {
+				t.Fatalf("%sunroutable query chose %d objects", tag, len(dres.Candidates))
 			}
-			if len(sdres.Candidates) != len(mdres.Candidates) {
-				t.Fatalf("%s: diversified %d chose %d objects, want %d",
-					phase, qi, len(mdres.Candidates), len(sdres.Candidates))
-			}
-			tol := 1e-6 * math.Max(1, math.Abs(sdres.F))
-			if math.Abs(sdres.F-mdres.F) > tol {
-				t.Fatalf("%s: diversified %d objective %v, want %v", phase, qi, mdres.F, sdres.F)
+			if m := mv.Meta(); len(m.Queried) != 0 || m.Pruned != set.Shards() {
+				t.Fatalf("%sunroutable query meta = %+v, want no legs", tag, m)
 			}
 		}
 	}
 
 	check("initial")
 
-	// Mutate both sides identically: the sharded set must assign the
+	// Mutate every side identically: the sharded sets must assign the
 	// same object IDs an unsharded database does, so results stay
 	// ID-comparable after inserts and removes.
 	ws2 := workloadQueries(t, ds, 10, 99)
 	firstFresh := dsks.ObjectID(ds.Objects.Len())
 	for i, w := range ws2 {
-		terms := w.Terms
-		sid, err := single.Insert(w.Pos, terms)
+		sid, err := single.Insert(w.Pos, w.Terms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mid, _, err := set.Insert(w.Pos, terms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sid != mid {
-			t.Fatalf("insert %d: set assigned ID %d, single node %d", i, mid, sid)
+		for _, set := range sets {
+			mid, _, err := set.Insert(w.Pos, w.Terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sid != mid {
+				t.Fatalf("insert %d: %d-shard set assigned ID %d, single node %d", i, set.Shards(), mid, sid)
+			}
 		}
 	}
 	// Remove a few originals and one fresh insert.
@@ -199,20 +226,89 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 		if err := single.Remove(id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := set.Remove(id); err != nil {
-			t.Fatal(err)
+		for _, set := range sets {
+			if _, err := set.Remove(id); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
 	check("after mutations")
+	if early == 0 || pruned == 0 || multiLeg == 0 {
+		t.Fatalf("vacuous workload: %d early stops, %d pruned objects, %d multi-leg merges", early, pruned, multiLeg)
+	}
 
 	// Double-remove classifies identically.
 	if err := single.Remove(victims[0]); err == nil {
 		t.Fatal("single-node double remove accepted")
 	}
-	if _, err := set.Remove(victims[0]); err == nil {
-		t.Fatal("sharded double remove accepted")
+	for _, set := range sets {
+		if _, err := set.Remove(victims[0]); err == nil {
+			t.Fatal("sharded double remove accepted")
+		}
 	}
+}
+
+// requireSameDiversified runs dq on the single node and on the router and
+// asserts identity (requireSameAnswer).
+func requireSameDiversified(t *testing.T, tag string, sv *dsks.View, mv *MultiView, dq dsks.DivQuery) dsks.Result {
+	t.Helper()
+	ctx := context.Background()
+	want, err := sv.SearchDiversified(ctx, dq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mv.SearchDiversified(ctx, dq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameAnswer(t, fmt.Sprintf("%s (k=%d, λ=%v)", tag, dq.K, dq.Lambda), want, got)
+	return got
+}
+
+// requireSameAnswer asserts two diversified results are one answer at one
+// cost: the same objects at the same distances in the same order, F within
+// the float tolerance, and the counters that depend only on the arrival
+// sequence — Pruned, PairDistCalcs, EarlyTerminate — equal, which any
+// duplicated or lost arrival would move.
+func requireSameAnswer(t *testing.T, tag string, want, got dsks.Result) {
+	t.Helper()
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%s: chose %d objects, want %d", tag, len(got.Candidates), len(want.Candidates))
+	}
+	for i := range want.Candidates {
+		if got.Candidates[i].Ref.ID != want.Candidates[i].Ref.ID || got.Candidates[i].Dist != want.Candidates[i].Dist {
+			t.Fatalf("%s: object %d is %d at %v, want %d at %v", tag, i,
+				got.Candidates[i].Ref.ID, got.Candidates[i].Dist, want.Candidates[i].Ref.ID, want.Candidates[i].Dist)
+		}
+	}
+	if tol := 1e-6 * math.Max(1, math.Abs(want.F)); math.Abs(want.F-got.F) > tol {
+		t.Fatalf("%s: objective %v, want %v", tag, got.F, want.F)
+	}
+	if got.Stats.Pruned != want.Stats.Pruned || got.Stats.PairDistCalcs != want.Stats.PairDistCalcs ||
+		got.Stats.EarlyTerminate != want.Stats.EarlyTerminate {
+		t.Fatalf("%s: pruned %d, pair distances %d, early stop %v; want %d, %d, %v", tag,
+			got.Stats.Pruned, got.Stats.PairDistCalcs, got.Stats.EarlyTerminate,
+			want.Stats.Pruned, want.Stats.PairDistCalcs, want.Stats.EarlyTerminate)
+	}
+}
+
+// unusedTerm finds a vocabulary term no object of ds carries.
+func unusedTerm(t testing.TB, ds *dsks.Dataset) dsks.TermID {
+	t.Helper()
+	used := make([]bool, ds.VocabSize)
+	for id := 0; id < ds.Objects.Len(); id++ {
+		for _, term := range ds.Objects.Get(dsks.ObjectID(id)).Terms {
+			used[term] = true
+		}
+	}
+	for term, u := range used {
+		if !u {
+			return dsks.TermID(term)
+		}
+	}
+	t.Fatal("every vocabulary term is in use")
+	return 0
 }
 
 // sortRanked applies the router's merge order so tie groups line up on

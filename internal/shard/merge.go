@@ -30,7 +30,7 @@ func (mv *MultiView) Search(ctx context.Context, q dsks.SKQuery) (dsks.Result, e
 	}
 	mergeStart := time.Now()
 	res := mv.mergeCandidates(legs, 0)
-	mv.finish(&res, start, mergeStart, err)
+	mv.finish(&res, start, time.Since(mergeStart), err)
 	return res, err
 }
 
@@ -52,7 +52,7 @@ func (mv *MultiView) SearchKNN(ctx context.Context, q dsks.KNNQuery) (dsks.Resul
 	}
 	mergeStart := time.Now()
 	res := mv.mergeCandidates(legs, q.K)
-	mv.finish(&res, start, mergeStart, err)
+	mv.finish(&res, start, time.Since(mergeStart), err)
 	return res, err
 }
 
@@ -93,59 +93,65 @@ func (mv *MultiView) SearchRanked(ctx context.Context, q dsks.RankedQuery) (dsks
 	if len(res.Ranked) > q.K {
 		res.Ranked = res.Ranked[:q.K]
 	}
-	mv.finish(&res, start, mergeStart, err)
+	mv.finish(&res, start, time.Since(mergeStart), err)
 	return res, err
 }
 
-// SearchDiversified runs the paper's diversified query across shards:
-// the boolean candidate sets are gathered from the routed shards, and
-// the final greedy of Algorithm 1 runs router-side on the union, with
-// the pairwise diversification distances computed on the replicated
-// network (max-sum diversification's greedy guarantee holds on any
-// candidate superset of the true top results, so merging before the
-// greedy preserves it).
-func (mv *MultiView) SearchDiversified(ctx context.Context, q dsks.DivQuery) (dsks.Result, error) {
+// SearchDiversified runs the paper's diversified query across shards the
+// way one node runs it: Algorithm 6 (core.DiversifyArrivals) over the
+// routed legs' boolean streams merged by (distance, global ID), with the
+// pair distances computed on the replicated network. The merged stream is
+// the unsharded arrival sequence, so the answer, the pruning and the early
+// stop are the single node's, and a leg is read no further than the
+// algorithm needed. Legs are pulled on the calling goroutine.
+func (mv *MultiView) SearchDiversified(ctx context.Context, q dsks.DivQuery) (res dsks.Result, err error) {
 	start := time.Now()
+	// One KindMerge sample per query on every exit path; its time is the
+	// router's own work, the diversification outside the leg pulls.
+	defer func() { mv.finish(&res, start, res.Trace.Diversify, err) }()
 	if err := q.Validate(); err != nil {
 		return dsks.Result{}, err
 	}
-	legs, err := mv.scatter(ctx, q.Pos, q.DeltaMax, q.Terms, true,
-		func(ctx context.Context, v *dsks.View) (dsks.Result, error) {
-			return v.Search(ctx, q.SKQuery)
-		})
-	if err != nil && !errors.Is(err, ErrPartialResult) {
+	if mv.closed.Load() {
+		return dsks.Result{}, dsks.ErrViewClosed
+	}
+	if err := mv.set.guard(q.Pos, q.Terms); err != nil {
 		return dsks.Result{}, err
 	}
-	mergeStart := time.Now()
-	res := mv.mergeCandidates(legs, 0)
-	cands := res.Candidates
-	params := core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}
-	dist := core.NewDistEngine(ctx, mv.set.searchNet, 2*q.DeltaMax, &res.Stats)
+	targets := mv.set.routed(q.Pos, q.DeltaMax, q.Terms, true)
+	return mv.diversify(ctx, targets, mv.cursors(ctx, targets, q.SKQuery), q)
+}
 
-	n := len(cands)
-	matrix := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d, derr := dist.Dist(cands[i].Ref.Pos(), cands[j].Ref.Pos())
-			if derr != nil {
-				return dsks.Result{}, mapCtxErr(derr)
-			}
-			t := params.ThetaFromDists(cands[i].Dist, cands[j].Dist, d)
-			matrix[i*n+j] = t
-			matrix[j*n+i] = t
-		}
+// diversify runs the merge and Algorithm 6 over the cursors and ends every
+// one of them — stream stopped and accounted, replica view closed, no race
+// still running — before it returns, on every path.
+func (mv *MultiView) diversify(ctx context.Context, targets []int, cursors []*legCursor, q dsks.DivQuery) (dsks.Result, error) {
+	sources := make([]core.ArrivalSource, len(cursors))
+	for i, c := range cursors {
+		sources[i] = c
 	}
-	theta := func(i, j int) float64 { return matrix[i*n+j] }
-	chosen := core.GreedyDiversify(n, q.K, theta)
-	picked := make([]dsks.Candidate, len(chosen))
-	for i, idx := range chosen {
-		picked[i] = cands[idx]
+	merged := newLegMerge(sources)
+	div, derr := core.DiversifyArrivals(ctx, merged, mv.set.searchNet,
+		core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}, core.PruneOptions{})
+	merged.Stop()
+	mv.racers.Wait()
+
+	legs := make([]leg, len(cursors))
+	for i, c := range cursors {
+		legs[i] = leg{shard: c.shard, res: c.res, err: c.err}
 	}
-	res.Candidates = picked
-	res.F = core.SetObjective(len(chosen), func(i, j int) float64 {
-		return theta(chosen[i], chosen[j])
-	})
-	mv.finish(&res, start, mergeStart, err)
+	ok, err := mv.gather(targets, legs)
+	if derr != nil && (err == nil || errors.Is(err, ErrPartialResult)) {
+		// No leg's failure: the context ended inside the distance engine.
+		err = mapCtxErr(derr)
+	}
+	res := mv.foldLegs(ok)
+	res.Trace.Diversify = div.Trace.Diversify
+	if err != nil && !errors.Is(err, ErrPartialResult) {
+		return res, err // the work done, for the query's sample
+	}
+	res.Stats.Add(div.Stats)
+	res.Candidates, res.F = div.Objects, div.F
 	return res, err
 }
 
@@ -209,7 +215,7 @@ func (mv *MultiView) SearchCollective(ctx context.Context, q dsks.CollectiveQuer
 			Uncovered: append([]dsks.TermID(nil), q.Terms...),
 		}
 	}
-	mv.finish(&res, start, mergeStart, err)
+	mv.finish(&res, start, time.Since(mergeStart), err)
 	return res, err
 }
 

@@ -124,9 +124,9 @@ type Set struct {
 	g     *dsks.Graph
 	vocab int
 	part  *Partition
-	// net serves cross-shard network distances for the router's final
-	// diversification greedy; it reads the in-memory graph directly, so
-	// it costs no page I/O.
+	// net serves the cross-shard pair distances of the router's
+	// diversified merge; it reads the in-memory graph directly, so it
+	// costs no page I/O.
 	net ccam.Network
 	// searchNet is net plus the landmark-oracle attachment for the
 	// router-side merge engine (set by initSearchNet once the shards are

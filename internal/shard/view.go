@@ -55,6 +55,10 @@ type MultiView struct {
 	srcs   []int8
 	meta   Meta
 	closed atomic.Bool
+	// racers counts the goroutines of the failover races in flight; a
+	// query whose legs are streams waits for them before it returns, so no
+	// losing side still holds a stream or a replica view after it.
+	racers sync.WaitGroup
 }
 
 // LSNs is the pinned per-shard commit LSN vector.
@@ -160,7 +164,7 @@ func (mv *MultiView) fanout(ctx context.Context, targets []int,
 			}
 			defer func() { <-sem }()
 			s.shards[si].reqs.Add(1)
-			res, err := mv.runLeg(fctx, si, run)
+			res, err := mv.runResultLeg(fctx, si, run)
 			legs[k].res, legs[k].err = res, err
 			if err != nil {
 				s.shards[si].errs.Add(1)
@@ -185,85 +189,147 @@ const (
 	legRetryCap  = 50 * time.Millisecond
 )
 
-// runLeg executes one fan-out leg under the failover protocol:
+// legOps is a leg's unit of work under the failover protocol, on either
+// side of it. The scatter families run the whole leg (T is its Result);
+// the diversified merge opens a cursor, or resumes one, up to its next
+// candidate (T is the opened stream). discard releases a product the
+// protocol obtained and nobody will use: the side of a race that answered
+// second.
+type legOps[T any] struct {
+	primary func(ctx context.Context) (T, error) // on the request's pinned view
+	replica func(ctx context.Context) (T, error) // on a replica view pinned for the attempt
+	discard func(T)
+}
+
+// noCancel is the release of a product made under the request's own
+// context.
+func noCancel() {}
+
+// runLeg performs one leg's unit of work under the failover protocol:
 //
 //   - a leg already pinned on a replica (the primary was unpinnable at
-//     View time), or a shard with no replicas, just runs its view;
+//     View time), or a shard with no replicas, just runs on its view;
 //   - a primary marked down serves from the freshest replica within the
 //     staleness bound, except for one recovery probe per cooldown
 //     window, which tries the primary (and heals it on success);
 //   - a healthy primary runs with capped-backoff retries on transient
-//     errors; if it outlives the hedging delay, a replica leg races it
-//     and the first answer wins; if it fails for good, the leg fails
-//     over to a replica before giving up.
+//     errors; if it outlives the hedging delay, a replica races it and
+//     the first answer wins; if it fails for good, the leg fails over to
+//     a replica before giving up.
 //
 // Health accounting mirrors the server breaker: only shard-class errors
 // count against the primary — client-class errors (bad query, canceled
 // context) are the request's fault and stay neutral.
-func (mv *MultiView) runLeg(ctx context.Context, si int, run legFunc) (dsks.Result, error) {
+//
+// The returned release ends the context the product was made under; a
+// product that outlives the call (an open stream) is released when its
+// owner is done with it, any other at once.
+func runLeg[T any](ctx context.Context, mv *MultiView, si int, ops legOps[T]) (T, context.CancelFunc, error) {
 	s := mv.set
 	st := &s.shards[si]
-	if (mv.srcs != nil && mv.srcs[si] != srcPrimary) || len(st.replicas) == 0 {
-		return run(ctx, mv.views[si])
+	if mv.direct(si) {
+		val, err := ops.primary(ctx)
+		return val, noCancel, err
 	}
 	probe, ok := st.health.allowPrimary()
 	if !ok {
 		s.failTotal.Add(1)
-		return mv.replicaLeg(ctx, si, run)
+		val, err := ops.replica(ctx)
+		return val, noCancel, err
 	}
 	retries := s.legRetries
 	if probe {
 		// A probe decides health as fast as possible: no retries.
 		retries = 0
 	}
-	return mv.racePrimary(ctx, si, run, retries)
+	return racePrimary(ctx, mv, si, retries, true, nil, ops)
+}
+
+// direct reports a leg with nowhere to fail over to: it is already pinned
+// on a replica, or its shard has none.
+func (mv *MultiView) direct(si int) bool {
+	return (mv.srcs != nil && mv.srcs[si] != srcPrimary) || len(mv.set.shards[si].replicas) == 0
+}
+
+// runResultLeg is runLeg for a scatter family: the unit is the whole leg.
+func (mv *MultiView) runResultLeg(ctx context.Context, si int, run legFunc) (dsks.Result, error) {
+	res, release, err := runLeg(ctx, mv, si, legOps[dsks.Result]{
+		primary: func(ctx context.Context) (dsks.Result, error) { return run(ctx, mv.views[si]) },
+		replica: func(ctx context.Context) (dsks.Result, error) { return mv.replicaLeg(ctx, si, run) },
+		discard: func(dsks.Result) {},
+	})
+	release()
+	return res, err
 }
 
 // legOutcome is one side's result in the primary/replica race.
-type legOutcome struct {
-	res     dsks.Result
+type legOutcome[T any] struct {
+	val     T
 	err     error
 	primary bool
 }
 
-// racePrimary runs the primary leg (with retries) and, when hedging
-// fires or the primary fails, a replica leg, returning whichever
-// answers first. The losing side is canceled through the shared
-// context; its outcome drains into the buffered channel.
-func (mv *MultiView) racePrimary(ctx context.Context, si int, run legFunc, retries int) (dsks.Result, error) {
+// racePrimary runs the primary side (with retries) and, when hedging fires
+// or the primary fails, the replica side, returning whichever answers
+// first together with the release of its context. Each side runs under its
+// own context: the loser's is canceled when the race is decided, and a
+// loser that answers anyway discards its product itself, so nothing it
+// holds outlives it. hedge false runs the same ladder unraced — retries,
+// then failover — and prior, when set, stands for a first primary attempt
+// that already failed (a cursor's pull): the ladder starts at its backoff.
+func racePrimary[T any](ctx context.Context, mv *MultiView, si, retries int, hedge bool, prior error, ops legOps[T]) (T, context.CancelFunc, error) {
 	s := mv.set
 	st := &s.shards[si]
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan legOutcome, 2)
+	pctx, pcancel := context.WithCancel(ctx)
+	rctx, rcancel := context.WithCancel(ctx)
+	// decided is claimed once, by the side that answers first or by this
+	// function ending the race on a client-class error; a side that
+	// answers after that lost.
+	var decided atomic.Bool
+	ch := make(chan legOutcome[T], 2) // each side sends at most once
 
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- legOutcome{err: fmt.Errorf("shard: shard %d: %w: panic: %v", si, ErrShardDown, r), primary: true}
-			}
-		}()
-		bo := Backoff{Base: legRetryBase, Cap: legRetryCap, Seed: s.seed ^ splitmix64(uint64(si))}
-		for attempt := 0; ; attempt++ {
-			res, err := run(pctx, mv.views[si])
-			if err == nil || clientClass(err) || attempt >= retries {
-				ch <- legOutcome{res: res, err: err, primary: true}
+	side := func(primary bool, run func() (T, error)) {
+		mv.racers.Add(1)
+		go func() {
+			defer mv.racers.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					ch <- legOutcome[T]{err: fmt.Errorf("shard: shard %d: %w: panic: %v", si, ErrShardDown, r), primary: primary}
+				}
+			}()
+			val, err := run()
+			if err == nil && !decided.CompareAndSwap(false, true) {
+				ops.discard(val)
 				return
+			}
+			ch <- legOutcome[T]{val: val, err: err, primary: primary}
+		}()
+	}
+
+	side(true, func() (T, error) {
+		bo := Backoff{Base: legRetryBase, Cap: legRetryCap, Seed: s.seed ^ splitmix64(uint64(si))}
+		var val T
+		err := prior
+		for attempt := 0; ; attempt++ {
+			if attempt > 0 || prior == nil {
+				val, err = ops.primary(pctx)
+			}
+			if err == nil || clientClass(err) || attempt >= retries {
+				return val, err
 			}
 			s.retryTotal.Add(1)
 			t := time.NewTimer(bo.Delay(attempt))
 			select {
 			case <-pctx.Done():
 				t.Stop()
-				ch <- legOutcome{err: err, primary: true}
-				return
+				return val, err
 			case <-t.C:
 			}
 		}
-	}()
+	})
 
 	var hedgeC <-chan time.Time
-	if s.hedgeAfter > 0 {
+	if hedge && s.hedgeAfter > 0 {
 		ht := time.NewTimer(s.hedgeAfter)
 		defer ht.Stop()
 		hedgeC = ht.C
@@ -271,15 +337,13 @@ func (mv *MultiView) racePrimary(ctx context.Context, si int, run legFunc, retri
 	launched := false
 	launch := func() {
 		launched = true
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					ch <- legOutcome{err: fmt.Errorf("shard: shard %d replica leg: %w: panic: %v", si, ErrShardDown, r)}
-				}
-			}()
-			res, err := mv.replicaLeg(pctx, si, run)
-			ch <- legOutcome{res: res, err: err}
-		}()
+		side(false, func() (T, error) { return ops.replica(rctx) })
+	}
+	lose := func(err error) (T, context.CancelFunc, error) {
+		pcancel()
+		rcancel()
+		var zero T
+		return zero, noCancel, err
 	}
 
 	var pErr, rErr error
@@ -287,14 +351,24 @@ func (mv *MultiView) racePrimary(ctx context.Context, si int, run legFunc, retri
 	for {
 		select {
 		case out := <-ch:
+			if out.err == nil {
+				if out.primary {
+					st.health.recordSuccess()
+					rcancel()
+					return out.val, pcancel, nil
+				}
+				pcancel()
+				return out.val, rcancel, nil
+			}
 			if out.primary {
 				pDone = true
-				if out.err == nil {
-					st.health.recordSuccess()
-					return out.res, nil
-				}
 				if clientClass(out.err) {
-					return out.res, out.err
+					if decided.CompareAndSwap(false, true) {
+						return lose(out.err)
+					}
+					// The replica answered at the same moment and its
+					// product is on its way: take it.
+					continue
 				}
 				st.health.recordFailure()
 				pErr = out.err
@@ -304,16 +378,13 @@ func (mv *MultiView) racePrimary(ctx context.Context, si int, run legFunc, retri
 				}
 			} else {
 				rDone = true
-				if out.err == nil {
-					return out.res, nil
-				}
 				rErr = out.err
 			}
 			if pDone && (rDone || !launched) {
 				if rErr != nil {
-					return dsks.Result{}, fmt.Errorf("%w; failover: %w", pErr, rErr)
+					return lose(fmt.Errorf("%w; failover: %w", pErr, rErr))
 				}
-				return dsks.Result{}, pErr
+				return lose(pErr)
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -325,19 +396,27 @@ func (mv *MultiView) racePrimary(ctx context.Context, si int, run legFunc, retri
 	}
 }
 
-// replicaLeg serves one leg from the shard's freshest live replica
-// within the staleness bound of the LSN this request pinned. The
-// replica view is pinned here and closed on every path — it lives
-// exactly as long as the leg.
-func (mv *MultiView) replicaLeg(ctx context.Context, si int, run legFunc) (dsks.Result, error) {
-	s := mv.set
-	rep, err := s.freshestReplica(si, mv.lsns[si])
+// pinReplica pins a view on the shard's freshest live replica within the
+// staleness bound of the LSN this request pinned. The caller closes it.
+func (mv *MultiView) pinReplica(ctx context.Context, si int) (*dsks.View, error) {
+	rep, err := mv.set.freshestReplica(si, mv.lsns[si])
 	if err != nil {
-		return dsks.Result{}, err
+		return nil, err
 	}
 	rv, err := rep.View(ctx)
 	if err != nil {
-		return dsks.Result{}, fmt.Errorf("shard: pinning replica %d of shard %d: %w", rep.idx, si, err)
+		return nil, fmt.Errorf("shard: pinning replica %d of shard %d: %w", rep.idx, si, err)
+	}
+	return rv, nil
+}
+
+// replicaLeg serves one scatter leg from a replica. The replica view is
+// pinned here and closed on every path — it lives exactly as long as the
+// leg.
+func (mv *MultiView) replicaLeg(ctx context.Context, si int, run legFunc) (dsks.Result, error) {
+	rv, err := mv.pinReplica(ctx, si)
+	if err != nil {
+		return dsks.Result{}, err
 	}
 	defer rv.Close()
 	return run(ctx, rv)
@@ -403,13 +482,21 @@ func (mv *MultiView) scatter(ctx context.Context, pos dsks.Position, radius floa
 }
 
 // finish stamps the merged result with the request wall time and records
-// the merge-phase latency in the router registry.
-func (mv *MultiView) finish(res *dsks.Result, start, mergeStart time.Time, err error) {
-	res.Elapsed = time.Since(start)
+// the router's one sample for the query — merge is the time the router
+// itself spent merging — in its registry. A failed query is recorded as an
+// error, a cancellation classified as one, and returns the zero Result.
+func (mv *MultiView) finish(res *dsks.Result, start time.Time, merge time.Duration, err error) {
+	failed := err != nil && !errors.Is(err, ErrPartialResult)
 	mv.set.reg.Record(KindMerge, metrics.Sample{
-		Elapsed:    time.Since(mergeStart),
-		Err:        err != nil && !errors.Is(err, ErrPartialResult),
+		Elapsed:    merge,
+		Err:        failed,
+		Canceled:   errors.Is(err, dsks.ErrCanceled) || errors.Is(err, dsks.ErrDeadlineExceeded),
 		Candidates: int64(len(res.Candidates) + len(res.Ranked)),
 		DiskReads:  res.DiskReads,
 	})
+	if failed {
+		*res = dsks.Result{}
+		return
+	}
+	res.Elapsed = time.Since(start)
 }
