@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-report fuzz-smoke serve serve-smoke chaos-smoke wal-smoke shard-smoke replica-smoke bench
+.PHONY: all build test race lint lint-report fuzz-smoke serve serve-smoke chaos-smoke wal-smoke shard-smoke replica-smoke bench bench-smoke
 
 all: build test lint
 
@@ -51,6 +51,15 @@ fuzz-smoke:
 # per-layer run.
 bench:
 	$(GO) run ./bench
+
+# bench-smoke is CI's "Micro-benchmarks (smoke)" step: one iteration of
+# every Benchmark* in the packages a layer's cost is judged by, so they
+# keep compiling and running. This is the one list of those packages.
+BENCH_PKGS = ./internal/core/ ./internal/ccam/ ./internal/graph/ ./internal/rtree/ ./internal/shard/ \
+	./internal/btree/ ./internal/invindex/ ./internal/sig/ ./internal/storage/
+
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # serve boots the HTTP query server on a generated dataset (docs/SERVING.md).
 serve:

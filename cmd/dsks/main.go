@@ -30,6 +30,7 @@ import (
 
 	"dsks"
 	"dsks/internal/dataset"
+	"dsks/internal/engine"
 	"dsks/internal/metrics"
 	"dsks/internal/obj"
 )
@@ -206,7 +207,7 @@ func runQuery(ctx context.Context, db *dsks.DB,
 }
 
 // printStats renders the metrics snapshot: one line per active query kind,
-// then the buffer pools.
+// then the buffer pools and what the queries' page memos held.
 func printStats(snap metrics.Snapshot) {
 	fmt.Printf("--- metrics (%d queries) ---\n", snap.TotalQueries())
 	for _, kind := range metrics.Kinds() {
@@ -226,5 +227,9 @@ func printStats(snap metrics.Snapshot) {
 		p := snap.Pools[name]
 		fmt.Printf("pool %-10s logical=%-8d disk=%-8d hit-rate=%.1f%%\n",
 			name, p.LogicalReads, p.DiskReads, 100*p.HitRate)
+	}
+	if n := snap.Counters[engine.CounterPagesQueries]; n > 0 {
+		fmt.Printf("index pages held per query (outside the buffer): mean=%.1f max=%d\n",
+			float64(snap.Counters[engine.CounterPagesHeld])/float64(n), snap.Counters[engine.GaugePagesHeldMax])
 	}
 }

@@ -190,16 +190,18 @@ func setInternalChild(p *storage.Page, i int, id storage.PageID) {
 
 // --- lookup ---------------------------------------------------------------
 
-// findLeafAt descends to the leaf that would contain key.
-func findLeafAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (storage.PageID, error) {
+// findLeafAt descends to the leaf that would contain key and returns it:
+// one page request per level, so a lookup costs exactly Meta.Height of
+// them.
+func findLeafAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (*storage.Page, error) {
 	id := m.Root
 	for {
 		p, err := r.GetCtx(ctx, id)
 		if err != nil {
-			return storage.InvalidPageID, err
+			return nil, err
 		}
 		if pageKind(p) == kindLeaf {
-			return id, nil
+			return p, nil
 		}
 		n := pageCount(p)
 		// First separator strictly greater than key; descend left of it.
@@ -212,11 +214,7 @@ func findLeafAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (
 // through r, or ErrNotFound. A done ctx aborts the descent before the next
 // page read.
 func GetAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (uint64, error) {
-	leafID, err := findLeafAt(ctx, r, m, key)
-	if err != nil {
-		return 0, err
-	}
-	p, err := r.GetCtx(ctx, leafID)
+	p, err := findLeafAt(ctx, r, m, key)
 	if err != nil {
 		return 0, err
 	}
@@ -232,11 +230,7 @@ func GetAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (uint6
 // ErrNotFound. The tree shape (and thus Meta) is unchanged; against a
 // WriteBatch the modified leaf becomes a copy-on-write version.
 func UpdateAt(p storage.Pager, m Meta, key, value uint64) error {
-	leafID, err := findLeafAt(context.Background(), p, m, key)
-	if err != nil {
-		return err
-	}
-	pg, err := p.Get(leafID)
+	pg, err := findLeafAt(context.Background(), p, m, key)
 	if err != nil {
 		return err
 	}
@@ -246,7 +240,7 @@ func UpdateAt(p storage.Pager, m Meta, key, value uint64) error {
 		return fmt.Errorf("%w: %d", ErrNotFound, key)
 	}
 	setLeafKV(pg, i, key, value)
-	p.MarkDirty(leafID)
+	p.MarkDirty(pg.ID())
 	return nil
 }
 
@@ -254,18 +248,13 @@ func UpdateAt(p storage.Pager, m Meta, key, value uint64) error {
 // rooted at m, read through r, in ascending key order, until fn returns
 // false or the range is exhausted.
 func ScanAt(r storage.PageReader, m Meta, lo, hi uint64, fn func(key, val uint64) bool) error {
-	leafID, err := findLeafAt(context.Background(), r, m, lo)
+	p, err := findLeafAt(context.Background(), r, m, lo)
 	if err != nil {
 		return err
 	}
-	for leafID != storage.InvalidPageID {
-		p, err := r.Get(leafID)
-		if err != nil {
-			return err
-		}
+	for {
 		n := pageCount(p)
 		i := sort.Search(n, func(i int) bool { return leafKey(p, i) >= lo })
-		next := leafNext(p)
 		for ; i < n; i++ {
 			k := leafKey(p, i)
 			if k > hi {
@@ -275,9 +264,14 @@ func ScanAt(r storage.PageReader, m Meta, lo, hi uint64, fn func(key, val uint64
 				return nil
 			}
 		}
-		leafID = next
+		next := leafNext(p)
+		if next == storage.InvalidPageID {
+			return nil
+		}
+		if p, err = r.Get(next); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // --- insert ---------------------------------------------------------------

@@ -402,3 +402,47 @@ func TestModelBasedOps(t *testing.T) {
 		t.Fatalf("scan saw %d keys, model has %d", count, len(model))
 	}
 }
+
+// TestGetCostsOneRequestPerLevel: the descent hands its leaf to the
+// caller, so a lookup, an update and the first leaf of a scan each make
+// exactly Meta.Height page requests, hit or miss, found or not.
+func TestGetCostsOneRequestPerLevel(t *testing.T) {
+	for _, n := range []int{1, 150, 5_000, 60_000} {
+		entries := make([]Entry, n)
+		for i := range entries {
+			entries[i] = Entry{Key: uint64(i) * 3, Value: uint64(i)}
+		}
+		pool := newPool(4096)
+		tr, err := BulkLoad(pool, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		height := int64(tr.Height())
+		if n == 60_000 && height != 3 {
+			t.Fatalf("60k keys built a tree of height %d; the test wants the served index's 3", height)
+		}
+		io := pool.Stats()
+		requests := func(op func()) int64 {
+			before := io.LogicalRead.Load()
+			op()
+			return io.LogicalRead.Load() - before
+		}
+		for _, key := range []uint64{0, uint64(n/2) * 3, uint64(n-1) * 3, uint64(n)*3 + 1, 1} {
+			if got := requests(func() { _, _ = tr.Get(key) }); got != height {
+				t.Errorf("n=%d: Get(%d) made %d page requests, want the height %d", n, key, got, height)
+			}
+		}
+		if got := requests(func() {
+			if err := tr.Update(0, 9); err != nil {
+				t.Error(err)
+			}
+		}); got != height {
+			t.Errorf("n=%d: Update made %d page requests, want %d", n, got, height)
+		}
+		if got := requests(func() {
+			_ = tr.Scan(0, 0, func(_, _ uint64) bool { return true })
+		}); got != height {
+			t.Errorf("n=%d: a one-leaf Scan made %d page requests, want %d", n, got, height)
+		}
+	}
+}

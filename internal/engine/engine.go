@@ -51,6 +51,17 @@ const (
 	CounterDistSettled     = "dist_settled_total"
 )
 
+// Names of the page-memo figures on /varz and /metricsz: the pages the
+// finished queries held in their storage.PageMemo (summed, and the most
+// one query held) and the number of queries that had one. Held pages are
+// memory outside the buffer budget, at most the pool's frame count per
+// in-flight query; the mean is total over queries.
+const (
+	CounterPagesHeld    = "index_pages_held_total"
+	CounterPagesQueries = "index_pages_held_queries_total"
+	GaugePagesHeldMax   = "index_pages_held_max"
+)
+
 // Options configures a build.
 type Options struct {
 	// BufferFraction sizes every LRU pool as this fraction of the network
@@ -168,12 +179,27 @@ type Network struct {
 	frames    int                   // the buffer budget of every pool
 	pools     []*storage.BufferPool // network, then oracle if built
 	traceHook atomic.Value          // of TraceHook
+	pagesHeld heldPages
+}
+
+// heldPages are the page-memo figures in the registry.
+type heldPages struct{ total, queries, max *atomic.Int64 }
+
+func (h heldPages) observe(n int64) {
+	h.total.Add(n)
+	h.queries.Add(1)
+	metrics.StoreMax(h.max, n)
 }
 
 // NewNetwork lays the road network out in CCAM pages and, with
 // Options.Oracle, builds or loads the landmark oracle.
 func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 	n := &Network{Opts: opts.withDefaults(), Graph: g, Metrics: metrics.NewRegistry()}
+	n.pagesHeld = heldPages{
+		total:   n.Metrics.Counter(CounterPagesHeld),
+		queries: n.Metrics.Counter(CounterPagesQueries),
+		max:     n.Metrics.Counter(GaugePagesHeldMax),
+	}
 
 	pool, err := n.newPool("network")
 	if err != nil {
@@ -300,7 +326,9 @@ func (n *Network) SetTraceHook(h TraceHook) { n.traceHook.Store(h) }
 type Engine struct {
 	*Network
 	Kind IndexKind
-	// Loader answers queries against the index as built.
+	// Loader answers queries against the index as built. The run path
+	// uses it only for an index without versions; for the others it binds
+	// a reader per query (begin).
 	Loader index.Loader
 	// Versions is the index's copy-on-write seam, nil for a structure
 	// that is immutable after build (IR).
@@ -316,6 +344,7 @@ type Engine struct {
 	BuildTime time.Duration
 	SizeBytes int64
 
+	built *Roots                // the root set as built: what the zero Snapshot reads
 	pools []*storage.BufferPool // the network's pools, then Pool: what a query can read
 }
 
@@ -392,7 +421,17 @@ func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize 
 	case *invindex.Loader:
 		e.Versions = ifVersions{l}
 	}
+	if e.Versions != nil {
+		e.built = e.Versions.Roots()
+	}
 	return e, nil
+}
+
+// Union reports whether the index provides OR-semantics loads, which
+// ranked and collective queries need.
+func (e *Engine) Union() bool {
+	_, ok := e.Loader.(index.UnionLoader)
+	return ok
 }
 
 // DiskReads returns the buffer misses of the engine's pools since the

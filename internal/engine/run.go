@@ -9,6 +9,7 @@ import (
 	"dsks/internal/core"
 	"dsks/internal/index"
 	"dsks/internal/metrics"
+	"dsks/internal/storage"
 )
 
 // Result is a query outcome with its cost metrics. Every query family
@@ -48,23 +49,57 @@ const (
 	AlgoCOM DivAlgo = "COM"
 )
 
+// Snapshot is what one query reads the object index at: a published root
+// set and the page source pinned at its LSN (the database's views hand
+// theirs in). The zero Snapshot is the index as built, read through the
+// engine's own pool — what the experiments run against, and all there is
+// for an index without versions.
+type Snapshot struct {
+	Roots *Roots
+	Pages storage.PageReader
+}
+
 // span is one query's accounting window: the read counters and the clock
-// as they stood when it began.
+// as they stood when it began, and the query's page memo.
 type span struct {
 	e      *Engine
 	kind   metrics.QueryKind
 	before int64
 	start  time.Time
+	pages  *storage.PageMemo // nil for an index without versions
 }
 
-func (e *Engine) begin(kind metrics.QueryKind) span {
-	return span{e: e, kind: kind, before: e.DiskReads(), start: time.Now()}
+// begin opens a query's window and binds the index's query logic for this
+// one query: a reader of at's roots over a fresh page memo, so every index
+// page is read at most once per query however long the view lives and
+// whoever else shares it. An index without versions answers through the
+// loader it was built with.
+func (e *Engine) begin(kind metrics.QueryKind, at Snapshot) (span, index.Loader) {
+	s := span{e: e, kind: kind, before: e.DiskReads(), start: time.Now()}
+	if e.Versions == nil {
+		return s, e.Loader
+	}
+	if at.Roots == nil {
+		at = Snapshot{Roots: e.built, Pages: e.Pool}
+	}
+	s.pages = storage.NewPageMemo(at.Pages, e.frames)
+	return s, e.Versions.ReaderAt(s.pages, at.Roots)
+}
+
+// beginUnion is begin for the families that need OR-semantics loads.
+func (e *Engine) beginUnion(kind metrics.QueryKind, at Snapshot) (span, index.UnionLoader, error) {
+	if !e.Union() {
+		return span{}, nil, fmt.Errorf("engine: index %s has no union (OR) loads", e.Kind)
+	}
+	s, loader := e.begin(kind, at)
+	return s, loader.(index.UnionLoader), nil
 }
 
 // end is the one place a query is accounted: elapsed time and the
 // disk-read delta go into the envelope, one sample (with the work done up
-// to a failure, and cancellations classified) into the registry, and a
-// successful query's trace to the hook.
+// to a failure, and cancellations classified) into the registry, the pages
+// its memo held into the page-memo figures, and a successful query's trace
+// to the hook.
 func (s span) end(res Result, err error) (Result, error) {
 	res.Elapsed = time.Since(s.start)
 	res.DiskReads = s.e.DiskReads() - s.before
@@ -80,6 +115,9 @@ func (s span) end(res Result, err error) (Result, error) {
 		PairDistCalcs: res.Stats.PairDistCalcs,
 		DiskReads:     res.DiskReads,
 	})
+	if s.pages != nil {
+		s.e.pagesHeld.observe(int64(s.pages.Held()))
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -89,12 +127,11 @@ func (s span) end(res Result, err error) (Result, error) {
 	return res, nil
 }
 
-// Search executes a boolean SK query (Algorithm 3) through loader — the
-// engine's own, or a snapshot-bound reader of the same index. ctx cancels
-// or deadline-bounds every family (core.ErrCanceled /
-// core.ErrDeadlineExceeded).
-func (e *Engine) Search(ctx context.Context, loader index.Loader, q core.SKQuery) (Result, error) {
-	s := e.begin(metrics.KindSearch)
+// Search executes a boolean SK query (Algorithm 3) against the index at
+// the given snapshot. ctx cancels or deadline-bounds every family
+// (core.ErrCanceled / core.ErrDeadlineExceeded).
+func (e *Engine) Search(ctx context.Context, at Snapshot, q core.SKQuery) (Result, error) {
+	s, loader := e.begin(metrics.KindSearch, at)
 	search, err := core.NewSKSearch(ctx, e.File, loader, q)
 	if err != nil {
 		return s.end(Result{}, err)
@@ -106,7 +143,7 @@ func (e *Engine) Search(ctx context.Context, loader index.Loader, q core.SKQuery
 // SearchDiversified executes a diversified SK query with SEQ or COM (the
 // paper evaluates both over SIF). An unknown algo fails with an error
 // matching ErrBadOptions before any I/O.
-func (e *Engine) SearchDiversified(ctx context.Context, loader index.Loader, algo DivAlgo, q core.DivQuery) (Result, error) {
+func (e *Engine) SearchDiversified(ctx context.Context, at Snapshot, algo DivAlgo, q core.DivQuery) (Result, error) {
 	search := core.SearchCOM
 	switch algo {
 	case AlgoCOM:
@@ -115,28 +152,36 @@ func (e *Engine) SearchDiversified(ctx context.Context, loader index.Loader, alg
 	default:
 		return Result{}, fmt.Errorf("%w: unknown diversified algorithm %q", ErrBadOptions, algo)
 	}
-	s := e.begin(metrics.KindDiversified)
+	s, loader := e.begin(metrics.KindDiversified, at)
 	res, err := search(ctx, e.SearchNet, loader, q)
 	return s.end(Result{Candidates: res.Objects, F: res.F, Stats: res.Stats, Trace: res.Trace}, err)
 }
 
 // SearchKNN executes a boolean kNN spatial keyword query.
-func (e *Engine) SearchKNN(ctx context.Context, loader index.Loader, q core.KNNQuery) (Result, error) {
-	s := e.begin(metrics.KindKNN)
+func (e *Engine) SearchKNN(ctx context.Context, at Snapshot, q core.KNNQuery) (Result, error) {
+	s, loader := e.begin(metrics.KindKNN, at)
 	cands, stats, trace, err := core.SearchKNN(ctx, e.File, loader, q)
 	return s.end(Result{Candidates: cands, Stats: stats, Trace: trace}, err)
 }
 
-// SearchRanked executes a top-k ranked spatial keyword query.
-func (e *Engine) SearchRanked(ctx context.Context, loader index.UnionLoader, q core.RankedQuery) (Result, error) {
-	s := e.begin(metrics.KindRanked)
+// SearchRanked executes a top-k ranked spatial keyword query. The index
+// must provide union (OR) loads (Engine.Union).
+func (e *Engine) SearchRanked(ctx context.Context, at Snapshot, q core.RankedQuery) (Result, error) {
+	s, loader, err := e.beginUnion(metrics.KindRanked, at)
+	if err != nil {
+		return Result{}, err
+	}
 	ranked, stats, trace, err := core.SearchRanked(ctx, e.File, loader, q)
 	return s.end(Result{Ranked: ranked, Stats: stats, Trace: trace}, err)
 }
 
-// SearchCollective executes a collective (group keyword cover) query.
-func (e *Engine) SearchCollective(ctx context.Context, loader index.UnionLoader, q core.CollectiveQuery) (Result, error) {
-	s := e.begin(metrics.KindCollective)
+// SearchCollective executes a collective (group keyword cover) query. The
+// index must provide union (OR) loads (Engine.Union).
+func (e *Engine) SearchCollective(ctx context.Context, at Snapshot, q core.CollectiveQuery) (Result, error) {
+	s, loader, err := e.beginUnion(metrics.KindCollective, at)
+	if err != nil {
+		return Result{}, err
+	}
 	group, stats, trace, err := core.SearchCollective(ctx, e.File, loader, q)
 	return s.end(Result{Collective: &group, Stats: stats, Trace: trace}, err)
 }
@@ -155,11 +200,12 @@ type Stream struct {
 	res     Result
 }
 
-// Stream starts an incremental boolean search through loader. release,
-// when non-nil, runs once when the stream finishes (the database closes a
-// stream-owned view there).
-func (e *Engine) Stream(ctx context.Context, loader index.Loader, q core.SKQuery, release func()) (*Stream, error) {
-	s := e.begin(metrics.KindStream)
+// Stream starts an incremental boolean search at the given snapshot; its
+// page memo lives as long as the stream. release, when non-nil, runs once
+// when the stream finishes (the database closes a stream-owned view
+// there).
+func (e *Engine) Stream(ctx context.Context, at Snapshot, q core.SKQuery, release func()) (*Stream, error) {
+	s, loader := e.begin(metrics.KindStream, at)
 	search, err := core.NewSKSearch(ctx, e.File, loader, q)
 	if err != nil {
 		_, err = s.end(Result{}, err)

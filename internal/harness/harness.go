@@ -205,7 +205,7 @@ func (s *System) RunSK(ctx context.Context, kind IndexKind, q core.SKQuery) (eng
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return e.Search(ctx, e.Loader, q)
+	return e.Search(ctx, engine.Snapshot{}, q)
 }
 
 // RunDiv executes a diversified SK query with SEQ or COM over the given
@@ -215,7 +215,7 @@ func (s *System) RunDiv(ctx context.Context, kind IndexKind, algo DivAlgo, q cor
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return e.SearchDiversified(ctx, e.Loader, algo, q)
+	return e.SearchDiversified(ctx, engine.Snapshot{}, algo, q)
 }
 
 // RunKNN executes a boolean kNN spatial keyword query.
@@ -224,41 +224,40 @@ func (s *System) RunKNN(ctx context.Context, kind IndexKind, q core.KNNQuery) (e
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return e.SearchKNN(ctx, e.Loader, q)
+	return e.SearchKNN(ctx, engine.Snapshot{}, q)
 }
 
-// unionEngine returns the engine of the given kind with its loader as a
-// union loader, or an error when the index supports only boolean AND loads.
-func (s *System) unionEngine(kind IndexKind) (*engine.Engine, index.UnionLoader, error) {
+// unionEngine returns the engine of the given kind, or an error when the
+// index supports only boolean AND loads.
+func (s *System) unionEngine(kind IndexKind) (*engine.Engine, error) {
 	e, err := s.engine(kind)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ul, ok := e.Loader.(index.UnionLoader)
-	if !ok {
-		return nil, nil, fmt.Errorf("harness: index %q does not support union (OR) loads", kind)
+	if !e.Union() {
+		return nil, fmt.Errorf("harness: index %q does not support union (OR) loads", kind)
 	}
-	return e, ul, nil
+	return e, nil
 }
 
 // RunRanked executes a top-k ranked spatial keyword query. The index must
 // provide union (OR) loads.
 func (s *System) RunRanked(ctx context.Context, kind IndexKind, q core.RankedQuery) (engine.Result, error) {
-	e, ul, err := s.unionEngine(kind)
+	e, err := s.unionEngine(kind)
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return e.SearchRanked(ctx, ul, q)
+	return e.SearchRanked(ctx, engine.Snapshot{}, q)
 }
 
 // RunCollective executes a collective (group keyword cover) query. The
 // index must provide union (OR) loads.
 func (s *System) RunCollective(ctx context.Context, kind IndexKind, q core.CollectiveQuery) (engine.Result, error) {
-	e, ul, err := s.unionEngine(kind)
+	e, err := s.unionEngine(kind)
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return e.SearchCollective(ctx, ul, q)
+	return e.SearchCollective(ctx, engine.Snapshot{}, q)
 }
 
 // SKQueryOf converts a workload query into a core query.

@@ -10,10 +10,14 @@ import (
 	"dsks/internal/storage"
 )
 
+// BenchmarkLoadObjects is one AND probe of two terms through the pool.
+// allocs/op is the figure to watch: 17 with a map per term, 5 with the
+// intersection kept in the first term's slice.
 func BenchmarkLoadObjects(b *testing.B) {
 	_, col, _, loader, _ := buildFixture(b, 5000, 1)
 	edges := col.Edges()
 	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := edges[rng.Intn(len(edges))]

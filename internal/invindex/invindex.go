@@ -22,9 +22,11 @@
 package invindex
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -229,7 +231,7 @@ func newHeapPageAt(p storage.Pager, r *Roots) error {
 func readListAt(ctx context.Context, pr storage.PageReader, counter *atomic.Int64, ref uint64, e graph.EdgeID) ([]Posting, error) {
 	pageID, off, count := unpackListRef(ref)
 	counter.Add(int64(count))
-	var out []Posting
+	out := make([]Posting, 0, count)
 	for i := 0; i < count; {
 		page, err := pr.GetCtx(ctx, pageID)
 		if err != nil {
@@ -427,8 +429,8 @@ type Loader struct {
 
 // At returns a Reader running this loader's query logic against the page
 // source pr and the root snapshot r.
-func (l *Loader) At(pr storage.PageReader, r *Roots) *Reader {
-	return &Reader{Idx: l.Idx, PR: pr, Roots: r, Coder: l.Coder, SelectivityOrder: l.SelectivityOrder}
+func (l *Loader) At(pr storage.PageReader, r *Roots) Reader {
+	return Reader{Idx: l.Idx, PR: pr, Roots: r, Coder: l.Coder, SelectivityOrder: l.SelectivityOrder}
 }
 
 // LoadObjects implements index.Loader against the live roots.
@@ -442,9 +444,11 @@ func (l *Loader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj
 }
 
 // Reader is a Loader bound to an explicit page source and root snapshot:
-// with a pinned storage.PageView and a published Roots it answers queries
-// latch-free at one LSN; with the buffer pool and the live roots it is the
-// legacy read path.
+// with a page source over a pinned storage.PageView and a published Roots
+// it answers queries latch-free at one LSN; with the buffer pool and the
+// live roots it is the legacy read path. It is a small value made per
+// query (the engine binds one to the query's storage.PageMemo), not a
+// long-lived handle.
 type Reader struct {
 	Idx              *Index
 	PR               storage.PageReader
@@ -455,13 +459,18 @@ type Reader struct {
 
 // TermPostingsCtx returns term t's postings on edge e at this reader's
 // snapshot.
-func (rd *Reader) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
+func (rd Reader) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
 	return rd.Idx.termPostingsAt(ctx, rd.PR, rd.Roots, t, e, zcode)
 }
 
+func byObject(a, b Posting) int { return cmp.Compare(a.Object, b.Object) }
+
 // LoadObjects implements index.Loader: it loads R_t for every query term
 // and returns the intersection (rarest-first when SelectivityOrder is on).
-func (rd *Reader) LoadObjects(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]index.ObjectRef, error) {
+// The lists of one edge hold a handful of postings, so the intersection is
+// a merge of object-sorted slices kept in the first term's slice, not a
+// map per term.
+func (rd Reader) LoadObjects(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]index.ObjectRef, error) {
 	if len(terms) == 0 {
 		return nil, nil
 	}
@@ -469,7 +478,7 @@ func (rd *Reader) LoadObjects(ctx context.Context, e graph.EdgeID, terms []obj.T
 		terms = bySelectivity(rd.Roots.TermPostings, terms)
 	}
 	z := rd.Coder.EdgeZCode(e)
-	var inter map[obj.ID]Posting
+	var inter []Posting
 	for i, t := range terms {
 		ps, err := rd.TermPostingsCtx(ctx, t, e, z)
 		if err != nil {
@@ -478,36 +487,35 @@ func (rd *Reader) LoadObjects(ctx context.Context, e graph.EdgeID, terms []obj.T
 		if len(ps) == 0 {
 			return nil, nil
 		}
+		slices.SortFunc(ps, byObject)
 		if i == 0 {
-			inter = make(map[obj.ID]Posting, len(ps))
-			for _, p := range ps {
-				inter[p.Object] = p
-			}
+			inter = ps
 			continue
 		}
-		next := make(map[obj.ID]Posting, len(inter))
-		for _, p := range ps {
-			if _, ok := inter[p.Object]; ok {
-				next[p.Object] = p
+		kept, j := inter[:0], 0
+		for _, p := range inter {
+			for j < len(ps) && ps[j].Object < p.Object {
+				j++
+			}
+			if j < len(ps) && ps[j].Object == p.Object {
+				kept = append(kept, p)
 			}
 		}
-		inter = next
-		if len(inter) == 0 {
+		if inter = kept; len(inter) == 0 {
 			return nil, nil
 		}
 	}
-	out := make([]index.ObjectRef, 0, len(inter))
-	for _, p := range inter {
-		out = append(out, index.ObjectRef{ID: p.Object, Edge: p.Edge, Offset: p.Offset})
+	out := make([]index.ObjectRef, len(inter))
+	for i, p := range inter {
+		out[i] = index.ObjectRef{ID: p.Object, Edge: p.Edge, Offset: p.Offset}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }
 
 // LoadObjectsAny implements index.UnionLoader: objects on e containing at
 // least one query term, with their distinct-term match counts (the OR
 // semantics of the ranked spatial keyword query).
-func (rd *Reader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]index.ObjectMatch, error) {
+func (rd Reader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]index.ObjectMatch, error) {
 	if len(terms) == 0 {
 		return nil, nil
 	}

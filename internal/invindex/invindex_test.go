@@ -2,7 +2,7 @@ package invindex
 
 import (
 	"context"
-
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -86,9 +86,12 @@ func TestLoadObjectsMatchesBruteForce(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("edge %d terms %v: got %d, want %d", e, terms, len(got), len(want))
 		}
-		for _, r := range got {
+		for i, r := range got {
 			if !want[r.ID] {
 				t.Fatalf("edge %d terms %v: spurious object %d", e, terms, r.ID)
+			}
+			if i > 0 && got[i-1].ID >= r.ID {
+				t.Fatalf("edge %d terms %v: objects not in ascending ID order: %v", e, terms, got)
 			}
 			o := col.Get(r.ID)
 			if r.Edge != e || o.Pos.Offset != r.Offset {
@@ -380,5 +383,39 @@ func TestDynamicModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestProbeChecksContextOnMemoHit is the index-side twin of core's
+// TestSettleChecksContextOnMemoHit: once a query's page memo holds every
+// page of a probe, repeating the probe asks the pool for nothing, and a
+// context cancelled in between still stops it on its first page.
+func TestProbeChecksContextOnMemoHit(t *testing.T) {
+	_, col, idx, loader, stats := buildFixture(t, 500, 5)
+	e := col.Edges()[0]
+	terms := col.Get(col.OnEdge(e)[0]).Terms[:1]
+	roots := idx.Roots()
+	rd := loader.At(storage.NewPageMemo(idx.Pool().ViewAt(0), 64), &roots)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	want, err := rd.LoadObjects(ctx, e, terms)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("first probe: %d objects, err %v", len(want), err)
+	}
+	before := stats.Snapshot()
+	got, err := rd.LoadObjects(ctx, e, terms)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("probe from the memo: %v, err %v; want %v", got, err, want)
+	}
+	if stats.Snapshot() != before {
+		t.Fatalf("a probe served from the memo reached the pool: %+v -> %+v", before, stats.Snapshot())
+	}
+	cancel()
+	if _, err := rd.LoadObjects(ctx, e, terms); !errors.Is(err, context.Canceled) {
+		t.Fatalf("probe on a warm memo under a cancelled context: %v, want context.Canceled", err)
+	}
+	if _, err := rd.LoadObjectsAny(ctx, e, terms); !errors.Is(err, context.Canceled) {
+		t.Fatalf("union probe on a warm memo under a cancelled context: %v, want context.Canceled", err)
 	}
 }

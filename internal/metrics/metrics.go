@@ -78,13 +78,15 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.count.Add(1)
 	h.sum.Add(int64(d))
-	for {
-		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
+	StoreMax(&h.max, int64(d))
 	h.buckets[bucketOf(d)].Add(1)
+}
+
+// StoreMax raises a to v if v is larger: the lock-free running maximum
+// behind Histogram.Max and the gauges kept as named counters.
+func StoreMax(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur && !a.CompareAndSwap(cur, v); cur = a.Load() {
+	}
 }
 
 // Reset zeroes the histogram.
@@ -234,7 +236,8 @@ func NewRegistry() *Registry {
 // Callers should cache the returned pointer for hot paths; Add/Load on it
 // are plain atomics. Counter values appear in snapshots and in the
 // Prometheus rendering (the name is used verbatim as the metric name, so
-// use prometheus-style snake_case names such as "server_cache_hits").
+// use prometheus-style snake_case names such as "server_cache_hits_total";
+// a name without the _total suffix is rendered as a gauge).
 func (r *Registry) Counter(name string) *atomic.Int64 {
 	if c, ok := r.counters.Load(name); ok {
 		return c.(*atomic.Int64)

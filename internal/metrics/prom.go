@@ -14,7 +14,7 @@ import (
 
 // WritePrometheus renders s in the Prometheus text exposition format.
 // Query metrics are labeled by kind, pool metrics by pool, and named
-// counters appear under their registered names. Rendering is entirely
+// counters and gauges appear under their registered names. Rendering is entirely
 // from the snapshot, so one snapshot produces one consistent scrape.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	bw := &errWriter{w: w}
@@ -90,8 +90,14 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		bw.printf("dsks_pool_hit_rate{pool=%q} %s\n", name, formatFloat(s.Pools[name].HitRate))
 	}
 
+	// Named values follow the Prometheus convention: cumulative counters
+	// end in _total, anything else (an LSN, a lag, a maximum) is a gauge.
 	for _, name := range s.CounterNames() {
-		bw.printf("# TYPE %s counter\n", name)
+		kind := "gauge"
+		if strings.HasSuffix(name, "_total") {
+			kind = "counter"
+		}
+		bw.printf("# TYPE %s %s\n", name, kind)
 		bw.printf("%s %d\n", name, s.Counters[name])
 	}
 	return bw.err

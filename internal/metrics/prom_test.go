@@ -14,8 +14,9 @@ func TestWritePrometheus(t *testing.T) {
 	r.RegisterPool("net", func() PoolCounters {
 		return PoolCounters{LogicalReads: 100, DiskReads: 25, ReadRetries: 3, CorruptPages: 1}
 	})
-	r.Counter("server_cache_hits").Add(3)
-	r.Counter("server_cache_misses").Add(9)
+	r.Counter("server_cache_hits_total").Add(3)
+	r.Counter("server_cache_misses_total").Add(9)
+	r.Counter("index_pages_held_max").Store(12)
 
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, r.Snapshot()); err != nil {
@@ -36,9 +37,12 @@ func TestWritePrometheus(t *testing.T) {
 		`dsks_pool_read_retries_total{pool="net"} 3`,
 		`dsks_pool_corrupt_pages_total{pool="net"} 1`,
 		`dsks_pool_hit_rate{pool="net"} 0.75`,
-		"# TYPE server_cache_hits counter",
-		"server_cache_hits 3",
-		"server_cache_misses 9",
+		"# TYPE server_cache_hits_total counter",
+		"server_cache_hits_total 3",
+		"server_cache_misses_total 9",
+		// A named value that is not a running total is a gauge.
+		"# TYPE index_pages_held_max gauge",
+		"index_pages_held_max 12",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q\n%s", want, out)

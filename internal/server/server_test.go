@@ -334,6 +334,10 @@ func TestObservabilityEndpoints(t *testing.T) {
 		"server_cache_hits_total",
 		"server_admission_rejected_total 0",
 		"server_requests_total",
+		// The pages the queries held outside the buffer budget.
+		"# TYPE index_pages_held_max gauge",
+		"# TYPE index_pages_held_total counter",
+		"index_pages_held_queries_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metricsz missing %q", want)

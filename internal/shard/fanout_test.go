@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dsks"
+	"dsks/internal/engine"
 )
 
 func testSet(t *testing.T, n int, opts Options) (*Set, *dsks.Dataset) {
@@ -51,6 +52,13 @@ func TestFanoutFirstErrorWins(t *testing.T) {
 	}
 	if m := mv.Meta(); len(m.Queried) != 4 || m.Partial {
 		t.Fatalf("healthy meta = %+v, want 4 full legs", m)
+	}
+	// The router's snapshot folds in what the four legs' page memos held.
+	c := set.Snapshot().Counters
+	if c[engine.CounterPagesQueries] != 4 || c[engine.GaugePagesHeldMax] < 1 ||
+		c[engine.CounterPagesHeld] < c[engine.GaugePagesHeldMax] {
+		t.Fatalf("page-memo figures after one four-leg query: %d queries, %d pages held, %d at most",
+			c[engine.CounterPagesQueries], c[engine.CounterPagesHeld], c[engine.GaugePagesHeldMax])
 	}
 
 	// Take one shard down: permanent read faults on shard 2 only.

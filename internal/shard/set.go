@@ -406,9 +406,10 @@ func (s *Set) Metrics() *metrics.Registry { return s.reg }
 func (s *Set) Snapshot() metrics.Snapshot {
 	snap := s.reg.Snapshot()
 	// The distance-oracle counter family lives in each shard's own
-	// registry (and, for the router's merge engine, in s.reg); fold the
-	// shard contributions in so a sharded /varz reports oracle
-	// effectiveness for the whole set, like a single node does.
+	// registry (and, for the router's merge engine, in s.reg), and the
+	// page-memo figures in the shards' alone; fold the shard
+	// contributions in so a sharded /varz reports both for the whole
+	// set, like a single node does.
 	for i := range s.shards {
 		db := s.shards[i].db
 		if db == nil {
@@ -420,10 +421,15 @@ func (s *Set) Snapshot() metrics.Snapshot {
 			engine.CounterOracleUBHits,
 			engine.CounterOraclePopsSaved,
 			engine.CounterDistSettled,
+			engine.CounterPagesHeld,
+			engine.CounterPagesQueries,
 		} {
 			if v := sub.Counters[name]; v != 0 {
 				snap.Counters[name] += v
 			}
+		}
+		if v := sub.Counters[engine.GaugePagesHeldMax]; v > snap.Counters[engine.GaugePagesHeldMax] {
+			snap.Counters[engine.GaugePagesHeldMax] = v
 		}
 	}
 	return snap

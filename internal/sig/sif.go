@@ -244,8 +244,9 @@ func (s *SIF) RemoveObjectAt(p storage.Pager, inv *invindex.Roots, id obj.ID, e 
 
 // ReaderAt returns a SIFReader running the signature-filtered query logic
 // against the page source pr and the root snapshots inv (inverted file)
-// and r (signatures). With a pinned storage.PageView and published roots
-// the reader is latch-free and consistent at one LSN.
+// and r (signatures). With a page source over a pinned storage.PageView
+// and published roots the reader is latch-free and consistent at one LSN.
+// It is one small allocation, made per query.
 func (s *SIF) ReaderAt(pr storage.PageReader, inv *invindex.Roots, r *Roots) *SIFReader {
 	return &SIFReader{s: s, inner: s.inner.At(pr, inv), sigs: r.Sigs}
 }
@@ -255,7 +256,7 @@ func (s *SIF) ReaderAt(pr storage.PageReader, inv *invindex.Roots, r *Roots) *SI
 // statistics, not versioned state).
 type SIFReader struct {
 	s     *SIF
-	inner *invindex.Reader
+	inner invindex.Reader
 	sigs  []*TermSignature
 }
 

@@ -33,6 +33,21 @@ func BenchmarkPoolGetHit(b *testing.B) {
 	}
 }
 
+// BenchmarkPageMemoHit is BenchmarkPoolGetHit's twin one layer up: the
+// same ten pages (one query's worth) asked of a warm memo instead of the
+// pool, through the view a query would use.
+func BenchmarkPageMemoHit(b *testing.B) {
+	pool, ids := benchPoolWithPages(b, 64, 10)
+	m := NewPageMemo(pool.ViewAt(0), 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Get(ids[i%len(ids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPoolGetMiss(b *testing.B) {
 	pool, ids := benchPoolWithPages(b, 2, 512) // nearly every access misses
 	rng := rand.New(rand.NewSource(1))

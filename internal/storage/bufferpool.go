@@ -100,10 +100,21 @@ func transientFault(err error) bool {
 
 // BufferPool is an LRU page cache in front of a PageFile. The paper uses an
 // LRU buffer sized at 2% of the network dataset; use FramesForBudget to
-// derive the frame count. BufferPool is safe for concurrent use, but a
-// *Page returned by Get must not be used after subsequent pool calls from
-// the same goroutine chain (frames are recycled on eviction). Callers that
-// mutate a page must call MarkDirty before releasing it.
+// derive the frame count. BufferPool is safe for concurrent use.
+//
+// The page contract. A frame is never recycled: every miss reads into a
+// freshly allocated frame, and eviction, DropAll and FoldTo only unlink a
+// frame from the pool, leaving the *Page to the garbage collector. A base
+// page is written in place only through the pool's own Pager surface
+// (Allocate, Get + MarkDirty), which is the single-threaded build path and
+// ends before the first reader; from then on every mutation goes to the
+// private copies of a WriteBatch, Publish adds versions beside the ones
+// that exist and FoldTo writes the file, not a frame. So a *Page read
+// through a pinned PageView is immutable and stays valid and
+// byte-identical for as long as the reader holds it — after its frame is
+// evicted, after a fold drops it and after a later-LSN Publish of the same
+// page ID. PageMemo rests on this. A build-path caller that mutates a page
+// must call MarkDirty before releasing it.
 //
 // With checksums enabled (SetChecksums) the pool stamps a CRC32C of every
 // page it writes back and verifies it when the page is next read on a

@@ -25,8 +25,9 @@ const InvalidPageID PageID = 0
 var ErrPageBounds = errors.New("storage: access beyond page bounds")
 
 // Page is a fixed-size block of bytes with little-endian accessors. A Page
-// is obtained from a buffer pool and must not be retained across other pool
-// operations (the frame may be evicted and reused).
+// is obtained from a buffer pool, a view or a write batch; one read
+// through a pinned PageView is immutable and may be held past its frame's
+// eviction (the page contract on BufferPool).
 type Page struct {
 	id   PageID
 	data [PageSize]byte

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"dsks/internal/engine"
-	"dsks/internal/index"
 )
 
 // ErrViewClosed reports a query on a View after Close.
@@ -40,10 +39,13 @@ type dbRoots struct {
 // them closes, so forgetting Close leaks version-overlay memory (but never
 // corrupts anything). Queries on a closed view fail with ErrViewClosed.
 type View struct {
-	db     *DB
-	roots  *dbRoots
-	loader index.Loader
-	ul     index.UnionLoader // nil when the index lacks OR-semantics loads
+	db    *DB
+	roots *dbRoots
+	// at is what a query on this view reads: the root snapshot and a page
+	// view pinned at its LSN. The engine binds a reader with its own page
+	// memo to it per query, so a long-lived or shared view holds no query
+	// state. Zero for an index without versions.
+	at     engine.Snapshot
 	closed atomic.Bool
 }
 
@@ -68,13 +70,10 @@ func (db *DB) View(ctx context.Context) (*View, error) {
 		// The loaded root set was folded away before we pinned it; the
 		// current one is always pinnable, so reload and retry.
 	}
-	// Bind the index's query logic to the root snapshot and a page view
-	// pinned at its LSN; an index without versions reads the shared pool.
-	v := &View{db: db, roots: r, loader: db.eng.Loader}
+	v := &View{db: db, roots: r}
 	if r.idx != nil {
-		v.loader = db.eng.Versions.ReaderAt(db.eng.Pool.ViewAt(r.lsn), r.idx)
+		v.at = engine.Snapshot{Roots: r.idx, Pages: db.eng.Pool.ViewAt(r.lsn)}
 	}
-	v.ul, _ = v.loader.(index.UnionLoader)
 	return v, nil
 }
 
@@ -114,7 +113,7 @@ func (v *View) Search(ctx context.Context, q SKQuery) (Result, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	return v.db.eng.Search(ctx, v.loader, q)
+	return v.db.eng.Search(ctx, v.at, q)
 }
 
 // SearchDiversified runs a diversified spatial keyword query with the
@@ -130,7 +129,7 @@ func (v *View) SearchDiversifiedWith(ctx context.Context, algo Algo, q DivQuery)
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	return v.db.eng.SearchDiversified(ctx, v.loader, algo, q)
+	return v.db.eng.SearchDiversified(ctx, v.at, algo, q)
 }
 
 // SearchKNN returns the k nearest objects containing every query keyword,
@@ -139,7 +138,7 @@ func (v *View) SearchKNN(ctx context.Context, q KNNQuery) (Result, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	return v.db.eng.SearchKNN(ctx, v.loader, q)
+	return v.db.eng.SearchKNN(ctx, v.at, q)
 }
 
 // errUnsupportedQuery reports a query family the index kind cannot serve.
@@ -151,26 +150,26 @@ func (v *View) errUnsupportedQuery(family string) error {
 // view's snapshot. It requires an index with OR-semantics support (IF, SIF
 // or SIF-P); others fail with an error matching ErrUnsupportedIndex.
 func (v *View) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) {
-	if v.ul == nil {
+	if !v.db.eng.Union() {
 		return Result{}, v.errUnsupportedQuery("ranked")
 	}
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	return v.db.eng.SearchRanked(ctx, v.ul, q)
+	return v.db.eng.SearchRanked(ctx, v.at, q)
 }
 
 // SearchCollective finds a keyword-covering group against the view's
 // snapshot. It requires an index with OR-semantics support (IF, SIF or
 // SIF-P); others fail with an error matching ErrUnsupportedIndex.
 func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result, error) {
-	if v.ul == nil {
+	if !v.db.eng.Union() {
 		return Result{}, v.errUnsupportedQuery("collective")
 	}
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	return v.db.eng.SearchCollective(ctx, v.ul, q)
+	return v.db.eng.SearchCollective(ctx, v.at, q)
 }
 
 // Stream starts an incremental boolean search against the view's snapshot.
@@ -186,7 +185,7 @@ func (v *View) stream(ctx context.Context, q SKQuery, release func()) (*Stream, 
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return nil, err
 	}
-	return v.db.eng.Stream(ctx, v.loader, q, release)
+	return v.db.eng.Stream(ctx, v.at, q, release)
 }
 
 // NetworkDistance returns the exact network distance between two
