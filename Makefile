@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzPageRoundTrip -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run FuzzFrontierVsReference -fuzz FuzzFrontierVsReference -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run FuzzNodeTable -fuzz FuzzNodeTable -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run FuzzBTreeOps -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME) ./internal/btree/
 
 # bench runs the benchmark spine BENCHMARK.json declares: four served
 # workloads, end-to-end metrics with their regression bounds

@@ -188,7 +188,9 @@ func TestDBTransientFaultRetriedToSuccess(t *testing.T) {
 	if err := db.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetFaultSpec("read:every=3:max=2:transient"); err != nil {
+	// The cooled query reads two pages, one of the network and the index
+	// leaf that holds the list, so the campaign strikes the second.
+	if err := db.SetFaultSpec("read:every=2:max=2:transient"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := chaosQuery(t, db, vocab, origin)

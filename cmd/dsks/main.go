@@ -231,5 +231,6 @@ func printStats(snap metrics.Snapshot) {
 	if n := snap.Counters[engine.CounterPagesQueries]; n > 0 {
 		fmt.Printf("index pages held per query (outside the buffer): mean=%.1f max=%d\n",
 			float64(snap.Counters[engine.CounterPagesHeld])/float64(n), snap.Counters[engine.GaugePagesHeldMax])
+		fmt.Printf("index probes that left their leaf for an overflow list: %d\n", snap.Counters[engine.CounterOverflowReads])
 	}
 }

@@ -1,17 +1,18 @@
-// Package btree implements a disk-resident B+-tree with uint64 keys and
-// uint64 values, stored in 4KB pages behind a buffer pool. It is the spine
-// of every inverted file in the library: the key of an edge is the Z-order
-// code of its center point (disambiguated with the edge ID) and the value
-// points at the posting-list page chain for that edge.
+// Package btree implements a disk-resident, clustered B+-tree with uint64
+// keys and variable-length byte values, stored in 4KB pages behind a buffer
+// pool. It is the spine of every inverted file in the library: the key of
+// an edge is the Z-order code of its center point (under the term) and the
+// value is the edge's posting list itself, so a lookup ends on the page
+// that holds the list.
 //
-// The tree supports point lookup, ordered range scans, single insert and
-// sorted bulk loading (the construction path of the indexes).
+// The tree supports point lookup, ordered range scans, upsert and sorted
+// bulk loading (the construction path of the indexes).
 //
 // Tree state is split in two: the immutable Meta value (root page, height,
 // counts) and the page source the operation runs against. Every operation
 // exists in a form parameterized over storage.PageReader / storage.Pager —
-// GetAt, ScanAt, InsertAt, UpdateAt — so reads can run against an
-// LSN-pinned storage.PageView and mutations against a copy-on-write
+// GetAt, ScanAt, PutAt — so reads can run against an LSN-pinned
+// storage.PageView and mutations against a copy-on-write
 // storage.WriteBatch (the MVCC query path), while the Tree handle binds a
 // Meta to a concrete buffer pool for the single-threaded build path and
 // tests.
@@ -21,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dsks/internal/storage"
@@ -29,7 +31,11 @@ import (
 // Page layouts.
 //
 //	common header: kind uint16 (1 = leaf, 2 = internal), count uint16
-//	leaf:    next  uint32 (PageID of right sibling), count × (key u64, val u64)
+//	leaf:     next uint32 (PageID of right sibling), then the slot
+//	          directory, count × (key u64, end u16) in key order, then the
+//	          cell area: value i occupies [end(i-1), end(i)) of it, with
+//	          end(-1) = 0. Slots and cells are contiguous, so a leaf is
+//	          rewritten whole when an entry is added, grows or shrinks.
 //	internal: count × key u64, (count+1) × child u32
 const (
 	kindLeaf     = 1
@@ -37,9 +43,13 @@ const (
 
 	headerSize = 4
 	leafMeta   = headerSize + 4
-	leafEntry  = 16
-	// MaxLeafEntries is the number of (key, value) pairs a leaf page holds.
-	MaxLeafEntries = (storage.PageSize - leafMeta) / leafEntry
+	slotSize   = 10
+	// leafSpace is what a leaf has for slots and cells together.
+	leafSpace = storage.PageSize - leafMeta
+	// MaxValueSize bounds a value so that any leaf has room for four
+	// entries: a split then always finds a cut that leaves both halves
+	// within a page, however the sizes fall.
+	MaxValueSize = leafSpace/4 - slotSize
 
 	internalMeta = headerSize
 	// MaxInternalKeys is the number of separator keys an internal page holds.
@@ -50,12 +60,13 @@ const (
 // ErrNotFound is returned by Get for absent keys.
 var ErrNotFound = errors.New("btree: key not found")
 
-// ErrDuplicate is returned by Insert when the key already exists.
-var ErrDuplicate = errors.New("btree: duplicate key")
+// ErrValueTooLarge is returned by Put and BulkLoad for a value longer than
+// MaxValueSize.
+var ErrValueTooLarge = errors.New("btree: value exceeds MaxValueSize")
 
 // Meta is the versioned root state of a tree: everything needed to read or
 // mutate it besides the pages themselves. Meta is a small value; copying
-// it is how the MVCC layer snapshots a tree — a mutation through InsertAt
+// it is how the MVCC layer snapshots a tree — a mutation through PutAt
 // updates the caller's copy, leaving every previously published Meta
 // reading its old root unchanged.
 type Meta struct {
@@ -103,33 +114,23 @@ func (t *Tree) NumPages() int { return t.m.Pages }
 // SizeBytes returns the on-disk footprint of the tree.
 func (t *Tree) SizeBytes() int64 { return t.m.SizeBytes() }
 
-// Get returns the value stored under key, or ErrNotFound.
-func (t *Tree) Get(key uint64) (uint64, error) {
+// Get returns the value stored under key, or ErrNotFound (see GetAt for
+// how long the returned bytes stay valid).
+func (t *Tree) Get(key uint64) ([]byte, error) {
 	return GetAt(context.Background(), t.pool, t.m, key)
 }
 
-// GetCtx is Get with cancellation: a done ctx aborts the root-to-leaf
-// descent before the next page read.
-func (t *Tree) GetCtx(ctx context.Context, key uint64) (uint64, error) {
-	return GetAt(ctx, t.pool, t.m, key)
+// Scan calls fn with every key in lo <= key <= hi and the byte length of
+// its value, in ascending key order, until fn returns false or the range
+// is exhausted: the key walk of inspection tools. ScanAt hands out the
+// values themselves.
+func (t *Tree) Scan(lo, hi uint64, fn func(key, size uint64) bool) error {
+	return ScanAt(t.pool, t.m, lo, hi, func(k uint64, v []byte) bool { return fn(k, uint64(len(v))) })
 }
 
-// Update replaces the value stored under an existing key, or returns
-// ErrNotFound. The tree shape is unchanged.
-func (t *Tree) Update(key, value uint64) error {
-	return UpdateAt(t.pool, t.m, key, value)
-}
-
-// Scan calls fn for every (key, value) with lo <= key <= hi, in ascending
-// key order, until fn returns false or the range is exhausted.
-func (t *Tree) Scan(lo, hi uint64, fn func(key, val uint64) bool) error {
-	return ScanAt(t.pool, t.m, lo, hi, fn)
-}
-
-// Insert stores (key, value); inserting an existing key fails with
-// ErrDuplicate.
-func (t *Tree) Insert(key, value uint64) error {
-	return InsertAt(t.pool, &t.m, key, value)
+// Put stores value under key, replacing what the key held.
+func (t *Tree) Put(key uint64, value []byte) error {
+	return PutAt(t.pool, &t.m, key, value)
 }
 
 // NewAt writes an empty tree (a single empty leaf as root) through p and
@@ -170,11 +171,79 @@ func leafNext(p *storage.Page) storage.PageID {
 }
 func setLeafNext(p *storage.Page, id storage.PageID) { p.PutUint32(headerSize, uint32(id)) }
 
-func leafKey(p *storage.Page, i int) uint64 { return p.Uint64(leafMeta + i*leafEntry) }
-func leafVal(p *storage.Page, i int) uint64 { return p.Uint64(leafMeta + i*leafEntry + 8) }
-func setLeafKV(p *storage.Page, i int, k, v uint64) {
-	p.PutUint64(leafMeta+i*leafEntry, k)
-	p.PutUint64(leafMeta+i*leafEntry+8, v)
+func leafKey(p *storage.Page, i int) uint64 { return p.Uint64(leafMeta + i*slotSize) }
+
+// leafSearch returns the first slot of the n-slot leaf p whose key is not
+// below key.
+func leafSearch(p *storage.Page, n int, key uint64) int {
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if leafKey(p, mid) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// leafValue returns value i of the n-slot leaf p, aliasing the page. The
+// cell bounds come off the disk, so they are checked before they slice.
+func leafValue(p *storage.Page, n, i int) ([]byte, error) {
+	start := 0
+	if i > 0 {
+		start = int(p.Uint16(leafMeta + (i-1)*slotSize + 8))
+	}
+	end := int(p.Uint16(leafMeta + i*slotSize + 8))
+	base := leafMeta + n*slotSize
+	if start > end || base+end > storage.PageSize {
+		return nil, fmt.Errorf("btree: leaf %d slot %d spans [%d, %d) of a %d-byte cell area: %w",
+			p.ID(), i, start, end, storage.PageSize-base, storage.ErrCorruptPage)
+	}
+	return p.Data()[base+start : base+end : base+end], nil
+}
+
+// Entry is a (key, value) pair: the unit of bulk loading and of a leaf's
+// decoded content.
+type Entry struct {
+	Key   uint64
+	Value []byte
+}
+
+func entrySize(e Entry) int { return slotSize + len(e.Value) }
+
+// leafEntries decodes the leaf with room for one more entry; the values
+// alias the page.
+func leafEntries(p *storage.Page) ([]Entry, error) {
+	n := pageCount(p)
+	out := make([]Entry, n, n+1)
+	for i := range out {
+		v, err := leafValue(p, n, i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = Entry{Key: leafKey(p, i), Value: v}
+	}
+	return out, nil
+}
+
+// writeLeaf lays entries (which must fit) out as leaf p. The image is
+// assembled aside first, because the values may alias p itself.
+func writeLeaf(p *storage.Page, entries []Entry, next storage.PageID) {
+	var img storage.Page
+	img.PutUint16(0, kindLeaf)
+	setCount(&img, len(entries))
+	setLeafNext(&img, next)
+	data := img.Data()
+	cells := data[leafMeta+len(entries)*slotSize:]
+	end := 0
+	for i, e := range entries {
+		end += copy(cells[end:], e.Value)
+		img.PutUint64(leafMeta+i*slotSize, e.Key)
+		img.PutUint16(leafMeta+i*slotSize+8, uint16(end))
+	}
+	copy(p.Data(), data)
 }
 
 func internalKey(p *storage.Page, i int) uint64       { return p.Uint64(internalMeta + i*8) }
@@ -212,55 +281,43 @@ func findLeafAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (
 
 // GetAt returns the value stored under key in the tree rooted at m, read
 // through r, or ErrNotFound. A done ctx aborts the descent before the next
-// page read.
-func GetAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (uint64, error) {
+// page read. The value aliases the leaf page it was read from: through a
+// pinned view or the pool that page is immutable; through a Pager it is
+// good until the caller next writes the tree.
+func GetAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) ([]byte, error) {
 	p, err := findLeafAt(ctx, r, m, key)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	n := pageCount(p)
-	i := sort.Search(n, func(i int) bool { return leafKey(p, i) >= key })
+	i := leafSearch(p, n, key)
 	if i < n && leafKey(p, i) == key {
-		return leafVal(p, i), nil
+		return leafValue(p, n, i)
 	}
-	return 0, ErrNotFound
-}
-
-// UpdateAt replaces the value stored under an existing key, or returns
-// ErrNotFound. The tree shape (and thus Meta) is unchanged; against a
-// WriteBatch the modified leaf becomes a copy-on-write version.
-func UpdateAt(p storage.Pager, m Meta, key, value uint64) error {
-	pg, err := findLeafAt(context.Background(), p, m, key)
-	if err != nil {
-		return err
-	}
-	n := pageCount(pg)
-	i := sort.Search(n, func(i int) bool { return leafKey(pg, i) >= key })
-	if i >= n || leafKey(pg, i) != key {
-		return fmt.Errorf("%w: %d", ErrNotFound, key)
-	}
-	setLeafKV(pg, i, key, value)
-	p.MarkDirty(pg.ID())
-	return nil
+	return nil, ErrNotFound
 }
 
 // ScanAt calls fn for every (key, value) with lo <= key <= hi in the tree
 // rooted at m, read through r, in ascending key order, until fn returns
-// false or the range is exhausted.
-func ScanAt(r storage.PageReader, m Meta, lo, hi uint64, fn func(key, val uint64) bool) error {
+// false or the range is exhausted. The values alias their leaf pages (see
+// GetAt).
+func ScanAt(r storage.PageReader, m Meta, lo, hi uint64, fn func(key uint64, val []byte) bool) error {
 	p, err := findLeafAt(context.Background(), r, m, lo)
 	if err != nil {
 		return err
 	}
 	for {
 		n := pageCount(p)
-		i := sort.Search(n, func(i int) bool { return leafKey(p, i) >= lo })
-		for ; i < n; i++ {
+		for i := leafSearch(p, n, lo); i < n; i++ {
 			k := leafKey(p, i)
 			if k > hi {
 				return nil
 			}
-			if !fn(k, leafVal(p, i)) {
+			v, err := leafValue(p, n, i)
+			if err != nil {
+				return err
+			}
+			if !fn(k, v) {
 				return nil
 			}
 		}
@@ -274,7 +331,7 @@ func ScanAt(r storage.PageReader, m Meta, lo, hi uint64, fn func(key, val uint64
 	}
 }
 
-// --- insert ---------------------------------------------------------------
+// --- put ------------------------------------------------------------------
 
 type splitResult struct {
 	split   bool
@@ -282,12 +339,16 @@ type splitResult struct {
 	newPage storage.PageID
 }
 
-// InsertAt stores (key, value) in the tree rooted at *m through p,
-// updating *m in place (root, height, counts); inserting an existing key
-// fails with ErrDuplicate. Against a WriteBatch every modified page is a
-// private copy, so a failed insert leaves the published tree untouched.
-func InsertAt(p storage.Pager, m *Meta, key, value uint64) error {
-	res, err := insertIntoAt(p, m, m.Root, key, value)
+// PutAt stores value under key in the tree rooted at *m through p,
+// replacing what the key held, and updates *m in place (root, height,
+// counts). A value that no longer fits its leaf splits it. Against a
+// WriteBatch every modified page is a private copy, so a failed put leaves
+// the published tree untouched.
+func PutAt(p storage.Pager, m *Meta, key uint64, value []byte) error {
+	if len(value) > MaxValueSize {
+		return fmt.Errorf("%w: %d bytes under key %d, limit %d", ErrValueTooLarge, len(value), key, MaxValueSize)
+	}
+	res, added, err := putIntoAt(p, m, m.Root, Entry{key, value})
 	if err != nil {
 		return err
 	}
@@ -308,94 +369,84 @@ func InsertAt(p storage.Pager, m *Meta, key, value uint64) error {
 		m.Root = newRoot
 		m.Height++
 	}
-	m.Count++
+	if added {
+		m.Count++
+	}
 	return nil
 }
 
-func insertIntoAt(p storage.Pager, m *Meta, id storage.PageID, key, value uint64) (splitResult, error) {
+// putIntoAt reports, beside a split of page id, whether e's key is new.
+func putIntoAt(p storage.Pager, m *Meta, id storage.PageID, e Entry) (splitResult, bool, error) {
 	pg, err := p.Get(id)
 	if err != nil {
-		return splitResult{}, err
+		return splitResult{}, false, err
 	}
 	if pageKind(pg) == kindLeaf {
-		return insertLeafAt(p, m, id, key, value)
+		return putLeafAt(p, m, pg, e)
 	}
 	n := pageCount(pg)
-	i := sort.Search(n, func(i int) bool { return internalKey(pg, i) > key })
-	child := internalChild(pg, i)
-	res, err := insertIntoAt(p, m, child, key, value)
+	i := sort.Search(n, func(i int) bool { return internalKey(pg, i) > e.Key })
+	res, added, err := putIntoAt(p, m, internalChild(pg, i), e)
 	if err != nil || !res.split {
-		return splitResult{}, err
+		return splitResult{}, added, err
 	}
-	// Re-fetch: the child insert may have evicted our frame.
-	pg, err = p.Get(id)
-	if err != nil {
-		return splitResult{}, err
+	// Re-fetch: the child put may have evicted our frame.
+	if pg, err = p.Get(id); err != nil {
+		return splitResult{}, false, err
 	}
-	return insertInternalKeyAt(p, m, id, pg, res.sepKey, res.newPage)
+	res, err = insertInternalKeyAt(p, m, id, pg, res.sepKey, res.newPage)
+	return res, added, err
 }
 
-func insertLeafAt(p storage.Pager, m *Meta, id storage.PageID, key, value uint64) (splitResult, error) {
-	pg, err := p.Get(id)
+func putLeafAt(p storage.Pager, m *Meta, pg *storage.Page, e Entry) (splitResult, bool, error) {
+	entries, err := leafEntries(pg)
 	if err != nil {
-		return splitResult{}, err
+		return splitResult{}, false, err
 	}
-	n := pageCount(pg)
-	i := sort.Search(n, func(i int) bool { return leafKey(pg, i) >= key })
-	if i < n && leafKey(pg, i) == key {
-		return splitResult{}, fmt.Errorf("%w: %d", ErrDuplicate, key)
+	i := leafSearch(pg, len(entries), e.Key)
+	added := i == len(entries) || entries[i].Key != e.Key
+	if added {
+		entries = slices.Insert(entries, i, e)
+	} else {
+		entries[i] = e
 	}
-	if n < MaxLeafEntries {
-		for j := n; j > i; j-- {
-			setLeafKV(pg, j, leafKey(pg, j-1), leafVal(pg, j-1))
-		}
-		setLeafKV(pg, i, key, value)
-		setCount(pg, n+1)
+	total := 0
+	for _, x := range entries {
+		total += entrySize(x)
+	}
+	id := pg.ID()
+	if total <= leafSpace {
+		writeLeaf(pg, entries, leafNext(pg))
 		p.MarkDirty(id)
-		return splitResult{}, nil
+		return splitResult{}, added, nil
 	}
-	// Split: gather all n+1 entries, write halves.
-	keys := make([]uint64, 0, n+1)
-	vals := make([]uint64, 0, n+1)
-	for j := 0; j < n; j++ {
-		keys = append(keys, leafKey(pg, j))
-		vals = append(vals, leafVal(pg, j))
+	// Split where the left half first reaches half the bytes. No entry
+	// exceeds a quarter of leafSpace and total is under five quarters, so
+	// both halves are non-empty and fit.
+	cut, left := 0, 0
+	for left < total/2 {
+		left += entrySize(entries[cut])
+		cut++
 	}
-	keys = append(keys, 0)
-	vals = append(vals, 0)
-	copy(keys[i+1:], keys[i:])
-	copy(vals[i+1:], vals[i:])
-	keys[i], vals[i] = key, value
-
 	rightID, err := newPageAt(p, m, kindLeaf)
 	if err != nil {
-		return splitResult{}, err
+		return splitResult{}, false, err
 	}
-	// Re-fetch both pages (allocation may evict).
-	left, err := p.Get(id)
-	if err != nil {
-		return splitResult{}, err
-	}
-	mid := (n + 1) / 2
-	oldNext := leafNext(left)
-	setCount(left, mid)
-	for j := 0; j < mid; j++ {
-		setLeafKV(left, j, keys[j], vals[j])
-	}
-	setLeafNext(left, rightID)
-	p.MarkDirty(id)
-
+	// Re-fetch both pages (allocation may evict). The entries still alias
+	// the page object read above, which eviction leaves intact.
+	next := leafNext(pg)
 	right, err := p.Get(rightID)
 	if err != nil {
-		return splitResult{}, err
+		return splitResult{}, false, err
 	}
-	setCount(right, n+1-mid)
-	for j := mid; j <= n; j++ {
-		setLeafKV(right, j-mid, keys[j], vals[j])
-	}
-	setLeafNext(right, oldNext)
+	writeLeaf(right, entries[cut:], next)
 	p.MarkDirty(rightID)
-	return splitResult{split: true, sepKey: keys[mid], newPage: rightID}, nil
+	if pg, err = p.Get(id); err != nil {
+		return splitResult{}, false, err
+	}
+	writeLeaf(pg, entries[:cut], rightID)
+	p.MarkDirty(id)
+	return splitResult{split: true, sepKey: entries[cut].Key, newPage: rightID}, added, nil
 }
 
 func insertInternalKeyAt(p storage.Pager, m *Meta, id storage.PageID, pg *storage.Page, sep uint64, newChild storage.PageID) (splitResult, error) {
@@ -467,18 +518,20 @@ func insertInternalKeyAt(p storage.Pager, m *Meta, id storage.PageID, pg *storag
 
 // --- bulk load --------------------------------------------------------------
 
-// Entry is a (key, value) pair for bulk loading.
-type Entry struct {
-	Key   uint64
-	Value uint64
-}
-
 // BulkLoad builds a tree from entries, which must be sorted by key with no
 // duplicates. This is the construction path of the inverted indexes.
+// Leaves are packed by bytes, each taking entries until the next one does
+// not fit: the index is read far more than it is written, and a probe's
+// neighbours in key order are the next probes of the same query, so what
+// shares a leaf is what saves a page read. The first insert into a leaf
+// splits it.
 func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Key <= entries[i-1].Key {
+	for i, e := range entries {
+		if i > 0 && e.Key <= entries[i-1].Key {
 			return nil, fmt.Errorf("btree: bulk load input not strictly sorted at %d", i)
+		}
+		if len(e.Value) > MaxValueSize {
+			return nil, fmt.Errorf("%w: %d bytes under key %d, limit %d", ErrValueTooLarge, len(e.Value), e.Key, MaxValueSize)
 		}
 	}
 	t := &Tree{pool: pool}
@@ -492,15 +545,10 @@ func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 		firstKey uint64
 	}
 	var level []nodeRef
-	perLeaf := MaxLeafEntries * 3 / 4 // leave slack for future inserts
-	if perLeaf < 1 {
-		perLeaf = 1
-	}
 	var prevLeaf storage.PageID = storage.InvalidPageID
-	for start := 0; start < len(entries); start += perLeaf {
-		end := start + perLeaf
-		if end > len(entries) {
-			end = len(entries)
+	for start, end := 0, 0; start < len(entries); start = end {
+		for used := 0; end < len(entries) && used+entrySize(entries[end]) <= leafSpace; end++ {
+			used += entrySize(entries[end])
 		}
 		id, err := newPageAt(pool, &t.m, kindLeaf)
 		if err != nil {
@@ -510,10 +558,7 @@ func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		setCount(p, end-start)
-		for j := start; j < end; j++ {
-			setLeafKV(p, j-start, entries[j].Key, entries[j].Value)
-		}
+		writeLeaf(p, entries[start:end], storage.InvalidPageID)
 		pool.MarkDirty(id)
 		if prevLeaf != storage.InvalidPageID {
 			pp, err := pool.Get(prevLeaf)

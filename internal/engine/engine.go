@@ -62,6 +62,13 @@ const (
 	GaugePagesHeldMax   = "index_pages_held_max"
 )
 
+// CounterOverflowReads names, on /varz and /metricsz, the index probes
+// that followed a key out of its B+-tree leaf to the overflow heap: a list
+// too long to share a leaf costs its probe one chain of page reads more
+// than the tree's height. A share of the probes that is not small means
+// the data has outgrown the inline bound.
+const CounterOverflowReads = "index_overflow_list_reads_total"
+
 // Options configures a build.
 type Options struct {
 	// BufferFraction sizes every LRU pool as this fraction of the network
@@ -402,6 +409,7 @@ func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize 
 		if err != nil {
 			return nil, 0, err
 		}
+		inv.CountOverflowReads(n.Metrics.Counter(CounterOverflowReads))
 		if kind == KindIF {
 			return &invindex.Loader{Idx: inv, Coder: coder, SelectivityOrder: so.SelectivityOrder}, inv.SizeBytes(), nil
 		}

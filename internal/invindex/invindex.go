@@ -1,13 +1,18 @@
 // Package invindex implements the inverted indexing technique of Section
 // 3.1 (the paper's IF structure): for each keyword t, the edges carrying an
 // object with t are organized in a disk-resident B+-tree whose key is the
-// Z-ordering code of the edge's center point, and each tree entry points at
-// the posting list holding the objects (with their offset from the edge's
-// reference node).
+// Z-ordering code of the edge's center point, and each tree entry holds the
+// posting list of the objects (with their offset from the edge's reference
+// node).
 //
-// Posting lists are packed contiguously into a heap of 4KB pages — small
-// lists share pages, long lists span consecutive pages — so the on-disk
-// footprint matches a real inverted file rather than a page per list.
+// The paper's entry points at its list; here the entry is the list. The
+// tree is clustered (package btree stores variable-length values in its
+// leaves), so the descent for a key ends on the page that holds its
+// postings and a probe costs the tree's height in page requests, not the
+// height plus a hop to a list that is 16 to 64 bytes long. Only a list too
+// long to share a leaf (more than MaxInlineRecords postings) lives outside
+// the tree, in an overflow heap of 4KB pages where long lists span
+// consecutive pages, and the entry holds its address.
 //
 // The package also exposes the per-term posting statistics the signature
 // layer (package sig) builds on.
@@ -24,8 +29,10 @@ package invindex
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -46,14 +53,70 @@ type Posting struct {
 	Offset float64
 }
 
-// Posting heap layout: 16-byte records (object uint32, edge uint32, offset
-// float64) packed into pages; a record never crosses a page border (the
-// tail of a page shorter than one record is padding). A list is addressed
-// by (start page, start offset, count) packed into the B+-tree value.
-const postingSize = 16
+// A posting is a 16-byte record (object uint32, edge uint32, offset
+// float64), in a leaf and in the overflow heap alike. A list is kept
+// sorted by (edge, offset, object).
+//
+// The B+-tree value of a key is its list: the records back to back, none
+// for a key whose objects were all removed. A list of more than
+// MaxInlineRecords records, a quarter of a leaf, is written to the
+// overflow heap instead and the value is its overflowRefSize-byte
+// address, which no whole number of records is long.
+const (
+	postingSize     = 16
+	overflowRefSize = 8
+)
 
-// packListRef encodes a list address into a B+-tree value: page (32 bits),
-// in-page offset (12 bits), record count (20 bits).
+// MaxInlineRecords is the longest posting list that lives in its B+-tree
+// leaf: what fits the largest value the tree takes, which is sized so that
+// four entries share a leaf. It follows from storage.PageSize alone.
+const MaxInlineRecords = btree.MaxValueSize / postingSize
+
+// isOverflowRef tells the address of an overflow list from a list.
+func isOverflowRef(v []byte) bool { return len(v) == overflowRefSize }
+
+// allEdges as the edge of appendPostings keeps every record.
+const allEdges graph.EdgeID = -1
+
+// appendPostings decodes the records packed in b onto out, keeping those
+// on edge e (a list may also hold the postings of edges whose centers
+// share e's Z-cell).
+func appendPostings(out []Posting, b []byte, e graph.EdgeID) []Posting {
+	for ; len(b) >= postingSize; b = b[postingSize:] {
+		p := Posting{
+			Object: obj.ID(binary.LittleEndian.Uint32(b)),
+			Edge:   graph.EdgeID(binary.LittleEndian.Uint32(b[4:])),
+			Offset: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		}
+		if e == allEdges || p.Edge == e {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// putPostings packs ps into b, which must hold len(ps) records.
+func putPostings(b []byte, ps []Posting) {
+	for _, p := range ps {
+		binary.LittleEndian.PutUint32(b, uint32(p.Object))
+		binary.LittleEndian.PutUint32(b[4:], uint32(p.Edge))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(p.Offset))
+		b = b[postingSize:]
+	}
+}
+
+func sortPostings(ps []Posting) {
+	slices.SortFunc(ps, func(a, b Posting) int {
+		return cmp.Or(cmp.Compare(a.Edge, b.Edge), cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Object, b.Object))
+	})
+}
+
+// An overflow list is addressed by (start page, start offset, count); a
+// record never crosses a page border (the tail of a page shorter than one
+// record is padding).
+
+// packListRef encodes an overflow address: page (32 bits), in-page offset
+// (12 bits), record count (20 bits).
 func packListRef(page storage.PageID, off, count int) uint64 {
 	return uint64(page)<<32 | uint64(off)<<20 | uint64(count)
 }
@@ -87,18 +150,18 @@ type Roots struct {
 	// terms whose inverted file fits into one page.
 	TermPostings []int32
 
-	// Heap write cursor: lists are appended at the tail.
+	// Overflow heap write cursor: lists are appended at the tail.
 	CurPage storage.PageID
 	CurOff  int
 
-	// PostingPages counts heap pages (footprint accounting).
+	// PostingPages counts overflow heap pages (footprint accounting).
 	PostingPages int
 }
 
 // Index is the IF structure: one logical inverted file per keyword, all
-// sharing a single B+-tree keyed by (term, edge-Z-code) and a packed
-// posting heap. All reads go through the buffer pool, so page fetches are
-// counted as disk accesses.
+// sharing a single clustered B+-tree keyed by (term, edge-Z-code) whose
+// leaves hold the posting lists. All reads go through the buffer pool, so
+// page fetches are counted as disk accesses.
 type Index struct {
 	pool  *storage.BufferPool
 	roots Roots
@@ -107,12 +170,24 @@ type Index struct {
 	// C2/C3 of the paper's expected-load analysis). Shared across all
 	// readers of this index regardless of which snapshot they pin.
 	postingsRead atomic.Int64
+
+	// overflowReads counts the query-time probes that had to follow a
+	// key to the overflow heap.
+	overflowReads *atomic.Int64
 }
+
+// CountOverflowReads makes c the counter of query-time probes that
+// followed a key to the overflow heap (the engine hands in a counter of
+// its metrics registry). Call it before the first query.
+func (idx *Index) CountOverflowReads(c *atomic.Int64) { idx.overflowReads = c }
+
+// OverflowReads returns how many query-time probes read an overflow list.
+func (idx *Index) OverflowReads() int64 { return idx.overflowReads.Load() }
 
 // Build constructs the inverted index for all objects in c over graph g.
 // vocabSize is the vocabulary size |V|.
 func Build(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.BufferPool) (*Index, error) {
-	idx := &Index{pool: pool}
+	idx := &Index{pool: pool, overflowReads: new(atomic.Int64)}
 	idx.roots.TermPostings = make([]int32, vocabSize)
 
 	// Group postings by (term, zcode) key.
@@ -147,14 +222,21 @@ func Build(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.Buffe
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].key < keys[j].key })
 
-	// Write the packed posting heap and collect B+-tree entries.
+	// Encode the lists (the few overflow ones go to the heap now) into one
+	// arena and bulk-load the tree over it.
+	total := 0
+	for _, n := range idx.roots.TermPostings {
+		total += int(n)
+	}
+	arena := make([]byte, 0, total*postingSize)
 	entries := make([]btree.Entry, 0, len(keys))
 	for _, le := range keys {
-		ref, err := writeListAt(pool, &idx.roots, le.postings)
-		if err != nil {
+		start := len(arena)
+		var err error
+		if arena, err = appendListValue(arena, pool, &idx.roots, le.postings); err != nil {
 			return nil, err
 		}
-		entries = append(entries, btree.Entry{Key: le.key, Value: ref})
+		entries = append(entries, btree.Entry{Key: le.key, Value: arena[start:len(arena):len(arena)]})
 	}
 	tree, err := btree.BulkLoad(pool, entries)
 	if err != nil {
@@ -167,25 +249,34 @@ func Build(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.Buffe
 	return idx, nil
 }
 
-// writeListAt appends postings (sorted by edge then offset) to the heap
-// through p and returns the packed list reference, advancing r's write
-// cursor.
-func writeListAt(p storage.Pager, r *Roots, ps []Posting) (uint64, error) {
+// appendListValue sorts ps and appends the B+-tree value of the list to
+// dst: the records themselves, or the address of the copy it writes to
+// the overflow heap through p (advancing r's write cursor) when they are
+// too many to share a leaf.
+func appendListValue(dst []byte, p storage.Pager, r *Roots, ps []Posting) ([]byte, error) {
+	sortPostings(ps)
+	if len(ps) > MaxInlineRecords {
+		ref, err := writeOverflowAt(p, r, ps)
+		if err != nil {
+			return nil, err
+		}
+		return binary.LittleEndian.AppendUint64(dst, ref), nil
+	}
+	at, size := len(dst), len(ps)*postingSize
+	dst = slices.Grow(dst, size)[:at+size]
+	putPostings(dst[at:], ps)
+	return dst, nil
+}
+
+// writeOverflowAt appends the sorted postings to the overflow heap through
+// p and returns the packed list address, advancing r's write cursor.
+func writeOverflowAt(p storage.Pager, r *Roots, ps []Posting) (uint64, error) {
 	if len(ps) > maxListRecords {
 		return 0, fmt.Errorf("invindex: posting list of %d records exceeds the %d cap", len(ps), maxListRecords)
 	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Edge != ps[j].Edge {
-			return ps[i].Edge < ps[j].Edge
-		}
-		if ps[i].Offset != ps[j].Offset {
-			return ps[i].Offset < ps[j].Offset
-		}
-		return ps[i].Object < ps[j].Object
-	})
 	// A list that does not fit in the current page's remainder starts on a
 	// fresh page, so that multi-page lists always occupy consecutively
-	// allocated pages — the invariant readListAt's pageID++ walk relies on.
+	// allocated pages — the invariant readList's pageID++ walk relies on.
 	// (During the initial build heap pages are consecutive anyway; after
 	// the build, B+-tree pages interleave in the file.)
 	remainder := (storage.PageSize - r.CurOff) / postingSize
@@ -195,7 +286,7 @@ func writeListAt(p storage.Pager, r *Roots, ps []Posting) (uint64, error) {
 		}
 	}
 	startPage, startOff := r.CurPage, r.CurOff
-	for _, rec := range ps {
+	for rest := ps; len(rest) > 0; {
 		if r.CurOff+postingSize > storage.PageSize {
 			if err := newHeapPageAt(p, r); err != nil {
 				return 0, err
@@ -205,11 +296,11 @@ func writeListAt(p storage.Pager, r *Roots, ps []Posting) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		page.PutUint32(r.CurOff, uint32(rec.Object))
-		page.PutUint32(r.CurOff+4, uint32(rec.Edge))
-		page.PutFloat64(r.CurOff+8, rec.Offset)
+		k := min(len(rest), (storage.PageSize-r.CurOff)/postingSize)
+		putPostings(page.Data()[r.CurOff:], rest[:k])
 		p.MarkDirty(r.CurPage)
-		r.CurOff += postingSize
+		r.CurOff += k * postingSize
+		rest = rest[k:]
 	}
 	return packListRef(startPage, startOff, len(ps)), nil
 }
@@ -225,96 +316,84 @@ func newHeapPageAt(p storage.Pager, r *Roots) error {
 	return nil
 }
 
-// readListAt loads the postings of a packed list that lie on edge e (the
-// list may also hold postings of Z-cell-colliding edges). Consecutive heap
-// pages are fetched through pr; decoded records are charged to counter.
-func readListAt(ctx context.Context, pr storage.PageReader, counter *atomic.Int64, ref uint64, e graph.EdgeID) ([]Posting, error) {
-	pageID, off, count := unpackListRef(ref)
-	counter.Add(int64(count))
+// readList decodes the list a B+-tree value stands for, keeping the
+// postings on edge e (all of them for allEdges). An inline value is
+// decoded where it lies, in the leaf the descent ended on; an overflow
+// address is followed through pr over the list's consecutive heap pages,
+// which is the one case a probe costs more than the tree's height.
+func readList(ctx context.Context, pr storage.PageReader, v []byte, e graph.EdgeID) ([]Posting, error) {
+	if !isOverflowRef(v) {
+		return appendPostings(make([]Posting, 0, len(v)/postingSize), v, e), nil
+	}
+	pageID, off, count := unpackListRef(binary.LittleEndian.Uint64(v))
 	out := make([]Posting, 0, count)
-	for i := 0; i < count; {
+	for count > 0 {
 		page, err := pr.GetCtx(ctx, pageID)
 		if err != nil {
 			return nil, err
 		}
-		for ; i < count && off+postingSize <= storage.PageSize; i++ {
-			p := Posting{
-				Object: obj.ID(page.Uint32(off)),
-				Edge:   graph.EdgeID(page.Uint32(off + 4)),
-				Offset: page.Float64(off + 8),
-			}
-			if p.Edge == e {
-				out = append(out, p)
-			}
-			off += postingSize
-		}
+		k := min(count, (storage.PageSize-off)/postingSize)
+		out = appendPostings(out, page.Data()[off:off+k*postingSize], e)
+		count -= k
 		pageID++
 		off = 0
 	}
 	return out, nil
 }
 
-// readListAllAt loads every posting of a packed list (no edge filter).
-func readListAllAt(pr storage.PageReader, ref uint64) ([]Posting, error) {
-	pageID, off, count := unpackListRef(ref)
-	out := make([]Posting, 0, count)
-	for i := 0; i < count; {
-		page, err := pr.Get(pageID)
-		if err != nil {
-			return nil, err
-		}
-		for ; i < count && off+postingSize <= storage.PageSize; i++ {
-			out = append(out, Posting{
-				Object: obj.ID(page.Uint32(off)),
-				Edge:   graph.EdgeID(page.Uint32(off + 4)),
-				Offset: page.Float64(off + 8),
-			})
-			off += postingSize
-		}
-		pageID++
-		off = 0
+// listLen is the number of records in the list a value stands for.
+func listLen(v []byte) int {
+	if !isOverflowRef(v) {
+		return len(v) / postingSize
 	}
-	return out, nil
+	_, _, count := unpackListRef(binary.LittleEndian.Uint64(v))
+	return count
+}
+
+// rewriteListAt replaces the list under key in the tree of r with what
+// edit makes of it (nil for an absent key), through p. edit reports
+// whether it changed anything; an unchanged list writes no page.
+func rewriteListAt(p storage.Pager, r *Roots, key uint64, edit func([]Posting) ([]Posting, bool)) (bool, error) {
+	var ps []Posting
+	old, err := btree.GetAt(context.Background(), p, r.Tree, key)
+	if err == nil {
+		ps, err = readList(context.Background(), p, old, allEdges)
+	} else if errors.Is(err, btree.ErrNotFound) {
+		err = nil
+	}
+	if err != nil {
+		return false, err
+	}
+	ps, changed := edit(ps)
+	if !changed {
+		return false, nil
+	}
+	v, err := appendListValue(nil, p, r, ps)
+	if err != nil {
+		return false, err
+	}
+	return true, btree.PutAt(p, &r.Tree, key, v)
 }
 
 // InsertObjectAt adds a new object's postings through p, updating *r in
 // place. r must be a private copy of a published Roots (the TermPostings
 // slice is cloned internally before the first write, so a shallow struct
-// copy suffices). Existing lists are rewritten at the end of the posting
-// heap (the abandoned space is the usual inverted-file amplification of
-// in-place updates); the B+-tree entry is repointed or created.
+// copy suffices). Each term's list is rewritten in its copy-on-write leaf,
+// which splits if the list no longer fits; only a list that outgrows
+// MaxInlineRecords is written out to the overflow heap's tail (and
+// rewritten there from then on, the abandoned space being the usual
+// inverted-file amplification of in-place updates).
 func (idx *Index) InsertObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj.ID, e graph.EdgeID, offset float64, terms []obj.TermID) error {
 	r.TermPostings = append([]int32(nil), r.TermPostings...)
+	rec := Posting{Object: id, Edge: e, Offset: offset}
 	for _, t := range terms {
 		if int(t) >= len(r.TermPostings) {
 			return fmt.Errorf("invindex: term %d outside vocabulary of %d", t, len(r.TermPostings))
 		}
-		key := edgeKey(t, zcode)
-		rec := Posting{Object: id, Edge: e, Offset: offset}
-		old, err := btree.GetAt(context.Background(), p, r.Tree, key)
-		if errors.Is(err, btree.ErrNotFound) {
-			ref, err := writeListAt(p, r, []Posting{rec})
-			if err != nil {
-				return err
-			}
-			if err := btree.InsertAt(p, &r.Tree, key, ref); err != nil {
-				return err
-			}
-		} else if err != nil {
+		if _, err := rewriteListAt(p, r, edgeKey(t, zcode), func(ps []Posting) ([]Posting, bool) {
+			return append(ps, rec), true
+		}); err != nil {
 			return err
-		} else {
-			ps, err := readListAllAt(p, old)
-			if err != nil {
-				return err
-			}
-			ps = append(ps, rec)
-			ref, err := writeListAt(p, r, ps)
-			if err != nil {
-				return err
-			}
-			if err := btree.UpdateAt(p, r.Tree, key, ref); err != nil {
-				return err
-			}
 		}
 		r.TermPostings[t]++
 	}
@@ -323,54 +402,25 @@ func (idx *Index) InsertObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj
 
 // RemoveObjectAt deletes an object's postings through p, updating *r in
 // place (same contract as InsertObjectAt): each affected list is rewritten
-// at the heap tail without the object's record. Removing an object absent
-// from a term's list is ignored for that term.
+// without the object's record, back into the leaf once it is short enough.
+// A key whose last posting goes keeps an empty list. Removing an object
+// absent from a term's list is ignored for that term.
 func (idx *Index) RemoveObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj.ID, terms []obj.TermID) error {
 	r.TermPostings = append([]int32(nil), r.TermPostings...)
 	for _, t := range terms {
 		if int(t) >= len(r.TermPostings) {
 			return fmt.Errorf("invindex: term %d outside vocabulary of %d", t, len(r.TermPostings))
 		}
-		key := edgeKey(t, zcode)
-		old, err := btree.GetAt(context.Background(), p, r.Tree, key)
-		if errors.Is(err, btree.ErrNotFound) {
-			continue
-		}
+		removed, err := rewriteListAt(p, r, edgeKey(t, zcode), func(ps []Posting) ([]Posting, bool) {
+			kept := slices.DeleteFunc(ps, func(rec Posting) bool { return rec.Object == id })
+			return kept, len(kept) < len(ps)
+		})
 		if err != nil {
 			return err
 		}
-		ps, err := readListAllAt(p, old)
-		if err != nil {
-			return err
+		if removed {
+			r.TermPostings[t]--
 		}
-		kept := ps[:0]
-		removed := false
-		for _, rec := range ps {
-			if rec.Object == id {
-				removed = true
-				continue
-			}
-			kept = append(kept, rec)
-		}
-		if !removed {
-			continue
-		}
-		if len(kept) == 0 {
-			// Keep the key with an empty list reference (count 0): reads
-			// of it return nothing and never touch a page.
-			if err := btree.UpdateAt(p, r.Tree, key, packListRef(storage.InvalidPageID, 0, 0)); err != nil {
-				return err
-			}
-		} else {
-			ref, err := writeListAt(p, r, kept)
-			if err != nil {
-				return err
-			}
-			if err := btree.UpdateAt(p, r.Tree, key, ref); err != nil {
-				return err
-			}
-		}
-		r.TermPostings[t]--
 	}
 	return nil
 }
@@ -382,20 +432,24 @@ func (idx *Index) TermPostings(t obj.TermID, e graph.EdgeID, zcode uint64) ([]Po
 }
 
 // TermPostingsCtx is TermPostings with cancellation: a done ctx aborts the
-// B+-tree descent or the posting-heap walk before the next page read.
+// B+-tree descent or the overflow walk before the next page read.
 func (idx *Index) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
 	return idx.termPostingsAt(ctx, idx.pool, &idx.roots, t, e, zcode)
 }
 
 func (idx *Index) termPostingsAt(ctx context.Context, pr storage.PageReader, r *Roots, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
-	ref, err := btree.GetAt(ctx, pr, r.Tree, edgeKey(t, zcode))
+	v, err := btree.GetAt(ctx, pr, r.Tree, edgeKey(t, zcode))
 	if errors.Is(err, btree.ErrNotFound) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	return readListAt(ctx, pr, &idx.postingsRead, ref, e)
+	idx.postingsRead.Add(int64(listLen(v)))
+	if isOverflowRef(v) {
+		idx.overflowReads.Add(1)
+	}
+	return readList(ctx, pr, v, e)
 }
 
 // EdgeZCoder supplies the Z-code of an edge's center (implemented by the
@@ -514,33 +568,42 @@ func (rd Reader) LoadObjects(ctx context.Context, e graph.EdgeID, terms []obj.Te
 
 // LoadObjectsAny implements index.UnionLoader: objects on e containing at
 // least one query term, with their distinct-term match counts (the OR
-// semantics of the ranked spatial keyword query).
+// semantics of the ranked spatial keyword query), in ascending object ID.
+// Like LoadObjects it merges the object-sorted lists of the terms, into
+// two slices that swap roles from term to term.
 func (rd Reader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]index.ObjectMatch, error) {
 	if len(terms) == 0 {
 		return nil, nil
 	}
 	z := rd.Coder.EdgeZCode(e)
-	found := make(map[obj.ID]*index.ObjectMatch)
+	var union, spare []index.ObjectMatch
 	for _, t := range terms {
 		ps, err := rd.TermPostingsCtx(ctx, t, e, z)
 		if err != nil {
 			return nil, err
 		}
+		if len(ps) == 0 {
+			continue
+		}
+		slices.SortFunc(ps, byObject)
+		merged, i := slices.Grow(spare[:0], len(union)+len(ps)), 0
 		for _, p := range ps {
-			m := found[p.Object]
-			if m == nil {
-				m = &index.ObjectMatch{Ref: index.ObjectRef{ID: p.Object, Edge: p.Edge, Offset: p.Offset}}
-				found[p.Object] = m
+			for i < len(union) && union[i].Ref.ID < p.Object {
+				merged = append(merged, union[i])
+				i++
+			}
+			m := index.ObjectMatch{Ref: index.ObjectRef{ID: p.Object, Edge: p.Edge, Offset: p.Offset}}
+			if i < len(union) && union[i].Ref.ID == p.Object {
+				m = union[i]
+				i++
 			}
 			m.Matched++
+			merged = append(merged, m)
 		}
+		merged = append(merged, union[i:]...)
+		union, spare = merged, union
 	}
-	out := make([]index.ObjectMatch, 0, len(found))
-	for _, m := range found {
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref.ID < out[j].Ref.ID })
-	return out, nil
+	return union, nil
 }
 
 // PostingsRead returns how many posting records queries have decoded.
@@ -559,12 +622,12 @@ func bySelectivity(termPostings []int32, terms []obj.TermID) []obj.TermID {
 	return out
 }
 
-// recordsPerPage is the heap packing density.
+// recordsPerPage is the packing density of a page of nothing but postings.
 const recordsPerPage = storage.PageSize / postingSize
 
-// ListPages returns the approximate number of heap pages term t's inverted
-// file occupies (its postings are packed at recordsPerPage density); the
-// signature layer skips terms whose file fits in a single page.
+// ListPages returns the approximate number of pages term t's postings
+// fill (at recordsPerPage density, wherever they lie); the signature layer
+// skips terms whose inverted file fits in a single page.
 func (idx *Index) ListPages(t obj.TermID) int {
 	n := int(idx.roots.TermPostings[t])
 	if n == 0 {
@@ -573,7 +636,8 @@ func (idx *Index) ListPages(t obj.TermID) int {
 	return (n + recordsPerPage - 1) / recordsPerPage
 }
 
-// SizeBytes returns the on-disk footprint (posting heap + B+-tree).
+// SizeBytes returns the on-disk footprint: the B+-tree, whose leaves hold
+// the lists, plus the overflow heap.
 func (idx *Index) SizeBytes() int64 {
 	return int64(idx.roots.PostingPages)*storage.PageSize + idx.roots.Tree.SizeBytes()
 }

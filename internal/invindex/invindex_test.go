@@ -3,12 +3,16 @@ package invindex
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"dsks/internal/geo"
 	"dsks/internal/graph"
+	"dsks/internal/index"
 	"dsks/internal/obj"
 	"dsks/internal/storage"
 )
@@ -157,6 +161,9 @@ func TestPostingChainSpansPages(t *testing.T) {
 	if idx.ListPages(0) < 3 {
 		t.Fatalf("expected multi-page chain, got %d pages", idx.ListPages(0))
 	}
+	if idx.Roots().PostingPages != 3 {
+		t.Fatalf("a list of %d postings took %d overflow pages, want 3", many, idx.Roots().PostingPages)
+	}
 	loader := &Loader{Idx: idx, Coder: GraphZCoder{G: g}}
 	got, err := loader.LoadObjects(context.Background(), eid, []obj.TermID{0})
 	if err != nil {
@@ -164,6 +171,68 @@ func TestPostingChainSpansPages(t *testing.T) {
 	}
 	if len(got) != many {
 		t.Fatalf("chain read returned %d of %d postings", len(got), many)
+	}
+	if idx.OverflowReads() != 1 {
+		t.Fatalf("one probe of an overflow list counted %d overflow reads", idx.OverflowReads())
+	}
+}
+
+// TestProbeCostsTheHeight: a probe of a list that lives in its leaf makes
+// exactly Meta.Height page requests, found or not; a list in the overflow
+// heap costs the pages of its chain on top, and is the only thing the
+// overflow counter counts.
+func TestProbeCostsTheHeight(t *testing.T) {
+	g, col, idx, _, stats := buildFixture(t, 6000, 9)
+	hot := graph.EdgeID(3)
+	const long = 2*recordsPerPage + 40 // an overflow chain of three pages
+	for i := 0; i < long; i++ {
+		col.Add(graph.Position{Edge: hot, Offset: float64(i) / long}, []obj.TermID{7})
+	}
+	pool := storage.NewBufferPool(storage.NewPageFile(), 256, stats)
+	idx, err := Build(g, col, 20, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	height := int64(idx.Roots().Tree.Height)
+	if height < 2 {
+		t.Fatalf("a tree of height %d: the fixture is too small to show a descent", height)
+	}
+	coder := GraphZCoder{G: g}
+	requests := func(term obj.TermID, e graph.EdgeID) (int64, int) {
+		before := stats.Snapshot().LogicalRead
+		ps, err := idx.TermPostings(term, e, coder.EdgeZCode(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.Snapshot().LogicalRead - before, len(ps)
+	}
+	inline, longest := 0, 0
+	for _, e := range col.Edges() {
+		for term := obj.TermID(0); term < 20; term++ {
+			if e == hot && term == 7 {
+				continue
+			}
+			got, n := requests(term, e)
+			if got != height {
+				t.Fatalf("probe of term %d on edge %d (%d postings) made %d page requests, want the height %d", term, e, n, got, height)
+			}
+			if n > 0 {
+				inline++
+			}
+			longest = max(longest, n)
+		}
+	}
+	if inline == 0 || longest < 2 {
+		t.Fatalf("%d probes found a list, the longest of %d postings: the test is vacuous", inline, longest)
+	}
+	if idx.OverflowReads() != 0 {
+		t.Fatalf("probes of inline lists counted %d overflow reads", idx.OverflowReads())
+	}
+	if got, n := requests(7, hot); got != height+3 || n < long {
+		t.Fatalf("probe of the %d-posting list made %d page requests and found %d, want the height %d plus a chain of 3", long, got, n, height)
+	}
+	if idx.OverflowReads() != 1 {
+		t.Fatalf("one probe of the overflow list counted %d overflow reads", idx.OverflowReads())
 	}
 }
 
@@ -382,7 +451,209 @@ func TestDynamicModel(t *testing.T) {
 					t.Fatalf("spurious object %d", r.ID)
 				}
 			}
+			any, err := loader.At(idx.Pool(), &roots).LoadObjectsAny(context.Background(), e, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkUnion(t, col, e, ts, any)
 		}
+	}
+}
+
+// checkUnion compares a union load with a linear scan of the edge's
+// objects: the same objects in ascending ID, each with its position and
+// the number of query terms it carries.
+func checkUnion(t testing.TB, col *obj.Collection, e graph.EdgeID, ts []obj.TermID, got []index.ObjectMatch) {
+	t.Helper()
+	var want []index.ObjectMatch
+	ids := append([]obj.ID(nil), col.OnEdge(e)...)
+	slices.Sort(ids)
+	for _, id := range ids {
+		o, matched := col.Get(id), 0
+		for _, q := range ts {
+			if o.HasTerm(q) {
+				matched++
+			}
+		}
+		if matched > 0 {
+			want = append(want, index.ObjectMatch{Ref: index.ObjectRef{ID: id, Edge: e, Offset: o.Pos.Offset}, Matched: matched})
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("edge %d terms %v: union load\n got %v\nwant %v", e, ts, got, want)
+	}
+}
+
+// TestListCrossesOverflowBoundAndBack grows one key's list posting by
+// posting past MaxInlineRecords and removes them again: the list moves to
+// the overflow heap exactly when it no longer fits a leaf, comes back when
+// it does, reads the same either side, and only the crossing allocates
+// heap pages.
+func TestListCrossesOverflowBoundAndBack(t *testing.T) {
+	g := graph.New()
+	g.AddNode(geo.Point{X: 0, Y: 0})
+	g.AddNode(geo.Point{X: 100, Y: 0})
+	eid, err := g.AddEdge(0, 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Freeze()
+	col := obj.NewCollection()
+	col.Add(graph.Position{Edge: eid, Offset: 50}, []obj.TermID{0, 1})
+	pool := storage.NewBufferPool(storage.NewPageFile(), 64, nil)
+	idx, err := Build(g, col, 2, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coder := GraphZCoder{G: g}
+	loader := &Loader{Idx: idx, Coder: coder}
+	roots := idx.Roots()
+	check := func(step string) {
+		t.Helper()
+		for _, ts := range [][]obj.TermID{{0}, {1}, {0, 1}} {
+			got, err := loader.At(pool, &roots).LoadObjects(context.Background(), eid, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteLoad(col, eid, ts)
+			if len(got) != len(want) {
+				t.Fatalf("%s: terms %v loaded %d objects, want %d", step, ts, len(got), len(want))
+			}
+			for i, r := range got {
+				if !want[r.ID] || r.Offset != col.Get(r.ID).Pos.Offset || (i > 0 && got[i-1].ID >= r.ID) {
+					t.Fatalf("%s: terms %v loaded %v", step, ts, got)
+				}
+			}
+			any, err := loader.At(pool, &roots).LoadObjectsAny(context.Background(), eid, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkUnion(t, col, eid, ts, any)
+		}
+		if int(roots.TermPostings[0]) != len(bruteLoad(col, eid, []obj.TermID{0})) {
+			t.Fatalf("%s: TermPostings[0] = %d", step, roots.TermPostings[0])
+		}
+	}
+	check("as built")
+
+	// Term 0 grows to ten past the bound; term 1 stays a single posting.
+	var added []obj.ID
+	for n := 2; n <= MaxInlineRecords+10; n++ {
+		// Descending offsets: list order is not arrival order.
+		pos := graph.Position{Edge: eid, Offset: 100 - float64(n)/2}
+		id := col.Add(pos, []obj.TermID{0})
+		added = append(added, id)
+		if err := idx.InsertObjectAt(pool, &roots, coder.EdgeZCode(eid), id, eid, pos.Offset, []obj.TermID{0}); err != nil {
+			t.Fatal(err)
+		}
+		if inline := n <= MaxInlineRecords; inline != (roots.PostingPages == 0) {
+			t.Fatalf("a list of %d postings (bound %d) with %d overflow pages", n, MaxInlineRecords, roots.PostingPages)
+		}
+		check(fmt.Sprintf("grown to %d", n))
+	}
+	if idx.OverflowReads() == 0 {
+		t.Fatal("probes of a list past the bound counted no overflow read")
+	}
+	inlineAgainPages := 0
+
+	for i, id := range added {
+		if err := idx.RemoveObjectAt(pool, &roots, coder.EdgeZCode(eid), id, []obj.TermID{0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := col.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		before := idx.OverflowReads()
+		check(fmt.Sprintf("shrunk by %d", i+1))
+		left := MaxInlineRecords + 10 - (i + 1)
+		if inline := left <= MaxInlineRecords; inline != (idx.OverflowReads() == before) {
+			t.Fatalf("a list of %d postings (bound %d): overflow reads %d -> %d", left, MaxInlineRecords, before, idx.OverflowReads())
+		}
+		// Only a list still past the bound is rewritten in the heap.
+		if left == MaxInlineRecords {
+			inlineAgainPages = roots.PostingPages
+		} else if left < MaxInlineRecords && roots.PostingPages != inlineAgainPages {
+			t.Fatalf("a list of %d postings, back in its leaf, moved the overflow heap %d -> %d pages", left, inlineAgainPages, roots.PostingPages)
+		}
+	}
+
+	// Down to nothing: the key stays, its list is empty.
+	if err := idx.RemoveObjectAt(pool, &roots, coder.EdgeZCode(eid), 0, []obj.TermID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	check("emptied")
+	if roots.Tree.Count != 2 {
+		t.Fatalf("emptied lists left %d keys, want the 2 that were built", roots.Tree.Count)
+	}
+	// Removing what is not there changes nothing.
+	pages := roots.Tree.Pages
+	if err := idx.RemoveObjectAt(pool, &roots, coder.EdgeZCode(eid), 0, []obj.TermID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if roots.TermPostings[0] != 0 || roots.TermPostings[1] != 0 || roots.Tree.Pages != pages {
+		t.Fatalf("a second removal moved the roots: %+v", roots)
+	}
+}
+
+// TestPinnedReaderKeepsItsList: readers pinned before inserts that grow a
+// list, split its leaf and push it to the overflow heap keep reading the
+// list they pinned, while the commits go on beside them.
+func TestPinnedReaderKeepsItsList(t *testing.T) {
+	g, col, idx, loader, _ := buildFixture(t, 3000, 11)
+	pool, coder := idx.Pool(), GraphZCoder{G: g}
+	hot := col.Edges()[0]
+	term := col.Get(col.OnEdge(hot)[0]).Terms[0]
+	built := idx.Roots()
+	old, err := loader.At(pool.ViewAt(0), &built).LoadObjects(context.Background(), hot, []obj.TermID{term})
+	if err != nil || len(old) == 0 {
+		t.Fatalf("the list as built: %d objects, err %v", len(old), err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rd := loader.At(pool.ViewAt(0), &built)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, err := rd.LoadObjects(context.Background(), hot, []obj.TermID{term})
+				if err != nil || !slices.Equal(got, old) {
+					t.Errorf("a reader pinned at LSN 0 read %d objects (err %v), want the %d it pinned", len(got), err, len(old))
+					return
+				}
+			}
+		}()
+	}
+
+	cur := built
+	pages := cur.Tree.Pages
+	nextID := obj.ID(col.Len())
+	for lsn := uint64(1); lsn <= MaxInlineRecords+5; lsn++ {
+		batch, next := pool.NewBatch(lsn), cur
+		if err := idx.InsertObjectAt(batch, &next, coder.EdgeZCode(hot), nextID, hot, float64(lsn)/1000, []obj.TermID{term}); err != nil {
+			t.Fatal(err)
+		}
+		nextID++
+		pool.Publish(batch)
+		cur = next
+	}
+	close(stop)
+	wg.Wait()
+	if cur.Tree.Pages == pages || cur.PostingPages == built.PostingPages {
+		t.Fatalf("the commits split no leaf (%d pages) or never overflowed (%d heap pages)", cur.Tree.Pages, cur.PostingPages)
+	}
+	now, err := loader.At(pool.ViewAt(MaxInlineRecords+5), &cur).LoadObjects(context.Background(), hot, []obj.TermID{term})
+	if err != nil || len(now) != len(old)+MaxInlineRecords+5 {
+		t.Fatalf("a reader at the last LSN read %d objects (err %v), want %d", len(now), err, len(old)+MaxInlineRecords+5)
 	}
 }
 

@@ -407,9 +407,9 @@ func (s *Set) Snapshot() metrics.Snapshot {
 	snap := s.reg.Snapshot()
 	// The distance-oracle counter family lives in each shard's own
 	// registry (and, for the router's merge engine, in s.reg), and the
-	// page-memo figures in the shards' alone; fold the shard
-	// contributions in so a sharded /varz reports both for the whole
-	// set, like a single node does.
+	// page-memo and overflow-read figures in the shards' alone; fold the
+	// shard contributions in so a sharded /varz reports them for the
+	// whole set, like a single node does.
 	for i := range s.shards {
 		db := s.shards[i].db
 		if db == nil {
@@ -423,6 +423,7 @@ func (s *Set) Snapshot() metrics.Snapshot {
 			engine.CounterDistSettled,
 			engine.CounterPagesHeld,
 			engine.CounterPagesQueries,
+			engine.CounterOverflowReads,
 		} {
 			if v := sub.Counters[name]; v != 0 {
 				snap.Counters[name] += v
