@@ -16,10 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs go vet, the project's own analyzers (cmd/dsks-lint) and their
-# self-tests; staticcheck runs too when it is on PATH (CI installs it, the
-# offline dev container may not have it).
+# lint runs gofmt (the analyzers' testdata is fixture text, not source), go
+# vet, the project's own analyzers (cmd/dsks-lint) and their self-tests;
+# staticcheck runs too when it is on PATH (CI installs it, the offline dev
+# container may not have it).
 lint:
+	@unformatted=$$(gofmt -l . | grep -v /testdata/); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build -o $(CURDIR)/bin/dsks-lint ./cmd/dsks-lint
 	$(CURDIR)/bin/dsks-lint ./...
@@ -57,7 +60,7 @@ bench:
 # every Benchmark* in the packages a layer's cost is judged by, so they
 # keep compiling and running. This is the one list of those packages.
 BENCH_PKGS = ./internal/core/ ./internal/ccam/ ./internal/graph/ ./internal/rtree/ ./internal/shard/ \
-	./internal/btree/ ./internal/invindex/ ./internal/sig/ ./internal/storage/
+	./internal/btree/ ./internal/invindex/ ./internal/sig/ ./internal/storage/ ./internal/engine/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)

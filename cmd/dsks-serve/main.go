@@ -126,6 +126,7 @@ func run() error {
 	var (
 		srv          *server.Server
 		desc         string
+		setup        string // where set-up went, for the banner
 		closeBackend func() error
 		durable      func() string
 	)
@@ -133,7 +134,7 @@ func run() error {
 		if *replicas > 0 && *walDir == "" {
 			return fmt.Errorf("-replicas %d needs -wal: the write-ahead log is the replication shipping medium", *replicas)
 		}
-		set, d, err := openSet(*dbDir, *preset, *scale, *seed, *shards, shard.Options{
+		set, d, generated, err := openSet(*dbDir, *preset, *scale, *seed, *shards, shard.Options{
 			DB: opts, Partial: *partialRes, FanoutLimit: *fanoutLim,
 			Replicas: *replicas, HedgeAfter: *hedgeAfter,
 			MaxStaleness: *maxStale, LegRetries: *legRetries,
@@ -157,10 +158,15 @@ func run() error {
 		}
 		srv = server.NewRouter(set, cfg)
 		desc = fmt.Sprintf("%s over %d shards (%s)", d, set.Shards(), policy)
+		var times dsks.SetupTimes
+		for i := 0; i < set.Shards(); i++ {
+			times = times.Add(set.DB(i).SetupTimes())
+		}
+		setup = fmt.Sprintf("generate %v, %v (the shards' primaries, summed)", generated.Round(time.Millisecond), times)
 		closeBackend = set.Close
 		durable = func() string { return fmt.Sprintf("durable LSNs %v", set.DurableLSNs()) }
 	} else {
-		db, d, err := openDB(*dbDir, *preset, *scale, *seed, opts)
+		db, d, generated, err := openDB(*dbDir, *preset, *scale, *seed, opts)
 		if err != nil {
 			return err
 		}
@@ -172,6 +178,7 @@ func run() error {
 		}
 		srv = server.New(db, cfg)
 		desc = d
+		setup = fmt.Sprintf("generate %v, %v", generated.Round(time.Millisecond), db.SetupTimes())
 		closeBackend = db.Close
 		durable = func() string { return fmt.Sprintf("durable LSN %d", db.DurableLSN()) }
 	}
@@ -185,6 +192,7 @@ func run() error {
 	}
 	fmt.Printf("dsks-serve: serving %s on %s (index %s, max-inflight %d, queue %d, cache %d)\n",
 		desc, srv.Addr(), opts.Index, *maxIn, *queue, *cache)
+	fmt.Printf("dsks-serve: set-up: %s\n", setup)
 	if *walDir != "" {
 		fmt.Printf("dsks-serve: write-ahead log in %s (%s)\n", *walDir, durable())
 	}
@@ -214,46 +222,48 @@ func run() error {
 }
 
 // openSet opens a sharded snapshot (its manifest fixes the shard count),
-// or partitions the generated preset dataset n ways.
-func openSet(dir, preset string, scale int, seed int64, n int, opts shard.Options) (*shard.Set, string, error) {
+// or partitions the generated preset dataset n ways; generated is how long
+// generating it took.
+func openSet(dir, preset string, scale int, seed int64, n int, opts shard.Options) (set *shard.Set, desc string, generated time.Duration, err error) {
 	if dir != "" {
-		set, err := shard.OpenSetPath(dir, opts)
-		if err != nil {
-			return nil, "", fmt.Errorf("opening sharded snapshot %s: %w", dir, err)
+		if set, err = shard.OpenSetPath(dir, opts); err != nil {
+			return nil, "", 0, fmt.Errorf("opening sharded snapshot %s: %w", dir, err)
 		}
-		return set, "snapshot " + dir, nil
+		return set, "snapshot " + dir, 0, nil
 	}
+	start := time.Now()
 	ds, err := dsks.GeneratePreset(dsks.Preset(preset), scale, seed)
 	if err != nil {
-		return nil, "", err
+		return nil, "", 0, err
 	}
-	set, err := shard.Open(ds.Graph, ds.Objects, ds.VocabSize, n, opts)
-	if err != nil {
-		return nil, "", err
+	generated = time.Since(start)
+	if set, err = shard.Open(ds.Graph, ds.Objects, ds.VocabSize, n, opts); err != nil {
+		return nil, "", 0, err
 	}
-	desc := fmt.Sprintf("%s/%d seed %d (%d objects)", preset, scale, seed, set.LiveObjects())
-	return set, desc, nil
+	desc = fmt.Sprintf("%s/%d seed %d (%d objects)", preset, scale, seed, set.LiveObjects())
+	return set, desc, generated, nil
 }
 
-// openDB opens the snapshot directory, or generates the preset dataset.
-func openDB(dir, preset string, scale int, seed int64, opts dsks.Options) (*dsks.DB, string, error) {
+// openDB opens the snapshot directory, or generates the preset dataset;
+// generated is how long generating it took.
+func openDB(dir, preset string, scale int, seed int64, opts dsks.Options) (db *dsks.DB, desc string, generated time.Duration, err error) {
 	if dir != "" {
-		db, err := dsks.OpenPath(dir, opts)
-		if err != nil {
-			return nil, "", fmt.Errorf("opening snapshot %s: %w", dir, err)
+		if db, err = dsks.OpenPath(dir, opts); err != nil {
+			return nil, "", 0, fmt.Errorf("opening snapshot %s: %w", dir, err)
 		}
-		return db, "snapshot " + dir, nil
+		return db, "snapshot " + dir, 0, nil
 	}
+	start := time.Now()
 	ds, err := dsks.GeneratePreset(dsks.Preset(preset), scale, seed)
 	if err != nil {
-		return nil, "", err
+		return nil, "", 0, err
 	}
-	db, err := dsks.OpenDataset(ds, opts)
-	if err != nil {
-		return nil, "", err
+	generated = time.Since(start)
+	if db, err = dsks.OpenDataset(ds, opts); err != nil {
+		return nil, "", 0, err
 	}
-	desc := fmt.Sprintf("%s/%d seed %d (%d objects)", preset, scale, seed, ds.Objects.Live())
-	return db, desc, nil
+	desc = fmt.Sprintf("%s/%d seed %d (%d objects)", preset, scale, seed, ds.Objects.Live())
+	return db, desc, generated, nil
 }
 
 // indexKind maps the flag spelling to the library constant.

@@ -66,6 +66,7 @@ func run() error {
 
 	var ds *dataset.Dataset
 	var err error
+	start := time.Now()
 	if *load != "" {
 		ds, err = dataset.Load(*load)
 	} else {
@@ -74,6 +75,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	generated := time.Since(start)
 	st := ds.Stats()
 	fmt.Printf("dataset %s: %d nodes, %d edges, %d objects, |V|=%d\n",
 		ds.Name, st.Nodes, st.Edges, st.Objects, st.VocabSize)
@@ -83,8 +85,12 @@ func run() error {
 		return err
 	}
 	defer db.Close()
-	fmt.Printf("index %s: %.2f MB, built in %v\n\n", *kind,
+	fmt.Printf("index %s: %.2f MB, built in %v\n", *kind,
 		float64(db.IndexSizeBytes())/(1<<20), db.BuildTime().Round(0))
+	if *stats {
+		fmt.Printf("set-up: generate %v, %v\n", generated.Round(time.Millisecond), db.SetupTimes())
+	}
+	fmt.Println()
 
 	rng := rand.New(rand.NewSource(*seed + 100))
 	for qi := 0; qi < *queries; qi++ {

@@ -1020,6 +1020,36 @@ func (db *DB) IndexSizeBytes() int64 { return db.eng.SizeBytes }
 // BuildTime returns how long the object index construction took.
 func (db *DB) BuildTime() time.Duration { return db.eng.BuildTime }
 
+// SetupTimes says where the time of opening a database went: what a
+// restart costs, by structure. Index and Signatures add up to BuildTime.
+type SetupTimes struct {
+	Network    time.Duration // the road network laid out in CCAM pages
+	Index      time.Duration // the inverted file (the IR-tree for IndexIR)
+	Signatures time.Duration // the signatures over it and their size accounting
+	Oracle     time.Duration // the landmark oracle; zero when off or loaded from a snapshot
+}
+
+// SetupTimes returns the set-up times of this database.
+func (db *DB) SetupTimes() SetupTimes {
+	e := db.eng
+	return SetupTimes{
+		Network:    e.NetworkBuildTime,
+		Index:      e.BuildTime - e.SignatureTime,
+		Signatures: e.SignatureTime,
+		Oracle:     e.OracleBuildTime,
+	}
+}
+
+// Add returns the sum of two set-up times (the shards of a set).
+func (s SetupTimes) Add(o SetupTimes) SetupTimes {
+	return SetupTimes{s.Network + o.Network, s.Index + o.Index, s.Signatures + o.Signatures, s.Oracle + o.Oracle}
+}
+
+func (s SetupTimes) String() string {
+	ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	return fmt.Sprintf("network %v, index %v, signatures %v, oracle %v", ms(s.Network), ms(s.Index), ms(s.Signatures), ms(s.Oracle))
+}
+
 // ResetIO cools the buffer pools and zeroes the disk-access counters.
 // It is latch-free: counters are zeroed with atomic swaps and the pools
 // drop frames under their own short internal latches, so a reset never

@@ -1,10 +1,14 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
 	"dsks/internal/geo"
+	"dsks/internal/graph"
 	"dsks/internal/obj"
 )
 
@@ -223,5 +227,93 @@ func TestGenerateWorkloadValidation(t *testing.T) {
 	}
 	if _, err := GenerateWorkload(obj.NewCollection(), 10, WorkloadConfig{NumQueries: 5}); err == nil {
 		t.Error("empty collection accepted")
+	}
+}
+
+// TestGeneratedDatasetDigest pins the bytes of the benchmark's dataset:
+// bench/ derives its op sequence and its answer digests from
+// GeneratePreset(NA, 20, 1) and GenerateWorkload over it, so a change to a
+// generator, to obj.NormalizeTerms or to the per-edge order of the
+// collection must not move them. The digests were recorded at the commit
+// before the build path dropped its closure sorts (PR 24).
+func TestGeneratedDatasetDigest(t *testing.T) {
+	ds, err := GeneratePreset(PresetNA, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := GenerateWorkload(ds.Objects, ds.VocabSize, WorkloadConfig{
+		NumQueries: 6000, Keywords: 2, DeltaMaxPerKeyword: 500, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := sha256.New()
+	put := func(vs ...uint64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+	}
+	putTerms := func(ts []obj.TermID) {
+		put(uint64(len(ts)))
+		for _, tid := range ts {
+			put(uint64(tid))
+		}
+	}
+	sum := func() string {
+		s := hex.EncodeToString(h.Sum(nil)[:8])
+		h.Reset()
+		return s
+	}
+	got := map[string]string{}
+
+	g := ds.Graph
+	for i := 0; i < g.NumNodes(); i++ {
+		p := g.Node(graph.NodeID(i)).Loc
+		put(math.Float64bits(p.X), math.Float64bits(p.Y))
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(graph.EdgeID(i))
+		put(uint64(e.N1), uint64(e.N2), math.Float64bits(e.Length), math.Float64bits(e.Weight))
+	}
+	got["network"] = sum()
+
+	for i := 0; i < ds.Objects.Len(); i++ {
+		o := ds.Objects.Get(obj.ID(i))
+		put(uint64(o.Pos.Edge), math.Float64bits(o.Pos.Offset))
+		putTerms(o.Terms)
+	}
+	got["objects"] = sum()
+
+	for _, e := range ds.Objects.Edges() {
+		ids := ds.Objects.OnEdge(e)
+		put(uint64(e), uint64(len(ids)))
+		for _, id := range ids {
+			put(uint64(id))
+		}
+	}
+	got["edge order"] = sum()
+
+	for _, q := range ws {
+		put(uint64(q.Pos.Edge), math.Float64bits(q.Pos.Offset), math.Float64bits(q.DeltaMax))
+		putTerms(q.Terms)
+	}
+	got["queries"] = sum()
+
+	want := map[string]string{
+		"network":    "914d2ca0908f1059",
+		"objects":    "99072acd49b459e8",
+		"edge order": "a8be9841473194e4",
+		"queries":    "e90e9f143f3c7f3e",
+	}
+	for part, w := range want {
+		if got[part] != w {
+			t.Errorf("%s digest = %q, want %q", part, got[part], w)
+		}
+	}
+	if ds.Objects.Len() != 110000 || ds.VocabSize != 10400 || g.NumNodes() != 8836 {
+		t.Errorf("NA/20 shape: %d objects, %d terms, %d nodes", ds.Objects.Len(), ds.VocabSize, g.NumNodes())
 	}
 }

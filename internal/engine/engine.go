@@ -173,6 +173,10 @@ type Network struct {
 	// oracle's headline metric.
 	SearchNet ccam.Network
 
+	// NetworkBuildTime is what laying the road network out in CCAM pages
+	// took.
+	NetworkBuildTime time.Duration
+
 	// Oracle is the landmark distance oracle, nil unless Options.Oracle
 	// was set. OracleBuildTime is zero when it was loaded from
 	// Options.OracleFile.
@@ -212,9 +216,11 @@ func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	if n.File, err = ccam.Build(g, pool); err != nil {
 		return nil, fmt.Errorf("engine: building CCAM: %w", err)
 	}
+	n.NetworkBuildTime = time.Since(start)
 	// The paper's buffer budget: a fraction of the network dataset size,
 	// identical for every index structure (or an explicit frame count).
 	n.frames = n.Opts.BufferFrames
@@ -348,8 +354,12 @@ type Engine struct {
 	VocabSize int
 
 	// BuildTime and SizeBytes of the object index (Figure 6b/6c).
-	BuildTime time.Duration
-	SizeBytes int64
+	// SignatureTime is the part of BuildTime spent after the inverted file
+	// was written: the signatures and their size accounting (zero for IR
+	// and IF).
+	BuildTime     time.Duration
+	SignatureTime time.Duration
+	SizeBytes     int64
 
 	built *Roots                // the root set as built: what the zero Snapshot reads
 	pools []*storage.BufferPool // the network's pools, then Pool: what a query can read
@@ -397,6 +407,7 @@ func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize 
 		return nil, fmt.Errorf("engine: unknown index kind %q", kind)
 	}
 	g, coder := n.Graph, invindex.GraphZCoder{G: n.Graph}
+	var signatureTime time.Duration
 	e, err := n.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
 		if kind == KindIR {
 			idx, err := ir.Build(g, objects, vocabSize, pool)
@@ -413,16 +424,19 @@ func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize 
 		if kind == KindIF {
 			return &invindex.Loader{Idx: inv, Coder: coder, SelectivityOrder: so.SelectivityOrder}, inv.SizeBytes(), nil
 		}
+		start := time.Now()
 		s, err := sig.BuildSIF(g, objects, vocabSize, inv, coder, so)
 		if err != nil {
 			return nil, 0, err
 		}
-		return s, s.SizeBytes(), nil
+		size := s.SizeBytes()
+		signatureTime = time.Since(start)
+		return s, size, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.Objects, e.VocabSize = objects, vocabSize
+	e.Objects, e.VocabSize, e.SignatureTime = objects, vocabSize, signatureTime
 	switch l := e.Loader.(type) {
 	case *sig.SIF:
 		e.Versions = sifVersions{l}

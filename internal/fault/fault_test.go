@@ -174,13 +174,13 @@ func TestParseSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"",                   // no trigger
-		"read",               // no trigger
-		"bogus",              // unknown op
+		"",                        // no trigger
+		"read",                    // no trigger
+		"bogus",                   // unknown op
 		"read:mode=weird:every=1", // unknown mode
-		"read:every=x",       // malformed int
-		"read:p=2:every=1",   // probability out of range
-		"read:every=1:zap=1", // unknown key
+		"read:every=x",            // malformed int
+		"read:p=2:every=1",        // probability out of range
+		"read:every=1:zap=1",      // unknown key
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

@@ -186,57 +186,85 @@ func (idx *Index) OverflowReads() int64 { return idx.overflowReads.Load() }
 
 // Build constructs the inverted index for all objects in c over graph g.
 // vocabSize is the vocabulary size |V|.
+//
+// Nothing is sorted but the occupied edges. A counting sort by term lays
+// every posting out in the arena in the order the tree wants it: the edges
+// are visited by (Z-cell, edge ID) and Collection.OnEdge lists an edge's
+// objects by (offset, ID), so a term's slots fill in (key, edge, offset,
+// object) order, which is the order of the keys of the tree and of the
+// records of a list. The lists are then runs of one Z-cell in the arena and
+// are handed to the bulk load where they lie.
 func Build(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.BufferPool) (*Index, error) {
 	idx := &Index{pool: pool, overflowReads: new(atomic.Int64)}
-	idx.roots.TermPostings = make([]int32, vocabSize)
+	counts := make([]int32, vocabSize)
+	idx.roots.TermPostings = counts
 
-	// Group postings by (term, zcode) key.
-	type listEntry struct {
-		key      uint64
-		term     obj.TermID
-		postings []Posting
-	}
-	byKey := make(map[uint64]*listEntry)
-	for _, e := range c.Edges() {
-		z := geo.ZCode(g.EdgeCenter(e))
+	edges := c.Edges()
+	cellOf := make([]uint64, g.NumEdges()) // edge -> the Z-cell part of its keys
+	for _, e := range edges {
+		cellOf[e] = edgeKey(0, geo.ZCode(g.EdgeCenter(e)))
 		for _, id := range c.OnEdge(e) {
-			o := c.Get(id)
-			for _, t := range o.Terms {
+			for _, t := range c.Get(id).Terms {
 				if int(t) >= vocabSize {
 					return nil, fmt.Errorf("invindex: term %d outside vocabulary of %d", t, vocabSize)
 				}
-				k := edgeKey(t, z)
-				le := byKey[k]
-				if le == nil {
-					le = &listEntry{key: k, term: t}
-					byKey[k] = le
-				}
-				le.postings = append(le.postings, Posting{Object: id, Edge: e, Offset: o.Pos.Offset})
-				idx.roots.TermPostings[t]++
+				counts[t]++
 			}
 		}
 	}
-	keys := make([]*listEntry, 0, len(byKey))
-	for _, le := range byKey {
-		keys = append(keys, le)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].key < keys[j].key })
+	slices.SortFunc(edges, func(a, b graph.EdgeID) int {
+		return cmp.Or(cmp.Compare(cellOf[a], cellOf[b]), cmp.Compare(a, b))
+	})
 
-	// Encode the lists (the few overflow ones go to the heap now) into one
-	// arena and bulk-load the tree over it.
-	total := 0
-	for _, n := range idx.roots.TermPostings {
+	// next[t] is the arena slot of term t's next posting and last[t] the
+	// cell (plus one) of its previous one: a posting in another cell opens
+	// a key.
+	next, last := make([]int, vocabSize), make([]uint64, vocabSize)
+	total, keys := 0, 0
+	for t, n := range counts {
+		next[t] = total
 		total += int(n)
 	}
-	arena := make([]byte, 0, total*postingSize)
-	entries := make([]btree.Entry, 0, len(keys))
-	for _, le := range keys {
-		start := len(arena)
-		var err error
-		if arena, err = appendListValue(arena, pool, &idx.roots, le.postings); err != nil {
-			return nil, err
+	arena := make([]byte, total*postingSize)
+	for _, e := range edges {
+		cell := cellOf[e] + 1
+		for _, id := range c.OnEdge(e) {
+			o := c.Get(id)
+			rec := [1]Posting{{Object: id, Edge: e, Offset: o.Pos.Offset}}
+			for _, t := range o.Terms {
+				putPostings(arena[next[t]*postingSize:], rec[:])
+				next[t]++
+				if last[t] != cell {
+					last[t] = cell
+					keys++
+				}
+			}
 		}
-		entries = append(entries, btree.Entry{Key: le.key, Value: arena[start:len(arena):len(arena)]})
+	}
+
+	// One entry per run of a Z-cell within a term; the few runs too long
+	// for a leaf go to the overflow heap now, in key order.
+	cellAt := func(slot int) uint64 {
+		return cellOf[binary.LittleEndian.Uint32(arena[slot*postingSize+4:])]
+	}
+	entries := make([]btree.Entry, 0, keys)
+	for t, start := 0, 0; t < vocabSize; t++ {
+		for end := next[t]; start < end; {
+			cell, run := cellAt(start), start+1
+			for run < end && cellAt(run) == cell {
+				run++
+			}
+			value := arena[start*postingSize : run*postingSize : run*postingSize]
+			if run-start > MaxInlineRecords {
+				ref, err := writeOverflowAt(pool, &idx.roots, appendPostings(nil, value, allEdges))
+				if err != nil {
+					return nil, err
+				}
+				value = binary.LittleEndian.AppendUint64(nil, ref)
+			}
+			entries = append(entries, btree.Entry{Key: edgeKey(obj.TermID(t), cell), Value: value})
+			start = run
+		}
 	}
 	tree, err := btree.BulkLoad(pool, entries)
 	if err != nil {

@@ -1,15 +1,20 @@
 package invindex
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"dsks/internal/btree"
+	"dsks/internal/dataset"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
 	"dsks/internal/index"
@@ -688,5 +693,208 @@ func TestProbeChecksContextOnMemoHit(t *testing.T) {
 	}
 	if _, err := rd.LoadObjectsAny(ctx, e, terms); !errors.Is(err, context.Canceled) {
 		t.Fatalf("union probe on a warm memo under a cancelled context: %v, want context.Canceled", err)
+	}
+}
+
+// buildReference is the builder Build replaced: it groups the postings by
+// key in a map, sorts the keys and sorts every list. It is the definition
+// the page file, the roots and the counts of Build are held to.
+func buildReference(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.BufferPool) (*Index, error) {
+	idx := &Index{pool: pool, overflowReads: new(atomic.Int64)}
+	idx.roots.TermPostings = make([]int32, vocabSize)
+
+	type listEntry struct {
+		key      uint64
+		postings []Posting
+	}
+	byKey := make(map[uint64]*listEntry)
+	for _, e := range c.Edges() {
+		z := geo.ZCode(g.EdgeCenter(e))
+		for _, id := range c.OnEdge(e) {
+			o := c.Get(id)
+			for _, t := range o.Terms {
+				if int(t) >= vocabSize {
+					return nil, fmt.Errorf("invindex: term %d outside vocabulary of %d", t, vocabSize)
+				}
+				k := edgeKey(t, z)
+				le := byKey[k]
+				if le == nil {
+					le = &listEntry{key: k}
+					byKey[k] = le
+				}
+				le.postings = append(le.postings, Posting{Object: id, Edge: e, Offset: o.Pos.Offset})
+				idx.roots.TermPostings[t]++
+			}
+		}
+	}
+	keys := make([]*listEntry, 0, len(byKey))
+	for _, le := range byKey {
+		keys = append(keys, le)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].key < keys[j].key })
+
+	var arena []byte
+	entries := make([]btree.Entry, 0, len(keys))
+	for _, le := range keys {
+		start := len(arena)
+		var err error
+		if arena, err = appendListValue(arena, pool, &idx.roots, le.postings); err != nil {
+			return nil, err
+		}
+		entries = append(entries, btree.Entry{Key: le.key, Value: arena[start:len(arena):len(arena)]})
+	}
+	tree, err := btree.BulkLoad(pool, entries)
+	if err != nil {
+		return nil, err
+	}
+	idx.roots.Tree = tree.Meta()
+	return idx, pool.Flush()
+}
+
+// TestBuildMatchesReference: the index Build writes is the reference
+// builder's, page for page, with the same roots, counts and size; where the
+// reference refuses a collection Build refuses it with the same error.
+func TestBuildMatchesReference(t *testing.T) {
+	type fixture struct {
+		name  string
+		g     *graph.Graph
+		col   *obj.Collection
+		vocab int
+		// overflow, sharedKeys: what the fixture must contain to test
+		// what its name says.
+		overflow, sharedKeys bool
+	}
+	var fixtures []fixture
+	for _, p := range []struct {
+		preset dataset.Preset
+		scale  int
+		seed   int64
+	}{{dataset.PresetNA, 200, 1}, {dataset.PresetSYN, 400, 2}, {dataset.PresetSF, 900, 3}} {
+		ds, err := dataset.GeneratePreset(p.preset, p.scale, p.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures = append(fixtures, fixture{name: fmt.Sprintf("%s/%d", p.preset, p.scale), g: ds.Graph, col: ds.Objects, vocab: ds.VocabSize})
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		g, col, _, _, _ := buildFixture(t, 3000, seed)
+		fixtures = append(fixtures, fixture{name: fmt.Sprintf("random/%d", seed), g: g, col: col, vocab: 20})
+	}
+
+	// Three edges from one node whose centers share a Z-cell: every term
+	// has one key, whose postings go by (edge, offset, object) although
+	// the objects arrive edge by edge in the opposite order.
+	shared := graph.New()
+	shared.AddNode(geo.Point{X: 0, Y: 0})
+	shared.AddNode(geo.Point{X: 1e-7, Y: 0})
+	shared.AddNode(geo.Point{X: 0, Y: 1e-7})
+	shared.AddNode(geo.Point{X: 1e-7, Y: 1e-7})
+	for n := graph.NodeID(1); n <= 3; n++ {
+		if _, err := shared.AddEdge(0, n, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared.Freeze()
+	sharedCol := obj.NewCollection()
+	for i := 0; i < 60; i++ {
+		e := graph.EdgeID(2 - i%3)
+		sharedCol.Add(graph.Position{Edge: e, Offset: float64(60-i) / 100}, []obj.TermID{obj.TermID(i % 2), 2})
+		sharedCol.Add(graph.Position{Edge: e, Offset: float64(60-i) / 100}, []obj.TermID{2}) // an offset tie
+	}
+	fixtures = append(fixtures, fixture{name: "shared Z-cell", g: shared, col: sharedCol, vocab: 3, sharedKeys: true})
+
+	// One term on one edge MaxInlineRecords times, once more, and enough
+	// for a chain of pages, beside short lists: the bound and the heap.
+	g, hot, _, _, _ := buildFixture(t, 2000, 4)
+	for i := 0; i < MaxInlineRecords; i++ {
+		hot.Add(graph.Position{Edge: 1, Offset: float64(i) / 100}, []obj.TermID{3})
+		hot.Add(graph.Position{Edge: 2, Offset: float64(i) / 100}, []obj.TermID{3, 4})
+	}
+	hot.Add(graph.Position{Edge: 2, Offset: 0.5}, []obj.TermID{4})
+	for i := 0; i < 2*recordsPerPage+40; i++ {
+		hot.Add(graph.Position{Edge: 5, Offset: float64(i%7) / 10}, []obj.TermID{0, 19})
+	}
+	fixtures = append(fixtures, fixture{name: "overflow lists", g: g, col: hot, vocab: 20, overflow: true})
+
+	// Tombstones: every third object removed, and every object of two
+	// edges, so that an edge disappears from the build altogether.
+	g, dead, _, _, _ := buildFixture(t, 3000, 5)
+	for id := 0; id < dead.Len(); id += 3 {
+		if err := dead.Remove(obj.ID(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range dead.Edges()[:2] {
+		for _, id := range slices.Clone(dead.OnEdge(e)) {
+			if err := dead.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fixtures = append(fixtures, fixture{name: "tombstones", g: g, col: dead, vocab: 20})
+
+	g, _, _, _, _ = buildFixture(t, 0, 6)
+	fixtures = append(fixtures, fixture{name: "empty collection", g: g, col: obj.NewCollection(), vocab: 20})
+	fixtures = append(fixtures, fixture{name: "empty graph", g: graph.New(), col: obj.NewCollection(), vocab: 0})
+
+	// Two terms outside the vocabulary on different edges: the error names
+	// the one the reference meets first.
+	g, alien, _, _, _ := buildFixture(t, 500, 7)
+	alien.Add(graph.Position{Edge: 9}, []obj.TermID{25})
+	alien.Add(graph.Position{Edge: 4}, []obj.TermID{3, 31})
+	fixtures = append(fixtures, fixture{name: "term outside the vocabulary", g: g, col: alien, vocab: 20})
+
+	pages := func(pool *storage.BufferPool) [][]byte {
+		t.Helper()
+		// A second pool over the file reads what the build flushed, not
+		// what it left in its frames.
+		disk := storage.NewBufferPool(pool.File(), 8, nil)
+		out := make([][]byte, 0, pool.File().NumPages())
+		for id := storage.PageID(1); int(id) <= pool.File().NumPages(); id++ {
+			p, err := disk.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, slices.Clone(p.Data()))
+		}
+		return out
+	}
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			wantPool := storage.NewBufferPool(storage.NewPageFile(), 1<<16, nil)
+			want, wantErr := buildReference(fx.g, fx.col, fx.vocab, wantPool)
+			gotPool := storage.NewBufferPool(storage.NewPageFile(), 1<<16, nil)
+			got, gotErr := Build(fx.g, fx.col, fx.vocab, gotPool)
+			if wantErr != nil || gotErr != nil {
+				if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+					t.Fatalf("Build: %v, reference: %v", gotErr, wantErr)
+				}
+				return
+			}
+			if !reflect.DeepEqual(got.Roots(), want.Roots()) {
+				t.Errorf("roots = %+v, reference %+v", got.Roots(), want.Roots())
+			}
+			if got.SizeBytes() != want.SizeBytes() {
+				t.Errorf("SizeBytes = %d, reference %d", got.SizeBytes(), want.SizeBytes())
+			}
+			gotPages, wantPages := pages(gotPool), pages(wantPool)
+			if len(gotPages) != len(wantPages) {
+				t.Fatalf("%d pages, reference %d", len(gotPages), len(wantPages))
+			}
+			for i := range wantPages {
+				if !bytes.Equal(gotPages[i], wantPages[i]) {
+					t.Fatalf("page %d differs from the reference's", i+1)
+				}
+			}
+			if gw, ww := gotPool.Stats().DiskWrite.Load(), wantPool.Stats().DiskWrite.Load(); gw != ww {
+				t.Errorf("the build wrote %d pages, the reference %d", gw, ww)
+			}
+			if fx.overflow && want.Roots().PostingPages < 4 {
+				t.Errorf("%d overflow pages: the fixture does not reach the heap", want.Roots().PostingPages)
+			}
+			if n := want.Tree().Len(); fx.sharedKeys && n != fx.vocab {
+				t.Errorf("%d keys for %d terms: the edges do not share a Z-cell", n, fx.vocab)
+			}
+		})
 	}
 }

@@ -4,7 +4,9 @@
 package obj
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dsks/internal/graph"
@@ -56,14 +58,8 @@ func NormalizeTerms(ts []TermID) []TermID {
 	if len(ts) < 2 {
 		return ts
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-	out := ts[:1]
-	for _, t := range ts[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
+	slices.Sort(ts)
+	return slices.Compact(ts)
 }
 
 // Collection holds the full object set of a dataset, with per-edge grouping
@@ -170,7 +166,7 @@ func (c *Collection) Edges() []graph.EdgeID {
 	for e := range c.byEdge {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -209,16 +205,10 @@ func (c *Collection) ensureSorted() {
 	if c.sorted {
 		return
 	}
-	for e, ids := range c.byEdge {
-		lst := ids
-		sort.Slice(lst, func(i, j int) bool {
-			oi, oj := c.objects[lst[i]], c.objects[lst[j]]
-			if oi.Pos.Offset != oj.Pos.Offset {
-				return oi.Pos.Offset < oj.Pos.Offset
-			}
-			return oi.ID < oj.ID
+	for _, ids := range c.byEdge {
+		slices.SortFunc(ids, func(a, b ID) int {
+			return cmp.Or(cmp.Compare(c.objects[a].Pos.Offset, c.objects[b].Pos.Offset), cmp.Compare(a, b))
 		})
-		c.byEdge[e] = lst
 	}
 	c.sorted = true
 }

@@ -96,7 +96,6 @@ type SIF struct {
 // anyway); such keywords always pass the test.
 func BuildSIF(g *graph.Graph, c *obj.Collection, vocabSize int, inv *invindex.Index, coder invindex.EdgeZCoder, opts Options) (*SIF, error) {
 	layout := NewLayout(g)
-	edges := c.Edges()
 
 	// Decide which edges to partition (SIF-P): the top fraction by object
 	// count, minimum two objects.
@@ -107,7 +106,7 @@ func BuildSIF(g *graph.Graph, c *obj.Collection, vocabSize int, inv *invindex.In
 		if frac <= 0 {
 			frac = 0.1
 		}
-		ranked := append([]graph.EdgeID(nil), edges...)
+		ranked := c.Edges()
 		sort.Slice(ranked, func(i, j int) bool {
 			ni, nj := len(c.OnEdge(ranked[i])), len(c.OnEdge(ranked[j]))
 			if ni != nj {
@@ -147,9 +146,10 @@ func BuildSIF(g *graph.Graph, c *obj.Collection, vocabSize int, inv *invindex.In
 		layout.Finalize()
 	}
 
-	// Collect set-bit positions per term.
+	// Collect set-bit positions per term, edge by edge in slot order so
+	// that every term's positions come out ascending.
 	positions := make([][]int32, vocabSize)
-	for _, e := range edges {
+	for _, e := range layout.kdOrder {
 		ids := c.OnEdge(e)
 		start, _ := layout.Slots(e)
 		cuts := partitions[e]

@@ -5,9 +5,12 @@ import (
 
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"dsks/internal/dataset"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
 	"dsks/internal/invindex"
@@ -195,6 +198,128 @@ func TestCompactedBitsMatchesNaiveTree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// compactedBitsReference is the definition CompactedBits had before it
+// recursed over sub-slices: every node counts its ones with two searches
+// over the whole set.
+func compactedBitsReference(n int32, set []int32) int64 {
+	rangeOnes := func(lo, hi int32) int32 {
+		i := sort.Search(len(set), func(i int) bool { return set[i] >= lo })
+		j := sort.Search(len(set), func(i int) bool { return set[i] >= hi })
+		return int32(j - i)
+	}
+	var walk func(lo, hi int32) int64
+	walk = func(lo, hi int32) int64 {
+		ones := rangeOnes(lo, hi)
+		if ones == 0 || ones == hi-lo {
+			return 2
+		}
+		mid := (lo + hi) / 2
+		return 2 + walk(lo, mid) + walk(mid, hi)
+	}
+	if n == 0 {
+		return 0
+	}
+	return walk(0, n)
+}
+
+func TestCompactedBitsMatchesReference(t *testing.T) {
+	check := func(name string, n int32, positions []int32) {
+		t.Helper()
+		s := NewTermSignature(n, positions)
+		if got, want := s.CompactedBits(), compactedBitsReference(n, s.set); got != want {
+			t.Errorf("%s: n=%d, %d ones: CompactedBits = %d, reference %d", name, n, len(s.set), got, want)
+		}
+	}
+	full := make([]int32, 1000)
+	for i := range full {
+		full[i] = int32(i)
+	}
+	check("no slots", 0, nil)
+	check("one slot, clear", 1, nil)
+	check("one slot, set", 1, []int32{0})
+	check("empty", 1000, nil)
+	check("full", 1000, full)
+	check("full but one", 1000, full[1:])
+	for _, bit := range []int32{0, 1, 499, 500, 998, 999} {
+		check("single bit", 1000, []int32{bit})
+	}
+	check("positions past the last slot", 10, []int32{3, 4, 10, 12})
+
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		n := int32(1 + rng.Intn(20000))
+		positions := make([]int32, rng.Intn(int(n)+1))
+		// Runs of neighbours as well as scattered bits, so that uniform
+		// subtrees of ones occur at every depth.
+		for i := 0; i < len(positions); {
+			at, run := rng.Int31n(n), 1+rng.Intn(64)
+			for ; run > 0 && i < len(positions) && at < n; run, i, at = run-1, i+1, at+1 {
+				positions[i] = at
+			}
+		}
+		check("random", n, positions)
+	}
+}
+
+// TestBuildSIFSignsTheSlotsOfItsObjects holds BuildSIF, which collects a
+// term's slots already in order, to the definition it had when it collected
+// them edge by edge and sorted: a term is signed if its inverted file is
+// longer than a page, and its set bits are the slots of the (virtual) edges
+// that carry an object with it.
+func TestBuildSIFSignsTheSlotsOfItsObjects(t *testing.T) {
+	ds, err := dataset.GeneratePreset(dataset.PresetNA, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, col := ds.Graph, ds.Objects
+	for name, opts := range map[string]Options{
+		"SIF":   {},
+		"SIF-P": {MaxCuts: 3, TopFraction: 0.1, Log: &FreqLog{L: 3, N: 16, Seed: 99}},
+	} {
+		pool := storage.NewBufferPool(storage.NewPageFile(), 1<<16, nil)
+		inv, err := invindex.Build(g, col, ds.VocabSize, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := BuildSIF(g, col, ds.VocabSize, inv, invindex.GraphZCoder{G: g}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if virtual := int(s.layout.NumSlots()) - g.NumEdges(); (virtual > 0) != (opts.MaxCuts > 0) {
+			t.Fatalf("%s: %d virtual edges", name, virtual)
+		}
+		positions := make([][]int32, ds.VocabSize)
+		for _, e := range col.Edges() {
+			for _, id := range col.OnEdge(e) {
+				o := col.Get(id)
+				for _, term := range o.Terms {
+					positions[term] = append(positions[term], s.slotOf(e, o.Pos.Offset))
+				}
+			}
+		}
+		signed := 0
+		for term, want := range positions {
+			term := obj.TermID(term)
+			if len(want) == 0 || inv.ListPages(term) <= 1 {
+				if s.HasSignature(term) {
+					t.Errorf("%s: term %d of %d postings is signed", name, term, len(want))
+				}
+				continue
+			}
+			signed++
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			want = slices.Compact(want)
+			got := s.roots.Sigs[term]
+			if got == nil || got.n != s.layout.NumSlots() || !slices.Equal(got.set, want) {
+				t.Fatalf("%s: term %d: signature %+v, want the %d slots %v", name, term, got, len(want), want)
+			}
+		}
+		if signed < 10 {
+			t.Fatalf("%s: %d signed terms: the test is vacuous", name, signed)
+		}
 	}
 }
 

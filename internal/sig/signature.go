@@ -1,6 +1,9 @@
 package sig
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TermSignature is the signature of one keyword: conceptually a bitmap with
 // one bit per slot (edge or virtual edge), I(e, t) = 1 iff some object with
@@ -13,19 +16,15 @@ type TermSignature struct {
 	set []int32 // sorted slot positions with bit = 1
 }
 
-// NewTermSignature builds a signature over n slots from the (unsorted,
-// possibly duplicated) set-bit positions.
+// NewTermSignature builds a signature over n slots from the set-bit
+// positions, which may repeat and come in any order; positions already in
+// order (BuildSIF collects them so) are not sorted again.
 func NewTermSignature(n int32, positions []int32) *TermSignature {
-	ps := append([]int32(nil), positions...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	// Deduplicate.
-	out := ps[:0]
-	for i, p := range ps {
-		if i == 0 || p != ps[i-1] {
-			out = append(out, p)
-		}
+	set := slices.Clone(positions)
+	if !slices.IsSorted(set) {
+		slices.Sort(set)
 	}
-	return &TermSignature{n: n, set: out}
+	return &TermSignature{n: n, set: slices.Compact(set)}
 }
 
 // Set turns on the bit at position pos (no-op when already set); used by
@@ -73,31 +72,28 @@ func (s *TermSignature) TestRange(lo, count int32) bool {
 // Ones returns the number of set bits.
 func (s *TermSignature) Ones() int { return len(s.set) }
 
-// rangeOnes counts set bits within [lo, hi).
-func (s *TermSignature) rangeOnes(lo, hi int32) int32 {
-	i := sort.Search(len(s.set), func(i int) bool { return s.set[i] >= lo })
-	j := sort.Search(len(s.set), func(i int) bool { return s.set[i] >= hi })
-	return int32(j - i)
-}
-
 // CompactedBits returns the size in bits of the KD-compacted signature
 // tree: a node is encoded in 2 bits (all-zero / all-one / mixed); the
 // subtrees of uniform nodes are elided. A flat bitmap would cost n bits;
 // sparse or clustered signatures compact far below that.
 func (s *TermSignature) CompactedBits() int64 {
-	var walk func(lo, hi int32) int64
-	walk = func(lo, hi int32) int64 {
-		ones := s.rangeOnes(lo, hi)
-		if ones == 0 || ones == hi-lo {
-			return 2 // uniform subtree collapses to one node
-		}
-		mid := (lo + hi) / 2
-		return 2 + walk(lo, mid) + walk(mid, hi)
-	}
 	if s.n == 0 {
 		return 0
 	}
-	return walk(0, s.n)
+	end, _ := slices.BinarySearch(s.set, s.n) // a position past the last slot is no bit of the tree
+	return compactedBits(s.set[:end], 0, s.n)
+}
+
+// compactedBits sizes the subtree over the slots [lo, hi), of which ones
+// holds the set ones in order. A node splits its ones between its children
+// with one search inside its own range.
+func compactedBits(ones []int32, lo, hi int32) int64 {
+	if len(ones) == 0 || int32(len(ones)) == hi-lo {
+		return 2 // uniform subtree collapses to one node
+	}
+	mid := (lo + hi) / 2
+	i, _ := slices.BinarySearch(ones, mid)
+	return 2 + compactedBits(ones[:i], lo, mid) + compactedBits(ones[i:], mid, hi)
 }
 
 // SizeBytes returns the signature's storage cost in bytes: each term is

@@ -159,6 +159,9 @@ type frame struct {
 
 // NewBufferPool creates a pool with the given number of frames (minimum 1)
 // over file. stats may be nil, in which case a private IOStats is created.
+// The capacity is a bound, not a reservation: a structure is built in a
+// pool far roomier than its file (a million frames), so the frame table
+// grows with the pages actually held.
 func NewBufferPool(file File, capacity int, stats *IOStats) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
@@ -168,7 +171,7 @@ func NewBufferPool(file File, capacity int, stats *IOStats) *BufferPool {
 	}
 	return &BufferPool{
 		file:      file,
-		frames:    make(map[PageID]*list.Element, capacity),
+		frames:    make(map[PageID]*list.Element),
 		lru:       list.New(),
 		capacity:  capacity,
 		stats:     stats,

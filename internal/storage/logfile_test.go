@@ -27,8 +27,8 @@ func (f *failOnWrite) WriteLimit(_ uint32, size int) int { return size }
 // tearNext tears every write to a fixed prefix.
 type tearNext struct{ limit int }
 
-func (t *tearNext) BeforeOp(string, uint32) error      { return nil }
-func (t *tearNext) CorruptRead(uint32, []byte) bool    { return false }
+func (t *tearNext) BeforeOp(string, uint32) error   { return nil }
+func (t *tearNext) CorruptRead(uint32, []byte) bool { return false }
 func (t *tearNext) WriteLimit(_ uint32, size int) int {
 	if t.limit < size {
 		return t.limit
