@@ -48,6 +48,8 @@ fuzz-smoke:
 	$(GO) test -run FuzzFrontierVsReference -fuzz FuzzFrontierVsReference -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run FuzzNodeTable -fuzz FuzzNodeTable -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run FuzzBTreeOps -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME) ./internal/btree/
+	$(GO) test -run FuzzQueryDecode -fuzz FuzzQueryDecode -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run FuzzResponseEncode -fuzz FuzzResponseEncode -fuzztime $(FUZZTIME) ./internal/server/
 
 # bench runs the benchmark spine BENCHMARK.json declares: four served
 # workloads, end-to-end metrics with their regression bounds
@@ -60,7 +62,8 @@ bench:
 # every Benchmark* in the packages a layer's cost is judged by, so they
 # keep compiling and running. This is the one list of those packages.
 BENCH_PKGS = ./internal/core/ ./internal/ccam/ ./internal/graph/ ./internal/rtree/ ./internal/shard/ \
-	./internal/btree/ ./internal/invindex/ ./internal/sig/ ./internal/storage/ ./internal/engine/
+	./internal/btree/ ./internal/invindex/ ./internal/sig/ ./internal/storage/ ./internal/engine/ \
+	./internal/server/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)

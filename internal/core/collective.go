@@ -29,6 +29,12 @@ func (q CollectiveQuery) Validate() error {
 	if len(q.Terms) == 0 {
 		return fmt.Errorf("core: collective query needs at least one keyword")
 	}
+	if err := finite("position offset", q.Pos.Offset); err != nil {
+		return err
+	}
+	if err := finite("DeltaMax", q.DeltaMax); err != nil {
+		return err
+	}
 	if q.DeltaMax <= 0 {
 		return fmt.Errorf("core: DeltaMax must be positive, got %v", q.DeltaMax)
 	}

@@ -31,6 +31,12 @@ func (q KNNQuery) Validate() error {
 	if q.K < 1 {
 		return fmt.Errorf("core: kNN query needs k >= 1, got %d", q.K)
 	}
+	if err := finite("position offset", q.Pos.Offset); err != nil {
+		return err
+	}
+	if err := finite("MaxDist", q.MaxDist); err != nil {
+		return err
+	}
 	if q.MaxDist < 0 {
 		return fmt.Errorf("core: negative MaxDist %v", q.MaxDist)
 	}
@@ -49,7 +55,8 @@ func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNN
 	}
 	bound := q.MaxDist
 	if bound == 0 {
-		bound = math.Inf(1)
+		// Unbounded, but finite: the expansion's SKQuery must validate.
+		bound = math.MaxFloat64
 	}
 	sks, err := NewSKSearch(ctx, net, loader, SKQuery{
 		Pos:      q.Pos,

@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dsks/internal/graph"
 	"dsks/internal/index"
@@ -35,8 +36,24 @@ func (q SKQuery) Validate() error {
 			return errors.New("core: query terms must be sorted and unique")
 		}
 	}
+	if err := finite("position offset", q.Pos.Offset); err != nil {
+		return err
+	}
+	if err := finite("DeltaMax", q.DeltaMax); err != nil {
+		return err
+	}
 	if q.DeltaMax <= 0 {
 		return fmt.Errorf("core: DeltaMax must be positive, got %v", q.DeltaMax)
+	}
+	return nil
+}
+
+// finite rejects a NaN or infinite query parameter. NaN fails every
+// ordered comparison, so it slips past the range checks: a NaN radius
+// would expand the whole network and a NaN offset would match nothing.
+func finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("core: %s must be finite, got %v", name, v)
 	}
 	return nil
 }
@@ -64,6 +81,9 @@ func (q DivQuery) Validate() error {
 	}
 	if q.K < 1 {
 		return fmt.Errorf("core: k must be >= 1, got %d", q.K)
+	}
+	if err := finite("lambda", q.Lambda); err != nil {
+		return err
 	}
 	if q.Lambda < 0 || q.Lambda > 1 {
 		return fmt.Errorf("core: lambda must be in [0,1], got %v", q.Lambda)

@@ -37,6 +37,15 @@ func (q RankedQuery) Validate() error {
 	if q.K < 1 {
 		return fmt.Errorf("core: ranked query needs k >= 1, got %d", q.K)
 	}
+	if err := finite("position offset", q.Pos.Offset); err != nil {
+		return err
+	}
+	if err := finite("alpha", q.Alpha); err != nil {
+		return err
+	}
+	if err := finite("DeltaMax", q.DeltaMax); err != nil {
+		return err
+	}
 	if q.Alpha < 0 || q.Alpha > 1 {
 		return fmt.Errorf("core: alpha must be in [0,1], got %v", q.Alpha)
 	}

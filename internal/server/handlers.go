@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -20,11 +22,12 @@ import (
 // per-shard LSN vector) → canonical cache key → cache lookup keyed on
 // the token (hits bypass admission entirely) → admission (bounded queue,
 // 429 + Retry-After when full) → deadline-bound query against the view →
-// serialize, fill cache, respond. Because the whole query runs against
-// the pinned snapshot, the stored entry is *exactly* consistent with its
-// token — a mutation landing mid-query publishes a higher one and simply
-// misses the entry, it can never make a cached body look fresher or
-// staler than it is.
+// serialize (appendResponse), fill cache, respond. Because the whole
+// query runs against the pinned snapshot, the stored entry is *exactly*
+// consistent with its token — a mutation landing mid-query publishes a
+// higher one and simply misses the entry, it can never make a cached body
+// look fresher or staler than it is. With the cache off (capacity 0) the
+// key and token steps are skipped and every lookup is a counted miss.
 //
 // Behind a sharded backend a query may come back partial (the set's
 // partial-result policy): the merged survivors are served as 206 with
@@ -68,28 +71,38 @@ func (q *queryRequest) posB() dsks.Position {
 	return dsks.Position{Edge: dsks.EdgeID(q.BEdge), Offset: q.BOffset}
 }
 
-// cacheKey is the canonical encoding of the request: terms are normalized
-// at parse time, floats rendered with full precision, so two requests for
-// the same logical query share an entry regardless of JSON field order or
-// term duplication. The Timeout field is deliberately excluded — it shapes
-// execution, not the result.
-func (q *queryRequest) cacheKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "e%d|o%s|E%d|O%s|d%s|k%d|l%s|a%s|m%s|g%s|t",
-		q.Edge, canonFloat(q.Offset), q.BEdge, canonFloat(q.BOffset),
-		canonFloat(q.DeltaMax), q.K, canonFloat(q.Lambda), canonFloat(q.Alpha),
-		canonFloat(q.MaxDist), q.Algo)
+// cacheKey is the canonical encoding of a request to the kind endpoint:
+// terms are normalized at parse time, floats rendered with full precision,
+// so two requests for the same logical query share an entry regardless of
+// JSON field order or term duplication. The Timeout field is deliberately
+// excluded — it shapes execution, not the result.
+func (q *queryRequest) cacheKey(kind string) string {
+	b := make([]byte, 0, 96+4*len(q.Terms))
+	b = append(append(b, kind...), "|e"...)
+	b = strconv.AppendInt(b, q.Edge, 10)
+	b = appendKeyFloat(b, "|o", q.Offset)
+	b = strconv.AppendInt(append(b, "|E"...), q.BEdge, 10)
+	b = appendKeyFloat(b, "|O", q.BOffset)
+	b = appendKeyFloat(b, "|d", q.DeltaMax)
+	b = strconv.AppendInt(append(b, "|k"...), int64(q.K), 10)
+	b = appendKeyFloat(b, "|l", q.Lambda)
+	b = appendKeyFloat(b, "|a", q.Alpha)
+	b = appendKeyFloat(b, "|m", q.MaxDist)
+	b = append(append(append(b, "|g"...), q.Algo...), "|t"...)
 	for i, t := range q.Terms {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(int(t)))
+		b = strconv.AppendInt(b, int64(t), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
-// canonFloat renders a float for the cache key.
-func canonFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+// appendKeyFloat appends a cache-key field: its tag, then f with full
+// precision.
+func appendKeyFloat(b []byte, tag string, f float64) []byte {
+	return strconv.AppendFloat(append(b, tag...), f, 'g', -1, 64)
+}
 
 // parseQueryRequest reads a queryRequest from URL parameters (GET) or the
 // JSON body (POST) and normalizes the term list.
@@ -97,7 +110,7 @@ func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 	q := &queryRequest{Lambda: 0.8, Alpha: 0.5}
 	switch r.Method {
 	case http.MethodGet:
-		if err := parseParams(r, q); err != nil {
+		if err := parseParams(r.URL.RawQuery, q); err != nil {
 			return nil, err
 		}
 	case http.MethodPost:
@@ -112,55 +125,121 @@ func parseQueryRequest(r *http.Request) (*queryRequest, error) {
 	return q, nil
 }
 
-// parseParams fills q from URL parameters.
-func parseParams(r *http.Request, q *queryRequest) error {
-	vals := r.URL.Query()
-	for name, set := range map[string]func(string) error{
-		"edge":     paramInt64(&q.Edge),
-		"offset":   paramFloat(&q.Offset),
-		"bEdge":    paramInt64(&q.BEdge),
-		"bOffset":  paramFloat(&q.BOffset),
-		"deltaMax": paramFloat(&q.DeltaMax),
-		"k":        paramInt(&q.K),
-		"lambda":   paramFloat(&q.Lambda),
-		"alpha":    paramFloat(&q.Alpha),
-		"maxDist":  paramFloat(&q.MaxDist),
-		"algo":     paramString(&q.Algo),
-		"timeout":  paramString(&q.Timeout),
-		"terms": func(v string) error {
-			for _, part := range strings.Split(v, ",") {
-				t, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					return fmt.Errorf("term %q: %w", part, err)
-				}
-				q.Terms = append(q.Terms, dsks.TermID(t))
+// The GET parameters a queryRequest reads, as bits of parseParams' seen
+// set.
+const (
+	pEdge = 1 << iota
+	pOffset
+	pBEdge
+	pBOffset
+	pDeltaMax
+	pK
+	pLambda
+	pAlpha
+	pMaxDist
+	pAlgo
+	pTimeout
+	pTerms
+)
+
+// parseParams fills q from a URL query string in one pass. It splits the
+// query as url.ParseQuery does: pairs separated by '&', a pair holding a
+// ';' or an invalid escape skipped, names and values unescaped. As with
+// url.Values.Get, only a parameter's first occurrence counts, and an empty
+// value leaves the field at its default.
+func parseParams(raw string, q *queryRequest) error {
+	var seen uint
+	first := func(bit uint, v string) bool {
+		ok := seen&bit == 0 && v != ""
+		seen |= bit
+		return ok
+	}
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		name, v, _ := strings.Cut(pair, "=")
+		name, err := url.QueryUnescape(name)
+		if err != nil {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err != nil {
+			continue
+		}
+		switch name {
+		case "edge":
+			if first(pEdge, v) {
+				q.Edge, err = strconv.ParseInt(v, 10, 64)
 			}
-			return nil
-		},
-	} {
-		if v := vals.Get(name); v != "" {
-			if err := set(v); err != nil {
-				return fmt.Errorf("parameter %s: %w", name, err)
+		case "offset":
+			if first(pOffset, v) {
+				q.Offset, err = strconv.ParseFloat(v, 64)
 			}
+		case "bEdge":
+			if first(pBEdge, v) {
+				q.BEdge, err = strconv.ParseInt(v, 10, 64)
+			}
+		case "bOffset":
+			if first(pBOffset, v) {
+				q.BOffset, err = strconv.ParseFloat(v, 64)
+			}
+		case "deltaMax":
+			if first(pDeltaMax, v) {
+				q.DeltaMax, err = strconv.ParseFloat(v, 64)
+			}
+		case "k":
+			if first(pK, v) {
+				q.K, err = strconv.Atoi(v)
+			}
+		case "lambda":
+			if first(pLambda, v) {
+				q.Lambda, err = strconv.ParseFloat(v, 64)
+			}
+		case "alpha":
+			if first(pAlpha, v) {
+				q.Alpha, err = strconv.ParseFloat(v, 64)
+			}
+		case "maxDist":
+			if first(pMaxDist, v) {
+				q.MaxDist, err = strconv.ParseFloat(v, 64)
+			}
+		case "algo":
+			if first(pAlgo, v) {
+				q.Algo = v
+			}
+		case "timeout":
+			if first(pTimeout, v) {
+				q.Timeout = v
+			}
+		case "terms":
+			if first(pTerms, v) {
+				err = parseTerms(v, q)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("parameter %s: %w", name, err)
 		}
 	}
 	return nil
 }
 
-func paramInt64(dst *int64) func(string) error {
-	return func(v string) (err error) { *dst, err = strconv.ParseInt(v, 10, 64); return }
-}
-
-func paramInt(dst *int) func(string) error {
-	return func(v string) (err error) { *dst, err = strconv.Atoi(v); return }
-}
-
-func paramFloat(dst *float64) func(string) error {
-	return func(v string) (err error) { *dst, err = strconv.ParseFloat(v, 64); return }
-}
-
-func paramString(dst *string) func(string) error {
-	return func(v string) error { *dst = v; return nil }
+// parseTerms appends the comma-separated term list v to q.Terms; an empty
+// element (",", a trailing comma) is a malformed term.
+func parseTerms(v string, q *queryRequest) error {
+	for {
+		part, rest, more := strings.Cut(v, ",")
+		t, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return fmt.Errorf("term %q: %w", part, err)
+		}
+		q.Terms = append(q.Terms, dsks.TermID(t))
+		if !more {
+			return nil
+		}
+		v = rest
+	}
 }
 
 // deadlineFor resolves the request's deadline: the client's timeout
@@ -208,7 +287,9 @@ type collectivePayload struct {
 	Uncovered []dsks.TermID      `json:"uncovered,omitempty"`
 }
 
-// queryResponse is the shared response envelope of the query endpoints.
+// queryResponse is the shared response envelope of the query endpoints
+// and the one declaration of their wire shape: appendResponse encodes it
+// exactly as json.Marshal would.
 // The shard fields (lsns onward) appear only behind a sharded backend:
 // the pinned per-shard LSN vector, the legs actually queried after
 // routing pruning, and — on a 206 — the partial flag with the failed
@@ -261,7 +342,7 @@ func envelope(kind string, res dsks.Result) *queryResponse {
 // runner may return BOTH a payload and an error wrapping
 // shard.ErrPartialResult: the merged survivors of a partly failed
 // fan-out, which queryEndpoint serves as 206.
-type runner func(ctx context.Context, v QueryView, req *queryRequest) (any, error)
+type runner func(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error)
 
 // queryEndpoint wraps a runner in the shared serving flow.
 func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
@@ -289,13 +370,19 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		}
 		defer v.Close()
 
-		key := kind + "|" + req.cacheKey()
-		version := v.VersionToken()
-		if body, ok := s.cache.get(key, version); ok {
-			w.Header().Set("X-Dsks-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(body)
-			return
+		// With the cache off the lookup is a counted miss: no key, no
+		// version token, no lock.
+		var key, version string
+		if s.cache.cap == 0 {
+			s.cacheMisses.Add(1)
+		} else {
+			key, version = req.cacheKey(kind), v.VersionToken()
+			if body, ok := s.cache.get(key, version); ok {
+				w.Header().Set("X-Dsks-Cache", "hit")
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = w.Write(body)
+				return
+			}
 		}
 		w.Header().Set("X-Dsks-Cache", "miss")
 
@@ -318,8 +405,8 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		}
 		defer s.lim.release()
 
-		payload, err := run(ctx, v, req)
-		partial := err != nil && errors.Is(err, shard.ErrPartialResult) && payload != nil
+		resp, err := run(ctx, v, req)
+		partial := err != nil && errors.Is(err, shard.ErrPartialResult) && resp != nil
 		if err != nil && !partial {
 			if statusFor(err) == http.StatusInternalServerError {
 				s.health.recordStorageError(probe)
@@ -330,9 +417,7 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 			return
 		}
 		if mv, ok := v.(shardMeta); ok {
-			if resp, ok := payload.(*queryResponse); ok {
-				resp.stampMeta(mv.Meta())
-			}
+			resp.stampMeta(mv.Meta())
 		}
 		if partial {
 			// A partial answer is coherent but incomplete: served with
@@ -342,12 +427,11 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		} else {
 			s.health.recordSuccess(probe)
 		}
-		body, err := json.MarshalIndent(payload, "", "  ")
+		body, err := appendResponse(make([]byte, 0, responseSize(resp)), resp)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		body = append(body, '\n')
 		w.Header().Set("Content-Type", "application/json")
 		if partial {
 			w.WriteHeader(http.StatusPartialContent)
@@ -429,7 +513,7 @@ func partialOK(err error) bool {
 }
 
 // runSearch serves /v1/search.
-func (s *Server) runSearch(ctx context.Context, v QueryView, req *queryRequest) (any, error) {
+func (s *Server) runSearch(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
 	q := dsks.SKQuery{Pos: req.pos(), Terms: req.Terms, DeltaMax: req.DeltaMax}
 	if err := q.Validate(); err != nil {
 		return nil, badRequest(err)
@@ -444,7 +528,7 @@ func (s *Server) runSearch(ctx context.Context, v QueryView, req *queryRequest) 
 }
 
 // runDiversified serves /v1/diversified.
-func (s *Server) runDiversified(ctx context.Context, v QueryView, req *queryRequest) (any, error) {
+func (s *Server) runDiversified(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
 	q := dsks.DivQuery{
 		SKQuery: dsks.SKQuery{Pos: req.pos(), Terms: req.Terms, DeltaMax: req.DeltaMax},
 		K:       req.K,
@@ -472,7 +556,7 @@ func (s *Server) runDiversified(ctx context.Context, v QueryView, req *queryRequ
 }
 
 // runKNN serves /v1/knn.
-func (s *Server) runKNN(ctx context.Context, v QueryView, req *queryRequest) (any, error) {
+func (s *Server) runKNN(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
 	q := dsks.KNNQuery{Pos: req.pos(), Terms: req.Terms, K: req.K, MaxDist: req.MaxDist}
 	if err := q.Validate(); err != nil {
 		return nil, badRequest(err)
@@ -487,7 +571,7 @@ func (s *Server) runKNN(ctx context.Context, v QueryView, req *queryRequest) (an
 }
 
 // runRanked serves /v1/ranked.
-func (s *Server) runRanked(ctx context.Context, v QueryView, req *queryRequest) (any, error) {
+func (s *Server) runRanked(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
 	q := dsks.RankedQuery{
 		Pos: req.pos(), Terms: req.Terms, K: req.K,
 		Alpha: req.Alpha, DeltaMax: req.DeltaMax,
@@ -511,7 +595,7 @@ func (s *Server) runRanked(ctx context.Context, v QueryView, req *queryRequest) 
 }
 
 // runCollective serves /v1/collective.
-func (s *Server) runCollective(ctx context.Context, v QueryView, req *queryRequest) (any, error) {
+func (s *Server) runCollective(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
 	q := dsks.CollectiveQuery{Pos: req.pos(), Terms: req.Terms, DeltaMax: req.DeltaMax}
 	if err := q.Validate(); err != nil {
 		return nil, badRequest(err)
@@ -534,7 +618,12 @@ func (s *Server) runCollective(ctx context.Context, v QueryView, req *queryReque
 
 // runDistance serves /v1/distance: the exact network distance between two
 // positions, 404 when no path connects them.
-func (s *Server) runDistance(ctx context.Context, v QueryView, req *queryRequest) (any, error) {
+func (s *Server) runDistance(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
+	for _, off := range [2]float64{req.Offset, req.BOffset} {
+		if math.IsNaN(off) || math.IsInf(off, 0) {
+			return nil, badRequest(fmt.Errorf("position offset must be finite, got %v", off))
+		}
+	}
 	d, err := v.NetworkDistance(ctx, req.pos(), req.posB())
 	if err != nil {
 		return nil, err

@@ -183,6 +183,7 @@ func TestRouterPartialResult206(t *testing.T) {
 		t.Fatalf("degraded: status %d, want 206: %s", rec.Code, rec.Body)
 	}
 	decode(t, rec, &res)
+	assertMarshalBody(t, rec)
 	if !res.Partial || len(res.ShardErrors) != 1 || res.ShardErrors[0].Shard != 1 {
 		t.Fatalf("degraded envelope: partial %v errors %+v", res.Partial, res.ShardErrors)
 	}

@@ -375,13 +375,11 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeJSON writes a JSON response with the given status.
+// writeJSON writes a compact JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // writeError writes the JSON error envelope.

@@ -16,7 +16,7 @@ import (
 
 // testDB builds a small synthetic database with a workload whose queries
 // return candidates.
-func testDB(t *testing.T) (*dsks.DB, []dsks.WorkloadQuery) {
+func testDB(t testing.TB) (*dsks.DB, []dsks.WorkloadQuery) {
 	t.Helper()
 	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 7)
 	if err != nil {

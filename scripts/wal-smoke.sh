@@ -50,9 +50,9 @@ BASE=$(varz "v['liveObjects']") || exit 1
 echo "wal-smoke: serving $BASE objects, storming with $WORKERS workers"
 
 # One acked insert per line; a worker stops at the first failed or
-# unacknowledged request (the kill -9 below). Responses are pretty-printed
-# JSON spanning several lines, so acks are counted as lines carrying the
-# assigned "id", never with a bare wc -l.
+# unacknowledged request (the kill -9 below). Responses are single-line
+# JSON, and acks are counted as lines carrying the assigned "id", so a
+# stray blank or error line never counts as one.
 storm() {
     while :; do
         resp=$(curl -s -m 2 -X POST -H 'Content-Type: application/json' \
