@@ -54,7 +54,7 @@ func run() error {
 		preset  = flag.String("preset", "SYN", "generated dataset preset (SYN, NA, TW, SF); ignored with -db")
 		scale   = flag.Int("scale", 200, "scale denominator for generated presets")
 		seed    = flag.Int64("seed", 1, "random seed for generated presets")
-		kind    = flag.String("index", "SIF", "object index: IR, IF, SIF, SIF-P")
+		kind    = flag.String("index", "SIF", "object index: IF, SIF, SIF-P")
 		iolat   = flag.Duration("iolat", 0, "synthetic I/O latency per buffer miss")
 		buffer  = flag.Float64("buffer", 0, "buffer pool fraction (0 = library default)")
 		maxIn   = flag.Int("max-inflight", 16, "queries executing concurrently")
@@ -80,7 +80,6 @@ func run() error {
 
 		shards     = flag.Int("shards", 1, "shard the road network N ways and serve through the scatter-gather router")
 		partialRes = flag.Bool("partial-results", false, "sharded: answer with merged survivors (HTTP 206) when a shard fails, instead of failing the query")
-		fanoutLim  = flag.Int("fanout", 0, "sharded: concurrently running fan-out legs per request (0 = all routed shards)")
 		replicas   = flag.Int("replicas", 0, "sharded: WAL-shipped read replicas per shard (requires -wal); reads fail over to them when a primary dies")
 		hedgeAfter = flag.Duration("hedge-after", 25*time.Millisecond, "sharded: race a replica against a primary leg slower than this (0 disables hedging)")
 		maxStale   = flag.Uint64("max-staleness", 4096, "sharded: max log records a failover replica may lag behind the pinned primary LSN (0 = unbounded)")
@@ -135,7 +134,7 @@ func run() error {
 			return fmt.Errorf("-replicas %d needs -wal: the write-ahead log is the replication shipping medium", *replicas)
 		}
 		set, d, generated, err := openSet(*dbDir, *preset, *scale, *seed, *shards, shard.Options{
-			DB: opts, Partial: *partialRes, FanoutLimit: *fanoutLim,
+			DB: opts, Partial: *partialRes,
 			Replicas: *replicas, HedgeAfter: *hedgeAfter,
 			MaxStaleness: *maxStale, LegRetries: *legRetries,
 			Seed: uint64(*seed),
@@ -268,18 +267,10 @@ func openDB(dir, preset string, scale int, seed int64, opts dsks.Options) (db *d
 
 // indexKind maps the flag spelling to the library constant.
 func indexKind(s string) dsks.IndexKind {
-	switch s {
-	case "IR":
-		return dsks.IndexIR
-	case "IF":
-		return dsks.IndexIF
-	case "SIF":
-		return dsks.IndexSIF
-	case "SIF-P", "SIFP":
+	if s == "SIFP" {
 		return dsks.IndexSIFP
-	default:
-		return dsks.IndexKind(s) // let Open reject it with ErrBadOptions
 	}
+	return dsks.IndexKind(s) // Open rejects an unknown kind with ErrBadOptions
 }
 
 // cacheSize maps the flag to the server convention (0 = default there, so

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dsks -preset SYN -scale 200 -terms 3,7 -deltamax 1500           # boolean SK query
-//	dsks -preset NA -terms 1,2,5 -k 10 -lambda 0.8 -algo COM        # diversified
+//	dsks -preset NA -terms 1,2,5 -k 10 -lambda 0.8                  # diversified
 //	dsks -load ./data/na -terms 4 -index SIF-P -queries 5
 //	dsks -preset SYN -queries 20 -stats                             # metrics report
 //	dsks -preset NA -timeout 50ms -terms 1,2                        # per-query deadline
@@ -47,13 +47,12 @@ func run() error {
 	load := flag.String("load", "", "load a datagen-written dataset by path prefix")
 	scale := flag.Int("scale", 200, "scale denominator for generated presets")
 	seed := flag.Int64("seed", 1, "random seed")
-	kind := flag.String("index", "SIF", "object index: IR, IF, SIF, SIF-P")
+	kind := flag.String("index", "SIF", "object index: IF, SIF, SIF-P")
 	terms := flag.String("terms", "", "comma-separated query term IDs (empty: use a random object's keywords)")
 	nterms := flag.Int("l", 2, "number of keywords taken from the anchor object when -terms is empty")
 	deltaMax := flag.Float64("deltamax", 1500, "maximal network distance δmax")
 	k := flag.Int("k", 0, "diversified result size k (0 = plain SK query)")
 	lambda := flag.Float64("lambda", 0.8, "relevance/diversity trade-off λ")
-	algo := flag.String("algo", "COM", "diversified algorithm: SEQ or COM")
 	knn := flag.Int("knn", 0, "k-nearest-neighbor mode: return the knn closest matches (overrides -k)")
 	alpha := flag.Float64("alpha", -1, "ranked mode: spatial weight α in [0,1] (overrides -k and -knn)")
 	queries := flag.Int("queries", 1, "number of queries to run")
@@ -125,7 +124,7 @@ func run() error {
 		if *timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 		}
-		err := runQuery(ctx, db, skq, *k, *lambda, *algo, *knn, *alpha)
+		err := runQuery(ctx, db, skq, *k, *lambda, *knn, *alpha)
 		cancel()
 		switch {
 		case errors.Is(err, dsks.ErrDeadlineExceeded):
@@ -144,7 +143,7 @@ func run() error {
 // runQuery dispatches one query to the mode the flags select, against a
 // view opened for it.
 func runQuery(ctx context.Context, db *dsks.DB,
-	skq dsks.SKQuery, k int, lambda float64, algo string, knn int, alpha float64) error {
+	skq dsks.SKQuery, k int, lambda float64, knn int, alpha float64) error {
 	v, err := db.View(ctx)
 	if err != nil {
 		return err
@@ -197,12 +196,12 @@ func runQuery(ctx context.Context, db *dsks.DB,
 				i+1, c.Ref.ID, c.Ref.Edge, c.Dist)
 		}
 	default:
-		res, err := v.SearchDiversifiedWith(ctx, dsks.Algo(algo), dsks.DivQuery{SKQuery: skq, K: k, Lambda: lambda})
+		res, err := v.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: k, Lambda: lambda})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %s chose %d objects (f = %.4f) in %v; %d disk reads, %d candidates seen, %d pruned, early-stop=%v\n",
-			algo, len(res.Candidates), res.F, res.Elapsed.Round(0),
+		fmt.Printf("  COM chose %d objects (f = %.4f) in %v; %d disk reads, %d candidates seen, %d pruned, early-stop=%v\n",
+			len(res.Candidates), res.F, res.Elapsed.Round(0),
 			res.DiskReads, res.Stats.Candidates, res.Stats.Pruned, res.Stats.EarlyTerminate)
 		for i, c := range res.Candidates {
 			fmt.Printf("  #%d object %d on edge %d at network distance %.1f\n",

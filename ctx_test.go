@@ -402,17 +402,6 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := db.Stream(context.Background(), badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("stream with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-
-	// An algorithm name that selects nothing is a bad option, rejected
-	// before any page is read.
-	good := dsks.DivQuery{SKQuery: dsks.SKQuery{Pos: badTerm.Pos, Terms: terms, DeltaMax: 100}, K: 2, Lambda: 0.5}
-	before := poolLogicalReads(db)
-	if _, err := diversifiedWith(context.Background(), db, "bogus", good); !errors.Is(err, dsks.ErrBadOptions) {
-		t.Errorf("diversified search with unknown algorithm: err = %v, want ErrBadOptions", err)
-	}
-	if after := poolLogicalReads(db); after != before {
-		t.Errorf("unknown algorithm read %d pages before being rejected", after-before)
-	}
 }
 
 // TestInsertClampRegression: inserting with an out-of-range offset must

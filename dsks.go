@@ -142,17 +142,13 @@ var (
 	// ErrDeadlineExceeded reports a query aborted because its context's
 	// deadline passed.
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
-	// ErrUnsupportedIndex reports an operation the database's index
-	// structure cannot serve (e.g. ranked queries on IR, inserts on IR).
-	ErrUnsupportedIndex = errors.New("dsks: operation not supported by this index")
 	// ErrUnknownObject reports an ObjectID that does not name a live object.
 	ErrUnknownObject = errors.New("dsks: unknown object")
 	// ErrUnknownEdge reports an EdgeID outside the road network.
 	ErrUnknownEdge = errors.New("dsks: unknown edge")
 	// ErrTermOutOfRange reports a TermID at or beyond the vocabulary size.
 	ErrTermOutOfRange = errors.New("dsks: term outside vocabulary")
-	// ErrBadOptions reports invalid Options passed to Open, or an Algo
-	// that names no diversified algorithm.
+	// ErrBadOptions reports invalid Options passed to Open.
 	ErrBadOptions = engine.ErrBadOptions
 	// ErrBadSnapshot reports a saved database directory that OpenPath
 	// cannot restore (unknown format version, corrupt or mismatched files).
@@ -202,24 +198,13 @@ func NewCollection() *Collection { return obj.NewCollection() }
 // IndexKind selects the object index structure backing a database.
 type IndexKind = engine.IndexKind
 
-// The available index structures, in increasing pruning power: the
-// Euclidean inverted R-tree baseline, the plain inverted file, the
-// signature-enhanced inverted file, and the partition-refined signatures.
+// The available index structures, in increasing pruning power: the plain
+// inverted file, the signature-enhanced inverted file, and the
+// partition-refined signatures.
 const (
-	IndexIR   = engine.KindIR
 	IndexIF   = engine.KindIF
 	IndexSIF  = engine.KindSIF
 	IndexSIFP = engine.KindSIFP
-)
-
-// Algo selects the diversified search algorithm: the incremental COM
-// (default) or the retrieve-everything SEQ baseline.
-type Algo = engine.DivAlgo
-
-// The two diversified search algorithms.
-const (
-	AlgoCOM = engine.AlgoCOM
-	AlgoSEQ = engine.AlgoSEQ
 )
 
 // Options configures a database.
@@ -287,7 +272,7 @@ type Options struct {
 // validate rejects option values that cannot configure a database.
 func (o Options) validate() error {
 	switch o.Index {
-	case "", IndexIR, IndexIF, IndexSIF, IndexSIFP:
+	case "", IndexIF, IndexSIF, IndexSIFP:
 	default:
 		return fmt.Errorf("%w: unknown index kind %q", ErrBadOptions, o.Index)
 	}
@@ -414,11 +399,7 @@ func openDB(g *Graph, objects *Collection, vocabSize int, opts Options, walFrom 
 	db := &DB{eng: eng}
 	// The freshly built index state is version zero (or walFrom, when the
 	// built state already includes a snapshot's mutations).
-	r := &dbRoots{lsn: walFrom, live: objects.Live()}
-	if eng.Versions != nil {
-		r.idx = eng.Versions.Roots()
-	}
-	db.roots.Store(r)
+	db.roots.Store(&dbRoots{lsn: walFrom, live: objects.Live(), idx: eng.Versions.Roots()})
 	if opts.WALDir != "" {
 		if err := db.attachWAL(opts, walFrom); err != nil {
 			return nil, err
@@ -463,7 +444,7 @@ func (db *DB) applyRecord(r wal.Record) error {
 		for i, t := range r.Terms {
 			terms[i] = TermID(t)
 		}
-		if err := db.checkInsert(pos, terms); err != nil {
+		if err := db.checkPosTerms("insert", pos, terms); err != nil {
 			return fmt.Errorf("%w: replaying insert at LSN %d: %w", ErrBadWAL, r.LSN, err)
 		}
 		id, err := db.applyInsertAt(r.LSN, db.eng.Graph.Clamp(pos), terms)
@@ -575,8 +556,7 @@ func (db *DB) Search(ctx context.Context, q SKQuery) (Result, error) {
 }
 
 // SearchDiversified runs a diversified spatial keyword query with the
-// incremental COM algorithm (Algorithm 6 of the paper). The explicit
-// algorithm choice lives on View (SearchDiversifiedWith).
+// incremental COM algorithm (Algorithm 6 of the paper).
 func (db *DB) SearchDiversified(ctx context.Context, q DivQuery) (Result, error) {
 	return oneShot(ctx, db, q, (*View).SearchDiversified)
 }
@@ -600,9 +580,7 @@ type RankedQuery = core.RankedQuery
 type RankedResult = core.RankedResult
 
 // SearchRanked runs the top-k ranked spatial keyword query and returns the
-// scored objects in Result.Ranked. It requires an index with OR-semantics
-// support (IF, SIF or SIF-P); others fail with an error matching
-// ErrUnsupportedIndex.
+// scored objects in Result.Ranked.
 func (db *DB) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) {
 	return oneShot(ctx, db, q, (*View).SearchRanked)
 }
@@ -617,8 +595,7 @@ type CollectiveResult = core.CollectiveResult
 
 // SearchCollective finds a keyword-covering group with the ln|T|-
 // approximate weighted set-cover greedy and returns it in
-// Result.Collective. It requires an index with OR-semantics support (IF,
-// SIF or SIF-P); others fail with an error matching ErrUnsupportedIndex.
+// Result.Collective.
 func (db *DB) SearchCollective(ctx context.Context, q CollectiveQuery) (Result, error) {
 	return oneShot(ctx, db, q, (*View).SearchCollective)
 }
@@ -656,9 +633,7 @@ func (db *DB) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
 // Insert adds a spatio-textual object to an open database: the object
 // joins the collection, its postings are appended to the inverted file and
 // its keywords' signature bits are set, so subsequent queries see it.
-// Supported for the IF, SIF and SIF-P indexes (IR is bulk-loaded only;
-// it fails with an error matching ErrUnsupportedIndex). Terms must be
-// below the vocabulary size the database was opened with.
+// Terms must be below the vocabulary size the database was opened with.
 //
 // Insert builds the next database version copy-on-write — private copies
 // of every touched index page plus cloned root structures — and publishes
@@ -695,7 +670,7 @@ func (db *DB) Insert(pos Position, terms []TermID) (ObjectID, error) {
 // must record bookkeeping against the assigned ID before blocking.
 func (db *DB) InsertAsync(pos Position, terms []TermID) (ObjectID, uint64, error) {
 	db.mu.Lock()
-	if err := db.checkInsert(pos, terms); err != nil {
+	if err := db.checkPosTerms("insert", pos, terms); err != nil {
 		db.mu.Unlock()
 		return 0, 0, err
 	}
@@ -799,18 +774,6 @@ func (db *DB) ApplyShipped(r WALRecord) error {
 	return nil
 }
 
-// checkInsert validates an insert without changing anything; callers
-// hold the write latch.
-func (db *DB) checkInsert(pos Position, terms []TermID) error {
-	if err := db.checkPosTerms("insert", pos, terms); err != nil {
-		return err
-	}
-	if db.eng.Versions == nil {
-		return fmt.Errorf("dsks: insert into index %s: %w", db.eng.Kind, ErrUnsupportedIndex)
-	}
-	return nil
-}
-
 // applyInsertAt performs a validated insert copy-on-write at commit LSN
 // lsn: the index mutation runs against a private page batch and cloned
 // roots with the ID the collection will assign; only after it succeeds is
@@ -862,7 +825,7 @@ func (db *DB) reclaim() {
 // Remove deletes an object from an open database: it is tombstoned in the
 // collection and its postings leave the inverted file, so queries no
 // longer see it. Signature bits are not cleared (sound: a stale bit can
-// only cost a false hit). Supported for IF, SIF and SIF-P.
+// only cost a false hit).
 //
 // Remove follows Insert's copy-on-write protocol: the next version is
 // built privately and published atomically, so concurrent queries are
@@ -904,9 +867,6 @@ func (db *DB) checkRemove(id ObjectID) error {
 	col := db.eng.Objects
 	if id < 0 || int(id) >= col.Len() || col.Removed(id) {
 		return fmt.Errorf("dsks: remove object %d: %w", id, ErrUnknownObject)
-	}
-	if db.eng.Versions == nil {
-		return fmt.Errorf("dsks: remove from index %s: %w", db.eng.Kind, ErrUnsupportedIndex)
 	}
 	return nil
 }
@@ -1024,7 +984,7 @@ func (db *DB) BuildTime() time.Duration { return db.eng.BuildTime }
 // restart costs, by structure. Index and Signatures add up to BuildTime.
 type SetupTimes struct {
 	Network    time.Duration // the road network laid out in CCAM pages
-	Index      time.Duration // the inverted file (the IR-tree for IndexIR)
+	Index      time.Duration // the inverted file
 	Signatures time.Duration // the signatures over it and their size accounting
 	Oracle     time.Duration // the landmark oracle; zero when off or loaded from a snapshot
 }

@@ -12,6 +12,12 @@ import (
 // API tests: a 2×2 grid with restaurants.
 func buildTinyCity(t testing.TB) (*dsks.DB, *dsks.Vocabulary, dsks.Position, []dsks.EdgeID) {
 	t.Helper()
+	return buildTinyCityWith(t, dsks.Options{})
+}
+
+// buildTinyCityWith is buildTinyCity over a database opened with opts.
+func buildTinyCityWith(t testing.TB, opts dsks.Options) (*dsks.DB, *dsks.Vocabulary, dsks.Position, []dsks.EdgeID) {
+	t.Helper()
 	g := dsks.NewGraph()
 	n00 := g.AddNode(dsks.Point{X: 0, Y: 0})
 	n10 := g.AddNode(dsks.Point{X: 100, Y: 0})
@@ -34,22 +40,11 @@ func buildTinyCity(t testing.TB) (*dsks.DB, *dsks.Vocabulary, dsks.Position, []d
 	objects.Add(dsks.Position{Edge: edges[3], Offset: 50}, vocab.InternAll([]string{"pizza", "pasta"}))
 	objects.Add(dsks.Position{Edge: edges[2], Offset: 10}, vocab.InternAll([]string{"coffee"}))
 
-	db, err := dsks.Open(g, objects, vocab.Size(), dsks.Options{})
+	db, err := dsks.Open(g, objects, vocab.Size(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db, vocab, dsks.Position{Edge: edges[0], Offset: 0}, edges
-}
-
-// diversifiedWith runs one diversified query with an explicit algorithm
-// (the choice lives on View) against a view opened for the call.
-func diversifiedWith(ctx context.Context, db *dsks.DB, algo dsks.Algo, q dsks.DivQuery) (dsks.Result, error) {
-	v, err := db.View(ctx)
-	if err != nil {
-		return dsks.Result{}, err
-	}
-	defer v.Close()
-	return v.SearchDiversifiedWith(ctx, algo, q)
 }
 
 func TestPublicSearch(t *testing.T) {
@@ -104,15 +99,8 @@ func TestPublicDiversified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := diversifiedWith(context.Background(), db, dsks.AlgoSEQ, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(com.Candidates) != 2 || len(seq.Candidates) != 2 {
-		t.Fatalf("k=2 returned %d / %d objects", len(com.Candidates), len(seq.Candidates))
-	}
-	if math.Abs(com.F-seq.F) > 1e-9 {
-		t.Errorf("COM f=%v differs from SEQ f=%v", com.F, seq.F)
+	if len(com.Candidates) != 2 {
+		t.Fatalf("k=2 returned %d objects", len(com.Candidates))
 	}
 	// The diversity-leaning pick must span different edges.
 	if com.Candidates[0].Ref.Edge == com.Candidates[1].Ref.Edge {
@@ -121,7 +109,7 @@ func TestPublicDiversified(t *testing.T) {
 }
 
 func TestPublicAllIndexKinds(t *testing.T) {
-	for _, kind := range []dsks.IndexKind{dsks.IndexIR, dsks.IndexIF, dsks.IndexSIF, dsks.IndexSIFP} {
+	for _, kind := range []dsks.IndexKind{dsks.IndexIF, dsks.IndexSIF, dsks.IndexSIFP} {
 		g := dsks.NewGraph()
 		a := g.AddNode(dsks.Point{X: 0, Y: 0})
 		b := g.AddNode(dsks.Point{X: 50, Y: 0})

@@ -2,7 +2,7 @@
 // scenario the paper's introduction motivates. A San-Francisco-like
 // network is generated, businesses with Zipf-distributed service keywords
 // are placed on its streets, and the same boolean query workload is run
-// against all four index structures of the paper to show why the
+// against the three index structures the database serves to show why the
 // signature-based inverted file (SIF/SIF-P) is the one you want.
 //
 // Run with:
@@ -41,7 +41,7 @@ func main() {
 	fmt.Println("index structure comparison over the same 50-query workload:")
 	fmt.Printf("  %-6s  %-10s  %-10s  %-12s  %s\n",
 		"index", "build", "size", "avg query", "avg disk reads")
-	for _, kind := range []dsks.IndexKind{dsks.IndexIR, dsks.IndexIF, dsks.IndexSIF, dsks.IndexSIFP} {
+	for _, kind := range []dsks.IndexKind{dsks.IndexIF, dsks.IndexSIF, dsks.IndexSIFP} {
 		db, err := dsks.OpenDataset(ds, dsks.Options{Index: kind})
 		if err != nil {
 			log.Fatal(err)

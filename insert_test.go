@@ -110,27 +110,6 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
-func TestInsertUnsupportedKind(t *testing.T) {
-	g := dsks.NewGraph()
-	a := g.AddNode(dsks.Point{X: 0, Y: 0})
-	b := g.AddNode(dsks.Point{X: 50, Y: 0})
-	e, err := g.AddEdge(a, b, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Freeze()
-	vocab := dsks.NewVocabulary()
-	objects := dsks.NewCollection()
-	objects.Add(dsks.Position{Edge: e, Offset: 25}, vocab.InternAll([]string{"x"}))
-	db, err := dsks.Open(g, objects, vocab.Size(), dsks.Options{Index: dsks.IndexIR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Insert(dsks.Position{Edge: e}, []dsks.TermID{0}); err == nil {
-		t.Error("IR accepted an insert")
-	}
-}
-
 func TestRemoveHidesFromQueries(t *testing.T) {
 	for _, kind := range []dsks.IndexKind{dsks.IndexIF, dsks.IndexSIF, dsks.IndexSIFP} {
 		t.Run(string(kind), func(t *testing.T) {

@@ -7,7 +7,26 @@ import (
 	"dsks/internal/dataset"
 	"dsks/internal/engine"
 	"dsks/internal/index"
+	"dsks/internal/ir"
+	"dsks/internal/storage"
 )
+
+// attachIR builds the IR baseline over n as the experiments do: attached,
+// an index without versions.
+func attachIR(t testing.TB, n *engine.Network, ds *dataset.Dataset) *engine.Engine {
+	t.Helper()
+	e, err := n.Attach("IR", func(pool *storage.BufferPool) (index.Loader, int64, error) {
+		idx, err := ir.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
+		if err != nil {
+			return nil, 0, err
+		}
+		return idx, idx.SizeBytes(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 // TestBuildEvictsNothing: every structure is built in a pool roomy enough
 // to hold it whole, whatever the pool reserves up front, so a build reads
@@ -18,11 +37,21 @@ func TestBuildEvictsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []engine.IndexKind{engine.KindIR, engine.KindIF, engine.KindSIF, engine.KindSIFP} {
-		e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, kind, engine.Options{Oracle: true})
+	opts := engine.Options{Oracle: true}
+	net, err := engine.NewNetwork(ds.Graph, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []*engine.Engine{attachIR(t, net, ds)}
+	for _, kind := range []engine.IndexKind{engine.KindIF, engine.KindSIF, engine.KindSIFP} {
+		e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, kind, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		engines = append(engines, e)
+	}
+	for _, e := range engines {
+		kind := e.Kind
 		pools := append(e.Pools(), e.Pool)
 		if len(pools) != 3 {
 			t.Fatalf("%s: %d pools, want network, oracle and index", kind, len(pools))

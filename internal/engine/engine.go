@@ -22,7 +22,6 @@ import (
 	"dsks/internal/graph"
 	"dsks/internal/index"
 	"dsks/internal/invindex"
-	"dsks/internal/ir"
 	"dsks/internal/metrics"
 	"dsks/internal/obj"
 	"dsks/internal/sig"
@@ -32,9 +31,9 @@ import (
 // IndexKind names an object index structure.
 type IndexKind string
 
-// The four structures of Section 5.
+// The three versioned structures of Section 5; the experiments attach the
+// IR baseline themselves (Network.Attach).
 const (
-	KindIR   IndexKind = "IR"
 	KindIF   IndexKind = "IF"
 	KindSIF  IndexKind = "SIF"
 	KindSIFP IndexKind = "SIF-P"
@@ -344,7 +343,7 @@ type Engine struct {
 	// a reader per query (begin).
 	Loader index.Loader
 	// Versions is the index's copy-on-write seam, nil for a structure
-	// that is immutable after build (IR).
+	// that is immutable after build (the experiments' baselines).
 	Versions Versioned
 	// Pool backs the object index's page file.
 	Pool *storage.BufferPool
@@ -355,8 +354,8 @@ type Engine struct {
 
 	// BuildTime and SizeBytes of the object index (Figure 6b/6c).
 	// SignatureTime is the part of BuildTime spent after the inverted file
-	// was written: the signatures and their size accounting (zero for IR
-	// and IF).
+	// was written: the signatures and their size accounting (zero for IF
+	// and the baselines).
 	BuildTime     time.Duration
 	SignatureTime time.Duration
 	SizeBytes     int64
@@ -392,14 +391,14 @@ func (n *Network) Attach(kind IndexKind, build func(pool *storage.BufferPool) (i
 	return e, n.settle(pool)
 }
 
-// BuildIndex attaches one of the four object indexes of Section 5. The
-// inverted file underlies IF, SIF and SIF-P; every engine gets its own
-// copy on its own page file so buffer budgets and I/O counts stay
-// comparable across kinds.
+// BuildIndex attaches one of the three versioned object indexes of
+// Section 5. The inverted file underlies IF, SIF and SIF-P; every engine
+// gets its own copy on its own page file so buffer budgets and I/O counts
+// stay comparable across kinds.
 func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize int) (*Engine, error) {
 	so := sig.Options{SelectivityOrder: n.Opts.SelectivityOrder}
 	switch kind {
-	case KindIR, KindIF, KindSIF:
+	case KindIF, KindSIF:
 	case KindSIFP:
 		so.MaxCuts, so.TopFraction = n.Opts.SIFPCuts, n.Opts.SIFPTopFraction
 		so.Method, so.Log = n.Opts.SIFPMethod, n.Opts.SIFPLog
@@ -409,13 +408,6 @@ func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize 
 	g, coder := n.Graph, invindex.GraphZCoder{G: n.Graph}
 	var signatureTime time.Duration
 	e, err := n.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
-		if kind == KindIR {
-			idx, err := ir.Build(g, objects, vocabSize, pool)
-			if err != nil {
-				return nil, 0, err
-			}
-			return idx, idx.SizeBytes(), nil
-		}
 		inv, err := invindex.Build(g, objects, vocabSize, pool)
 		if err != nil {
 			return nil, 0, err
@@ -437,15 +429,12 @@ func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize 
 		return nil, err
 	}
 	e.Objects, e.VocabSize, e.SignatureTime = objects, vocabSize, signatureTime
-	switch l := e.Loader.(type) {
-	case *sig.SIF:
-		e.Versions = sifVersions{l}
-	case *invindex.Loader:
-		e.Versions = ifVersions{l}
+	if kind == KindIF {
+		e.Versions = ifVersions{e.Loader.(*invindex.Loader)}
+	} else {
+		e.Versions = sifVersions{e.Loader.(*sig.SIF)}
 	}
-	if e.Versions != nil {
-		e.built = e.Versions.Roots()
-	}
+	e.built = e.Versions.Roots()
 	return e, nil
 }
 

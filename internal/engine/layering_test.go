@@ -23,14 +23,14 @@ func deps(t *testing.T, patterns ...string) map[string]bool {
 
 // TestLayering pins the inversion: the database, the router and the served
 // binary stand on the engine and never link the experiments harness (or
-// the experiment-only C1 store), and the engine itself knows neither the
-// harness nor the dataset generators.
+// the experiment-only IR and C1 baselines), and the engine itself knows
+// neither the harness nor the dataset generators.
 func TestLayering(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")
 	}
 	product := deps(t, "dsks", "dsks/internal/shard", "dsks/internal/server", "dsks/cmd/dsks-serve")
-	for _, banned := range []string{"dsks/internal/harness", "dsks/internal/experiments", "dsks/internal/edgestore"} {
+	for _, banned := range []string{"dsks/internal/harness", "dsks/internal/experiments", "dsks/internal/edgestore", "dsks/internal/ir"} {
 		if product[banned] {
 			t.Errorf("the product packages link %s", banned)
 		}

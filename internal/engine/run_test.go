@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -272,11 +273,16 @@ func queryReadsAnIndexPageOnce(t *testing.T, frames int) {
 		queries, float64(held)/float64(memos), most, mostDistinct, repeatsPastTheBound)
 }
 
-// TestUnversionedIndexHasNoMemo: IR is immutable after build and reads its
-// own structure through the pool; the run path leaves it alone.
+// TestUnversionedIndexHasNoMemo: IR, attached as the experiments attach
+// it, is immutable after build and reads its own structure through the
+// pool; the run path leaves it alone.
 func TestUnversionedIndexHasNoMemo(t *testing.T) {
 	ds, ws := testData(t)
-	e := openEngine(t, ds, engine.KindIR, 16)
+	net, err := engine.NewNetwork(ds.Graph, engine.Options{BufferFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := attachIR(t, net, ds)
 	for i, w := range ws[:6] {
 		if _, err := e.Search(context.Background(), engine.Snapshot{}, core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}); err != nil {
 			t.Fatalf("query %d: %v", i, err)
@@ -287,5 +293,27 @@ func TestUnversionedIndexHasNoMemo(t *testing.T) {
 	}
 	if _, err := e.SearchRanked(context.Background(), engine.Snapshot{}, core.RankedQuery{Pos: ws[0].Pos, Terms: ws[0].Terms, K: 3, Alpha: 0.5}); err == nil {
 		t.Error("a ranked query on IR, which has no union loads, succeeded")
+	}
+}
+
+// TestUnknownAlgorithmReadsNothing: an algorithm name that selects nothing
+// is a bad option, rejected before any page is read.
+func TestUnknownAlgorithmReadsNothing(t *testing.T) {
+	ds, ws := testData(t)
+	e := openEngine(t, ds, engine.KindSIF, 16)
+	reads := func() (n int64) {
+		for _, p := range append(e.Pools(), e.Pool) {
+			n += p.Stats().LogicalRead.Load()
+		}
+		return n
+	}
+	before := reads()
+	w := ws[0]
+	q := core.DivQuery{SKQuery: core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}, K: 2, Lambda: 0.5}
+	if _, err := e.SearchDiversified(context.Background(), engine.Snapshot{}, "bogus", q); !errors.Is(err, engine.ErrBadOptions) {
+		t.Errorf("diversified search with unknown algorithm: err = %v, want ErrBadOptions", err)
+	}
+	if after := reads(); after != before {
+		t.Errorf("unknown algorithm read %d pages before being rejected", after-before)
 	}
 }

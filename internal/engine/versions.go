@@ -22,7 +22,8 @@ type Roots struct {
 // mutation under MVCC: readers bind to a published root set and a pinned
 // page source, mutators write a private page batch and a private Roots
 // copy. *sig.SIF serves SIF and SIF-P alike; the plain inverted file is
-// the other implementation; IR has none.
+// the other implementation; the experiments' IR, SIF-G and C1 baselines
+// have none.
 type Versioned interface {
 	// Roots returns a copy of the root set of the index as built.
 	Roots() *Roots

@@ -1,6 +1,6 @@
 // Package harness is the experiments' client of internal/engine: it builds
-// several object index kinds — the engine's four plus the experiment-only
-// SIF-G and C1 baselines — over one shared disk-resident network, and runs
+// several object index kinds — the engine's three plus the experiment-only
+// IR, SIF-G and C1 baselines — over one shared disk-resident network, and runs
 // queries against any of them while collecting the cost metrics the
 // figures report (response time, disk accesses, candidate counts). It is
 // the substrate of the experiment drivers, the benchmark probes and the
@@ -20,6 +20,7 @@ import (
 	"dsks/internal/engine"
 	"dsks/internal/index"
 	"dsks/internal/invindex"
+	"dsks/internal/ir"
 	"dsks/internal/obj"
 	"dsks/internal/sig"
 	"dsks/internal/storage"
@@ -28,12 +29,14 @@ import (
 // IndexKind names one of the object index structures of the evaluation.
 type IndexKind = engine.IndexKind
 
-// The four structures of Section 5, plus the two experiment-only baselines.
+// The engine's three structures of Section 5, plus the experiment-only
+// baselines.
 const (
-	KindIR   = engine.KindIR
 	KindIF   = engine.KindIF
 	KindSIF  = engine.KindSIF
 	KindSIFP = engine.KindSIFP
+	// KindIR is the Euclidean inverted R-tree, Section 5's straw-man.
+	KindIR IndexKind = "IR"
 	// KindSIFG is the group-based SIF-G baseline.
 	KindSIFG IndexKind = "SIF-G"
 	// KindC1 stores objects directly with their edges (no inverted
@@ -101,6 +104,14 @@ func Build(ds *dataset.Dataset, kinds []IndexKind, opts Options) (*System, error
 	for _, kind := range kinds {
 		var e *engine.Engine
 		switch kind {
+		case KindIR:
+			e, err = net.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
+				idx, err := ir.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
+				if err != nil {
+					return nil, 0, err
+				}
+				return idx, idx.SizeBytes(), nil
+			})
 		case KindSIFG:
 			e, err = net.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
 				inv, err := invindex.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"context"
-
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"dsks/internal/core"
 	"dsks/internal/dataset"
+	"dsks/internal/engine"
 	"dsks/internal/sig"
 )
 
@@ -168,5 +171,73 @@ func TestResetIOClearsCounters(t *testing.T) {
 	}
 	if got := sys.DiskReads(KindIF); got != 0 {
 		t.Errorf("DiskReads after reset = %d", got)
+	}
+}
+
+// TestOracleEquivalence: the landmark oracle only short-circuits work whose
+// outcome its bounds prove, so every family, both diversified algorithms
+// included, answers bit-identically with it on and off.
+func TestOracleEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		preset dataset.Preset
+		scale  int
+	}{{dataset.PresetSYN, 1000}, {dataset.PresetNA, 500}} {
+		ds, err := dataset.GeneratePreset(tc.preset, tc.scale, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := dataset.GenerateWorkload(ds.Objects, ds.VocabSize, dataset.WorkloadConfig{NumQueries: 10, Keywords: 2, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := Build(ds, []IndexKind{KindSIF}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assisted, err := Build(ds, []IndexKind{KindSIF}, Options{Oracle: true, OracleLandmarks: 8, OracleSeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if assisted.Oracle == nil {
+			t.Fatal("assisted system has no oracle")
+		}
+		ctx := context.Background()
+		for qi, w := range ws {
+			sk := SKQueryOf(w)
+			div := core.DivQuery{SKQuery: sk, K: 4, Lambda: 0.5}
+			for _, f := range []struct {
+				name string
+				run  func(*System) (engine.Result, error)
+			}{
+				{"SEQ", func(s *System) (engine.Result, error) { return s.RunDiv(ctx, KindSIF, AlgoSEQ, div) }},
+				{"COM", func(s *System) (engine.Result, error) { return s.RunDiv(ctx, KindSIF, AlgoCOM, div) }},
+				{"search", func(s *System) (engine.Result, error) { return s.RunSK(ctx, KindSIF, sk) }},
+				{"knn", func(s *System) (engine.Result, error) {
+					return s.RunKNN(ctx, KindSIF, core.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 5})
+				}},
+				{"ranked", func(s *System) (engine.Result, error) {
+					return s.RunRanked(ctx, KindSIF, core.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: 0.5, DeltaMax: w.DeltaMax})
+				}},
+				{"collective", func(s *System) (engine.Result, error) {
+					return s.RunCollective(ctx, KindSIF, core.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax})
+				}},
+			} {
+				tag := fmt.Sprintf("%s/%d query %d, %s", tc.preset, tc.scale, qi, f.name)
+				want, err := f.run(base)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				got, err := f.run(assisted)
+				if err != nil {
+					t.Fatalf("%s with the oracle: %v", tag, err)
+				}
+				payload := func(r engine.Result) engine.Result {
+					return engine.Result{Candidates: r.Candidates, F: r.F, Ranked: r.Ranked, Collective: r.Collective}
+				}
+				if !reflect.DeepEqual(payload(want), payload(got)) {
+					t.Fatalf("%s: the answer diverges with the oracle on\nwant %+v\ngot  %+v", tag, payload(want), payload(got))
+				}
+			}
+		}
 	}
 }

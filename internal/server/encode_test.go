@@ -194,7 +194,6 @@ func parseParamsReference(raw string, q *queryRequest) error {
 		"lambda":   func(v string) (err error) { q.Lambda, err = strconv.ParseFloat(v, 64); return },
 		"alpha":    func(v string) (err error) { q.Alpha, err = strconv.ParseFloat(v, 64); return },
 		"maxDist":  func(v string) (err error) { q.MaxDist, err = strconv.ParseFloat(v, 64); return },
-		"algo":     func(v string) error { q.Algo = v; return nil },
 		"timeout":  func(v string) error { q.Timeout = v; return nil },
 		"terms": func(v string) error {
 			for _, part := range strings.Split(v, ",") {
@@ -220,9 +219,9 @@ func parseParamsReference(raw string, q *queryRequest) error {
 func cacheKeyReference(kind string, q *queryRequest) string {
 	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|e%d|o%s|E%d|O%s|d%s|k%d|l%s|a%s|m%s|g%s|t", kind,
+	fmt.Fprintf(&b, "%s|e%d|o%s|E%d|O%s|d%s|k%d|l%s|a%s|m%s|t", kind,
 		q.Edge, g(q.Offset), q.BEdge, g(q.BOffset), g(q.DeltaMax), q.K,
-		g(q.Lambda), g(q.Alpha), g(q.MaxDist), q.Algo)
+		g(q.Lambda), g(q.Alpha), g(q.MaxDist))
 	for i, t := range q.Terms {
 		if i > 0 {
 			b.WriteByte(',')

@@ -57,7 +57,6 @@ type queryRequest struct {
 	Lambda   float64       `json:"lambda"`
 	Alpha    float64       `json:"alpha"`
 	MaxDist  float64       `json:"maxDist"`
-	Algo     string        `json:"algo"`
 	Timeout  string        `json:"timeout"`
 }
 
@@ -87,8 +86,7 @@ func (q *queryRequest) cacheKey(kind string) string {
 	b = strconv.AppendInt(append(b, "|k"...), int64(q.K), 10)
 	b = appendKeyFloat(b, "|l", q.Lambda)
 	b = appendKeyFloat(b, "|a", q.Alpha)
-	b = appendKeyFloat(b, "|m", q.MaxDist)
-	b = append(append(append(b, "|g"...), q.Algo...), "|t"...)
+	b = append(appendKeyFloat(b, "|m", q.MaxDist), "|t"...)
 	for i, t := range q.Terms {
 		if i > 0 {
 			b = append(b, ',')
@@ -137,7 +135,6 @@ const (
 	pLambda
 	pAlpha
 	pMaxDist
-	pAlgo
 	pTimeout
 	pTerms
 )
@@ -204,10 +201,6 @@ func parseParams(raw string, q *queryRequest) error {
 		case "maxDist":
 			if first(pMaxDist, v) {
 				q.MaxDist, err = strconv.ParseFloat(v, 64)
-			}
-		case "algo":
-			if first(pAlgo, v) {
-				q.Algo = v
 			}
 		case "timeout":
 			if first(pTimeout, v) {
@@ -376,7 +369,7 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		if s.cache.cap == 0 {
 			s.cacheMisses.Add(1)
 		} else {
-			key, version = req.cacheKey(kind), v.VersionToken()
+			key, version = req.cacheKey(kind), versionToken(v)
 			if body, ok := s.cache.get(key, version); ok {
 				w.Header().Set("X-Dsks-Cache", "hit")
 				w.Header().Set("Content-Type", "application/json")
@@ -392,7 +385,7 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		// hits were already served above; they touch no storage.
 		probe, admitted := s.health.allow()
 		if !admitted {
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BreakerCooldown.Seconds()+0.5)))
+			w.Header().Set("Retry-After", retryAfter(s.cfg.BreakerCooldown))
 			writeError(w, http.StatusServiceUnavailable, "storage degraded: circuit breaker open")
 			return
 		}
@@ -416,7 +409,7 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 			s.writeQueryError(w, err)
 			return
 		}
-		if mv, ok := v.(shardMeta); ok {
+		if mv, ok := v.(*shard.MultiView); ok {
 			resp.stampMeta(mv.Meta())
 		}
 		if partial {
@@ -454,7 +447,7 @@ func (s *Server) admit(w http.ResponseWriter, ctx context.Context) error {
 		return nil
 	case errors.Is(err, errQueueFull):
 		s.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", "1") // the shortest whole-second hint
 		writeError(w, http.StatusTooManyRequests, "server overloaded: admission queue full")
 	case errors.Is(err, context.DeadlineExceeded):
 		s.deadlines.Add(1)
@@ -463,6 +456,12 @@ func (s *Server) admit(w http.ResponseWriter, ctx context.Context) error {
 		writeError(w, statusClientClosedRequest, "client closed request")
 	}
 	return err
+}
+
+// retryAfter renders a wait as a Retry-After value: whole seconds, rounded
+// up, at least one. A hint of 0 would tell clients to retry at once.
+func retryAfter(d time.Duration) string {
+	return strconv.Itoa(max(1, int(math.Ceil(d.Seconds()))))
 }
 
 // statusClientClosedRequest is nginx's non-standard 499, the least-wrong
@@ -488,8 +487,6 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, dsks.ErrCanceled):
 		return statusClientClosedRequest
-	case errors.Is(err, dsks.ErrUnsupportedIndex):
-		return http.StatusNotImplemented
 	case errors.Is(err, dsks.ErrNoPath), errors.Is(err, dsks.ErrUnknownObject):
 		return http.StatusNotFound
 	default:
@@ -537,15 +534,7 @@ func (s *Server) runDiversified(ctx context.Context, v QueryView, req *queryRequ
 	if err := q.Validate(); err != nil {
 		return nil, badRequest(err)
 	}
-	algo := dsks.AlgoCOM
-	switch strings.ToUpper(req.Algo) {
-	case "", "COM":
-	case "SEQ":
-		algo = dsks.AlgoSEQ
-	default:
-		return nil, badRequest(fmt.Errorf("unknown algo %q (want COM or SEQ)", req.Algo))
-	}
-	res, err := v.SearchDiversified(ctx, algo, q)
+	res, err := v.SearchDiversified(ctx, q)
 	if !partialOK(err) {
 		return nil, err
 	}

@@ -202,6 +202,27 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRetryAfterWhileBreakerOpen: a cooldown under half a second still
+// hints a one-second wait, on a shed query and on /healthz alike; a hint of
+// 0 would invite clients to retry at once into the open circuit.
+func TestRetryAfterWhileBreakerOpen(t *testing.T) {
+	db, ws := testDB(t)
+	srv := New(db, Config{DegradeAfter: 1, BreakAfter: 1, BreakerCooldown: 200 * time.Millisecond})
+	clock := time.Unix(1000, 0)
+	srv.health.now = func() time.Time { return clock } // the cooldown never ends
+	srv.health.recordStorageError(false)
+	h := srv.Handler()
+	for _, url := range []string{searchURL(ws[0]), "/healthz"} {
+		rec := get(t, h, url, nil)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s with the breaker open: %d %s", url, rec.Code, rec.Body.String())
+		}
+		if got := rec.Header().Get("Retry-After"); got != "1" {
+			t.Errorf("%s: Retry-After %q with a 200ms cooldown, want \"1\"", url, got)
+		}
+	}
+}
+
 func TestChaosEndpointDisabledByDefault(t *testing.T) {
 	db, _ := testDB(t)
 	h := New(db, Config{}).Handler()

@@ -14,10 +14,10 @@ import (
 // router (NewRouter). Handlers never touch the engine directly — every
 // query runs against a QueryView pinned for the whole request, every
 // mutation goes through the Backend, and the result cache keys on the
-// view's opaque version token (a single commit LSN, or the joined
-// per-shard LSN vector). The sharded backend additionally surfaces
-// per-shard state through the sharded interface (per-shard /varz section,
-// shard-targeted chaos) and partial-result metadata through shardMeta.
+// view's version token (a single commit LSN, or the joined per-shard LSN
+// vector). The sharded backend additionally surfaces per-shard state
+// through the sharded interface (per-shard /varz section, shard-targeted
+// chaos), and its views carry partial-result metadata (shard.Meta).
 
 // Backend abstracts the query engine the server fronts.
 type Backend interface {
@@ -40,19 +40,34 @@ type Backend interface {
 	ResetIO() error
 }
 
-// QueryView is one pinned read snapshot: the query surface of a
-// *dsks.View or a shard.MultiView.
+// QueryView is one pinned read snapshot: the query surface a *dsks.View
+// and a *shard.MultiView share.
 type QueryView interface {
 	Search(ctx context.Context, q dsks.SKQuery) (dsks.Result, error)
-	SearchDiversified(ctx context.Context, algo dsks.Algo, q dsks.DivQuery) (dsks.Result, error)
+	SearchDiversified(ctx context.Context, q dsks.DivQuery) (dsks.Result, error)
 	SearchKNN(ctx context.Context, q dsks.KNNQuery) (dsks.Result, error)
 	SearchRanked(ctx context.Context, q dsks.RankedQuery) (dsks.Result, error)
 	SearchCollective(ctx context.Context, q dsks.CollectiveQuery) (dsks.Result, error)
 	NetworkDistance(ctx context.Context, a, b dsks.Position) (float64, error)
-	// VersionToken is the snapshot identity the result cache keys on. Two
-	// views with equal tokens serve byte-identical answers.
-	VersionToken() string
 	Close()
+}
+
+// versionToken is the snapshot identity the result cache keys on: the
+// view's commit LSN, or a multi-view's pinned per-shard LSN vector joined.
+// Two views with equal tokens serve byte-identical answers.
+func versionToken(v QueryView) string {
+	mv, ok := v.(*shard.MultiView)
+	if !ok {
+		return strconv.FormatUint(v.(*dsks.View).LSN(), 10)
+	}
+	var b strings.Builder
+	for i, lsn := range mv.LSNs() {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.FormatUint(lsn, 10))
+	}
+	return b.String()
 }
 
 // sharded is the optional backend surface of a shard set: the per-shard
@@ -64,13 +79,6 @@ type sharded interface {
 	// ("primary"|"replica"|"down"), reported on /healthz and /varz.
 	ShardHealth() []string
 	SetShardFaultSpec(i int, spec string) error
-}
-
-// shardMeta is the optional view surface carrying scatter-gather
-// metadata (per-shard LSN vector, routed/pruned legs, partial-result
-// detail) for the response envelope.
-type shardMeta interface {
-	Meta() shard.Meta
 }
 
 // ShardVarz is one shard's row in the /varz shards section.
@@ -94,7 +102,7 @@ func (b dbBackend) View(ctx context.Context) (QueryView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dbView{v}, nil
+	return v, nil
 }
 
 // Insert acks the database's commit LSN after the mutation, preserving
@@ -119,36 +127,6 @@ func (b dbBackend) SetFaultSpec(spec string) error { return b.db.SetFaultSpec(sp
 func (b dbBackend) ClearFaults()                   { b.db.ClearFaults() }
 func (b dbBackend) ResetIO() error                 { return b.db.ResetIO() }
 
-// dbView adapts *dsks.View to QueryView.
-type dbView struct{ v *dsks.View }
-
-func (w dbView) Search(ctx context.Context, q dsks.SKQuery) (dsks.Result, error) {
-	return w.v.Search(ctx, q)
-}
-
-func (w dbView) SearchDiversified(ctx context.Context, algo dsks.Algo, q dsks.DivQuery) (dsks.Result, error) {
-	return w.v.SearchDiversifiedWith(ctx, algo, q)
-}
-
-func (w dbView) SearchKNN(ctx context.Context, q dsks.KNNQuery) (dsks.Result, error) {
-	return w.v.SearchKNN(ctx, q)
-}
-
-func (w dbView) SearchRanked(ctx context.Context, q dsks.RankedQuery) (dsks.Result, error) {
-	return w.v.SearchRanked(ctx, q)
-}
-
-func (w dbView) SearchCollective(ctx context.Context, q dsks.CollectiveQuery) (dsks.Result, error) {
-	return w.v.SearchCollective(ctx, q)
-}
-
-func (w dbView) NetworkDistance(ctx context.Context, a, b dsks.Position) (float64, error) {
-	return w.v.NetworkDistance(ctx, a, b)
-}
-
-func (w dbView) VersionToken() string { return strconv.FormatUint(w.v.LSN(), 10) }
-func (w dbView) Close()               { w.v.Close() }
-
 // setBackend serves a sharded set through the scatter-gather router.
 type setBackend struct{ set *shard.Set }
 
@@ -157,7 +135,7 @@ func (b setBackend) View(ctx context.Context) (QueryView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return setView{mv}, nil
+	return mv, nil
 }
 
 func (b setBackend) Insert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectID, uint64, error) {
@@ -216,53 +194,6 @@ func (b setBackend) ShardVarz() []ShardVarz {
 }
 
 func (b setBackend) ShardHealth() []string { return b.set.Health() }
-
-// setView adapts *shard.MultiView to QueryView. The algo hint of
-// diversified queries is ignored: the router always merges per-shard
-// candidate unions and runs its own diversification greedy, which is the
-// COM/SEQ-equivalent objective over the full union.
-type setView struct{ mv *shard.MultiView }
-
-func (w setView) Search(ctx context.Context, q dsks.SKQuery) (dsks.Result, error) {
-	return w.mv.Search(ctx, q)
-}
-
-func (w setView) SearchDiversified(ctx context.Context, _ dsks.Algo, q dsks.DivQuery) (dsks.Result, error) {
-	return w.mv.SearchDiversified(ctx, q)
-}
-
-func (w setView) SearchKNN(ctx context.Context, q dsks.KNNQuery) (dsks.Result, error) {
-	return w.mv.SearchKNN(ctx, q)
-}
-
-func (w setView) SearchRanked(ctx context.Context, q dsks.RankedQuery) (dsks.Result, error) {
-	return w.mv.SearchRanked(ctx, q)
-}
-
-func (w setView) SearchCollective(ctx context.Context, q dsks.CollectiveQuery) (dsks.Result, error) {
-	return w.mv.SearchCollective(ctx, q)
-}
-
-func (w setView) NetworkDistance(ctx context.Context, a, b dsks.Position) (float64, error) {
-	return w.mv.NetworkDistance(ctx, a, b)
-}
-
-// VersionToken joins the pinned per-shard LSN vector: two multi-views
-// with the same vector were pinned over identical per-shard states and
-// serve identical merged answers.
-func (w setView) VersionToken() string {
-	var b strings.Builder
-	for i, lsn := range w.mv.LSNs() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatUint(lsn, 10))
-	}
-	return b.String()
-}
-
-func (w setView) Close()           { w.mv.Close() }
-func (w setView) Meta() shard.Meta { return w.mv.Meta() }
 
 // NewRouter builds a server over an N-way shard set: the same HTTP API
 // as New, with queries scattered to the routed shards and merged, the

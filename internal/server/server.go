@@ -20,7 +20,6 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -46,8 +45,6 @@ type Config struct {
 	// CacheSize is the result cache capacity in entries; 0 keeps the
 	// default (4096), negative disables caching.
 	CacheSize int
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// DegradeAfter is the count of consecutive storage-class errors that
 	// moves health from healthy to degraded (default 3).
 	DegradeAfter int
@@ -86,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize < 0 {
 		c.CacheSize = 0
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.DegradeAfter <= 0 {
 		c.DegradeAfter = 3
@@ -251,7 +245,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if st == stateOpen {
 		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BreakerCooldown.Seconds()+0.5)))
+		w.Header().Set("Retry-After", retryAfter(s.cfg.BreakerCooldown))
 	}
 	body := map[string]any{
 		"status":  st.String(),

@@ -57,9 +57,6 @@ type Options struct {
 	// error wrapping ErrPartialResult, instead of failing outright
 	// (first-error-wins, the default).
 	Partial bool
-	// FanoutLimit bounds the number of concurrently running legs per
-	// request; 0 means "all routed shards at once".
-	FanoutLimit int
 	// Replicas is the number of WAL-shipped read replicas per shard
 	// (R). Replicas require DB.WALDir — the log is the shipping medium.
 	Replicas int
@@ -135,7 +132,6 @@ type Set struct {
 	searchNet ccam.Network
 	shards    []shardState
 	partial   bool
-	fanout    int
 	template  dsks.Options
 
 	// Replication / failover configuration (see Options).
@@ -286,7 +282,6 @@ func newSet(g *dsks.Graph, vocabSize int, part *Partition, opts Options) *Set {
 		net:        &ccam.InMemory{G: g},
 		shards:     make([]shardState, part.Shards),
 		partial:    opts.Partial,
-		fanout:     opts.FanoutLimit,
 		template:   opts.DB,
 		nreplicas:  opts.Replicas,
 		maxStale:   opts.MaxStaleness,

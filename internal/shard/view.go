@@ -104,7 +104,6 @@ func clientClass(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, dsks.ErrUnknownEdge) ||
 		errors.Is(err, dsks.ErrTermOutOfRange) ||
-		errors.Is(err, dsks.ErrUnsupportedIndex) ||
 		errors.Is(err, dsks.ErrNoPath) ||
 		errors.Is(err, dsks.ErrViewClosed)
 }
@@ -117,7 +116,7 @@ func legError(shard int, err error) error {
 	return fmt.Errorf("shard: shard %d: %w: %w", shard, ErrShardDown, err)
 }
 
-// fanout scatters run over the routed shards with bounded concurrency.
+// fanout scatters run over the routed shards, one goroutine per leg.
 // Cancellation propagates: under first-error-wins (the default), the
 // first shard-down failure cancels every sibling leg in flight. A panic
 // inside a leg is recovered into an ErrShardDown-class error for that
@@ -131,17 +130,8 @@ func (mv *MultiView) fanout(ctx context.Context, targets []int,
 	s.pruneTotal.Add(int64(len(mv.views) - len(targets)))
 
 	legs := make([]leg, len(targets))
-	if len(targets) == 0 {
-		return legs
-	}
-
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	limit := s.fanout
-	if limit <= 0 || limit > len(targets) {
-		limit = len(targets)
-	}
-	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	for k, si := range targets {
 		legs[k].shard = si
@@ -156,13 +146,6 @@ func (mv *MultiView) fanout(ctx context.Context, targets []int,
 					}
 				}
 			}()
-			select {
-			case sem <- struct{}{}:
-			case <-fctx.Done():
-				legs[k].err = fmt.Errorf("shard: leg for shard %d aborted: %w: %w", si, dsks.ErrCanceled, fctx.Err())
-				return
-			}
-			defer func() { <-sem }()
 			s.shards[si].reqs.Add(1)
 			res, err := mv.runResultLeg(fctx, si, run)
 			legs[k].res, legs[k].err = res, err

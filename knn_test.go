@@ -2,7 +2,6 @@ package dsks_test
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -208,30 +207,6 @@ func TestPublicRanked(t *testing.T) {
 		if res[i].Score > res[i-1].Score+1e-12 {
 			t.Errorf("scores not sorted: %v after %v", res[i].Score, res[i-1].Score)
 		}
-	}
-}
-
-func TestPublicRankedUnsupportedIndex(t *testing.T) {
-	g := dsks.NewGraph()
-	a := g.AddNode(dsks.Point{X: 0, Y: 0})
-	b := g.AddNode(dsks.Point{X: 50, Y: 0})
-	e, err := g.AddEdge(a, b, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Freeze()
-	vocab := dsks.NewVocabulary()
-	objects := dsks.NewCollection()
-	objects.Add(dsks.Position{Edge: e, Offset: 25}, vocab.InternAll([]string{"x"}))
-	db, err := dsks.Open(g, objects, vocab.Size(), dsks.Options{Index: dsks.IndexIR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms, _ := vocab.LookupAll([]string{"x"})
-	if _, err := db.SearchRanked(context.Background(), dsks.RankedQuery{
-		Pos: dsks.Position{Edge: e}, Terms: terms, K: 1, Alpha: 0.5, DeltaMax: 100,
-	}); !errors.Is(err, dsks.ErrUnsupportedIndex) {
-		t.Errorf("IR ranked query error = %v, want ErrUnsupportedIndex", err)
 	}
 }
 

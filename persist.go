@@ -484,7 +484,8 @@ func verifyManifest(dir string, wantFormat int) error {
 
 // OpenPath restores a database saved with SaveTo, rebuilding the index
 // structures. opts fields that are zero keep the persisted configuration;
-// a non-empty opts.Index overrides the saved index kind.
+// a non-empty opts.Index overrides the saved index kind, which is how a
+// snapshot of a kind no longer served (IR) is opened.
 //
 // Format-2 and format-3 snapshots are verified against their manifest
 // (per-file size and CRC32C) before anything is parsed; format-1
@@ -527,10 +528,13 @@ func OpenPath(dir string, opts Options) (*DB, error) {
 	default:
 		return nil, fmt.Errorf("%w: unsupported format version %d", ErrBadSnapshot, meta.Format)
 	}
-	switch meta.Index {
-	case "", IndexIR, IndexIF, IndexSIF, IndexSIFP:
-	default:
-		return nil, fmt.Errorf("%w: unknown index kind %q", ErrBadSnapshot, meta.Index)
+	if opts.Index == "" {
+		switch meta.Index {
+		case "", IndexIF, IndexSIF, IndexSIFP:
+		default:
+			return nil, fmt.Errorf("%w: unknown index kind %q", ErrBadSnapshot, meta.Index)
+		}
+		opts.Index = meta.Index
 	}
 	gf, err := os.Open(filepath.Join(dir, "graph"))
 	if err != nil {
@@ -558,9 +562,6 @@ func OpenPath(dir string, opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if opts.Index == "" {
-		opts.Index = meta.Index
 	}
 	// Re-enable the oracle for snapshots that carried one (or when the
 	// caller asks for it): the persisted configuration wins unless opts

@@ -1,10 +1,13 @@
 package dsks_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dsks"
@@ -151,4 +154,60 @@ func TestOpenPathUnknownIndexKind(t *testing.T) {
 		meta["index"] = "B-TREE-OF-DOOM"
 	})
 	wantBadSnapshot(t, dir, "unknown index kind")
+}
+
+// TestOpenPathIRSnapshot: a snapshot whose meta.json names IR, a kind the
+// database no longer builds, does not open as saved; since every open
+// rebuilds the index, it opens with the kind the caller names and answers
+// like a fresh database of that kind.
+func TestOpenPathIRSnapshot(t *testing.T) {
+	dir := saveTiny(t)
+	downgradeToV1(t, dir, func(meta map[string]any) {
+		meta["index"] = "IR"
+	})
+	if _, err := dsks.OpenPath(dir, dsks.Options{}); !errors.Is(err, dsks.ErrBadSnapshot) || !strings.Contains(err.Error(), `"IR"`) {
+		t.Fatalf("IR snapshot with no Options.Index: err = %v, want ErrBadSnapshot naming IR", err)
+	}
+	db, err := dsks.OpenPath(dir, dsks.Options{Index: dsks.IndexSIF})
+	if err != nil {
+		t.Fatalf("IR snapshot with Options.Index SIF: %v", err)
+	}
+	fresh, vocab, origin, _ := buildTinyCityWith(t, dsks.Options{Index: dsks.IndexSIF})
+	if db.IndexSizeBytes() != fresh.IndexSizeBytes() {
+		t.Errorf("reopened index is %d bytes, a fresh SIF index %d", db.IndexSizeBytes(), fresh.IndexSizeBytes())
+	}
+	terms, err := vocab.LookupAll([]string{"pizza", "coffee"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sk := dsks.SKQuery{Pos: origin, Terms: terms[:1], DeltaMax: 500}
+	for name, run := range map[string]func(*dsks.DB) (dsks.Result, error){
+		"search": func(d *dsks.DB) (dsks.Result, error) { return d.Search(ctx, sk) },
+		"diversified": func(d *dsks.DB) (dsks.Result, error) {
+			return d.SearchDiversified(ctx, dsks.DivQuery{SKQuery: sk, K: 2, Lambda: 0.3})
+		},
+		"knn": func(d *dsks.DB) (dsks.Result, error) {
+			return d.SearchKNN(ctx, dsks.KNNQuery{Pos: origin, Terms: sk.Terms, K: 2})
+		},
+		"ranked": func(d *dsks.DB) (dsks.Result, error) {
+			return d.SearchRanked(ctx, dsks.RankedQuery{Pos: origin, Terms: terms, K: 3, Alpha: 0.5, DeltaMax: 500})
+		},
+		"collective": func(d *dsks.DB) (dsks.Result, error) {
+			return d.SearchCollective(ctx, dsks.CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+		},
+	} {
+		want, err := run(fresh)
+		if err != nil {
+			t.Fatalf("%s on the fresh database: %v", name, err)
+		}
+		got, err := run(db)
+		if err != nil {
+			t.Fatalf("%s on the reopened database: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Candidates, want.Candidates) || got.F != want.F ||
+			!reflect.DeepEqual(got.Ranked, want.Ranked) || !reflect.DeepEqual(got.Collective, want.Collective) {
+			t.Errorf("%s: the reopened database answers %+v, a fresh one %+v", name, got, want)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package dsks
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"dsks/internal/engine"
@@ -19,9 +18,7 @@ var ErrViewClosed = errors.New("dsks: view closed")
 type dbRoots struct {
 	lsn  uint64
 	live int
-	// idx is the object index's root set; nil for an index without
-	// versions (IR), which is immutable after build.
-	idx *engine.Roots
+	idx  *engine.Roots // the object index's root set
 }
 
 // View is a consistent read-only snapshot of the database, pinned at the
@@ -44,7 +41,7 @@ type View struct {
 	// at is what a query on this view reads: the root snapshot and a page
 	// view pinned at its LSN. The engine binds a reader with its own page
 	// memo to it per query, so a long-lived or shared view holds no query
-	// state. Zero for an index without versions.
+	// state.
 	at     engine.Snapshot
 	closed atomic.Bool
 }
@@ -70,11 +67,7 @@ func (db *DB) View(ctx context.Context) (*View, error) {
 		// The loaded root set was folded away before we pinned it; the
 		// current one is always pinnable, so reload and retry.
 	}
-	v := &View{db: db, roots: r}
-	if r.idx != nil {
-		v.at = engine.Snapshot{Roots: r.idx, Pages: db.eng.Pool.ViewAt(r.lsn)}
-	}
-	return v, nil
+	return &View{db: db, roots: r, at: engine.Snapshot{Roots: r.idx, Pages: db.eng.Pool.ViewAt(r.lsn)}}, nil
 }
 
 // Close releases the view's pin on its LSN. Idempotent; after the first
@@ -119,17 +112,10 @@ func (v *View) Search(ctx context.Context, q SKQuery) (Result, error) {
 // SearchDiversified runs a diversified spatial keyword query with the
 // incremental COM algorithm against the view's snapshot.
 func (v *View) SearchDiversified(ctx context.Context, q DivQuery) (Result, error) {
-	return v.SearchDiversifiedWith(ctx, AlgoCOM, q)
-}
-
-// SearchDiversifiedWith is SearchDiversified with an explicit algorithm
-// choice (COM or the SEQ baseline); any other Algo fails with an error
-// matching ErrBadOptions.
-func (v *View) SearchDiversifiedWith(ctx context.Context, algo Algo, q DivQuery) (Result, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	return v.db.eng.SearchDiversified(ctx, v.at, algo, q)
+	return v.db.eng.SearchDiversified(ctx, v.at, engine.AlgoCOM, q)
 }
 
 // SearchKNN returns the k nearest objects containing every query keyword,
@@ -141,18 +127,9 @@ func (v *View) SearchKNN(ctx context.Context, q KNNQuery) (Result, error) {
 	return v.db.eng.SearchKNN(ctx, v.at, q)
 }
 
-// errUnsupportedQuery reports a query family the index kind cannot serve.
-func (v *View) errUnsupportedQuery(family string) error {
-	return fmt.Errorf("dsks: %s query on index %s: %w", family, v.db.eng.Kind, ErrUnsupportedIndex)
-}
-
 // SearchRanked runs the top-k ranked spatial keyword query against the
-// view's snapshot. It requires an index with OR-semantics support (IF, SIF
-// or SIF-P); others fail with an error matching ErrUnsupportedIndex.
+// view's snapshot.
 func (v *View) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) {
-	if !v.db.eng.Union() {
-		return Result{}, v.errUnsupportedQuery("ranked")
-	}
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
@@ -160,12 +137,8 @@ func (v *View) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) 
 }
 
 // SearchCollective finds a keyword-covering group against the view's
-// snapshot. It requires an index with OR-semantics support (IF, SIF or
-// SIF-P); others fail with an error matching ErrUnsupportedIndex.
+// snapshot.
 func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result, error) {
-	if !v.db.eng.Union() {
-		return Result{}, v.errUnsupportedQuery("collective")
-	}
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}

@@ -180,8 +180,8 @@ func TestViewCloseDeterministic(t *testing.T) {
 	if _, err := v.SearchCollective(ctx, coll); err != nil {
 		t.Fatalf("SearchCollective on open view: %v", err)
 	}
-	if _, err := v.SearchDiversifiedWith(ctx, dsks.AlgoSEQ, dq); err != nil {
-		t.Fatalf("SearchDiversifiedWith on open view: %v", err)
+	if _, err := v.SearchDiversified(ctx, dq); err != nil {
+		t.Fatalf("SearchDiversified on open view: %v", err)
 	}
 
 	var wg sync.WaitGroup
@@ -203,8 +203,8 @@ func TestViewCloseDeterministic(t *testing.T) {
 	if _, err := v.SearchCollective(ctx, coll); !errors.Is(err, dsks.ErrViewClosed) {
 		t.Fatalf("SearchCollective on closed view: err = %v, want ErrViewClosed", err)
 	}
-	if _, err := v.SearchDiversifiedWith(ctx, dsks.AlgoSEQ, dq); !errors.Is(err, dsks.ErrViewClosed) {
-		t.Fatalf("SearchDiversifiedWith on closed view: err = %v, want ErrViewClosed", err)
+	if _, err := v.SearchDiversified(ctx, dq); !errors.Is(err, dsks.ErrViewClosed) {
+		t.Fatalf("SearchDiversified on closed view: err = %v, want ErrViewClosed", err)
 	}
 
 	// The racing Close calls released the single pin without corrupting
