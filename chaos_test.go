@@ -45,6 +45,7 @@ func newChaosDB(t *testing.T, opts Options) (*DB, *Vocabulary, Position) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	CheckNoPins(t, db)
 	return db, vocab, Position{Edge: edges[0], Offset: 0}
 }
 

@@ -1,21 +1,19 @@
-// Command dsks-lint is the project's multichecker: it runs the seven
+// Command dsks-lint is the project's multichecker: it runs the five
 // dsks-specific analyzers (see docs/LINTING.md) over the packages
 // matching the given patterns and exits non-zero when any invariant is
-// violated. Packages load in parallel and are analyzed in import-graph
-// order so cross-package facts (viewclose, commitorder, atomicfield)
-// flow from dependencies to dependents. With -vet it additionally
-// delegates to `go vet` on the same patterns, so one invocation covers
-// both the stock and the project-specific passes.
+// violated. Each analyzer sees one package at a time, so packages load
+// and are analyzed in parallel. `go vet` runs beside it (make lint, CI)
+// and covers what the stock passes check, copylocks among them.
 //
 // Usage:
 //
-//	dsks-lint [-list] [-run name,...] [-format text|json|sarif] [-o file] [-debug] [-vet] [packages]
+//	dsks-lint [-list] [-run name,...] [-format text|sarif] [-o file] [-debug] [packages]
 //
-// With -format=text findings print as file:line:col: message; json
-// emits a flat array and sarif a SARIF 2.1.0 document (what CI uploads
-// as the code-scanning artifact). -debug prints load time, per-analyzer
-// wall time, and fact-store contents to stderr. Suppress a deliberate
-// violation with a trailing or preceding comment:
+// With -format=text findings print as file:line:col: message; sarif
+// emits a SARIF 2.1.0 document (what CI uploads as the code-scanning
+// artifact). -debug prints load time and per-analyzer wall time to
+// stderr. Suppress a deliberate violation with a trailing or preceding
+// comment:
 //
 //	//lint:ignore <analyzer> <reason>
 package main
@@ -25,18 +23,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
 	"dsks/internal/analysis"
-	"dsks/internal/analysis/atomicfield"
 	"dsks/internal/analysis/commitorder"
 	"dsks/internal/analysis/countedio"
 	"dsks/internal/analysis/detrand"
 	"dsks/internal/analysis/errsentinel"
 	"dsks/internal/analysis/lockio"
-	"dsks/internal/analysis/viewclose"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -44,21 +39,18 @@ var analyzers = []*analysis.Analyzer{
 	lockio.Analyzer,
 	detrand.Analyzer,
 	countedio.Analyzer,
-	viewclose.Analyzer,
 	commitorder.Analyzer,
-	atomicfield.Analyzer,
 }
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	format := flag.String("format", "text", "output format: text, json, or sarif")
+	format := flag.String("format", "text", "output format: text or sarif")
 	out := flag.String("o", "", "write findings to this file instead of stdout")
-	debug := flag.Bool("debug", false, "print load/analyzer timings and fact keys to stderr")
-	vet := flag.Bool("vet", false, "also run 'go vet' on the same patterns")
+	debug := flag.Bool("debug", false, "print load and analyzer timings to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dsks-lint [-list] [-run name,...] [-format text|json|sarif] [-o file] [-debug] [-vet] [packages]\n\n")
+			"usage: dsks-lint [-list] [-run name,...] [-format text|sarif] [-o file] [-debug] [packages]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -109,11 +101,6 @@ func main() {
 		for _, line := range runner.Timings() {
 			fmt.Fprintf(os.Stderr, "dsks-lint: %s\n", line)
 		}
-		for _, a := range selected {
-			if keys := runner.Facts.Keys(a.Name); len(keys) > 0 {
-				fmt.Fprintf(os.Stderr, "dsks-lint: %s exported %d facts\n", a.Name, len(keys))
-			}
-		}
 	}
 
 	var w io.Writer = os.Stdout
@@ -135,30 +122,15 @@ func main() {
 		for _, f := range findings {
 			fmt.Fprintf(w, "%s: %s\n", f.Pos, f.Message)
 		}
-	case "json":
-		if err := analysis.WriteJSON(w, baseDir, findings); err != nil {
-			fatalf("%v", err)
-		}
 	case "sarif":
 		if err := analysis.WriteSARIF(w, baseDir, selected, findings); err != nil {
 			fatalf("%v", err)
 		}
 	default:
-		fatalf("unknown format %q (want text, json, or sarif)", *format)
+		fatalf("unknown format %q (want text or sarif)", *format)
 	}
 
-	failed := len(findings) > 0
-
-	if *vet {
-		cmd := exec.Command("go", append([]string{"vet"}, patterns...)...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			failed = true
-		}
-	}
-
-	if failed {
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }

@@ -932,6 +932,13 @@ func (db *DB) LiveObjects() int {
 	return db.roots.Load().live
 }
 
+// PinnedViews returns the number of read views open on the database,
+// counting the private view of every unfinished Stream. Each one holds
+// back the reclamation of superseded page versions; a count that does not
+// return to zero once the requests are done is a view someone forgot to
+// Close.
+func (db *DB) PinnedViews() int { return db.epochs.Pinned() }
+
 // DurableLSN reports the write-ahead log's durability horizon: every
 // mutation at or below it survives a crash. Zero without a log.
 func (db *DB) DurableLSN() uint64 {

@@ -44,6 +44,7 @@ func buildTinyCityWith(t testing.TB, opts dsks.Options) (*dsks.DB, *dsks.Vocabul
 	if err != nil {
 		t.Fatal(err)
 	}
+	dsks.CheckNoPins(t, db)
 	return db, vocab, dsks.Position{Edge: edges[0], Offset: 0}, edges
 }
 

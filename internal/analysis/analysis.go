@@ -17,7 +17,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -47,10 +46,6 @@ type Pass struct {
 	Info *types.Info
 
 	diags []Diagnostic
-	// facts is the run-wide fact store; nil for fact-less runs.
-	facts *FactStore
-	// factErr records the first fact (de)serialization failure.
-	factErr error
 }
 
 // A Diagnostic is one reported violation.
@@ -77,32 +72,19 @@ type Finding struct {
 }
 
 // RunAnalyzer applies a to pkg and returns the findings that are not
-// suppressed by a //lint:ignore comment, sorted by position. The
-// analyzer sees an empty fact store: facts it exports are discarded and
-// imports find nothing. Fact-consuming analyses use RunAnalyzerFacts
-// with a store shared across the packages of one run.
+// suppressed by a //lint:ignore comment, sorted by position. Every
+// analyzer sees one package at a time: what it knows about a function it
+// learns from that package's syntax alone.
 func RunAnalyzer(pkg *Package, a *Analyzer) ([]Finding, error) {
-	return RunAnalyzerFacts(pkg, a, NewFactStore())
-}
-
-// RunAnalyzerFacts is RunAnalyzer with an explicit fact store: facts the
-// pass exports land in store, and imports resolve against everything
-// earlier passes of the same analyzer exported into it. The caller is
-// responsible for ordering packages dependencies-first (see Runner).
-func RunAnalyzerFacts(pkg *Package, a *Analyzer, store *FactStore) ([]Finding, error) {
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		facts:    store,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
-	}
-	if pass.factErr != nil {
-		return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, pass.factErr)
 	}
 	sup := suppressedLines(pkg.Fset, pkg.Files, a.Name)
 	var out []Finding
@@ -113,16 +95,7 @@ func RunAnalyzerFacts(pkg *Package, a *Analyzer, store *FactStore) ([]Finding, e
 		}
 		out = append(out, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
+	SortFindings(out)
 	return out, nil
 }
 

@@ -28,33 +28,20 @@ import (
 
 // Run loads each package path from testdata root dir and applies a,
 // failing t on any mismatch between diagnostics and want annotations.
-//
-// Each path is loaded together with its in-tree dependency closure
-// (testdata trees may hold multiple packages importing one another), and
-// the analyzer runs over the dependencies first with a shared fact
-// store, so fact-based analyzers see exactly what they would in a real
-// dsks-lint run. Want annotations are checked only in the listed package
-// itself — diagnostics the analyzer reports in dependency stubs are
-// checked when (and only when) that dependency is listed as a path.
+// A testdata tree may hold several packages importing one another; each
+// listed package is analyzed on its own, exactly as dsks-lint sees it.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	for _, path := range paths {
-		tree, err := analysis.LoadTestdataTree(dir, path)
+		pkg, err := analysis.LoadTestdata(dir, path)
 		if err != nil {
 			t.Fatalf("loading testdata package %s: %v", path, err)
 		}
-		store := analysis.NewFactStore()
-		var findings []analysis.Finding
-		for _, pkg := range tree {
-			fs, err := analysis.RunAnalyzerFacts(pkg, a, store)
-			if err != nil {
-				t.Fatalf("running %s on %s: %v", a.Name, pkg.Path, err)
-			}
-			if pkg.Path == path {
-				findings = fs
-			}
+		findings, err := analysis.RunAnalyzer(pkg, a)
+		if err != nil {
+			t.Fatalf("running %s on %s: %v", a.Name, path, err)
 		}
-		checkWants(t, tree[len(tree)-1], findings)
+		checkWants(t, pkg, findings)
 	}
 }
 

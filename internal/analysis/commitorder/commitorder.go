@@ -1,37 +1,35 @@
 // Package commitorder checks the mutation commit protocol's ordering
-// (docs/CONCURRENCY.md, docs/WAL.md): within one mutation,
+// (docs/CONCURRENCY.md, docs/DURABILITY.md): within one mutation,
 //
 //	wal.Log.Append          (1: the record exists before any effect)
 //	BufferPool.Publish      (2: pages installed while still unreachable)
 //	roots.Store             (3: the root swap makes the LSN reachable)
-//	WaitDurable / Sync      (4: the durability wait, outside the latch)
 //
 // must happen in that order. Publishing before logging makes a crash
-// lose an acknowledged mutation; storing roots before publishing lets a
-// reader pin an LSN whose pages are not installed; and waiting for an
-// fsync while holding a mutex turns group commit into a convoy.
+// lose an acknowledged mutation, and storing roots before publishing lets
+// a reader pin an LSN whose pages are not installed. No test catches the
+// second: with Publish and roots.Store swapped in DB.publish, the test
+// suites pass, the reader/mutation race suites included.
 //
 // Each path is tracked as a mutation lifecycle — idle → logged →
-// published → visible → durable — and ops that begin a new mutation
-// from a completed state are fine: WAL replay is Publish/Store per
-// record with no Append (the records exist), non-WAL databases publish
-// without logging, and startup installs roots from idle. Only two
-// transitions are protocol violations: roots.Store while a mutation is
-// logged but unpublished (its pages are not installed, yet its LSN
-// becomes reachable), and wal.Append while pages are published but not
-// yet visible (the previous mutation never completed its root swap).
+// published → visible — and ops that begin a new mutation from a
+// completed state are fine: WAL replay is Publish/Store per record with
+// no Append (the records exist), non-WAL databases publish without
+// logging, and startup installs roots from idle. Only two transitions
+// are protocol violations: roots.Store while a mutation is logged but
+// unpublished (its pages are not installed, yet its LSN becomes
+// reachable), and wal.Append while pages are published but not yet
+// visible (the previous mutation never completed its root swap).
 //
 // The check is flow-aware within a function (branch arms are tracked
-// separately) and interprocedural through facts: every function exports
-// an OpsFact — the ordered protocol operations it (transitively)
-// performs — and a call site replays the callee's ops into the caller's
-// sequence, so `db.publish(...)` counts as Publish-then-RootsStore
-// wherever it is called, across packages.
-//
-// Rank-4 operations are additionally flagged while any sync.Mutex /
-// sync.RWMutex acquired in the same function is still held (a deferred
-// Unlock keeps the lock held to the end of the function, exactly as in
-// the lockio analyzer).
+// separately) and sees through the package's own helpers: every function
+// gets a summary — the ordered protocol operations it (transitively)
+// performs — computed to a fixpoint over the package, and a call site
+// replays the callee's summary into the caller's sequence, so
+// `db.publish(...)` counts as Publish-then-RootsStore wherever it is
+// called. The protocol lives in package dsks, so helpers in other
+// packages are not followed. Waiting for durability under a latch is
+// lockio's check.
 package commitorder
 
 import (
@@ -39,19 +37,18 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"dsks/internal/analysis"
 )
 
-// Analyzer reports commit-protocol operations that run out of order or
-// under a latch.
+// Analyzer reports commit-protocol operations that run out of order.
 var Analyzer = &analysis.Analyzer{
 	Name: "commitorder",
 	Doc: "commit-protocol operations must keep their order within one " +
-		"mutation — wal.Append before pool.Publish before roots.Store " +
-		"before WaitDurable/Sync — and the durability wait must never " +
-		"run while a mutex is held; function summaries (OpsFact) carry " +
-		"a callee's operations to its call sites across packages.",
+		"mutation — wal.Append before pool.Publish before roots.Store; " +
+		"a call to a helper of the same package counts as the operations " +
+		"it performs.",
 	Run: run,
 }
 
@@ -61,7 +58,6 @@ const (
 	opAppend  = 1
 	opPublish = 2
 	opRoots   = 3
-	opDurable = 4
 )
 
 // opName names each rank in diagnostics.
@@ -69,21 +65,11 @@ var opName = map[int]string{
 	opAppend:  "wal.Append",
 	opPublish: "pool.Publish",
 	opRoots:   "roots.Store",
-	opDurable: "WaitDurable/Sync",
 }
 
-// maxFactOps caps an OpsFact sequence: deep call chains repeat the same
-// protocol, and 32 ops is far beyond one commit.
-const maxFactOps = 32
-
-// OpsFact is the ordered list of protocol operation ranks a function
-// (transitively) performs.
-type OpsFact struct {
-	Ops []int
-}
-
-// AFact marks OpsFact as a fact.
-func (*OpsFact) AFact() {}
+// maxOps caps a summary: deep call chains repeat the same protocol, and
+// 32 ops is far beyond one commit.
+const maxOps = 32
 
 func run(pass *analysis.Pass) error {
 	var decls []*ast.FuncDecl
@@ -94,76 +80,69 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	exportFacts(pass, decls)
+	c := &checker{pass: pass, summary: map[*types.Func][]int{}, reported: map[string]bool{}}
+	c.summarize(decls)
 	for _, fd := range decls {
-		w := &walker{pass: pass}
-		w.stmts(fd.Body.List, &ostate{held: map[string]token.Pos{}})
+		var st ostate
+		c.stmts(fd.Body.List, &st)
 	}
 	return nil
 }
 
-// --- fact computation -------------------------------------------------
+type checker struct {
+	pass *analysis.Pass
+	// summary maps each function of the package to the protocol ops it
+	// performs, callees' ops inlined.
+	summary map[*types.Func][]int
+	// reported dedupes diagnostics: replaying a summary can surface the
+	// same transition several times at one call site.
+	reported map[string]bool
+}
 
-// exportFacts computes each function's OpsFact to a fixpoint, so
-// same-package call chains (Insert → applyInsertAt → publish) resolve
-// no matter their declaration order.
-func exportFacts(pass *analysis.Pass, decls []*ast.FuncDecl) {
+// summarize computes every function's summary to a fixpoint, so call
+// chains (Insert → applyInsertAt → publish) resolve whatever their
+// declaration order.
+func (c *checker) summarize(decls []*ast.FuncDecl) {
 	for changed := true; changed; {
 		changed = false
 		for _, fd := range decls {
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+			fn, ok := c.pass.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			ops := collectOps(pass, fd.Body)
-			if len(ops) == 0 {
-				continue
+			if ops := c.collectOps(fd.Body); !slices.Equal(c.summary[fn], ops) {
+				c.summary[fn] = ops
+				changed = true
 			}
-			var prev OpsFact
-			if pass.ImportObjectFact(fn, &prev) && equalInts(prev.Ops, ops) {
-				continue
-			}
-			pass.ExportObjectFact(fn, &OpsFact{Ops: ops})
-			changed = true
 		}
 	}
 }
 
 // collectOps gathers body's protocol ops in source order, inlining
-// callee facts. Goroutine bodies and function literals run on their own
-// schedule and are excluded.
-func collectOps(pass *analysis.Pass, body *ast.BlockStmt) []int {
+// callee summaries. Goroutine bodies and function literals run on their
+// own schedule and are excluded.
+func (c *checker) collectOps(body *ast.BlockStmt) []int {
 	var ops []int
 	ast.Inspect(body, func(n ast.Node) bool {
-		if len(ops) >= maxFactOps {
-			return false
-		}
 		switch n := n.(type) {
 		case *ast.GoStmt, *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			for _, r := range callOps(pass, n) {
-				if len(ops) < maxFactOps {
-					ops = append(ops, r)
-				}
-			}
+			ops = append(ops, c.callOps(n)...)
 		}
-		return true
+		return len(ops) < maxOps
 	})
-	return ops
+	return ops[:min(len(ops), maxOps)]
 }
 
 // callOps returns the protocol ops one call contributes: the call's own
-// rank when it is a recognized operation, else the callee's OpsFact.
-func callOps(pass *analysis.Pass, call *ast.CallExpr) []int {
-	if r, ok := directOp(pass, call); ok {
+// rank when it is a recognized operation, else the callee's summary.
+func (c *checker) callOps(call *ast.CallExpr) []int {
+	if r, ok := directOp(c.pass, call); ok {
 		return []int{r}
 	}
-	if fn := analysis.CalleeFunc(pass.Info, call); fn != nil {
-		var fact OpsFact
-		if pass.ImportObjectFact(fn, &fact) {
-			return fact.Ops
-		}
+	if fn := analysis.CalleeFunc(c.pass.Info, call); fn != nil {
+		return c.summary[fn.Origin()]
 	}
 	return nil
 }
@@ -182,10 +161,6 @@ func directOp(pass *analysis.Pass, call *ast.CallExpr) (int, bool) {
 		return opPublish, true
 	case fn.Name() == "Store" && recv == "Pointer" && analysis.InPackage(fn, "sync/atomic") && isRootsField(call):
 		return opRoots, true
-	case fn.Name() == "WaitDurable" && recv == "Log" && analysis.InPackage(fn, "internal/wal"):
-		return opDurable, true
-	case fn.Name() == "Sync" && recv == "LogFile" && analysis.InPackage(fn, "internal/storage"):
-		return opDurable, true
 	}
 	return 0, false
 }
@@ -206,104 +181,82 @@ func isRootsField(call *ast.CallExpr) bool {
 	return false
 }
 
-// --- flow-aware check -------------------------------------------------
-
 // ostate is the per-path protocol state: the current mutation's
-// lifecycle stage (with where it got there), and the mutexes held.
+// lifecycle stage and the call that moved it there.
 type ostate struct {
-	stage    int
-	stagePos token.Pos
-	held     map[string]token.Pos
+	stage int
+	pos   token.Pos
 }
 
-func (s *ostate) clone() *ostate {
-	held := make(map[string]token.Pos, len(s.held))
-	for k, v := range s.held {
-		held[k] = v
-	}
-	return &ostate{stage: s.stage, stagePos: s.stagePos, held: held}
-}
-
-type walker struct {
-	pass *analysis.Pass
-	// reported dedupes diagnostics: fact replay can surface the same
-	// transition several times at one call site.
-	reported map[token.Pos]map[string]bool
-}
-
-func (w *walker) stmts(stmts []ast.Stmt, st *ostate) {
+func (c *checker) stmts(stmts []ast.Stmt, st *ostate) {
 	for _, s := range stmts {
-		w.stmt(s, st)
+		c.stmt(s, st)
 	}
 }
 
-func (w *walker) stmt(s ast.Stmt, st *ostate) {
+// stmt walks one statement. Branch arms and loop bodies run on a copy of
+// the path state: what happens inside them does not carry past them.
+func (c *checker) stmt(s ast.Stmt, st *ostate) {
 	switch s := s.(type) {
 	case *ast.IfStmt:
 		if s.Init != nil {
-			w.stmt(s.Init, st)
+			c.stmt(s.Init, st)
 		}
-		w.scan(s.Cond, st)
-		thenSt, elseSt := st.clone(), st.clone()
-		w.stmts(s.Body.List, thenSt)
+		c.scan(s.Cond, st)
+		thenSt, elseSt := *st, *st
+		c.stmts(s.Body.List, &thenSt)
 		if s.Else != nil {
-			w.stmt(s.Else, elseSt)
+			c.stmt(s.Else, &elseSt)
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
-			w.stmt(s.Init, st)
+			c.stmt(s.Init, st)
 		}
-		if s.Cond != nil {
-			w.scan(s.Cond, st)
-		}
-		w.stmts(s.Body.List, st.clone())
+		c.scan(s.Cond, st)
+		body := *st
+		c.stmts(s.Body.List, &body)
 	case *ast.RangeStmt:
-		w.scan(s.X, st)
-		w.stmts(s.Body.List, st.clone())
+		c.scan(s.X, st)
+		body := *st
+		c.stmts(s.Body.List, &body)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
-			w.stmt(s.Init, st)
+			c.stmt(s.Init, st)
 		}
-		if s.Tag != nil {
-			w.scan(s.Tag, st)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, st.clone())
-			}
-		}
+		c.scan(s.Tag, st)
+		c.clauses(s.Body, st)
 	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, st.clone())
-			}
-		}
+		c.clauses(s.Body, st)
 	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, st.clone())
-			}
-		}
+		c.clauses(s.Body, st)
 	case *ast.BlockStmt:
-		w.stmts(s.List, st)
+		c.stmts(s.List, st)
 	case *ast.LabeledStmt:
-		w.stmt(s.Stmt, st)
-	case *ast.DeferStmt:
-		// A deferred Unlock releases only at return: the lock stays held
-		// for the rest of the walk. Deferred protocol ops run at an
-		// unknowable point in the sequence and are not replayed.
-		if op, x, ok := mutexOp(w.pass, s.Call); ok && (op == "Lock" || op == "RLock") {
-			st.held[exprString(x)] = s.Pos()
-		}
-	case *ast.GoStmt:
-		// A goroutine is its own timeline.
+		c.stmt(s.Stmt, st)
+	case *ast.DeferStmt, *ast.GoStmt:
+		// A deferred call runs at an unknowable point in the sequence,
+		// and a goroutine is its own timeline.
 	default:
-		w.scan(s, st)
+		c.scan(s, st)
+	}
+}
+
+// clauses walks each case or comm clause of a switch or select on its
+// own copy of the path state.
+func (c *checker) clauses(body *ast.BlockStmt, st *ostate) {
+	for _, cl := range body.List {
+		arm := *st
+		switch cl := cl.(type) {
+		case *ast.CaseClause:
+			c.stmts(cl.Body, &arm)
+		case *ast.CommClause:
+			c.stmts(cl.Body, &arm)
+		}
 	}
 }
 
 // scan applies every call in n (in source order) to the path state.
-func (w *walker) scan(n ast.Node, st *ostate) {
+func (c *checker) scan(n ast.Node, st *ostate) {
 	if n == nil {
 		return
 	}
@@ -312,140 +265,51 @@ func (w *walker) scan(n ast.Node, st *ostate) {
 		case *ast.GoStmt, *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if op, x, ok := mutexOp(w.pass, n); ok {
-				name := exprString(x)
-				switch op {
-				case "Lock", "RLock":
-					st.held[name] = n.Pos()
-				case "Unlock", "RUnlock":
-					delete(st.held, name)
-				}
-				return true
-			}
-			w.apply(n, st)
+			c.apply(n, st)
 		}
 		return true
 	})
 }
 
 // apply replays a call's protocol ops into the path state, reporting
-// violating transitions and latched durability waits at the call site.
-func (w *walker) apply(call *ast.CallExpr, st *ostate) {
-	ops := callOps(w.pass, call)
+// violating transitions at the call site.
+func (c *checker) apply(call *ast.CallExpr, st *ostate) {
+	ops := c.callOps(call)
 	if len(ops) == 0 {
 		return
 	}
 	via := ""
-	if _, direct := directOp(w.pass, call); !direct {
-		if fn := analysis.CalleeFunc(w.pass.Info, call); fn != nil {
-			via = " (via " + fn.Name() + ")"
-		}
+	if _, direct := directOp(c.pass, call); !direct {
+		via = " (via " + analysis.CalleeFunc(c.pass.Info, call).Name() + ")"
 	}
 	for _, r := range ops {
-		if r == opDurable && len(st.held) > 0 {
-			for name := range st.held {
-				w.report(call.Pos(),
-					"commitorder: %s%s while %s is held; release the latch before waiting for durability",
-					opName[r], via, name)
-				break
-			}
+		switch {
+		case r == opAppend && st.stage == opPublish:
+			// The previous mutation's pages are published but its root
+			// swap never happened.
+			c.report(call.Pos(),
+				"commitorder: %s%s after %s (line %d) with no intervening %s; the commit protocol is wal.Append -> pool.Publish -> roots.Store",
+				opName[opAppend], via, opName[opPublish],
+				c.pass.Fset.Position(st.pos).Line, opName[opRoots])
+		case r == opRoots && st.stage == opAppend:
+			// The logged mutation's LSN becomes reachable before its
+			// pages are installed.
+			c.report(call.Pos(),
+				"commitorder: %s%s before %s for the mutation logged at line %d; the commit protocol is wal.Append -> pool.Publish -> roots.Store",
+				opName[opRoots], via, opName[opPublish],
+				c.pass.Fset.Position(st.pos).Line)
 		}
-		switch r {
-		case opAppend:
-			// Appending while the previous mutation's pages are
-			// published but not yet visible means that mutation never
-			// completed its root swap.
-			if st.stage == opPublish {
-				w.report(call.Pos(),
-					"commitorder: %s%s after %s (line %d) with no intervening %s; the commit protocol is wal.Append -> pool.Publish -> roots.Store -> WaitDurable",
-					opName[opAppend], via, opName[opPublish],
-					w.pass.Fset.Position(st.stagePos).Line, opName[opRoots])
-			}
-		case opRoots:
-			// Storing roots while a mutation is logged but unpublished
-			// makes its LSN reachable before its pages are installed.
-			if st.stage == opAppend {
-				w.report(call.Pos(),
-					"commitorder: %s%s before %s for the mutation logged at line %d; the commit protocol is wal.Append -> pool.Publish -> roots.Store -> WaitDurable",
-					opName[opRoots], via, opName[opPublish],
-					w.pass.Fset.Position(st.stagePos).Line)
-			}
-		}
-		st.stage, st.stagePos = r, call.Pos()
+		st.stage, st.pos = r, call.Pos()
 	}
 }
 
 // report emits a diagnostic once per (position, message).
-func (w *walker) report(pos token.Pos, format string, args ...any) {
+func (c *checker) report(pos token.Pos, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	if w.reported == nil {
-		w.reported = map[token.Pos]map[string]bool{}
-	}
-	if w.reported[pos][msg] {
+	key := fmt.Sprint(pos, msg)
+	if c.reported[key] {
 		return
 	}
-	if w.reported[pos] == nil {
-		w.reported[pos] = map[string]bool{}
-	}
-	w.reported[pos][msg] = true
-	w.pass.Report(pos, msg)
-}
-
-// mutexOp recognizes x.Lock / x.RLock / x.Unlock / x.RUnlock on a
-// sync.Mutex or sync.RWMutex.
-func mutexOp(pass *analysis.Pass, e ast.Expr) (string, ast.Expr, bool) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return "", nil, false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", nil, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", nil, false
-	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", nil, false
-	}
-	recv := analysis.ReceiverTypeName(fn)
-	if recv != "Mutex" && recv != "RWMutex" {
-		return "", nil, false
-	}
-	return sel.Sel.Name, sel.X, true
-}
-
-// exprString renders a receiver expression for held-set keys and
-// messages (db.mu, l.mu, ...).
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return "*" + exprString(e.X)
-	case *ast.CallExpr:
-		return exprString(e.Fun) + "()"
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	default:
-		return "?"
-	}
-}
-
-// equalInts reports slice equality.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	c.reported[key] = true
+	c.pass.Report(pos, msg)
 }

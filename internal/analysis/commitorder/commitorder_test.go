@@ -7,14 +7,8 @@ import (
 	"dsks/internal/analysis/commitorder"
 )
 
-// TestCommitorder analyzes the stub module dependencies-first so the
-// database package's OpsFacts (PublishVersion, WaitCommitted) are in
-// the store when the client package is checked.
+// TestCommitorder checks the stub database package, where the protocol
+// and every helper that carries part of it live.
 func TestCommitorder(t *testing.T) {
-	analysistest.Run(t, "testdata", commitorder.Analyzer,
-		"dsks/internal/wal",
-		"dsks/internal/storage",
-		"dsks",
-		"dsks/client",
-	)
+	analysistest.Run(t, "testdata", commitorder.Analyzer, "dsks")
 }

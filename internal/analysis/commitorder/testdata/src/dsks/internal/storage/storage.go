@@ -1,4 +1,4 @@
-// Package storage stubs the buffer pool and log file commitorder ranks.
+// Package storage stubs the buffer pool commitorder ranks.
 package storage
 
 // WriteBatch is one mutation's copy-on-write page set.
@@ -9,9 +9,3 @@ type BufferPool struct{}
 
 // Publish installs a batch's pages (rank 2).
 func (p *BufferPool) Publish(w *WriteBatch) {}
-
-// LogFile is an appendable, fsyncable file.
-type LogFile struct{}
-
-// Sync fsyncs the file (rank 4).
-func (f *LogFile) Sync() error { return nil }

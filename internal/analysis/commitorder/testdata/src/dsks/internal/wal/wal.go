@@ -1,4 +1,4 @@
-// Package wal stubs the write-ahead log operations commitorder ranks.
+// Package wal stubs the write-ahead log operation commitorder ranks.
 package wal
 
 // Record is one logged mutation.
@@ -17,6 +17,3 @@ func (l *Log) Append(r Record) (uint64, error) {
 	l.next++
 	return l.next, nil
 }
-
-// WaitDurable blocks until lsn is fsynced (rank 4).
-func (l *Log) WaitDurable(lsn uint64) error { return nil }

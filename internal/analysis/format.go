@@ -8,37 +8,9 @@ import (
 	"strings"
 )
 
-// This file renders findings machine-readably: a flat JSON array for
-// scripting, and SARIF 2.1.0 for CI code-scanning consumers (the lint
-// job uploads the SARIF document as a build artifact). Both formats are
-// stable shapes — tests in sarif_test.go pin the required fields.
-
-// jsonFinding is one finding on the JSON wire.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON renders findings as an indented JSON array (empty findings
-// render as []), with file paths made relative to baseDir when possible.
-func WriteJSON(w io.Writer, baseDir string, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			Analyzer: f.Analyzer,
-			File:     relPath(baseDir, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// This file renders findings as SARIF 2.1.0 for CI code-scanning
+// consumers (the lint job uploads the document as a build artifact).
+// sarif_test.go pins the required fields.
 
 // The SARIF 2.1.0 subset dsks-lint emits. Field names follow the OASIS
 // schema; only the members CI consumers require are modeled.

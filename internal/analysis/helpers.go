@@ -57,13 +57,3 @@ func InPackage(fn *types.Func, pathSuffix string) bool {
 func PathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
-
-// IsContextType reports whether t is context.Context.
-func IsContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}

@@ -23,9 +23,6 @@ type Package struct {
 	Path string
 	// Dir is the directory holding the package's sources.
 	Dir string
-	// Imports are the import paths of the package's direct dependencies,
-	// used by the Runner to schedule fact-producing passes deps-first.
-	Imports []string
 	// Fset, Files, Types and Info mirror the fields of a Pass. Each
 	// package loaded by Load carries its own FileSet so packages can be
 	// parsed and type-checked in parallel.
@@ -41,15 +38,13 @@ type listEntry struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
 	Incomplete bool
 	Error      *struct{ Err string }
 }
 
 // Load resolves patterns with the go command (run in dir) and returns the
-// matched packages parsed and type-checked from source, in dependency
-// order (every package follows the packages it imports). Imports — both
+// matched packages parsed and type-checked from source. Imports — both
 // standard-library and intra-module — are satisfied from the compiler
 // export data that `go list -export` produces, so loading works offline
 // and needs nothing beyond the Go toolchain.
@@ -83,8 +78,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 
-	// `go list -deps` emits dependencies before dependents, so filling
-	// pkgs by target index preserves dependency order for the Runner.
 	pkgs := make([]*Package, len(targets))
 	errs := make([]error, len(targets))
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
@@ -124,13 +117,12 @@ func loadOne(t listEntry, exports map[string]string) (*Package, error) {
 		return nil, fmt.Errorf("type-checking %s: %w", t.ImportPath, err)
 	}
 	return &Package{
-		Path:    t.ImportPath,
-		Dir:     t.Dir,
-		Imports: t.Imports,
-		Fset:    fset,
-		Files:   files,
-		Types:   pkg,
-		Info:    info,
+		Path:  t.ImportPath,
+		Dir:   t.Dir,
+		Fset:  fset,
+		Files: files,
+		Types: pkg,
+		Info:  info,
 	}, nil
 }
 

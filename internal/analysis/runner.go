@@ -8,38 +8,18 @@ import (
 	"time"
 )
 
-// A Runner applies a set of analyzers to a set of packages, honoring the
-// import graph: a package is analyzed only after every loaded package it
-// imports, so facts exported by dependency passes (see FactStore) are
-// always available to dependents. Packages with no unanalyzed
-// dependencies run concurrently, up to GOMAXPROCS at a time; the
-// analyzers of one package run sequentially on its goroutine.
+// A Runner applies a set of analyzers to a set of packages. Every pass
+// sees one package alone, so packages run in any order, up to GOMAXPROCS
+// at a time; the analyzers of one package run sequentially on its
+// goroutine.
 type Runner struct {
-	// Facts is the run-wide fact store. A nil Facts gets a fresh store.
-	Facts *FactStore
-
 	mu      sync.Mutex
 	timings map[string]time.Duration
 }
 
 // Run analyzes every package with every analyzer and returns the merged,
-// position-sorted findings. The input package order must be dependency-
-// consistent only in content, not sequence — scheduling derives from
-// each Package's Imports list.
+// position-sorted findings.
 func (r *Runner) Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	if r.Facts == nil {
-		r.Facts = NewFactStore()
-	}
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	// done closes when a package's analyses have all completed.
-	done := make(map[string]chan struct{}, len(pkgs))
-	for _, p := range pkgs {
-		done[p.Path] = make(chan struct{})
-	}
-
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var (
 		wg       sync.WaitGroup
@@ -51,38 +31,21 @@ func (r *Runner) Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) 
 		wg.Add(1)
 		go func(p *Package) {
 			defer wg.Done()
-			defer close(done[p.Path])
-			// Wait for every loaded dependency. The import graph is
-			// acyclic (the type checker enforced that), so this cannot
-			// deadlock.
-			for _, imp := range p.Imports {
-				if ch, ok := done[imp]; ok {
-					<-ch
-				}
-			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-
-			mu.Lock()
-			failed := firstErr != nil
-			mu.Unlock()
-			if failed {
-				return
-			}
 			for _, a := range analyzers {
 				start := time.Now()
-				fs, err := RunAnalyzerFacts(p, a, r.Facts)
+				fs, err := RunAnalyzer(p, a)
 				r.addTiming(a.Name, time.Since(start))
 				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
+				if err != nil && firstErr == nil {
+					firstErr = err
 				}
 				findings = append(findings, fs...)
 				mu.Unlock()
+				if err != nil {
+					return
+				}
 			}
 		}(p)
 	}

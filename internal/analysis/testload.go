@@ -23,24 +23,10 @@ import (
 // against the tree first — so testdata can stub module packages such as
 // dsks/internal/storage — and fall back to real export data obtained
 // with `go list -export` for standard-library packages.
-func LoadTestdata(root, path string) (*Package, error) {
-	pkgs, err := LoadTestdataTree(root, path)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[len(pkgs)-1], nil
-}
-
-// LoadTestdataTree loads the package at path from a GOPATH-style
-// testdata tree together with every in-tree package it (transitively)
-// imports, returned dependencies-first with the requested package last.
-// Every returned package carries full syntax and type info, so
-// fact-producing analyzers can be run over the dependencies before the
-// package under test (see analysistest.Run).
 //
 // Trees are memoized per root within the process: loading several
 // packages of one tree parses and type-checks each package once.
-func LoadTestdataTree(root, path string) ([]*Package, error) {
+func LoadTestdata(root, path string) (*Package, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -51,10 +37,7 @@ func LoadTestdataTree(root, path string) ([]*Package, error) {
 	if err := ld.init(); err != nil {
 		return nil, err
 	}
-	if _, err := ld.load(path); err != nil {
-		return nil, err
-	}
-	return ld.treeOf(path)
+	return ld.load(path)
 }
 
 // treeLoaders memoizes one loader per testdata root.
@@ -127,53 +110,13 @@ func (ld *treeLoader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var imports []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
-				imports = append(imports, p)
-			}
-		}
-	}
-	sort.Strings(imports)
 	pkg, info, err := check(path, ld.fset, files, ld)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking testdata package %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Imports: imports, Fset: ld.fset, Files: files, Types: pkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: ld.fset, Files: files, Types: pkg, Info: info}
 	ld.pkgs[path] = p
 	return p, nil
-}
-
-// treeOf returns path's in-tree dependency closure in dependency order,
-// with path itself last.
-func (ld *treeLoader) treeOf(path string) ([]*Package, error) {
-	var (
-		out     []*Package
-		visited = map[string]bool{}
-		visit   func(string) error
-	)
-	visit = func(p string) error {
-		if visited[p] {
-			return nil
-		}
-		visited[p] = true
-		pkg, ok := ld.pkgs[p]
-		if !ok {
-			return nil // external import: no syntax to analyze
-		}
-		for _, imp := range pkg.Imports {
-			if err := visit(imp); err != nil {
-				return err
-			}
-		}
-		out = append(out, pkg)
-		return nil
-	}
-	if err := visit(path); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Import implements types.Importer.

@@ -41,26 +41,15 @@ type DistEngine struct {
 	cache map[graph.Position][]label
 	stats *SearchStats
 
-	oracle    LandmarkOracle
-	counters  OracleCounters
-	posVecs   map[graph.Position][]float64 // per-position landmark vectors
-	width     int                          // oracle.NumLandmarks(), the length of every vector
-	vecs      []float64                    // per-node landmark vectors in one arena (page reads amortized)
-	vecOf     nodeTable                    // node -> where in vecs its vector starts
-	astarRuns map[graph.Position]int       // A* runs per source, for the table cutover
-	target    []float64                    // landmark vector of the running A*'s destination
-	pot       func(graph.NodeID) (float64, error)
+	oracle   LandmarkOracle
+	counters OracleCounters
+	posVecs  map[graph.Position][]float64 // per-position landmark vectors
+	width    int                          // oracle.NumLandmarks(), the length of every vector
+	vecs     []float64                    // per-node landmark vectors in one arena (page reads amortized)
+	vecOf    nodeTable                    // node -> where in vecs its vector starts
+	target   []float64                    // landmark vector of the running A*'s destination
+	pot      func(graph.NodeID) (float64, error)
 }
-
-// astarTableCutover is how many goal-directed A* runs a single source
-// position gets before the engine switches to building its full bounded
-// table. With the upper-bound-seeded stop rule each A* run settles only
-// the nodes whose f beats the oracle upper bound — typically one or two
-// nodes, a sliver of the 2·DeltaMax ball — so per-target searches beat
-// one blind sweep even when a source is paired against every other
-// candidate of a large matrix. The cutover is therefore a backstop
-// against degenerate fan-out, not an amortization strategy.
-const astarTableCutover = 1024
 
 // NewDistEngine creates an engine with the given search bound (use
 // 2·DeltaMax for diversified queries). ctx governs every traversal the
@@ -77,7 +66,6 @@ func NewDistEngine(ctx context.Context, net ccam.Network, bound float64, stats *
 		if an.oracle != nil {
 			d.oracle, d.width = an.oracle, an.oracle.NumLandmarks()
 			d.posVecs = make(map[graph.Position][]float64)
-			d.astarRuns = make(map[graph.Position]int)
 			d.pot = d.potential // bound once: a method value allocates
 		}
 	}
@@ -138,8 +126,11 @@ func (d *DistEngine) viaTable(src, dst graph.Position, direct float64) (float64,
 }
 
 // assisted resolves a→b with the landmark oracle: lower-bound prune,
-// upper-bound pinch, then goal-directed A* (or the full table once the
-// source has seen astarTableCutover targets).
+// upper-bound pinch, then goal-directed A*. With the upper-bound-seeded
+// stop rule an A* run settles only the nodes whose f beats the oracle
+// upper bound — typically one or two, a sliver of the 2·DeltaMax ball —
+// so per-target searches beat one blind sweep even when a source is
+// paired against every other candidate of a large matrix.
 func (d *DistEngine) assisted(a, b graph.Position, direct float64) (float64, error) {
 	va, err := d.posVec(a)
 	if err != nil {
@@ -169,10 +160,6 @@ func (d *DistEngine) assisted(a, b graph.Position, direct float64) (float64, err
 		addCounter(d.counters.UBHits, 1)
 		return math.Min(direct, ub), nil
 	}
-	if d.astarRuns[a] >= astarTableCutover {
-		return d.viaTable(a, b, direct)
-	}
-	d.astarRuns[a]++
 	via, err := d.astar(a, vb, b, ub)
 	if err != nil {
 		return 0, err

@@ -43,6 +43,9 @@ func (q KNNQuery) Validate() error {
 	return nil
 }
 
+// knnInitialCap is the capacity SearchKNN's answer starts with.
+const knnInitialCap = 16
+
 // SearchKNN runs the incremental expansion of Algorithm 3 and stops as
 // soon as k qualifying objects have been emitted (or the network is
 // exhausted). Because candidates arrive in non-decreasing network
@@ -66,7 +69,10 @@ func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNN
 	if err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
-	out := make([]Candidate, 0, q.K)
+	// k is the client's and may exceed the database by any factor: the
+	// answer grows by what arrives, and a small k still costs one
+	// allocation.
+	out := make([]Candidate, 0, min(q.K, knnInitialCap))
 	for len(out) < q.K {
 		c, ok, err := sks.Next()
 		if err != nil {

@@ -33,6 +33,9 @@ type Backend interface {
 	Version() uint64
 	DurableLSN() uint64
 	LiveObjects() int
+	// PinnedViews counts the read views open on the backend's databases
+	// (replicas included); zero whenever no request is in flight.
+	PinnedViews() int
 	Metrics() *dsks.MetricsRegistry
 	Snapshot() dsks.MetricsSnapshot
 	SetFaultSpec(spec string) error
@@ -121,6 +124,7 @@ func (b dbBackend) LSN() uint64                    { return b.db.LSN() }
 func (b dbBackend) Version() uint64                { return b.db.Version() }
 func (b dbBackend) DurableLSN() uint64             { return b.db.DurableLSN() }
 func (b dbBackend) LiveObjects() int               { return b.db.LiveObjects() }
+func (b dbBackend) PinnedViews() int               { return b.db.PinnedViews() }
 func (b dbBackend) Metrics() *dsks.MetricsRegistry { return b.db.Metrics() }
 func (b dbBackend) Snapshot() dsks.MetricsSnapshot { return b.db.Snapshot() }
 func (b dbBackend) SetFaultSpec(spec string) error { return b.db.SetFaultSpec(spec) }
@@ -163,6 +167,7 @@ func (b setBackend) DurableLSN() uint64 {
 }
 
 func (b setBackend) LiveObjects() int               { return b.set.LiveObjects() }
+func (b setBackend) PinnedViews() int               { return b.set.PinnedViews() }
 func (b setBackend) Metrics() *dsks.MetricsRegistry { return b.set.Metrics() }
 func (b setBackend) Snapshot() dsks.MetricsSnapshot { return b.set.Snapshot() }
 func (b setBackend) SetFaultSpec(spec string) error { return b.set.SetFaultSpec(spec) }

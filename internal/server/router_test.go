@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -36,6 +37,7 @@ func routerFixture(t *testing.T, partial bool, cfg Config) (http.Handler, string
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = set.Close() })
+	checkNoPins(t, set)
 	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
 		NumQueries: 1, Keywords: 1, Seed: 4,
 	})
@@ -151,6 +153,25 @@ func TestRouterShardVarz(t *testing.T) {
 	}
 	if varz.Metrics.Counters[shard.CounterFanoutLegs] == 0 {
 		t.Fatal("router fan-out counter missing from varz")
+	}
+
+	// pinnedViews sums the shards: an open MultiView pins one view on
+	// each, and closing it gives them all back.
+	mv, err := set.View(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins struct {
+		PinnedViews int `json:"pinnedViews"`
+	}
+	get(t, h, "/varz", &pins)
+	if pins.PinnedViews != set.Shards() {
+		t.Fatalf("varz pinnedViews = %d with one MultiView open, want %d", pins.PinnedViews, set.Shards())
+	}
+	mv.Close()
+	get(t, h, "/varz", &pins)
+	if pins.PinnedViews != 0 {
+		t.Fatalf("varz pinnedViews = %d after the MultiView closed, want 0", pins.PinnedViews)
 	}
 }
 

@@ -318,13 +318,16 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 }
 
 // varzPayload is the /varz document: the serving state plus the full
-// metrics snapshot. Shards is present only behind NewRouter: one row per
+// metrics snapshot. PinnedViews counts the read views open on the
+// backend, summed over shards and replicas behind the router: it follows
+// the requests in flight and falls back to zero when they are done. Shards is present only behind NewRouter: one row per
 // shard with its commit/durable LSNs, live objects and fan-out counters.
 type varzPayload struct {
 	Uptime      string               `json:"uptime"`
 	DBVersion   uint64               `json:"dbVersion"`
 	DBLSN       uint64               `json:"dbLSN"`
 	LiveObjects int                  `json:"liveObjects"`
+	PinnedViews int                  `json:"pinnedViews"`
 	DurableLSN  uint64               `json:"durableLSN"`
 	Health      string               `json:"health"`
 	Inflight    int                  `json:"inflight"`
@@ -344,6 +347,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		DBVersion:   s.backend.Version(),
 		DBLSN:       s.backend.LSN(),
 		LiveObjects: s.backend.LiveObjects(),
+		PinnedViews: s.backend.PinnedViews(),
 		DurableLSN:  s.backend.DurableLSN(),
 		Health:      s.health.currentState().String(),
 		Inflight:    s.lim.inflight(),

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +28,8 @@ func testDB(t testing.TB) (*dsks.DB, []dsks.WorkloadQuery) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = db.Close() })
+	checkNoPins(t, db)
 	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
 		NumQueries: 8, Keywords: 2, Seed: 11,
 	})
@@ -33,6 +37,18 @@ func testDB(t testing.TB) (*dsks.DB, []dsks.WorkloadQuery) {
 		t.Fatal(err)
 	}
 	return db, ws
+}
+
+// checkNoPins fails t, once the test and its deferred calls are done,
+// when a read view is still pinned on the backend: a handler that never
+// closed the view it served a request from.
+func checkNoPins(t testing.TB, b interface{ PinnedViews() int }) {
+	t.Helper()
+	t.Cleanup(func() {
+		if n := b.PinnedViews(); n != 0 {
+			t.Errorf("%d read views still pinned when the test ended", n)
+		}
+	})
 }
 
 // get issues a GET against the handler and decodes the JSON body.
@@ -297,6 +313,44 @@ func TestNoPathIs404(t *testing.T) {
 	}
 }
 
+// TestKNNHugeK: k is the client's and may exceed the database by any
+// factor. A k of a hundred billion and the largest int both answer 200
+// with exactly the candidates k = the live objects gives, on one node and
+// behind the router; neither may size anything by k before the answer
+// arrives.
+func TestKNNHugeK(t *testing.T) {
+	db, _ := testDB(t)
+	router, _, set := routerFixture(t, false, Config{CacheSize: -1})
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+		live int
+	}{
+		{"single", New(db, Config{CacheSize: -1}).Handler(), db.LiveObjects()},
+		{"router", router, set.LiveObjects()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			url := func(k string) string { return "/v1/knn?edge=0&offset=0&terms=0&k=" + k }
+			var want queryResponse
+			if rec := get(t, tc.h, url(strconv.Itoa(tc.live)), &want); rec.Code != http.StatusOK {
+				t.Fatalf("k = live objects: status %d: %s", rec.Code, rec.Body.String())
+			}
+			if len(want.Candidates) == 0 {
+				t.Fatal("k = live objects found nothing; the comparison would be vacuous")
+			}
+			for _, k := range []string{"100000000000", "9223372036854775807"} {
+				var got queryResponse
+				if rec := get(t, tc.h, url(k), &got); rec.Code != http.StatusOK {
+					t.Fatalf("k=%s: status %d: %s", k, rec.Code, rec.Body.String())
+				}
+				if !reflect.DeepEqual(got.Candidates, want.Candidates) {
+					t.Fatalf("k=%s: %d candidates, want the %d of k = live objects", k, len(got.Candidates), len(want.Candidates))
+				}
+			}
+		})
+	}
+}
+
 func TestObservabilityEndpoints(t *testing.T) {
 	db, ws := testDB(t)
 	h := New(db, Config{}).Handler()
@@ -316,6 +370,9 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 	if varz.Metrics.Counters["server_requests_total"] == 0 {
 		t.Fatal("varz: request counter missing")
+	}
+	if varz.PinnedViews != 0 {
+		t.Fatalf("varz: %d views pinned with no request in flight", varz.PinnedViews)
 	}
 	if varz.Metrics.Counters["server_cache_hits_total"] == 0 {
 		t.Fatal("varz: cache hit counter missing")

@@ -439,6 +439,52 @@ func TestCursorHedgedOpen(t *testing.T) {
 	}
 }
 
+// TestCursorHedgedLoserReleasesItsView forces the ordering
+// TestCursorHedgedOpen meets only by chance: the replica side of a hedged
+// open answers after the primary won, and the product it discards must
+// give back the replica view it pinned. The pin check of the fixture
+// fails the test if it does not.
+func TestCursorHedgedLoserReleasesItsView(t *testing.T) {
+	set, q, _ := failoverFixture(t, Options{Seed: 8, HedgeAfter: time.Nanosecond})
+	ctx := context.Background()
+	mv, err := set.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mv.cursors(ctx, []int{0}, q.SKQuery)[0]
+	ops := c.ops()
+	primary, replica := ops.primary, ops.replica
+	launched := make(chan struct{})
+	var loserErr error
+	// The primary answers once the replica side runs; the replica side
+	// opens only once the race is decided, on a context the decision does
+	// not cancel, so it always answers second.
+	ops.primary = func(ctx context.Context) (opened, error) {
+		<-launched
+		return primary(ctx)
+	}
+	ops.replica = func(ctx context.Context) (opened, error) {
+		close(launched)
+		<-ctx.Done()
+		o, err := replica(context.WithoutCancel(ctx))
+		loserErr = err
+		return o, err
+	}
+	o, release, err := racePrimary(ctx, mv, 0, 0, true, nil, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.rv != nil {
+		t.Fatal("the replica side won the race")
+	}
+	o.st.Stop()
+	release()
+	mv.Close() // waits for the losing side
+	if loserErr != nil {
+		t.Fatalf("the losing replica side failed (%v); it must answer for its product to be discarded", loserErr)
+	}
+}
+
 // TestCursorPartialResult: without replicas, under the partial-result
 // policy, a dead shard's leg drops out of the merge; the answer is
 // Algorithm 6 over the surviving legs' arrivals and carries

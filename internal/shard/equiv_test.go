@@ -23,6 +23,7 @@ func equivFixture(t testing.TB, ns []int, opts dsks.Options) (*dsks.DB, []*Set, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = single.Close() })
+	checkNoPins(t, single)
 
 	sets := make([]*Set, len(ns))
 	for i, n := range ns {
@@ -38,6 +39,7 @@ func equivFixture(t testing.TB, ns []int, opts dsks.Options) (*dsks.DB, []*Set, 
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = set.Close() })
+		checkNoPins(t, set)
 		sets[i] = set
 	}
 	return single, sets, ds

@@ -21,7 +21,21 @@ func testSet(t *testing.T, n int, opts Options) (*Set, *dsks.Dataset) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = set.Close() })
+	checkNoPins(t, set)
 	return set, ds
+}
+
+// checkNoPins fails t, once the test and its deferred calls are done,
+// when a read view is still pinned on any database behind b (a Set's
+// primaries and replicas, or one DB): a MultiView, a replica leg or a
+// losing race side that never closed what it opened.
+func checkNoPins(t testing.TB, b interface{ PinnedViews() int }) {
+	t.Helper()
+	t.Cleanup(func() {
+		if n := b.PinnedViews(); n != 0 {
+			t.Errorf("%d read views still pinned when the test ended", n)
+		}
+	})
 }
 
 // wideQuery builds a query whose δmax ball spans every shard so the

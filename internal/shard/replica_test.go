@@ -28,6 +28,7 @@ func replicatedSet(t *testing.T, n, r int, opts Options) (*Set, *dsks.Dataset) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = set.Close() })
+	checkNoPins(t, set)
 	return set, ds
 }
 

@@ -461,6 +461,20 @@ func (s *Set) LiveObjects() int {
 	return total
 }
 
+// PinnedViews sums the read views open on every shard database, primaries
+// and replicas alike (see dsks.DB.PinnedViews). Once every MultiView is
+// closed it is zero.
+func (s *Set) PinnedViews() int {
+	total := 0
+	for i := range s.shards {
+		total += s.shards[i].db.PinnedViews()
+		for _, r := range s.shards[i].replicas {
+			total += r.db.PinnedViews()
+		}
+	}
+	return total
+}
+
 // Close closes every shard database. The first error wins but every
 // shard is attempted.
 func (s *Set) Close() error {

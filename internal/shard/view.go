@@ -55,9 +55,10 @@ type MultiView struct {
 	srcs   []int8
 	meta   Meta
 	closed atomic.Bool
-	// racers counts the goroutines of the failover races in flight; a
-	// query whose legs are streams waits for them before it returns, so no
-	// losing side still holds a stream or a replica view after it.
+	// racers counts the goroutines of the failover races in flight. A
+	// query whose legs are streams waits for them before it returns, and
+	// Close waits for the rest, so no losing side still holds a stream or
+	// a replica view after either.
 	racers sync.WaitGroup
 }
 
@@ -76,11 +77,16 @@ func (mv *MultiView) LiveObjects() int {
 	return total
 }
 
-// Close closes every per-shard view. Idempotent.
+// Close closes every per-shard view. Idempotent. It first waits for the
+// losing sides of the view's failover races: the race was decided and
+// their contexts canceled, so they are already on their way out, and
+// waiting here means that once Close returns the view pins nothing on any
+// database, replicas included.
 func (mv *MultiView) Close() {
 	if mv.closed.Swap(true) {
 		return
 	}
+	mv.racers.Wait()
 	for _, v := range mv.views {
 		if v != nil {
 			v.Close()

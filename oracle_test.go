@@ -42,6 +42,7 @@ func openPresetDB(t *testing.T, preset dsks.Preset, scale int, opts dsks.Options
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = db.Close() })
+	dsks.CheckNoPins(t, db)
 	return db
 }
 

@@ -31,6 +31,7 @@ func viewTestDB(t *testing.T, opts dsks.Options) *dsks.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dsks.CheckNoPins(t, db)
 	return db
 }
 
