@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-report fuzz-smoke serve serve-smoke chaos-smoke wal-smoke shard-smoke replica-smoke bench bench-smoke
+.PHONY: all build test race lint lint-report fuzz-smoke serve bench bench-smoke
 
 all: build test lint
 
@@ -71,47 +71,3 @@ bench-smoke:
 # serve boots the HTTP query server on a generated dataset (docs/SERVING.md).
 serve:
 	$(GO) run ./cmd/dsks-serve -addr :8080 -preset SYN -scale 200 -index SIF
-
-# serve-smoke mirrors the CI job: boot a deliberately under-provisioned
-# server, hammer it asserting zero 5xx + warm cache + load shedding, then
-# SIGTERM it and require a clean drain (exit 0).
-serve-smoke:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/serve-smoke.sh $(CURDIR)/bin/dsks-serve
-
-# chaos-smoke mirrors the CI job: boot a checksummed, chaos-enabled server,
-# inject read faults over /v1/chaos, and assert the breaker sheds (503 +
-# Retry-After), never serves corrupt bytes, and recovers after the faults
-# clear (docs/ROBUSTNESS.md).
-chaos-smoke:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/chaos-smoke.sh $(CURDIR)/bin/dsks-serve
-
-# shard-smoke mirrors the CI job: boot dsks-serve with the road network
-# sharded 4 ways behind the scatter-gather router (partial-result policy,
-# per-shard WALs), hammer the mixed read/write mix -strict, take one
-# shard down via shard-targeted chaos and assert coherent degradation
-# (206 partials naming the failed shard, healthy-shard inserts still
-# acked, never a half-merged body), then heal and require full recovery
-# (docs/SHARDING.md).
-shard-smoke:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/shard-smoke.sh $(CURDIR)/bin/dsks-serve
-
-# replica-smoke mirrors the CI job: boot 4 shards with one WAL-shipped
-# read replica each, verify the replicas converge after an insert storm,
-# kill one shard's primary storage mid-read-hammer and require ZERO 5xx
-# and ZERO 206 (failover, not degradation), then heal and assert the
-# primary is reclaimed and fresh writes replicate (docs/SHARDING.md,
-# docs/ROBUSTNESS.md).
-replica-smoke:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/replica-smoke.sh $(CURDIR)/bin/dsks-serve
-
-# wal-smoke mirrors the CI job: boot a WAL-backed server, kill -9 it
-# mid-insert-storm, reboot on the same log, and assert every acknowledged
-# write survived and the group commit batches >1 record per fsync
-# (docs/DURABILITY.md).
-wal-smoke:
-	$(GO) build -o $(CURDIR)/bin/dsks-serve ./cmd/dsks-serve
-	./scripts/wal-smoke.sh $(CURDIR)/bin/dsks-serve

@@ -17,10 +17,9 @@
 //
 //	dsks-serve -addr :8080 -preset SYN -scale 200 -shards 4
 //
-// Replay a synthetic query mix against a running server (the load
-// driver reports throughput, latency percentiles and cache behavior):
-//
-//	dsks-serve -hammer -target http://localhost:8080 -n 2000 -c 16
+// Load generation lives in the benchmark (go run ./bench), and the
+// process contract — drain on SIGTERM, crash recovery from -wal, option
+// errors — is checked by this package's tests, which run the binary.
 //
 // The process drains cleanly on SIGINT/SIGTERM: the listener closes,
 // in-flight queries finish (up to -drain-timeout), and the exit code is 0.
@@ -72,8 +71,6 @@ func run() error {
 		oracle    = flag.Bool("oracle", false, "build the ALT landmark distance oracle at startup (accelerates diversified queries)")
 		landmarks = flag.Int("landmarks", 0, "landmark count for -oracle (0 = library default)")
 		checksums = flag.Bool("checksums", false, "verify per-page CRC32C checksums on every buffer miss")
-		faultSpec = flag.String("fault", "", "install a fault-injection spec at startup (see internal/fault)")
-		chaos     = flag.Bool("enable-chaos", false, "expose POST /v1/chaos for runtime fault injection (testing only)")
 		degradeN  = flag.Int("degrade-after", 3, "consecutive storage errors before the server reports degraded")
 		breakN    = flag.Int("break-after", 5, "consecutive storage errors before the circuit breaker opens")
 		breakerTO = flag.Duration("breaker-cooldown", time.Second, "open-circuit cooldown before a half-open probe")
@@ -84,10 +81,7 @@ func run() error {
 		hedgeAfter = flag.Duration("hedge-after", 25*time.Millisecond, "sharded: race a replica against a primary leg slower than this (0 disables hedging)")
 		maxStale   = flag.Uint64("max-staleness", 4096, "sharded: max log records a failover replica may lag behind the pinned primary LSN (0 = unbounded)")
 		legRetries = flag.Int("leg-retries", 2, "sharded: transient-error retries per fan-out leg before failing over")
-
-		hammer = flag.Bool("hammer", false, "run the load driver against -target instead of serving")
 	)
-	hammerFlags(flag.CommandLine)
 	flag.Parse()
 
 	opts := dsks.Options{
@@ -104,10 +98,6 @@ func run() error {
 		WALStrictSync:   *walStrict,
 	}
 
-	if *hammer {
-		return runHammer(*preset, *scale, *seed)
-	}
-
 	cfg := server.Config{
 		Addr:            *addr,
 		MaxInflight:     *maxIn,
@@ -118,7 +108,6 @@ func run() error {
 		DegradeAfter:    *degradeN,
 		BreakAfter:      *breakN,
 		BreakerCooldown: *breakerTO,
-		EnableChaos:     *chaos,
 	}
 
 	// The backend: one database, or an N-way shard set behind the router.
@@ -130,9 +119,6 @@ func run() error {
 		durable      func() string
 	)
 	if *shards > 1 {
-		if *replicas > 0 && *walDir == "" {
-			return fmt.Errorf("-replicas %d needs -wal: the write-ahead log is the replication shipping medium", *replicas)
-		}
 		set, d, generated, err := openSet(*dbDir, *preset, *scale, *seed, *shards, shard.Options{
 			DB: opts, Partial: *partialRes,
 			Replicas: *replicas, HedgeAfter: *hedgeAfter,
@@ -141,12 +127,6 @@ func run() error {
 		})
 		if err != nil {
 			return err
-		}
-		if *faultSpec != "" {
-			if err := set.SetFaultSpec(*faultSpec); err != nil {
-				return fmt.Errorf("-fault: %w", err)
-			}
-			fmt.Printf("dsks-serve: fault injection active on every shard: %s\n", *faultSpec)
 		}
 		policy := "first-error-wins"
 		if *partialRes {
@@ -168,12 +148,6 @@ func run() error {
 		db, d, generated, err := openDB(*dbDir, *preset, *scale, *seed, opts)
 		if err != nil {
 			return err
-		}
-		if *faultSpec != "" {
-			if err := db.SetFaultSpec(*faultSpec); err != nil {
-				return fmt.Errorf("-fault: %w", err)
-			}
-			fmt.Printf("dsks-serve: fault injection active: %s\n", *faultSpec)
 		}
 		srv = server.New(db, cfg)
 		desc = d

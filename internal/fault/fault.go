@@ -8,9 +8,9 @@
 // discipline the dataset generators follow (detrand).
 //
 // The injector is installed on a page store with
-// storage.PageFile.SetInjector / storage.DiskPageFile.SetInjector and is
-// controllable from tests and from cmd/dsks-serve (the -fault flag and
-// the -chaos admin endpoint), with specs parsed by ParseSpec.
+// storage.PageFile.SetInjector / storage.DiskPageFile.SetInjector; tests
+// arm it through dsks.DB.SetFaultSpec and shard.Set.SetShardFaultSpec,
+// with specs parsed by ParseSpec.
 package fault
 
 import (

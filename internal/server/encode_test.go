@@ -181,13 +181,14 @@ func FuzzResponseEncode(f *testing.F) {
 }
 
 // parseParamsReference is the url.Values decoder parseParams replaced,
-// kept as the reference FuzzQueryDecode holds it to.
+// kept as the reference FuzzQueryDecode holds it to. Edges and terms are
+// 32-bit: a larger value is an error, not the ID it would wrap around to.
 func parseParamsReference(raw string, q *queryRequest) error {
 	vals, _ := url.ParseQuery(raw)
 	for name, set := range map[string]func(string) error{
-		"edge":     func(v string) (err error) { q.Edge, err = strconv.ParseInt(v, 10, 64); return },
+		"edge":     func(v string) error { e, err := strconv.ParseInt(v, 10, 32); q.Edge = dsks.EdgeID(e); return err },
 		"offset":   func(v string) (err error) { q.Offset, err = strconv.ParseFloat(v, 64); return },
-		"bEdge":    func(v string) (err error) { q.BEdge, err = strconv.ParseInt(v, 10, 64); return },
+		"bEdge":    func(v string) error { e, err := strconv.ParseInt(v, 10, 32); q.BEdge = dsks.EdgeID(e); return err },
 		"bOffset":  func(v string) (err error) { q.BOffset, err = strconv.ParseFloat(v, 64); return },
 		"deltaMax": func(v string) (err error) { q.DeltaMax, err = strconv.ParseFloat(v, 64); return },
 		"k":        func(v string) (err error) { q.K, err = strconv.Atoi(v); return },
@@ -197,7 +198,7 @@ func parseParamsReference(raw string, q *queryRequest) error {
 		"timeout":  func(v string) error { q.Timeout = v; return nil },
 		"terms": func(v string) error {
 			for _, part := range strings.Split(v, ",") {
-				t, err := strconv.Atoi(strings.TrimSpace(part))
+				t, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
 				if err != nil {
 					return fmt.Errorf("term %q: %w", part, err)
 				}
@@ -248,6 +249,7 @@ func FuzzQueryDecode(f *testing.F) {
 		"k=1;x=2&k=3", "%zz=1&edge=3", "edge=%zz&edge=4", "ed%67e=4", "ed%67e=4&edge=5",
 		"algo=a+b%3C%3E&timeout=1s&timeout=", "bEdge=9&bOffset=1.5e-7",
 		"&&=&edge", "k=99999999999999999999", "",
+		"edge=4294967299", "bEdge=-2147483649", "terms=1,4294967297", "edge=2147483647",
 	} {
 		f.Add(s)
 	}
@@ -273,7 +275,7 @@ func FuzzQueryDecode(f *testing.F) {
 func TestQueryDecodeErrorText(t *testing.T) {
 	for _, raw := range []string{
 		"edge=x", "offset=1e400", "k=1.5", "terms=1,,2", "terms=1,", "terms=x&edge=3",
-		"lambda=%20", "bEdge=99999999999999999999",
+		"lambda=%20", "bEdge=99999999999999999999", "edge=4294967299", "terms=4294967297",
 	} {
 		_, _, gerr, werr := decodeBoth(raw)
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {

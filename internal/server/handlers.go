@@ -47,9 +47,9 @@ func badRequest(err error) error {
 // endpoint reads the fields it needs. GET requests carry the fields as URL
 // parameters (terms comma-separated), POSTs as a JSON document.
 type queryRequest struct {
-	Edge     int64         `json:"edge"`
+	Edge     dsks.EdgeID   `json:"edge"`
 	Offset   float64       `json:"offset"`
-	BEdge    int64         `json:"bEdge"`   // second position (distance)
+	BEdge    dsks.EdgeID   `json:"bEdge"`   // second position (distance)
 	BOffset  float64       `json:"bOffset"` // second position (distance)
 	Terms    []dsks.TermID `json:"terms"`
 	DeltaMax float64       `json:"deltaMax"`
@@ -62,12 +62,12 @@ type queryRequest struct {
 
 // pos returns the primary query position.
 func (q *queryRequest) pos() dsks.Position {
-	return dsks.Position{Edge: dsks.EdgeID(q.Edge), Offset: q.Offset}
+	return dsks.Position{Edge: q.Edge, Offset: q.Offset}
 }
 
 // posB returns the secondary position of a distance request.
 func (q *queryRequest) posB() dsks.Position {
-	return dsks.Position{Edge: dsks.EdgeID(q.BEdge), Offset: q.BOffset}
+	return dsks.Position{Edge: q.BEdge, Offset: q.BOffset}
 }
 
 // cacheKey is the canonical encoding of a request to the kind endpoint:
@@ -78,9 +78,9 @@ func (q *queryRequest) posB() dsks.Position {
 func (q *queryRequest) cacheKey(kind string) string {
 	b := make([]byte, 0, 96+4*len(q.Terms))
 	b = append(append(b, kind...), "|e"...)
-	b = strconv.AppendInt(b, q.Edge, 10)
+	b = strconv.AppendInt(b, int64(q.Edge), 10)
 	b = appendKeyFloat(b, "|o", q.Offset)
-	b = strconv.AppendInt(append(b, "|E"...), q.BEdge, 10)
+	b = strconv.AppendInt(append(b, "|E"...), int64(q.BEdge), 10)
 	b = appendKeyFloat(b, "|O", q.BOffset)
 	b = appendKeyFloat(b, "|d", q.DeltaMax)
 	b = strconv.AppendInt(append(b, "|k"...), int64(q.K), 10)
@@ -168,7 +168,7 @@ func parseParams(raw string, q *queryRequest) error {
 		switch name {
 		case "edge":
 			if first(pEdge, v) {
-				q.Edge, err = strconv.ParseInt(v, 10, 64)
+				q.Edge, err = parseID[dsks.EdgeID](v)
 			}
 		case "offset":
 			if first(pOffset, v) {
@@ -176,7 +176,7 @@ func parseParams(raw string, q *queryRequest) error {
 			}
 		case "bEdge":
 			if first(pBEdge, v) {
-				q.BEdge, err = strconv.ParseInt(v, 10, 64)
+				q.BEdge, err = parseID[dsks.EdgeID](v)
 			}
 		case "bOffset":
 			if first(pBOffset, v) {
@@ -223,16 +223,23 @@ func parseParams(raw string, q *queryRequest) error {
 func parseTerms(v string, q *queryRequest) error {
 	for {
 		part, rest, more := strings.Cut(v, ",")
-		t, err := strconv.Atoi(strings.TrimSpace(part))
+		t, err := parseID[dsks.TermID](strings.TrimSpace(part))
 		if err != nil {
 			return fmt.Errorf("term %q: %w", part, err)
 		}
-		q.Terms = append(q.Terms, dsks.TermID(t))
+		q.Terms = append(q.Terms, t)
 		if !more {
 			return nil
 		}
 		v = rest
 	}
+}
+
+// parseID parses a decimal edge or term ID. Both are 32-bit: a value
+// past that range is an error, never an ID it wraps around to.
+func parseID[T ~int32](v string) (T, error) {
+	n, err := strconv.ParseInt(v, 10, 32)
+	return T(n), err
 }
 
 // deadlineFor resolves the request's deadline: the client's timeout
@@ -622,7 +629,7 @@ func (s *Server) runDistance(ctx context.Context, v QueryView, req *queryRequest
 
 // insertRequest is the /v1/insert body.
 type insertRequest struct {
-	Edge   int64         `json:"edge"`
+	Edge   dsks.EdgeID   `json:"edge"`
 	Offset float64       `json:"offset"`
 	Terms  []dsks.TermID `json:"terms"`
 }
@@ -646,7 +653,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.lim.release()
-	id, lsn, err := s.backend.Insert(dsks.Position{Edge: dsks.EdgeID(req.Edge), Offset: req.Offset}, req.Terms)
+	id, lsn, err := s.backend.Insert(dsks.Position{Edge: req.Edge, Offset: req.Offset}, req.Terms)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dsks"
 )
 
 // testBreaker returns a breaker with a controllable clock.
@@ -111,38 +113,40 @@ func TestBreakerNeutralProbeReleasesSlot(t *testing.T) {
 	}
 }
 
-// TestDegradedModeEndToEnd drives the whole loop over HTTP: inject
-// permanent read faults through /v1/chaos, watch queries 500 and the
-// breaker open (503 + Retry-After, /healthz 503), heal the fault, and
-// watch the half-open probe restore 200s.
+// TestDegradedModeEndToEnd drives the whole loop over HTTP on a
+// checksummed database: arm permanent read faults on cooled pools, watch
+// queries 500 and the breaker open (503 + Retry-After, /healthz 503), heal
+// the medium, and watch the half-open probe restore 200s once the
+// breaker's clock passes the cooldown. A 200 inside the campaign must have
+// read nothing from storage.
 func TestDegradedModeEndToEnd(t *testing.T) {
-	db, ws := testDB(t)
+	db, ws := openTestDB(t, dsks.Options{Index: dsks.IndexSIF, Checksums: true})
 	srv := New(db, Config{
 		DegradeAfter:    2,
 		BreakAfter:      3,
-		BreakerCooldown: 10 * time.Millisecond,
-		EnableChaos:     true,
+		BreakerCooldown: time.Second,
 		CacheSize:       -1, // no result cache: every request must hit storage
 	})
+	clock := time.Unix(1000, 0)
+	srv.health.now = func() time.Time { return clock }
 	h := srv.Handler()
 
 	// Baseline: queries work, health is green.
 	if rec := get(t, h, searchURL(ws[0]), nil); rec.Code != http.StatusOK {
 		t.Fatalf("baseline query status %d: %s", rec.Code, rec.Body.String())
 	}
-	// Cool the buffer pools so every query actually reads "disk".
-	if err := db.ResetIO(); err != nil {
+	if err := db.SetFaultSpec("read:every=1"); err != nil {
 		t.Fatal(err)
 	}
-
-	if rec := post(t, h, "/v1/chaos", map[string]string{"spec": "read:every=1"}); rec.Code != http.StatusOK {
-		t.Fatalf("installing chaos spec: %d %s", rec.Code, rec.Body.String())
+	// Cool the buffer pools so the campaign bites: a warm pool never
+	// reaches the faulting page stores.
+	if err := db.ResetIO(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Storage errors accumulate; within BreakAfter queries the breaker
 	// opens and the server sheds with 503 + Retry-After.
 	var saw500, saw503 bool
-	var retryAfter string
 	for i := 0; i < 10; i++ {
 		rec := get(t, h, searchURL(ws[i%len(ws)]), nil)
 		switch rec.Code {
@@ -150,18 +154,21 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 			saw500 = true
 		case http.StatusServiceUnavailable:
 			saw503 = true
-			retryAfter = rec.Header().Get("Retry-After")
+			if rec.Header().Get("Retry-After") == "" {
+				t.Errorf("query %d: 503 without Retry-After", i)
+			}
 		case http.StatusOK:
-			t.Fatalf("query %d returned 200 under a permanent read-fault campaign", i)
+			var res queryResponse
+			decode(t, rec, &res)
+			if res.DiskReads != 0 {
+				t.Fatalf("query %d: a 200 that read %d pages under a permanent read-fault campaign", i, res.DiskReads)
+			}
 		default:
 			t.Fatalf("query %d status %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
 	if !saw500 || !saw503 {
 		t.Fatalf("saw500=%v saw503=%v, want both", saw500, saw503)
-	}
-	if retryAfter == "" {
-		t.Error("503 response missing Retry-After")
 	}
 	var health struct {
 		Status string `json:"status"`
@@ -171,22 +178,15 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 		t.Fatalf("healthz while open: %d %s", rec.Code, rec.Body.String())
 	}
 
-	// Heal the medium and wait out the cooldown: the next query is the
-	// probe; it succeeds and service recovers.
-	if rec := post(t, h, "/v1/chaos", map[string]string{"spec": ""}); rec.Code != http.StatusOK {
-		t.Fatalf("clearing chaos spec: %d %s", rec.Code, rec.Body.String())
+	// Heal the medium. Inside the cooldown the breaker still sheds; past
+	// it, the next query is the probe, it succeeds and service recovers.
+	db.ClearFaults()
+	if rec := get(t, h, searchURL(ws[0]), nil); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("healed, inside the cooldown: status %d, want 503", rec.Code)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	recovered := false
-	for time.Now().Before(deadline) {
-		if rec := get(t, h, searchURL(ws[0]), nil); rec.Code == http.StatusOK {
-			recovered = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !recovered {
-		t.Fatal("server did not recover after faults cleared")
+	clock = clock.Add(time.Second)
+	if rec := get(t, h, searchURL(ws[0]), nil); rec.Code != http.StatusOK {
+		t.Fatalf("probe past the cooldown: status %d: %s", rec.Code, rec.Body.String())
 	}
 	if rec := get(t, h, "/healthz", &health); rec.Code != http.StatusOK || health.Status != "healthy" {
 		t.Fatalf("healthz after recovery: %d %q", rec.Code, health.Status)
@@ -220,23 +220,5 @@ func TestRetryAfterWhileBreakerOpen(t *testing.T) {
 		if got := rec.Header().Get("Retry-After"); got != "1" {
 			t.Errorf("%s: Retry-After %q with a 200ms cooldown, want \"1\"", url, got)
 		}
-	}
-}
-
-func TestChaosEndpointDisabledByDefault(t *testing.T) {
-	db, _ := testDB(t)
-	h := New(db, Config{}).Handler()
-	rec := post(t, h, "/v1/chaos", map[string]string{"spec": "read:every=1"})
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("chaos endpoint without EnableChaos: %d, want 404", rec.Code)
-	}
-}
-
-func TestChaosEndpointRejectsBadSpec(t *testing.T) {
-	db, _ := testDB(t)
-	h := New(db, Config{EnableChaos: true}).Handler()
-	rec := post(t, h, "/v1/chaos", map[string]string{"spec": "read:zap=1"})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad spec: %d, want 400", rec.Code)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // mutation goes through the Backend, and the result cache keys on the
 // view's version token (a single commit LSN, or the joined per-shard LSN
 // vector). The sharded backend additionally surfaces per-shard state
-// through the sharded interface (per-shard /varz section, shard-targeted
-// chaos), and its views carry partial-result metadata (shard.Meta).
+// through the sharded interface (per-shard /varz and /healthz sections),
+// and its views carry partial-result metadata (shard.Meta).
 
 // Backend abstracts the query engine the server fronts.
 type Backend interface {
@@ -38,9 +38,6 @@ type Backend interface {
 	PinnedViews() int
 	Metrics() *dsks.MetricsRegistry
 	Snapshot() dsks.MetricsSnapshot
-	SetFaultSpec(spec string) error
-	ClearFaults()
-	ResetIO() error
 }
 
 // QueryView is one pinned read snapshot: the query surface a *dsks.View
@@ -74,14 +71,12 @@ func versionToken(v QueryView) string {
 }
 
 // sharded is the optional backend surface of a shard set: the per-shard
-// /varz section and shard-targeted fault injection.
+// /varz and /healthz sections.
 type sharded interface {
-	Shards() int
 	ShardVarz() []ShardVarz
 	// ShardHealth is the per-shard availability vector
 	// ("primary"|"replica"|"down"), reported on /healthz and /varz.
 	ShardHealth() []string
-	SetShardFaultSpec(i int, spec string) error
 }
 
 // ShardVarz is one shard's row in the /varz shards section.
@@ -127,9 +122,6 @@ func (b dbBackend) LiveObjects() int               { return b.db.LiveObjects() }
 func (b dbBackend) PinnedViews() int               { return b.db.PinnedViews() }
 func (b dbBackend) Metrics() *dsks.MetricsRegistry { return b.db.Metrics() }
 func (b dbBackend) Snapshot() dsks.MetricsSnapshot { return b.db.Snapshot() }
-func (b dbBackend) SetFaultSpec(spec string) error { return b.db.SetFaultSpec(spec) }
-func (b dbBackend) ClearFaults()                   { b.db.ClearFaults() }
-func (b dbBackend) ResetIO() error                 { return b.db.ResetIO() }
 
 // setBackend serves a sharded set through the scatter-gather router.
 type setBackend struct{ set *shard.Set }
@@ -170,15 +162,6 @@ func (b setBackend) LiveObjects() int               { return b.set.LiveObjects()
 func (b setBackend) PinnedViews() int               { return b.set.PinnedViews() }
 func (b setBackend) Metrics() *dsks.MetricsRegistry { return b.set.Metrics() }
 func (b setBackend) Snapshot() dsks.MetricsSnapshot { return b.set.Snapshot() }
-func (b setBackend) SetFaultSpec(spec string) error { return b.set.SetFaultSpec(spec) }
-func (b setBackend) ClearFaults()                   { b.set.ClearFaults() }
-func (b setBackend) ResetIO() error                 { return b.set.ResetIO() }
-
-func (b setBackend) Shards() int { return b.set.Shards() }
-
-func (b setBackend) SetShardFaultSpec(i int, spec string) error {
-	return b.set.SetShardFaultSpec(i, spec)
-}
 
 func (b setBackend) ShardVarz() []ShardVarz {
 	reg := b.set.Metrics()

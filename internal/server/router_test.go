@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"dsks"
 	"dsks/internal/shard"
@@ -25,28 +26,33 @@ func decode(t *testing.T, rec *httptest.ResponseRecorder, out any) {
 // the handler plus a wide search URL whose δmax ball spans every shard.
 func routerFixture(t *testing.T, partial bool, cfg Config) (http.Handler, string, *shard.Set) {
 	t.Helper()
+	h, set, ws := routerWith(t, shard.Options{DB: dsks.Options{Index: dsks.IndexSIF}, Partial: partial}, cfg)
+	url := fmt.Sprintf("/v1/search?edge=%d&offset=%g&terms=%d&deltaMax=20000",
+		ws[0].Pos.Edge, ws[0].Pos.Offset, ws[0].Terms[0])
+	return h, url, set
+}
+
+// routerWith boots a NewRouter server over a 4-shard set opened with opts
+// and returns it with single-keyword workload queries over its dataset.
+func routerWith(t *testing.T, opts shard.Options, cfg Config) (http.Handler, *shard.Set, []dsks.WorkloadQuery) {
+	t.Helper()
 	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := shard.Open(ds.Graph, ds.Objects, ds.VocabSize, 4, shard.Options{
-		DB:      dsks.Options{Index: dsks.IndexSIF},
-		Partial: partial,
+	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
+		NumQueries: 8, Keywords: 1, Seed: 4,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := shard.Open(ds.Graph, ds.Objects, ds.VocabSize, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = set.Close() })
 	checkNoPins(t, set)
-	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
-		NumQueries: 1, Keywords: 1, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := fmt.Sprintf("/v1/search?edge=%d&offset=%g&terms=%d&deltaMax=20000",
-		ws[0].Pos.Edge, ws[0].Pos.Offset, ws[0].Terms[0])
-	return NewRouter(set, cfg).Handler(), url, set
+	return NewRouter(set, cfg).Handler(), set, ws
 }
 
 func TestRouterServesShardedQueries(t *testing.T) {
@@ -179,17 +185,14 @@ func TestRouterShardVarz(t *testing.T) {
 // turns the answer into a coherent 206 — partial flag, the failed leg's
 // detail, never cached — and recovery restores cacheable 200s.
 func TestRouterPartialResult206(t *testing.T) {
-	h, url, set := routerFixture(t, true, Config{EnableChaos: true, CacheSize: -1})
+	h, url, set := routerFixture(t, true, Config{CacheSize: -1})
 
 	if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
 		t.Fatalf("healthy: status %d", rec.Code)
 	}
 
-	// Down shard 1 only, through the HTTP chaos endpoint.
-	rec := post(t, h, "/v1/chaos", map[string]any{"spec": "read:every=1", "shard": 1})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("shard chaos: status %d: %s", rec.Code, rec.Body)
-	}
+	// Down shard 1 only.
+	downShard(t, set, 1)
 
 	var res struct {
 		Candidates  []struct{} `json:"candidates"`
@@ -199,7 +202,7 @@ func TestRouterPartialResult206(t *testing.T) {
 			Err   string `json:"error"`
 		} `json:"shardErrors"`
 	}
-	rec = get(t, h, url, nil)
+	rec := get(t, h, url, nil)
 	if rec.Code != http.StatusPartialContent {
 		t.Fatalf("degraded: status %d, want 206: %s", rec.Code, rec.Body)
 	}
@@ -215,12 +218,7 @@ func TestRouterPartialResult206(t *testing.T) {
 	}
 
 	// Heal and verify full 200s come back.
-	if rec := post(t, h, "/v1/chaos", map[string]any{"spec": ""}); rec.Code != http.StatusOK {
-		t.Fatalf("clear chaos: status %d", rec.Code)
-	}
-	if err := set.ResetIO(); err != nil {
-		t.Fatal(err)
-	}
+	healShards(t, set)
 	rec = get(t, h, url, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("recovered: status %d", rec.Code)
@@ -235,44 +233,122 @@ func TestRouterPartialResult206(t *testing.T) {
 // TestRouterFirstErrorWins500: the default policy maps a downed shard to
 // one coherent 500, driving the breaker like any storage failure.
 func TestRouterFirstErrorWins500(t *testing.T) {
-	h, url, set := routerFixture(t, false, Config{EnableChaos: true, CacheSize: -1})
+	h, url, set := routerFixture(t, false, Config{CacheSize: -1})
 	if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
 		t.Fatalf("healthy: status %d", rec.Code)
 	}
-	rec := post(t, h, "/v1/chaos", map[string]any{"spec": "read:every=1", "shard": 2})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("shard chaos: status %d: %s", rec.Code, rec.Body)
-	}
-	rec = get(t, h, url, nil)
-	if rec.Code != http.StatusInternalServerError {
+	downShard(t, set, 2)
+	if rec := get(t, h, url, nil); rec.Code != http.StatusInternalServerError {
 		t.Fatalf("degraded: status %d, want 500: %s", rec.Code, rec.Body)
 	}
-	if rec := post(t, h, "/v1/chaos", map[string]any{"spec": ""}); rec.Code != http.StatusOK {
-		t.Fatalf("clear chaos: status %d", rec.Code)
-	}
-	if err := set.ResetIO(); err != nil {
-		t.Fatal(err)
-	}
+	healShards(t, set)
 	if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
 		t.Fatalf("recovered: status %d", rec.Code)
 	}
 }
 
-// TestRouterShardChaosRejectedUnsharded: the shard field is a client
-// error on a single-database server.
-func TestRouterShardChaosRejectedUnsharded(t *testing.T) {
-	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 200, 1)
-	if err != nil {
+// TestRouterInsertsAroundAPoisonedShardWAL: with shard 1's log failing
+// every sync, an insert shard 1 owns answers 500 with a JSON error, and
+// inserts on the other shards still ack with an id and an lsn.
+func TestRouterInsertsAroundAPoisonedShardWAL(t *testing.T) {
+	h, set, _ := routerWith(t, shard.Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}}, Config{})
+	if err := set.SetShardFaultSpec(1, "sync:every=1"); err != nil {
 		t.Fatal(err)
 	}
-	db, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexSIF})
-	if err != nil {
+	tried := make([]int, set.Shards())
+	for e, owner := range set.Partition().Owner {
+		if tried[owner] == 2 {
+			continue
+		}
+		tried[owner]++
+		rec := post(t, h, "/v1/insert", map[string]any{"edge": e, "offset": 0.5, "terms": []int{0}})
+		if owner == 1 {
+			var fail struct {
+				Error string `json:"error"`
+			}
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("insert on edge %d of the poisoned shard: status %d: %s", e, rec.Code, rec.Body)
+			}
+			if decode(t, rec, &fail); fail.Error == "" {
+				t.Fatalf("500 without an error message: %s", rec.Body)
+			}
+			continue
+		}
+		var ack struct {
+			ID  *int64 `json:"id"`
+			LSN uint64 `json:"lsn"`
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("insert on edge %d of healthy shard %d: status %d: %s", e, owner, rec.Code, rec.Body)
+		}
+		if decode(t, rec, &ack); ack.ID == nil || ack.LSN == 0 {
+			t.Fatalf("insert on healthy shard %d acked %s", owner, rec.Body)
+		}
+	}
+}
+
+// TestRouterReplicaFailover: with shard 0's primary storage dead, every
+// family answers 200 from its replica — never a 206 or a 5xx — /varz
+// counts the failovers and /healthz shows shard 0 on its replica; once the
+// primary heals, the next probe reclaims it. A cooldown of a nanosecond
+// makes every query after the trip a probe, so no clock is waited on.
+func TestRouterReplicaFailover(t *testing.T) {
+	h, set, ws := routerWith(t, shard.Options{
+		DB:      dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()},
+		Partial: true, Replicas: 1, DownAfter: 2, DownCooldown: time.Nanosecond, Seed: 4,
+	}, Config{CacheSize: -1})
+	q := ws[0]
+	q.DeltaMax = 20000
+	downShard(t, set, 0)
+	for i := 0; i < 3; i++ {
+		for kind, url := range familyURLs(q) {
+			if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
+				t.Fatalf("%s with shard 0's primary down: status %d: %s", kind, rec.Code, rec.Body)
+			}
+		}
+	}
+	var varz struct {
+		Metrics struct {
+			Counters map[string]int64 `json:"Counters"`
+		} `json:"metrics"`
+	}
+	if get(t, h, "/varz", &varz); varz.Metrics.Counters[shard.CounterFailovers] == 0 {
+		t.Fatal("failovers_total stayed zero with shard 0's primary down")
+	}
+	var health struct {
+		Shards []string `json:"shards"`
+	}
+	get(t, h, "/healthz", &health)
+	if want := []string{"replica", "primary", "primary", "primary"}; fmt.Sprint(health.Shards) != fmt.Sprint(want) {
+		t.Fatalf("healthz shards %v, want %v", health.Shards, want)
+	}
+
+	healShards(t, set)
+	if rec := get(t, h, familyURLs(q)["search"], nil); rec.Code != http.StatusOK {
+		t.Fatalf("search after healing: status %d: %s", rec.Code, rec.Body)
+	}
+	if get(t, h, "/healthz", &health); health.Shards[0] != "primary" {
+		t.Fatalf("healthz shards %v after the healed primary answered, want shard 0 primary", health.Shards)
+	}
+}
+
+// downShard makes every page read of shard si fail from now on; the pools
+// are cooled first, so the next query reaches the faulting storage.
+func downShard(t *testing.T, set *shard.Set, si int) {
+	t.Helper()
+	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = db.Close() })
-	h := New(db, Config{EnableChaos: true}).Handler()
-	rec := post(t, h, "/v1/chaos", map[string]any{"spec": "read:every=1", "shard": 0})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("unsharded shard chaos: status %d, want 400", rec.Code)
+	if err := set.SetShardFaultSpec(si, "read:every=1"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// healShards clears every shard's faults and cools the pools.
+func healShards(t *testing.T, set *shard.Set) {
+	t.Helper()
+	set.ClearFaults()
+	if err := set.ResetIO(); err != nil {
+		t.Fatal(err)
 	}
 }

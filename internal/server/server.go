@@ -55,10 +55,6 @@ type Config struct {
 	// BreakerCooldown is how long the breaker stays open before it lets
 	// one probe query through (default 1s).
 	BreakerCooldown time.Duration
-	// EnableChaos exposes POST /v1/chaos, which installs a fault-injection
-	// campaign on the database's storage layer (body {"spec": "..."},
-	// empty spec clears). Off by default: never enable in production.
-	EnableChaos bool
 }
 
 // withDefaults fills the zero fields.
@@ -173,9 +169,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/distance", s.queryEndpoint("distance", s.runDistance))
 	s.mux.HandleFunc("/v1/insert", s.handleInsert)
 	s.mux.HandleFunc("/v1/remove", s.handleRemove)
-	if s.cfg.EnableChaos {
-		s.mux.HandleFunc("/v1/chaos", s.handleChaos)
-	}
 }
 
 // Handler returns the server's HTTP handler: the route mux wrapped in the
@@ -260,61 +253,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["shards"] = sb.ShardHealth()
 	}
 	writeJSON(w, status, body)
-}
-
-// chaosRequest is the /v1/chaos body. Shard, when present on a sharded
-// backend, targets the spec at that single shard — the lever the shard
-// smoke test uses to take one shard down while its siblings keep serving.
-type chaosRequest struct {
-	Spec  string `json:"spec"`
-	Shard *int   `json:"shard,omitempty"`
-}
-
-// handleChaos serves POST /v1/chaos (only wired when Config.EnableChaos):
-// a non-empty spec installs a deterministic fault-injection campaign on
-// the backend's storage layer, an empty spec clears it everywhere. The
-// breaker is left to discover the faults on its own — that is the point.
-func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req chaosRequest
-	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request body: %v", err))
-		return
-	}
-	if req.Spec == "" {
-		s.backend.ClearFaults()
-		writeJSON(w, http.StatusOK, map[string]any{"chaos": "cleared"})
-		return
-	}
-	if req.Shard != nil {
-		sb, ok := s.backend.(sharded)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "shard-targeted chaos needs a sharded backend")
-			return
-		}
-		if err := sb.SetShardFaultSpec(*req.Shard, req.Spec); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	} else if err := s.backend.SetFaultSpec(req.Spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Cool the buffer pools so the campaign bites immediately: faults
-	// live on the page stores, and a fully warm pool would never reach
-	// them. Chaos runs give up the paper's I/O accounting anyway.
-	if err := s.backend.ResetIO(); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("cooling buffer pools: %v", err))
-		return
-	}
-	if req.Shard != nil {
-		writeJSON(w, http.StatusOK, map[string]any{"chaos": req.Spec, "shard": *req.Shard})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"chaos": req.Spec})
 }
 
 // varzPayload is the /varz document: the serving state plus the full

@@ -10,21 +10,29 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dsks"
+	"dsks/internal/shard"
 )
 
 // testDB builds a small synthetic database with a workload whose queries
 // return candidates.
 func testDB(t testing.TB) (*dsks.DB, []dsks.WorkloadQuery) {
 	t.Helper()
+	return openTestDB(t, dsks.Options{Index: dsks.IndexSIF})
+}
+
+// openTestDB is testDB with the database options given.
+func openTestDB(t testing.TB, opts dsks.Options) (*dsks.DB, []dsks.WorkloadQuery) {
+	t.Helper()
 	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexSIF})
+	db, err := dsks.OpenDataset(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +101,18 @@ func searchURL(q dsks.WorkloadQuery) string {
 		q.Pos.Edge, q.Pos.Offset, termsParam(q.Terms), q.DeltaMax)
 }
 
+// familyURLs renders q as a GET of each of the five query families.
+func familyURLs(q dsks.WorkloadQuery) map[string]string {
+	at := fmt.Sprintf("edge=%d&offset=%g&terms=%s", q.Pos.Edge, q.Pos.Offset, termsParam(q.Terms))
+	return map[string]string{
+		"search":      fmt.Sprintf("/v1/search?%s&deltaMax=%g", at, q.DeltaMax),
+		"diversified": fmt.Sprintf("/v1/diversified?%s&deltaMax=%g&k=3&lambda=0.8", at, q.DeltaMax),
+		"knn":         "/v1/knn?" + at + "&k=3",
+		"ranked":      fmt.Sprintf("/v1/ranked?%s&deltaMax=%g&k=3&alpha=0.5", at, q.DeltaMax),
+		"collective":  fmt.Sprintf("/v1/collective?%s&deltaMax=%g", at, q.DeltaMax),
+	}
+}
+
 func TestSearchEndpointMatchesLibrary(t *testing.T) {
 	db, ws := testDB(t)
 	h := New(db, Config{}).Handler()
@@ -123,30 +143,17 @@ func TestQueryEndpointsServeEveryFamily(t *testing.T) {
 	h := New(db, Config{}).Handler()
 	q := ws[0]
 
-	cases := []struct {
-		name string
-		url  string
-	}{
-		{"diversified", fmt.Sprintf("/v1/diversified?edge=%d&offset=%g&terms=%s&deltaMax=%g&k=3&lambda=0.8",
-			q.Pos.Edge, q.Pos.Offset, termsParam(q.Terms), q.DeltaMax)},
-		{"knn", fmt.Sprintf("/v1/knn?edge=%d&offset=%g&terms=%s&k=3",
-			q.Pos.Edge, q.Pos.Offset, termsParam(q.Terms))},
-		{"ranked", fmt.Sprintf("/v1/ranked?edge=%d&offset=%g&terms=%s&deltaMax=%g&k=3&alpha=0.5",
-			q.Pos.Edge, q.Pos.Offset, termsParam(q.Terms), q.DeltaMax)},
-		{"collective", fmt.Sprintf("/v1/collective?edge=%d&offset=%g&terms=%s&deltaMax=%g",
-			q.Pos.Edge, q.Pos.Offset, termsParam(q.Terms), q.DeltaMax)},
-		{"distance", fmt.Sprintf("/v1/distance?edge=%d&offset=%g&bEdge=0&bOffset=0",
-			q.Pos.Edge, q.Pos.Offset)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	urls := familyURLs(q)
+	urls["distance"] = fmt.Sprintf("/v1/distance?edge=%d&offset=%g&bEdge=0&bOffset=0", q.Pos.Edge, q.Pos.Offset)
+	for kind, url := range urls {
+		t.Run(kind, func(t *testing.T) {
 			var resp queryResponse
-			rec := get(t, h, tc.url, &resp)
+			rec := get(t, h, url, &resp)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 			}
-			if resp.Kind != tc.name {
-				t.Fatalf("kind %q, want %q", resp.Kind, tc.name)
+			if resp.Kind != kind {
+				t.Fatalf("kind %q, want %q", resp.Kind, kind)
 			}
 		})
 	}
@@ -169,7 +176,7 @@ func TestCacheHitAndMutationInvalidation(t *testing.T) {
 
 	// A mutation bumps the DB version: the same query must miss the cache
 	// and recompute, observing the new object.
-	ins := post(t, h, "/v1/insert", insertRequest{Edge: int64(q.Pos.Edge), Offset: q.Pos.Offset, Terms: q.Terms})
+	ins := post(t, h, "/v1/insert", insertRequest{Edge: q.Pos.Edge, Offset: q.Pos.Offset, Terms: q.Terms})
 	if ins.Code != http.StatusOK {
 		t.Fatalf("insert status %d: %s", ins.Code, ins.Body.String())
 	}
@@ -429,16 +436,19 @@ func TestPanicIsolation(t *testing.T) {
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	db, _ := testDB(t)
 	srv := New(db, Config{Addr: "127.0.0.1:0", DefaultTimeout: 5 * time.Second})
-	entered := make(chan struct{})
+	// The handler is held until Shutdown has begun, so the request is in
+	// flight while the server drains.
+	entered, release := make(chan struct{}), make(chan struct{})
 	srv.mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
 		close(entered)
-		time.Sleep(150 * time.Millisecond)
+		<-release
 		writeJSON(w, http.StatusOK, map[string]string{"status": "done"})
 	})
 	errc, err := srv.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.http.RegisterOnShutdown(func() { close(release) })
 
 	// A request in flight while Shutdown begins must complete with 200.
 	done := make(chan error, 1)
@@ -467,5 +477,114 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("serve error: %v", err)
+	}
+}
+
+// TestStrictMixedLoad: workers insert, remove what they inserted and GET
+// every query family at once, on one node and behind the router. Every
+// response is a 200, and each worker's acknowledged LSNs strictly
+// increase.
+func TestStrictMixedLoad(t *testing.T) {
+	db, ws := testDB(t)
+	router, _, rws := routerWith(t, shard.Options{DB: dsks.Options{Index: dsks.IndexSIF}}, Config{})
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+		ws   []dsks.WorkloadQuery
+	}{
+		{"single", New(db, Config{}).Handler(), ws},
+		{"router", router, rws},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const workers, rounds = 4, 5
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var last uint64
+					// acked checks a mutation's 200 and that its LSN is
+					// past this worker's last.
+					acked := func(what string, rec *httptest.ResponseRecorder) (dsks.ObjectID, bool) {
+						var ack struct {
+							ID  dsks.ObjectID `json:"id"`
+							LSN uint64        `json:"lsn"`
+						}
+						if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &ack) != nil {
+							t.Errorf("worker %d %s: status %d: %s", w, what, rec.Code, rec.Body.String())
+							return 0, false
+						}
+						if ack.LSN <= last {
+							t.Errorf("worker %d %s: acked lsn %d after %d", w, what, ack.LSN, last)
+							return 0, false
+						}
+						last = ack.LSN
+						return ack.ID, true
+					}
+					for r := 0; r < rounds; r++ {
+						q := tc.ws[(w+r*workers)%len(tc.ws)]
+						id, ok := acked("insert", post(t, tc.h, "/v1/insert",
+							insertRequest{Edge: q.Pos.Edge, Offset: q.Pos.Offset, Terms: q.Terms}))
+						if !ok {
+							return
+						}
+						for kind, url := range familyURLs(q) {
+							if rec := get(t, tc.h, url, nil); rec.Code != http.StatusOK {
+								t.Errorf("worker %d %s: status %d: %s", w, kind, rec.Code, rec.Body.String())
+								return
+							}
+						}
+						if _, ok := acked("remove", post(t, tc.h, "/v1/remove", removeRequest{ID: id})); !ok {
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestOversizedIDsAre400: an edge or term ID past 32 bits is a client
+// error, never the ID it wraps around to (4294967299 would read as edge
+// 3, 4294967297 as term 1) — in a GET, a POSTed query and an insert, on
+// one node and behind the router — and nothing is inserted.
+func TestOversizedIDsAre400(t *testing.T) {
+	db, _ := testDB(t)
+	router, _, set := routerFixture(t, false, Config{})
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+		live func() int
+	}{
+		{"single", New(db, Config{}).Handler(), db.LiveObjects},
+		{"router", router, set.LiveObjects},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := tc.live()
+			for _, url := range []string{
+				"/v1/search?edge=4294967299&offset=0.4&terms=1&deltaMax=20000",
+				"/v1/search?edge=3&offset=0.4&terms=4294967297&deltaMax=20000",
+				"/v1/distance?edge=3&offset=0&bEdge=4294967296&bOffset=0",
+			} {
+				if rec := get(t, tc.h, url, nil); rec.Code != http.StatusBadRequest {
+					t.Errorf("GET %s: status %d, want 400: %s", url, rec.Code, rec.Body.String())
+				}
+			}
+			for _, c := range []struct {
+				url  string
+				body map[string]any
+			}{
+				{"/v1/search", map[string]any{"edge": int64(4294967299), "offset": 0.4, "terms": []int{1}, "deltaMax": 20000}},
+				{"/v1/insert", map[string]any{"edge": int64(4294967299), "offset": 0.5, "terms": []int{1}}},
+			} {
+				if rec := post(t, tc.h, c.url, c.body); rec.Code != http.StatusBadRequest {
+					t.Errorf("POST %s %v: status %d, want 400: %s", c.url, c.body, rec.Code, rec.Body.String())
+				}
+			}
+			if after := tc.live(); after != before {
+				t.Fatalf("live objects %d → %d: an oversized edge was inserted", before, after)
+			}
+		})
 	}
 }

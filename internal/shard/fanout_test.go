@@ -336,3 +336,83 @@ func TestSetSaveAndReopen(t *testing.T) {
 	}
 	requireSameCandidates(t, "reopened", want.Candidates, got.Candidates)
 }
+
+// TestPoisonedShardWALReopens: a shard whose log failed a sync refuses
+// its inserts while the other shards keep acknowledging theirs; closing
+// the set reports the sticky sync error, and a set reopened on the same
+// log directory has every acknowledged insert live again.
+func TestPoisonedShardWALReopens(t *testing.T) {
+	walDir := t.TempDir()
+	open := func() *Set {
+		ds, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := Open(ds.Graph, ds.Objects, ds.VocabSize, 4,
+			Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: walDir}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	set := open()
+	t.Cleanup(func() { _ = set.Close() }) // a second Close is a no-op
+
+	// Three edges per shard, each insert tagged with its own term.
+	var edges [4][]dsks.EdgeID
+	for e, owner := range set.Partition().Owner {
+		if len(edges[owner]) < 3 {
+			edges[owner] = append(edges[owner], dsks.EdgeID(e))
+		}
+	}
+	type ack struct {
+		shard int
+		local dsks.ObjectID
+		pos   dsks.Position
+		term  dsks.TermID
+	}
+	var acked []ack
+	insert := func(si int, e dsks.EdgeID) error {
+		pos, term := dsks.Position{Edge: e, Offset: 0.5}, dsks.TermID(len(acked)%set.VocabSize())
+		id, _, err := set.Insert(pos, []dsks.TermID{term})
+		if err == nil {
+			acked = append(acked, ack{si, set.homes[id].local, pos, term})
+		}
+		return err
+	}
+	for si := range edges {
+		if err := insert(si, edges[si][0]); err != nil {
+			t.Fatalf("healthy insert on shard %d: %v", si, err)
+		}
+	}
+
+	if err := set.SetShardFaultSpec(1, "sync:every=1"); err != nil {
+		t.Fatal(err)
+	}
+	for si := range edges {
+		for _, e := range edges[si][1:] {
+			err := insert(si, e)
+			switch {
+			case si == 1 && !errors.Is(err, ErrShardDown):
+				t.Fatalf("insert on the poisoned shard: %v, want ErrShardDown", err)
+			case si != 1 && err != nil:
+				t.Fatalf("insert on healthy shard %d: %v", si, err)
+			}
+		}
+	}
+	if err := set.Close(); err == nil {
+		t.Fatal("closing a set with a poisoned log reported no error")
+	}
+
+	reopened := open()
+	defer func() { _ = reopened.Close() }()
+	for _, a := range acked {
+		pos, terms, live, ok := reopened.DB(a.shard).Object(a.local)
+		if !ok || !live || pos != a.pos || len(terms) != 1 || terms[0] != a.term {
+			t.Fatalf("acked insert %+v reopened as (%v, %v, live %v, ok %v)", a, pos, terms, live, ok)
+		}
+	}
+	if len(acked) != 4+3*2 {
+		t.Fatalf("%d inserts acked, want one per shard and two more on each healthy shard", len(acked))
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/core"
 	"dsks/internal/wal"
 )
 
@@ -132,49 +133,120 @@ func TestReplicasConvergeAndAnswerIdentically(t *testing.T) {
 	}
 }
 
-func TestReplicaFailoverServesFullResults(t *testing.T) {
-	set, ds := replicatedSet(t, 3, 1, Options{
-		Seed: 4, DownAfter: 2, DownCooldown: 50 * time.Millisecond,
-	})
-	ctx := context.Background()
-	q := wideQuery(t, ds)
-	insertStorm(t, set, ds, 30)
-	waitReplicasConverged(t, set)
+// familyAnswers is one pinned view's answer to every query family, plus
+// the merged leg stream the diversified family consumes.
+type familyAnswers struct {
+	search, div, knn, ranked, collective dsks.Result
+	stream                               []dsks.Candidate
+}
 
+// answerEveryFamily runs the five families and drains the merged stream on
+// one fresh view. A partial answer fails t: with replicas, a dead primary
+// must cost nothing.
+func answerEveryFamily(t *testing.T, set *Set, ds *dsks.Dataset) familyAnswers {
+	t.Helper()
+	ctx := context.Background()
+	q, dq := wideQuery(t, ds), divQuery(t, ds)
 	mv, err := set.View(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mv.Search(ctx, q)
-	mv.Close()
-	if err != nil {
-		t.Fatal(err)
+	defer mv.Close()
+	var a familyAnswers
+	for _, run := range []struct {
+		name string
+		out  *dsks.Result
+		do   func() (dsks.Result, error)
+	}{
+		{"search", &a.search, func() (dsks.Result, error) { return mv.Search(ctx, q) }},
+		{"diversified", &a.div, func() (dsks.Result, error) { return mv.SearchDiversified(ctx, dq) }},
+		{"knn", &a.knn, func() (dsks.Result, error) {
+			return mv.SearchKNN(ctx, dsks.KNNQuery{Pos: q.Pos, Terms: q.Terms, K: 10})
+		}},
+		{"ranked", &a.ranked, func() (dsks.Result, error) {
+			return mv.SearchRanked(ctx, dsks.RankedQuery{Pos: q.Pos, Terms: q.Terms, K: 10, Alpha: 0.5, DeltaMax: q.DeltaMax})
+		}},
+		{"collective", &a.collective, func() (dsks.Result, error) {
+			return mv.SearchCollective(ctx, dsks.CollectiveQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		}},
+	} {
+		if *run.out, err = run.do(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if mv.Meta().Partial {
+			t.Fatalf("%s degraded to a partial result", run.name)
+		}
+	}
+	if a.stream, err = drainStream(ctx, mv, q); err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	return a
+}
+
+// drainStream pulls q's merged leg stream (the arrival sequence of the
+// diversified family) to its end.
+func drainStream(ctx context.Context, mv *MultiView, q dsks.SKQuery) ([]dsks.Candidate, error) {
+	cursors := mv.cursors(ctx, mv.set.routed(q.Pos, q.DeltaMax, q.Terms, true), q)
+	sources := make([]core.ArrivalSource, len(cursors))
+	for i, c := range cursors {
+		sources[i] = c
+	}
+	merged := newLegMerge(sources)
+	defer func() {
+		merged.Stop()
+		mv.racers.Wait()
+	}()
+	var out []dsks.Candidate
+	for {
+		c, ok, err := merged.Next()
+		if err != nil || !ok {
+			return out, err
+		}
+		out = append(out, c)
+	}
+}
+
+// requireSameFamilies asserts got answers every family as want does.
+func requireSameFamilies(t *testing.T, tag string, want, got familyAnswers) {
+	t.Helper()
+	requireSameCandidates(t, tag+" search", want.search.Candidates, got.search.Candidates)
+	requireSameAnswer(t, tag+" diversified", want.div, got.div)
+	requireSameCandidates(t, tag+" knn", want.knn.Candidates, got.knn.Candidates)
+	requireSameRanked(t, tag+" ranked", want.ranked.Ranked, got.ranked.Ranked)
+	wc, gc := want.collective.Collective, got.collective.Collective
+	if wc.Covered != gc.Covered || wc.Cost != gc.Cost {
+		t.Fatalf("%s collective: covered %v cost %v, want %v, %v", tag, gc.Covered, gc.Cost, wc.Covered, wc.Cost)
+	}
+	requireSameCandidates(t, tag+" collective", wc.Objects, gc.Objects)
+	requireSameCandidates(t, tag+" stream", want.stream, got.stream)
+}
+
+// TestReplicaFailoverServesFullResults: with shard 0's primary storage
+// dead, every family and the merged stream are answered in full from its
+// replica — the primary's answer at the same pinned LSNs — and once the
+// primary heals, the next probe reclaims it. A cooldown of a nanosecond
+// makes every query after the trip a probe, so no clock is waited on.
+func TestReplicaFailoverServesFullResults(t *testing.T) {
+	set, ds := replicatedSet(t, 3, 1, Options{
+		Seed: 4, DownAfter: 2, DownCooldown: time.Nanosecond,
+	})
+	insertStorm(t, set, ds, 30)
+	waitReplicasConverged(t, set)
+	want := answerEveryFamily(t, set, ds)
+	if len(want.search.Candidates) == 0 || len(want.stream) != len(want.search.Candidates) {
+		t.Fatalf("healthy answers: %d candidates, a stream of %d", len(want.search.Candidates), len(want.stream))
 	}
 
 	// Kill shard 0's primary storage: every leg on it fails, and the
-	// replica must absorb the reads with zero degradation — full answers,
-	// not partials or errors.
+	// replica must absorb the reads with zero degradation.
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
 	if err := set.SetShardFaultSpec(0, "read:every=1"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		mv, err := set.View(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mv.Search(ctx, q)
-		meta := mv.Meta()
-		mv.Close()
-		if err != nil {
-			t.Fatalf("query %d under a dead primary: %v", i, err)
-		}
-		if meta.Partial {
-			t.Fatalf("query %d degraded to a partial result", i)
-		}
-		requireSameCandidates(t, "failover answer", want.Candidates, got.Candidates)
+	for i := 0; i < 3; i++ {
+		requireSameFamilies(t, "failover "+itoa(i), want, answerEveryFamily(t, set, ds))
 	}
 	if got := set.Metrics().Counter(CounterFailovers).Load(); got == 0 {
 		t.Fatal("failovers_total stayed zero under a dead primary")
@@ -183,26 +255,14 @@ func TestReplicaFailoverServesFullResults(t *testing.T) {
 		t.Fatalf("shard 0 health = %q after repeated primary failures, want %q", h, HealthReplica)
 	}
 
-	// Heal the primary; after the cooldown a probe leg reclaims it.
+	// Heal the primary: the next query's probe reclaims it.
 	set.ClearFaults()
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for set.ShardHealth(0) != HealthPrimary {
-		if time.Now().After(deadline) {
-			t.Fatalf("shard 0 stuck in %q after healing", set.ShardHealth(0))
-		}
-		time.Sleep(20 * time.Millisecond)
-		mv, err := set.View(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mv.Search(ctx, q); err != nil {
-			mv.Close()
-			t.Fatalf("query during heal: %v", err)
-		}
-		mv.Close()
+	requireSameFamilies(t, "healed", want, answerEveryFamily(t, set, ds))
+	if h := set.ShardHealth(0); h != HealthPrimary {
+		t.Fatalf("shard 0 health = %q after a query on the healed primary, want %q", h, HealthPrimary)
 	}
 }
 

@@ -501,18 +501,8 @@ func (s *Set) Close() error {
 	return first
 }
 
-// SetFaultSpec arms the same fault specification on every shard.
-func (s *Set) SetFaultSpec(spec string) error {
-	for i := range s.shards {
-		if err := s.shards[i].db.SetFaultSpec(spec); err != nil {
-			return fmt.Errorf("shard: arming faults on shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // SetShardFaultSpec arms a fault specification on one shard only —
-// the lever the shard smoke test uses to take a single shard down.
+// the lever tests use to take a single shard down.
 func (s *Set) SetShardFaultSpec(i int, spec string) error {
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("shard: %w: no shard %d", ErrBadShardCount, i)
