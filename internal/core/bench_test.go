@@ -67,18 +67,46 @@ func BenchmarkSearchSEQ(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchCOM reports, beside the time, the pair distances and the
+// distance engine's settled nodes per query. At λ = ½ every pair's bound
+// is the largest θ possible, so COM skips no pair there.
 func BenchmarkSearchCOM(b *testing.B) {
-	sys, ws := benchWorld(b)
+	sys, all := benchWorld(b)
 	loader, err := sys.Loader(harness.KindSIF)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := harness.DivQueryOf(ws[i%len(ws)], 10, 0.8)
-		if _, err := core.SearchCOM(context.Background(), sys.Net, loader, q); err != nil {
+	// Only queries with more qualifying objects than k diversify, so even
+	// a one-iteration run shows the counts.
+	var ws []dataset.Query
+	for _, wq := range all {
+		s, err := core.NewSKSearch(context.Background(), sys.Net, loader, harness.SKQueryOf(wq))
+		if err != nil {
 			b.Fatal(err)
 		}
+		if cands, err := s.All(); err != nil {
+			b.Fatal(err)
+		} else if len(cands) > 10 {
+			ws = append(ws, wq)
+		}
+	}
+	b.Logf("%d of %d queries diversify", len(ws), len(all))
+	for _, lambda := range []float64{0.8, 0.5} {
+		b.Run("lambda="+strconv.FormatFloat(lambda, 'g', -1, 64), func(b *testing.B) {
+			b.ReportAllocs()
+			var pairs, settled int64
+			for i := 0; i < b.N; i++ {
+				q := harness.DivQueryOf(ws[i%len(ws)], 10, lambda)
+				res, err := core.SearchCOM(context.Background(), sys.Net, loader, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pairs += res.Stats.PairDistCalcs
+				settled += res.Stats.DistSettled
+			}
+			b.ReportMetric(float64(pairs)/float64(b.N), "pairdists/op")
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		})
 	}
 }
 

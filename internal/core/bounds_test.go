@@ -2,7 +2,7 @@ package core_test
 
 import (
 	"context"
-
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -57,6 +57,76 @@ func TestVisitedUnvisitedBoundSound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPairBoundSound verifies the bound COM skips pairs by: for two
+// arrived objects at distances dU and dV from the query, θ never exceeds
+// PairBound(dU, dV), at every λ. The pairwise distance ranges up to the
+// path through the query, dU + dV, which a third of the draws hit exactly
+// (the plateau of ROADMAP item 12) and a sixth exceed by one ulp, the
+// rounding the bound's slack is for.
+func TestPairBoundSound(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := core.DivParams{
+			K:        2 + rng.Intn(10),
+			Lambda:   []float64{0, 0.25, 0.5, 0.75, 1}[rng.Intn(5)],
+			DeltaMax: 100 + rng.Float64()*1000,
+		}
+		dU := rng.Float64() * p.DeltaMax
+		dV := rng.Float64() * p.DeltaMax
+		dUV := rng.Float64() * (dU + dV)
+		switch rng.Intn(6) {
+		case 0, 1:
+			dUV = dU + dV
+		case 2:
+			dUV = math.Nextafter(dU+dV, math.Inf(1))
+		}
+		return p.ThetaFromDists(dU, dV, dUV) <= p.PairBound(dU, dV)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	// Replayed on real expansions, with the pair distances COM's engine
+	// computes (from the lower object ID).
+	sys, ws := denseWorld(t)
+	plateau, checked := 0, 0
+	for _, wq := range ws[:6] {
+		q := harness.SKQueryOf(wq)
+		res, err := sys.RunSK(context.Background(), harness.KindSIF, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := core.NewDistEngine(context.Background(), sys.Net, 2*q.DeltaMax, nil)
+		cands := res.Candidates[:min(len(res.Candidates), 40)]
+		for i := range cands {
+			for j := i + 1; j < len(cands); j++ {
+				a, b := cands[i], cands[j]
+				if a.Ref.ID > b.Ref.ID {
+					a, b = b, a
+				}
+				d, err := eng.Dist(a.Ref.Pos(), b.Ref.Pos())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d >= a.Dist+b.Dist {
+					plateau++
+				}
+				for _, lambda := range []float64{0, 0.25, 0.5, 0.75, 1} {
+					p := core.DivParams{K: 6, Lambda: lambda, DeltaMax: q.DeltaMax}
+					if theta, ub := p.ThetaFromDists(a.Dist, b.Dist, d), p.PairBound(a.Dist, b.Dist); theta > ub {
+						t.Fatalf("pair bound violated at λ=%v: θ(%d,%d)=%v > %v (δ=%v, through the query %v)",
+							lambda, a.Ref.ID, b.Ref.ID, theta, ub, d, a.Dist+b.Dist)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	t.Logf("%d checks, %d plateau pairs", checked, plateau)
+	if plateau == 0 || checked == 0 {
+		t.Fatalf("vacuous replay: %d checks, %d pairs whose shortest path runs through the query", checked, plateau)
 	}
 }
 

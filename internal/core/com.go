@@ -14,7 +14,8 @@ import (
 // contribution (the ablation benches use this).
 type PruneOptions struct {
 	// DisableEarlyStop keeps the network expansion running to DeltaMax
-	// even when no unvisited object can enter a core pair.
+	// even when no unvisited object can enter a core pair. A query with
+	// k = 1 forms no pair and stops at its first arrival regardless.
 	DisableEarlyStop bool
 	// DisableObjectPrune keeps dead visited objects in the pairwise
 	// computations.
@@ -76,14 +77,12 @@ type ArrivalSource interface {
 func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network, params DivParams, prune PruneOptions) (DivResult, error) {
 	var distStats SearchStats
 	c := &comState{
-		params:  params,
-		dist:    NewDistEngine(ctx, net, 2*params.DeltaMax, &distStats),
-		cands:   make(map[obj.ID]Candidate),
-		maxSeen: make(map[obj.ID]float64),
-		memo:    make(map[[2]obj.ID]float64),
-		pairs:   NewCorePairSet(params.K / 2),
-		prune:   prune,
+		params: params,
+		dist:   NewDistEngine(ctx, net, 2*params.DeltaMax, &distStats),
+		memo:   make(map[uint64]float64),
+		prune:  prune,
 	}
+	c.pairs = newCorePairs(params.K/2, func(s int) obj.ID { return c.cands[s].Ref.ID })
 	// partial is the work done so far: the outcome of a query that fails
 	// mid-flight still reports what it cost.
 	partial := func() DivResult {
@@ -92,10 +91,14 @@ func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network,
 		return DivResult{Stats: stats, Trace: Trace{Diversify: c.divTime}}
 	}
 	fail := func(err error) (DivResult, error) { return partial(), mapCtxErr(err) }
-	finish := func(result []Candidate) (DivResult, error) {
+	finish := func(slots []int) (DivResult, error) {
 		divStart := time.Now()
 		res := partial() // the counters leave out the objective's own pair distances
-		res.Objects, res.F = result, c.objective(result)
+		res.Objects = make([]Candidate, len(slots))
+		for i, s := range slots {
+			res.Objects[i] = c.cands[s]
+		}
+		res.F = SetObjective(len(slots), func(i, j int) float64 { return c.theta(slots[i], slots[j]) })
 		c.divTime += time.Since(divStart)
 		if c.err != nil {
 			return fail(c.err)
@@ -104,10 +107,9 @@ func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network,
 		return res, nil
 	}
 
-	// Line 1: collect the first k arrivals and seed the core pairs with the
-	// greedy of Algorithm 1.
-	var first []Candidate
-	for len(first) < params.K {
+	// Line 1: collect the first k arrivals, slots 0 to k-1, and seed the
+	// core pairs with the greedy of Algorithm 1.
+	for len(c.cands) < params.K {
 		cand, ok, err := src.Next()
 		if err != nil {
 			return fail(err)
@@ -115,15 +117,19 @@ func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network,
 		if !ok {
 			break
 		}
-		first = append(first, cand)
+		c.alive = append(c.alive, c.add(cand))
 	}
-	for _, cand := range first {
-		c.cands[cand.Ref.ID] = cand
-		c.alive = append(c.alive, cand.Ref.ID)
-	}
-	if len(first) < params.K {
+	if len(c.alive) < params.K {
 		// Fewer qualifying objects than k: everything is in the result.
-		return finish(first)
+		return finish(c.alive)
+	}
+	if params.K/2 == 0 {
+		// k = 1: no pair ever forms, so θ_T stays 0 and nothing later can
+		// change the answer, the first arrival.
+		src.Stop()
+		res, err := finish(c.alive)
+		res.Stats.EarlyTerminate = true
+		return res, err
 	}
 	divStart := time.Now()
 	c.pairs.InitGreedy(c.alive, c.theta)
@@ -163,17 +169,13 @@ func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network,
 
 	// Assemble the result from the core objects (Line 17). An odd k is
 	// padded the way Algorithm 1 pads it: with the earliest arrival outside
-	// the core pairs, which is one of the first k since at most k-1 objects
-	// are core (pruning may have dropped it from c.alive, never from first).
-	result := make([]Candidate, 0, params.K)
-	inCore := make(map[obj.ID]bool, params.K)
-	for _, id := range c.pairs.CoreObjects() {
-		result = append(result, c.cands[id])
-		inCore[id] = true
-	}
-	for _, cand := range first {
-		if len(result) < params.K && !inCore[cand.Ref.ID] {
-			result = append(result, cand)
+	// the core pairs, which is one of slots 0 to k-1 since at most k-1
+	// objects are core (pruning may have dropped it from c.alive, never
+	// from c.cands).
+	result := c.pairs.CoreObjects()
+	for s := 0; len(result) < params.K; s++ {
+		if !c.pairs.IsCore(s) {
+			result = append(result, s)
 		}
 	}
 	res, err := finish(result)
@@ -181,32 +183,47 @@ func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network,
 	return res, err
 }
 
-// comState carries the arrival-loop bookkeeping of Algorithm 6.
+// comState carries the arrival-loop bookkeeping of Algorithm 6. Objects
+// are named by arrival slot, their position in the arrival sequence; the
+// per-slot slices grow with the arrivals and the memo with the computed
+// pairs, so a query holds O(arrivals + computed pairs).
 type comState struct {
 	params  DivParams
 	dist    *DistEngine
-	cands   map[obj.ID]Candidate
-	alive   []obj.ID
-	maxSeen map[obj.ID]float64    // largest θ each object has with any other
-	memo    map[[2]obj.ID]float64 // pairwise θ cache
-	pairs   *CorePairSet
+	cands   []Candidate        // slot -> arrival
+	alive   []int              // arrived, unpruned slots in arrival order
+	maxSeen []float64          // slot -> largest θ noted with any other slot
+	memo    map[uint64]float64 // pairwise θ cache, keyed by slot pair
+	pairs   *corePairs[int]
 	prune   PruneOptions
 	pruned  int64
 	divTime time.Duration
 	err     error
 }
 
-// theta is the memoized pairwise diversification distance. Distance-engine
-// errors are captured in c.err (the callback signature has no error path).
-func (c *comState) theta(a, b obj.ID) float64 {
+// add gives cand the next arrival slot and returns it.
+func (c *comState) add(cand Candidate) int {
+	c.cands = append(c.cands, cand)
+	c.maxSeen = append(c.maxSeen, 0)
+	return len(c.cands) - 1
+}
+
+// theta is the memoized pairwise diversification distance. The distance
+// runs from the object with the lower ID, whichever slot came first.
+// Distance-engine errors are captured in c.err (the callback signature has
+// no error path).
+func (c *comState) theta(a, b int) float64 {
 	if a > b {
 		a, b = b, a
 	}
-	key := [2]obj.ID{a, b}
+	key := uint64(a)<<32 | uint64(b)
 	if t, ok := c.memo[key]; ok {
 		return t
 	}
 	ca, cb := c.cands[a], c.cands[b]
+	if ca.Ref.ID > cb.Ref.ID {
+		ca, cb = cb, ca
+	}
 	d, err := c.dist.Dist(ca.Ref.Pos(), cb.Ref.Pos())
 	if err != nil {
 		c.err = err
@@ -217,7 +234,24 @@ func (c *comState) theta(a, b obj.ID) float64 {
 	return t
 }
 
-func (c *comState) noteTheta(a, b obj.ID, t float64) {
+// pairBound is PairBound for two slots: it reads no distance and no page.
+func (c *comState) pairBound(a, b int) float64 {
+	return c.params.PairBound(c.cands[a].Dist, c.cands[b].Dist)
+}
+
+// updateTheta is the θ Algorithm 5 sees: exact, except for a pair whose
+// bound is already below θ_T, which gets the bound. Update discards every
+// value at most θ_T before it compares it with anything, so the bound
+// never reaches a core pair; and since θ_T never falls (Theorem 1), such a
+// pair is never needed exactly by Update again.
+func (c *comState) updateTheta(a, b int) float64 {
+	if ub := c.pairBound(a, b); ub < c.pairs.ThetaT() {
+		return ub
+	}
+	return c.theta(a, b)
+}
+
+func (c *comState) noteTheta(a, b int, t float64) {
 	if t > c.maxSeen[a] {
 		c.maxSeen[a] = t
 	}
@@ -226,18 +260,24 @@ func (c *comState) noteTheta(a, b obj.ID, t float64) {
 	}
 }
 
-// arrive processes one new candidate (Line 3 of Algorithm 6).
+// arrive processes one new candidate (Line 3 of Algorithm 6). A pair whose
+// bound is below θ_T is skipped: its distance is not computed, and it is
+// not noted in maxSeen, which is exact for the pruning rule too — its θ is
+// below θ_T now, and θ_T at every later check is at least as large.
 func (c *comState) arrive(cand Candidate) error {
-	id := cand.Ref.ID
-	c.cands[id] = cand
+	s := c.add(cand)
+	thetaT := c.pairs.ThetaT()
 	for _, x := range c.alive {
-		c.noteTheta(id, x, c.theta(id, x))
+		if c.pairBound(s, x) < thetaT {
+			continue
+		}
+		c.noteTheta(s, x, c.theta(s, x))
 	}
 	if c.err != nil {
 		return c.err
 	}
-	c.alive = append(c.alive, id)
-	c.pairs.Update(id, c.alive, c.theta)
+	c.alive = append(c.alive, s)
+	c.pairs.Update(s, c.alive, c.updateTheta)
 	return c.err
 }
 
@@ -254,36 +294,22 @@ func (c *comState) canTerminate(gamma float64) bool {
 
 	// Per-visited-object checks (Lines 8–14).
 	survivors := c.alive[:0]
-	for _, id := range c.alive {
-		cand := c.cands[id]
-		ub := c.params.VisitedUnvisitedBound(cand.Dist, gamma)
+	for _, s := range c.alive {
+		ub := c.params.VisitedUnvisitedBound(c.cands[s].Dist, gamma)
 		if ub >= thetaT {
-			// id could still pair with an unvisited object.
+			// s could still pair with an unvisited object.
 			terminate = false
-			survivors = append(survivors, id)
+			survivors = append(survivors, s)
 			continue
 		}
-		// id cannot pair with the future; if it also cannot pair with the
+		// s cannot pair with the future; if it also cannot pair with the
 		// past — and is not currently core — it is dead (Lines 13–14).
-		if !c.prune.DisableObjectPrune && c.maxSeen[id] < thetaT && !c.pairs.IsCore(id) {
+		if !c.prune.DisableObjectPrune && c.maxSeen[s] < thetaT && !c.pairs.IsCore(s) {
 			c.pruned++
-			delete(c.cands, id)
-			delete(c.maxSeen, id)
 			continue
 		}
-		survivors = append(survivors, id)
+		survivors = append(survivors, s)
 	}
 	c.alive = survivors
 	return terminate
-}
-
-// objective evaluates f(S) of the chosen set (distance-engine errors land
-// in c.err, like every theta call).
-func (c *comState) objective(result []Candidate) float64 {
-	for _, cand := range result {
-		c.cands[cand.Ref.ID] = cand
-	}
-	return SetObjective(len(result), func(i, j int) float64 {
-		return c.theta(result[i].Ref.ID, result[j].Ref.ID)
-	})
 }

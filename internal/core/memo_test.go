@@ -27,12 +27,13 @@ func (n countingNet) Adjacency(ctx context.Context, id graph.NodeID) ([]ccam.Adj
 }
 
 // TestAdjacencyMemoFetchesEachNodeOnce pins what the query-scoped memo may
-// and may not change. The expected figures were recorded before the memo
-// existed, from runs whose objective was checked against
-// graph.NetworkDist: the work counters and the answer must still be those,
-// while the engine's Adjacency calls fall from one per settle (settled,
-// below) to one per distinct node it settles (engineNodes). The expansion
-// settles each node once, memo or not.
+// and may not change. The answers were recorded before the memo existed,
+// from runs whose objective was checked against graph.NetworkDist; the
+// work counters were re-recorded when COM began to skip pairs whose bound
+// is below θ_T. The engine's Adjacency
+// calls are one per distinct node it settles (engineNodes), not one per
+// settle (settled, below). The expansion settles each node once, memo or
+// not.
 func TestAdjacencyMemoFetchesEachNodeOnce(t *testing.T) {
 	sys, ws := denseWorld(t)
 	g := sys.DS.Graph
@@ -50,10 +51,10 @@ func TestAdjacencyMemoFetchesEachNodeOnce(t *testing.T) {
 		popped, engineNodes, settled, pairs, saved int64
 		ids                                        []obj.ID
 	}{
-		{0, 24, 27, 317, 45, 89, []obj.ID{1092, 5095, 2347, 116, 2978, 3897}},
-		{3, 22, 19, 1202, 276, 574, []obj.ID{1461, 895, 4482, 1781, 2401, 5423}},
-		{9, 6, 4, 1807, 1423, 1452, []obj.ID{2944, 592, 4117, 3881, 3698, 2056}},
-		{13, 5, 4, 2609, 1602, 1602, []obj.ID{2589, 1792, 1414, 3446, 164, 630}},
+		{0, 24, 20, 161, 30, 51, []obj.ID{1092, 5095, 2347, 116, 2978, 3897}},
+		{3, 22, 15, 921, 214, 458, []obj.ID{1461, 895, 4482, 1781, 2401, 5423}},
+		{9, 6, 1, 42, 42, 42, []obj.ID{2944, 592, 4117, 3881, 3698, 2056}},
+		{13, 5, 2, 25, 25, 25, []obj.ID{2589, 1792, 1414, 3446, 164, 630}},
 	} {
 		q := harness.DivQueryOf(ws[tc.query], 6, 0.8)
 		net := countingNet{ccam.InMemory{G: g}, make(map[graph.NodeID]int)}

@@ -60,6 +60,16 @@ func (p DivParams) ThetaFromDists(dU, dV, dUV float64) float64 {
 	return p.Theta(p.Rel(dU), p.Rel(dV), p.Div(dUV))
 }
 
+// PairBound is an upper bound of θ between two arrived objects at
+// distances dU and dV from the query that needs no pairwise distance: the
+// shortest path through the query bounds δ(u,v) by s = dU + dV, and θ grows
+// with the pair's diversity. The 1e-9 relative slack covers rounding, a
+// path sum the distance engine computes may exceed the computed s by an
+// ulp when the shortest path does run through the query.
+func (p DivParams) PairBound(dU, dV float64) float64 {
+	return p.ThetaFromDists(dU, dV, (dU+dV)*(1+1e-9))
+}
+
 // UnvisitedPairBound is the upper bound of θ between two unvisited objects
 // when the expansion frontier is gamma (both at distance >= gamma, pairwise
 // distance <= 2·DeltaMax): the bound of Algorithm 6 lines 5–7.

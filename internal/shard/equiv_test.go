@@ -167,7 +167,7 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 				// cost, over the whole (k, λ) grid — and with k beyond the
 				// qualifying objects, where everything is returned and no
 				// core pair forms.
-				for _, k := range []int{2, 3, 4, 5, 10, len(sres.Candidates) + 3} {
+				for _, k := range []int{1, 2, 3, 4, 5, 10, len(sres.Candidates) + 3} {
 					for _, lambda := range []float64{0, 0.5, 0.8, 1} {
 						dq := dsks.DivQuery{SKQuery: skq, K: k, Lambda: lambda}
 						dres := requireSameDiversified(t, tag+"diversified "+itoa(qi), sv, mv, dq)
@@ -248,6 +248,72 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 		if _, err := set.Remove(victims[0]); err == nil {
 			t.Fatal("sharded double remove accepted")
 		}
+	}
+}
+
+// TestDiversifiedKOneStopsAtTheFirstArrival: with k = 1 no pair can form,
+// so the answer is the nearest qualifying object and nothing after it can
+// change that. One node and the router both return it having computed no
+// pair distance, read one arrival and stopped the expansion.
+func TestDiversifiedKOneStopsAtTheFirstArrival(t *testing.T) {
+	single, sets, ds := equivFixture(t, []int{4}, dsks.Options{Index: dsks.IndexSIF})
+	ctx := context.Background()
+	sv, err := single.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	mv, err := sets[0].View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mv.Close()
+	answered := 0
+	for qi, w := range workloadQueries(t, ds, 25, 11) {
+		skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
+		all, err := sv.Search(ctx, skq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortCandidates(all.Candidates)
+		for _, lambda := range []float64{0, 0.5, 0.8, 1} {
+			tag := fmt.Sprintf("query %d (λ=%v)", qi, lambda)
+			dq := dsks.DivQuery{SKQuery: skq, K: 1, Lambda: lambda}
+			res := requireSameDiversified(t, tag, sv, mv, dq)
+			if len(all.Candidates) < 2 {
+				continue
+			}
+			answered++
+			// The nearest, the expansion's first arrival; no distance ties
+			// at the front of this workload.
+			if all.Candidates[0].Dist == all.Candidates[1].Dist {
+				t.Fatalf("%s: the two nearest objects tie", tag)
+			}
+			if len(res.Candidates) != 1 || res.Candidates[0].Ref.ID != all.Candidates[0].Ref.ID {
+				t.Fatalf("%s: chose %v, want object %d alone", tag, res.Candidates, all.Candidates[0].Ref.ID)
+			}
+			if res.Stats.PairDistCalcs != 0 || !res.Stats.EarlyTerminate {
+				t.Fatalf("%s: %d pair distances, early stop %v; want none and a stop", tag,
+					res.Stats.PairDistCalcs, res.Stats.EarlyTerminate)
+			}
+			// Behind the router the merge read one arrival, and each leg it
+			// opened emitted at most the head the merge compared.
+			if legs := len(mv.Meta().Queried); res.Stats.Candidates > int64(legs) {
+				t.Fatalf("%s: the router's legs emitted %d arrivals over %d legs", tag, res.Stats.Candidates, legs)
+			}
+			one, err := sv.SearchDiversified(ctx, dq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Stats.Candidates != 1 {
+				t.Fatalf("%s: the single node's expansion emitted %d arrivals, want 1 of %d",
+					tag, one.Stats.Candidates, len(all.Candidates))
+			}
+		}
+	}
+	t.Logf("%d answers over two or more qualifying objects", answered)
+	if answered == 0 {
+		t.Fatal("no query had two qualifying objects; the test is vacuous")
 	}
 }
 
