@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzBTreeOps -fuzz FuzzBTreeOps -fuzztime $(FUZZTIME) ./internal/btree/
 	$(GO) test -run FuzzQueryDecode -fuzz FuzzQueryDecode -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run FuzzResponseEncode -fuzz FuzzResponseEncode -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/wal/
 
 # bench runs the benchmark spine BENCHMARK.json declares: four served
 # workloads, end-to-end metrics with their regression bounds

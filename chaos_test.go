@@ -154,7 +154,7 @@ func TestDBChecksumDetectsBitFlip(t *testing.T) {
 	if err := db.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetFaultSpec("read:every=1:mode=flip:seed=11"); err != nil {
+	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1, Mode: fault.ModeFlipBit, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := chaosQuery(t, db, vocab, origin)
@@ -191,7 +191,7 @@ func TestDBTransientFaultRetriedToSuccess(t *testing.T) {
 	}
 	// The cooled query reads two pages, one of the network and the index
 	// leaf that holds the list, so the campaign strikes the second.
-	if err := db.SetFaultSpec("read:every=2:max=2:transient"); err != nil {
+	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 2, MaxFaults: 2, Transient: true}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := chaosQuery(t, db, vocab, origin)
@@ -218,7 +218,7 @@ func TestDBPermanentFaultFailsQueryThenRecovers(t *testing.T) {
 	if err := db.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetFaultSpec("read:every=1"); err != nil {
+	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := chaosQuery(t, db, vocab, origin)
@@ -234,11 +234,17 @@ func TestDBPermanentFaultFailsQueryThenRecovers(t *testing.T) {
 	}
 }
 
+// TestSetFaultSpecRejectsGarbage: a fault campaign that cannot run is an
+// option error, not a silent no-op.
 func TestSetFaultSpecRejectsGarbage(t *testing.T) {
 	db, _, _ := newChaosDB(t, Options{Index: IndexIF})
-	for _, bad := range []string{"", "bogus", "read:p=7", "read:every=1:zap=3"} {
-		if err := db.SetFaultSpec(bad); !errors.Is(err, ErrBadOptions) {
-			t.Errorf("SetFaultSpec(%q) err = %v, want ErrBadOptions", bad, err)
+	for _, bad := range []fault.Config{
+		{Op: "bogus", EveryN: 1}, // unknown op
+		{Probability: 2},         // probability outside [0,1]
+		{Op: fault.OpRead},       // no trigger
+	} {
+		if err := db.SetFaults(bad); !errors.Is(err, ErrBadOptions) {
+			t.Errorf("SetFaults(%+v) err = %v, want ErrBadOptions", bad, err)
 		}
 	}
 }

@@ -63,10 +63,7 @@ func run() error {
 		cache   = flag.Int("cache-size", 4096, "result cache capacity in entries (negative disables)")
 		drainTO = flag.Duration("drain-timeout", 10*time.Second, "shutdown drain budget for in-flight queries")
 
-		walDir      = flag.String("wal", "", "write-ahead log directory: mutations are durable before they are acked")
-		walEvery    = flag.Int("wal-sync-every", 0, "group commit: fsync once this many mutations are batched (0 = library default)")
-		walInterval = flag.Duration("wal-sync-interval", 0, "group commit: fsync at least this often while mutations wait (0 = library default)")
-		walStrict   = flag.Bool("wal-strict", false, "fsync every mutation individually (no group commit)")
+		walDir = flag.String("wal", "", "write-ahead log directory: mutations are durable before they are acked")
 
 		oracle    = flag.Bool("oracle", false, "build the ALT landmark distance oracle at startup (accelerates diversified queries)")
 		landmarks = flag.Int("landmarks", 0, "landmark count for -oracle (0 = library default)")
@@ -85,17 +82,14 @@ func run() error {
 	flag.Parse()
 
 	opts := dsks.Options{
-		Index:           indexKind(*kind),
-		IOLatency:       *iolat,
-		BufferFraction:  *buffer,
-		Checksums:       *checksums,
-		Oracle:          *oracle,
-		Landmarks:       *landmarks,
-		OracleSeed:      uint64(*seed),
-		WALDir:          *walDir,
-		WALSyncEvery:    *walEvery,
-		WALSyncInterval: *walInterval,
-		WALStrictSync:   *walStrict,
+		Index:          indexKind(*kind),
+		IOLatency:      *iolat,
+		BufferFraction: *buffer,
+		Checksums:      *checksums,
+		Oracle:         *oracle,
+		Landmarks:      *landmarks,
+		OracleSeed:     uint64(*seed),
+		WALDir:         *walDir,
 	}
 
 	cfg := server.Config{

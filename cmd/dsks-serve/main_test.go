@@ -236,3 +236,34 @@ func TestReplicasNeedTheWAL(t *testing.T) {
 		t.Fatalf("the error does not name the write-ahead log:\n%s", out)
 	}
 }
+
+// TestFlagSet pins dsks-serve's flags as -h lists them, so a knob added
+// or removed shows up in review. It includes every flag the benchmark
+// passes (-preset -scale -seed -index -cache-size -max-inflight
+// -queue-depth -oracle -iolat -shards -addr -wal).
+func TestFlagSet(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("dsks-serve -h: %v\n%s", err, out)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(string(out), -1) {
+		if !strings.HasPrefix(m[1], "test.") { // the test binary's own flags
+			got = append(got, m[1])
+		}
+	}
+	want := []string{
+		"addr", "break-after", "breaker-cooldown", "buffer", "cache-size",
+		"checksums", "db", "default-timeout", "degrade-after", "drain-timeout",
+		"hedge-after", "index", "iolat", "landmarks", "leg-retries",
+		"max-inflight", "max-staleness", "max-timeout", "oracle",
+		"partial-results", "preset", "queue-depth", "replicas", "scale",
+		"seed", "shards", "wal",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("dsks-serve -h lists %d flags:\n  %s\nwant %d:\n  %s",
+			len(got), strings.Join(got, " "), len(want), strings.Join(want, " "))
+	}
+}

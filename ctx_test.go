@@ -3,6 +3,7 @@ package dsks_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +345,8 @@ func TestOpenBadOptions(t *testing.T) {
 
 	bad := []dsks.Options{
 		{BufferFraction: -0.5},
+		{BufferFraction: math.NaN()},
+		{BufferFraction: math.Inf(1)},
 		{IOLatency: -time.Millisecond},
 		{PartitionCuts: -1},
 		{Index: "btree-of-doom"},

@@ -64,7 +64,6 @@ import (
 	"dsks/internal/graph"
 	"dsks/internal/metrics"
 	"dsks/internal/obj"
-	"dsks/internal/sig"
 	"dsks/internal/storage"
 	"dsks/internal/wal"
 )
@@ -219,16 +218,6 @@ type Options struct {
 	IOLatency time.Duration
 	// PartitionCuts is the SIF-P per-edge cut budget (default 3).
 	PartitionCuts int
-	// QueryLog trains the SIF-P edge partitioning on an expected workload
-	// (each entry one query's keywords). Nil uses the frequency model.
-	QueryLog [][]TermID
-	// DiskDir, when set, stores every page file on real disk under this
-	// directory instead of the in-memory page simulation.
-	DiskDir string
-	// SelectivityOrder probes the rarest query keyword first, usually
-	// discovering empty intersections after one list read. Off by default
-	// to match the paper's baselines.
-	SelectivityOrder bool
 	// Checksums enables per-page CRC32C verification in the buffer
 	// pools: every page write-back is stamped and every buffer miss
 	// verified, so silent media corruption surfaces as an error matching
@@ -241,16 +230,9 @@ type Options struct {
 	// OpenPath replay the log over the opened state, and SaveTo
 	// checkpoints it (rotating and deleting segments the snapshot made
 	// redundant). Empty disables logging (mutations live until SaveTo).
+	// A group commit gathers for 2ms or 64 records, whichever comes
+	// first (docs/DURABILITY.md).
 	WALDir string
-	// WALSyncEvery caps how many mutations a group commit batches into
-	// one fsync (default 64).
-	WALSyncEvery int
-	// WALSyncInterval is the window an unfilled commit batch waits for
-	// more mutators before fsyncing (default 2ms).
-	WALSyncInterval time.Duration
-	// WALStrictSync fsyncs before every acknowledgment instead of group
-	// committing: maximum durability, one fsync per mutation.
-	WALStrictSync bool
 	// Oracle builds the landmark (ALT) distance oracle at open time and
 	// routes diversified queries through the landmark-assisted distance
 	// engine: triangle-inequality bounds prune or pinch most pairwise
@@ -276,20 +258,14 @@ func (o Options) validate() error {
 	default:
 		return fmt.Errorf("%w: unknown index kind %q", ErrBadOptions, o.Index)
 	}
-	if o.BufferFraction < 0 {
-		return fmt.Errorf("%w: BufferFraction must be non-negative, got %v", ErrBadOptions, o.BufferFraction)
+	if o.BufferFraction < 0 || math.IsNaN(o.BufferFraction) || math.IsInf(o.BufferFraction, 0) {
+		return fmt.Errorf("%w: BufferFraction must be finite and non-negative, got %v", ErrBadOptions, o.BufferFraction)
 	}
 	if o.IOLatency < 0 {
 		return fmt.Errorf("%w: IOLatency must be non-negative, got %v", ErrBadOptions, o.IOLatency)
 	}
 	if o.PartitionCuts < 0 {
 		return fmt.Errorf("%w: PartitionCuts must be non-negative, got %d", ErrBadOptions, o.PartitionCuts)
-	}
-	if o.WALSyncEvery < 0 {
-		return fmt.Errorf("%w: WALSyncEvery must be non-negative, got %d", ErrBadOptions, o.WALSyncEvery)
-	}
-	if o.WALSyncInterval < 0 {
-		return fmt.Errorf("%w: WALSyncInterval must be non-negative, got %v", ErrBadOptions, o.WALSyncInterval)
 	}
 	if o.Landmarks < 0 || o.Landmarks > alt.MaxLandmarks {
 		return fmt.Errorf("%w: Landmarks must be in [0, %d], got %d", ErrBadOptions, alt.MaxLandmarks, o.Landmarks)
@@ -377,22 +353,16 @@ func openDB(g *Graph, objects *Collection, vocabSize int, opts Options, walFrom 
 	if opts.Index == "" {
 		opts.Index = IndexSIFP
 	}
-	eOpts := engine.Options{
-		BufferFraction:   opts.BufferFraction,
-		IOLatency:        opts.IOLatency,
-		SIFPCuts:         opts.PartitionCuts,
-		DiskDir:          opts.DiskDir,
-		SelectivityOrder: opts.SelectivityOrder,
-		Checksums:        opts.Checksums,
-		Oracle:           opts.Oracle,
-		OracleLandmarks:  opts.Landmarks,
-		OracleSeed:       opts.OracleSeed,
-		OracleFile:       oraclePath,
-	}
-	if opts.QueryLog != nil {
-		eOpts.SIFPLog = sig.NewRealLog(opts.QueryLog)
-	}
-	eng, err := engine.Open(g, objects, vocabSize, opts.Index, eOpts)
+	eng, err := engine.Open(g, objects, vocabSize, opts.Index, engine.Options{
+		BufferFraction:  opts.BufferFraction,
+		IOLatency:       opts.IOLatency,
+		SIFPCuts:        opts.PartitionCuts,
+		Checksums:       opts.Checksums,
+		Oracle:          opts.Oracle,
+		OracleLandmarks: opts.Landmarks,
+		OracleSeed:      opts.OracleSeed,
+		OracleFile:      oraclePath,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -411,12 +381,7 @@ func openDB(g *Graph, objects *Collection, vocabSize int, opts Options, walFrom 
 // attachWAL opens the log, replays the records past walFrom over the
 // database, and leaves the log attached for Insert/Remove to append to.
 func (db *DB) attachWAL(opts Options, walFrom uint64) error {
-	l, records, err := wal.Open(opts.WALDir, walFrom, wal.Options{
-		SyncEvery:    opts.WALSyncEvery,
-		SyncInterval: opts.WALSyncInterval,
-		Strict:       opts.WALStrictSync,
-		Metrics:      db.eng.Metrics,
-	})
+	l, records, err := wal.Open(opts.WALDir, walFrom, wal.Options{Metrics: db.eng.Metrics})
 	if err != nil {
 		return fmt.Errorf("dsks: opening wal: %w", err)
 	}
@@ -1026,27 +991,21 @@ func (db *DB) ResetIO() error {
 	return db.eng.ResetIO()
 }
 
-// SetFaultSpec installs a deterministic fault-injection campaign on every
-// page store of the database, replacing any previous campaign. The spec
-// grammar is op[:key=value]... — for example
+// SetFaults installs a deterministic fault-injection campaign on every
+// page store and the write-ahead log of the database, replacing any
+// previous campaign. For example
 //
-//	"read:every=100:max=20:transient"  (every 100th read fails, 20 times, retryable)
-//	"read:p=0.01:mode=flip:seed=7"     (1% of reads flip one random bit)
-//	"write:every=50:mode=torn"         (every 50th write tears to a 512B prefix)
+//	fault.Config{Op: fault.OpRead, EveryN: 100, MaxFaults: 20, Transient: true}
 //
-// Campaigns are seeded and deterministic: the same spec over the same
-// operation sequence injects the same faults. An invalid spec is rejected
-// with an error matching ErrBadOptions and leaves the previous campaign
-// in place. Intended for chaos testing and operational fire drills, not
-// production serving.
-func (db *DB) SetFaultSpec(spec string) error {
-	cfg, err := fault.ParseSpec(spec)
-	if err != nil {
-		return fmt.Errorf("%w: fault spec %q: %v", ErrBadOptions, spec, err)
-	}
+// fails every 100th read, 20 times, retryably. Campaigns are seeded and
+// deterministic: the same config over the same operation sequence injects
+// the same faults. An invalid config is rejected with an error matching
+// ErrBadOptions and leaves the previous campaign in place. Intended for
+// chaos tests, not production serving.
+func (db *DB) SetFaults(cfg fault.Config) error {
 	in, err := fault.New(cfg)
 	if err != nil {
-		return fmt.Errorf("%w: fault spec %q: %v", ErrBadOptions, spec, err)
+		return fmt.Errorf("%w: %v", ErrBadOptions, err)
 	}
 	db.eng.SetInjector(in)
 	if db.wal != nil {
@@ -1056,7 +1015,7 @@ func (db *DB) SetFaultSpec(spec string) error {
 }
 
 // ClearFaults removes any fault-injection campaign installed with
-// SetFaultSpec. Already-corrupted pages are not healed: a page that took
+// SetFaults. Already-corrupted pages are not healed: a page that took
 // a bit flip stays corrupt until rewritten (and is detected when read if
 // Options.Checksums is enabled).
 func (db *DB) ClearFaults() {

@@ -183,48 +183,6 @@ func TestPublicNetworkDistance(t *testing.T) {
 	}
 }
 
-func TestPublicOnDisk(t *testing.T) {
-	// The whole stack on real files: results must match the in-memory run.
-	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 91)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexSIF})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexSIF, DiskDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
-		NumQueries: 8, Keywords: 2, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range ws {
-		skq := dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}
-		a, err := mem.Search(context.Background(), skq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := disk.Search(context.Background(), skq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Candidates) != len(b.Candidates) {
-			t.Fatalf("on-disk run found %d candidates, in-memory %d",
-				len(b.Candidates), len(a.Candidates))
-		}
-		for i := range a.Candidates {
-			if a.Candidates[i].Ref != b.Candidates[i].Ref {
-				t.Fatalf("candidate %d differs between disk and memory", i)
-			}
-		}
-	}
-}
-
 func TestPublicShortestRoute(t *testing.T) {
 	db, _, _, edges := buildTinyCity(t)
 	a := dsks.Position{Edge: edges[0], Offset: 0}

@@ -1,10 +1,9 @@
 // Package countedio guards the I/O accounting the paper's evaluation
 // depends on: inside internal/storage, every code path that performs a
-// raw page read or write (the unexported File read/write methods) must
+// raw page read or write (PageFile's unexported read/write methods) must
 // also record it in the IOStats counters, or the reported disk-access
-// numbers silently undercount. The File implementations themselves
-// (methods literally named read/write) are the counted primitives and
-// are exempt.
+// numbers silently undercount. The read/write methods themselves are the
+// counted primitives and are exempt.
 package countedio
 
 import (

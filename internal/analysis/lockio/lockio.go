@@ -64,7 +64,7 @@ import (
 // Analyzer flags storage I/O performed under a locally-acquired mutex.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockio",
-	Doc: "Page I/O (storage File read/write, BufferPool operations that " +
+	Doc: "Page I/O (storage PageFile read/write, BufferPool operations that " +
 		"can touch the file or sleep for IOLatency, landmark-oracle page " +
 		"reads, and dsks.DB/dsks.View query and mutation entry points) " +
 		"must not happen while a sync.Mutex/RWMutex acquired in the " +

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dsks/internal/fault"
 	"dsks/internal/storage"
 )
 
@@ -666,23 +667,21 @@ func TestFaultPropagation(t *testing.T) {
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	wantErr := errors.New("injected")
-	file.SetFault(func(op string, _ storage.PageID) error {
-		if op == "read" {
-			return wantErr
-		}
-		return nil
-	})
-	if _, err := tr.Get(42); !errors.Is(err, wantErr) {
+	in, err := fault.New(fault.Config{Op: fault.OpRead, EveryN: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file.SetInjector(in)
+	if _, err := tr.Get(42); !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("Get under fault = %v", err)
 	}
-	if err := tr.Scan(0, 100, func(k, size uint64) bool { return true }); !errors.Is(err, wantErr) {
+	if err := tr.Scan(0, 100, func(k, size uint64) bool { return true }); !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("Scan under fault = %v", err)
 	}
-	if err := tr.Put(42, nil); !errors.Is(err, wantErr) {
+	if err := tr.Put(42, nil); !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("Put under fault = %v", err)
 	}
-	file.SetFault(nil)
+	file.SetInjector(nil)
 	mustGet(t, tr, 42, fixed(42))
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dsks/internal/fault"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
 	"dsks/internal/storage"
@@ -177,14 +178,12 @@ func TestAdjacencyFaultPropagation(t *testing.T) {
 	if err := pool.DropAll(); err != nil {
 		t.Fatal(err)
 	}
-	wantErr := errors.New("injected")
-	file.SetFault(func(op string, _ storage.PageID) error {
-		if op == "read" {
-			return wantErr
-		}
-		return nil
-	})
-	if _, err := f.Adjacency(context.Background(), 0); !errors.Is(err, wantErr) {
+	in, err := fault.New(fault.Config{Op: fault.OpRead, EveryN: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file.SetInjector(in)
+	if _, err := f.Adjacency(context.Background(), 0); !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("Adjacency under fault = %v", err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -90,9 +89,6 @@ type Options struct {
 	// GroupTopX is the number of frequent terms the experiments' SIF-G
 	// baseline combines pairwise.
 	GroupTopX int
-	// DiskDir, when set, places every page file on real disk under this
-	// directory instead of the in-memory simulation.
-	DiskDir string
 	// BufferFrames, when positive, fixes every pool's frame count
 	// directly, overriding BufferFraction (used by the buffer-sweep
 	// experiment).
@@ -211,11 +207,9 @@ func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 		max:     n.Metrics.Counter(GaugePagesHeldMax),
 	}
 
-	pool, err := n.newPool("network")
-	if err != nil {
-		return nil, err
-	}
+	pool := n.newPool("network")
 	start := time.Now()
+	var err error
 	if n.File, err = ccam.Build(g, pool); err != nil {
 		return nil, fmt.Errorf("engine: building CCAM: %w", err)
 	}
@@ -257,10 +251,7 @@ func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 // is discarded and the oracle rebuilt from the graph — degrade, never
 // fail.
 func (n *Network) attachOracle() error {
-	pool, err := n.newPool("oracle")
-	if err != nil {
-		return err
-	}
+	pool := n.newPool("oracle")
 	cfg := alt.Config{Landmarks: n.Opts.OracleLandmarks, Seed: n.Opts.OracleSeed}
 	if n.Opts.OracleFile != "" {
 		if f, ferr := os.Open(n.Opts.OracleFile); ferr == nil {
@@ -272,6 +263,7 @@ func (n *Network) attachOracle() error {
 	}
 	if n.Oracle == nil {
 		start := time.Now()
+		var err error
 		if n.Oracle, err = alt.Build(n.Graph, pool, cfg); err != nil {
 			return fmt.Errorf("engine: building landmark oracle: %w", err)
 		}
@@ -281,18 +273,9 @@ func (n *Network) attachOracle() error {
 	return n.settle(pool)
 }
 
-// newPool creates one structure's page backing — in-memory by default, a
-// real file under Options.DiskDir when requested — behind a pool roomy
-// enough to build in, and registers its counters under name.
-func (n *Network) newPool(name string) (*storage.BufferPool, error) {
-	var file storage.File = storage.NewPageFile()
-	if n.Opts.DiskDir != "" {
-		disk, err := storage.NewDiskPageFile(filepath.Join(n.Opts.DiskDir, name+".pages"))
-		if err != nil {
-			return nil, err
-		}
-		file = disk
-	}
+// newPool creates one structure's page file behind a pool roomy enough to
+// build in, and registers its counters under name.
+func (n *Network) newPool(name string) *storage.BufferPool {
 	stats := &storage.IOStats{}
 	n.Metrics.RegisterPool(name, func() metrics.PoolCounters {
 		snap := stats.Snapshot()
@@ -304,7 +287,7 @@ func (n *Network) newPool(name string) (*storage.BufferPool, error) {
 			CorruptPages: snap.CorruptPage,
 		}
 	})
-	return storage.NewBufferPool(file, 1<<20, stats), nil
+	return storage.NewBufferPool(storage.NewPageFile(), 1<<20, stats)
 }
 
 // settle ends a structure's build: the pool shrinks to the buffer budget
@@ -377,12 +360,10 @@ func Open(g *graph.Graph, objects *obj.Collection, vocabSize int, kind IndexKind
 // runs timed against a roomy pool and returns the query loader and the
 // index's on-disk size; the pool then shrinks to the buffer budget.
 func (n *Network) Attach(kind IndexKind, build func(pool *storage.BufferPool) (index.Loader, int64, error)) (*Engine, error) {
-	pool, err := n.newPool(string(kind))
-	if err != nil {
-		return nil, err
-	}
+	pool := n.newPool(string(kind))
 	e := &Engine{Network: n, Kind: kind, Pool: pool}
 	start := time.Now()
+	var err error
 	if e.Loader, e.SizeBytes, err = build(pool); err != nil {
 		return nil, fmt.Errorf("engine: building %s: %w", kind, err)
 	}

@@ -7,18 +7,16 @@
 // configuration replays the same fault sequence run after run, the same
 // discipline the dataset generators follow (detrand).
 //
-// The injector is installed on a page store with
-// storage.PageFile.SetInjector / storage.DiskPageFile.SetInjector; tests
-// arm it through dsks.DB.SetFaultSpec and shard.Set.SetShardFaultSpec,
-// with specs parsed by ParseSpec.
+// A campaign is a typed Config. The injector is installed on a page store
+// with storage.PageFile.SetInjector and on a log with wal.Log.SetInjector;
+// tests arm a whole database with dsks.DB.SetFaults and one shard with
+// shard.Set.SetShardFaults.
 package fault
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -93,7 +91,7 @@ const (
 	ModeTornWrite
 )
 
-// String names the mode for specs and logs.
+// String names the mode for logs.
 func (m Mode) String() string {
 	switch m {
 	case ModeFail:
@@ -281,92 +279,4 @@ func (in *Injector) WriteLimit(page uint32, size int) int {
 		limit = size
 	}
 	return limit
-}
-
-// ParseSpec builds a Config from the compact colon-separated spec the
-// CLI flags use:
-//
-//	[read|write|sync][:p=0.01][:every=N][:max=N][:mode=fail|flip|torn]
-//	[:transient][:pages=1,2,3][:seed=N][:torn-bytes=N]
-//
-// Examples: "read:every=1:max=200:transient" (a bounded burst of
-// retryable read errors), "read:every=97:mode=flip" (silent bit flips),
-// "write:p=0.05:mode=torn" (probabilistic torn writes).
-func ParseSpec(spec string) (Config, error) {
-	var cfg Config
-	for i, part := range strings.Split(spec, ":") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if i == 0 && (part == OpRead || part == OpWrite || part == OpSync) {
-			cfg.Op = part
-			continue
-		}
-		key, val, hasVal := strings.Cut(part, "=")
-		switch key {
-		case "transient":
-			cfg.Transient = true
-		case "p", "probability":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: spec %q: probability: %w", spec, err)
-			}
-			cfg.Probability = f
-		case "every":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: spec %q: every: %w", spec, err)
-			}
-			cfg.EveryN = n
-		case "max":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: spec %q: max: %w", spec, err)
-			}
-			cfg.MaxFaults = n
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: spec %q: seed: %w", spec, err)
-			}
-			cfg.Seed = n
-		case "torn-bytes":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: spec %q: torn-bytes: %w", spec, err)
-			}
-			cfg.TornBytes = n
-		case "mode":
-			switch val {
-			case "fail":
-				cfg.Mode = ModeFail
-			case "flip":
-				cfg.Mode = ModeFlipBit
-			case "torn":
-				cfg.Mode = ModeTornWrite
-			default:
-				return Config{}, fmt.Errorf("fault: spec %q: unknown mode %q (want fail, flip or torn)", spec, val)
-			}
-		case "op":
-			cfg.Op = val
-		case "pages":
-			for _, ps := range strings.Split(val, ",") {
-				p, err := strconv.ParseUint(strings.TrimSpace(ps), 10, 32)
-				if err != nil {
-					return Config{}, fmt.Errorf("fault: spec %q: page %q: %w", spec, ps, err)
-				}
-				cfg.Pages = append(cfg.Pages, uint32(p))
-			}
-		default:
-			if !hasVal && i == 0 {
-				return Config{}, fmt.Errorf("fault: spec %q: unknown op %q (want %q, %q or %q)", spec, part, OpRead, OpWrite, OpSync)
-			}
-			return Config{}, fmt.Errorf("fault: spec %q: unknown key %q", spec, key)
-		}
-	}
-	if err := cfg.validate(); err != nil {
-		return Config{}, fmt.Errorf("%w (spec %q)", err, spec)
-	}
-	return cfg, nil
 }

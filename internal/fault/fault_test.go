@@ -146,59 +146,3 @@ func TestTornWriteLimitsPrefix(t *testing.T) {
 		t.Fatalf("flip-mode BeforeOp failed the op: %v", err)
 	}
 }
-
-func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("read:every=100:max=20:transient:seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Config{Op: OpRead, EveryN: 100, MaxFaults: 20, Transient: true, Seed: 7}
-	if !equalCfg(cfg, want) {
-		t.Fatalf("ParseSpec = %+v, want %+v", cfg, want)
-	}
-
-	cfg, err = ParseSpec("write:p=0.25:mode=torn:torn-bytes=64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Op != OpWrite || cfg.Probability != 0.25 || cfg.Mode != ModeTornWrite || cfg.TornBytes != 64 {
-		t.Fatalf("ParseSpec = %+v", cfg)
-	}
-
-	cfg, err = ParseSpec("read:every=3:mode=flip:pages=1,5,9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.Pages) != 3 || cfg.Pages[2] != 9 || cfg.Mode != ModeFlipBit {
-		t.Fatalf("ParseSpec = %+v", cfg)
-	}
-
-	for _, bad := range []string{
-		"",                        // no trigger
-		"read",                    // no trigger
-		"bogus",                   // unknown op
-		"read:mode=weird:every=1", // unknown mode
-		"read:every=x",            // malformed int
-		"read:p=2:every=1",        // probability out of range
-		"read:every=1:zap=1",      // unknown key
-	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
-		}
-	}
-}
-
-func equalCfg(a, b Config) bool {
-	if len(a.Pages) != len(b.Pages) {
-		return false
-	}
-	for i := range a.Pages {
-		if a.Pages[i] != b.Pages[i] {
-			return false
-		}
-	}
-	a.Pages, b.Pages = nil, nil
-	return a.Seed == b.Seed && a.Op == b.Op && a.Probability == b.Probability &&
-		a.EveryN == b.EveryN && a.MaxFaults == b.MaxFaults &&
-		a.Transient == b.Transient && a.Mode == b.Mode && a.TornBytes == b.TornBytes
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/fault"
 )
 
 // testBreaker returns a breaker with a controllable clock.
@@ -135,7 +136,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	if rec := get(t, h, searchURL(ws[0]), nil); rec.Code != http.StatusOK {
 		t.Fatalf("baseline query status %d: %s", rec.Code, rec.Body.String())
 	}
-	if err := db.SetFaultSpec("read:every=1"); err != nil {
+	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Cool the buffer pools so the campaign bites: a warm pool never

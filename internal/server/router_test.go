@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/fault"
 	"dsks/internal/shard"
 )
 
@@ -252,7 +253,7 @@ func TestRouterFirstErrorWins500(t *testing.T) {
 // inserts on the other shards still ack with an id and an lsn.
 func TestRouterInsertsAroundAPoisonedShardWAL(t *testing.T) {
 	h, set, _ := routerWith(t, shard.Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}}, Config{})
-	if err := set.SetShardFaultSpec(1, "sync:every=1"); err != nil {
+	if err := set.SetShardFaults(1, fault.Config{Op: fault.OpSync, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	tried := make([]int, set.Shards())
@@ -339,7 +340,7 @@ func downShard(t *testing.T, set *shard.Set, si int) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaultSpec(si, "read:every=1"); err != nil {
+	if err := set.SetShardFaults(si, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

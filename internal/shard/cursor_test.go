@@ -11,6 +11,7 @@ import (
 
 	"dsks"
 	"dsks/internal/core"
+	"dsks/internal/fault"
 )
 
 // fakeLeg is an arrival source over a fixed list that can fail instead of
@@ -215,7 +216,7 @@ func killPrimary(t *testing.T, set *Set, si int) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaultSpec(si, "read:every=1"); err != nil {
+	if err := set.SetShardFaults(si, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -299,9 +300,9 @@ func firstPullReads(t *testing.T, set *Set, si int, q dsks.SKQuery) (first, tota
 
 // midStreamFault picks a shard whose leg of q still reads pages after its
 // first candidate and arms its primary, on a cold pool, to fail the first
-// such read: the open and the first pull succeed, a later pull fails. max
-// bounds how often the fault fires ("": on every further period).
-func midStreamFault(t *testing.T, set *Set, q dsks.SKQuery, max string) int {
+// such read: the open and the first pull succeed, a later pull fails.
+// maxFaults bounds how often the fault fires (0: on every further period).
+func midStreamFault(t *testing.T, set *Set, q dsks.SKQuery, maxFaults int) int {
 	t.Helper()
 	for si := range set.shards {
 		first, total := firstPullReads(t, set, si, q)
@@ -311,7 +312,7 @@ func midStreamFault(t *testing.T, set *Set, q dsks.SKQuery, max string) int {
 		if err := set.ResetIO(); err != nil {
 			t.Fatal(err)
 		}
-		if err := set.SetShardFaultSpec(si, "read:every="+itoa(int(first)+1)+max); err != nil {
+		if err := set.SetShardFaults(si, fault.Config{Op: fault.OpRead, EveryN: int(first) + 1, MaxFaults: maxFaults}); err != nil {
 			t.Fatal(err)
 		}
 		return si
@@ -333,7 +334,7 @@ func streamSamples(set *Set, si int) (count, errs, candidates int64) {
 func TestCursorFailoverMidStream(t *testing.T) {
 	set, q, want := failoverFixture(t, Options{Seed: 4, LegRetries: -1})
 	ctx := context.Background()
-	si := midStreamFault(t, set, q.SKQuery, "")
+	si := midStreamFault(t, set, q.SKQuery, 0)
 	failovers := set.failTotal.Load()
 	_, errsBefore, candsBefore := streamSamples(set, si)
 
@@ -370,7 +371,7 @@ func TestCursorFailoverMidStream(t *testing.T) {
 func TestCursorRetryMidStream(t *testing.T) {
 	set, q, want := failoverFixture(t, Options{Seed: 4, LegRetries: 2})
 	ctx := context.Background()
-	si := midStreamFault(t, set, q.SKQuery, ":max=1")
+	si := midStreamFault(t, set, q.SKQuery, 1)
 	failovers, retries := set.failTotal.Load(), set.retryTotal.Load()
 
 	mv, err := set.View(ctx)
@@ -543,14 +544,14 @@ func TestCursorFirstErrorWins(t *testing.T) {
 	ctx := context.Background()
 	// Shard 0 lives on its replica; shard 2 has no path left.
 	killPrimary(t, set, 0)
-	if err := set.SetShardFaultSpec(2, "read:every=1"); err != nil {
+	if err := set.SetShardFaults(2, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rep := set.shards[2].replicas[0].db
 	if err := rep.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.SetFaultSpec("read:every=1"); err != nil {
+	if err := rep.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	merges := set.Snapshot().Queries[KindMerge]

@@ -8,6 +8,7 @@ import (
 
 	"dsks"
 	"dsks/internal/engine"
+	"dsks/internal/fault"
 )
 
 func testSet(t *testing.T, n int, opts Options) (*Set, *dsks.Dataset) {
@@ -79,7 +80,7 @@ func TestFanoutFirstErrorWins(t *testing.T) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaultSpec(2, "read:every=1"); err != nil {
+	if err := set.SetShardFaults(2, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	defer set.ClearFaults()
@@ -130,7 +131,7 @@ func TestFanoutPartialResultPolicy(t *testing.T) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaultSpec(1, "read:every=1"); err != nil {
+	if err := set.SetShardFaults(1, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	defer set.ClearFaults()
@@ -386,7 +387,7 @@ func TestPoisonedShardWALReopens(t *testing.T) {
 		}
 	}
 
-	if err := set.SetShardFaultSpec(1, "sync:every=1"); err != nil {
+	if err := set.SetShardFaults(1, fault.Config{Op: fault.OpSync, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for si := range edges {

@@ -83,7 +83,7 @@ func (s *Set) SaveTo(dir string) error {
 
 // OpenSetPath reopens a sharded snapshot written by SaveTo. Every shard
 // database is reopened with its own pool, WAL dir and snapshot dir (the
-// template options' WALDir/DiskDir are parent directories, as in Open);
+// template options' WALDir is a parent directory, as in Open);
 // a shard whose WAL replays past its snapshot gets its extra objects
 // re-registered with fresh global IDs.
 func OpenSetPath(dir string, opts Options) (*Set, error) {
@@ -109,19 +109,7 @@ func OpenSetPath(dir string, opts Options) (*Set, error) {
 	}
 	var g *dsks.Graph
 	for i := range dbs {
-		// Path options are derived exactly as shardOptions does, but the
-		// set is not built yet; inline the same rule.
-		oi := opts.DB
-		sub := fmt.Sprintf("shard-%d", i)
-		if oi.WALDir != "" {
-			oi.WALDir = filepath.Join(oi.WALDir, sub)
-			_ = os.MkdirAll(oi.WALDir, 0o755)
-		}
-		if oi.DiskDir != "" {
-			oi.DiskDir = filepath.Join(oi.DiskDir, sub)
-			_ = os.MkdirAll(oi.DiskDir, 0o755)
-		}
-		db, err := dsks.OpenPath(filepath.Join(dir, sub), oi)
+		db, err := dsks.OpenPath(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), shardOptions(opts.DB, i))
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("shard: reopening shard %d: %w", i, err)

@@ -413,8 +413,11 @@ func (s *Set) startReplicas(i int, seeds []*dsks.Collection, snapDir string) err
 	st := &s.shards[i]
 	primary := st.db
 	st.replicas = make([]*Replica, 0, s.nreplicas)
+	// A replica has no WAL of its own: the primary's log is the single
+	// source of truth.
+	opts := s.template
+	opts.WALDir = ""
 	for j := 0; j < s.nreplicas; j++ {
-		opts := s.replicaOptions(i, j)
 		var (
 			rdb *dsks.DB
 			err error

@@ -11,6 +11,7 @@ import (
 
 	"dsks"
 	"dsks/internal/core"
+	"dsks/internal/fault"
 	"dsks/internal/wal"
 )
 
@@ -242,7 +243,7 @@ func TestReplicaFailoverServesFullResults(t *testing.T) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaultSpec(0, "read:every=1"); err != nil {
+	if err := set.SetShardFaults(0, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"dsks/internal/ccam"
 	"dsks/internal/core"
 	"dsks/internal/engine"
+	"dsks/internal/fault"
 	"dsks/internal/metrics"
 )
 
@@ -48,9 +48,8 @@ const (
 
 // Options configures a shard set.
 type Options struct {
-	// DB is the template for every shard database. WALDir and DiskDir,
-	// when set, are treated as parent directories: shard i uses
-	// <dir>/shard-<i>.
+	// DB is the template for every shard database. WALDir, when set, is
+	// a parent directory: shard i logs to <WALDir>/shard-<i>.
 	DB dsks.Options
 	// Partial selects the partial-result fan-out policy: a query whose
 	// legs partly fail returns the merged survivors together with an
@@ -204,7 +203,7 @@ func Open(g *dsks.Graph, objects *dsks.Collection, vocabSize, n int, opts Option
 		for j := 0; j < s.nreplicas; j++ {
 			seeds = append(seeds, cloneCollection(cols[i]))
 		}
-		db, err := dsks.Open(g, cols[i], vocabSize, s.shardOptions(i))
+		db, err := dsks.Open(g, cols[i], vocabSize, shardOptions(s.template, i))
 		if err != nil {
 			s.closeOpened(i)
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
@@ -314,31 +313,12 @@ func newSet(g *dsks.Graph, vocabSize int, part *Partition, opts Options) *Set {
 	return s
 }
 
-// shardOptions derives shard i's database options from the template:
-// per-shard subdirectories for every path-valued option.
-func (s *Set) shardOptions(i int) dsks.Options {
-	o := s.template
-	sub := fmt.Sprintf("shard-%d", i)
+// shardOptions derives shard i's database options from the template: a
+// WALDir is a parent directory, and shard i logs to <WALDir>/shard-<i>
+// (wal.Open creates it).
+func shardOptions(o dsks.Options, i int) dsks.Options {
 	if o.WALDir != "" {
-		o.WALDir = filepath.Join(o.WALDir, sub)
-		_ = os.MkdirAll(o.WALDir, 0o755)
-	}
-	if o.DiskDir != "" {
-		o.DiskDir = filepath.Join(o.DiskDir, sub)
-		_ = os.MkdirAll(o.DiskDir, 0o755)
-	}
-	return o
-}
-
-// replicaOptions derives replica j-of-shard-i's database options: no
-// WAL of its own (the primary's log is the single source of truth) and
-// a private disk directory so two pools never share page files.
-func (s *Set) replicaOptions(i, j int) dsks.Options {
-	o := s.template
-	o.WALDir = ""
-	if o.DiskDir != "" {
-		o.DiskDir = filepath.Join(o.DiskDir, fmt.Sprintf("shard-%d-replica-%d", i, j))
-		_ = os.MkdirAll(o.DiskDir, 0o755)
+		o.WALDir = filepath.Join(o.WALDir, fmt.Sprintf("shard-%d", i))
 	}
 	return o
 }
@@ -501,13 +481,13 @@ func (s *Set) Close() error {
 	return first
 }
 
-// SetShardFaultSpec arms a fault specification on one shard only —
-// the lever tests use to take a single shard down.
-func (s *Set) SetShardFaultSpec(i int, spec string) error {
+// SetShardFaults arms a fault campaign on one shard only — the lever
+// tests use to take a single shard down.
+func (s *Set) SetShardFaults(i int, cfg fault.Config) error {
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("shard: %w: no shard %d", ErrBadShardCount, i)
 	}
-	return s.shards[i].db.SetFaultSpec(spec)
+	return s.shards[i].db.SetFaults(cfg)
 }
 
 // ClearFaults disarms fault injection on every shard.

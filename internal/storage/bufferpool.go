@@ -125,7 +125,7 @@ func transientFault(err error) bool {
 // default.
 type BufferPool struct {
 	mu        sync.Mutex
-	file      File
+	file      *PageFile
 	frames    map[PageID]*list.Element
 	lru       *list.List // front = most recently used
 	capacity  int
@@ -162,7 +162,7 @@ type frame struct {
 // The capacity is a bound, not a reservation: a structure is built in a
 // pool far roomier than its file (a million frames), so the frame table
 // grows with the pages actually held.
-func NewBufferPool(file File, capacity int, stats *IOStats) *BufferPool {
+func NewBufferPool(file *PageFile, capacity int, stats *IOStats) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -305,16 +305,13 @@ func (b *BufferPool) Capacity() int {
 func (b *BufferPool) Stats() *IOStats { return b.stats }
 
 // File returns the underlying page store.
-func (b *BufferPool) File() File { return b.file }
+func (b *BufferPool) File() *PageFile { return b.file }
 
 // Allocate reserves a new page on the backing file and returns it pinned in
-// the buffer (counted as neither read nor write until flushed). A failure
-// to extend the backing medium is the caller's error, not a deferred one.
+// the buffer (counted as neither read nor write until flushed). It fails
+// only when the eviction that makes room cannot write its victim back.
 func (b *BufferPool) Allocate() (*Page, error) {
-	id, err := b.file.Allocate()
-	if err != nil {
-		return nil, err
-	}
+	id := b.file.Allocate()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := b.evictForSpaceLocked(); err != nil {

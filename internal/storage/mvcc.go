@@ -243,10 +243,7 @@ func (w *WriteBatch) GetCtx(ctx context.Context, id PageID) (*Page, error) {
 // batch. The page reaches the base file only through Publish + FoldTo; a
 // dropped batch leaves a zero page behind.
 func (w *WriteBatch) Allocate() (*Page, error) {
-	id, err := w.pool.file.Allocate()
-	if err != nil {
-		return nil, err
-	}
+	id := w.pool.file.Allocate()
 	p := &Page{id: id}
 	w.pages[id] = p
 	return p, nil

@@ -1,8 +1,10 @@
 // Package storage simulates the disk-resident setting of the paper: every
-// index structure serializes into fixed-size 4096-byte pages held by a page
-// file, and all reads go through an LRU buffer pool that counts buffer
-// misses as disk accesses. An optional per-I/O latency can be injected so
-// that response times become I/O-dominated, as on the paper's testbed.
+// index structure serializes into fixed-size 4096-byte pages held by an
+// in-memory PageFile, and all reads go through an LRU buffer pool that
+// counts buffer misses as disk accesses. An optional per-I/O latency can
+// be injected so that response times become I/O-dominated, as on the
+// paper's testbed. Fault campaigns (internal/fault) intercept the I/O of a
+// PageFile and of the write-ahead log's LogFile through Injector.
 package storage
 
 import (

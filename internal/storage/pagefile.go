@@ -9,17 +9,10 @@ import (
 func float64bits(v float64) uint64     { return math.Float64bits(v) }
 func float64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
-// FaultHook inspects a page operation ("read" or "write") before it
-// executes; a non-nil return fails the operation. It is the low-level
-// escape hatch for tests with bespoke failure logic; structured,
-// deterministic campaigns use an Injector (internal/fault) installed
-// with SetInjector instead.
-type FaultHook func(op string, id PageID) error
-
-// Injector intercepts page I/O on a File. It is implemented by
-// fault.Injector (internal/fault); the interface lives here, with plain
-// string/uint32 parameters, so the storage layer stays free of the fault
-// package and the fault package free of storage.
+// Injector intercepts the I/O of a PageFile or a LogFile. It is
+// implemented by fault.Injector (internal/fault); the interface lives
+// here, with plain string/uint32 parameters, so the storage layer stays
+// free of the fault package and the fault package free of storage.
 //
 // Implementations must be safe for concurrent use.
 type Injector interface {
@@ -33,32 +26,6 @@ type Injector interface {
 	// should reach the medium (size = full write, less = a torn write
 	// that still reports success).
 	WriteLimit(page uint32, size int) int
-}
-
-// hookInjector adapts the legacy FaultHook to the Injector interface:
-// it can fail operations but never corrupts or tears.
-type hookInjector FaultHook
-
-func (h hookInjector) BeforeOp(op string, page uint32) error { return FaultHook(h)(op, PageID(page)) }
-func (h hookInjector) CorruptRead(uint32, []byte) bool       { return false }
-func (h hookInjector) WriteLimit(_ uint32, size int) int     { return size }
-
-// File is the page store a BufferPool manages: the in-memory simulation
-// (PageFile) or a real on-disk file (DiskPageFile).
-type File interface {
-	// Allocate reserves a fresh zeroed page and returns its ID. A
-	// failure to extend the backing medium surfaces here, not on the
-	// page's first use.
-	Allocate() (PageID, error)
-	// SetInjector installs (or clears, with nil) a fault injector
-	// intercepting the store's page I/O.
-	SetInjector(Injector)
-	// NumPages returns the number of allocated pages.
-	NumPages() int
-	// SizeBytes returns the store's total size in bytes.
-	SizeBytes() int64
-	read(id PageID, dst []byte) error
-	write(id PageID, src []byte) error
 }
 
 // PageFile is the backing "disk": an append-only collection of pages kept
@@ -77,12 +44,12 @@ func NewPageFile() *PageFile {
 }
 
 // Allocate reserves a fresh zeroed page and returns its ID.
-func (f *PageFile) Allocate() (PageID, error) {
+func (f *PageFile) Allocate() PageID {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	id := PageID(len(f.pages))
 	f.pages = append(f.pages, make([]byte, PageSize))
-	return id, nil
+	return id
 }
 
 // NumPages returns the number of allocated pages (excluding the reserved
@@ -95,15 +62,6 @@ func (f *PageFile) NumPages() int {
 
 // SizeBytes returns the total size of the file in bytes.
 func (f *PageFile) SizeBytes() int64 { return int64(f.NumPages()) * PageSize }
-
-// SetFault installs (or clears, with nil) the low-level failure hook.
-func (f *PageFile) SetFault(hook FaultHook) {
-	if hook == nil {
-		f.SetInjector(nil)
-		return
-	}
-	f.SetInjector(hookInjector(hook))
-}
 
 // SetInjector installs (or clears, with nil) the fault injector.
 func (f *PageFile) SetInjector(in Injector) {

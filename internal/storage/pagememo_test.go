@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"dsks/internal/fault"
 )
 
 // TestViewPageOutlivesItsFrame pins the page contract PageMemo rests on:
@@ -217,21 +219,15 @@ func TestPageMemoChecksContextOnHit(t *testing.T) {
 
 func TestPageMemoDoesNotHoldFailedReads(t *testing.T) {
 	pool, file, id := newPoolWithPage(t)
-	fail := true
-	file.SetFault(func(op string, _ PageID) error {
-		if op == "read" && fail {
-			return errInjected
-		}
-		return nil
-	})
+	file.SetInjector(failing(t, fault.Config{Op: fault.OpRead}))
 	m := NewPageMemo(pool.ViewAt(0), 4)
-	if _, err := m.Get(id); !errors.Is(err, errInjected) {
+	if _, err := m.Get(id); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("read through a failing store: %v, want the injected fault", err)
 	}
 	if m.Held() != 0 {
 		t.Fatalf("a failed read was held (Held = %d)", m.Held())
 	}
-	fail = false
+	file.SetInjector(nil)
 	if _, err := m.Get(id); err != nil {
 		t.Fatalf("read after the fault cleared: %v", err)
 	}

@@ -50,11 +50,7 @@ func TestPageFileAllocateReadWrite(t *testing.T) {
 	if f.NumPages() != 0 {
 		t.Fatalf("fresh file has %d pages", f.NumPages())
 	}
-	a, errA := f.Allocate()
-	b, errB := f.Allocate()
-	if errA != nil || errB != nil {
-		t.Fatalf("Allocate errors: %v %v", errA, errB)
-	}
+	a, b := f.Allocate(), f.Allocate()
 	if a == InvalidPageID || b == InvalidPageID || a == b {
 		t.Fatalf("bad ids %d %d", a, b)
 	}

@@ -6,12 +6,13 @@
 // Mutators append a record, then block in WaitDurable until a group-
 // commit goroutine has batched their record — together with every other
 // record appended in the same window — into one fsync. SyncEvery and
-// SyncInterval bound the batch; Strict mode fsyncs before every
-// acknowledgment. On startup, Open scans the log's segments, verifies
-// every record's CRC and the density of the LSN chain, truncates a torn
-// tail (bytes a crash left half-written, never acknowledged), rejects
-// mid-log corruption with an error matching ErrCorrupt, and returns the
-// records past the caller's snapshot LSN for replay. Checkpoint rotates
+// SyncInterval bound the batch (64 records, 2ms by default; the dsks
+// package keeps the defaults), and every acknowledgment follows the fsync
+// that covers its record. On startup, Open scans the log's segments,
+// verifies every record's CRC and the density of the LSN chain, truncates
+// a torn tail (bytes a crash left half-written, never acknowledged),
+// rejects mid-log corruption with an error matching ErrCorrupt, and
+// returns the records past the caller's snapshot LSN for replay. Checkpoint rotates
 // the active segment and deletes segments a snapshot has made redundant.
 package wal
 
@@ -70,9 +71,6 @@ type Options struct {
 	// SyncInterval is the gathering window an unfilled batch waits for
 	// more committers (default 2ms).
 	SyncInterval time.Duration
-	// Strict fsyncs before every acknowledgment (SyncEvery 1, no
-	// gathering window): maximum durability, minimum batching.
-	Strict bool
 	// SegmentBytes is the rotation threshold for the active segment
 	// (default 4 MiB). Rotation happens at quiescent points (after a
 	// sync that left nothing pending, and at every Checkpoint).
@@ -88,10 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = 2 * time.Millisecond
-	}
-	if o.Strict {
-		o.SyncEvery = 1
-		o.SyncInterval = 0
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
@@ -284,7 +278,7 @@ func (l *Log) syncLoop() {
 			l.mu.Unlock()
 			return
 		}
-		if !l.closing && l.opts.SyncInterval > 0 && l.written-l.durable < uint64(l.opts.SyncEvery) {
+		if !l.closing && l.written-l.durable < uint64(l.opts.SyncEvery) {
 			// Gathering window: let concurrent committers join the batch.
 			l.mu.Unlock()
 			time.Sleep(l.opts.SyncInterval)

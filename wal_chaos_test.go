@@ -162,7 +162,7 @@ func TestWALCrashAtEveryMutationFaultPoint(t *testing.T) {
 			walDir := filepath.Join(t.TempDir(), "wal")
 			g, objects, vocab, origin, edges := walBase(t)
 			baseLen := objects.Len()
-			opts := Options{Index: IndexSIF, WALDir: walDir, WALStrictSync: true}
+			opts := Options{Index: IndexSIF, WALDir: walDir}
 			db, err := Open(g, objects, vocab.Size(), opts)
 			if err != nil {
 				t.Fatal(err)
