@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzQueryDecode -fuzz FuzzQueryDecode -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run FuzzResponseEncode -fuzz FuzzResponseEncode -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run FuzzLegMerge -fuzz FuzzLegMerge -fuzztime $(FUZZTIME) ./internal/shard/
 
 # bench runs the benchmark spine BENCHMARK.json declares: four served
 # workloads, end-to-end metrics with their regression bounds

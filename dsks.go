@@ -62,6 +62,7 @@ import (
 	"dsks/internal/fault"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
+	"dsks/internal/index"
 	"dsks/internal/metrics"
 	"dsks/internal/obj"
 	"dsks/internal/storage"
@@ -96,6 +97,9 @@ type (
 	DivQuery = core.DivQuery
 	// Candidate is a qualifying object with its network distance.
 	Candidate = core.Candidate
+	// TermSet is the set of query terms an OR stream's candidate contains,
+	// as positions in the query's sorted terms (Stream.Terms).
+	TermSet = index.TermSet
 	// SearchStats are the per-query cost counters.
 	SearchStats = core.SearchStats
 	// Trace holds one query's stage timings: network expansion, posting

@@ -36,12 +36,12 @@
 // locally-held latch — SaveTo serializes the oracle before taking the
 // engine latch for exactly this reason.
 //
-// The scatter-gather router (internal/shard) inherits the whole
-// discipline at one remove: Set.Insert and Set.Remove fan a mutation
-// out to a shard database and wait for its WAL durability, Set.SaveTo
-// snapshots every shard, and the MultiView query methods scatter to N
-// pinned views that each run network expansion and page I/O — so none
-// of them may run under a locally-held latch either. The router's own
+// The shard router (internal/shard) inherits the whole discipline at
+// one remove: Set.Insert and Set.Remove fan a mutation out to a shard
+// database and wait for its WAL durability, Set.SaveTo snapshots every
+// shard, and the MultiView query methods pull N leg streams from pinned
+// views that each run network expansion and page I/O — so none of them
+// may run under a locally-held latch either. The router's own
 // insert latch is the worked example: it is held across the buffered
 // InsertAsync + mapping publish, and released before WaitDurable.
 //

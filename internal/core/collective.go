@@ -53,93 +53,68 @@ type CollectiveResult struct {
 	Uncovered []obj.TermID
 }
 
-// SearchCollective finds a keyword-covering group with the classic
-// weighted set-cover greedy (ln|T|-approximate for the sum cost):
-// candidates containing at least one query keyword are collected within
-// DeltaMax, then objects are repeatedly chosen by the lowest
-// distance-per-newly-covered-keyword ratio until all keywords are covered
-// (ties prefer closer objects, then smaller IDs). The stats and the
-// per-stage timings (the set-cover greedy is accounted to Diversify) cover
-// the work done on the error path too.
+// SKQuery is the OR search a collective query runs: its terms normalized,
+// its radius DeltaMax.
+func (q CollectiveQuery) SKQuery() SKQuery {
+	return expansionQuery(q.Pos, q.Terms, q.DeltaMax)
+}
+
+// SearchCollective finds a keyword-covering group over the OR expansion
+// (CoverArrivals). The stats and the per-stage timings (the set-cover
+// greedy is accounted to Diversify) cover the work done on the error path
+// too; Trace.Total is left for the caller.
 func SearchCollective(ctx context.Context, net ccam.Network, loader index.UnionLoader, q CollectiveQuery) (CollectiveResult, SearchStats, Trace, error) {
 	if err := q.Validate(); err != nil {
 		return CollectiveResult{}, SearchStats{}, Trace{}, err
 	}
-	start := time.Now()
-	terms := obj.NormalizeTerms(append([]obj.TermID(nil), q.Terms...))
-
-	// Collect the OR-candidates in range: the shared expansion, run out.
-	x, err := newExpansion(ctx, net, q.Pos, q.DeltaMax, loadAny(ctx, loader, terms))
+	skq := q.SKQuery()
+	sks, err := NewSKSearchAny(ctx, net, loader, skq)
 	if err != nil {
 		return CollectiveResult{}, SearchStats{}, Trace{}, err
 	}
-	for more := true; more; {
-		if more, err = x.step(); err != nil {
-			return CollectiveResult{}, x.stats, x.trace, err
-		}
-	}
-	x.stats.Candidates = int64(len(x.objs))
+	group, greedy, err := CoverArrivals(sks, skq.Terms)
+	trace := sks.Trace()
+	trace.Diversify = greedy
+	return group, sks.Stats(), trace, err
+}
 
-	// Which keywords each candidate covers requires the term sets; the
-	// union loader reports only counts, so re-derive coverage by probing
-	// per-term loads on the candidate's edge would repeat I/O. Instead,
-	// candidates are grouped per edge and coverage resolved with one
-	// single-term load per (edge, term) actually needed.
+// CoverArrivals is the collective query over src, the OR source of terms
+// (sorted and duplicate-free, CollectiveQuery.SKQuery). It drains src, then
+// runs the classic weighted set-cover greedy (ln|T|-approximate for the
+// sum cost) over the arrivals in (distance, ID) order: objects are chosen
+// by the lowest distance per newly covered term until every term is
+// covered, ties going to the earlier arrival. Each arrival's covered terms
+// are the ones its OR load matched. greedy is the time the greedy took.
+func CoverArrivals(src ArrivalSource, terms []obj.TermID) (group CollectiveResult, greedy time.Duration, err error) {
 	type cand struct {
-		ref    index.ObjectRef
-		dist   float64
-		covers map[obj.TermID]bool
+		Candidate
+		covers index.TermSet
 	}
-	cands := make(map[index.ObjectRef]*cand)
-	edges := make(map[graph.EdgeID]bool)
-	for _, o := range x.objs {
-		if o.dist > q.DeltaMax {
-			continue
+	var cands []cand
+	for {
+		c, ok, err := src.Next()
+		if err != nil {
+			return CollectiveResult{}, 0, err
 		}
-		cands[o.ref] = &cand{ref: o.ref, dist: o.dist, covers: make(map[obj.TermID]bool)}
-		edges[o.ref.Edge] = true
-	}
-	coverStart := time.Now()
-	for e := range edges {
-		for _, t := range terms {
-			refs, err := loader.LoadObjects(ctx, e, []obj.TermID{t})
-			if err != nil {
-				return CollectiveResult{}, x.stats, x.trace, mapCtxErr(err)
-			}
-			for _, r := range refs {
-				if c, ok := cands[r]; ok {
-					c.covers[t] = true
-				}
-			}
+		if !ok {
+			break
 		}
+		cands = append(cands, cand{c, src.Terms()})
 	}
-	trace := x.trace
-	trace.PostingReads += time.Since(coverStart)
-	divStart := time.Now()
-
-	// Greedy weighted set cover.
-	uncovered := make(map[obj.TermID]bool, len(terms))
-	for _, t := range terms {
-		uncovered[t] = true
+	start := time.Now()
+	// A single node emits equal distances in discovery order; sorting
+	// makes the group independent of how the arrivals were merged.
+	sort.Slice(cands, func(i, j int) bool { return candidateBefore(cands[i].Candidate, cands[j].Candidate) })
+	uncovered := make([]int, len(terms)) // positions in terms
+	for i := range uncovered {
+		uncovered[i] = i
 	}
-	ordered := make([]*cand, 0, len(cands))
-	for _, c := range cands {
-		ordered = append(ordered, c)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].dist != ordered[j].dist {
-			return ordered[i].dist < ordered[j].dist
-		}
-		return ordered[i].ref.ID < ordered[j].ref.ID
-	})
-	var result CollectiveResult
 	for len(uncovered) > 0 {
-		var best *cand
-		bestRatio := math.Inf(1)
-		for _, c := range ordered {
+		best, bestRatio := -1, math.Inf(1)
+		for i, c := range cands {
 			gain := 0
-			for t := range uncovered {
-				if c.covers[t] {
+			for _, t := range uncovered {
+				if c.covers.Has(t) {
 					gain++
 				}
 			}
@@ -147,34 +122,36 @@ func SearchCollective(ctx context.Context, net ccam.Network, loader index.UnionL
 				continue
 			}
 			// Distance 0 objects cover for free.
-			ratio := c.dist / float64(gain)
-			if ratio < bestRatio {
-				best, bestRatio = c, ratio
+			if ratio := c.Dist / float64(gain); ratio < bestRatio {
+				best, bestRatio = i, ratio
 			}
 		}
-		if best == nil {
-			break // some keywords cannot be covered in range
+		if best < 0 {
+			break // some terms cannot be covered in range
 		}
-		result.Objects = append(result.Objects, Candidate{Ref: best.ref, Dist: best.dist})
-		result.Cost += best.dist
-		for t := range uncovered {
-			if best.covers[t] {
-				delete(uncovered, t)
+		b := cands[best]
+		group.Objects = append(group.Objects, b.Candidate)
+		group.Cost += b.Dist
+		kept := uncovered[:0]
+		for _, t := range uncovered {
+			if !b.covers.Has(t) {
+				kept = append(kept, t)
 			}
 		}
+		uncovered = kept
 	}
-	result.Covered = len(uncovered) == 0
-	for t := range uncovered {
-		result.Uncovered = append(result.Uncovered, t)
+	group.Covered = len(uncovered) == 0
+	for _, t := range uncovered {
+		group.Uncovered = append(group.Uncovered, terms[t])
 	}
-	sort.Slice(result.Uncovered, func(i, j int) bool { return result.Uncovered[i] < result.Uncovered[j] })
-	sort.Slice(result.Objects, func(i, j int) bool {
-		if result.Objects[i].Dist != result.Objects[j].Dist {
-			return result.Objects[i].Dist < result.Objects[j].Dist
-		}
-		return result.Objects[i].Ref.ID < result.Objects[j].Ref.ID
-	})
-	trace.Diversify = time.Since(divStart)
-	trace.Total = time.Since(start)
-	return result, x.stats, trace, nil
+	sort.Slice(group.Objects, func(i, j int) bool { return candidateBefore(group.Objects[i], group.Objects[j]) })
+	return group, time.Since(start), nil
+}
+
+// candidateBefore is the arrival order: distance, then ID.
+func candidateBefore(a, b Candidate) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.Ref.ID < b.Ref.ID
 }

@@ -54,17 +54,6 @@ func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader,
 	return res, err
 }
 
-// ArrivalSource is where Algorithm 6's objects come from: the qualifying
-// objects of one boolean query, each exactly once, in non-decreasing
-// network distance from the query position. Next reports false once the
-// source is exhausted; Stop abandons it. A single node's source is its own
-// *SKSearch; the shard router's is the merge of its legs' streams. Nothing
-// in the algorithm depends on which.
-type ArrivalSource interface {
-	Next() (Candidate, bool, error)
-	Stop()
-}
-
 // DiversifyArrivals runs Algorithm 6 over src: the one arrival loop of the
 // tree, with the core pairs, the θ memo, both pruning rules, the odd-k
 // padding and the objective. Pair distances run on net within 2·DeltaMax.

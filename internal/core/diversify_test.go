@@ -11,6 +11,7 @@ import (
 	"dsks/internal/core"
 	"dsks/internal/dataset"
 	"dsks/internal/harness"
+	"dsks/internal/index"
 	"dsks/internal/obj"
 )
 
@@ -504,7 +505,9 @@ func (s *sliceArrivals) Next() (core.Candidate, bool, error) {
 	return s.cands[s.next-1], true, nil
 }
 
-func (s *sliceArrivals) Stop() { s.stopped++ }
+func (s *sliceArrivals) Terms() index.TermSet { return index.TermSet{} }
+func (s *sliceArrivals) Limit(float64)        {}
+func (s *sliceArrivals) Stop()                { s.stopped++ }
 
 // TestDiversifyArrivalsSourceIndependence: Algorithm 6 depends on its
 // arrivals, not on where they come from. Fed SKSearch.All()'s output from a

@@ -43,46 +43,30 @@ func (q KNNQuery) Validate() error {
 	return nil
 }
 
-// knnInitialCap is the capacity SearchKNN's answer starts with.
-const knnInitialCap = 16
+// SKQuery is the boolean search kNN runs: the query's terms normalized,
+// and the radius MaxDist, or unbounded but finite when MaxDist is 0.
+func (q KNNQuery) SKQuery() SKQuery {
+	bound := q.MaxDist
+	if bound == 0 {
+		bound = math.MaxFloat64
+	}
+	return expansionQuery(q.Pos, q.Terms, bound)
+}
 
 // SearchKNN runs the incremental expansion of Algorithm 3 and stops as
-// soon as k qualifying objects have been emitted (or the network is
-// exhausted). Because candidates arrive in non-decreasing network
-// distance, the first k emissions are exactly the k nearest. The stats and
-// the stage timings cover the work done on the error path too; Trace.Total
-// is left for the caller, which owns the end-to-end clock.
+// soon as k qualifying objects have been emitted (TakeArrivals) or the
+// network is exhausted. The stats and the stage timings cover the work
+// done on the error path too; Trace.Total is left for the caller, which
+// owns the end-to-end clock.
 func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNNQuery) ([]Candidate, SearchStats, Trace, error) {
 	if err := q.Validate(); err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
-	bound := q.MaxDist
-	if bound == 0 {
-		// Unbounded, but finite: the expansion's SKQuery must validate.
-		bound = math.MaxFloat64
-	}
-	sks, err := NewSKSearch(ctx, net, loader, SKQuery{
-		Pos:      q.Pos,
-		Terms:    obj.NormalizeTerms(append([]obj.TermID(nil), q.Terms...)),
-		DeltaMax: bound,
-	})
+	sks, err := NewSKSearch(ctx, net, loader, q.SKQuery())
 	if err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
-	// k is the client's and may exceed the database by any factor: the
-	// answer grows by what arrives, and a small k still costs one
-	// allocation.
-	out := make([]Candidate, 0, min(q.K, knnInitialCap))
-	for len(out) < q.K {
-		c, ok, err := sks.Next()
-		if err != nil {
-			return nil, sks.Stats(), sks.Trace(), err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, c)
-	}
+	out, err := TakeArrivals(sks, q.K)
 	sks.Stop()
-	return out, sks.Stats(), sks.Trace(), nil
+	return out, sks.Stats(), sks.Trace(), err
 }

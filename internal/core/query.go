@@ -48,6 +48,12 @@ func (q SKQuery) Validate() error {
 	return nil
 }
 
+// expansionQuery is the search a query family runs: a normalized copy of
+// its terms, within radius.
+func expansionQuery(pos graph.Position, terms []obj.TermID, radius float64) SKQuery {
+	return SKQuery{Pos: pos, Terms: obj.NormalizeTerms(append([]obj.TermID(nil), terms...)), DeltaMax: radius}
+}
+
 // finite rejects a NaN or infinite query parameter. NaN fails every
 // ordered comparison, so it slips past the range checks: a NaN radius
 // would expand the whole network and a NaN offset would match nothing.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"dsks/internal/ccam"
 	"dsks/internal/graph"
@@ -63,105 +62,96 @@ type RankedResult struct {
 	Score   float64
 }
 
-// SearchRanked runs the top-k ranked search by incremental network
-// expansion: objects containing any query keyword are scored as they
-// arrive (in non-decreasing network distance), and the expansion stops as
-// soon as even a perfect textual match at the current frontier could not
-// displace the k-th best score — the spatial part of the score is monotone
-// in the arrival order. The stats and the per-stage timings cover the work
-// done on the error path too.
+// SKQuery is the OR search a ranked query runs: its terms normalized, its
+// radius DeltaMax.
+func (q RankedQuery) SKQuery() SKQuery {
+	return expansionQuery(q.Pos, q.Terms, q.DeltaMax)
+}
+
+// SearchRanked runs the top-k ranked search over the OR expansion
+// (RankArrivals). The stats and the stage timings cover the work done on
+// the error path too; Trace.Total is left for the caller.
 func SearchRanked(ctx context.Context, net ccam.Network, loader index.UnionLoader, q RankedQuery) ([]RankedResult, SearchStats, Trace, error) {
 	if err := q.Validate(); err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
-	start := time.Now()
-	terms := obj.NormalizeTerms(append([]obj.TermID(nil), q.Terms...))
-	x, err := newExpansion(ctx, net, q.Pos, q.DeltaMax, loadAny(ctx, loader, terms))
+	sks, err := NewSKSearchAny(ctx, net, loader, q.SKQuery())
 	if err != nil {
 		return nil, SearchStats{}, Trace{}, err
 	}
-	score := func(dist float64, matched int) float64 {
-		spatial := 1 - dist/q.DeltaMax
-		if spatial < 0 {
-			spatial = 0
-		}
-		return q.Alpha*spatial + (1-q.Alpha)*float64(matched)/float64(len(terms))
-	}
-	var top []float64 // the K best scores of the found objects, ascending
-	for {
-		// Score what the last step found. A distance only ever shrinks, so
-		// a score only grows.
-		for _, i := range x.fresh {
-			o := &x.objs[i]
-			sc := score(o.dist, o.matched)
-			top = raiseTopK(top, q.K, o.score, sc)
-			o.score = sc
-		}
-		next, ok := x.f.peek()
-		if !ok {
-			break
-		}
-		// Early termination: the best possible score of any unseen object
-		// (perfect textual match at the frontier distance) cannot displace
-		// the k-th best.
-		if len(top) == q.K && score(next.Val, len(terms)) <= top[0] {
-			x.stats.EarlyTerminate = true
-			break
-		}
-		if _, err := x.step(); err != nil {
-			return nil, x.stats, x.trace, err
-		}
-	}
-	x.stats.Candidates = int64(len(x.objs))
-
-	// The k best-scoring objects within range, ties broken by distance then
-	// ID for determinism.
-	all := make([]RankedResult, 0, len(x.objs))
-	for _, o := range x.objs {
-		if o.dist <= q.DeltaMax {
-			all = append(all, RankedResult{Ref: o.ref, Dist: o.dist, Matched: o.matched, Score: o.score})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].Ref.ID < all[j].Ref.ID
-	})
-	if len(all) > q.K {
-		all = all[:q.K]
-	}
-	x.trace.Total = time.Since(start)
-	x.trace.Expansion = x.trace.Total - x.trace.PostingReads
-	return all, x.stats, x.trace, nil
+	top, early, err := RankArrivals(sks, q)
+	sks.Stop()
+	stats := sks.Stats()
+	stats.EarlyTerminate = early
+	return top, stats, sks.Trace(), err
 }
 
-// raiseTopK maintains top, the (at most) k largest values of a multiset
-// of scores in ascending order, when one member grows from old to score
-// (old = -1 adds a new member). Only the values matter for the k-th best,
-// so any copy of old stands for the member that grew: old is in top
-// whenever it is at least top[0], and otherwise score enters only by
-// displacing the current k-th.
-func raiseTopK(top []float64, k int, old, score float64) []float64 {
-	drop := sort.SearchFloat64s(top, old)
+// RankArrivals is the top-k ranked query over src, the OR source of
+// q.SKQuery(). Each arrival is scored at its final distance. Once k
+// scores are in, src's radius is lowered to the farthest distance at which
+// an unseen object could still enter the top k — a perfect textual match
+// there ties the k-th best score, and the spatial part of a score only
+// falls with distance — so the expansion ends as soon as none can. early
+// reports a radius lowered below DeltaMax. The answer is best score first,
+// distance then ID breaking ties.
+func RankArrivals(src ArrivalSource, q RankedQuery) (top []RankedResult, early bool, err error) {
+	nterms := float64(len(q.SKQuery().Terms))
+	radius := q.DeltaMax
+	top = make([]RankedResult, 0, min(q.K, answerCap))
+	for {
+		c, ok, err := src.Next()
+		if err != nil {
+			return nil, early, err
+		}
+		if !ok {
+			return top, early, nil
+		}
+		matched := src.Terms().Len()
+		r := RankedResult{Ref: c.Ref, Dist: c.Dist, Matched: matched,
+			Score: q.Alpha*max(0, 1-c.Dist/q.DeltaMax) + (1-q.Alpha)*float64(matched)/nterms}
+		at := sort.Search(len(top), func(i int) bool { return rankedBefore(r, top[i]) })
+		if at == q.K {
+			continue
+		}
+		if len(top) < q.K {
+			top = append(top, RankedResult{})
+		}
+		copy(top[at+1:], top[at:])
+		top[at] = r
+		if len(top) == q.K {
+			if reach := q.reach(top[q.K-1].Score, c.Dist); reach < radius {
+				radius, early = reach, true
+				src.Limit(reach)
+			}
+		}
+	}
+}
+
+// rankedBefore is the ranked answer's order: higher score, then shorter
+// distance, then smaller ID.
+func rankedBefore(a, b RankedResult) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.Ref.ID < b.Ref.ID
+}
+
+// reach is how far an unseen object can lie and still enter a top k whose
+// k-th score is kth, when the last arrival was at d. A perfect textual
+// match scores kth at distance DeltaMax·(1 − (kth − (1−α))/α) and less
+// beyond it; the slack absorbs the rounding of that inverse. An object at
+// d itself can tie kth and win on its ID, so reach is never below d. With
+// α = 0 the distance does not score: nothing is out of reach until the
+// k-th best is a perfect match.
+func (q RankedQuery) reach(kth, d float64) float64 {
 	switch {
-	case drop < len(top) && top[drop] == old:
-	case len(top) < k:
-		drop = -1
-	case score <= top[0]:
-		return top
-	default:
-		drop = 0
+	case q.Alpha > 0:
+		return max(d, q.DeltaMax*(1-(kth-(1-q.Alpha))/q.Alpha)+1e-9*q.DeltaMax)
+	case kth >= 1:
+		return d
 	}
-	if drop >= 0 {
-		top = append(top[:drop], top[drop+1:]...)
-	}
-	at := sort.SearchFloat64s(top, score)
-	top = append(top, 0)
-	copy(top[at+1:], top[at:])
-	top[at] = score
-	return top
+	return q.DeltaMax
 }

@@ -12,13 +12,12 @@ import (
 	"dsks/internal/obj"
 )
 
-// expansion is the edge-visiting network expansion of Algorithm 3, shared
-// by the boolean, ranked and collective searches: a frontier bounded by
-// DeltaMax settles road nodes in order of network distance from the
-// query; an edge's objects are loaded through the object index when its
-// first end settles (Algorithm 2) and brought closer when the other does.
-// The searches differ only in the loader call (AND refs or OR matches)
-// and in what they do with the found objects.
+// expansion is the edge-visiting network expansion of Algorithm 3: a
+// frontier bounded by DeltaMax settles road nodes in order of network
+// distance from the query; an edge's objects are loaded through the object
+// index when its first end settles (Algorithm 2) and brought closer when
+// the other does. The loader call (AND refs or OR matches) is all that
+// tells a boolean stream from an OR one.
 type expansion struct {
 	f    *frontier
 	load func(e graph.EdgeID, into []foundObj) ([]foundObj, error)
@@ -34,10 +33,9 @@ type expansion struct {
 // foundObj is a loaded object with its best-known distance, which is final
 // once both ends of its edge have settled or the frontier has passed it.
 type foundObj struct {
-	ref     index.ObjectRef
-	dist    float64
-	matched int     // query terms contained (OR loads only)
-	score   float64 // ranked score at dist; -1 until scored (OR loads only)
+	ref   index.ObjectRef
+	dist  float64
+	terms index.TermSet // query terms contained (OR loads only)
 }
 
 // loadAll adapts a Loader's AND load to the expansion.
@@ -56,7 +54,7 @@ func loadAny(ctx context.Context, loader index.UnionLoader, terms []obj.TermID) 
 	return func(e graph.EdgeID, into []foundObj) ([]foundObj, error) {
 		matches, err := loader.LoadObjectsAny(ctx, e, terms)
 		for _, m := range matches {
-			into = append(into, foundObj{ref: m.Ref, matched: m.Matched, score: -1})
+			into = append(into, foundObj{ref: m.Ref, terms: m.Terms})
 		}
 		return into, err
 	}
@@ -103,11 +101,12 @@ func (x *expansion) visit(e graph.EdgeID) ([2]int32, error) {
 
 // step settles one node (one iteration of Algorithm 3's main loop) and
 // leaves in fresh the objects it loaded or brought closer; false means
-// every node within DeltaMax has settled.
+// every node within the radius has settled. The radius is the frontier's
+// limit, which SKSearch.Limit may have lowered below labels already queued.
 func (x *expansion) step() (bool, error) {
 	start, posting := time.Now(), x.trace.PostingReads
 	x.fresh = x.fresh[:0]
-	if _, ok := x.f.peek(); !ok {
+	if top, ok := x.f.peek(); !ok || top.Val > x.f.limit {
 		return false, nil
 	}
 	node, g, adj, err := x.f.settle()
@@ -140,30 +139,43 @@ func (x *expansion) step() (bool, error) {
 	return true, nil
 }
 
-// SKSearch is the incremental boolean spatial keyword search of Algorithm
-// 3: it drives the expansion and emits the qualifying objects in
-// non-decreasing network distance — the arrival order the diversified
-// search (Algorithm 6) consumes.
+// SKSearch is the incremental spatial keyword search of Algorithm 3: it
+// drives the expansion and emits the qualifying objects in non-decreasing
+// network distance — the arrival order every query family consumes
+// (ArrivalSource).
 type SKSearch struct {
 	x       *expansion
 	pending minheap.Heap[int32] // found, not yet emitted: key dist, ID object, Val index in x.objs
+	last    int32               // index in x.objs of the object Next returned last; -1 before the first
 	done    bool
 }
 
-// NewSKSearch prepares an incremental search; it performs the first edge
-// load (the query's own edge) eagerly. ctx governs the whole lifetime of
-// the search: a context that is already done fails here before any I/O,
-// and cancellation mid-expansion surfaces from Next as ErrCanceled or
+// NewSKSearch prepares an incremental boolean search: the objects
+// containing every query term. It performs the first edge load (the
+// query's own edge) eagerly. ctx governs the whole lifetime of the search:
+// a context that is already done fails here before any I/O, and
+// cancellation mid-expansion surfaces from Next as ErrCanceled or
 // ErrDeadlineExceeded.
 func NewSKSearch(ctx context.Context, net ccam.Network, loader index.Loader, q SKQuery) (*SKSearch, error) {
+	return newSKSearch(ctx, net, q, loadAll(ctx, loader, q.Terms))
+}
+
+// NewSKSearchAny is NewSKSearch with OR semantics, the stream of the ranked
+// and collective queries: the objects containing at least one query term,
+// with Terms reporting which.
+func NewSKSearchAny(ctx context.Context, net ccam.Network, loader index.UnionLoader, q SKQuery) (*SKSearch, error) {
+	return newSKSearch(ctx, net, q, loadAny(ctx, loader, q.Terms))
+}
+
+func newSKSearch(ctx context.Context, net ccam.Network, q SKQuery, load func(graph.EdgeID, []foundObj) ([]foundObj, error)) (*SKSearch, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	x, err := newExpansion(ctx, net, q.Pos, q.DeltaMax, loadAll(ctx, loader, q.Terms))
+	x, err := newExpansion(ctx, net, q.Pos, q.DeltaMax, load)
 	if err != nil {
 		return nil, err
 	}
-	return &SKSearch{x: x}, nil
+	return &SKSearch{x: x, last: -1}, nil
 }
 
 // offsetCost converts a geometric offset from the reference node into a
@@ -182,7 +194,7 @@ func offsetCost(weight, length, offset float64) float64 {
 
 // Next returns the next candidate in non-decreasing network distance. The
 // boolean is false when the search is exhausted (all qualifying objects
-// within DeltaMax have been emitted).
+// within the radius have been emitted).
 func (s *SKSearch) Next() (Candidate, bool, error) {
 	for {
 		// Queue what the last step touched, under its new distance.
@@ -206,6 +218,7 @@ func (s *SKSearch) Next() (Candidate, bool, error) {
 			}
 			s.pending.Pop()
 			s.x.stats.Candidates++
+			s.last = top.Val
 			return Candidate{Ref: o.ref, Dist: o.dist}, true, nil
 		}
 		if s.done {
@@ -219,21 +232,26 @@ func (s *SKSearch) Next() (Candidate, bool, error) {
 	}
 }
 
+// Terms reports which query terms the candidate Next returned last
+// contains, as positions in the query's terms. It is the empty set for a
+// boolean search, whose candidates contain them all.
+func (s *SKSearch) Terms() index.TermSet {
+	if s.last < 0 {
+		return index.TermSet{}
+	}
+	return s.x.objs[s.last].terms
+}
+
+// Limit lowers the search radius to d: no candidate farther than d is
+// emitted, and the expansion ends once its frontier passes d. A radius
+// only shrinks.
+func (s *SKSearch) Limit(d float64) {
+	s.x.f.limit = min(s.x.f.limit, d)
+}
+
 // All drains the search, returning every candidate in distance order (the
 // non-incremental use of Algorithm 3 that SEQ relies on).
-func (s *SKSearch) All() ([]Candidate, error) {
-	var out []Candidate
-	for {
-		c, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, c)
-	}
-}
+func (s *SKSearch) All() ([]Candidate, error) { return TakeArrivals(s, 0) }
 
 // Stats returns the traversal counters so far.
 func (s *SKSearch) Stats() SearchStats { return s.x.stats }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -23,18 +24,18 @@ func scanEdge(col *obj.Collection, e graph.EdgeID, ts []obj.TermID) (all []index
 	ids := append([]obj.ID(nil), col.OnEdge(e)...)
 	slices.Sort(ids)
 	for _, id := range ids {
-		o, matched := col.Get(id), 0
-		for _, q := range ts {
+		o, matched := col.Get(id), index.TermSet{}
+		for j, q := range ts {
 			if o.HasTerm(q) {
-				matched++
+				matched.Add(j)
 			}
 		}
 		ref := index.ObjectRef{ID: id, Edge: e, Offset: o.Pos.Offset}
-		if matched == len(ts) {
+		if matched.Len() == len(ts) {
 			all = append(all, ref)
 		}
-		if matched > 0 {
-			some = append(some, index.ObjectMatch{Ref: ref, Matched: matched})
+		if matched.Len() > 0 {
+			some = append(some, index.ObjectMatch{Ref: ref, Terms: matched})
 		}
 	}
 	return all, some
@@ -59,7 +60,7 @@ func checkIndex(t *testing.T, step string, rd index.Loader, col *obj.Collection,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(any, some) {
+		if !reflect.DeepEqual(any, some) {
 			t.Fatalf("%s: LoadObjectsAny(edge %d, %v)\n got %v\nwant %v", step, e, ts, any, some)
 		}
 	}
@@ -197,7 +198,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got, p.want) {
+			if !reflect.DeepEqual(got, p.want) {
 				t.Fatalf("%s: the snapshot at LSN 0 reads edge %d differently beside %d commits\n got %v\nwant %v", kind, edge, lsn, got, p.want)
 			}
 		}

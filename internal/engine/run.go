@@ -186,12 +186,12 @@ func (e *Engine) SearchCollective(ctx context.Context, at Snapshot, q core.Colle
 	return s.end(Result{Collective: &group, Stats: stats, Trace: trace}, err)
 }
 
-// Stream is an incremental boolean search: candidates are pulled one at a
-// time in non-decreasing network distance, so a consumer can stop early
-// (the access pattern Algorithm 6 exploits internally). It stops with an
-// error matching core.ErrCanceled or core.ErrDeadlineExceeded once its
-// context ends. A stream is accounted like any other query — one sample,
-// one trace — when it is exhausted, stopped or failed.
+// Stream is an incremental search: candidates are pulled one at a time in
+// non-decreasing network distance, so a consumer can stop early (the
+// access pattern every query family exploits). It stops with an error
+// matching core.ErrCanceled or core.ErrDeadlineExceeded once its context
+// ends. A stream is accounted like any other query — one sample, one
+// trace — when it is exhausted, stopped or failed.
 type Stream struct {
 	search  *core.SKSearch
 	span    span
@@ -207,6 +207,23 @@ type Stream struct {
 func (e *Engine) Stream(ctx context.Context, at Snapshot, q core.SKQuery, release func()) (*Stream, error) {
 	s, loader := e.begin(metrics.KindStream, at)
 	search, err := core.NewSKSearch(ctx, e.File, loader, q)
+	return s.stream(search, err, release)
+}
+
+// StreamAny is Stream with OR semantics: the objects containing at least
+// one query term, with Stream.Terms reporting which. The index must
+// provide union (OR) loads (Engine.Union).
+func (e *Engine) StreamAny(ctx context.Context, at Snapshot, q core.SKQuery, release func()) (*Stream, error) {
+	s, loader, err := e.beginUnion(metrics.KindStream, at)
+	if err != nil {
+		return nil, err
+	}
+	search, err := core.NewSKSearchAny(ctx, e.File, loader, q)
+	return s.stream(search, err, release)
+}
+
+// stream wraps a search begun in s, accounting a failed start at once.
+func (s span) stream(search *core.SKSearch, err error, release func()) (*Stream, error) {
 	if err != nil {
 		_, err = s.end(Result{}, err)
 		return nil, err
@@ -222,6 +239,15 @@ func (s *Stream) Next() (c core.Candidate, ok bool, err error) {
 	}
 	return c, ok, err
 }
+
+// Terms reports which query terms the candidate Next returned last
+// contains, as positions in the query's terms (StreamAny; a boolean
+// stream's candidates contain them all and report the empty set).
+func (s *Stream) Terms() index.TermSet { return s.search.Terms() }
+
+// Limit lowers the stream's radius to d: no candidate farther than d
+// follows, and the expansion ends once it passes d.
+func (s *Stream) Limit(d float64) { s.search.Limit(d) }
 
 // Stop abandons the stream early.
 func (s *Stream) Stop() {

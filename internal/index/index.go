@@ -7,6 +7,7 @@ package index
 
 import (
 	"context"
+	"math/bits"
 
 	"dsks/internal/graph"
 	"dsks/internal/obj"
@@ -33,20 +34,60 @@ type Loader interface {
 }
 
 // UnionLoader additionally loads with OR semantics: the objects on an edge
-// containing at least one of the query terms, together with how many they
-// contain. The ranked spatial keyword query (top-k by combined spatial and
-// textual score) is built on it.
+// containing at least one of the query terms, together with which ones they
+// contain. The ranked and collective queries are built on it.
 type UnionLoader interface {
 	Loader
 	// LoadObjectsAny returns, for each object on e containing at least one
-	// term, the number of distinct query terms it contains.
+	// term, the set of terms it contains, as positions in terms.
 	LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]ObjectMatch, error)
 }
 
-// ObjectMatch is a union-load result: the object plus its term overlap.
+// ObjectMatch is a union-load result: the object plus the query terms it
+// contains.
 type ObjectMatch struct {
-	Ref     ObjectRef
-	Matched int // distinct query terms the object contains (>= 1)
+	Ref   ObjectRef
+	Terms TermSet // positions in the load's term list (never empty)
+}
+
+// TermSet is a set of positions in a query's term list: position i stands
+// for terms[i]. Lists of up to 64 terms fit in one word and cost no
+// allocation; longer lists spill into further words, so there is no cap.
+// The zero value is the empty set.
+type TermSet struct {
+	low  uint64   // positions 0-63
+	high []uint64 // positions 64 and up
+}
+
+// Add puts position i into the set.
+func (s *TermSet) Add(i int) {
+	if i < 64 {
+		s.low |= 1 << uint(i)
+		return
+	}
+	w := i/64 - 1
+	for len(s.high) <= w {
+		s.high = append(s.high, 0)
+	}
+	s.high[w] |= 1 << uint(i%64)
+}
+
+// Has reports whether position i is in the set.
+func (s TermSet) Has(i int) bool {
+	if i < 64 {
+		return s.low&(1<<uint(i)) != 0
+	}
+	w := i/64 - 1
+	return w < len(s.high) && s.high[w]&(1<<uint(i%64)) != 0
+}
+
+// Len is the number of positions in the set.
+func (s TermSet) Len() int {
+	n := bits.OnesCount64(s.low)
+	for _, w := range s.high {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Sizer is implemented by indexes that can report their on-disk footprint.

@@ -595,8 +595,8 @@ func (rd Reader) LoadObjects(ctx context.Context, e graph.EdgeID, terms []obj.Te
 }
 
 // LoadObjectsAny implements index.UnionLoader: objects on e containing at
-// least one query term, with their distinct-term match counts (the OR
-// semantics of the ranked spatial keyword query), in ascending object ID.
+// least one query term, with the terms each contains (the OR semantics of
+// the ranked and collective queries), in ascending object ID.
 // Like LoadObjects it merges the object-sorted lists of the terms, into
 // two slices that swap roles from term to term.
 func (rd Reader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]index.ObjectMatch, error) {
@@ -605,7 +605,7 @@ func (rd Reader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj
 	}
 	z := rd.Coder.EdgeZCode(e)
 	var union, spare []index.ObjectMatch
-	for _, t := range terms {
+	for j, t := range terms {
 		ps, err := rd.TermPostingsCtx(ctx, t, e, z)
 		if err != nil {
 			return nil, err
@@ -625,7 +625,7 @@ func (rd Reader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []obj
 				m = union[i]
 				i++
 			}
-			m.Matched++
+			m.Terms.Add(j)
 			merged = append(merged, m)
 		}
 		merged = append(merged, union[i:]...)

@@ -474,17 +474,17 @@ func checkUnion(t testing.TB, col *obj.Collection, e graph.EdgeID, ts []obj.Term
 	ids := append([]obj.ID(nil), col.OnEdge(e)...)
 	slices.Sort(ids)
 	for _, id := range ids {
-		o, matched := col.Get(id), 0
-		for _, q := range ts {
+		o, matched := col.Get(id), index.TermSet{}
+		for j, q := range ts {
 			if o.HasTerm(q) {
-				matched++
+				matched.Add(j)
 			}
 		}
-		if matched > 0 {
-			want = append(want, index.ObjectMatch{Ref: index.ObjectRef{ID: id, Edge: e, Offset: o.Pos.Offset}, Matched: matched})
+		if matched.Len() > 0 {
+			want = append(want, index.ObjectMatch{Ref: index.ObjectRef{ID: id, Edge: e, Offset: o.Pos.Offset}, Terms: matched})
 		}
 	}
-	if !slices.Equal(got, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("edge %d terms %v: union load\n got %v\nwant %v", e, ts, got, want)
 	}
 }

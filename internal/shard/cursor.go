@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
+	"time"
 
 	"dsks"
 	"dsks/internal/core"
@@ -13,7 +15,8 @@ import (
 // arrival overall is the least (distance, global ID) among the legs' heads.
 // Shards are edge-disjoint and every leg measures distance on the full
 // network, so the merged sequence is the one an unsharded expansion
-// produces, and Algorithm 6 runs over it unchanged (core.ArrivalSource).
+// produces, and every query family runs over it unchanged
+// (core.ArrivalSource).
 //
 // A leg is pulled only when its head is needed: all of them before the
 // first arrival, then the one whose head was delivered last — so a leg is
@@ -21,25 +24,31 @@ import (
 type legMerge struct {
 	legs    []core.ArrivalSource
 	heads   []dsks.Candidate
+	terms   []dsks.TermSet      // each head's matched terms (OR legs)
 	order   minheap.Heap[int32] // key head distance, ID head object, Val leg index
 	refill  int                 // the leg whose head was delivered last; -1 when every head stands
+	limit   float64             // the radius Limit lowered the merge to
+	pulling time.Duration       // time spent inside the legs' Next
 	primed  bool
 	stopped bool
 	err     error
 }
 
 func newLegMerge(legs []core.ArrivalSource) *legMerge {
-	return &legMerge{legs: legs, heads: make([]dsks.Candidate, len(legs)), refill: -1}
+	return &legMerge{legs: legs, heads: make([]dsks.Candidate, len(legs)),
+		terms: make([]dsks.TermSet, len(legs)), refill: -1, limit: math.Inf(1)}
 }
 
 // pull moves leg i's next candidate into its head; an exhausted leg leaves
 // the merge.
 func (m *legMerge) pull(i int) error {
+	start := time.Now()
 	c, ok, err := m.legs[i].Next()
+	m.pulling += time.Since(start)
 	if err != nil || !ok {
 		return err
 	}
-	m.heads[i] = c
+	m.heads[i], m.terms[i] = c, m.legs[i].Terms()
 	m.order.Push(c.Dist, int32(c.Ref.ID), int32(i))
 	return nil
 }
@@ -63,11 +72,28 @@ func (m *legMerge) Next() (dsks.Candidate, bool, error) {
 		}
 	}
 	m.refill = -1
-	if m.order.Len() == 0 {
+	if m.order.Len() == 0 || m.order.Min().Key > m.limit {
 		return dsks.Candidate{}, false, nil
 	}
 	m.refill = int(m.order.Pop().Val)
 	return m.heads[m.refill], true, nil
+}
+
+// Terms reports the matched terms of the arrival Next returned last.
+func (m *legMerge) Terms() dsks.TermSet {
+	if m.refill < 0 {
+		return dsks.TermSet{}
+	}
+	return m.terms[m.refill]
+}
+
+// Limit lowers every leg's radius to d; a head already pulled from past d
+// is never delivered.
+func (m *legMerge) Limit(d float64) {
+	m.limit = min(m.limit, d)
+	for _, l := range m.legs {
+		l.Limit(d)
+	}
 }
 
 // Stop stops every leg, each exactly once however often it is called.
@@ -92,20 +118,24 @@ type opened struct {
 	ok   bool           // false: st is exhausted
 }
 
-// legCursor is one routed shard's leg of a diversified query: the shard's
-// boolean stream, pulled one candidate at a time on the request goroutine,
-// its object IDs rewritten to global ones as they are pulled. The failover
-// protocol's unit is the cursor's open (the stream's eager first edge load
-// plus the first pull, which is where a dead shard shows — retried, hedged
-// and failed over by runLeg) and then each later pull (one node settle:
-// retried and failed over, never hedged). Either way a replacement stream
-// is fast-forwarded past the last candidate the merge took, so the merge
-// never sees one twice.
+// legCursor is one routed shard's leg of a query: the shard's stream —
+// boolean, or OR for ranked and collective — pulled one candidate at a
+// time on the request goroutine, its object IDs rewritten to global ones
+// as they are pulled. The failover protocol's unit is the cursor's open
+// (the stream's eager first edge load plus the first pull, which is where
+// a dead shard shows — retried, hedged and failed over by runLeg) and then
+// each later pull (one node settle: retried and failed over, never
+// hedged). Either way a replacement stream is fast-forwarded past the last
+// candidate the merge took, so the merge never sees one twice.
 type legCursor struct {
 	mv    *MultiView
 	ctx   context.Context
 	shard int
 	q     dsks.SKQuery
+	// open starts the leg's stream on a view: (*dsks.View).Stream, or
+	// StreamAny for an OR leg.
+	open  func(v *dsks.View, ctx context.Context, q dsks.SKQuery) (*dsks.Stream, error)
+	limit float64 // the radius Limit lowered the leg to; a replacement stream starts there
 
 	st      *dsks.Stream       // the live stream; nil before the open and once retired
 	release context.CancelFunc // ends st's context when a race made one
@@ -115,8 +145,9 @@ type legCursor struct {
 	failover bool // see adopt
 
 	started bool
-	done    bool   // exhausted, failed or stopped
-	last    legKey // the last candidate handed to the merge
+	done    bool         // exhausted, failed or stopped
+	last    legKey       // the last candidate handed to the merge
+	terms   dsks.TermSet // its matched terms
 
 	res dsks.Result // the retired streams' envelopes, folded
 	err error       // the failure that ended the leg, classified by legError
@@ -131,36 +162,36 @@ type legKey struct {
 	id    dsks.ObjectID
 }
 
-// cursors builds the diversified query's leg cursors, unopened, and counts
-// the fan-out like every other query's.
+// cursors builds a query's boolean leg cursors, unopened, and counts the
+// fan-out.
 func (mv *MultiView) cursors(ctx context.Context, targets []int, q dsks.SKQuery) []*legCursor {
 	s := mv.set
 	s.legsTotal.Add(int64(len(targets)))
 	s.pruneTotal.Add(int64(len(mv.views) - len(targets)))
 	cs := make([]*legCursor, len(targets))
 	for k, si := range targets {
-		cs[k] = &legCursor{mv: mv, ctx: ctx, shard: si, q: q, release: noCancel}
+		cs[k] = &legCursor{mv: mv, ctx: ctx, shard: si, q: q, open: (*dsks.View).Stream, limit: q.DeltaMax, release: noCancel}
 	}
 	return cs
 }
 
 // ops is the cursor's unit of work for the failover protocol: open a
-// stream and bring it to the candidate after the last one taken. Both
-// sides may run at once, and the loser of a hedged open past the call that
-// started it, so they work from a copy of the position and never touch the
-// cursor's state.
-func (c *legCursor) ops() legOps[opened] {
-	after := c.last
-	return legOps[opened]{
+// stream within the leg's radius and bring it to the candidate after the
+// last one taken. Both sides may run at once, and the loser of a hedged
+// open past the call that started it, so they work from a copy of the
+// position and the radius and never touch the cursor's state.
+func (c *legCursor) ops() legOps {
+	after, limit := c.last, c.limit
+	return legOps{
 		primary: func(ctx context.Context) (opened, error) {
-			return c.openOn(ctx, c.mv.views[c.shard], nil, after)
+			return c.openOn(ctx, c.mv.views[c.shard], nil, after, limit)
 		},
 		replica: func(ctx context.Context) (opened, error) {
 			rv, err := c.mv.pinReplica(ctx, c.shard)
 			if err != nil {
 				return opened{}, err
 			}
-			o, err := c.openOn(ctx, rv, rv, after)
+			o, err := c.openOn(ctx, rv, rv, after, limit)
 			if err != nil {
 				rv.Close()
 			}
@@ -175,13 +206,14 @@ func (c *legCursor) ops() legOps[opened] {
 	}
 }
 
-// openOn starts a stream on v and advances it to the first candidate past
-// after. A stream that fails has accounted itself.
-func (c *legCursor) openOn(ctx context.Context, v, rv *dsks.View, after legKey) (opened, error) {
-	st, err := v.Stream(ctx, c.q)
+// openOn starts a stream on v within limit and advances it to the first
+// candidate past after. A stream that fails has accounted itself.
+func (c *legCursor) openOn(ctx context.Context, v, rv *dsks.View, after legKey, limit float64) (opened, error) {
+	st, err := c.open(v, ctx, c.q)
 	if err != nil {
 		return opened{}, err
 	}
+	st.Limit(limit)
 	o := opened{st: st, rv: rv}
 	o.next, o.ok, err = c.advance(st, after)
 	return o, err
@@ -190,8 +222,7 @@ func (c *legCursor) openOn(ctx context.Context, v, rv *dsks.View, after legKey) 
 // advance pulls st's next candidate under its global ID. A replacement
 // stream is fast-forwarded past the after key (the zero key skips
 // nothing). The sequence is deterministic for a pinned LSN; a replica
-// within the staleness bound may differ, exactly as a failed-over scatter
-// leg may.
+// within the staleness bound may differ by what it has not applied yet.
 func (c *legCursor) advance(st *dsks.Stream, after legKey) (dsks.Candidate, bool, error) {
 	for {
 		cand, ok, err := st.Next()
@@ -242,7 +273,20 @@ func (c *legCursor) Next() (cand dsks.Candidate, ok bool, err error) {
 		return dsks.Candidate{}, false, nil
 	}
 	c.last = legKey{taken: true, dist: cand.Dist, id: cand.Ref.ID}
+	c.terms = c.st.Terms()
 	return cand, true, nil
+}
+
+// Terms reports the matched terms of the candidate Next returned last.
+func (c *legCursor) Terms() dsks.TermSet { return c.terms }
+
+// Limit lowers the leg's radius to d: its live stream's, and that of any
+// stream a failover opens in its place.
+func (c *legCursor) Limit(d float64) {
+	c.limit = min(c.limit, d)
+	if c.st != nil {
+		c.st.Limit(d)
+	}
 }
 
 // adopt makes the protocol's product the cursor's live stream.

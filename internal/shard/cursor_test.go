@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -36,7 +38,9 @@ func (l *fakeLeg) Next() (dsks.Candidate, bool, error) {
 	return l.cands[l.next-1], true, nil
 }
 
-func (l *fakeLeg) Stop() { l.stops++ }
+func (l *fakeLeg) Terms() dsks.TermSet { return dsks.TermSet{} }
+func (l *fakeLeg) Limit(float64)       {}
+func (l *fakeLeg) Stop()               { l.stops++ }
 
 // TestLegMergeReproducesArrivalOrder: over a random partition of one
 // sorted arrival list into 1–6 legs the merge reproduces the list — ties on
@@ -149,6 +153,84 @@ func TestLegMergeReproducesArrivalOrder(t *testing.T) {
 	}
 }
 
+// FuzzLegMerge: an arbitrary (distance, ID) multiset split into legs, each
+// in (distance, ID) order, merges into the sorted union; after every
+// delivered arrival no leg has been read more than one head past what the
+// merge delivered from it; and once Limit lowers the merge's radius
+// mid-stream, nothing farther is delivered, whatever the legs still hold.
+func FuzzLegMerge(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0, 0, 1, 1, 1, 2, 2})
+	f.Add([]byte{1})
+	f.Add([]byte{0x85, 5, 5, 5, 5, 5, 5, 0, 0, 0, 7, 31, 4, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		nlegs, limitAt := 1+int(data[0]&0x7f)%6, -1
+		legs := make([]*fakeLeg, nlegs)
+		for i := range legs {
+			legs[i] = &fakeLeg{failAt: -1}
+		}
+		var want []dsks.Candidate
+		for b := data[1:]; len(b) >= 3; b = b[3:] {
+			var c dsks.Candidate
+			c.Dist, c.Ref.ID = float64(b[0]%8), dsks.ObjectID(b[1]%32)
+			l := legs[int(b[2])%nlegs]
+			l.cands = append(l.cands, c)
+			want = append(want, c)
+		}
+		byKey := func(a, b dsks.Candidate) int {
+			if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Ref.ID, b.Ref.ID)
+		}
+		for _, l := range legs {
+			slices.SortFunc(l.cands, byKey)
+		}
+		slices.SortFunc(want, byKey)
+		if data[0]&0x80 != 0 && len(want) > 0 {
+			limitAt = len(want) / 2
+		}
+
+		sources := make([]core.ArrivalSource, nlegs)
+		for i, l := range legs {
+			sources[i] = l
+		}
+		m := newLegMerge(sources)
+		taken := make([]int, nlegs)
+		for i := 0; ; i++ {
+			if i == limitAt {
+				d := want[i].Dist
+				m.Limit(d)
+				for len(want) > i && want[len(want)-1].Dist > d {
+					want = want[:len(want)-1]
+				}
+			}
+			c, ok, err := m.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if i != len(want) {
+					t.Fatalf("the merge ended after %d of %d arrivals", i, len(want))
+				}
+				break
+			}
+			if i >= len(want) || c != want[i] {
+				t.Fatalf("arrival %d is (%v, %d), want %v", i, c.Dist, c.Ref.ID, want[min(i, len(want)-1):])
+			}
+			taken[m.refill]++
+			for j, l := range legs {
+				if l.next > taken[j]+1 {
+					t.Fatalf("after %d arrivals leg %d was read %d times for %d delivered", i+1, j, l.next, taken[j])
+				}
+			}
+		}
+		m.Stop()
+	})
+}
+
 // divQuery is the single-keyword query of the fan-out tests as a
 // diversified one, at a radius that still gives every shard a leg but only
 // a dozen-odd candidates; a low λ keeps Algorithm 6 reading them to the end.
@@ -164,7 +246,7 @@ func divQuery(t *testing.T, ds *dsks.Dataset) dsks.DivQuery {
 func diversifyTraced(ctx context.Context, mv *MultiView, q dsks.DivQuery) (dsks.Result, []*legCursor, error) {
 	targets := mv.set.routed(q.Pos, q.DeltaMax, q.Terms, true)
 	cursors := mv.cursors(ctx, targets, q.SKQuery)
-	res, err := mv.diversify(ctx, targets, cursors, q)
+	res, _, err := mv.merge(targets, cursors, mv.diversifyArrivals(ctx, q))
 	return res, cursors, err
 }
 

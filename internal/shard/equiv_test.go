@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -94,16 +95,51 @@ func workloadQueries(t *testing.T, ds *dsks.Dataset, n int, seed int64) []dsks.W
 	return ws
 }
 
+// collectiveQueries is a three-keyword collective workload at twice the
+// generator's radius whose terms come from three different queries, so
+// one object rarely covers them all and a group mixes objects, often
+// across shard boundaries.
+func collectiveQueries(t *testing.T, ds *dsks.Dataset, n int, seed int64) []dsks.CollectiveQuery {
+	t.Helper()
+	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
+		NumQueries: n, Keywords: 3, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]dsks.CollectiveQuery, n)
+	for i, w := range ws {
+		terms := make([]dsks.TermID, 3)
+		for j := range terms {
+			terms[j] = ws[(i+j)%n].Terms[j]
+		}
+		out[i] = dsks.CollectiveQuery{Pos: w.Pos, Terms: terms, DeltaMax: 2 * w.DeltaMax}
+	}
+	return out
+}
+
 // TestShardSingleNodeEquivalence is the shard/single-node property test:
 // the same query mix against 1-, 2- and 4-shard sets and an unsharded
-// database over the same dataset must produce identical boolean, kNN and
-// ranked results, and — the router runs the single node's Algorithm 6 over
-// the single node's arrival sequence — the identical diversified answer at
-// the identical cost, before and after the same mutations.
+// database over the same dataset must produce identical boolean, kNN,
+// ranked and collective results, and — the router runs the single node's
+// Algorithm 6 over the single node's arrival sequence — the identical
+// diversified answer at the identical cost, before and after the same
+// mutations. A router kNN computes at most one candidate per extra leg
+// beyond the single node's: the head the merge compared.
 func TestShardSingleNodeEquivalence(t *testing.T) {
 	single, sets, ds := equivFixture(t, []int{1, 2, 4}, dsks.Options{Index: dsks.IndexSIF})
 	ctx := context.Background()
 	ws := workloadQueries(t, ds, 25, 11)
+	cqs := collectiveQueries(t, ds, 50, 11)
+	absent := unusedTerms(t, ds, 2)
+	cqs = append(cqs,
+		// Absent terms, duplicated and unsorted: no shard is routed, and
+		// the uncovered list is the normalized terms on both sides.
+		dsks.CollectiveQuery{Pos: ws[0].Pos, Terms: []dsks.TermID{absent[0], absent[0]}, DeltaMax: ws[0].DeltaMax},
+		dsks.CollectiveQuery{Pos: ws[0].Pos, Terms: []dsks.TermID{absent[1], absent[0], absent[1]}, DeltaMax: ws[0].DeltaMax},
+		dsks.CollectiveQuery{Pos: ws[1].Pos, Terms: []dsks.TermID{absent[1], ws[1].Terms[0], absent[0]}, DeltaMax: ws[1].DeltaMax},
+		// More terms than one word of a term set holds.
+		dsks.CollectiveQuery{Pos: ws[2].Pos, Terms: firstTerms(70), DeltaMax: 2 * ws[2].DeltaMax})
 
 	early, pruned, multiLeg := 0, int64(0), 0
 	check := func(phase string) {
@@ -148,20 +184,24 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 				}
 				sortCandidates(skres.Candidates)
 				requireSameCandidates(t, tag+"knn "+itoa(qi), skres.Candidates, mkres.Candidates)
+				if legs := int64(len(mv.Meta().Queried)); legs > 0 && mkres.Stats.Candidates > skres.Stats.Candidates+legs-1 {
+					t.Fatalf("%sknn %d: the router computed %d candidates over %d legs, the single node %d",
+						tag, qi, mkres.Stats.Candidates, legs, skres.Stats.Candidates)
+				}
 
-				// Ranked: identical (score, dist) sequences, tie-tolerant IDs.
-				rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: 0.5, DeltaMax: w.DeltaMax}
-				srres, err := sv.SearchRanked(ctx, rq)
-				if err != nil {
-					t.Fatal(err)
+				// Ranked: the same objects at the same scores in the same order.
+				for _, alpha := range []float64{0, 0.5, 1} {
+					rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: alpha, DeltaMax: w.DeltaMax}
+					srres, err := sv.SearchRanked(ctx, rq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mrres, err := mv.SearchRanked(ctx, rq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameRanked(t, fmt.Sprintf("%sranked %d (α=%v)", tag, qi, alpha), srres.Ranked, mrres.Ranked)
 				}
-				mrres, err := mv.SearchRanked(ctx, rq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sortRanked(srres.Ranked)
-				sortRanked(mrres.Ranked)
-				requireSameRanked(t, tag+"ranked "+itoa(qi), srres.Ranked, mrres.Ranked)
 
 				// Diversified: the same set in the same order at the same
 				// cost, over the whole (k, λ) grid — and with k beyond the
@@ -185,6 +225,10 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 						}
 					}
 				}
+			}
+
+			for qi, cq := range cqs {
+				requireSameCollective(t, tag+"collective "+itoa(qi), sv, mv, cq)
 			}
 
 			// A query no shard can hold a match for routes nowhere: an
@@ -361,8 +405,24 @@ func requireSameAnswer(t *testing.T, tag string, want, got dsks.Result) {
 	}
 }
 
+// firstTerms lists the terms n-1 down to 0.
+func firstTerms(n int) []dsks.TermID {
+	out := make([]dsks.TermID, n)
+	for i := range out {
+		out[i] = dsks.TermID(n - 1 - i)
+	}
+	return out
+}
+
 // unusedTerm finds a vocabulary term no object of ds carries.
 func unusedTerm(t testing.TB, ds *dsks.Dataset) dsks.TermID {
+	t.Helper()
+	return unusedTerms(t, ds, 1)[0]
+}
+
+// unusedTerms finds the n smallest vocabulary terms no object of ds
+// carries.
+func unusedTerms(t testing.TB, ds *dsks.Dataset, n int) []dsks.TermID {
 	t.Helper()
 	used := make([]bool, ds.VocabSize)
 	for id := 0; id < ds.Objects.Len(); id++ {
@@ -370,47 +430,54 @@ func unusedTerm(t testing.TB, ds *dsks.Dataset) dsks.TermID {
 			used[term] = true
 		}
 	}
+	var out []dsks.TermID
 	for term, u := range used {
-		if !u {
-			return dsks.TermID(term)
+		if !u && len(out) < n {
+			out = append(out, dsks.TermID(term))
 		}
 	}
-	t.Fatal("every vocabulary term is in use")
-	return 0
+	if len(out) < n {
+		t.Fatalf("fewer than %d vocabulary terms are unused", n)
+	}
+	return out
 }
 
-// sortRanked applies the router's merge order so tie groups line up on
-// both sides before the position-wise comparison.
-func sortRanked(rs []dsks.RankedResult) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
-		}
-		if rs[i].Dist != rs[j].Dist {
-			return rs[i].Dist < rs[j].Dist
-		}
-		return rs[i].Ref.ID < rs[j].Ref.ID
-	})
-}
-
+// requireSameRanked asserts two ranked answers are one: the same objects
+// at the same distances and scores in the same order.
 func requireSameRanked(t *testing.T, tag string, want, got []dsks.RankedResult) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d results, want %d", tag, len(got), len(want))
 	}
 	for i := range want {
-		if math.Abs(want[i].Score-got[i].Score) > 1e-9 || math.Abs(want[i].Dist-got[i].Dist) > 1e-9 {
-			t.Fatalf("%s: rank %d (score %v, dist %v), want (%v, %v)",
-				tag, i, got[i].Score, got[i].Dist, want[i].Score, want[i].Dist)
+		if got[i] != want[i] {
+			t.Fatalf("%s: rank %d is object %d (score %v, dist %v), want %d (%v, %v)", tag, i,
+				got[i].Ref.ID, got[i].Score, got[i].Dist, want[i].Ref.ID, want[i].Score, want[i].Dist)
 		}
-		if want[i].Ref.ID == got[i].Ref.ID {
-			continue
-		}
-		tied := (i > 0 && want[i-1].Score == want[i].Score) ||
-			(i+1 < len(want) && want[i+1].Score == want[i].Score)
-		if !tied {
-			t.Fatalf("%s: rank %d is object %d, want %d", tag, i, got[i].Ref.ID, want[i].Ref.ID)
-		}
+	}
+}
+
+// requireSameCollective runs cq on the single node and on the router and
+// asserts one group: the same members at the same distances, the same
+// cost, and the same uncovered terms.
+func requireSameCollective(t *testing.T, tag string, sv *dsks.View, mv *MultiView, cq dsks.CollectiveQuery) {
+	t.Helper()
+	ctx := context.Background()
+	want, err := sv.SearchCollective(ctx, cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mv.SearchCollective(ctx, cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameGroup(t, tag, *want.Collective, *got.Collective)
+}
+
+func requireSameGroup(t *testing.T, tag string, want, got dsks.CollectiveResult) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: group %+v, want %+v", tag, got, want)
 	}
 }
 
@@ -426,4 +493,166 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b[n:])
+}
+
+// TestCollectiveMatchesReference: on tiny worlds the collective group of
+// one node and of 2- and 4-shard routers is the reference's — the
+// set-cover greedy written from the query's definition over a linear scan
+// of the objects, with distances from the graph's own Dijkstra.
+func TestCollectiveMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	groups, covered := 0, 0
+	for _, seed := range []int64{1, 2, 3} {
+		open := func() *dsks.Dataset {
+			ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		}
+		ds := open()
+		single, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexSIF})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = single.Close() })
+		sv, err := single.View(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sv.Close()
+		var mvs []*MultiView
+		for _, n := range []int{2, 4} {
+			ds2 := open()
+			set, err := Open(ds2.Graph, ds2.Objects, ds2.VocabSize, n, Options{DB: dsks.Options{Index: dsks.IndexSIF}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = set.Close() })
+			mv, err := set.View(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mv.Close()
+			mvs = append(mvs, mv)
+		}
+		cqs := append(collectiveQueries(t, ds, 30, seed),
+			dsks.CollectiveQuery{Pos: ds.Objects.Get(0).Pos, Terms: firstTerms(ds.VocabSize), DeltaMax: 4000})
+		for qi, cq := range cqs {
+			want := referenceCollective(ds.Graph, ds.Objects, cq)
+			tag := fmt.Sprintf("seed %d, query %d", seed, qi)
+			got, err := sv.SearchCollective(ctx, cq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireGroupNear(t, tag+", one node", want, *got.Collective)
+			for _, mv := range mvs {
+				requireSameCollective(t, fmt.Sprintf("%s, %d shards", tag, len(mv.views)), sv, mv, cq)
+			}
+			if len(want.Objects) > 1 {
+				groups++
+			}
+			if want.Covered {
+				covered++
+			}
+		}
+	}
+	if groups == 0 || covered == 0 {
+		t.Fatalf("vacuous workload: %d groups of two or more, %d covered", groups, covered)
+	}
+}
+
+// referenceCollective is the collective query written from its definition,
+// independent of core: every live object within δmax that holds a query
+// keyword, by (distance, ID); then, until every keyword is covered or none
+// can be, the object with the lowest distance per newly covered keyword,
+// the earlier one on a tie.
+func referenceCollective(g *dsks.Graph, col *dsks.Collection, q dsks.CollectiveQuery) dsks.CollectiveResult {
+	need := map[dsks.TermID]bool{}
+	for _, t := range q.Terms {
+		need[t] = true
+	}
+	type cand struct {
+		c   dsks.Candidate
+		has []dsks.TermID
+	}
+	var cands []cand
+	for id := 0; id < col.Len(); id++ {
+		oid := dsks.ObjectID(id)
+		if col.Removed(oid) {
+			continue
+		}
+		o := col.Get(oid)
+		var has []dsks.TermID
+		for _, t := range o.Terms {
+			if need[t] {
+				has = append(has, t)
+			}
+		}
+		if len(has) == 0 {
+			continue
+		}
+		if d := g.NetworkDist(q.Pos, o.Pos); d <= q.DeltaMax {
+			c := dsks.Candidate{Dist: d}
+			c.Ref.ID, c.Ref.Edge, c.Ref.Offset = oid, o.Pos.Edge, o.Pos.Offset
+			cands = append(cands, cand{c, has})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].c.Dist != cands[j].c.Dist {
+			return cands[i].c.Dist < cands[j].c.Dist
+		}
+		return cands[i].c.Ref.ID < cands[j].c.Ref.ID
+	})
+	var res dsks.CollectiveResult
+	for len(need) > 0 {
+		best, bestRatio := -1, math.Inf(1)
+		for i, c := range cands {
+			gain := 0
+			for _, t := range c.has {
+				if need[t] {
+					gain++
+				}
+			}
+			if gain > 0 && c.c.Dist/float64(gain) < bestRatio {
+				best, bestRatio = i, c.c.Dist/float64(gain)
+			}
+		}
+		if best < 0 {
+			break
+		}
+		res.Objects = append(res.Objects, cands[best].c)
+		res.Cost += cands[best].c.Dist
+		for _, t := range cands[best].has {
+			delete(need, t)
+		}
+	}
+	res.Covered = len(need) == 0
+	for t := range need {
+		res.Uncovered = append(res.Uncovered, t)
+	}
+	sort.Slice(res.Uncovered, func(i, j int) bool { return res.Uncovered[i] < res.Uncovered[j] })
+	sort.Slice(res.Objects, func(i, j int) bool {
+		if res.Objects[i].Dist != res.Objects[j].Dist {
+			return res.Objects[i].Dist < res.Objects[j].Dist
+		}
+		return res.Objects[i].Ref.ID < res.Objects[j].Ref.ID
+	})
+	return res
+}
+
+// requireGroupNear asserts got is the reference group want: the same
+// members and uncovered keywords, distances and cost equal up to the
+// rounding of two different shortest-path codes.
+func requireGroupNear(t *testing.T, tag string, want, got dsks.CollectiveResult) {
+	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(a)) }
+	same := got.Covered == want.Covered && reflect.DeepEqual(got.Uncovered, want.Uncovered) &&
+		len(got.Objects) == len(want.Objects) && near(got.Cost, want.Cost)
+	for i := 0; same && i < len(want.Objects); i++ {
+		same = got.Objects[i].Ref == want.Objects[i].Ref && near(got.Objects[i].Dist, want.Objects[i].Dist)
+	}
+	if !same {
+		t.Fatalf("%s: group %+v, want %+v", tag, got, want)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dsks"
+	"dsks/internal/core"
 	"dsks/internal/engine"
 	"dsks/internal/fault"
 )
@@ -210,23 +211,25 @@ func TestFanoutClientErrorsFailWhole(t *testing.T) {
 	}
 }
 
-// TestFanoutPanicIsolation: a panicking leg maps to ErrShardDown and the
-// MultiView (and all sibling views) still closes cleanly.
+// TestFanoutPanicIsolation: a leg whose stream panics maps to ErrShardDown
+// and the MultiView (and all sibling views) still closes cleanly.
 func TestFanoutPanicIsolation(t *testing.T) {
-	set, _ := testSet(t, 4, Options{DB: dsks.Options{Index: dsks.IndexSIF}})
+	set, ds := testSet(t, 4, Options{DB: dsks.Options{Index: dsks.IndexSIF}})
 	ctx := context.Background()
 	mv, err := set.View(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mv.Close()
-	legs := mv.fanout(ctx, []int{0, 1, 2, 3}, func(ctx context.Context, v *dsks.View) (dsks.Result, error) {
-		if v == mv.views[2] {
-			panic("leg exploded")
-		}
-		return dsks.Result{}, nil
+	targets := []int{0, 1, 2, 3}
+	cursors := mv.cursors(ctx, targets, wideQuery(t, ds))
+	cursors[2].open = func(*dsks.View, context.Context, dsks.SKQuery) (*dsks.Stream, error) {
+		panic("leg exploded")
+	}
+	_, _, err = mv.merge(targets, cursors, func(src core.ArrivalSource, res *dsks.Result) (err error) {
+		res.Candidates, err = core.TakeArrivals(src, 0)
+		return err
 	})
-	_, err = mv.gather([]int{0, 1, 2, 3}, legs)
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("panicked leg err = %v, want ErrShardDown", err)
 	}
@@ -237,7 +240,7 @@ func TestFanoutPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentMutationsAndQueries drives inserts and scatter
+// TestShardConcurrentMutationsAndQueries drives inserts and sharded
 // queries concurrently: no candidate may ever surface with an unmapped
 // (negative) global ID — the insert protocol publishes the mapping
 // before the object becomes visible.

@@ -1,6 +1,6 @@
 // Package shard splits the road network's object load across N
-// independent dsks databases and exposes a scatter-gather query layer
-// over them.
+// independent dsks databases and answers queries over them by merging the
+// shards' arrival streams into the unsharded one.
 //
 // The split reuses CCAM's recursive two-way bisection one level up: road
 // nodes are sorted by the Z-order code of their location and bisected

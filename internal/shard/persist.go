@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,10 +29,13 @@ type setManifest struct {
 }
 
 // SaveTo snapshots the whole set: one dsks snapshot per shard under
-// <dir>/shard-<i> plus the router manifest. Each shard snapshot is
-// crash-safe on its own (staged + atomically renamed); the manifest is
-// written last via the same rename trick, so a crash leaves either the
-// old set or the new one.
+// <dir>/shard-<i> plus the router manifest. Each shard snapshot is swapped
+// in whole (staged, fsynced, renamed), one shard after another, and the
+// manifest is installed last the same way. A crash therefore leaves every
+// shard snapshot and the manifest each either old or new, but not all of
+// one save: a shard swapped before the crash sits past the old manifest,
+// and OpenSetPath registers its extra objects under fresh global IDs, as
+// for a WAL replayed past a snapshot.
 func (s *Set) SaveTo(dir string) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -71,14 +75,33 @@ func (s *Set) SaveTo(dir string) error {
 	if err != nil {
 		return fmt.Errorf("shard: encoding manifest: %w", err)
 	}
-	tmp := filepath.Join(dir, setManifestName+".tmp")
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return fmt.Errorf("shard: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, setManifestName)); err != nil {
+	if err := installManifest(dir, blob); err != nil {
 		return fmt.Errorf("shard: installing manifest: %w", err)
 	}
 	return nil
+}
+
+// installManifest writes blob as dir's manifest: to a temporary file that
+// is fsynced before it is renamed over the old manifest, then the directory
+// is fsynced so the rename itself survives a power cut.
+func installManifest(dir string, blob []byte) error {
+	tmp := filepath.Join(dir, setManifestName+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, werr := f.Write(blob)
+	if err := errors.Join(werr, f.Sync(), f.Close()); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, setManifestName)); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // OpenSetPath reopens a sharded snapshot written by SaveTo. Every shard

@@ -23,7 +23,7 @@ var (
 	// to one shard — a storage fault, a poisoned WAL, a panic. Errors
 	// wrap both ErrShardDown and the underlying cause.
 	ErrShardDown = errors.New("shard: shard unavailable")
-	// ErrPartialResult reports a scatter-gather answer assembled from a
+	// ErrPartialResult reports a sharded answer assembled from a
 	// strict subset of the routed shards (partial-result policy only).
 	// The merged result accompanying it is coherent but may be missing
 	// candidates owned by the failed shards.

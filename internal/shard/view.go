@@ -16,7 +16,7 @@ import (
 // set's metrics registry.
 const KindMerge = metrics.KindMerge
 
-// ShardError is one failed fan-out leg in a result envelope.
+// ShardError is one failed leg in a result envelope.
 type ShardError struct {
 	Shard int    `json:"shard"`
 	Err   string `json:"error"`
@@ -94,13 +94,6 @@ func (mv *MultiView) Close() {
 	}
 }
 
-// leg is one fan-out leg's outcome.
-type leg struct {
-	shard int
-	res   dsks.Result
-	err   error
-}
-
 // clientClass reports an error the query itself caused (or its context):
 // identical on every shard, never a reason to mark a shard down.
 func clientClass(err error) bool {
@@ -122,55 +115,6 @@ func legError(shard int, err error) error {
 	return fmt.Errorf("shard: shard %d: %w: %w", shard, ErrShardDown, err)
 }
 
-// fanout scatters run over the routed shards, one goroutine per leg.
-// Cancellation propagates: under first-error-wins (the default), the
-// first shard-down failure cancels every sibling leg in flight. A panic
-// inside a leg is recovered into an ErrShardDown-class error for that
-// leg — it never tears down the request, and the sibling views stay
-// owned by the MultiView (closed by Close on every path).
-func (mv *MultiView) fanout(ctx context.Context, targets []int,
-	run func(ctx context.Context, v *dsks.View) (dsks.Result, error)) []leg {
-
-	s := mv.set
-	s.legsTotal.Add(int64(len(targets)))
-	s.pruneTotal.Add(int64(len(mv.views) - len(targets)))
-
-	legs := make([]leg, len(targets))
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for k, si := range targets {
-		legs[k].shard = si
-		wg.Add(1)
-		go func(k, si int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					legs[k].err = fmt.Errorf("shard: shard %d: %w: panic: %v", si, ErrShardDown, r)
-					if !s.partial {
-						cancel()
-					}
-				}
-			}()
-			s.shards[si].reqs.Add(1)
-			res, err := mv.runResultLeg(fctx, si, run)
-			legs[k].res, legs[k].err = res, err
-			if err != nil {
-				s.shards[si].errs.Add(1)
-				legs[k].err = legError(si, err)
-				if !s.partial && !clientClass(err) {
-					cancel()
-				}
-			}
-		}(k, si)
-	}
-	wg.Wait()
-	return legs
-}
-
-// legFunc runs one query against one pinned view.
-type legFunc func(ctx context.Context, v *dsks.View) (dsks.Result, error)
-
 // Per-leg retry backoff: small enough to fit several attempts inside a
 // request timeout, jittered so concurrent legs don't retry in lockstep.
 const (
@@ -179,15 +123,13 @@ const (
 )
 
 // legOps is a leg's unit of work under the failover protocol, on either
-// side of it. The scatter families run the whole leg (T is its Result);
-// the diversified merge opens a cursor, or resumes one, up to its next
-// candidate (T is the opened stream). discard releases a product the
-// protocol obtained and nobody will use: the side of a race that answered
-// second.
-type legOps[T any] struct {
-	primary func(ctx context.Context) (T, error) // on the request's pinned view
-	replica func(ctx context.Context) (T, error) // on a replica view pinned for the attempt
-	discard func(T)
+// side of it: open a cursor's stream, or reopen it, up to its next
+// candidate. discard releases a stream the protocol opened and nobody will
+// use: the side of a race that answered second.
+type legOps struct {
+	primary func(ctx context.Context) (opened, error) // on the request's pinned view
+	replica func(ctx context.Context) (opened, error) // on a replica view pinned for the attempt
+	discard func(opened)
 }
 
 // noCancel is the release of a product made under the request's own
@@ -210,10 +152,9 @@ func noCancel() {}
 // count against the primary — client-class errors (bad query, canceled
 // context) are the request's fault and stay neutral.
 //
-// The returned release ends the context the product was made under; a
-// product that outlives the call (an open stream) is released when its
-// owner is done with it, any other at once.
-func runLeg[T any](ctx context.Context, mv *MultiView, si int, ops legOps[T]) (T, context.CancelFunc, error) {
+// The returned release ends the context the stream was opened under; the
+// cursor calls it when it is done with the stream.
+func runLeg(ctx context.Context, mv *MultiView, si int, ops legOps) (opened, context.CancelFunc, error) {
 	s := mv.set
 	st := &s.shards[si]
 	if mv.direct(si) {
@@ -240,20 +181,9 @@ func (mv *MultiView) direct(si int) bool {
 	return (mv.srcs != nil && mv.srcs[si] != srcPrimary) || len(mv.set.shards[si].replicas) == 0
 }
 
-// runResultLeg is runLeg for a scatter family: the unit is the whole leg.
-func (mv *MultiView) runResultLeg(ctx context.Context, si int, run legFunc) (dsks.Result, error) {
-	res, release, err := runLeg(ctx, mv, si, legOps[dsks.Result]{
-		primary: func(ctx context.Context) (dsks.Result, error) { return run(ctx, mv.views[si]) },
-		replica: func(ctx context.Context) (dsks.Result, error) { return mv.replicaLeg(ctx, si, run) },
-		discard: func(dsks.Result) {},
-	})
-	release()
-	return res, err
-}
-
 // legOutcome is one side's result in the primary/replica race.
-type legOutcome[T any] struct {
-	val     T
+type legOutcome struct {
+	val     opened
 	err     error
 	primary bool
 }
@@ -266,7 +196,7 @@ type legOutcome[T any] struct {
 // holds outlives it. hedge false runs the same ladder unraced — retries,
 // then failover — and prior, when set, stands for a first primary attempt
 // that already failed (a cursor's pull): the ladder starts at its backoff.
-func racePrimary[T any](ctx context.Context, mv *MultiView, si, retries int, hedge bool, prior error, ops legOps[T]) (T, context.CancelFunc, error) {
+func racePrimary(ctx context.Context, mv *MultiView, si, retries int, hedge bool, prior error, ops legOps) (opened, context.CancelFunc, error) {
 	s := mv.set
 	st := &s.shards[si]
 	pctx, pcancel := context.WithCancel(ctx)
@@ -275,15 +205,15 @@ func racePrimary[T any](ctx context.Context, mv *MultiView, si, retries int, hed
 	// function ending the race on a client-class error; a side that
 	// answers after that lost.
 	var decided atomic.Bool
-	ch := make(chan legOutcome[T], 2) // each side sends at most once
+	ch := make(chan legOutcome, 2) // each side sends at most once
 
-	side := func(primary bool, run func() (T, error)) {
+	side := func(primary bool, run func() (opened, error)) {
 		mv.racers.Add(1)
 		go func() {
 			defer mv.racers.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					ch <- legOutcome[T]{err: fmt.Errorf("shard: shard %d: %w: panic: %v", si, ErrShardDown, r), primary: primary}
+					ch <- legOutcome{err: fmt.Errorf("shard: shard %d: %w: panic: %v", si, ErrShardDown, r), primary: primary}
 				}
 			}()
 			val, err := run()
@@ -291,13 +221,13 @@ func racePrimary[T any](ctx context.Context, mv *MultiView, si, retries int, hed
 				ops.discard(val)
 				return
 			}
-			ch <- legOutcome[T]{val: val, err: err, primary: primary}
+			ch <- legOutcome{val: val, err: err, primary: primary}
 		}()
 	}
 
-	side(true, func() (T, error) {
+	side(true, func() (opened, error) {
 		bo := Backoff{Base: legRetryBase, Cap: legRetryCap, Seed: s.seed ^ splitmix64(uint64(si))}
-		var val T
+		var val opened
 		err := prior
 		for attempt := 0; ; attempt++ {
 			if attempt > 0 || prior == nil {
@@ -326,13 +256,12 @@ func racePrimary[T any](ctx context.Context, mv *MultiView, si, retries int, hed
 	launched := false
 	launch := func() {
 		launched = true
-		side(false, func() (T, error) { return ops.replica(rctx) })
+		side(false, func() (opened, error) { return ops.replica(rctx) })
 	}
-	lose := func(err error) (T, context.CancelFunc, error) {
+	lose := func(err error) (opened, context.CancelFunc, error) {
 		pcancel()
 		rcancel()
-		var zero T
-		return zero, noCancel, err
+		return opened{}, noCancel, err
 	}
 
 	var pErr, rErr error
@@ -399,75 +328,48 @@ func (mv *MultiView) pinReplica(ctx context.Context, si int) (*dsks.View, error)
 	return rv, nil
 }
 
-// replicaLeg serves one scatter leg from a replica. The replica view is
-// pinned here and closed on every path — it lives exactly as long as the
-// leg.
-func (mv *MultiView) replicaLeg(ctx context.Context, si int, run legFunc) (dsks.Result, error) {
-	rv, err := mv.pinReplica(ctx, si)
-	if err != nil {
-		return dsks.Result{}, err
-	}
-	defer rv.Close()
-	return run(ctx, rv)
-}
-
-// gather applies the failure policy to a fan-out's legs. It returns the
-// successful legs plus the request error: nil when everything succeeded,
-// the primary failure under first-error-wins (or when every leg failed),
-// and an ErrPartialResult-wrapped primary when the partial-result policy
-// salvaged a strict subset. Cancellation legs never mask a real failure.
-func (mv *MultiView) gather(targets []int, legs []leg) ([]leg, error) {
+// gather applies the failure policy to a query's ended legs and folds the
+// envelopes of the ones that succeeded into res. It returns nil when every
+// leg succeeded, the primary failure under first-error-wins (or when every
+// leg failed), and an ErrPartialResult-wrapped primary when the
+// partial-result policy salvaged a strict subset. Cancellation legs never
+// mask a real failure.
+func (mv *MultiView) gather(targets []int, cursors []*legCursor, res *dsks.Result) error {
 	var primary, canceled error
-	var ok []leg
 	var fails []ShardError
-	for _, l := range legs {
+	for _, c := range cursors {
 		switch {
-		case l.err == nil:
-			ok = append(ok, l)
-		case errors.Is(l.err, dsks.ErrCanceled) || errors.Is(l.err, dsks.ErrDeadlineExceeded):
+		case c.err == nil:
+			res.DiskReads += c.res.DiskReads
+			res.Stats.Add(c.res.Stats)
+			continue
+		case errors.Is(c.err, dsks.ErrCanceled) || errors.Is(c.err, dsks.ErrDeadlineExceeded):
 			if canceled == nil {
-				canceled = l.err
+				canceled = c.err
 			}
-			fails = append(fails, ShardError{Shard: l.shard, Err: l.err.Error()})
 		default:
 			if primary == nil {
-				primary = l.err
+				primary = c.err
 			}
-			fails = append(fails, ShardError{Shard: l.shard, Err: l.err.Error()})
 		}
+		fails = append(fails, ShardError{Shard: c.shard, Err: c.err.Error()})
 	}
 	if primary == nil {
 		primary = canceled
 	}
 	mv.meta = Meta{LSNs: mv.lsns, Queried: targets, Pruned: len(mv.views) - len(targets)}
 	if primary == nil {
-		return ok, nil
+		return nil
 	}
 	// A client-class error (bad query, canceled context) fails the
 	// request whole under either policy: every leg saw the same query.
-	if !mv.set.partial || len(ok) == 0 || clientClass(primary) {
-		return nil, primary
+	if !mv.set.partial || len(fails) == len(cursors) || clientClass(primary) {
+		return primary
 	}
 	mv.set.partTotal.Add(1)
 	mv.meta.Partial = true
 	mv.meta.Errors = fails
-	return ok, fmt.Errorf("%w: %d of %d legs failed: %w", ErrPartialResult, len(fails), len(targets), primary)
-}
-
-// scatter = route + fanout + gather, the common head of every query.
-func (mv *MultiView) scatter(ctx context.Context, pos dsks.Position, radius float64,
-	terms []dsks.TermID, allTerms bool,
-	run func(ctx context.Context, v *dsks.View) (dsks.Result, error)) ([]leg, error) {
-
-	if mv.closed.Load() {
-		return nil, dsks.ErrViewClosed
-	}
-	if err := mv.set.guard(pos, terms); err != nil {
-		return nil, err
-	}
-	targets := mv.set.routed(pos, radius, terms, allTerms)
-	legs := mv.fanout(ctx, targets, run)
-	return mv.gather(targets, legs)
+	return fmt.Errorf("%w: %d of %d legs failed: %w", ErrPartialResult, len(fails), len(targets), primary)
 }
 
 // finish stamps the merged result with the request wall time and records

@@ -294,10 +294,12 @@ func (v *SIFReader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []
 	}
 	start, count := v.s.layout.Slots(e)
 	probe := terms[:0:0]
-	for _, t := range terms {
+	var at []int // probe position -> position in terms
+	for i, t := range terms {
 		ts := v.sigs[t]
 		if ts == nil || ts.TestRange(start, count) {
 			probe = append(probe, t)
+			at = append(at, i)
 		}
 	}
 	if len(probe) == 0 {
@@ -308,6 +310,17 @@ func (v *SIFReader) LoadObjectsAny(ctx context.Context, e graph.EdgeID, terms []
 	matches, err := v.inner.LoadObjectsAny(ctx, e, probe)
 	if err != nil {
 		return nil, err
+	}
+	if len(probe) < len(terms) {
+		for j := range matches {
+			var ts index.TermSet
+			for p, i := range at {
+				if matches[j].Terms.Has(p) {
+					ts.Add(i)
+				}
+			}
+			matches[j].Terms = ts
+		}
 	}
 	if len(matches) == 0 {
 		v.s.falseHits.Add(1)

@@ -5,6 +5,7 @@ import (
 
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"dsks/internal/dataset"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
+	"dsks/internal/index"
 	"dsks/internal/invindex"
 	"dsks/internal/obj"
 	"dsks/internal/storage"
@@ -708,15 +710,15 @@ func TestLoadObjectsAnyMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[obj.ID]int{}
+		want := map[obj.ID]index.TermSet{}
 		for _, id := range col.OnEdge(e) {
-			matched := 0
-			for _, q := range ts {
+			var matched index.TermSet
+			for j, q := range ts {
 				if col.Get(id).HasTerm(q) {
-					matched++
+					matched.Add(j)
 				}
 			}
-			if matched > 0 {
+			if matched.Len() > 0 {
 				want[id] = matched
 			}
 		}
@@ -724,8 +726,8 @@ func TestLoadObjectsAnyMatchesBruteForce(t *testing.T) {
 			t.Fatalf("edge %d terms %v: got %d matches, want %d", e, ts, len(got), len(want))
 		}
 		for _, m := range got {
-			if want[m.Ref.ID] != m.Matched {
-				t.Fatalf("object %d matched %d, want %d", m.Ref.ID, m.Matched, want[m.Ref.ID])
+			if !reflect.DeepEqual(want[m.Ref.ID], m.Terms) {
+				t.Fatalf("object %d matched %v, want %v", m.Ref.ID, m.Terms, want[m.Ref.ID])
 			}
 		}
 		if len(want) > 0 {

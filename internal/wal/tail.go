@@ -19,27 +19,22 @@ var ErrTailGap = errors.New("wal: tail position compacted away")
 // side of replication: a read replica opens a Tailer on its primary's
 // log and applies each record it yields.
 //
-// A Tailer attached to a live Log (TailFrom) is bounded by the log's
-// durable LSN: it never yields a record the primary has not fsynced,
-// because unsynced bytes can legally vanish in a crash — applying them
-// would diverge the replica from every state the primary can recover
-// to. A standalone Tailer (OpenTailer) has no writer to ask and reads
-// to the end of the files instead; it is the offline flavor used to
-// drain a dead primary's directory.
+// A Tailer is bounded by its log's durable LSN: it never yields a record
+// the primary has not fsynced, because unsynced bytes can legally vanish
+// in a crash — applying them would diverge the replica from every state
+// the primary can recover to.
 //
-// Next distinguishes three conditions the same way scan does: "nothing
-// more yet" (a clean tail, including a torn final record — poll again),
-// a compaction gap (ErrTailGap), and everything else (mid-log damage, a
-// broken LSN chain, a record claimed durable but unreadable) which is
-// corruption matching ErrCorrupt.
+// Next distinguishes three conditions: "nothing more yet" (the tail has
+// caught up with the durable bound — poll again), a compaction gap
+// (ErrTailGap), and everything else (damage anywhere at or below the
+// bound, a broken LSN chain) which is corruption matching ErrCorrupt.
 //
 // A Tailer is not safe for concurrent use; each follower owns one.
 type Tailer struct {
 	dir  string
 	next uint64 // next LSN to yield
 
-	// bound returns the highest LSN safe to yield; nil means read to
-	// end-of-files (no live writer).
+	// bound returns the highest LSN safe to yield: the log's durable LSN.
 	bound func() uint64
 
 	// Current segment.
@@ -63,14 +58,6 @@ func (l *Log) TailFrom(fromLSN uint64) *Tailer {
 	return &Tailer{dir: l.dir, next: fromLSN + 1, bound: l.DurableLSN}
 }
 
-// OpenTailer returns a standalone Tailer over a log directory with no
-// live writer. It reads to the end of the files: a torn final record
-// reads as "nothing more yet", exactly like a bounded tailer that
-// caught up.
-func OpenTailer(dir string, fromLSN uint64) *Tailer {
-	return &Tailer{dir: dir, next: fromLSN + 1}
-}
-
 // NextLSN returns the LSN the next successful Next will yield.
 func (t *Tailer) NextLSN() uint64 { return t.next }
 
@@ -88,12 +75,8 @@ func (t *Tailer) Next() (r Record, ok bool, err error) {
 		// record at or below it was fully written (and fsynced) before
 		// the bound advanced, so a parse failure below the bound is real
 		// corruption, never a benign race with an in-flight append.
-		var limit uint64
-		if t.bound != nil {
-			limit = t.bound()
-			if t.next > limit {
-				return Record{}, false, nil
-			}
+		if limit := t.bound(); t.next > limit {
+			return Record{}, false, nil
 		}
 		if t.f == nil {
 			ready, err := t.seek()
@@ -112,30 +95,16 @@ func (t *Tailer) Next() (r Record, ok bool, err error) {
 			}
 			continue
 		}
-		rest, atEOF, err := t.window(size)
+		rest, err := t.window(size)
 		if err != nil {
 			return Record{}, false, err
 		}
 		keep, rec, perr := parseNext(rest)
 		if perr != nil {
-			if atEOF && tornTail(rest, keep) {
-				// A torn append at the tail of the file. Legal only
-				// while it is still the tail: a record the writer calls
-				// durable, or one a later segment has moved past, must
-				// parse.
-				if t.bound != nil && limit >= t.next {
-					return Record{}, false, fmt.Errorf("%w: %s at offset %d: durable LSN %d unreadable: %v",
-						ErrCorrupt, t.name, t.off, t.next, perr)
-				}
-				if succeeded, err := t.hasSuccessor(); err != nil {
-					return Record{}, false, err
-				} else if succeeded {
-					return Record{}, false, fmt.Errorf("%w: %s at offset %d: torn record below a later segment: %v",
-						ErrCorrupt, t.name, t.off, perr)
-				}
-				return Record{}, false, nil
-			}
-			return Record{}, false, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, t.name, t.off, perr)
+			// The record at t.next is durable, so even a torn-looking one
+			// at the end of the file is damage.
+			return Record{}, false, fmt.Errorf("%w: %s at offset %d: durable LSN %d unreadable: %v",
+				ErrCorrupt, t.name, t.off, t.next, perr)
 		}
 		if rec.LSN < t.next {
 			// The first segment can begin before the tail position.
@@ -224,24 +193,6 @@ func (t *Tailer) rotate() (rotated bool, err error) {
 	return true, t.open(pick, pickFirst)
 }
 
-// hasSuccessor reports whether a segment after the current one exists.
-func (t *Tailer) hasSuccessor() (bool, error) {
-	names, err := segNames(t.dir)
-	if err != nil {
-		return false, err
-	}
-	for _, name := range names {
-		first, err := parseSegName(name)
-		if err != nil {
-			return false, err
-		}
-		if first > t.first {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // open switches the tailer to the named segment.
 func (t *Tailer) open(name string, first uint64) error {
 	f, err := os.Open(filepath.Join(t.dir, name))
@@ -269,23 +220,21 @@ func (t *Tailer) size() (int64, error) {
 
 // window returns the file bytes at t.off, reading ahead in chunks big
 // enough to hold any legal record so backlog replay does one pread per
-// window, not per record. atEOF reports whether the returned slice runs
-// to the end of the file — the precondition for calling a parse failure
-// a torn tail.
-func (t *Tailer) window(size int64) (rest []byte, atEOF bool, err error) {
+// window, not per record.
+func (t *Tailer) window(size int64) ([]byte, error) {
 	const windowBytes = recHeader + maxPayload
 	end := t.winOff + int64(len(t.win))
 	have := end - t.off
 	// Reuse the window only if it covers t.off and either runs to the
 	// file's end or still holds a full maximal record.
 	if t.off >= t.winOff && have > 0 && (end >= size || have >= windowBytes) {
-		return t.win[t.off-t.winOff:], end >= size, nil
+		return t.win[t.off-t.winOff:], nil
 	}
 	n := min(size-t.off, windowBytes)
 	buf := make([]byte, n)
 	if got, err := t.f.ReadAt(buf, t.off); err != nil && !(errors.Is(err, io.EOF) && got == len(buf)) {
-		return nil, false, fmt.Errorf("wal: tailing %s: %w", t.name, err)
+		return nil, fmt.Errorf("wal: tailing %s: %w", t.name, err)
 	}
 	t.win, t.winOff = buf, t.off
-	return buf, t.off+n >= size, nil
+	return buf, nil
 }

@@ -122,54 +122,19 @@ func TestTailHonorsDurableBound(t *testing.T) {
 	}
 }
 
-func TestOfflineTailerStopsCleanlyAtTornTail(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, 0, Options{})
-	for i := int32(0); i < 3; i++ {
-		appendWait(t, l, insertRec(i))
-	}
-	segPath := l.segPath
-	l.Close()
-
-	// A crash mid-append: the final record's bytes stop at EOF.
-	full, err := appendRecord(nil, Record{LSN: 4, Type: RecRemove, ID: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(segPath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(full[:len(full)-3]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	tl := OpenTailer(dir, 0)
-	defer tl.Close()
-	recs := drain(t, tl)
-	if len(recs) != 3 {
-		t.Fatalf("offline tail over a torn log = %d records, want 3", len(recs))
-	}
-	// The torn record stays "not yet" forever — a clean stop, not an error.
-	if _, ok, err := tl.Next(); ok || err != nil {
-		t.Fatalf("Next at torn tail = (ok=%v, %v), want not-ready", ok, err)
-	}
-}
-
 func TestTailerMidLogCorruptionIsTerminal(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, 0, Options{})
+	defer l.Close()
 	for i := int32(0); i < 3; i++ {
 		appendWait(t, l, insertRec(i))
 	}
-	segPath := l.segPath
-	l.Close()
 
-	// Flip a bit in the FIRST record: valid records follow it, so this is
-	// corruption, never a torn append.
-	flipByteAt(t, segPath, 12)
-	tl := OpenTailer(dir, 0)
+	// Flip a bit in the FIRST record behind the live writer's back: valid
+	// durable records follow it, so this is corruption, never a torn
+	// append.
+	flipByteAt(t, l.segPath, 12)
+	tl := l.TailFrom(0)
 	defer tl.Close()
 	if _, _, err := tl.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Next over mid-log corruption = %v, want ErrCorrupt", err)

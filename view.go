@@ -24,9 +24,9 @@ type dbRoots struct {
 // View is a consistent read-only snapshot of the database, pinned at the
 // commit LSN current when it was opened. Every query method — Search,
 // SearchDiversified, SearchKNN, SearchRanked, SearchCollective, Stream,
-// NetworkDistance — runs entirely against that snapshot, latch-free:
-// concurrent Insert/Remove calls publish new versions without ever
-// blocking the view's queries, and none of their effects are visible
+// StreamAny, NetworkDistance — runs entirely against that snapshot,
+// latch-free: concurrent Insert/Remove calls publish new versions without
+// ever blocking the view's queries, and none of their effects are visible
 // through it. Multiple queries on one view observe the same LSN, giving
 // multi-query consistency (e.g. paginating with repeated searches, or
 // caching results keyed on LSN).
@@ -151,6 +151,17 @@ func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result,
 // private view and releases it itself.
 func (v *View) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
 	return v.stream(ctx, q, nil)
+}
+
+// StreamAny starts an incremental OR search against the view's snapshot:
+// the objects containing at least one of q.Terms, in non-decreasing network
+// distance, with Stream.Terms reporting which terms each contains — the
+// arrivals the ranked and collective queries consume.
+func (v *View) StreamAny(ctx context.Context, q SKQuery) (*Stream, error) {
+	if err := v.guard(q.Pos, q.Terms); err != nil {
+		return nil, err
+	}
+	return v.db.eng.StreamAny(ctx, v.at, q, nil)
 }
 
 // stream is Stream with the hook a stream-owned view is released through.
