@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-report fuzz-smoke serve bench bench-smoke
+.PHONY: all build test race lint fuzz-smoke serve bench bench-smoke
 
 all: build test lint
 
@@ -16,30 +16,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs gofmt (the analyzers' testdata is fixture text, not source), go
-# vet, the project's own analyzers (cmd/dsks-lint) and their self-tests;
-# staticcheck runs too when it is on PATH (CI installs it, the offline dev
-# container may not have it).
+# lint runs gofmt and go vet; staticcheck runs too when it is on PATH
+# (CI installs it, the offline dev container may not have it). The
+# invariants a custom analyzer would check are tier-1 tests
+# (docs/LINTING.md).
 lint:
-	@unformatted=$$(gofmt -l . | grep -v /testdata/); \
+	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) build -o $(CURDIR)/bin/dsks-lint ./cmd/dsks-lint
-	$(CURDIR)/bin/dsks-lint ./...
-	$(GO) test ./internal/analysis/...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
-
-# lint-report mirrors the CI lint-report job: the full analyzer run with
-# the machine-readable SARIF output CI uploads as an artifact
-# (docs/LINTING.md). The file is written even when findings make the
-# run fail, so it can be inspected afterwards.
-lint-report:
-	$(GO) build -o $(CURDIR)/bin/dsks-lint ./cmd/dsks-lint
-	$(CURDIR)/bin/dsks-lint -format=sarif -o dsks-lint.sarif -debug ./...
 
 fuzz-smoke:
 	$(GO) test -run FuzzZOrder -fuzz FuzzZOrder -fuzztime $(FUZZTIME) ./internal/geo/

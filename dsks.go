@@ -771,13 +771,13 @@ func (db *DB) applyInsertAt(lsn uint64, pos Position, terms []TermID) (ObjectID,
 	return id, nil
 }
 
-// publish installs a mutation's pages and roots as the current version:
-// pages first (invisible — no reader is pinned at the new LSN yet), then
-// the root swap that makes the LSN reachable. Callers hold the write
-// latch.
+// publish installs a mutation's pages and roots as the current version.
+// The pool installs the pages first (invisible — no reader is pinned at
+// the new LSN yet) and then runs the root swap that makes the LSN
+// reachable; the order is Publish's, not the caller's. Callers hold the
+// write latch.
 func (db *DB) publish(batch *storage.WriteBatch, next *dbRoots) {
-	db.eng.Pool.Publish(batch)
-	db.roots.Store(next)
+	db.eng.Pool.Publish(batch, func() { db.roots.Store(next) })
 	db.version.Add(1)
 }
 

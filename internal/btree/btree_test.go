@@ -868,7 +868,7 @@ func TestPinnedViewOutlivesSplit(t *testing.T) {
 
 	checkModel(t, batch, next, now)       // the writer reads its own write
 	checkModel(t, pinned, published, old) // unpublished: invisible
-	pool.Publish(batch)
+	pool.Publish(batch, nil)
 	checkModel(t, pinned, published, old)    // published above the pin: still invisible
 	checkModel(t, pool.ViewAt(1), next, now) // a view at the commit LSN sees it
 	if err := pool.FoldTo(1); err != nil {

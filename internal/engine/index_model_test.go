@@ -119,7 +119,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 			if err := apply(batch, &next); err != nil {
 				t.Fatal(err)
 			}
-			e.Pool.Publish(batch)
+			e.Pool.Publish(batch, nil)
 			cur = &next
 		}
 		insert := func(pos graph.Position, terms []obj.TermID) obj.ID {

@@ -104,7 +104,7 @@ func mutate(t *testing.T, e *engine.Engine, ds *dataset.Dataset, ws []dataset.Qu
 		if err := apply(batch, &next); err != nil {
 			t.Fatal(err)
 		}
-		e.Pool.Publish(batch)
+		e.Pool.Publish(batch, nil)
 		cur = &next
 	}
 	removed := map[obj.ID]bool{}

@@ -61,7 +61,7 @@ func AblationPruning(cfg Config) (*Result, error) {
 		var stats core.SearchStats
 		for _, wq := range ws {
 			q := harness.DivQueryOf(wq, 10, 0.8)
-			//lint:ignore detrand wall-clock latency measurement, not a data source
+			// Wall-clock latency measurement, not a data source.
 			start := time.Now()
 			var res core.DivResult
 			var err error
@@ -165,7 +165,7 @@ func AblationDijkstra(cfg Config) (*Result, error) {
 	}
 	var accElapsed time.Duration
 	for _, wq := range ws {
-		//lint:ignore detrand wall-clock latency measurement, not a data source
+		// Wall-clock latency measurement, not a data source.
 		start := time.Now()
 		search, err := core.NewSKSearch(context.Background(), sys.Net, loader, harness.SKQueryOf(wq))
 		if err != nil {
@@ -187,7 +187,7 @@ func AblationDijkstra(cfg Config) (*Result, error) {
 	var perElapsed time.Duration
 	var runs, queries int64
 	for _, wq := range ws {
-		//lint:ignore detrand wall-clock latency measurement, not a data source
+		// Wall-clock latency measurement, not a data source.
 		start := time.Now()
 		search, err := core.NewSKSearch(context.Background(), sys.Net, loader, harness.SKQueryOf(wq))
 		if err != nil {
@@ -269,7 +269,7 @@ func AblationOracle(cfg Config) (*Result, error) {
 		var stats core.SearchStats
 		for qi, wq := range ws {
 			q := harness.DivQueryOf(wq, 10, 0.8)
-			//lint:ignore detrand wall-clock latency measurement, not a data source
+			// Wall-clock latency measurement, not a data source.
 			start := time.Now()
 			res, err := core.SearchCOM(context.Background(), sys.SearchNet(), loader, q)
 			if err != nil {

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestAblationPruningShape(t *testing.T) {
 	r, err := AblationPruning(testCfg())
@@ -93,6 +96,15 @@ func TestExtraQualityShape(t *testing.T) {
 	r, err := ExtraQuality(testCfg())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every random stream derives from the configured seed: a second run
+	// reproduces every series.
+	again, err := ExtraQuality(testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.Series, again.Series) {
+		t.Errorf("two runs with one seed differ:\n%v\n%v", r.Series, again.Series)
 	}
 	seq, ok1 := r.Series["f/SEQ"]
 	nearest, ok2 := r.Series["f/nearest-k"]

@@ -50,14 +50,14 @@ func ExtraThroughput(cfg Config) (*Result, error) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		var done atomic.Int64
 		var firstErr atomic.Value
-		//lint:ignore detrand wall-clock deadline for the measurement window, not a data source
+		// Wall-clock deadline for the measurement window, not a data source.
 		stop := time.Now().Add(duration)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				//lint:ignore detrand wall-clock check against the measurement deadline, not a data source
+				// Wall-clock check against the measurement deadline, not a data source.
 				for i := w; time.Now().Before(stop); i++ {
 					wq := ws[i%len(ws)]
 					if _, err := sys.RunSK(context.Background(), harness.KindSIF, harness.SKQueryOf(wq)); err != nil {

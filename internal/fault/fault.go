@@ -5,7 +5,8 @@
 // prefix of the page reaches the medium. Every decision derives from the
 // configured seed and the injector's own operation counter — the same
 // configuration replays the same fault sequence run after run, the same
-// discipline the dataset generators follow (detrand).
+// discipline the dataset generators follow (TestGeneratedDatasetDigest
+// pins theirs).
 //
 // A campaign is a typed Config. The injector is installed on a page store
 // with storage.PageFile.SetInjector and on a log with wal.Log.SetInjector;

@@ -648,7 +648,7 @@ func TestPinnedReaderKeepsItsList(t *testing.T) {
 			t.Fatal(err)
 		}
 		nextID++
-		pool.Publish(batch)
+		pool.Publish(batch, nil)
 		cur = next
 	}
 	close(stop)

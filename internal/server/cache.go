@@ -20,9 +20,10 @@ import (
 // invalidation rule: Insert/Remove publish new LSNs, so post-mutation
 // queries can never be answered from pre-mutation state.
 //
-// Locking discipline: the cache mutex guards only the map and list.
-// Callers must never hold it across a view query call (the lockio
-// analyzer enforces this); the handler flow is get → query → put.
+// Locking discipline: the cache mutex guards only the map and list, and
+// is taken only inside get, put and len, none of which calls out. So no
+// caller can hold it across a view query; the handler flow is
+// get → query → put.
 
 // cacheEntry is one cached response body.
 type cacheEntry struct {

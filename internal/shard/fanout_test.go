@@ -341,6 +341,54 @@ func TestSetSaveAndReopen(t *testing.T) {
 	requireSameCandidates(t, "reopened", want.Candidates, got.Candidates)
 }
 
+// TestOpenSetPathWithoutManifest: a directory with no set manifest is
+// not a sharded snapshot.
+func TestOpenSetPathWithoutManifest(t *testing.T) {
+	if _, err := OpenSetPath(t.TempDir(), Options{}); !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("OpenSetPath on an empty directory: %v, want ErrBadManifest", err)
+	}
+}
+
+// TestShardGroupCommitUnderConcurrentInserters is the router's twin of
+// the database's group-commit test: concurrent inserts into one shard
+// share its WAL's fsyncs, which they can only do if the router's insert
+// latch is released before the durability wait.
+func TestShardGroupCommitUnderConcurrentInserters(t *testing.T) {
+	set, _ := testSet(t, 2, Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}})
+	var edges []dsks.EdgeID
+	for e, owner := range set.Partition().Owner {
+		if owner == 0 {
+			edges = append(edges, dsks.EdgeID(e))
+		}
+	}
+	const writers, per = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				pos := dsks.Position{Edge: edges[(w*per+i)%len(edges)], Offset: 0.5}
+				if _, _, err := set.Insert(pos, []dsks.TermID{0}); err != nil {
+					t.Errorf("concurrent insert: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	counters := set.DB(0).Snapshot().Counters
+	synced, fsyncs := counters["wal_synced_records_total"], counters["wal_fsyncs_total"]
+	if synced != writers*per {
+		t.Fatalf("shard 0 synced %d records, want %d", synced, writers*per)
+	}
+	if fsyncs == 0 || fsyncs >= synced {
+		t.Fatalf("group commit degenerated: %d fsyncs for %d acked records", fsyncs, synced)
+	}
+	t.Logf("group commit: %d records over %d fsyncs", synced, fsyncs)
+}
+
 // TestPoisonedShardWALReopens: a shard whose log failed a sync refuses
 // its inserts while the other shards keep acknowledging theirs; closing
 // the set reports the sticky sync error, and a set reopened on the same

@@ -18,7 +18,7 @@ var (
 	// configured staleness bound behind the LSN the request pinned.
 	ErrReplicaLagging = errors.New("shard: replica lagging past the staleness bound")
 	// ErrShardUnavailable reports a shard with no serving path left:
-	// the primary is down (or unpinnable) and no live replica can cover
+	// the primary is down and no live replica can cover
 	// for it. It is strictly worse than ErrShardDown, which a healthy
 	// replica can still absorb.
 	ErrShardUnavailable = errors.New("shard: shard unavailable on every path")

@@ -695,10 +695,9 @@ func (s *Set) guard(pos dsks.Position, terms []dsks.TermID) error {
 
 // View pins one read view per shard — all pinned before any result is
 // read, so a request sees one consistent per-shard LSN vector (reported
-// in the result envelope). With replicas configured, a shard whose
-// primary cannot be pinned falls back to its freshest live replica
-// within the staleness bound; the request then runs that shard's legs
-// on the replica view. Close closes every per-shard view.
+// in the result envelope). A pin is an atomic load on the shard's
+// primary; replicas take over per leg, when a primary's leg fails (see
+// legCursor). Close closes every per-shard view.
 func (s *Set) View(ctx context.Context) (*MultiView, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -707,42 +706,15 @@ func (s *Set) View(ctx context.Context) (*MultiView, error) {
 		set:   s,
 		views: make([]*dsks.View, len(s.shards)),
 		lsns:  make([]uint64, len(s.shards)),
-		srcs:  make([]int8, len(s.shards)),
 	}
 	for i := range s.shards {
-		mv.srcs[i] = srcPrimary
 		v, err := s.shards[i].db.View(ctx)
 		if err != nil {
-			// The pin itself failed (closed shard, done context): try a
-			// replica pinned against the primary's last published LSN.
-			rep, rerr := s.replicaFallback(i, s.shards[i].db.LSN())
-			if rerr != nil {
-				mv.Close()
-				return nil, fmt.Errorf("shard: pinning view on shard %d: %w: %w: %w", i, ErrShardDown, err, rerr)
-			}
-			rv, rerr := rep.View(ctx)
-			if rerr != nil {
-				mv.Close()
-				return nil, fmt.Errorf("shard: pinning replica view on shard %d: %w: %w", i, ErrShardDown, rerr)
-			}
-			s.failTotal.Add(1)
-			mv.views[i] = rv
-			mv.lsns[i] = rv.LSN()
-			mv.srcs[i] = int8(rep.idx)
-			continue
+			mv.Close()
+			return nil, fmt.Errorf("shard: pinning view on shard %d: %w", i, err)
 		}
 		mv.views[i] = v
 		mv.lsns[i] = v.LSN()
 	}
 	return mv, nil
-}
-
-// replicaFallback is freshestReplica behind the "are there replicas at
-// all" guard (pin-time fallback must not invent ErrShardUnavailable on
-// an unreplicated set).
-func (s *Set) replicaFallback(i int, want uint64) (*Replica, error) {
-	if len(s.shards[i].replicas) == 0 {
-		return nil, fmt.Errorf("shard: shard %d: %w: no replicas configured", i, ErrShardUnavailable)
-	}
-	return s.freshestReplica(i, want)
 }

@@ -39,20 +39,10 @@ type Meta struct {
 // one consistent per-shard LSN vector. Like dsks.View it serves exactly
 // one request at a time — methods must not be called concurrently on the
 // same MultiView.
-// srcPrimary marks a leg pinned on its shard's primary; non-negative
-// values are the index of the replica pinned instead (primary was
-// unpinnable at View time).
-const srcPrimary int8 = -1
-
 type MultiView struct {
-	set   *Set
-	views []*dsks.View
-	lsns  []uint64
-	// srcs records, per shard, which database the pinned view belongs
-	// to (srcPrimary or a replica index); nil on sets built before
-	// replication existed only in tests that construct MultiView by
-	// hand.
-	srcs   []int8
+	set    *Set
+	views  []*dsks.View // pinned on each shard's primary
+	lsns   []uint64
 	meta   Meta
 	closed atomic.Bool
 	// racers counts the goroutines of the failover races in flight. A
@@ -138,8 +128,7 @@ func noCancel() {}
 
 // runLeg performs one leg's unit of work under the failover protocol:
 //
-//   - a leg already pinned on a replica (the primary was unpinnable at
-//     View time), or a shard with no replicas, just runs on its view;
+//   - a shard with no replicas just runs on its view;
 //   - a primary marked down serves from the freshest replica within the
 //     staleness bound, except for one recovery probe per cooldown
 //     window, which tries the primary (and heals it on success);
@@ -175,10 +164,10 @@ func runLeg(ctx context.Context, mv *MultiView, si int, ops legOps) (opened, con
 	return racePrimary(ctx, mv, si, retries, true, nil, ops)
 }
 
-// direct reports a leg with nowhere to fail over to: it is already pinned
-// on a replica, or its shard has none.
+// direct reports a leg with nowhere to fail over to: its shard has no
+// replicas.
 func (mv *MultiView) direct(si int) bool {
-	return (mv.srcs != nil && mv.srcs[si] != srcPrimary) || len(mv.set.shards[si].replicas) == 0
+	return len(mv.set.shards[si].replicas) == 0
 }
 
 // legOutcome is one side's result in the primary/replica race.
@@ -321,11 +310,7 @@ func (mv *MultiView) pinReplica(ctx context.Context, si int) (*dsks.View, error)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := rep.View(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("shard: pinning replica %d of shard %d: %w", rep.idx, si, err)
-	}
-	return rv, nil
+	return rep.View(ctx)
 }
 
 // gather applies the failure policy to a query's ended legs and folds the

@@ -277,21 +277,7 @@ func (b *BufferPool) SetCapacity(n int) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.capacity = n
-	for len(b.frames) > b.capacity {
-		el := b.lru.Back()
-		victim := el.Value.(*frame)
-		if victim.dirty {
-			b.stamp(victim.page.id, victim.page.data[:])
-			//lint:ignore lockio resize is a maintenance operation between build and query phases, not a query path
-			if err := b.file.write(victim.page.id, victim.page.data[:]); err != nil {
-				return err
-			}
-			b.stats.addWrite()
-		}
-		delete(b.frames, victim.page.id)
-		b.lru.Remove(el)
-	}
-	return nil
+	return b.evictToLocked(n)
 }
 
 // Capacity returns the pool's frame count.
@@ -358,9 +344,10 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Page, error) {
 
 	// Miss path: the injected latency sleep and the physical read happen
 	// OUTSIDE the pool latch, so concurrent misses overlap instead of
-	// serializing every query behind one simulated seek (the lockio
-	// invariant). The page is read into a private frame and admitted
-	// under the latch afterwards.
+	// serializing every query behind one simulated seek
+	// (TestMissReadsOutsideTheLatch, TestHitDuringMissLatency). The page
+	// is read into a private frame and admitted under the latch
+	// afterwards.
 	if lat > 0 {
 		if err := sleepCtx(ctx, lat); err != nil {
 			return nil, fmt.Errorf("storage: page %d read interrupted: %w", id, err)
@@ -435,13 +422,13 @@ func (b *BufferPool) Flush() error {
 	for el := b.lru.Front(); el != nil; el = el.Next() {
 		fr := el.Value.(*frame)
 		if fr.dirty {
-			b.stamp(fr.page.id, fr.page.data[:])
-			//lint:ignore lockio the latch must pin every dirty frame until its bytes hit the file, or MarkDirty could race the write-back
-			if err := b.file.write(fr.page.id, fr.page.data[:]); err != nil {
+			// Under the latch on purpose: it pins every dirty frame until
+			// its bytes hit the file, or MarkDirty could race the
+			// write-back.
+			if err := b.writeBack(fr.page.id, fr.page.data[:]); err != nil {
 				return err
 			}
 			fr.dirty = false
-			b.stats.addWrite()
 		}
 	}
 	return nil
@@ -460,28 +447,44 @@ func (b *BufferPool) DropAll() error {
 	return nil
 }
 
-// evictForSpaceLocked makes room for one more frame, writing back dirty
-// victims. Caller holds b.mu; the write-back deliberately stays under
-// the latch because a dirty victim must not be readable from the file
-// map while its data is still in flight (dirty evictions only occur on
-// write-heavy build paths, never on the concurrent query path).
+// evictForSpaceLocked makes room for one more frame. Caller holds b.mu.
 func (b *BufferPool) evictForSpaceLocked() error {
-	for len(b.frames) >= b.capacity {
+	return b.evictToLocked(b.capacity - 1)
+}
+
+// evictToLocked evicts LRU frames until at most n remain, writing back
+// dirty victims. Caller holds b.mu; the write-back deliberately stays
+// under the latch because a dirty victim must not be readable from the
+// file map while its data is still in flight (dirty evictions only occur
+// on write-heavy build paths and the resize between build and queries,
+// never on the concurrent query path).
+func (b *BufferPool) evictToLocked(n int) error {
+	for len(b.frames) > n {
 		el := b.lru.Back()
 		if el == nil {
 			return fmt.Errorf("storage: buffer pool with no evictable frame")
 		}
 		victim := el.Value.(*frame)
 		if victim.dirty {
-			b.stamp(victim.page.id, victim.page.data[:])
-			//lint:ignore lockio write-back of a dirty victim must complete before the page leaves the frame map
-			if err := b.file.write(victim.page.id, victim.page.data[:]); err != nil {
+			if err := b.writeBack(victim.page.id, victim.page.data[:]); err != nil {
 				return err
 			}
-			b.stats.addWrite()
 		}
 		delete(b.frames, victim.page.id)
 		b.lru.Remove(el)
 	}
+	return nil
+}
+
+// writeBack is the one way page bytes reach the file: it stamps the
+// checksum, writes and counts the write. Dirty eviction, the SetCapacity
+// shrink, Flush and FoldTo all call it, so no write-back goes uncounted
+// (TestWriteBacksAreCounted).
+func (b *BufferPool) writeBack(id PageID, data []byte) error {
+	b.stamp(id, data)
+	if err := b.file.write(id, data); err != nil {
+		return err
+	}
+	b.stats.addWrite()
 	return nil
 }

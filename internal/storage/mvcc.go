@@ -102,10 +102,14 @@ func (b *BufferPool) NewBatch(lsn uint64) *WriteBatch {
 }
 
 // Publish atomically installs the batch's dirty pages as versions stamped
-// with the batch LSN. The caller must not publish batches out of LSN order
-// (chains must stay ascending); the single-writer discipline of the
-// database latch guarantees this.
-func (b *BufferPool) Publish(w *WriteBatch) {
+// with the batch LSN and then calls visible, the caller's step that makes
+// the LSN reachable (the database's root swap), when it is not nil. The
+// order is the commit protocol: a reader can pin the new LSN only after
+// visible runs, and by then every page of the version is installed. The
+// caller must not publish batches out of LSN order (chains must stay
+// ascending); the single-writer discipline of the database latch
+// guarantees this.
+func (b *BufferPool) Publish(w *WriteBatch, visible func()) {
 	b.verMu.Lock()
 	if b.versions == nil {
 		b.versions = make(map[PageID][]pageVersion)
@@ -114,6 +118,9 @@ func (b *BufferPool) Publish(w *WriteBatch) {
 		b.versions[id] = append(b.versions[id], pageVersion{lsn: w.lsn, page: w.pages[id]})
 	}
 	b.verMu.Unlock()
+	if visible != nil {
+		visible()
+	}
 }
 
 // ViewAt returns a reader pinned at lsn. The caller is responsible for
@@ -148,17 +155,14 @@ func (b *BufferPool) FoldTo(horizon uint64) error {
 
 	var firstErr error
 	for _, f := range fold {
-		// Stamp then write, the same order as eviction write-back, so a
-		// checksum-verified pool treats the folded bytes as the new
-		// baseline.
-		b.stamp(f.id, f.page.data[:])
-		if err := b.file.write(f.id, f.page.data[:]); err != nil {
+		// writeBack stamps before it writes, so a checksum-verified pool
+		// treats the folded bytes as the new baseline.
+		if err := b.writeBack(f.id, f.page.data[:]); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		b.stats.addWrite()
 
 		// The cached base frame (if any) now holds stale bytes: drop it
 		// before the overlay entries disappear, so no reader can resolve

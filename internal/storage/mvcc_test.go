@@ -57,7 +57,7 @@ func TestWriteBatchInvisibleUntilPublish(t *testing.T) {
 		t.Fatalf("OverlayPages before publish = %d, want 0", n)
 	}
 
-	pool.Publish(w)
+	pool.Publish(w, nil)
 	if n := pool.OverlayPages(); n != 1 {
 		t.Fatalf("OverlayPages after publish = %d, want 1", n)
 	}
@@ -116,7 +116,7 @@ func TestWriteBatchReadsNewestPublishedVersion(t *testing.T) {
 		}
 		p.PutUint32(0, uint32(lsn))
 		w.MarkDirty(id)
-		pool.Publish(w)
+		pool.Publish(w, nil)
 	}
 	// Every pinned LSN resolves its own version.
 	for lsn := uint64(1); lsn <= 4; lsn++ {
@@ -139,7 +139,7 @@ func TestFoldToWritesBackAndTrims(t *testing.T) {
 		}
 		p.PutUint32(0, uint32(lsn))
 		w.MarkDirty(id)
-		pool.Publish(w)
+		pool.Publish(w, nil)
 	}
 
 	// Fold through LSN 2: the lsn-2 bytes reach the base file, the lsn-3
@@ -229,7 +229,7 @@ func TestFoldRespectsPinnedReaders(t *testing.T) {
 	}
 	p.PutUint32(0, 2)
 	w.MarkDirty(id)
-	pool.Publish(w)
+	pool.Publish(w, nil)
 
 	// The pinned reader caps the horizon at 1, so the lsn-2 version stays
 	// in the overlay and the reader keeps resolving the base bytes.

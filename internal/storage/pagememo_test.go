@@ -35,7 +35,7 @@ func TestViewPageOutlivesItsFrame(t *testing.T) {
 		p.PutUint32(0, p.Uint32(0)+1000)
 		w.MarkDirty(id)
 	}
-	pool.Publish(w)
+	pool.Publish(w, nil)
 
 	view := pool.ViewAt(1)
 	held := make([]*Page, pages)
@@ -80,7 +80,7 @@ func TestViewPageOutlivesItsFrame(t *testing.T) {
 				p.PutUint32(0, uint32(lsn)*10000)
 				w.MarkDirty(id)
 			}
-			pool.Publish(w)
+			pool.Publish(w, nil)
 			// The held view is pinned at 1: the fold may go no further.
 			if err := pool.FoldTo(1); err != nil {
 				t.Error(err)

@@ -140,6 +140,25 @@ func TestOpenPathReadsLegacyV1(t *testing.T) {
 	}
 }
 
+// TestOpenPathLegacyUnreadableFiles: a format-1 snapshot has no manifest
+// to catch a missing or damaged file first, so the parse itself must
+// report ErrBadSnapshot.
+func TestOpenPathLegacyUnreadableFiles(t *testing.T) {
+	for name, damage := range map[string]func(dir string) error{
+		"missing graph": func(dir string) error { return os.Remove(filepath.Join(dir, "graph")) },
+		"corrupt objects": func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "objects"), []byte("not an objects file"), 0o644)
+		},
+	} {
+		dir := saveTiny(t)
+		downgradeToV1(t, dir, nil)
+		if err := damage(dir); err != nil {
+			t.Fatal(err)
+		}
+		wantBadSnapshot(t, dir, "format-1 snapshot with "+name)
+	}
+}
+
 func TestOpenPathVocabMismatch(t *testing.T) {
 	dir := saveTiny(t)
 	downgradeToV1(t, dir, func(meta map[string]any) {
