@@ -17,53 +17,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"dsks/internal/experiments"
 )
 
-var figures = map[string]func(experiments.Config) (*experiments.Result, error){
-	"table2": experiments.Table2,
-	"6":      experiments.Fig6,
-	"7":      experiments.Fig7,
-	"8":      experiments.Fig8,
-	"9":      experiments.Fig9,
-	"10":     experiments.Fig10,
-	"11":     experiments.Fig11,
-	"12":     experiments.Fig12,
-	"13":     experiments.Fig13,
-	"14":     experiments.Fig14,
-	"15":     experiments.Fig15,
-	"16a":    experiments.Fig16a,
-	"16b":    experiments.Fig16b,
-	"16c":    experiments.Fig16c,
-	"16d":    experiments.Fig16d,
-	// Ablations of the design choices (not figures of the paper).
-	"buffer":               experiments.ExtraBufferSweep,
-	"quality":              experiments.ExtraQuality,
-	"throughput":           experiments.ExtraThroughput,
-	"ablation-pruning":     experiments.AblationPruning,
-	"ablation-partition":   experiments.AblationPartition,
-	"ablation-dijkstra":    experiments.AblationDijkstra,
-	"ablation-compaction":  experiments.AblationCompaction,
-	"ablation-selectivity": experiments.AblationSelectivity,
-	"ablation-c1":          experiments.AblationC1,
-	"ablation-oracle":      experiments.AblationOracle,
-}
-
-// figureOrder renders "all" deterministically.
-var figureOrder = []string{
-	"table2", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
-	"16a", "16b", "16c", "16d",
-	"buffer", "quality", "throughput",
-	"ablation-pruning", "ablation-partition", "ablation-dijkstra", "ablation-compaction",
-	"ablation-selectivity", "ablation-c1", "ablation-oracle",
-}
-
 func main() {
-	fig := flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(figureOrder, ", ")+") or 'all'")
+	figures := make(map[string]func(experiments.Config) (*experiments.Result, error), len(experiments.Figures))
+	var order []string
+	for _, f := range experiments.Figures {
+		figures[f.ID] = f.Run
+		order = append(order, f.ID)
+	}
+	fig := flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(order, ", ")+") or 'all'")
 	scale := flag.Int("scale", 100, "dataset scale denominator (1 = paper scale)")
 	queries := flag.Int("queries", 50, "workload size (paper: 500)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -73,7 +40,7 @@ func main() {
 
 	var ids []string
 	if *fig == "all" {
-		ids = figureOrder
+		ids = order
 	} else {
 		ids = strings.Split(*fig, ",")
 	}
@@ -88,12 +55,7 @@ func main() {
 		id = strings.TrimSpace(id)
 		fn, ok := figures[id]
 		if !ok {
-			known := make([]string, 0, len(figures))
-			for k := range figures {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			fmt.Fprintf(os.Stderr, "unknown figure %q (known: %s)\n", id, strings.Join(known, ", "))
+			fmt.Fprintf(os.Stderr, "unknown figure %q (known: %s)\n", id, strings.Join(order, ", "))
 			os.Exit(2)
 		}
 		start := time.Now()

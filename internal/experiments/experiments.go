@@ -14,6 +14,25 @@ import (
 	"time"
 )
 
+// Figure is one regenerable table, figure or ablation.
+type Figure struct {
+	ID  string
+	Run func(Config) (*Result, error)
+}
+
+// Figures lists every driver, in the order `expts -fig all` runs them.
+var Figures = []Figure{
+	{"table2", Table2}, {"6", Fig6}, {"7", Fig7}, {"8", Fig8}, {"9", Fig9}, {"10", Fig10},
+	{"11", Fig11}, {"12", Fig12}, {"13", Fig13}, {"14", Fig14}, {"15", Fig15},
+	{"16a", Fig16a}, {"16b", Fig16b}, {"16c", Fig16c}, {"16d", Fig16d},
+	// Ablations of the design choices (not figures of the paper).
+	{"buffer", ExtraBufferSweep}, {"quality", ExtraQuality}, {"throughput", ExtraThroughput},
+	{"ablation-pruning", AblationPruning}, {"ablation-partition", AblationPartition},
+	{"ablation-dijkstra", AblationDijkstra}, {"ablation-compaction", AblationCompaction},
+	{"ablation-selectivity", AblationSelectivity}, {"ablation-c1", AblationC1},
+	{"ablation-oracle", AblationOracle},
+}
+
 // Config controls the scale and workload of an experiment run.
 type Config struct {
 	// Scale divides the paper-scale dataset sizes (see dataset.GeneratePreset).
