@@ -302,12 +302,14 @@ func (db *DB) saveSnapshot(dir string, oracleBytes []byte) (walLSN uint64, err e
 	}
 	col := db.eng.Objects
 	meta := dbMeta{
-		Format:     dbMetaFormat,
-		Index:      db.eng.Kind,
-		VocabSize:  db.eng.VocabSize,
-		WALLSN:     walLSN,
-		Allocated:  col.Len(),
-		Tombstones: col.Tombstones(),
+		Format:         dbMetaFormat,
+		Index:          db.eng.Kind,
+		BufferFraction: db.eng.Opts.BufferFraction,
+		PartitionCuts:  db.eng.Opts.SIFPCuts,
+		VocabSize:      db.eng.VocabSize,
+		WALLSN:         walLSN,
+		Allocated:      col.Len(),
+		Tombstones:     col.Tombstones(),
 	}
 	if o := db.eng.Oracle; o != nil {
 		meta.OracleLandmarks = o.NumLandmarks()
@@ -535,6 +537,15 @@ func OpenPath(dir string, opts Options) (*DB, error) {
 			return nil, fmt.Errorf("%w: unknown index kind %q", ErrBadSnapshot, meta.Index)
 		}
 		opts.Index = meta.Index
+	}
+	if meta.BufferFraction < 0 || meta.PartitionCuts < 0 {
+		return nil, fmt.Errorf("%w: negative bufferFraction or partitionCuts", ErrBadSnapshot)
+	}
+	if opts.BufferFraction == 0 {
+		opts.BufferFraction = meta.BufferFraction
+	}
+	if opts.PartitionCuts == 0 {
+		opts.PartitionCuts = meta.PartitionCuts
 	}
 	gf, err := os.Open(filepath.Join(dir, "graph"))
 	if err != nil {

@@ -58,6 +58,55 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenPathKeepsPersistedConfiguration: a database saved with a
+// non-default cut budget and buffer fraction reopens, with zero options,
+// as the same database — the same index, the same size, and the same
+// disk reads for the same queries from cold buffers. The fraction is large
+// enough for the pools to outgrow their 16-frame floor on this network.
+func TestOpenPathKeepsPersistedConfiguration(t *testing.T) {
+	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 111)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexSIFP, PartitionCuts: 8, BufferFraction: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := db.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	back, err := dsks.OpenPath(dir, dsks.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := db.IndexSizeBytes(), back.IndexSizeBytes(); a != b {
+		t.Errorf("index size %d after OpenPath, %d before SaveTo", b, a)
+	}
+	ws, err := dsks.GenerateWorkload(ds.Objects, ds.VocabSize, dsks.WorkloadConfig{
+		NumQueries: 20, Keywords: 1, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func(d *dsks.DB) (n int64) {
+		if err := d.ResetIO(); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range ws {
+			res, err := d.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += res.DiskReads
+		}
+		return n
+	}
+	if a, b := reads(db), reads(back); a != b {
+		t.Errorf("%d disk reads after OpenPath, %d before SaveTo", b, a)
+	}
+}
+
 func TestSaveExcludesRemoved(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, _ := vocab.LookupAll([]string{"pizza"})
