@@ -52,21 +52,6 @@ func BenchmarkSKSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkSearchSEQ(b *testing.B) {
-	sys, ws := benchWorld(b)
-	loader, err := sys.Loader(harness.KindSIF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := harness.DivQueryOf(ws[i%len(ws)], 10, 0.8)
-		if _, err := core.SearchSEQ(context.Background(), sys.Net, loader, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSearchCOM reports, beside the time, the pair distances and the
 // distance engine's settled nodes per query. At λ = ½ every pair's bound
 // is the largest θ possible, so COM skips no pair there.

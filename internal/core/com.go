@@ -9,6 +9,16 @@ import (
 	"dsks/internal/obj"
 )
 
+// DivResult is the outcome of a diversified spatial keyword query: the k
+// chosen objects (fewer when fewer qualify), the objective value f(S), the
+// cost counters, and the per-stage timings.
+type DivResult struct {
+	Objects []Candidate
+	F       float64
+	Stats   SearchStats
+	Trace   Trace
+}
+
 // PruneOptions toggles Algorithm 6's two pruning rules individually; the
 // zero value enables both. Disabling them isolates each rule's
 // contribution (the ablation benches use this).

@@ -406,8 +406,8 @@ func testSEQAndCOMAgree(t *testing.T, sys *harness.System, ws []dataset.Query, k
 		ran++
 		// Both run the same greedy; with continuous distances the chosen
 		// sets must match.
-		a := core.CandidateIDs(seq.Candidates)
-		b := core.CandidateIDs(com.Candidates)
+		a := candidateIDs(seq.Candidates)
+		b := candidateIDs(com.Candidates)
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 		for i := range a {
@@ -587,4 +587,13 @@ func TestDiversifyArrivalsSourceIndependence(t *testing.T) {
 	if early == 0 || pruned == 0 {
 		t.Fatalf("vacuous workload: %d early stops, %d pruned objects", early, pruned)
 	}
+}
+
+// candidateIDs extracts the object IDs of candidates, in order.
+func candidateIDs(cands []core.Candidate) []obj.ID {
+	out := make([]obj.ID, len(cands))
+	for i, c := range cands {
+		out[i] = c.Ref.ID
+	}
+	return out
 }

@@ -67,7 +67,7 @@ func TestAdjacencyMemoFetchesEachNodeOnce(t *testing.T) {
 			t.Errorf("query %d: popped %d, settled %d, pair distances %d, pops saved %d; recorded %d, %d, %d, %d",
 				tc.query, st.NodesPopped, st.DistSettled, st.PairDistCalcs, st.OraclePopsSaved, tc.popped, tc.settled, tc.pairs, tc.saved)
 		}
-		if ids := core.CandidateIDs(res.Objects); !slices.Equal(ids, tc.ids) {
+		if ids := candidateIDs(res.Objects); !slices.Equal(ids, tc.ids) {
 			t.Errorf("query %d: result %v, recorded %v", tc.query, ids, tc.ids)
 		}
 		p := core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}

@@ -3,8 +3,8 @@
 // with accumulated Dijkstra distances plus signature-based object
 // loading), the greedy max-sum diversification (Algorithm 1), the
 // incremental core-pair maintenance (Algorithm 5), and the incremental
-// diversified SK search with diversity-based pruning (Algorithm 6, COM)
-// together with its straw-man SEQ.
+// diversified SK search with diversity-based pruning (Algorithm 6, COM).
+// Its straw-man SEQ is the experiments' (internal/experiments/baselines).
 package core
 
 import (

@@ -6,22 +6,15 @@ import (
 
 	"dsks/internal/dataset"
 	"dsks/internal/engine"
+	"dsks/internal/experiments/baselines"
 	"dsks/internal/index"
-	"dsks/internal/ir"
-	"dsks/internal/storage"
 )
 
 // attachIR builds the IR baseline over n as the experiments do: attached,
 // an index without versions.
 func attachIR(t testing.TB, n *engine.Network, ds *dataset.Dataset) *engine.Engine {
 	t.Helper()
-	e, err := n.Attach("IR", func(pool *storage.BufferPool) (index.Loader, int64, error) {
-		idx, err := ir.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
-		if err != nil {
-			return nil, 0, err
-		}
-		return idx, idx.SizeBytes(), nil
-	})
+	e, err := baselines.IR(ds.Objects, ds.VocabSize)(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,27 +21,32 @@ func deps(t *testing.T, patterns ...string) map[string]bool {
 	return set
 }
 
-// TestLayering pins the inversion: the database, the router and the served
-// binary stand on the engine and never link the experiments harness (or
-// the experiment-only IR and C1 baselines), and the engine itself knows
-// neither the harness nor the dataset generators.
+// TestLayering pins the inversion: the database, the router, the served
+// binary and the packages under them stand on the engine and never link
+// the experiments harness or anything under internal/experiments (the
+// drivers and their baselines: SEQ, SIF-G, the partition DP, the replayed
+// query log, IR and C1), and the engine itself knows neither the harness
+// nor the dataset generators.
 func TestLayering(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")
 	}
-	product := deps(t, "dsks", "dsks/internal/shard", "dsks/internal/server", "dsks/cmd/dsks-serve")
-	for _, banned := range []string{"dsks/internal/harness", "dsks/internal/experiments", "dsks/internal/edgestore", "dsks/internal/ir"} {
-		if product[banned] {
-			t.Errorf("the product packages link %s", banned)
+	for _, pkg := range []string{
+		"dsks", "dsks/cmd/dsks-serve",
+		"dsks/internal/shard", "dsks/internal/server", "dsks/internal/engine",
+		"dsks/internal/core", "dsks/internal/sig", "dsks/internal/invindex",
+	} {
+		closure := deps(t, pkg)
+		for dep := range closure {
+			if dep == "dsks/internal/harness" || dep == "dsks/internal/experiments" || strings.HasPrefix(dep, "dsks/internal/experiments/") {
+				t.Errorf("%s links %s", pkg, dep)
+			}
+		}
+		if pkg == "dsks/cmd/dsks-serve" && !closure["dsks/internal/engine"] {
+			t.Error("the served binary does not link dsks/internal/engine; is the pattern list stale?")
 		}
 	}
-	if !product["dsks/internal/engine"] {
-		t.Error("the product packages do not link dsks/internal/engine; is the pattern list stale?")
-	}
-	eng := deps(t, "dsks/internal/engine")
-	for _, banned := range []string{"dsks/internal/harness", "dsks/internal/dataset"} {
-		if eng[banned] {
-			t.Errorf("internal/engine links %s", banned)
-		}
+	if deps(t, "dsks/internal/engine")["dsks/internal/dataset"] {
+		t.Error("internal/engine links dsks/internal/dataset")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"dsks/internal/ccam"
 	"dsks/internal/core"
 	"dsks/internal/index"
 	"dsks/internal/metrics"
@@ -40,14 +41,10 @@ type Result struct {
 	Trace core.Trace
 }
 
-// DivAlgo selects the diversified search algorithm.
-type DivAlgo string
-
-// The two diversified algorithms of Section 5.2.
-const (
-	AlgoSEQ DivAlgo = "SEQ"
-	AlgoCOM DivAlgo = "COM"
-)
+// DivSearch is a diversified search algorithm over a network and an index
+// loader: core.SearchCOM is the one the database serves; the experiments
+// also run the paper's SEQ straw-man through the same accounting.
+type DivSearch func(ctx context.Context, net ccam.Network, loader index.Loader, q core.DivQuery) (core.DivResult, error)
 
 // Snapshot is what one query reads the object index at: a published root
 // set and the page source pinned at its LSN (the database's views hand
@@ -140,18 +137,9 @@ func (e *Engine) Search(ctx context.Context, at Snapshot, q core.SKQuery) (Resul
 	return s.end(Result{Candidates: cands, Stats: search.Stats(), Trace: search.Trace()}, err)
 }
 
-// SearchDiversified executes a diversified SK query with SEQ or COM (the
-// paper evaluates both over SIF). An unknown algo fails with an error
-// matching ErrBadOptions before any I/O.
-func (e *Engine) SearchDiversified(ctx context.Context, at Snapshot, algo DivAlgo, q core.DivQuery) (Result, error) {
-	search := core.SearchCOM
-	switch algo {
-	case AlgoCOM:
-	case AlgoSEQ:
-		search = core.SearchSEQ
-	default:
-		return Result{}, fmt.Errorf("%w: unknown diversified algorithm %q", ErrBadOptions, algo)
-	}
+// SearchDiversified executes a diversified SK query with search over the
+// oracle-attached network.
+func (e *Engine) SearchDiversified(ctx context.Context, at Snapshot, search DivSearch, q core.DivQuery) (Result, error) {
 	s, loader := e.begin(metrics.KindDiversified, at)
 	res, err := search(ctx, e.SearchNet, loader, q)
 	return s.end(Result{Candidates: res.Objects, F: res.F, Stats: res.Stats, Trace: res.Trace}, err)

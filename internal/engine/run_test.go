@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -51,7 +50,7 @@ func runFamily(e *engine.Engine, at engine.Snapshot, i int, w dataset.Query) (en
 	case 0:
 		res, err = e.Search(ctx, at, sk)
 	case 1:
-		res, err = e.SearchDiversified(ctx, at, engine.AlgoCOM, core.DivQuery{SKQuery: sk, K: 4, Lambda: 0.8})
+		res, err = e.SearchDiversified(ctx, at, core.SearchCOM, core.DivQuery{SKQuery: sk, K: 4, Lambda: 0.8})
 	case 2:
 		res, err = e.SearchKNN(ctx, at, core.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 4, MaxDist: w.DeltaMax})
 	case 3:
@@ -293,27 +292,5 @@ func TestUnversionedIndexHasNoMemo(t *testing.T) {
 	}
 	if _, err := e.SearchRanked(context.Background(), engine.Snapshot{}, core.RankedQuery{Pos: ws[0].Pos, Terms: ws[0].Terms, K: 3, Alpha: 0.5}); err == nil {
 		t.Error("a ranked query on IR, which has no union loads, succeeded")
-	}
-}
-
-// TestUnknownAlgorithmReadsNothing: an algorithm name that selects nothing
-// is a bad option, rejected before any page is read.
-func TestUnknownAlgorithmReadsNothing(t *testing.T) {
-	ds, ws := testData(t)
-	e := openEngine(t, ds, engine.KindSIF, 16)
-	reads := func() (n int64) {
-		for _, p := range append(e.Pools(), e.Pool) {
-			n += p.Stats().LogicalRead.Load()
-		}
-		return n
-	}
-	before := reads()
-	w := ws[0]
-	q := core.DivQuery{SKQuery: core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}, K: 2, Lambda: 0.5}
-	if _, err := e.SearchDiversified(context.Background(), engine.Snapshot{}, "bogus", q); !errors.Is(err, engine.ErrBadOptions) {
-		t.Errorf("diversified search with unknown algorithm: err = %v, want ErrBadOptions", err)
-	}
-	if after := reads(); after != before {
-		t.Errorf("unknown algorithm read %d pages before being rejected", after-before)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"dsks/internal/core"
 	"dsks/internal/dataset"
+	"dsks/internal/experiments/baselines"
 	"dsks/internal/harness"
 	"dsks/internal/sig"
 )
@@ -66,7 +67,7 @@ func AblationPruning(cfg Config) (*Result, error) {
 			var res core.DivResult
 			var err error
 			if v.seq {
-				res, err = core.SearchSEQ(context.Background(), sys.Net, loader, q)
+				res, err = baselines.SearchSEQ(context.Background(), sys.Net, loader, q)
 			} else {
 				res, err = core.SearchCOMPruned(context.Background(), sys.Net, loader, q, v.prune)
 			}
@@ -107,16 +108,18 @@ func AblationPartition(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for _, m := range []struct {
-		name   string
-		method sig.PartitionMethod
+		name      string
+		partition sig.Partitioner
 	}{
-		{"greedy", sig.PartitionMethodGreedy},
-		{"DP (Algorithm 4)", sig.PartitionMethodDP},
+		{"greedy", sig.PartitionGreedy},
+		{"DP (Algorithm 4)", baselines.PartitionDP},
 	} {
-		sys, err := harness.Build(ds, []harness.IndexKind{harness.KindSIFP}, harness.Options{
-			SIFPMethod: m.method,
-		})
+		sys, err := harness.Build(ds, nil, harness.Options{})
 		if err != nil {
+			return nil, err
+		}
+		if err := sys.Attach(harness.KindSIFP, baselines.Variant(harness.KindSIFP, ds.Objects, ds.VocabSize,
+			func(so *sig.Options) { so.Partition = m.partition })); err != nil {
 			return nil, err
 		}
 		hits, err := falseHits(sys, harness.KindSIFP, sys.SIFP, ws)
@@ -345,12 +348,15 @@ func AblationSelectivity(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for _, sel := range []bool{false, true} {
-		sys, err := harness.Build(ds, fineIndexKinds, harness.Options{
-			SelectivityOrder: sel,
-			IOLatency:        cfg.IOLatency,
-		})
+		sys, err := harness.Build(ds, nil, harness.Options{IOLatency: cfg.IOLatency})
 		if err != nil {
 			return nil, err
+		}
+		for _, kind := range fineIndexKinds {
+			if err := sys.Attach(kind, baselines.Variant(kind, ds.Objects, ds.VocabSize,
+				func(so *sig.Options) { so.SelectivityOrder = sel })); err != nil {
+				return nil, err
+			}
 		}
 		name := "query order"
 		if sel {

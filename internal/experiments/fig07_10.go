@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dsks/internal/dataset"
+	"dsks/internal/experiments/baselines"
 	"dsks/internal/harness"
 	"dsks/internal/sig"
 	"dsks/internal/storage"
@@ -208,10 +209,11 @@ func buildGroupAtBudget(ds *dataset.Dataset, ws []dataset.Query, budget int64) (
 		budget = storage.PageSize
 	}
 	for topX := 8; ; topX *= 2 {
-		sys, err := harness.Build(ds, []harness.IndexKind{harness.KindSIFG}, harness.Options{
-			GroupTopX: topX,
-		})
+		sys, err := harness.Build(ds, nil, harness.Options{})
 		if err != nil {
+			return nil, 0, 0, err
+		}
+		if err := sys.Attach(harness.KindSIFG, baselines.SIFG(ds.Objects, ds.VocabSize, topX)); err != nil {
 			return nil, 0, 0, err
 		}
 		extra := sys.Group.ExtraSizeBytes()
@@ -246,17 +248,20 @@ func Fig10(cfg Config) (*Result, error) {
 		variants := []struct {
 			name string
 			kind harness.IndexKind
-			opts harness.Options
+			log  sig.LogSource
 		}{
-			{"SIF", harness.KindSIF, harness.Options{}},
-			{"SIF-P-Rand", harness.KindSIFP, harness.Options{SIFPLog: &sig.RandLog{L: 3, N: 16, Seed: 5}}},
-			{"SIF-P-Freq", harness.KindSIFP, harness.Options{SIFPLog: &sig.FreqLog{L: 3, N: 16, Seed: 5}}},
-			{"SIF-P-Real", harness.KindSIFP, harness.Options{SIFPLog: sig.NewRealLog(harness.TermsOf(ws))}},
+			{"SIF", harness.KindSIF, nil},
+			{"SIF-P-Rand", harness.KindSIFP, &sig.RandLog{L: 3, N: 16, Seed: 5}},
+			{"SIF-P-Freq", harness.KindSIFP, &sig.FreqLog{L: 3, N: 16, Seed: 5}},
+			{"SIF-P-Real", harness.KindSIFP, baselines.NewRealLog(harness.TermsOf(ws))},
 		}
 		for _, v := range variants {
-			v.opts.IOLatency = cfg.IOLatency
-			sys, err := harness.Build(ds, []harness.IndexKind{v.kind}, v.opts)
+			sys, err := harness.Build(ds, nil, harness.Options{IOLatency: cfg.IOLatency})
 			if err != nil {
+				return nil, err
+			}
+			if err := sys.Attach(v.kind, baselines.Variant(v.kind, ds.Objects, ds.VocabSize,
+				func(so *sig.Options) { so.Log = v.log })); err != nil {
 				return nil, err
 			}
 			avg, reads, _, err := runSKWorkload(sys, v.kind, ws)

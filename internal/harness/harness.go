@@ -1,10 +1,12 @@
 // Package harness is the experiments' client of internal/engine: it builds
-// several object index kinds — the engine's three plus the experiment-only
-// IR, SIF-G and C1 baselines — over one shared disk-resident network, and runs
-// queries against any of them while collecting the cost metrics the
-// figures report (response time, disk accesses, candidate counts). It is
-// the substrate of the experiment drivers, the benchmark probes and the
-// core integration tests; the database itself stands on the engine alone.
+// several object index kinds — the engine's three plus the IR, SIF-G and
+// C1 baselines of internal/experiments/baselines, and any variant an
+// experiment builds there — over one shared disk-resident network, and
+// runs queries against any of them while collecting the cost metrics the
+// figures report (response time, disk accesses, candidate counts); its
+// diversified runs choose between COM and the baselines' SEQ. It is the
+// substrate of the experiment drivers, the benchmark probes and the core
+// integration tests; the database itself stands on the engine alone.
 package harness
 
 import (
@@ -16,11 +18,10 @@ import (
 	"dsks/internal/ccam"
 	"dsks/internal/core"
 	"dsks/internal/dataset"
-	"dsks/internal/edgestore"
 	"dsks/internal/engine"
+	"dsks/internal/experiments/baselines"
 	"dsks/internal/index"
 	"dsks/internal/invindex"
-	"dsks/internal/ir"
 	"dsks/internal/obj"
 	"dsks/internal/sig"
 	"dsks/internal/storage"
@@ -35,25 +36,21 @@ const (
 	KindIF   = engine.KindIF
 	KindSIF  = engine.KindSIF
 	KindSIFP = engine.KindSIFP
-	// KindIR is the Euclidean inverted R-tree, Section 5's straw-man.
-	KindIR IndexKind = "IR"
-	// KindSIFG is the group-based SIF-G baseline.
-	KindSIFG IndexKind = "SIF-G"
-	// KindC1 stores objects directly with their edges (no inverted
-	// structure), the C1 baseline of the paper's Section 3.2 analysis.
-	KindC1 IndexKind = "C1"
+	KindIR   = baselines.KindIR
+	KindSIFG = baselines.KindSIFG
+	KindC1   = baselines.KindC1
 )
 
 // Options configures a system build.
 type Options = engine.Options
 
 // DivAlgo selects the diversified search algorithm.
-type DivAlgo = engine.DivAlgo
+type DivAlgo string
 
 // The two diversified algorithms of Section 5.2.
 const (
-	AlgoSEQ = engine.AlgoSEQ
-	AlgoCOM = engine.AlgoCOM
+	AlgoSEQ DivAlgo = "SEQ"
+	AlgoCOM DivAlgo = "COM"
 )
 
 // System is a built instance: the disk-resident network and the requested
@@ -74,8 +71,8 @@ type System struct {
 	Inv   *invindex.Index
 	SIF   *sig.SIF
 	SIFP  *sig.SIF
-	Group *sig.Group
-	C1    *edgestore.Store
+	Group *baselines.Group
+	C1    *baselines.EdgeStore
 
 	net     *engine.Network
 	engines map[IndexKind]*engine.Engine
@@ -102,61 +99,47 @@ func Build(ds *dataset.Dataset, kinds []IndexKind, opts Options) (*System, error
 		s.BuildTime["oracle"] = net.OracleBuildTime
 	}
 	for _, kind := range kinds {
-		var e *engine.Engine
+		build := baselines.Variant(kind, ds.Objects, ds.VocabSize, nil)
 		switch kind {
 		case KindIR:
-			e, err = net.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
-				idx, err := ir.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
-				if err != nil {
-					return nil, 0, err
-				}
-				return idx, idx.SizeBytes(), nil
-			})
+			build = baselines.IR(ds.Objects, ds.VocabSize)
 		case KindSIFG:
-			e, err = net.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
-				inv, err := invindex.Build(ds.Graph, ds.Objects, ds.VocabSize, pool)
-				if err != nil {
-					return nil, 0, err
-				}
-				base, err := sig.BuildSIF(ds.Graph, ds.Objects, ds.VocabSize, inv, invindex.GraphZCoder{G: ds.Graph}, sig.Options{})
-				if err != nil {
-					return nil, 0, err
-				}
-				grp := sig.BuildGroup(base, ds.Objects, ds.VocabSize, net.Opts.GroupTopX)
-				return grp, base.SizeBytes() + grp.ExtraSizeBytes(), nil
-			})
+			build = baselines.SIFG(ds.Objects, ds.VocabSize, baselines.GroupTopX)
 		case KindC1:
-			e, err = net.Attach(kind, func(pool *storage.BufferPool) (index.Loader, int64, error) {
-				st, err := edgestore.Build(ds.Objects, ds.VocabSize, pool)
-				if err != nil {
-					return nil, 0, err
-				}
-				return st, st.SizeBytes(), nil
-			})
-		default:
-			e, err = net.BuildIndex(kind, ds.Objects, ds.VocabSize)
+			build = baselines.C1(ds.Objects, ds.VocabSize)
 		}
-		if err != nil {
+		if err := s.Attach(kind, build); err != nil {
 			return nil, err
 		}
-		switch l := e.Loader.(type) {
-		case *invindex.Loader:
-			s.Inv = l.Idx
-		case *sig.SIF:
-			if kind == KindSIFP {
-				s.SIFP = l
-			} else {
-				s.SIF = l
-			}
-		case *sig.Group:
-			s.Group = l
-		case *edgestore.Store:
-			s.C1 = l
-		}
-		s.engines[kind], s.pools = e, append(s.pools, e.Pool)
-		s.BuildTime[kind], s.IndexSize[kind] = e.BuildTime, e.SizeBytes
 	}
 	return s, nil
+}
+
+// Attach builds one more object index over the system's network and
+// registers it under kind: the way an experiment adds a baseline sized
+// its own way or a variant of a served index (baselines.Variant).
+func (s *System) Attach(kind IndexKind, build baselines.Builder) error {
+	e, err := build(s.net)
+	if err != nil {
+		return err
+	}
+	switch l := e.Loader.(type) {
+	case *invindex.Loader:
+		s.Inv = l.Idx
+	case *sig.SIF:
+		if kind == KindSIFP {
+			s.SIFP = l
+		} else {
+			s.SIF = l
+		}
+	case *baselines.Group:
+		s.Group = l
+	case *baselines.EdgeStore:
+		s.C1 = l
+	}
+	s.engines[kind], s.pools = e, append(s.pools, e.Pool)
+	s.BuildTime[kind], s.IndexSize[kind] = e.BuildTime, e.SizeBytes
+	return nil
 }
 
 // SearchNet returns the network the diversified searches run over: the
@@ -220,13 +203,22 @@ func (s *System) RunSK(ctx context.Context, kind IndexKind, q core.SKQuery) (eng
 }
 
 // RunDiv executes a diversified SK query with SEQ or COM over the given
-// index (the paper evaluates both over SIF).
+// index (the paper evaluates both over SIF). An unknown algo fails with an
+// error matching engine.ErrBadOptions before any I/O.
 func (s *System) RunDiv(ctx context.Context, kind IndexKind, algo DivAlgo, q core.DivQuery) (engine.Result, error) {
+	search := core.SearchCOM
+	switch algo {
+	case AlgoCOM:
+	case AlgoSEQ:
+		search = baselines.SearchSEQ
+	default:
+		return engine.Result{}, fmt.Errorf("%w: unknown diversified algorithm %q", engine.ErrBadOptions, algo)
+	}
 	e, err := s.engine(kind)
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return e.SearchDiversified(ctx, engine.Snapshot{}, algo, q)
+	return e.SearchDiversified(ctx, engine.Snapshot{}, search, q)
 }
 
 // RunKNN executes a boolean kNN spatial keyword query.

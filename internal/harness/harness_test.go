@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"dsks/internal/core"
 	"dsks/internal/dataset"
 	"dsks/internal/engine"
+	"dsks/internal/experiments/baselines"
 	"dsks/internal/sig"
 )
 
@@ -104,8 +106,28 @@ func TestRunDivBothAlgorithms(t *testing.T) {
 			t.Errorf("%s: no elapsed time", algo)
 		}
 	}
-	if _, err := sys.RunDiv(context.Background(), KindSIF, "NOPE", DivQueryOf(ws[0], 6, 0.8)); err == nil {
-		t.Error("unknown algorithm accepted")
+}
+
+// TestUnknownAlgorithmReadsNothing: an algorithm name that selects nothing
+// is a bad option, rejected before any page is read.
+func TestUnknownAlgorithmReadsNothing(t *testing.T) {
+	ds, ws := testDataset(t, 4)
+	sys, err := Build(ds, []IndexKind{KindSIF}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func() (n int64) {
+		for _, p := range sys.Pools() {
+			n += p.Stats().LogicalRead.Load()
+		}
+		return n
+	}
+	before := reads()
+	if _, err := sys.RunDiv(context.Background(), KindSIF, "bogus", DivQueryOf(ws[0], 2, 0.5)); !errors.Is(err, engine.ErrBadOptions) {
+		t.Errorf("diversified search with unknown algorithm: err = %v, want ErrBadOptions", err)
+	}
+	if after := reads(); after != before {
+		t.Errorf("unknown algorithm read %d pages before being rejected", after-before)
 	}
 }
 
@@ -145,9 +167,13 @@ func TestIOLatencyInjection(t *testing.T) {
 
 func TestSIFPRealLogOption(t *testing.T) {
 	ds, ws := testDataset(t, 6)
-	real := sig.NewRealLog(TermsOf(ws))
-	sys, err := Build(ds, []IndexKind{KindSIFP}, Options{SIFPLog: real})
+	real := baselines.NewRealLog(TermsOf(ws))
+	sys, err := Build(ds, nil, Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Attach(KindSIFP, baselines.Variant(KindSIFP, ds.Objects, ds.VocabSize,
+		func(so *sig.Options) { so.Log = real })); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sys.RunSK(context.Background(), KindSIFP, SKQueryOf(ws[0]))

@@ -67,15 +67,6 @@ func BenchmarkPartitionGreedy(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionDP(b *testing.B) {
-	objs := benchEdgeObjects(40, 3)
-	log := benchLog(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PartitionDP(objs, log, 3)
-	}
-}
-
 func BenchmarkSIFLoadObjects(b *testing.B) {
 	g, col, s := buildSIFFixture(b, Options{}, 7)
 	edges := col.Edges()

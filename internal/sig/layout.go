@@ -2,9 +2,10 @@
 // Sections 3.1 and 3.3: per-keyword edge signatures organized over a
 // KD-tree partition of the edge centers (with subtree compaction), the
 // partition enhancement that splits an edge's objects into virtual edges
-// (exact dynamic programming and the greedy heuristic), the query-log
-// models used to drive the partitioning, and the group-based SIF-G
-// baseline.
+// (the greedy heuristic, or any Partitioner the caller supplies), and the
+// query-log models used to drive the partitioning. The exact dynamic
+// program, the replayed query log and the group-based SIF-G baseline are
+// the experiments' (internal/experiments/baselines).
 package sig
 
 import (

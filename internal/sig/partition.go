@@ -1,40 +1,33 @@
 package sig
 
-import (
-	"math"
-
-	"dsks/internal/obj"
-)
+import "dsks/internal/obj"
 
 // This file implements the edge-partitioning of Section 3.3: splitting the
 // m objects of an edge into c+1 virtual edges so that the expected number
-// of objects loaded due to false hits, ξ(Q, P), is minimized. Both the
-// exact dynamic program of Algorithm 4 and the greedy heuristic used in
-// the paper's experiments (up to two orders of magnitude faster at nearly
-// the same quality) are provided.
+// of objects loaded due to false hits, ξ(Q, P), is minimized. The served
+// build uses the greedy heuristic of the paper's experiments (up to two
+// orders of magnitude faster than the exact dynamic program of Algorithm
+// 4, at nearly the same quality); the experiments supply the DP through
+// Options.Partition.
 
-// costTable precomputes ξ(Q, [i..j]) — the false-hit cost of the single
-// virtual edge covering objects i..j (inclusive) — for all ranges.
-type costTable struct {
-	m    int
-	cost [][]float64
-}
+// Partitioner splits an edge's objects (their term sets, in visiting
+// order) into at most maxCuts+1 virtual edges against the log. It returns
+// the cut positions — the index of the last object of each virtual edge
+// but the final one, strictly increasing — and the partition's ξ(Q, P).
+type Partitioner func(objTerms [][]obj.TermID, log QueryLog, maxCuts int) ([]int, float64)
 
-// newCostTable evaluates every contiguous object range against the log.
-// A range incurs cost (j-i+1)·Pr(q) for each query q that passes the
-// range's signature (every query term appears in some object of the range)
-// without a true hit (no single object contains all query terms).
-func newCostTable(objTerms [][]obj.TermID, log QueryLog) *costTable {
+// RangeCosts evaluates every contiguous object range against the log:
+// cost[i][j] is ξ(Q, [i..j]), the false-hit cost of the single virtual
+// edge covering objects i..j (inclusive). A range incurs cost
+// (j-i+1)·Pr(q) for each query q that passes the range's signature (every
+// query term appears in some object of the range) without a true hit (no
+// single object contains all query terms).
+func RangeCosts(objTerms [][]obj.TermID, log QueryLog) [][]float64 {
 	m := len(objTerms)
-	ct := &costTable{m: m, cost: make([][]float64, m)}
-	for i := range ct.cost {
-		ct.cost[i] = make([]float64, m)
+	cost := make([][]float64, m)
+	for i := range cost {
+		cost[i] = make([]float64, m)
 	}
-	return ct.fill(objTerms, log)
-}
-
-func (ct *costTable) fill(objTerms [][]obj.TermID, log QueryLog) *costTable {
-	m := ct.m
 	for _, q := range log {
 		if len(q.Terms) == 0 || q.Prob == 0 {
 			continue
@@ -67,118 +60,26 @@ func (ct *costTable) fill(objTerms [][]obj.TermID, log QueryLog) *costTable {
 					trueHit = true
 				}
 				if union == full && !trueHit {
-					ct.cost[i][j] += float64(j-i+1) * q.Prob
+					cost[i][j] += float64(j-i+1) * q.Prob
 				}
 			}
 		}
 	}
-	return ct
+	return cost
 }
 
 // partitionCost sums the range costs of a partition given by cut positions
 // (cuts[i] = index of the last object of virtual edge i; strictly
 // increasing, each < m-1).
-func (ct *costTable) partitionCost(cuts []int) float64 {
+func partitionCost(cost [][]float64, cuts []int) float64 {
 	total := 0.0
 	start := 0
 	for _, c := range cuts {
-		total += ct.cost[start][c]
+		total += cost[start][c]
 		start = c + 1
 	}
-	total += ct.cost[start][ct.m-1]
+	total += cost[start][len(cost)-1]
 	return total
-}
-
-// PartitionDP finds the partition of the edge's objects with at most
-// maxCuts cuts minimizing ξ(Q, P), via the dynamic program of Algorithm 4
-// (Equations 7–9). It returns the cut positions (index of the last object
-// of each virtual edge except the final one) and the optimal cost.
-// Complexity is O(c²·m³); intended for small edges and for validating the
-// greedy heuristic.
-func PartitionDP(objTerms [][]obj.TermID, log QueryLog, maxCuts int) ([]int, float64) {
-	m := len(objTerms)
-	if m == 0 {
-		return nil, 0
-	}
-	if maxCuts > m-1 {
-		maxCuts = m - 1
-	}
-	if maxCuts < 0 {
-		maxCuts = 0
-	}
-	ct := newCostTable(objTerms, log)
-
-	// best[c][i][j] = minimal cost partitioning objects i..j into c+1
-	// virtual edges; cut[c][i][j] and leftCuts[c][i][j] record the choice.
-	best := make([][][]float64, maxCuts+1)
-	cutAt := make([][][]int, maxCuts+1)
-	leftC := make([][][]int, maxCuts+1)
-	for c := 0; c <= maxCuts; c++ {
-		best[c] = make([][]float64, m)
-		cutAt[c] = make([][]int, m)
-		leftC[c] = make([][]int, m)
-		for i := 0; i < m; i++ {
-			best[c][i] = make([]float64, m)
-			cutAt[c][i] = make([]int, m)
-			leftC[c][i] = make([]int, m)
-			for j := 0; j < m; j++ {
-				if c == 0 {
-					if j >= i {
-						best[c][i][j] = ct.cost[i][j]
-					}
-					continue
-				}
-				best[c][i][j] = math.Inf(1)
-			}
-		}
-	}
-	for c := 1; c <= maxCuts; c++ {
-		for i := 0; i < m; i++ {
-			for j := i; j < m; j++ {
-				if j-i < c { // not enough cut positions (Eq. 8's ∞ case)
-					continue
-				}
-				bv, bk, bvleft := math.Inf(1), -1, 0
-				// Q*(i,j,k,c): one cut fixed at object k (Eq. 8), then
-				// exhaust all fixed positions (Eq. 9).
-				for k := i; k < j; k++ {
-					for v := 0; v <= c-1; v++ {
-						if k-i < v || j-k-1 < c-v-1 {
-							continue
-						}
-						cost := best[v][i][k] + best[c-v-1][k+1][j]
-						if cost < bv {
-							bv, bk, bvleft = cost, k, v
-						}
-					}
-				}
-				best[c][i][j] = bv
-				cutAt[c][i][j] = bk
-				leftC[c][i][j] = bvleft
-			}
-		}
-	}
-	// Since adding cuts never increases cost, the best over <= maxCuts is
-	// reported (partitioning with fewer cuts when extra cuts don't help).
-	bestC := 0
-	for c := 1; c <= maxCuts; c++ {
-		if best[c][0][m-1] < best[bestC][0][m-1] {
-			bestC = c
-		}
-	}
-	var cuts []int
-	var collect func(i, j, c int)
-	collect = func(i, j, c int) {
-		if c == 0 {
-			return
-		}
-		k, v := cutAt[c][i][j], leftC[c][i][j]
-		collect(i, k, v)
-		cuts = append(cuts, k)
-		collect(k+1, j, c-v-1)
-	}
-	collect(0, m-1, bestC)
-	return cuts, best[bestC][0][m-1]
 }
 
 // PartitionGreedy is the heuristic used in the paper's experiments:
@@ -193,9 +94,9 @@ func PartitionGreedy(objTerms [][]obj.TermID, log QueryLog, maxCuts int) ([]int,
 	if maxCuts > m-1 {
 		maxCuts = m - 1
 	}
-	ct := newCostTable(objTerms, log)
+	ranges := RangeCosts(objTerms, log)
 	var cuts []int
-	cost := ct.cost[0][m-1]
+	cost := ranges[0][m-1]
 	used := make([]bool, m)
 	for len(cuts) < maxCuts {
 		bestPos, bestCost := -1, cost
@@ -204,7 +105,7 @@ func PartitionGreedy(objTerms [][]obj.TermID, log QueryLog, maxCuts int) ([]int,
 				continue
 			}
 			trial := insertSorted(cuts, p)
-			if c := ct.partitionCost(trial); c < bestCost {
+			if c := partitionCost(ranges, trial); c < bestCost {
 				bestPos, bestCost = p, c
 			}
 		}
@@ -237,6 +138,5 @@ func insertSorted(cuts []int, p int) []int {
 // PartitionCost evaluates ξ(Q, P) for an explicit partition (used by tests
 // and the ablation benches).
 func PartitionCost(objTerms [][]obj.TermID, log QueryLog, cuts []int) float64 {
-	ct := newCostTable(objTerms, log)
-	return ct.partitionCost(cuts)
+	return partitionCost(RangeCosts(objTerms, log), cuts)
 }

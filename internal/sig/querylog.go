@@ -21,67 +21,11 @@ type QueryLog []LogQuery
 
 // LogSource produces the query log used to partition a given edge.
 // objTerms are the term sets of the edge's objects in visiting order.
-// The three implementations mirror the paper's Figure 10 variants:
-// RealLog (SIF-P-Real), FreqLog (SIF-P-Freq) and RandLog (SIF-P-Rand).
+// FreqLog (SIF-P-Freq, the served default) and RandLog (SIF-P-Rand) are
+// two of the paper's Figure 10 variants; the experiments replay the real
+// workload (SIF-P-Real) themselves.
 type LogSource interface {
 	ForEdge(e graph.EdgeID, objTerms [][]obj.TermID) QueryLog
-}
-
-// RealLog replays an actual query workload: the exact keyword sets of the
-// future query load (the paper's SIF-P-Real upper bound). Queries that
-// cannot touch the edge (a keyword absent from all its objects) are
-// filtered out, since they fail the whole-edge signature and contribute
-// zero cost to every partition.
-type RealLog struct {
-	Queries []LogQuery
-}
-
-// NewRealLog builds a RealLog from raw keyword sets, weighting each
-// distinct set by its frequency in the workload.
-func NewRealLog(keywordSets [][]obj.TermID) *RealLog {
-	counts := make(map[string]int)
-	sets := make(map[string][]obj.TermID)
-	for _, ks := range keywordSets {
-		norm := obj.NormalizeTerms(append([]obj.TermID(nil), ks...))
-		k := termKey(norm)
-		counts[k]++
-		sets[k] = norm
-	}
-	total := float64(len(keywordSets))
-	log := &RealLog{}
-	keys := make([]string, 0, len(sets))
-	for k := range sets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		log.Queries = append(log.Queries, LogQuery{Terms: sets[k], Prob: float64(counts[k]) / total})
-	}
-	return log
-}
-
-// ForEdge implements LogSource.
-func (r *RealLog) ForEdge(_ graph.EdgeID, objTerms [][]obj.TermID) QueryLog {
-	present := make(map[obj.TermID]bool)
-	for _, ts := range objTerms {
-		for _, t := range ts {
-			present[t] = true
-		}
-	}
-	var out QueryLog
-	for _, q := range r.Queries {
-		all := true
-		for _, t := range q.Terms {
-			if !present[t] {
-				all = false
-				break
-			}
-		}
-		if all {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // FreqLog generates a per-edge synthetic log under the paper's default
@@ -146,9 +90,8 @@ func sampleEdgeLog(e graph.EdgeID, objTerms [][]obj.TermID, l, n int, seed int64
 		}
 		return terms[len(terms)-1]
 	}
-	counts := make(map[string]int)
-	sets := make(map[string][]obj.TermID)
-	for i := 0; i < n; i++ {
+	sets := make([][]obj.TermID, n)
+	for i := range sets {
 		q := make([]obj.TermID, 0, l)
 		for len(q) < l && len(q) < len(terms) {
 			t := draw()
@@ -156,19 +99,30 @@ func sampleEdgeLog(e graph.EdgeID, objTerms [][]obj.TermID, l, n int, seed int64
 				q = append(q, t)
 			}
 		}
-		q = obj.NormalizeTerms(q)
-		k := termKey(q)
-		counts[k]++
-		sets[k] = q
+		sets[i] = obj.NormalizeTerms(q)
 	}
-	var out QueryLog
-	keys := make([]string, 0, len(sets))
-	for k := range sets {
+	return LogOf(sets)
+}
+
+// LogOf tallies normalized keyword sets into a query log: one entry per
+// distinct set, with its share of the sets as its probability, in the
+// order of the sets' byte keys.
+func LogOf(sets [][]obj.TermID) QueryLog {
+	counts := make(map[string]int)
+	distinct := make(map[string][]obj.TermID)
+	for _, ts := range sets {
+		k := termKey(ts)
+		counts[k]++
+		distinct[k] = ts
+	}
+	keys := make([]string, 0, len(distinct))
+	for k := range distinct {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var out QueryLog
 	for _, k := range keys {
-		out = append(out, LogQuery{Terms: sets[k], Prob: float64(counts[k]) / float64(n)})
+		out = append(out, LogQuery{Terms: distinct[k], Prob: float64(counts[k]) / float64(len(sets))})
 	}
 	return out
 }

@@ -25,17 +25,6 @@ type Counters struct {
 	ObjectsLoaded int64 // qualifying objects materialized
 }
 
-// PartitionMethod selects the edge-partitioning algorithm.
-type PartitionMethod int
-
-// Partitioning algorithm choices.
-const (
-	// PartitionMethodGreedy is the paper's experimental default.
-	PartitionMethodGreedy PartitionMethod = iota
-	// PartitionMethodDP is the exact dynamic program (Algorithm 4).
-	PartitionMethodDP
-)
-
 // Options configures BuildSIF.
 type Options struct {
 	// MaxCuts is the cut budget per partitioned edge; 0 builds a plain SIF
@@ -45,8 +34,8 @@ type Options struct {
 	// count ranks within the top fraction (the paper uses the top 10%).
 	// Zero defaults to 0.1 when MaxCuts > 0.
 	TopFraction float64
-	// Method picks greedy (default) or exact DP partitioning.
-	Method PartitionMethod
+	// Partition splits each selected edge; nil is PartitionGreedy.
+	Partition Partitioner
 	// Log supplies the per-edge query log; required when MaxCuts > 0.
 	Log LogSource
 	// SelectivityOrder enables rarest-term-first probing in the inner
@@ -106,6 +95,10 @@ func BuildSIF(g *graph.Graph, c *obj.Collection, vocabSize int, inv *invindex.In
 		if frac <= 0 {
 			frac = 0.1
 		}
+		partition := opts.Partition
+		if partition == nil {
+			partition = PartitionGreedy
+		}
 		ranked := c.Edges()
 		sort.Slice(ranked, func(i, j int) bool {
 			ni, nj := len(c.OnEdge(ranked[i])), len(c.OnEdge(ranked[j]))
@@ -124,13 +117,7 @@ func BuildSIF(g *graph.Graph, c *obj.Collection, vocabSize int, inv *invindex.In
 			for i, id := range ids {
 				objTerms[i] = c.Get(id).Terms
 			}
-			log := opts.Log.ForEdge(e, objTerms)
-			var cuts []int
-			if opts.Method == PartitionMethodDP {
-				cuts, _ = PartitionDP(objTerms, log, opts.MaxCuts)
-			} else {
-				cuts, _ = PartitionGreedy(objTerms, log, opts.MaxCuts)
-			}
+			cuts, _ := partition(objTerms, opts.Log.ForEdge(e, objTerms), opts.MaxCuts)
 			if len(cuts) > 0 {
 				partitions[e] = cuts
 				layout.SetVirtualEdges(e, len(cuts)+1)
@@ -375,8 +362,8 @@ func (s *SIF) passesIn(sigs []*TermSignature, e graph.EdgeID, terms []obj.TermID
 	return false
 }
 
-// Passes exposes the signature test over the live roots (used by SIF-G and
-// by tests).
+// Passes exposes the signature test over the live roots (used by the
+// experiments' SIF-G and by tests).
 func (s *SIF) Passes(e graph.EdgeID, terms []obj.TermID) bool {
 	return s.passesIn(s.roots.Sigs, e, terms)
 }
@@ -437,7 +424,7 @@ func (s *SIF) Index() *invindex.Index { return s.inner.Idx }
 // for a copy-on-write mutation or a published snapshot for readers.
 func (s *SIF) Roots() Roots { return s.roots }
 
-// Layout exposes the slot layout (for tests and SIF-G).
+// Layout exposes the slot layout (for tests and the experiments' SIF-G).
 func (s *SIF) Layout() *Layout { return s.layout }
 
 // HasSignature reports whether term t carries a signature.

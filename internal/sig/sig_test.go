@@ -372,71 +372,6 @@ func TestFalseHitCostFigure3(t *testing.T) {
 	}
 }
 
-func TestPartitionDPOptimal(t *testing.T) {
-	objs := figure3Objects()
-	log := QueryLog{
-		{Terms: []obj.TermID{0, 2}, Prob: 0.4},
-		{Terms: []obj.TermID{1, 3}, Prob: 0.3},
-		{Terms: []obj.TermID{0, 1}, Prob: 0.3},
-	}
-	cuts, cost := PartitionDP(objs, log, 1)
-	// Exhaustive check over all single cuts.
-	best := PartitionCost(objs, log, nil)
-	for c := 0; c < len(objs)-1; c++ {
-		if v := PartitionCost(objs, log, []int{c}); v < best {
-			best = v
-		}
-	}
-	if math.Abs(cost-best) > 1e-12 {
-		t.Errorf("DP cost %v vs exhaustive %v (cuts %v)", cost, best, cuts)
-	}
-}
-
-func TestPartitionDPMatchesExhaustive(t *testing.T) {
-	// Random small instances: DP must equal brute force over all cut sets.
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 25; trial++ {
-		m := 4 + rng.Intn(4)
-		objs := make([][]obj.TermID, m)
-		for i := range objs {
-			nt := 1 + rng.Intn(3)
-			ts := make([]obj.TermID, nt)
-			for j := range ts {
-				ts[j] = obj.TermID(rng.Intn(5))
-			}
-			objs[i] = obj.NormalizeTerms(ts)
-		}
-		var log QueryLog
-		for i := 0; i < 4; i++ {
-			ts := []obj.TermID{obj.TermID(rng.Intn(5)), obj.TermID(rng.Intn(5))}
-			log = append(log, LogQuery{Terms: obj.NormalizeTerms(ts), Prob: 0.25})
-		}
-		maxCuts := 2
-		_, dpCost := PartitionDP(objs, log, maxCuts)
-
-		// Brute force over all cut subsets of size <= maxCuts.
-		best := PartitionCost(objs, log, nil)
-		positions := m - 1
-		for mask := 1; mask < 1<<positions; mask++ {
-			var cuts []int
-			for p := 0; p < positions; p++ {
-				if mask&(1<<p) != 0 {
-					cuts = append(cuts, p)
-				}
-			}
-			if len(cuts) > maxCuts {
-				continue
-			}
-			if v := PartitionCost(objs, log, cuts); v < best {
-				best = v
-			}
-		}
-		if math.Abs(dpCost-best) > 1e-9 {
-			t.Fatalf("trial %d: DP %v vs brute force %v", trial, dpCost, best)
-		}
-	}
-}
-
 func TestPartitionGreedyNeverWorseThanNoCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 30; trial++ {
@@ -459,23 +394,15 @@ func TestPartitionGreedyNeverWorseThanNoCuts(t *testing.T) {
 		if cost > noCuts+1e-12 {
 			t.Fatalf("greedy worsened cost: %v -> %v (cuts %v)", noCuts, cost, cuts)
 		}
-		// DP is at least as good as greedy.
-		_, dpCost := PartitionDP(objs, log, 3)
-		if dpCost > cost+1e-9 {
-			t.Fatalf("DP worse than greedy: %v vs %v", dpCost, cost)
-		}
 	}
 }
 
 func TestPartitionEdgeCases(t *testing.T) {
-	if cuts, cost := PartitionDP(nil, nil, 3); cuts != nil || cost != 0 {
-		t.Error("empty DP should be trivial")
-	}
 	if cuts, cost := PartitionGreedy(nil, nil, 3); cuts != nil || cost != 0 {
 		t.Error("empty greedy should be trivial")
 	}
 	one := [][]obj.TermID{{0}}
-	if cuts, _ := PartitionDP(one, nil, 3); len(cuts) != 0 {
+	if cuts, _ := PartitionGreedy(one, nil, 3); len(cuts) != 0 {
 		t.Error("single object cannot be cut")
 	}
 }
@@ -504,19 +431,6 @@ func TestQueryLogModels(t *testing.T) {
 	rl := randLog.ForEdge(0, objTerms)
 	if len(rl) == 0 {
 		t.Fatal("rand log empty")
-	}
-
-	real := NewRealLog([][]obj.TermID{{0, 1}, {0, 1}, {5, 6}})
-	if len(real.Queries) != 2 {
-		t.Fatalf("real log has %d distinct queries", len(real.Queries))
-	}
-	forEdge := real.ForEdge(0, objTerms)
-	// {5,6} can't touch this edge; only {0,1} remains.
-	if len(forEdge) != 1 || forEdge[0].Terms[0] != 0 || forEdge[0].Terms[1] != 1 {
-		t.Errorf("real log filter = %+v", forEdge)
-	}
-	if math.Abs(forEdge[0].Prob-2.0/3) > 1e-9 {
-		t.Errorf("real log prob = %v", forEdge[0].Prob)
 	}
 }
 
@@ -651,38 +565,6 @@ func TestSIFPReducesFalseHits(t *testing.T) {
 	}
 	if b.TrueHits != a.TrueHits {
 		t.Errorf("true hits differ: SIF %d vs SIF-P %d", a.TrueHits, b.TrueHits)
-	}
-}
-
-func TestSIFGSoundAndTighter(t *testing.T) {
-	g, col, base := buildSIFFixture(t, Options{}, 15)
-	grp := BuildGroup(base, col, 15, 8)
-	if grp.NumPairs() == 0 {
-		t.Fatal("no pairs materialized")
-	}
-	if grp.ExtraSizeBytes() <= 0 {
-		t.Fatal("no extra space accounted")
-	}
-	rng := rand.New(rand.NewSource(16))
-	base.ResetCounters()
-	for trial := 0; trial < 400; trial++ {
-		e := graph.EdgeID(rng.Intn(g.NumEdges()))
-		ts := obj.NormalizeTerms([]obj.TermID{
-			obj.TermID(rng.Intn(15)), obj.TermID(rng.Intn(15)),
-		})
-		got, err := grp.LoadObjects(context.Background(), e, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		for _, id := range col.OnEdge(e) {
-			if col.Get(id).HasAllTerms(ts) {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("SIF-G lost objects: got %d, want %d", len(got), want)
-		}
 	}
 }
 

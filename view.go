@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync/atomic"
 
+	"dsks/internal/core"
 	"dsks/internal/engine"
 )
 
@@ -115,7 +116,7 @@ func (v *View) SearchDiversified(ctx context.Context, q DivQuery) (Result, error
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return Result{}, err
 	}
-	return v.db.eng.SearchDiversified(ctx, v.at, engine.AlgoCOM, q)
+	return v.db.eng.SearchDiversified(ctx, v.at, core.SearchCOM, q)
 }
 
 // SearchKNN returns the k nearest objects containing every query keyword,
