@@ -175,6 +175,18 @@ func TestOpenPathUnknownIndexKind(t *testing.T) {
 	wantBadSnapshot(t, dir, "unknown index kind")
 }
 
+// TestOpenPathNegativeConfiguration: a negative persisted buffer fraction
+// or cut budget is a damaged meta.json, not a configuration to restore.
+func TestOpenPathNegativeConfiguration(t *testing.T) {
+	for _, key := range []string{"bufferFraction", "partitionCuts"} {
+		dir := saveTiny(t)
+		downgradeToV1(t, dir, func(meta map[string]any) {
+			meta[key] = -1
+		})
+		wantBadSnapshot(t, dir, "negative "+key)
+	}
+}
+
 // TestOpenPathIRSnapshot: a snapshot whose meta.json names IR, a kind the
 // database no longer builds, does not open as saved; since every open
 // rebuilds the index, it opens with the kind the caller names and answers
