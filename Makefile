@@ -30,6 +30,14 @@ lint:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
+# fuzz-smoke is CI's fuzz-smoke job: FUZZTIME of each fuzz target, and
+# the one list of them. In order: the Z-order round trip, the graph
+# loader, the page round trip, the traversal kernel against the in-memory
+# reference, the frontier's node table against a Go map, the clustered
+# B+-tree against a sorted map, the GET decoder against the url.Values
+# reference, the response encoder against encoding/json, the WAL record
+# decoder against its encoder, and the router's leg merge over arbitrary
+# leg partitions.
 fuzz-smoke:
 	$(GO) test -run FuzzZOrder -fuzz FuzzZOrder -fuzztime $(FUZZTIME) ./internal/geo/
 	$(GO) test -run FuzzLoadGraph -fuzz FuzzLoadGraph -fuzztime $(FUZZTIME) ./internal/graph/

@@ -490,12 +490,16 @@ type Result = engine.Result
 
 // checkPosTerms validates what the index structures index into without
 // bounds checks of their own, for a query or an insert (op names which):
-// the position's edge must exist in the road network and every term must
-// fall inside the vocabulary. Violations fail with errors matching
-// ErrUnknownEdge and ErrTermOutOfRange.
+// the position's edge must exist in the road network, its offset must be
+// finite (core.CheckOffset), and every term must fall inside the
+// vocabulary. Violations of the first and the last fail with errors
+// matching ErrUnknownEdge and ErrTermOutOfRange.
 func (db *DB) checkPosTerms(op string, pos Position, terms []TermID) error {
 	if pos.Edge < 0 || int(pos.Edge) >= db.eng.Graph.NumEdges() {
 		return fmt.Errorf("dsks: %s on edge %d: %w", op, pos.Edge, ErrUnknownEdge)
+	}
+	if err := core.CheckOffset(pos); err != nil {
+		return fmt.Errorf("dsks: %s on edge %d: %w", op, pos.Edge, err)
 	}
 	for _, t := range terms {
 		if t < 0 || int(t) >= db.eng.VocabSize {
@@ -591,7 +595,7 @@ func (db *DB) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := v.stream(ctx, q, func() { v.Close() })
+	s, err := v.stream(ctx, q, false, func() { v.Close() })
 	if err != nil {
 		v.Close()
 		return nil, err
@@ -922,7 +926,7 @@ func (db *DB) DurableLSN() uint64 {
 // is involved). A pair no chain of road segments connects fails with an
 // error matching ErrNoPath, a done context with one matching ErrCanceled
 // or ErrDeadlineExceeded, and a position on an edge outside the network
-// with one matching ErrUnknownEdge.
+// with one matching ErrUnknownEdge. A position's offset must be finite.
 func (db *DB) NetworkDistance(ctx context.Context, a, b Position) (float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, err
@@ -931,6 +935,9 @@ func (db *DB) NetworkDistance(ctx context.Context, a, b Position) (float64, erro
 	for _, p := range [2]Position{a, b} {
 		if p.Edge < 0 || int(p.Edge) >= g.NumEdges() {
 			return 0, fmt.Errorf("dsks: network distance at edge %d: %w", p.Edge, ErrUnknownEdge)
+		}
+		if err := core.CheckOffset(p); err != nil {
+			return 0, fmt.Errorf("dsks: network distance at edge %d: %w", p.Edge, err)
 		}
 	}
 	d := g.NetworkDist(a, b)
@@ -945,8 +952,14 @@ type Route = graph.Route
 
 // ShortestRoute returns the least-cost path between two positions — the
 // traversed edges in order plus the total cost — for presenting results
-// ("how do I get there") rather than just ranking them.
+// ("how do I get there") rather than just ranking them. A position's
+// offset must be finite.
 func (db *DB) ShortestRoute(a, b Position) (Route, error) {
+	for _, p := range [2]Position{a, b} {
+		if err := core.CheckOffset(p); err != nil {
+			return Route{}, fmt.Errorf("dsks: route at edge %d: %w", p.Edge, err)
+		}
+	}
 	return db.eng.Graph.ShortestRoute(a, b)
 }
 

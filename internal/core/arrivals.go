@@ -27,11 +27,11 @@ type ArrivalSource interface {
 // grows by what arrives.
 const answerCap = 16
 
-// TakeArrivals returns src's first k arrivals, or all of them when k is 0:
+// takeArrivals returns src's first k arrivals, or all of them when k is 0:
 // the boolean query drains its source, and because arrivals come in
 // non-decreasing distance, kNN's first k are exactly the k nearest. src is
 // left to the caller to stop.
-func TakeArrivals(src ArrivalSource, k int) ([]Candidate, error) {
+func takeArrivals(src ArrivalSource, k int) ([]Candidate, error) {
 	var out []Candidate
 	if k > 0 {
 		out = make([]Candidate, 0, min(k, answerCap))

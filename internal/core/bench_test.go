@@ -104,7 +104,7 @@ func BenchmarkSearchKNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wq := ws[i%len(ws)]
-		if _, _, _, err := core.SearchKNN(context.Background(), sys.Net, loader, core.KNNQuery{
+		if _, err := core.Run(context.Background(), sys.Net, loader, core.KNNQuery{
 			Pos: wq.Pos, Terms: wq.Terms, K: 10, MaxDist: wq.DeltaMax,
 		}); err != nil {
 			b.Fatal(err)

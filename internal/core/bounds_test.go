@@ -234,7 +234,7 @@ func TestTravelTimeCostModel(t *testing.T) {
 	}
 }
 
-// TestKNNInternal exercises core.SearchKNN directly on the test world.
+// TestKNNInternal runs the kNN family through core.Run on the test world.
 func TestKNNInternal(t *testing.T) {
 	sys, ws := testWorld(t, 59)
 	loader, err := sys.Loader(harness.KindSIF)
@@ -242,12 +242,13 @@ func TestKNNInternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wq := range ws[:5] {
-		cands, stats, _, err := core.SearchKNN(context.Background(), sys.Net, loader, core.KNNQuery{
+		res, err := core.Run(context.Background(), sys.Net, loader, core.KNNQuery{
 			Pos: wq.Pos, Terms: wq.Terms, K: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cands, stats := res.Candidates, res.Stats
 		if len(cands) > 5 {
 			t.Fatalf("kNN returned %d > k", len(cands))
 		}

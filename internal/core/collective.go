@@ -10,6 +10,7 @@ import (
 	"dsks/internal/ccam"
 	"dsks/internal/graph"
 	"dsks/internal/index"
+	"dsks/internal/metrics"
 	"dsks/internal/obj"
 )
 
@@ -29,7 +30,7 @@ func (q CollectiveQuery) Validate() error {
 	if len(q.Terms) == 0 {
 		return fmt.Errorf("core: collective query needs at least one keyword")
 	}
-	if err := finite("position offset", q.Pos.Offset); err != nil {
+	if err := CheckOffset(q.Pos); err != nil {
 		return err
 	}
 	if err := finite("DeltaMax", q.DeltaMax); err != nil {
@@ -53,39 +54,22 @@ type CollectiveResult struct {
 	Uncovered []obj.TermID
 }
 
-// SKQuery is the OR search a collective query runs: its terms normalized,
-// its radius DeltaMax.
-func (q CollectiveQuery) SKQuery() SKQuery {
-	return expansionQuery(q.Pos, q.Terms, q.DeltaMax)
+// Expansion is the OR search a collective query runs: its terms
+// normalized, its radius DeltaMax.
+func (q CollectiveQuery) Expansion() (SKQuery, bool) {
+	return expansionQuery(q.Pos, q.Terms, q.DeltaMax), true
 }
 
-// SearchCollective finds a keyword-covering group over the OR expansion
-// (CoverArrivals). The stats and the per-stage timings (the set-cover
-// greedy is accounted to Diversify) cover the work done on the error path
-// too; Trace.Total is left for the caller.
-func SearchCollective(ctx context.Context, net ccam.Network, loader index.UnionLoader, q CollectiveQuery) (CollectiveResult, SearchStats, Trace, error) {
-	if err := q.Validate(); err != nil {
-		return CollectiveResult{}, SearchStats{}, Trace{}, err
-	}
-	skq := q.SKQuery()
-	sks, err := NewSKSearchAny(ctx, net, loader, skq)
-	if err != nil {
-		return CollectiveResult{}, SearchStats{}, Trace{}, err
-	}
-	group, greedy, err := CoverArrivals(sks, skq.Terms)
-	trace := sks.Trace()
-	trace.Diversify = greedy
-	return group, sks.Stats(), trace, err
-}
+// Kind is metrics.KindCollective.
+func (CollectiveQuery) Kind() metrics.QueryKind { return metrics.KindCollective }
 
-// CoverArrivals is the collective query over src, the OR source of terms
-// (sorted and duplicate-free, CollectiveQuery.SKQuery). It drains src, then
-// runs the classic weighted set-cover greedy (ln|T|-approximate for the
-// sum cost) over the arrivals in (distance, ID) order: objects are chosen
-// by the lowest distance per newly covered term until every term is
-// covered, ties going to the earlier arrival. Each arrival's covered terms
-// are the ones its OR load matched. greedy is the time the greedy took.
-func CoverArrivals(src ArrivalSource, terms []obj.TermID) (group CollectiveResult, greedy time.Duration, err error) {
+// Answer is the collective query over src. It drains src, then runs the
+// classic weighted set-cover greedy (ln|T|-approximate for the sum cost)
+// over the arrivals in (distance, ID) order: objects are chosen by the
+// lowest distance per newly covered term until every term is covered, ties
+// going to the earlier arrival. Each arrival's covered terms are the ones
+// its OR load matched. The greedy's time is Trace.Diversify.
+func (q CollectiveQuery) Answer(_ context.Context, src ArrivalSource, _ ccam.Network, res *Result) error {
 	type cand struct {
 		Candidate
 		covers index.TermSet
@@ -94,13 +78,15 @@ func CoverArrivals(src ArrivalSource, terms []obj.TermID) (group CollectiveResul
 	for {
 		c, ok, err := src.Next()
 		if err != nil {
-			return CollectiveResult{}, 0, err
+			return err
 		}
 		if !ok {
 			break
 		}
 		cands = append(cands, cand{c, src.Terms()})
 	}
+	skq, _ := q.Expansion()
+	terms := skq.Terms
 	start := time.Now()
 	// A single node emits equal distances in discovery order; sorting
 	// makes the group independent of how the arrivals were merged.
@@ -109,6 +95,7 @@ func CoverArrivals(src ArrivalSource, terms []obj.TermID) (group CollectiveResul
 	for i := range uncovered {
 		uncovered[i] = i
 	}
+	group := &CollectiveResult{}
 	for len(uncovered) > 0 {
 		best, bestRatio := -1, math.Inf(1)
 		for i, c := range cands {
@@ -145,7 +132,9 @@ func CoverArrivals(src ArrivalSource, terms []obj.TermID) (group CollectiveResul
 		group.Uncovered = append(group.Uncovered, terms[t])
 	}
 	sort.Slice(group.Objects, func(i, j int) bool { return candidateBefore(group.Objects[i], group.Objects[j]) })
-	return group, time.Since(start), nil
+	res.Collective = group
+	res.Trace.Diversify = time.Since(start)
+	return nil
 }
 
 // candidateBefore is the arrival order: distance, then ID.

@@ -24,12 +24,13 @@ func TestSearchCollectiveCovers(t *testing.T) {
 	col := sys.DS.Objects
 	covered := 0
 	for _, wq := range ws {
-		res, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+		out, err := core.Run(context.Background(), sys.Net, ul, core.CollectiveQuery{
 			Pos: wq.Pos, Terms: wq.Terms, DeltaMax: wq.DeltaMax,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := out.Collective
 		if !res.Covered {
 			// Some keyword genuinely has no in-range object: verify.
 			for _, tm := range res.Uncovered {
@@ -96,12 +97,13 @@ func TestSearchCollectiveBeatsNaivePerKeyword(t *testing.T) {
 	// Query anchored at an object that contains all its own terms: the
 	// group should be that single object at distance 0.
 	anchor := col.Get(3)
-	res, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+	out, err := core.Run(context.Background(), sys.Net, ul, core.CollectiveQuery{
 		Pos: anchor.Pos, Terms: anchor.Terms, DeltaMax: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Collective
 	if !res.Covered {
 		t.Fatal("anchored query not covered")
 	}
@@ -120,7 +122,7 @@ func TestSearchCollectiveUncoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ul := loader.(index.UnionLoader)
-	res, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+	out, err := core.Run(context.Background(), sys.Net, ul, core.CollectiveQuery{
 		Pos:      col.Get(0).Pos, // at the near object
 		Terms:    []obj.TermID{0, 1},
 		DeltaMax: 100, // the far object is 900 away
@@ -128,6 +130,7 @@ func TestSearchCollectiveUncoverable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Collective
 	if res.Covered {
 		t.Fatal("out-of-range keyword reported covered")
 	}
@@ -157,10 +160,10 @@ func TestSearchCollectiveValidation(t *testing.T) {
 	sys, _ := testWorld(t, 77)
 	loader, _ := sys.Loader(harness.KindSIF)
 	ul := loader.(index.UnionLoader)
-	if _, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{DeltaMax: 10}); err == nil {
+	if _, err := core.Run(context.Background(), sys.Net, ul, core.CollectiveQuery{DeltaMax: 10}); err == nil {
 		t.Error("empty terms accepted")
 	}
-	if _, _, _, err := core.SearchCollective(context.Background(), sys.Net, ul, core.CollectiveQuery{
+	if _, err := core.Run(context.Background(), sys.Net, ul, core.CollectiveQuery{
 		Terms: []obj.TermID{1},
 	}); err == nil {
 		t.Error("zero range accepted")

@@ -5,19 +5,8 @@ import (
 	"time"
 
 	"dsks/internal/ccam"
-	"dsks/internal/index"
 	"dsks/internal/obj"
 )
-
-// DivResult is the outcome of a diversified spatial keyword query: the k
-// chosen objects (fewer when fewer qualify), the objective value f(S), the
-// cost counters, and the per-stage timings.
-type DivResult struct {
-	Objects []Candidate
-	F       float64
-	Stats   SearchStats
-	Trace   Trace
-}
 
 // PruneOptions toggles Algorithm 6's two pruning rules individually; the
 // zero value enables both. Disabling them isolates each rule's
@@ -32,70 +21,42 @@ type PruneOptions struct {
 	DisableObjectPrune bool
 }
 
-// SearchCOM is the incremental diversified spatial keyword search of
-// Algorithm 6: objects arrive from the network expansion in non-decreasing
-// network distance; the core pairs and the threshold θ_T are maintained
-// incrementally (Algorithm 5); and two diversity-based pruning rules cut
-// the work — visited objects that can never enter a core pair are dropped
-// from future pairwise computations, and the whole expansion terminates as
-// soon as no unvisited object can contribute.
-func SearchCOM(ctx context.Context, net ccam.Network, loader index.Loader, q DivQuery) (DivResult, error) {
-	return SearchCOMPruned(ctx, net, loader, q, PruneOptions{})
-}
-
-// SearchCOMPruned is SearchCOM with explicit control over the pruning
-// rules.
-func SearchCOMPruned(ctx context.Context, net ccam.Network, loader index.Loader, q DivQuery, prune PruneOptions) (DivResult, error) {
-	if err := q.Validate(); err != nil {
-		return DivResult{}, err
-	}
-	start := time.Now()
-	sks, err := NewSKSearch(ctx, net, loader, q.SKQuery)
-	if err != nil {
-		return DivResult{}, err
-	}
+// DiversifyArrivals is the incremental diversified spatial keyword search
+// of Algorithm 6 over src, q's boolean arrivals: objects arrive in
+// non-decreasing network distance; the core pairs and the threshold θ_T
+// are maintained incrementally (Algorithm 5); and two diversity-based
+// pruning rules cut the work — visited objects that can never enter a
+// core pair are dropped from future pairwise computations, and the whole
+// expansion terminates as soon as no unvisited object can contribute.
+// prune switches the rules off one by one (the ablation); DivQuery.Answer
+// runs it with both. It is the one arrival loop of the tree, with the core
+// pairs, the θ memo, the odd-k padding and the objective. Pair distances
+// run on net within 2·DeltaMax. The result carries the diversification
+// side only — Candidates, F, the distance engine's counters with Pruned
+// and EarlyTerminate, and Trace.Diversify, the time spent outside
+// src.Next; the caller adds what its source cost. A failure (src's, or the
+// context ending inside the distance engine) returns the work done up to
+// it beside the error. src is stopped on an early termination and
+// otherwise left to the caller.
+func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network, q DivQuery, prune PruneOptions) (Result, error) {
 	params := DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}
-	res, err := DiversifyArrivals(ctx, sks, net, params, prune)
-	res.Stats.Add(sks.Stats())
-	diversify := res.Trace.Diversify
-	res.Trace = sks.Trace()
-	res.Trace.Diversify = diversify
-	res.Trace.Total = time.Since(start)
-	return res, err
-}
-
-// DiversifyArrivals runs Algorithm 6 over src: the one arrival loop of the
-// tree, with the core pairs, the θ memo, both pruning rules, the odd-k
-// padding and the objective. Pair distances run on net within 2·DeltaMax.
-// The result carries the diversification side only — Objects, F, the
-// distance engine's counters with Pruned and EarlyTerminate, and
-// Trace.Diversify, the time spent outside src.Next; the caller adds what
-// its source cost. A failure (src's, or the context ending inside the
-// distance engine) returns the work done up to it beside the error. src is
-// stopped on an early termination and otherwise left to the caller.
-func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network, params DivParams, prune PruneOptions) (DivResult, error) {
-	var distStats SearchStats
-	c := &comState{
-		params: params,
-		dist:   NewDistEngine(ctx, net, 2*params.DeltaMax, &distStats),
-		memo:   make(map[uint64]float64),
-		prune:  prune,
-	}
+	c := &comState{params: params, memo: make(map[uint64]float64), prune: prune}
+	c.dist = NewDistEngine(ctx, net, 2*params.DeltaMax, &c.distStats)
 	c.pairs = newCorePairs(params.K/2, func(s int) obj.ID { return c.cands[s].Ref.ID })
 	// partial is the work done so far: the outcome of a query that fails
 	// mid-flight still reports what it cost.
-	partial := func() DivResult {
-		stats := distStats
+	partial := func() Result {
+		stats := c.distStats
 		stats.Pruned = c.pruned
-		return DivResult{Stats: stats, Trace: Trace{Diversify: c.divTime}}
+		return Result{Stats: stats, Trace: Trace{Diversify: c.divTime}}
 	}
-	fail := func(err error) (DivResult, error) { return partial(), mapCtxErr(err) }
-	finish := func(slots []int) (DivResult, error) {
+	fail := func(err error) (Result, error) { return partial(), mapCtxErr(err) }
+	finish := func(slots []int) (Result, error) {
 		divStart := time.Now()
 		res := partial() // the counters leave out the objective's own pair distances
-		res.Objects = make([]Candidate, len(slots))
+		res.Candidates = make([]Candidate, len(slots))
 		for i, s := range slots {
-			res.Objects[i] = c.cands[s]
+			res.Candidates[i] = c.cands[s]
 		}
 		res.F = SetObjective(len(slots), func(i, j int) float64 { return c.theta(slots[i], slots[j]) })
 		c.divTime += time.Since(divStart)
@@ -187,17 +148,18 @@ func DiversifyArrivals(ctx context.Context, src ArrivalSource, net ccam.Network,
 // per-slot slices grow with the arrivals and the memo with the computed
 // pairs, so a query holds O(arrivals + computed pairs).
 type comState struct {
-	params  DivParams
-	dist    *DistEngine
-	cands   []Candidate        // slot -> arrival
-	alive   []int              // arrived, unpruned slots in arrival order
-	maxSeen []float64          // slot -> largest θ noted with any other slot
-	memo    map[uint64]float64 // pairwise θ cache, keyed by slot pair
-	pairs   *corePairs[int]
-	prune   PruneOptions
-	pruned  int64
-	divTime time.Duration
-	err     error
+	params    DivParams
+	dist      *DistEngine
+	distStats SearchStats        // the distance engine's counters
+	cands     []Candidate        // slot -> arrival
+	alive     []int              // arrived, unpruned slots in arrival order
+	maxSeen   []float64          // slot -> largest θ noted with any other slot
+	memo      map[uint64]float64 // pairwise θ cache, keyed by slot pair
+	pairs     corePairs[int]
+	prune     PruneOptions
+	pruned    int64
+	divTime   time.Duration
+	err       error
 }
 
 // add gives cand the next arrival slot and returns it.

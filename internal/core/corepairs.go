@@ -38,13 +38,14 @@ type corePairs[T coreKey] struct {
 // NewCorePairSet creates an empty set maintaining at most maxPairs pairs
 // (⌈k/2⌉ for a diversified query of size k).
 func NewCorePairSet(maxPairs int) *CorePairSet {
-	return newCorePairs(maxPairs, func(id obj.ID) obj.ID { return id })
+	cp := newCorePairs(maxPairs, func(id obj.ID) obj.ID { return id })
+	return &cp
 }
 
 // newCorePairs is NewCorePairSet over any key; id names the object behind
 // a key, and Update breaks exact θ ties toward the lower object ID.
-func newCorePairs[T coreKey](maxPairs int, id func(T) obj.ID) *corePairs[T] {
-	return &corePairs[T]{maxPairs: maxPairs, id: id}
+func newCorePairs[T coreKey](maxPairs int, id func(T) obj.ID) corePairs[T] {
+	return corePairs[T]{maxPairs: maxPairs, id: id}
 }
 
 // InitGreedy seeds the set by running Algorithm 1's greedy over the first

@@ -69,20 +69,20 @@ func TestCOMAnswerDigest(t *testing.T) {
 					put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 					pairs := int64(0)
 					for qi, wq := range w.ws {
-						res, err := core.SearchCOM(context.Background(), net, loader, harness.DivQueryOf(wq, k, lambda))
+						res, err := core.Run(context.Background(), net, loader, harness.DivQueryOf(wq, k, lambda))
 						if err != nil {
 							t.Fatal(err)
 						}
 						early := res.Stats.EarlyTerminate
 						if k == 1 {
-							if early != (len(res.Objects) > 0) || res.Stats.PairDistCalcs != 0 {
+							if early != (len(res.Candidates) > 0) || res.Stats.PairDistCalcs != 0 {
 								t.Errorf("%s query %d: %d objects, early stop %v, %d pair distances; want the first arrival alone, at no pair distance",
-									cell, qi, len(res.Objects), early, res.Stats.PairDistCalcs)
+									cell, qi, len(res.Candidates), early, res.Stats.PairDistCalcs)
 							}
 							early = false
 						}
-						put(uint64(len(res.Objects)))
-						for _, c := range res.Objects {
+						put(uint64(len(res.Candidates)))
+						for _, c := range res.Candidates {
 							put(uint64(c.Ref.ID))
 						}
 						put(math.Float64bits(res.F))

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"dsks/internal/core"
 	"dsks/internal/dataset"
+	"dsks/internal/experiments/baselines"
 	"dsks/internal/harness"
 	"dsks/internal/index"
 	"dsks/internal/obj"
@@ -490,30 +492,36 @@ func TestDivQueryValidation(t *testing.T) {
 	}
 }
 
-// sliceArrivals is an ArrivalSource over a materialized arrival list.
+// sliceArrivals is an ArrivalSource over a materialized arrival list:
+// the arrivals of a drained expansion, with the terms each contains (OR
+// expansions), honoring Limit as the expansion does.
 type sliceArrivals struct {
 	cands   []core.Candidate
+	terms   []index.TermSet
+	limit   float64
 	next    int
 	stopped int
 }
 
 func (s *sliceArrivals) Next() (core.Candidate, bool, error) {
-	if s.stopped > 0 || s.next == len(s.cands) {
+	if s.stopped > 0 || s.next == len(s.cands) || s.cands[s.next].Dist > s.limit {
 		return core.Candidate{}, false, nil
 	}
 	s.next++
 	return s.cands[s.next-1], true, nil
 }
 
-func (s *sliceArrivals) Terms() index.TermSet { return index.TermSet{} }
-func (s *sliceArrivals) Limit(float64)        {}
+func (s *sliceArrivals) Terms() index.TermSet { return s.terms[s.next-1] }
+func (s *sliceArrivals) Limit(d float64)      { s.limit = min(s.limit, d) }
 func (s *sliceArrivals) Stop()                { s.stopped++ }
 
-// TestDiversifyArrivalsSourceIndependence: Algorithm 6 depends on its
-// arrivals, not on where they come from. Fed SKSearch.All()'s output from a
-// slice, DiversifyArrivals must reproduce SearchCOM on the same query —
-// objects in order, F, Pruned, PairDistCalcs and the early stop — and must
-// stop the source exactly when it terminates early, having read no further.
+// TestDiversifyArrivalsSourceIndependence: every query family depends on
+// its arrivals, not on where they come from. Fed its expansion's drained
+// arrivals from a slice, each family's Answer — the boolean query, COM,
+// SEQ, kNN, ranked and collective — must reproduce core.Run on the same
+// query: the payload, F, Pruned, PairDistCalcs and the early stop. It must
+// read exactly the arrivals the expansion emitted, and stop the source
+// exactly when COM terminates early.
 func TestDiversifyArrivalsSourceIndependence(t *testing.T) {
 	ds, err := dataset.GeneratePreset(dataset.PresetNA, 400, 21)
 	if err != nil {
@@ -533,59 +541,89 @@ func TestDiversifyArrivalsSourceIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	families := []struct {
+		name  string
+		query func(wq dataset.Query, k int) core.Query
+		stops bool // Answer stops its source when it terminates early
+	}{
+		{"boolean", func(wq dataset.Query, _ int) core.Query { return harness.SKQueryOf(wq) }, false},
+		{"COM", func(wq dataset.Query, k int) core.Query { return harness.DivQueryOf(wq, k, 0.8) }, true},
+		{"SEQ", func(wq dataset.Query, k int) core.Query {
+			return baselines.SEQQuery{DivQuery: harness.DivQueryOf(wq, k, 0.8)}
+		}, false},
+		{"kNN", func(wq dataset.Query, k int) core.Query {
+			return core.KNNQuery{Pos: wq.Pos, Terms: wq.Terms, K: k, MaxDist: wq.DeltaMax}
+		}, false},
+		{"ranked", func(wq dataset.Query, k int) core.Query {
+			return core.RankedQuery{Pos: wq.Pos, Terms: wq.Terms, K: k, Alpha: 0.5, DeltaMax: wq.DeltaMax}
+		}, false},
+		{"collective", func(wq dataset.Query, _ int) core.Query {
+			return core.CollectiveQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: wq.DeltaMax}
+		}, false},
+	}
+	payload := func(r core.Result) core.Result {
+		return core.Result{Candidates: r.Candidates, F: r.F, Ranked: r.Ranked, Collective: r.Collective}
+	}
 	ctx := context.Background()
-	early, pruned := 0, int64(0)
-	for qi, wq := range ws {
-		k := []int{5, 6, 3, 10, 1}[qi%5]
-		q := harness.DivQueryOf(wq, k, 0.8)
-		want, err := core.SearchCOM(ctx, sys.Net, loader, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sks, err := core.NewSKSearch(ctx, sys.Net, loader, q.SKQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all, err := sks.All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := &sliceArrivals{cands: all}
-		got, err := core.DiversifyArrivals(ctx, src, sys.Net,
-			core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}, core.PruneOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Objects) != len(want.Objects) {
-			t.Fatalf("query %d (k=%d): %d objects from a slice, %d from SearchCOM", qi, k, len(got.Objects), len(want.Objects))
-		}
-		for i := range want.Objects {
-			if got.Objects[i] != want.Objects[i] {
-				t.Fatalf("query %d (k=%d): object %d is %+v, want %+v", qi, k, i, got.Objects[i], want.Objects[i])
+	for _, fam := range families {
+		early, pruned, answered := 0, int64(0), 0
+		for qi, wq := range ws {
+			k := []int{5, 6, 3, 10, 1}[qi%5]
+			q := fam.query(wq, k)
+			want, err := core.Run(ctx, sys.Net, loader, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skq, or := q.Expansion()
+			sks, err := core.Open(ctx, sys.Net, loader, skq, or)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &sliceArrivals{limit: math.Inf(1)}
+			for {
+				c, ok, err := sks.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				src.cands, src.terms = append(src.cands, c), append(src.terms, sks.Terms())
+			}
+			var got core.Result
+			if err := q.Answer(ctx, src, sys.Net, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(payload(got), payload(want)) {
+				t.Fatalf("%s query %d (k=%d): from a slice %+v, from core.Run %+v", fam.name, qi, k, payload(got), payload(want))
+			}
+			if got.Stats.Pruned != want.Stats.Pruned || got.Stats.PairDistCalcs != want.Stats.PairDistCalcs ||
+				got.Stats.EarlyTerminate != want.Stats.EarlyTerminate {
+				t.Fatalf("%s query %d (k=%d): pruned %d pairdists %d early %v, want %d %d %v", fam.name, qi, k,
+					got.Stats.Pruned, got.Stats.PairDistCalcs, got.Stats.EarlyTerminate,
+					want.Stats.Pruned, want.Stats.PairDistCalcs, want.Stats.EarlyTerminate)
+			}
+			if int64(src.next) != want.Stats.Candidates {
+				t.Fatalf("%s query %d: read %d arrivals, core.Run's expansion emitted %d", fam.name, qi, src.next, want.Stats.Candidates)
+			}
+			wantStops := 0
+			if want.Stats.EarlyTerminate {
+				early++
+				if fam.stops {
+					wantStops = 1
+				}
+			}
+			if src.stopped != wantStops {
+				t.Fatalf("%s query %d: source stopped %d times, want %d", fam.name, qi, src.stopped, wantStops)
+			}
+			pruned += want.Stats.Pruned
+			if !reflect.DeepEqual(payload(want), core.Result{}) {
+				answered++
 			}
 		}
-		if got.F != want.F || got.Stats.Pruned != want.Stats.Pruned ||
-			got.Stats.PairDistCalcs != want.Stats.PairDistCalcs ||
-			got.Stats.EarlyTerminate != want.Stats.EarlyTerminate {
-			t.Fatalf("query %d (k=%d): F %v pruned %d pairdists %d early %v, want %v %d %d %v", qi, k,
-				got.F, got.Stats.Pruned, got.Stats.PairDistCalcs, got.Stats.EarlyTerminate,
-				want.F, want.Stats.Pruned, want.Stats.PairDistCalcs, want.Stats.EarlyTerminate)
+		if answered == 0 || (fam.name == "COM" || fam.name == "ranked") && early == 0 || fam.name == "COM" && pruned == 0 {
+			t.Fatalf("%s: vacuous workload: %d answered, %d early stops, %d pruned objects", fam.name, answered, early, pruned)
 		}
-		if int64(src.next) != want.Stats.Candidates {
-			t.Fatalf("query %d: read %d arrivals, SearchCOM's expansion emitted %d", qi, src.next, want.Stats.Candidates)
-		}
-		wantStops := 0
-		if want.Stats.EarlyTerminate {
-			wantStops = 1
-			early++
-		}
-		if src.stopped != wantStops {
-			t.Fatalf("query %d: source stopped %d times, want %d", qi, src.stopped, wantStops)
-		}
-		pruned += want.Stats.Pruned
-	}
-	if early == 0 || pruned == 0 {
-		t.Fatalf("vacuous workload: %d early stops, %d pruned objects", early, pruned)
 	}
 }
 

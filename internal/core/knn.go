@@ -7,7 +7,7 @@ import (
 
 	"dsks/internal/ccam"
 	"dsks/internal/graph"
-	"dsks/internal/index"
+	"dsks/internal/metrics"
 	"dsks/internal/obj"
 )
 
@@ -31,7 +31,7 @@ func (q KNNQuery) Validate() error {
 	if q.K < 1 {
 		return fmt.Errorf("core: kNN query needs k >= 1, got %d", q.K)
 	}
-	if err := finite("position offset", q.Pos.Offset); err != nil {
+	if err := CheckOffset(q.Pos); err != nil {
 		return err
 	}
 	if err := finite("MaxDist", q.MaxDist); err != nil {
@@ -43,30 +43,22 @@ func (q KNNQuery) Validate() error {
 	return nil
 }
 
-// SKQuery is the boolean search kNN runs: the query's terms normalized,
+// Expansion is the boolean search kNN runs: the query's terms normalized,
 // and the radius MaxDist, or unbounded but finite when MaxDist is 0.
-func (q KNNQuery) SKQuery() SKQuery {
+func (q KNNQuery) Expansion() (SKQuery, bool) {
 	bound := q.MaxDist
 	if bound == 0 {
 		bound = math.MaxFloat64
 	}
-	return expansionQuery(q.Pos, q.Terms, bound)
+	return expansionQuery(q.Pos, q.Terms, bound), false
 }
 
-// SearchKNN runs the incremental expansion of Algorithm 3 and stops as
-// soon as k qualifying objects have been emitted (TakeArrivals) or the
-// network is exhausted. The stats and the stage timings cover the work
-// done on the error path too; Trace.Total is left for the caller, which
-// owns the end-to-end clock.
-func SearchKNN(ctx context.Context, net ccam.Network, loader index.Loader, q KNNQuery) ([]Candidate, SearchStats, Trace, error) {
-	if err := q.Validate(); err != nil {
-		return nil, SearchStats{}, Trace{}, err
-	}
-	sks, err := NewSKSearch(ctx, net, loader, q.SKQuery())
-	if err != nil {
-		return nil, SearchStats{}, Trace{}, err
-	}
-	out, err := TakeArrivals(sks, q.K)
-	sks.Stop()
-	return out, sks.Stats(), sks.Trace(), err
+// Kind is metrics.KindKNN.
+func (KNNQuery) Kind() metrics.QueryKind { return metrics.KindKNN }
+
+// Answer takes src's first k arrivals: because arrivals come in
+// non-decreasing distance, they are exactly the k nearest.
+func (q KNNQuery) Answer(_ context.Context, src ArrivalSource, _ ccam.Network, res *Result) (err error) {
+	res.Candidates, err = takeArrivals(src, q.K)
+	return err
 }

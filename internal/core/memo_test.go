@@ -58,7 +58,7 @@ func TestAdjacencyMemoFetchesEachNodeOnce(t *testing.T) {
 	} {
 		q := harness.DivQueryOf(ws[tc.query], 6, 0.8)
 		net := countingNet{ccam.InMemory{G: g}, make(map[graph.NodeID]int)}
-		res, err := core.SearchCOM(context.Background(), core.WithOracle(net, oracle, core.OracleCounters{}), loader, q)
+		res, err := core.Run(context.Background(), core.WithOracle(net, oracle, core.OracleCounters{}), loader, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,12 +67,12 @@ func TestAdjacencyMemoFetchesEachNodeOnce(t *testing.T) {
 			t.Errorf("query %d: popped %d, settled %d, pair distances %d, pops saved %d; recorded %d, %d, %d, %d",
 				tc.query, st.NodesPopped, st.DistSettled, st.PairDistCalcs, st.OraclePopsSaved, tc.popped, tc.settled, tc.pairs, tc.saved)
 		}
-		if ids := candidateIDs(res.Objects); !slices.Equal(ids, tc.ids) {
+		if ids := candidateIDs(res.Candidates); !slices.Equal(ids, tc.ids) {
 			t.Errorf("query %d: result %v, recorded %v", tc.query, ids, tc.ids)
 		}
 		p := core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}
-		want := core.SetObjective(len(res.Objects), func(i, j int) float64 {
-			a, b := res.Objects[i].Ref.Pos(), res.Objects[j].Ref.Pos()
+		want := core.SetObjective(len(res.Candidates), func(i, j int) float64 {
+			a, b := res.Candidates[i].Ref.Pos(), res.Candidates[j].Ref.Pos()
 			return p.ThetaFromDists(g.NetworkDist(q.Pos, a), g.NetworkDist(q.Pos, b), g.NetworkDist(a, b))
 		})
 		if math.Abs(res.F-want) > 1e-9 {

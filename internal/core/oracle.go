@@ -39,7 +39,7 @@ func addCounter(c *atomic.Int64, n int64) {
 }
 
 // assistedNetwork carries a landmark oracle alongside a network so the
-// pair travels together through the Search* entry points; NewDistEngine
+// pair travels together through Run and every Answer; NewDistEngine
 // unwraps it. The embedded Network keeps every traversal call working
 // unchanged on the wrapper itself.
 type assistedNetwork struct {

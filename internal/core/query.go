@@ -8,12 +8,15 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
+	"dsks/internal/ccam"
 	"dsks/internal/graph"
 	"dsks/internal/index"
+	"dsks/internal/metrics"
 	"dsks/internal/obj"
 )
 
@@ -36,7 +39,7 @@ func (q SKQuery) Validate() error {
 			return errors.New("core: query terms must be sorted and unique")
 		}
 	}
-	if err := finite("position offset", q.Pos.Offset); err != nil {
+	if err := CheckOffset(q.Pos); err != nil {
 		return err
 	}
 	if err := finite("DeltaMax", q.DeltaMax); err != nil {
@@ -48,11 +51,28 @@ func (q SKQuery) Validate() error {
 	return nil
 }
 
+// Expansion is the boolean query itself.
+func (q SKQuery) Expansion() (SKQuery, bool) { return q, false }
+
+// Kind is metrics.KindSearch.
+func (SKQuery) Kind() metrics.QueryKind { return metrics.KindSearch }
+
+// Answer drains src: every qualifying object, in non-decreasing distance.
+func (SKQuery) Answer(_ context.Context, src ArrivalSource, _ ccam.Network, res *Result) (err error) {
+	res.Candidates, err = takeArrivals(src, 0)
+	return err
+}
+
 // expansionQuery is the search a query family runs: a normalized copy of
 // its terms, within radius.
 func expansionQuery(pos graph.Position, terms []obj.TermID, radius float64) SKQuery {
 	return SKQuery{Pos: pos, Terms: obj.NormalizeTerms(append([]obj.TermID(nil), terms...)), DeltaMax: radius}
 }
+
+// CheckOffset applies finite to a position's offset: the one rule every
+// query, mutation and distance request applies to the positions it is
+// given.
+func CheckOffset(pos graph.Position) error { return finite("position offset", pos.Offset) }
 
 // finite rejects a NaN or infinite query parameter. NaN fails every
 // ordered comparison, so it slips past the range checks: a NaN radius
@@ -73,7 +93,8 @@ type Candidate struct {
 
 // DivQuery extends SKQuery with the diversification parameters: the result
 // size k and the relevance/diversity trade-off λ of the paper's bi-criteria
-// objective.
+// objective. It reads the expansion of its SKQuery (the promoted
+// Expansion).
 type DivQuery struct {
 	SKQuery
 	K      int
@@ -95,6 +116,15 @@ func (q DivQuery) Validate() error {
 		return fmt.Errorf("core: lambda must be in [0,1], got %v", q.Lambda)
 	}
 	return nil
+}
+
+// Kind is metrics.KindDiversified.
+func (DivQuery) Kind() metrics.QueryKind { return metrics.KindDiversified }
+
+// Answer is COM, Algorithm 6 with both pruning rules (DiversifyArrivals).
+func (q DivQuery) Answer(ctx context.Context, src ArrivalSource, net ccam.Network, res *Result) (err error) {
+	*res, err = DiversifyArrivals(ctx, src, net, q, PruneOptions{})
+	return err
 }
 
 // SearchStats aggregates the per-query cost counters the experiments

@@ -8,6 +8,7 @@ import (
 	"dsks/internal/ccam"
 	"dsks/internal/graph"
 	"dsks/internal/index"
+	"dsks/internal/metrics"
 	"dsks/internal/obj"
 )
 
@@ -36,7 +37,7 @@ func (q RankedQuery) Validate() error {
 	if q.K < 1 {
 		return fmt.Errorf("core: ranked query needs k >= 1, got %d", q.K)
 	}
-	if err := finite("position offset", q.Pos.Offset); err != nil {
+	if err := CheckOffset(q.Pos); err != nil {
 		return err
 	}
 	if err := finite("alpha", q.Alpha); err != nil {
@@ -62,49 +63,36 @@ type RankedResult struct {
 	Score   float64
 }
 
-// SKQuery is the OR search a ranked query runs: its terms normalized, its
-// radius DeltaMax.
-func (q RankedQuery) SKQuery() SKQuery {
-	return expansionQuery(q.Pos, q.Terms, q.DeltaMax)
+// Expansion is the OR search a ranked query runs: its terms normalized,
+// its radius DeltaMax.
+func (q RankedQuery) Expansion() (SKQuery, bool) {
+	return expansionQuery(q.Pos, q.Terms, q.DeltaMax), true
 }
 
-// SearchRanked runs the top-k ranked search over the OR expansion
-// (RankArrivals). The stats and the stage timings cover the work done on
-// the error path too; Trace.Total is left for the caller.
-func SearchRanked(ctx context.Context, net ccam.Network, loader index.UnionLoader, q RankedQuery) ([]RankedResult, SearchStats, Trace, error) {
-	if err := q.Validate(); err != nil {
-		return nil, SearchStats{}, Trace{}, err
-	}
-	sks, err := NewSKSearchAny(ctx, net, loader, q.SKQuery())
-	if err != nil {
-		return nil, SearchStats{}, Trace{}, err
-	}
-	top, early, err := RankArrivals(sks, q)
-	sks.Stop()
-	stats := sks.Stats()
-	stats.EarlyTerminate = early
-	return top, stats, sks.Trace(), err
-}
+// Kind is metrics.KindRanked.
+func (RankedQuery) Kind() metrics.QueryKind { return metrics.KindRanked }
 
-// RankArrivals is the top-k ranked query over src, the OR source of
-// q.SKQuery(). Each arrival is scored at its final distance. Once k
-// scores are in, src's radius is lowered to the farthest distance at which
-// an unseen object could still enter the top k — a perfect textual match
-// there ties the k-th best score, and the spatial part of a score only
-// falls with distance — so the expansion ends as soon as none can. early
-// reports a radius lowered below DeltaMax. The answer is best score first,
-// distance then ID breaking ties.
-func RankArrivals(src ArrivalSource, q RankedQuery) (top []RankedResult, early bool, err error) {
-	nterms := float64(len(q.SKQuery().Terms))
+// Answer is the top-k ranked query over src. Each arrival is scored at its
+// final distance. Once k scores are in, src's radius is lowered to the
+// farthest distance at which an unseen object could still enter the top k
+// — a perfect textual match there ties the k-th best score, and the
+// spatial part of a score only falls with distance — so the expansion ends
+// as soon as none can; Stats.EarlyTerminate reports a radius lowered below
+// DeltaMax. The answer is best score first, distance then ID breaking
+// ties.
+func (q RankedQuery) Answer(_ context.Context, src ArrivalSource, _ ccam.Network, res *Result) error {
+	skq, _ := q.Expansion()
+	nterms := float64(len(skq.Terms))
 	radius := q.DeltaMax
-	top = make([]RankedResult, 0, min(q.K, answerCap))
+	top := make([]RankedResult, 0, min(q.K, answerCap))
 	for {
 		c, ok, err := src.Next()
 		if err != nil {
-			return nil, early, err
+			return err
 		}
 		if !ok {
-			return top, early, nil
+			res.Ranked = top
+			return nil
 		}
 		matched := src.Terms().Len()
 		r := RankedResult{Ref: c.Ref, Dist: c.Dist, Matched: matched,
@@ -120,7 +108,7 @@ func RankArrivals(src ArrivalSource, q RankedQuery) (top []RankedResult, early b
 		top[at] = r
 		if len(top) == q.K {
 			if reach := q.reach(top[q.K-1].Score, c.Dist); reach < radius {
-				radius, early = reach, true
+				radius, res.Stats.EarlyTerminate = reach, true
 				src.Limit(reach)
 			}
 		}

@@ -74,10 +74,11 @@ func TestSearchRankedMatchesBruteForce(t *testing.T) {
 			q := core.RankedQuery{
 				Pos: wq.Pos, Terms: wq.Terms, K: 5, Alpha: alpha, DeltaMax: wq.DeltaMax,
 			}
-			got, _, _, err := core.SearchRanked(context.Background(), sys.Net, ul, q)
+			res, err := core.Run(context.Background(), sys.Net, ul, q)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := res.Ranked
 			want := bruteRanked(sys, q)
 			if len(got) != len(want) {
 				t.Fatalf("alpha=%v: got %d results, want %d", alpha, len(got), len(want))
@@ -120,12 +121,13 @@ func TestSearchRankedPureSpatial(t *testing.T) {
 	}
 	ul := loader.(index.UnionLoader)
 	wq := ws[0]
-	got, _, _, err := core.SearchRanked(context.Background(), sys.Net, ul, core.RankedQuery{
+	res, err := core.Run(context.Background(), sys.Net, ul, core.RankedQuery{
 		Pos: wq.Pos, Terms: wq.Terms, K: 10, Alpha: 1, DeltaMax: wq.DeltaMax,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Ranked
 	for i := 1; i < len(got); i++ {
 		if got[i].Dist < got[i-1].Dist-1e-9 {
 			t.Fatalf("alpha=1 results not distance-ordered: %v after %v",
@@ -142,12 +144,13 @@ func TestSearchRankedEarlyTermination(t *testing.T) {
 	ul := loader.(index.UnionLoader)
 	sawEarly := false
 	for _, wq := range ws {
-		_, stats, _, err := core.SearchRanked(context.Background(), sys.Net, ul, core.RankedQuery{
+		res, err := core.Run(context.Background(), sys.Net, ul, core.RankedQuery{
 			Pos: wq.Pos, Terms: wq.Terms, K: 2, Alpha: 0.9, DeltaMax: wq.DeltaMax,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		stats := res.Stats
 		if stats.EarlyTerminate {
 			sawEarly = true
 		}
@@ -168,7 +171,7 @@ func TestSearchRankedValidation(t *testing.T) {
 		{Terms: []obj.TermID{1}, K: 1, Alpha: 0.5, DeltaMax: 0},  // no range
 	}
 	for i, q := range bad {
-		if _, _, _, err := core.SearchRanked(context.Background(), sys.Net, ul, q); err == nil {
+		if _, err := core.Run(context.Background(), sys.Net, ul, q); err == nil {
 			t.Errorf("bad query %d accepted", i)
 		}
 	}

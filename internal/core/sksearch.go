@@ -160,13 +160,6 @@ func NewSKSearch(ctx context.Context, net ccam.Network, loader index.Loader, q S
 	return newSKSearch(ctx, net, q, loadAll(ctx, loader, q.Terms))
 }
 
-// NewSKSearchAny is NewSKSearch with OR semantics, the stream of the ranked
-// and collective queries: the objects containing at least one query term,
-// with Terms reporting which.
-func NewSKSearchAny(ctx context.Context, net ccam.Network, loader index.UnionLoader, q SKQuery) (*SKSearch, error) {
-	return newSKSearch(ctx, net, q, loadAny(ctx, loader, q.Terms))
-}
-
 func newSKSearch(ctx context.Context, net ccam.Network, q SKQuery, load func(graph.EdgeID, []foundObj) ([]foundObj, error)) (*SKSearch, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -251,7 +244,7 @@ func (s *SKSearch) Limit(d float64) {
 
 // All drains the search, returning every candidate in distance order (the
 // non-incremental use of Algorithm 3 that SEQ relies on).
-func (s *SKSearch) All() ([]Candidate, error) { return TakeArrivals(s, 0) }
+func (s *SKSearch) All() ([]Candidate, error) { return takeArrivals(s, 0) }
 
 // Stats returns the traversal counters so far.
 func (s *SKSearch) Stats() SearchStats { return s.x.stats }

@@ -405,13 +405,6 @@ func (n *Network) BuildIndex(kind IndexKind, objects *obj.Collection, vocabSize 
 	return e, nil
 }
 
-// Union reports whether the index provides OR-semantics loads, which
-// ranked and collective queries need.
-func (e *Engine) Union() bool {
-	_, ok := e.Loader.(index.UnionLoader)
-	return ok
-}
-
 // DiskReads returns the buffer misses of the engine's pools since the
 // last reset.
 func (e *Engine) DiskReads() int64 {

@@ -3,48 +3,16 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
-	"dsks/internal/ccam"
 	"dsks/internal/core"
 	"dsks/internal/index"
 	"dsks/internal/metrics"
 	"dsks/internal/storage"
 )
 
-// Result is a query outcome with its cost metrics. Every query family
-// fills the shared fields (Elapsed, DiskReads, Stats, Trace); the payload
-// fields depend on the family: boolean, kNN and diversified searches fill
-// Candidates (and F for diversified), ranked searches fill Ranked, and
-// collective searches fill Collective.
-type Result struct {
-	// Candidates are the qualifying objects in non-decreasing network
-	// distance (boolean queries) or the chosen diversified set (in pair
-	// order, diversified queries).
-	Candidates []core.Candidate
-	// F is the diversification objective value f(S); zero for boolean
-	// queries.
-	F float64
-	// Ranked are the scored objects of a ranked query, best first.
-	Ranked []core.RankedResult
-	// Collective is the keyword-covering group of a collective query.
-	Collective *core.CollectiveResult
-	// Elapsed is the query's wall-clock time.
-	Elapsed time.Duration
-	// DiskReads counts buffer-pool misses during the query.
-	DiskReads int64
-	// Stats are the detailed cost counters.
-	Stats core.SearchStats
-	// Trace is the query's stage-timing breakdown; Trace.Total equals
-	// Elapsed.
-	Trace core.Trace
-}
-
-// DivSearch is a diversified search algorithm over a network and an index
-// loader: core.SearchCOM is the one the database serves; the experiments
-// also run the paper's SEQ straw-man through the same accounting.
-type DivSearch func(ctx context.Context, net ccam.Network, loader index.Loader, q core.DivQuery) (core.DivResult, error)
+// Result is a query outcome with its cost metrics (core.Result).
+type Result = core.Result
 
 // Snapshot is what one query reads the object index at: a published root
 // set and the page source pinned at its LSN (the database's views hand
@@ -83,15 +51,6 @@ func (e *Engine) begin(kind metrics.QueryKind, at Snapshot) (span, index.Loader)
 	return s, e.Versions.ReaderAt(s.pages, at.Roots)
 }
 
-// beginUnion is begin for the families that need OR-semantics loads.
-func (e *Engine) beginUnion(kind metrics.QueryKind, at Snapshot) (span, index.UnionLoader, error) {
-	if !e.Union() {
-		return span{}, nil, fmt.Errorf("engine: index %s has no union (OR) loads", e.Kind)
-	}
-	s, loader := e.begin(kind, at)
-	return s, loader.(index.UnionLoader), nil
-}
-
 // end is the one place a query is accounted: elapsed time and the
 // disk-read delta go into the envelope, one sample (with the work done up
 // to a failure, and cancellations classified) into the registry, the pages
@@ -124,54 +83,14 @@ func (s span) end(res Result, err error) (Result, error) {
 	return res, nil
 }
 
-// Search executes a boolean SK query (Algorithm 3) against the index at
-// the given snapshot. ctx cancels or deadline-bounds every family
-// (core.ErrCanceled / core.ErrDeadlineExceeded).
-func (e *Engine) Search(ctx context.Context, at Snapshot, q core.SKQuery) (Result, error) {
-	s, loader := e.begin(metrics.KindSearch, at)
-	search, err := core.NewSKSearch(ctx, e.File, loader, q)
-	if err != nil {
-		return s.end(Result{}, err)
-	}
-	cands, err := search.All()
-	return s.end(Result{Candidates: cands, Stats: search.Stats(), Trace: search.Trace()}, err)
-}
-
-// SearchDiversified executes a diversified SK query with search over the
-// oracle-attached network.
-func (e *Engine) SearchDiversified(ctx context.Context, at Snapshot, search DivSearch, q core.DivQuery) (Result, error) {
-	s, loader := e.begin(metrics.KindDiversified, at)
-	res, err := search(ctx, e.SearchNet, loader, q)
-	return s.end(Result{Candidates: res.Objects, F: res.F, Stats: res.Stats, Trace: res.Trace}, err)
-}
-
-// SearchKNN executes a boolean kNN spatial keyword query.
-func (e *Engine) SearchKNN(ctx context.Context, at Snapshot, q core.KNNQuery) (Result, error) {
-	s, loader := e.begin(metrics.KindKNN, at)
-	cands, stats, trace, err := core.SearchKNN(ctx, e.File, loader, q)
-	return s.end(Result{Candidates: cands, Stats: stats, Trace: trace}, err)
-}
-
-// SearchRanked executes a top-k ranked spatial keyword query. The index
-// must provide union (OR) loads (Engine.Union).
-func (e *Engine) SearchRanked(ctx context.Context, at Snapshot, q core.RankedQuery) (Result, error) {
-	s, loader, err := e.beginUnion(metrics.KindRanked, at)
-	if err != nil {
-		return Result{}, err
-	}
-	ranked, stats, trace, err := core.SearchRanked(ctx, e.File, loader, q)
-	return s.end(Result{Ranked: ranked, Stats: stats, Trace: trace}, err)
-}
-
-// SearchCollective executes a collective (group keyword cover) query. The
-// index must provide union (OR) loads (Engine.Union).
-func (e *Engine) SearchCollective(ctx context.Context, at Snapshot, q core.CollectiveQuery) (Result, error) {
-	s, loader, err := e.beginUnion(metrics.KindCollective, at)
-	if err != nil {
-		return Result{}, err
-	}
-	group, stats, trace, err := core.SearchCollective(ctx, e.File, loader, q)
-	return s.end(Result{Collective: &group, Stats: stats, Trace: trace}, err)
+// Run executes q against the index at the given snapshot: the one run
+// path of every query family, core.Run inside the query's accounting
+// window. ctx cancels or deadline-bounds the query (core.ErrCanceled /
+// core.ErrDeadlineExceeded). Every family runs over the oracle-attached
+// network; only the diversified ones compute pair distances on it.
+func (e *Engine) Run(ctx context.Context, at Snapshot, q core.Query) (Result, error) {
+	s, loader := e.begin(q.Kind(), at)
+	return s.end(core.Run(ctx, e.SearchNet, loader, q))
 }
 
 // Stream is an incremental search: candidates are pulled one at a time in
@@ -188,30 +107,15 @@ type Stream struct {
 	res     Result
 }
 
-// Stream starts an incremental boolean search at the given snapshot; its
-// page memo lives as long as the stream. release, when non-nil, runs once
-// when the stream finishes (the database closes a stream-owned view
-// there).
-func (e *Engine) Stream(ctx context.Context, at Snapshot, q core.SKQuery, release func()) (*Stream, error) {
+// Stream starts an incremental search at the given snapshot: boolean, or
+// with or set the objects containing at least one query term, with
+// Stream.Terms reporting which — the index must then provide union (OR)
+// loads. Its page memo lives as long as the stream. release, when non-nil,
+// runs once when the stream finishes (the database closes a stream-owned
+// view there).
+func (e *Engine) Stream(ctx context.Context, at Snapshot, q core.SKQuery, or bool, release func()) (*Stream, error) {
 	s, loader := e.begin(metrics.KindStream, at)
-	search, err := core.NewSKSearch(ctx, e.File, loader, q)
-	return s.stream(search, err, release)
-}
-
-// StreamAny is Stream with OR semantics: the objects containing at least
-// one query term, with Stream.Terms reporting which. The index must
-// provide union (OR) loads (Engine.Union).
-func (e *Engine) StreamAny(ctx context.Context, at Snapshot, q core.SKQuery, release func()) (*Stream, error) {
-	s, loader, err := e.beginUnion(metrics.KindStream, at)
-	if err != nil {
-		return nil, err
-	}
-	search, err := core.NewSKSearchAny(ctx, e.File, loader, q)
-	return s.stream(search, err, release)
-}
-
-// stream wraps a search begun in s, accounting a failed start at once.
-func (s span) stream(search *core.SKSearch, err error, release func()) (*Stream, error) {
+	search, err := core.Open(ctx, e.File, loader, q, or)
 	if err != nil {
 		_, err = s.end(Result{}, err)
 		return nil, err
@@ -229,7 +133,7 @@ func (s *Stream) Next() (c core.Candidate, ok bool, err error) {
 }
 
 // Terms reports which query terms the candidate Next returned last
-// contains, as positions in the query's terms (StreamAny; a boolean
+// contains, as positions in the query's terms (an OR stream; a boolean
 // stream's candidates contain them all and report the empty set).
 func (s *Stream) Terms() index.TermSet { return s.search.Terms() }
 

@@ -48,18 +48,18 @@ func runFamily(e *engine.Engine, at engine.Snapshot, i int, w dataset.Query) (en
 	var err error
 	switch i % 6 {
 	case 0:
-		res, err = e.Search(ctx, at, sk)
+		res, err = e.Run(ctx, at, sk)
 	case 1:
-		res, err = e.SearchDiversified(ctx, at, core.SearchCOM, core.DivQuery{SKQuery: sk, K: 4, Lambda: 0.8})
+		res, err = e.Run(ctx, at, core.DivQuery{SKQuery: sk, K: 4, Lambda: 0.8})
 	case 2:
-		res, err = e.SearchKNN(ctx, at, core.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 4, MaxDist: w.DeltaMax})
+		res, err = e.Run(ctx, at, core.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 4, MaxDist: w.DeltaMax})
 	case 3:
-		res, err = e.SearchRanked(ctx, at, core.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 4, Alpha: 0.5, DeltaMax: w.DeltaMax})
+		res, err = e.Run(ctx, at, core.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 4, Alpha: 0.5, DeltaMax: w.DeltaMax})
 	case 4:
-		res, err = e.SearchCollective(ctx, at, core.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax})
+		res, err = e.Run(ctx, at, core.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax})
 	case 5:
 		var st *engine.Stream
-		if st, err = e.Stream(ctx, at, sk, nil); err != nil {
+		if st, err = e.Stream(ctx, at, sk, false, nil); err != nil {
 			break
 		}
 		var cands []core.Candidate
@@ -140,7 +140,7 @@ func TestAnswersIndependentOfBufferFrames(t *testing.T) {
 
 			nearest := make([]obj.ID, len(ws))
 			for i, w := range ws {
-				res, err := e.Search(context.Background(), engine.Snapshot{}, core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax})
+				res, err := e.Run(context.Background(), engine.Snapshot{}, core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -283,14 +283,14 @@ func TestUnversionedIndexHasNoMemo(t *testing.T) {
 	}
 	e := attachIR(t, net, ds)
 	for i, w := range ws[:6] {
-		if _, err := e.Search(context.Background(), engine.Snapshot{}, core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}); err != nil {
+		if _, err := e.Run(context.Background(), engine.Snapshot{}, core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
 	if n := e.Metrics.Counter(engine.CounterPagesQueries).Load(); n != 0 {
 		t.Errorf("%s = %d on an index without versions", engine.CounterPagesQueries, n)
 	}
-	if _, err := e.SearchRanked(context.Background(), engine.Snapshot{}, core.RankedQuery{Pos: ws[0].Pos, Terms: ws[0].Terms, K: 3, Alpha: 0.5}); err == nil {
+	if _, err := e.Run(context.Background(), engine.Snapshot{}, core.RankedQuery{Pos: ws[0].Pos, Terms: ws[0].Terms, K: 3, Alpha: 0.5}); err == nil {
 		t.Error("a ranked query on IR, which has no union loads, succeeded")
 	}
 }

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"time"
 
+	"dsks/internal/ccam"
 	"dsks/internal/core"
 	"dsks/internal/dataset"
 	"dsks/internal/experiments/baselines"
@@ -61,16 +61,14 @@ func AblationPruning(cfg Config) (*Result, error) {
 		var elapsed time.Duration
 		var stats core.SearchStats
 		for _, wq := range ws {
-			q := harness.DivQueryOf(wq, 10, 0.8)
+			dq := harness.DivQueryOf(wq, 10, 0.8)
+			var q core.Query = pruneQuery{dq, v.prune}
+			if v.seq {
+				q = baselines.SEQQuery{DivQuery: dq}
+			}
 			// Wall-clock latency measurement, not a data source.
 			start := time.Now()
-			var res core.DivResult
-			var err error
-			if v.seq {
-				res, err = baselines.SearchSEQ(context.Background(), sys.Net, loader, q)
-			} else {
-				res, err = core.SearchCOMPruned(context.Background(), sys.Net, loader, q, v.prune)
-			}
+			res, err := core.Run(context.Background(), sys.Net, loader, q)
 			if err != nil {
 				return nil, err
 			}
@@ -87,6 +85,18 @@ func AblationPruning(cfg Config) (*Result, error) {
 	}
 	r.Table.Fprint(cfg.Out)
 	return r, nil
+}
+
+// pruneQuery is COM with some of Algorithm 6's pruning rules switched off.
+type pruneQuery struct {
+	core.DivQuery
+	prune core.PruneOptions
+}
+
+// Answer is DivQuery.Answer under the query's pruning rules.
+func (q pruneQuery) Answer(ctx context.Context, src core.ArrivalSource, net ccam.Network, res *core.Result) (err error) {
+	*res, err = core.DiversifyArrivals(ctx, src, net, q.DivQuery, q.prune)
+	return err
 }
 
 // AblationPartition compares the greedy edge partitioner against the exact
@@ -274,7 +284,7 @@ func AblationOracle(cfg Config) (*Result, error) {
 			q := harness.DivQueryOf(wq, 10, 0.8)
 			// Wall-clock latency measurement, not a data source.
 			start := time.Now()
-			res, err := core.SearchCOM(context.Background(), sys.SearchNet(), loader, q)
+			res, err := core.Run(context.Background(), sys.SearchNet(), loader, q)
 			if err != nil {
 				return nil, err
 			}

@@ -6,50 +6,41 @@ import (
 
 	"dsks/internal/ccam"
 	"dsks/internal/core"
-	"dsks/internal/index"
 )
 
-// SearchSEQ is the straw-man of Section 4.1: retrieve every object
-// satisfying the spatial keyword constraint with Algorithm 3, compute all
-// pairwise diversification distances, and feed them to the greedy of
-// Algorithm 1. Its cost is dominated by loading all candidates and the
-// full pairwise network distance computation.
-func SearchSEQ(ctx context.Context, net ccam.Network, loader index.Loader, q core.DivQuery) (core.DivResult, error) {
-	if err := q.Validate(); err != nil {
-		return core.DivResult{}, err
-	}
-	start := time.Now()
-	sks, err := core.NewSKSearch(ctx, net, loader, q.SKQuery)
-	if err != nil {
-		return core.DivResult{}, err
-	}
-	cands, err := sks.All()
-	stats := sks.Stats()
-	if err != nil {
-		return core.DivResult{Stats: stats, Trace: sks.Trace()}, err
-	}
+// SEQQuery is the straw-man of Section 4.1 as a query family: it reads
+// the diversified query's boolean expansion (Algorithm 3) to the end,
+// computes all pairwise diversification distances, and feeds them to the
+// greedy of Algorithm 1. Its cost is dominated by loading all candidates
+// and the full pairwise network distance computation.
+type SEQQuery struct{ core.DivQuery }
 
-	divStart := time.Now()
+// Answer drains src, then runs the greedy over every pair of its arrivals.
+// The pairwise distances and the greedy are Trace.Diversify.
+func (q SEQQuery) Answer(ctx context.Context, src core.ArrivalSource, net ccam.Network, res *core.Result) error {
+	if err := q.SKQuery.Answer(ctx, src, net, res); err != nil {
+		return err
+	}
+	cands := res.Candidates
+	start := time.Now()
 	params := core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}
-	dist := core.NewDistEngine(ctx, net, 2*q.DeltaMax, &stats)
+	dist := core.NewDistEngine(ctx, net, 2*q.DeltaMax, &res.Stats)
 
 	// The distance engine reports a done context as core's sentinels.
 	theta, err := pairwiseTheta(cands, params, dist)
 	if err != nil {
-		return core.DivResult{Stats: stats, Trace: sks.Trace()}, err
+		return err
 	}
 	chosen := core.GreedyDiversify(len(cands), q.K, theta)
-	result := make([]core.Candidate, len(chosen))
+	res.Candidates = make([]core.Candidate, len(chosen))
 	for i, idx := range chosen {
-		result[i] = cands[idx]
+		res.Candidates[i] = cands[idx]
 	}
-	f := core.SetObjective(len(chosen), func(i, j int) float64 {
+	res.F = core.SetObjective(len(chosen), func(i, j int) float64 {
 		return theta(chosen[i], chosen[j])
 	})
-	trace := sks.Trace()
-	trace.Diversify = time.Since(divStart)
-	trace.Total = time.Since(start)
-	return core.DivResult{Objects: result, F: f, Stats: stats, Trace: trace}, nil
+	res.Trace.Diversify = time.Since(start)
+	return nil
 }
 
 // pairwiseTheta materializes the full pairwise θ matrix (the expensive part

@@ -28,7 +28,7 @@ func BenchmarkSearchSEQ(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := ws[i%len(ws)]
 		q := core.DivQuery{SKQuery: core.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}, K: 10, Lambda: 0.8}
-		if _, err := SearchSEQ(context.Background(), e.File, e.Loader, q); err != nil {
+		if _, err := core.Run(context.Background(), e.File, e.Loader, SEQQuery{q}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -191,76 +191,50 @@ func (s *System) DiskReads(kind IndexKind) int64 {
 	return e.DiskReads()
 }
 
-// RunSK executes a boolean SK query (Algorithm 3) against the given index.
-// ctx cancels or deadline-bounds the search (core.ErrCanceled /
-// core.ErrDeadlineExceeded).
-func (s *System) RunSK(ctx context.Context, kind IndexKind, q core.SKQuery) (engine.Result, error) {
+// run executes one query of any family against the given index.
+func (s *System) run(ctx context.Context, kind IndexKind, q core.Query) (engine.Result, error) {
 	e, err := s.engine(kind)
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return e.Search(ctx, engine.Snapshot{}, q)
+	return e.Run(ctx, engine.Snapshot{}, q)
+}
+
+// RunSK executes a boolean SK query (Algorithm 3) against the given index.
+// ctx cancels or deadline-bounds the search (core.ErrCanceled /
+// core.ErrDeadlineExceeded).
+func (s *System) RunSK(ctx context.Context, kind IndexKind, q core.SKQuery) (engine.Result, error) {
+	return s.run(ctx, kind, q)
 }
 
 // RunDiv executes a diversified SK query with SEQ or COM over the given
 // index (the paper evaluates both over SIF). An unknown algo fails with an
 // error matching engine.ErrBadOptions before any I/O.
 func (s *System) RunDiv(ctx context.Context, kind IndexKind, algo DivAlgo, q core.DivQuery) (engine.Result, error) {
-	search := core.SearchCOM
 	switch algo {
 	case AlgoCOM:
+		return s.run(ctx, kind, q)
 	case AlgoSEQ:
-		search = baselines.SearchSEQ
-	default:
-		return engine.Result{}, fmt.Errorf("%w: unknown diversified algorithm %q", engine.ErrBadOptions, algo)
+		return s.run(ctx, kind, baselines.SEQQuery{DivQuery: q})
 	}
-	e, err := s.engine(kind)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return e.SearchDiversified(ctx, engine.Snapshot{}, search, q)
+	return engine.Result{}, fmt.Errorf("%w: unknown diversified algorithm %q", engine.ErrBadOptions, algo)
 }
 
 // RunKNN executes a boolean kNN spatial keyword query.
 func (s *System) RunKNN(ctx context.Context, kind IndexKind, q core.KNNQuery) (engine.Result, error) {
-	e, err := s.engine(kind)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return e.SearchKNN(ctx, engine.Snapshot{}, q)
-}
-
-// unionEngine returns the engine of the given kind, or an error when the
-// index supports only boolean AND loads.
-func (s *System) unionEngine(kind IndexKind) (*engine.Engine, error) {
-	e, err := s.engine(kind)
-	if err != nil {
-		return nil, err
-	}
-	if !e.Union() {
-		return nil, fmt.Errorf("harness: index %q does not support union (OR) loads", kind)
-	}
-	return e, nil
+	return s.run(ctx, kind, q)
 }
 
 // RunRanked executes a top-k ranked spatial keyword query. The index must
 // provide union (OR) loads.
 func (s *System) RunRanked(ctx context.Context, kind IndexKind, q core.RankedQuery) (engine.Result, error) {
-	e, err := s.unionEngine(kind)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return e.SearchRanked(ctx, engine.Snapshot{}, q)
+	return s.run(ctx, kind, q)
 }
 
 // RunCollective executes a collective (group keyword cover) query. The
 // index must provide union (OR) loads.
 func (s *System) RunCollective(ctx context.Context, kind IndexKind, q core.CollectiveQuery) (engine.Result, error) {
-	e, err := s.unionEngine(kind)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return e.SearchCollective(ctx, engine.Snapshot{}, q)
+	return s.run(ctx, kind, q)
 }
 
 // SKQueryOf converts a workload query into a core query.

@@ -328,13 +328,37 @@ func candidates(cs []dsks.Candidate) []candidatePayload {
 	return out
 }
 
-// envelope fills the shared response fields from a query Result.
+// envelope is the response to a query: every payload field and the
+// shared ones filled from its Result. A family fills only its own payload
+// fields, so the others stay empty and off the wire.
 func envelope(kind string, res dsks.Result) *queryResponse {
-	return &queryResponse{
+	out := &queryResponse{
 		Kind:          kind,
+		F:             res.F,
 		ElapsedMicros: res.Elapsed.Microseconds(),
 		DiskReads:     res.DiskReads,
 	}
+	if len(res.Candidates) > 0 {
+		out.Candidates = candidates(res.Candidates)
+	}
+	if len(res.Ranked) > 0 {
+		out.Ranked = make([]rankedPayload, len(res.Ranked))
+		for i, rr := range res.Ranked {
+			out.Ranked[i] = rankedPayload{
+				ID: rr.Ref.ID, Edge: rr.Ref.Edge, Offset: rr.Ref.Offset,
+				Dist: rr.Dist, Matched: rr.Matched, Score: rr.Score,
+			}
+		}
+	}
+	if c := res.Collective; c != nil {
+		out.Collective = &collectivePayload{
+			Objects:   candidates(c.Objects),
+			Cost:      c.Cost,
+			Covered:   c.Covered,
+			Uncovered: c.Uncovered,
+		}
+	}
+	return out
 }
 
 // runner executes one parsed query against a pinned read view under an
@@ -510,106 +534,49 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	writeError(w, status, err.Error())
 }
 
-// partialOK reports whether err still comes with a servable merged
-// result (nil, or the sharded partial-result policy).
-func partialOK(err error) bool {
-	return err == nil || errors.Is(err, shard.ErrPartialResult)
-}
-
-// runSearch serves /v1/search.
-func (s *Server) runSearch(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
-	q := dsks.SKQuery{Pos: req.pos(), Terms: req.Terms, DeltaMax: req.DeltaMax}
-	if err := q.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	res, err := v.Search(ctx, q)
-	if !partialOK(err) {
-		return nil, err
-	}
-	out := envelope("search", res)
-	out.Candidates = candidates(res.Candidates)
-	return out, err
-}
-
-// runDiversified serves /v1/diversified.
-func (s *Server) runDiversified(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
-	q := dsks.DivQuery{
-		SKQuery: dsks.SKQuery{Pos: req.pos(), Terms: req.Terms, DeltaMax: req.DeltaMax},
-		K:       req.K,
-		Lambda:  req.Lambda,
-	}
-	if err := q.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	res, err := v.SearchDiversified(ctx, q)
-	if !partialOK(err) {
-		return nil, err
-	}
-	out := envelope("diversified", res)
-	out.Candidates = candidates(res.Candidates)
-	out.F = res.F
-	return out, err
-}
-
-// runKNN serves /v1/knn.
-func (s *Server) runKNN(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
-	q := dsks.KNNQuery{Pos: req.pos(), Terms: req.Terms, K: req.K, MaxDist: req.MaxDist}
-	if err := q.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	res, err := v.SearchKNN(ctx, q)
-	if !partialOK(err) {
-		return nil, err
-	}
-	out := envelope("knn", res)
-	out.Candidates = candidates(res.Candidates)
-	return out, err
-}
-
-// runRanked serves /v1/ranked.
-func (s *Server) runRanked(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
-	q := dsks.RankedQuery{
-		Pos: req.pos(), Terms: req.Terms, K: req.K,
-		Alpha: req.Alpha, DeltaMax: req.DeltaMax,
-	}
-	if err := q.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	res, err := v.SearchRanked(ctx, q)
-	if !partialOK(err) {
-		return nil, err
-	}
-	out := envelope("ranked", res)
-	out.Ranked = make([]rankedPayload, len(res.Ranked))
-	for i, rr := range res.Ranked {
-		out.Ranked[i] = rankedPayload{
-			ID: rr.Ref.ID, Edge: rr.Ref.Edge, Offset: rr.Ref.Offset,
-			Dist: rr.Dist, Matched: rr.Matched, Score: rr.Score,
+// family is the runner of one query family: build makes the family's
+// query from the request, search runs it on the view, and the response is
+// the envelope of its Result, labeled with the family's kind.
+func family[Q interface {
+	Validate() error
+	Kind() dsks.QueryKind
+}](build func(*queryRequest) Q, search func(QueryView, context.Context, Q) (dsks.Result, error)) runner {
+	return func(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
+		q := build(req)
+		if err := q.Validate(); err != nil {
+			return nil, badRequest(err)
 		}
+		res, err := search(v, ctx, q)
+		if err != nil && !errors.Is(err, shard.ErrPartialResult) {
+			return nil, err
+		}
+		return envelope(string(q.Kind()), res), err
 	}
-	return out, err
 }
 
-// runCollective serves /v1/collective.
-func (s *Server) runCollective(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
-	q := dsks.CollectiveQuery{Pos: req.pos(), Terms: req.Terms, DeltaMax: req.DeltaMax}
-	if err := q.Validate(); err != nil {
-		return nil, badRequest(err)
-	}
-	res, err := v.SearchCollective(ctx, q)
-	if !partialOK(err) {
-		return nil, err
-	}
-	out := envelope("collective", res)
-	if res.Collective != nil {
-		out.Collective = &collectivePayload{
-			Objects:   candidates(res.Collective.Objects),
-			Cost:      res.Collective.Cost,
-			Covered:   res.Collective.Covered,
-			Uncovered: res.Collective.Uncovered,
-		}
-	}
-	return out, err
+// skQuery is the /v1/search query.
+func (r *queryRequest) skQuery() dsks.SKQuery {
+	return dsks.SKQuery{Pos: r.pos(), Terms: r.Terms, DeltaMax: r.DeltaMax}
+}
+
+// divQuery is the /v1/diversified query.
+func (r *queryRequest) divQuery() dsks.DivQuery {
+	return dsks.DivQuery{SKQuery: r.skQuery(), K: r.K, Lambda: r.Lambda}
+}
+
+// knnQuery is the /v1/knn query.
+func (r *queryRequest) knnQuery() dsks.KNNQuery {
+	return dsks.KNNQuery{Pos: r.pos(), Terms: r.Terms, K: r.K, MaxDist: r.MaxDist}
+}
+
+// rankedQuery is the /v1/ranked query.
+func (r *queryRequest) rankedQuery() dsks.RankedQuery {
+	return dsks.RankedQuery{Pos: r.pos(), Terms: r.Terms, K: r.K, Alpha: r.Alpha, DeltaMax: r.DeltaMax}
+}
+
+// collectiveQuery is the /v1/collective query.
+func (r *queryRequest) collectiveQuery() dsks.CollectiveQuery {
+	return dsks.CollectiveQuery{Pos: r.pos(), Terms: r.Terms, DeltaMax: r.DeltaMax}
 }
 
 // runDistance serves /v1/distance: the exact network distance between two

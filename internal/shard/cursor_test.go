@@ -246,7 +246,7 @@ func divQuery(t *testing.T, ds *dsks.Dataset) dsks.DivQuery {
 func diversifyTraced(ctx context.Context, mv *MultiView, q dsks.DivQuery) (dsks.Result, []*legCursor, error) {
 	targets := mv.set.routed(q.Pos, q.DeltaMax, q.Terms, true)
 	cursors := mv.cursors(ctx, targets, q.SKQuery)
-	res, _, err := mv.merge(targets, cursors, mv.diversifyArrivals(ctx, q))
+	res, _, err := mv.merge(ctx, targets, cursors, q)
 	return res, cursors, err
 }
 
@@ -600,17 +600,16 @@ func TestCursorPartialResult(t *testing.T) {
 	if !errors.Is(err, ErrPartialResult) {
 		t.Fatalf("partial boolean search: %v", err)
 	}
-	want, err := core.DiversifyArrivals(ctx, &fakeLeg{cands: survivors.Candidates, failAt: -1}, set.searchNet,
-		core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}, core.PruneOptions{})
-	if err != nil {
+	var want dsks.Result
+	if err := q.Answer(ctx, &fakeLeg{cands: survivors.Candidates, failAt: -1}, set.searchNet, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Candidates) != len(want.Objects) || len(got.Candidates) == 0 {
-		t.Fatalf("chose %d objects, the surviving legs give %d", len(got.Candidates), len(want.Objects))
+	if len(got.Candidates) != len(want.Candidates) || len(got.Candidates) == 0 {
+		t.Fatalf("chose %d objects, the surviving legs give %d", len(got.Candidates), len(want.Candidates))
 	}
-	for i := range want.Objects {
-		if got.Candidates[i].Ref.ID != want.Objects[i].Ref.ID {
-			t.Fatalf("object %d is %d, want %d", i, got.Candidates[i].Ref.ID, want.Objects[i].Ref.ID)
+	for i := range want.Candidates {
+		if got.Candidates[i].Ref.ID != want.Candidates[i].Ref.ID {
+			t.Fatalf("object %d is %d, want %d", i, got.Candidates[i].Ref.ID, want.Candidates[i].Ref.ID)
 		}
 	}
 	if got.F != want.F {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -201,6 +202,10 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireSameRanked(t, fmt.Sprintf("%sranked %d (α=%v)", tag, qi, alpha), srres.Ranked, mrres.Ranked)
+					if srres.Stats.EarlyTerminate != mrres.Stats.EarlyTerminate {
+						t.Fatalf("%sranked %d (α=%v): early stop %v, single node %v",
+							tag, qi, alpha, mrres.Stats.EarlyTerminate, srres.Stats.EarlyTerminate)
+					}
 				}
 
 				// Diversified: the same set in the same order at the same
@@ -292,6 +297,46 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 		if _, err := set.Remove(victims[0]); err == nil {
 			t.Fatal("sharded double remove accepted")
 		}
+	}
+}
+
+// TestNonFiniteOffsetRejected: a position whose offset is NaN or infinite
+// is rejected by one node and by a 4-shard set alike — an insert before
+// either reserves an ID, so the next insert gets the same ID on both
+// sides, and the set's rejection is the caller's error, not a shard down —
+// and a distance or route request at it fails instead of answering.
+func TestNonFiniteOffsetRejected(t *testing.T) {
+	single, sets, ds := equivFixture(t, []int{4}, dsks.Options{Index: dsks.IndexSIF})
+	set := sets[0]
+	ctx := context.Background()
+	o := ds.Objects.Get(0)
+	terms := o.Terms[:1]
+	next := dsks.ObjectID(ds.Objects.Len())
+	for _, off := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		pos := dsks.Position{Edge: o.Pos.Edge, Offset: off}
+		if id, err := single.Insert(pos, terms); err == nil {
+			t.Fatalf("offset %v: one node acknowledged object %d", off, id)
+		}
+		if id, _, err := set.Insert(pos, terms); err == nil || errors.Is(err, ErrShardDown) {
+			t.Fatalf("offset %v: the set returned object %d, err %v; want a rejection of the request", off, id, err)
+		}
+		if d, err := single.NetworkDistance(ctx, pos, o.Pos); err == nil {
+			t.Fatalf("offset %v: network distance %v", off, d)
+		}
+		if r, err := single.ShortestRoute(o.Pos, pos); err == nil {
+			t.Fatalf("offset %v: route %+v", off, r)
+		}
+	}
+	sid, err := single.Insert(o.Pos, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, _, err := set.Insert(o.Pos, terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sid != next || mid != next {
+		t.Fatalf("the next insert got ID %d on one node and %d on the set, want %d on both", sid, mid, next)
 	}
 }
 

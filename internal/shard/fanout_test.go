@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dsks"
-	"dsks/internal/core"
 	"dsks/internal/engine"
 	"dsks/internal/fault"
 )
@@ -222,14 +221,12 @@ func TestFanoutPanicIsolation(t *testing.T) {
 	}
 	defer mv.Close()
 	targets := []int{0, 1, 2, 3}
-	cursors := mv.cursors(ctx, targets, wideQuery(t, ds))
+	q := wideQuery(t, ds)
+	cursors := mv.cursors(ctx, targets, q)
 	cursors[2].open = func(*dsks.View, context.Context, dsks.SKQuery) (*dsks.Stream, error) {
 		panic("leg exploded")
 	}
-	_, _, err = mv.merge(targets, cursors, func(src core.ArrivalSource, res *dsks.Result) (err error) {
-		res.Candidates, err = core.TakeArrivals(src, 0)
-		return err
-	})
+	_, _, err = mv.merge(ctx, targets, cursors, q)
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("panicked leg err = %v, want ErrShardDown", err)
 	}

@@ -10,80 +10,53 @@ import (
 	"dsks/internal/core"
 )
 
-// Every MultiView query family runs the way one node runs it: the family's
-// function in core over an arrival source. One node's source is its own
-// expansion; the router's is the (distance, global ID) merge of the routed
-// legs' streams, the arrival sequence of the unsharded expansion
+// Every MultiView query family runs the way one node runs it: the
+// family's Answer in core over an arrival source. One node's source is its
+// own expansion; the router's is the (distance, global ID) merge of the
+// routed legs' streams, the arrival sequence of the unsharded expansion
 // (legMerge), pulled on the request goroutine. So every family answers
-// exactly as one node does.
+// exactly as one node does: lowering the merge's radius (ranked) lowers
+// every leg's, stopping it (kNN, COM's early stop) stops every leg, and
+// COM's pair distances run on the replicated network.
 
 // Search drains the merged boolean stream: every object within δmax that
 // contains every keyword, in non-decreasing distance.
 func (mv *MultiView) Search(ctx context.Context, q dsks.SKQuery) (dsks.Result, error) {
-	return mv.query(ctx, q, q, false, func(src core.ArrivalSource, res *dsks.Result) (err error) {
-		res.Candidates, err = core.TakeArrivals(src, 0)
-		return err
-	})
+	return mv.query(ctx, q)
 }
 
 // SearchKNN takes the merged boolean stream's first k arrivals and stops
 // every leg. Legs run within MaxDist, or unbounded when it is 0; none is
 // read past its share of the k plus the one head the merge compared.
 func (mv *MultiView) SearchKNN(ctx context.Context, q dsks.KNNQuery) (dsks.Result, error) {
-	return mv.query(ctx, q, q.SKQuery(), false, func(src core.ArrivalSource, res *dsks.Result) (err error) {
-		res.Candidates, err = core.TakeArrivals(src, q.K)
-		return err
-	})
+	return mv.query(ctx, q)
 }
 
-// SearchRanked scores the merged OR stream (core.RankArrivals). Lowering
-// the merge's radius once no unseen object can enter the top k lowers
-// every leg's.
+// SearchRanked scores the merged OR stream.
 func (mv *MultiView) SearchRanked(ctx context.Context, q dsks.RankedQuery) (dsks.Result, error) {
-	return mv.query(ctx, q, q.SKQuery(), true, func(src core.ArrivalSource, res *dsks.Result) (err error) {
-		res.Ranked, res.Stats.EarlyTerminate, err = core.RankArrivals(src, q)
-		return err
-	})
+	return mv.query(ctx, q)
 }
 
 // SearchCollective drains the merged OR stream within δmax and runs the
-// set-cover greedy over it (core.CoverArrivals), mixing objects across
-// shards as one node does.
+// set-cover greedy over it, mixing objects across shards as one node does.
 func (mv *MultiView) SearchCollective(ctx context.Context, q dsks.CollectiveQuery) (dsks.Result, error) {
-	skq := q.SKQuery()
-	return mv.query(ctx, q, skq, true, func(src core.ArrivalSource, res *dsks.Result) error {
-		group, greedy, err := core.CoverArrivals(src, skq.Terms)
-		res.Collective, res.Trace.Diversify = &group, greedy
-		return err
-	})
+	return mv.query(ctx, q)
 }
 
-// SearchDiversified runs the paper's Algorithm 6 (core.DiversifyArrivals)
-// over the merged boolean stream, with the pair distances computed on the
-// replicated network: the answer, the pruning and the early stop are the
-// single node's.
+// SearchDiversified runs the paper's Algorithm 6 over the merged boolean
+// stream: the answer, the pruning and the early stop are the single
+// node's.
 func (mv *MultiView) SearchDiversified(ctx context.Context, q dsks.DivQuery) (dsks.Result, error) {
-	return mv.query(ctx, q, q.SKQuery, false, mv.diversifyArrivals(ctx, q))
+	return mv.query(ctx, q)
 }
 
-// diversifyArrivals is Algorithm 6 as a consumer of the merged stream.
-func (mv *MultiView) diversifyArrivals(ctx context.Context, q dsks.DivQuery) func(core.ArrivalSource, *dsks.Result) error {
-	return func(src core.ArrivalSource, res *dsks.Result) error {
-		div, err := core.DiversifyArrivals(ctx, src, mv.set.searchNet,
-			core.DivParams{K: q.K, Lambda: q.Lambda, DeltaMax: q.DeltaMax}, core.PruneOptions{})
-		res.Candidates, res.F, res.Stats, res.Trace.Diversify = div.Objects, div.F, div.Stats, div.Trace.Diversify
-		return err
-	}
-}
-
-// query runs one family: q is validated, the view and skq's position and
-// terms guarded, and skq routed — a shard missing any term is skipped for
-// a boolean family, only one missing every term for an OR family (ranked,
-// collective). consume then runs over the routed legs' merged streams. One
-// KindMerge sample is recorded per query on every exit path.
-func (mv *MultiView) query(ctx context.Context, q interface{ Validate() error }, skq dsks.SKQuery, or bool,
-	consume func(core.ArrivalSource, *dsks.Result) error) (res dsks.Result, err error) {
-
+// query runs one family: q is validated, the view and its expansion's
+// position and terms guarded, and the expansion routed — a shard missing
+// any term is skipped for a boolean family, only one missing every term
+// for an OR family (ranked, collective). q's answer then runs over the
+// routed legs' merged streams. One KindMerge sample is recorded per query
+// on every exit path.
+func (mv *MultiView) query(ctx context.Context, q core.Query) (res dsks.Result, err error) {
 	start := time.Now()
 	var own time.Duration
 	defer func() { mv.finish(&res, start, own, err) }()
@@ -93,6 +66,7 @@ func (mv *MultiView) query(ctx context.Context, q interface{ Validate() error },
 	if mv.closed.Load() {
 		return dsks.Result{}, dsks.ErrViewClosed
 	}
+	skq, or := q.Expansion()
 	if err := mv.set.guard(skq.Pos, skq.Terms); err != nil {
 		return dsks.Result{}, err
 	}
@@ -103,23 +77,23 @@ func (mv *MultiView) query(ctx context.Context, q interface{ Validate() error },
 			c.open = (*dsks.View).StreamAny
 		}
 	}
-	res, own, err = mv.merge(targets, cursors, consume)
+	res, own, err = mv.merge(ctx, targets, cursors, q)
 	return res, err
 }
 
-// merge runs consume over the cursors' merged streams, then ends every leg
-// — stream stopped and accounted, replica view closed, no race still
+// merge runs q's answer over the cursors' merged streams, then ends every
+// leg — stream stopped and accounted, replica view closed, no race still
 // running — and applies the failure policy, on every path. The Result is
-// consume's payload with the succeeding legs' envelopes folded in; own is
-// the router's time outside the leg pulls.
-func (mv *MultiView) merge(targets []int, cursors []*legCursor, consume func(core.ArrivalSource, *dsks.Result) error) (res dsks.Result, own time.Duration, err error) {
+// the answer with the succeeding legs' envelopes folded in; own is the
+// router's time outside the leg pulls.
+func (mv *MultiView) merge(ctx context.Context, targets []int, cursors []*legCursor, q core.Query) (res dsks.Result, own time.Duration, err error) {
 	sources := make([]core.ArrivalSource, len(cursors))
 	for i, c := range cursors {
 		sources[i] = c
 	}
 	merged := newLegMerge(sources)
 	start := time.Now()
-	cerr := consume(merged, &res)
+	cerr := q.Answer(ctx, merged, mv.set.searchNet, &res)
 	own = time.Since(start) - merged.pulling
 	merged.Stop()
 	mv.racers.Wait()

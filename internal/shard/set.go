@@ -516,6 +516,9 @@ func (s *Set) checkMutation(pos dsks.Position, terms []dsks.TermID) error {
 	if pos.Edge < 0 || int(pos.Edge) >= s.g.NumEdges() {
 		return fmt.Errorf("shard: insert on edge %d: %w", pos.Edge, dsks.ErrUnknownEdge)
 	}
+	if err := core.CheckOffset(pos); err != nil {
+		return fmt.Errorf("shard: insert on edge %d: %w", pos.Edge, err)
+	}
 	for _, t := range terms {
 		if t < 0 || int(t) >= s.vocab {
 			return fmt.Errorf("shard: term %d with vocabulary of %d: %w", t, s.vocab, dsks.ErrTermOutOfRange)

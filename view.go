@@ -100,50 +100,44 @@ func (v *View) guard(pos Position, terms []TermID) error {
 	return v.db.checkPosTerms("query", pos, terms)
 }
 
+// run runs one query family, at pos over terms, against the view's
+// snapshot.
+func (v *View) run(ctx context.Context, q core.Query, pos Position, terms []TermID) (Result, error) {
+	if err := v.guard(pos, terms); err != nil {
+		return Result{}, err
+	}
+	return v.db.eng.Run(ctx, v.at, q)
+}
+
 // Search runs a boolean spatial keyword query against the view's snapshot:
 // all objects within q.DeltaMax network distance containing every keyword
 // of q.Terms, in non-decreasing distance order.
 func (v *View) Search(ctx context.Context, q SKQuery) (Result, error) {
-	if err := v.guard(q.Pos, q.Terms); err != nil {
-		return Result{}, err
-	}
-	return v.db.eng.Search(ctx, v.at, q)
+	return v.run(ctx, q, q.Pos, q.Terms)
 }
 
 // SearchDiversified runs a diversified spatial keyword query with the
 // incremental COM algorithm against the view's snapshot.
 func (v *View) SearchDiversified(ctx context.Context, q DivQuery) (Result, error) {
-	if err := v.guard(q.Pos, q.Terms); err != nil {
-		return Result{}, err
-	}
-	return v.db.eng.SearchDiversified(ctx, v.at, core.SearchCOM, q)
+	return v.run(ctx, q, q.Pos, q.Terms)
 }
 
 // SearchKNN returns the k nearest objects containing every query keyword,
 // in non-decreasing network distance, against the view's snapshot.
 func (v *View) SearchKNN(ctx context.Context, q KNNQuery) (Result, error) {
-	if err := v.guard(q.Pos, q.Terms); err != nil {
-		return Result{}, err
-	}
-	return v.db.eng.SearchKNN(ctx, v.at, q)
+	return v.run(ctx, q, q.Pos, q.Terms)
 }
 
 // SearchRanked runs the top-k ranked spatial keyword query against the
 // view's snapshot.
 func (v *View) SearchRanked(ctx context.Context, q RankedQuery) (Result, error) {
-	if err := v.guard(q.Pos, q.Terms); err != nil {
-		return Result{}, err
-	}
-	return v.db.eng.SearchRanked(ctx, v.at, q)
+	return v.run(ctx, q, q.Pos, q.Terms)
 }
 
 // SearchCollective finds a keyword-covering group against the view's
 // snapshot.
 func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result, error) {
-	if err := v.guard(q.Pos, q.Terms); err != nil {
-		return Result{}, err
-	}
-	return v.db.eng.SearchCollective(ctx, v.at, q)
+	return v.run(ctx, q, q.Pos, q.Terms)
 }
 
 // Stream starts an incremental boolean search against the view's snapshot.
@@ -151,7 +145,7 @@ func (v *View) SearchCollective(ctx context.Context, q CollectiveQuery) (Result,
 // view's pinned pages); a stream obtained from DB.Stream instead owns a
 // private view and releases it itself.
 func (v *View) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
-	return v.stream(ctx, q, nil)
+	return v.stream(ctx, q, false, nil)
 }
 
 // StreamAny starts an incremental OR search against the view's snapshot:
@@ -159,18 +153,16 @@ func (v *View) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
 // distance, with Stream.Terms reporting which terms each contains — the
 // arrivals the ranked and collective queries consume.
 func (v *View) StreamAny(ctx context.Context, q SKQuery) (*Stream, error) {
-	if err := v.guard(q.Pos, q.Terms); err != nil {
-		return nil, err
-	}
-	return v.db.eng.StreamAny(ctx, v.at, q, nil)
+	return v.stream(ctx, q, true, nil)
 }
 
-// stream is Stream with the hook a stream-owned view is released through.
-func (v *View) stream(ctx context.Context, q SKQuery, release func()) (*Stream, error) {
+// stream is Stream and StreamAny with the hook a stream-owned view is
+// released through.
+func (v *View) stream(ctx context.Context, q SKQuery, or bool, release func()) (*Stream, error) {
 	if err := v.guard(q.Pos, q.Terms); err != nil {
 		return nil, err
 	}
-	return v.db.eng.Stream(ctx, v.at, q, release)
+	return v.db.eng.Stream(ctx, v.at, q, or, release)
 }
 
 // NetworkDistance returns the exact network distance between two

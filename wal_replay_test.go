@@ -2,12 +2,15 @@ package dsks_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dsks"
+	"dsks/internal/wal"
 )
 
 // TestWALReplayMatchesPureInMemoryReplay is the replay idempotency
@@ -133,5 +136,37 @@ func TestWALReplayMatchesPureInMemoryReplay(t *testing.T) {
 				t.Fatalf("term %d: candidate %d at distance %v, shadow says %v", term, c.Ref.ID, c.Dist, want)
 			}
 		}
+	}
+}
+
+// TestWALReplayRejectsNonFiniteInsert: a log holding an insert at a NaN
+// offset — which a build without the finite-offset rule acknowledged and
+// logged — fails the open with ErrBadWAL naming its LSN, the way a record
+// that contradicts the opened state does; the record is never applied.
+func TestWALReplayRejectsNonFiniteInsert(t *testing.T) {
+	g, err := dsks.GenerateNetwork(dsks.NetworkConfig{Nodes: 40, EdgeFactor: 1.5, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := dsks.NewCollection()
+	col.Add(dsks.Position{Edge: 0, Offset: 1}, []dsks.TermID{0})
+	walDir := filepath.Join(t.TempDir(), "wal")
+	l, _, err := wal.Open(walDir, 0, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(wal.Record{Type: wal.RecInsert, ID: 1, Edge: 0, Offset: math.NaN(), Terms: []int32{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := dsks.Open(g, col, 4, dsks.Options{Index: dsks.IndexSIF, WALDir: walDir})
+	if err == nil {
+		db.Close()
+		t.Fatal("a logged insert at a NaN offset replayed")
+	}
+	if !errors.Is(err, dsks.ErrBadWAL) || !strings.Contains(err.Error(), "LSN 1") {
+		t.Fatalf("err = %v, want ErrBadWAL at LSN 1", err)
 	}
 }
