@@ -218,7 +218,10 @@ type Options struct {
 	// page file (default 0.02, the paper's setting).
 	BufferFraction float64
 	// IOLatency injects a synthetic delay per buffer miss, making
-	// response times I/O-dominated like a spinning-disk testbed.
+	// response times I/O-dominated like a spinning-disk testbed. On
+	// Linux a miss blocks its thread in the kernel for the latency, as a
+	// real pread would, so it pays the configured seek and not the Go
+	// timer's 1ms floor.
 	IOLatency time.Duration
 	// PartitionCuts is the SIF-P per-edge cut budget (default 3).
 	PartitionCuts int

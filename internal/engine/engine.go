@@ -75,7 +75,8 @@ type Options struct {
 	// index must not buy itself a bigger cache). Zero defaults to 0.02,
 	// with a floor of 16 frames so tiny test datasets stay functional.
 	BufferFraction float64
-	// IOLatency injects a synthetic per-miss delay (zero = none).
+	// IOLatency injects a synthetic per-miss delay (zero = none),
+	// waited in the kernel on Linux (storage.BufferPool.SetIOLatency).
 	IOLatency time.Duration
 	// SIFPCuts is the cut budget of SIF-P (paper default 3).
 	SIFPCuts int

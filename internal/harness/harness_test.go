@@ -163,6 +163,12 @@ func TestIOLatencyInjection(t *testing.T) {
 	if slowT <= fastT {
 		t.Errorf("latency injection had no effect: %v vs %v", fastT, slowT)
 	}
+	// Every miss of the slow system waits out its 200µs seek, and a
+	// query's misses are serial, so the queries took at least that long.
+	reads := slow.DiskReads(KindSIF)
+	if want := time.Duration(reads) * 200 * time.Microsecond; slowT < want {
+		t.Errorf("%d misses at 200µs took %v in total, want at least %v", reads, slowT, want)
+	}
 }
 
 func TestSIFPRealLogOption(t *testing.T) {

@@ -192,6 +192,10 @@ func FramesForBudget(budgetBytes int64) int {
 
 // SetIOLatency injects a synthetic delay per buffer miss, making response
 // time I/O-bound as on a spinning-disk testbed. Zero disables the delay.
+// On Linux a miss blocks its thread in the kernel for d, as a real pread
+// blocks on its seek, so a miss pays d plus a few microseconds rather
+// than the Go runtime's 1ms timer floor; elsewhere it waits on a Go
+// timer.
 func (b *BufferPool) SetIOLatency(d time.Duration) {
 	b.mu.Lock()
 	b.ioLatency = d
@@ -317,9 +321,10 @@ func (b *BufferPool) Get(id PageID) (*Page, error) {
 
 // GetCtx is Get with cancellation: a context that is already done fails
 // before any counter is touched (no logical or disk read is recorded), and
-// the injected IOLatency sleep of a buffer miss is interrupted when the
-// context is canceled or its deadline expires mid-wait. The returned error
-// wraps ctx.Err(), so errors.Is(err, context.Canceled) and
+// the injected IOLatency wait of a buffer miss (in the kernel on Linux,
+// in slices of at most a millisecond) is interrupted when the context is
+// canceled or its deadline expires mid-wait. The returned error wraps
+// ctx.Err(), so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) hold.
 //
 // Transient read faults (errors exposing TransientFault() == true, as the
@@ -342,14 +347,14 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Page, error) {
 	lat, retryMax, backoff := b.ioLatency, b.retryMax, b.retryBase
 	b.mu.Unlock()
 
-	// Miss path: the injected latency sleep and the physical read happen
+	// Miss path: the injected latency wait and the physical read happen
 	// OUTSIDE the pool latch, so concurrent misses overlap instead of
 	// serializing every query behind one simulated seek
 	// (TestMissReadsOutsideTheLatch, TestHitDuringMissLatency). The page
 	// is read into a private frame and admitted under the latch
 	// afterwards.
 	if lat > 0 {
-		if err := sleepCtx(ctx, lat); err != nil {
+		if err := waitIO(ctx, lat); err != nil {
 			return nil, fmt.Errorf("storage: page %d read interrupted: %w", id, err)
 		}
 	}
@@ -367,7 +372,7 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Page, error) {
 			return nil, err
 		}
 		b.stats.addRetry()
-		if serr := sleepCtx(ctx, backoff); serr != nil {
+		if serr := waitIO(ctx, backoff); serr != nil {
 			return nil, fmt.Errorf("storage: page %d retry aborted after transient fault (%v): %w", id, err, serr)
 		}
 		backoff *= 2
@@ -386,24 +391,6 @@ func (b *BufferPool) GetCtx(ctx context.Context, id PageID) (*Page, error) {
 	}
 	b.frames[id] = b.lru.PushFront(fr)
 	return &fr.page, nil
-}
-
-// sleepCtx waits for d or until ctx is done, whichever comes first. A
-// context that can never be canceled sleeps directly, avoiding the timer
-// allocation on the common Background path.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // MarkDirty records that the page was modified so eviction writes it back.
