@@ -58,11 +58,3 @@ func WithOracle(net ccam.Network, oracle LandmarkOracle, counters OracleCounters
 	}
 	return &assistedNetwork{Network: net, oracle: oracle, counters: counters}
 }
-
-// Unassisted strips any oracle attachment from net.
-func Unassisted(net ccam.Network) ccam.Network {
-	if an, ok := net.(*assistedNetwork); ok {
-		return an.Network
-	}
-	return net
-}

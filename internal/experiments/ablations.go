@@ -345,7 +345,7 @@ func AblationCompaction(cfg Config) (*Result, error) {
 // read.
 func AblationSelectivity(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	r := newResult("Ablation: rarest-term-first probing (NA, l = 3)",
+	r := newResult("Ablation: rarest-term-first probe order (NA, l = 3)",
 		"index", "probe order", "avg disk accesses", "avg query ms")
 	ds, err := dataset.GeneratePreset(dataset.PresetNA, cfg.Scale, cfg.Seed)
 	if err != nil {

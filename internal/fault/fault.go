@@ -198,13 +198,6 @@ func New(cfg Config) (*Injector, error) {
 // Config returns the injector's campaign configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
-// Ops reports the matching operations observed so far.
-func (in *Injector) Ops() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops
-}
-
 // Fired reports the faults injected so far.
 func (in *Injector) Fired() int64 {
 	in.mu.Lock()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/breaker"
 	"dsks/internal/obj"
 	"dsks/internal/shard"
 )
@@ -413,18 +414,22 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		// Degraded-mode gate: with the circuit open, storage is failing
 		// and every query would hit it — shed with 503 except the single
 		// half-open probe, whose outcome decides whether to close. Cache
-		// hits were already served above; they touch no storage.
-		probe, admitted := s.health.allow()
+		// hits were already served above; they touch no storage. The
+		// ticket ends when the handler does, so an early return or a
+		// panicking query ends it neutral; only a storage-class error
+		// (500) is a failure.
+		tk, admitted := s.health.Allow()
 		if !admitted {
 			w.Header().Set("Retry-After", retryAfter(s.cfg.BreakerCooldown))
 			writeError(w, http.StatusServiceUnavailable, "storage degraded: circuit breaker open")
 			return
 		}
+		outcome := breaker.Neutral
+		defer func() { tk.End(outcome) }()
 
 		ctx, cancel := context.WithTimeout(r.Context(), budget)
 		defer cancel()
 		if err := s.admit(w, ctx); err != nil {
-			s.health.recordNeutral(probe)
 			return
 		}
 		defer s.lim.release()
@@ -433,9 +438,7 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		partial := err != nil && errors.Is(err, shard.ErrPartialResult) && resp != nil
 		if err != nil && !partial {
 			if statusFor(err) == http.StatusInternalServerError {
-				s.health.recordStorageError(probe)
-			} else {
-				s.health.recordNeutral(probe)
+				outcome = breaker.Failure
 			}
 			s.writeQueryError(w, err)
 			return
@@ -443,13 +446,11 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		if mv, ok := v.(*shard.MultiView); ok {
 			resp.stampMeta(mv.Meta())
 		}
-		if partial {
-			// A partial answer is coherent but incomplete: served with
-			// 206 and the failed legs' detail, never cached, and neutral
-			// for the breaker (the healthy shards did serve).
-			s.health.recordNeutral(probe)
-		} else {
-			s.health.recordSuccess(probe)
+		// A partial answer is coherent but incomplete: served with 206
+		// and the failed legs' detail, never cached, and neutral for the
+		// breaker (the healthy shards did serve).
+		if !partial {
+			outcome = breaker.Success
 		}
 		body, err := appendResponse(make([]byte, 0, responseSize(resp)), resp)
 		if err != nil {

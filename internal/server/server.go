@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/breaker"
 	"dsks/internal/metrics"
 )
 
@@ -104,7 +105,7 @@ type Server struct {
 	cfg     Config
 	lim     *limiter
 	cache   *resultCache
-	health  *breaker
+	health  *breaker.Breaker
 	mux     *http.ServeMux
 
 	started time.Time
@@ -147,10 +148,11 @@ func newServer(backend Backend, cfg Config) *Server {
 	}
 	s.cache = newResultCache(cfg.CacheSize, s.cacheHits, s.cacheMisses,
 		reg.Counter("server_cache_stale_evictions_total"))
-	s.health = newBreaker(cfg.DegradeAfter, cfg.BreakAfter, cfg.BreakerCooldown,
-		reg.Counter("server_breaker_opened_total"),
-		reg.Counter("server_breaker_shed_total"),
-		reg.Counter("server_health_state"))
+	s.health = breaker.New(cfg.DegradeAfter, cfg.BreakAfter, cfg.BreakerCooldown, breaker.Counters{
+		Opened: reg.Counter("server_breaker_opened_total"),
+		Shed:   reg.Counter("server_breaker_shed_total"),
+		State:  reg.Counter("server_health_state"),
+	})
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -234,9 +236,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // server is healthy or degraded (it is still serving), 503 while the
 // circuit is open (queries are being shed).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.health.currentState()
+	st := s.health.State()
 	status := http.StatusOK
-	if st == stateOpen {
+	if st == breaker.Open {
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", retryAfter(s.cfg.BreakerCooldown))
 	}
@@ -287,7 +289,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		LiveObjects: s.backend.LiveObjects(),
 		PinnedViews: s.backend.PinnedViews(),
 		DurableLSN:  s.backend.DurableLSN(),
-		Health:      s.health.currentState().String(),
+		Health:      s.health.State().String(),
 		Inflight:    s.lim.inflight(),
 		Queued:      s.lim.waiting(),
 		CacheLen:    s.cache.len(),

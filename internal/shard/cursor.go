@@ -255,14 +255,15 @@ func (c *legCursor) Next() (cand dsks.Candidate, ok bool, err error) {
 	if !c.started {
 		c.started = true
 		c.mv.set.shards[c.shard].reqs.Add(1)
-		cand, ok, err = c.adopt(runLeg(c.ctx, c.mv, c.shard, c.ops()))
+		cand, ok, err = c.adopt(runLeg(c.ctx, c.mv, c.shard, nil, c.ops()))
 	} else if cand, ok, err = c.advance(c.st, legKey{}); err != nil {
 		c.st = nil // a failed stream has finished itself
 		if c.failover && !clientClass(err) {
 			// The open's ladder, unhedged (a pull is one node settle):
-			// backoff and retry on a fresh primary stream, then fail over.
+			// backoff and retry on a fresh primary stream, then fail over
+			// — at once if the primary's breaker refuses it.
 			c.release()
-			cand, ok, err = c.adopt(racePrimary(c.ctx, c.mv, c.shard, c.mv.set.legRetries, false, err, c.ops()))
+			cand, ok, err = c.adopt(runLeg(c.ctx, c.mv, c.shard, err, c.ops()))
 		}
 	}
 	if err != nil {

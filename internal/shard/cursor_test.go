@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/breaker"
 	"dsks/internal/core"
 	"dsks/internal/fault"
 )
@@ -303,11 +304,7 @@ func killPrimary(t *testing.T, set *Set, si int) {
 	}
 }
 
-func consecutiveFailures(h *shardHealth) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.consecutive
-}
+func consecutiveFailures(h *breaker.Breaker) int { return h.Failures() }
 
 // TestCursorFailoverAtOpen: a primary that fails at cursor open is served
 // from its replica — the healthy answer, one failover, the failure on the
@@ -553,7 +550,7 @@ func TestCursorHedgedLoserReleasesItsView(t *testing.T) {
 		loserErr = err
 		return o, err
 	}
-	o, release, err := racePrimary(ctx, mv, 0, 0, true, nil, ops)
+	o, release, err := runLeg(ctx, mv, 0, nil, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,6 +562,120 @@ func TestCursorHedgedLoserReleasesItsView(t *testing.T) {
 	mv.Close() // waits for the losing side
 	if loserErr != nil {
 		t.Fatalf("the losing replica side failed (%v); it must answer for its product to be discarded", loserErr)
+	}
+}
+
+// tripShard0 points every shard breaker's clock at *clock, records one
+// failure on shard 0's primary (DownAfter 1 marks it down) and moves the
+// clock past the one-minute cooldown: the next leg on shard 0 is its
+// recovery probe.
+func tripShard0(t *testing.T, set *Set, clock *time.Time) {
+	t.Helper()
+	for i := range set.shards {
+		set.shards[i].health.Now = func() time.Time { return *clock }
+	}
+	tk, _ := set.shards[0].health.Allow()
+	tk.End(breaker.Failure)
+	if h := set.ShardHealth(0); h != HealthReplica {
+		t.Fatalf("shard 0 health = %q after a failure with DownAfter 1, want %q", h, HealthReplica)
+	}
+	*clock = clock.Add(time.Minute)
+}
+
+// TestShardProbeExpiredDeadlineReleasesSlot: a recovery probe that ends on
+// the request's own expired deadline says nothing about the shard. It
+// frees the probe slot, and the next healthy query reclaims the primary.
+func TestShardProbeExpiredDeadlineReleasesSlot(t *testing.T) {
+	set, q, want := failoverFixture(t, Options{Seed: 4, DownAfter: 1, DownCooldown: time.Minute})
+	clock := time.Unix(1000, 0)
+	tripShard0(t, set, &clock)
+	ctx := context.Background()
+
+	expired, cancel := context.WithDeadline(ctx, time.Unix(0, 0))
+	defer cancel()
+	mv, err := set.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = mv.SearchDiversified(expired, q)
+	mv.Close()
+	if !errors.Is(err, dsks.ErrDeadlineExceeded) {
+		t.Fatalf("query past its deadline: %v, want ErrDeadlineExceeded", err)
+	}
+
+	mv, err = set.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mv.Close()
+	got, err := mv.SearchDiversified(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameAnswer(t, "after the expired probe", want, got)
+	if h := set.ShardHealth(0); h != HealthPrimary {
+		t.Fatalf("shard 0 health = %q after a healthy query, want %q", h, HealthPrimary)
+	}
+}
+
+// TestShardProbeLosingHedgeReleasesSlot: a recovery probe whose primary is
+// held until the hedged replica has answered loses the race and ends
+// neutral. The next leg is the probe again; with its replica failing, the
+// primary answers it and reclaims the shard.
+func TestShardProbeLosingHedgeReleasesSlot(t *testing.T) {
+	set, q, _ := failoverFixture(t, Options{Seed: 8, HedgeAfter: time.Nanosecond, DownAfter: 1, DownCooldown: time.Minute})
+	clock := time.Unix(1000, 0)
+	tripShard0(t, set, &clock)
+	ctx := context.Background()
+
+	// leg runs shard 0's leg on ops edited by edit, which may return a
+	// channel closed once runLeg has returned; it reports whether the
+	// replica answered.
+	leg := func(edit func(*legOps) chan struct{}) (onReplica bool) {
+		mv, err := set.View(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mv.Close() // waits for a held side
+		c := mv.cursors(ctx, []int{0}, q.SKQuery)[0]
+		defer c.Stop()
+		ops := c.ops()
+		done := edit(&ops)
+		_, _, err = c.adopt(runLeg(ctx, mv, 0, nil, ops))
+		if done != nil {
+			close(done)
+		}
+		if err != nil {
+			t.Fatalf("leg on shard 0: %v", err)
+		}
+		return c.rv != nil
+	}
+	holdPrimary := func(ops *legOps) chan struct{} {
+		hold, primary := make(chan struct{}), ops.primary
+		ops.primary = func(ctx context.Context) (opened, error) {
+			<-hold
+			return primary(ctx)
+		}
+		return hold
+	}
+	failReplica := func(ops *legOps) chan struct{} {
+		ops.replica = func(context.Context) (opened, error) {
+			return opened{}, errors.New("replica unavailable")
+		}
+		return nil
+	}
+
+	if !leg(holdPrimary) {
+		t.Fatal("the held primary won the race")
+	}
+	if h := set.ShardHealth(0); h != HealthReplica {
+		t.Fatalf("shard 0 health = %q after a probe the replica won, want %q", h, HealthReplica)
+	}
+	if leg(failReplica) {
+		t.Fatal("a failing replica answered the leg")
+	}
+	if h := set.ShardHealth(0); h != HealthPrimary {
+		t.Fatalf("shard 0 health = %q after a probe the primary won, want %q", h, HealthPrimary)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"dsks"
+	"dsks/internal/storage"
 )
 
 // setManifestName is the shard-set manifest file inside a snapshot dir.
@@ -97,11 +98,7 @@ func installManifest(dir string, blob []byte) error {
 	if err := os.Rename(tmp, filepath.Join(dir, setManifestName)); err != nil {
 		return err
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return errors.Join(d.Sync(), d.Close())
+	return storage.SyncDir(dir)
 }
 
 // OpenSetPath reopens a sharded snapshot written by SaveTo. Every shard

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/breaker"
 )
 
 // Replication sentinels, matchable with errors.Is through every wrap.
@@ -200,98 +201,12 @@ func (r *Replica) Close() error {
 	return r.db.Close()
 }
 
-// shardHealth is the per-shard availability state machine, the shard
-// layer's mirror of the server breaker: consecutive shard-class leg
-// failures trip the primary into down, a cooldown gates recovery, and
-// a single probe leg at a time decides whether it heals. All methods
-// are latch-only (no I/O under mu).
-type shardHealth struct {
-	mu          sync.Mutex
-	consecutive int
-	down        bool
-	since       time.Time // when the primary went down / last probe failed
-	probing     bool
-
-	downAfter int
-	cooldown  time.Duration
-	now       func() time.Time // stubbed in tests
-}
-
-func newShardHealth(downAfter int, cooldown time.Duration) *shardHealth {
-	if downAfter <= 0 {
-		downAfter = defaultDownAfter
-	}
-	if cooldown <= 0 {
-		cooldown = defaultDownCooldown
-	}
-	return &shardHealth{downAfter: downAfter, cooldown: cooldown, now: time.Now}
-}
-
-const (
-	defaultDownAfter    = 3
-	defaultDownCooldown = time.Second
-)
-
-// allowPrimary reports whether the next leg may try the primary. While
-// the primary is down, only one probe per cooldown window is admitted
-// (probe=true); everything else goes straight to a replica.
-func (h *shardHealth) allowPrimary() (probe, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.down {
-		return false, true
-	}
-	if h.probing || h.now().Sub(h.since) < h.cooldown {
-		return false, false
-	}
-	h.probing = true
-	return true, true
-}
-
-// recordSuccess heals the primary on any successful leg.
-func (h *shardHealth) recordSuccess() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.consecutive = 0
-	h.down = false
-	h.probing = false
-}
-
-// recordFailure counts one shard-class leg failure; it reports whether
-// this failure tripped the primary into down. A failed probe restarts
-// the cooldown clock.
-func (h *shardHealth) recordFailure() (tripped bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.consecutive++
-	if h.probing {
-		h.probing = false
-		h.since = h.now()
-	}
-	if !h.down && h.consecutive >= h.downAfter {
-		h.down = true
-		h.since = h.now()
-		return true
-	}
-	return false
-}
-
-// isDown reports whether the primary is currently marked down.
-func (h *shardHealth) isDown() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.down
-}
-
 // ReplicaVarz is one replica's observability snapshot (see ShardVarz).
 type ReplicaVarz struct {
 	AppliedLSN uint64 `json:"appliedLSN"`
 	Lag        uint64 `json:"lag"`
 	Err        string `json:"error,omitempty"`
 }
-
-// ReplicaCount is the configured replicas-per-shard R.
-func (s *Set) ReplicaCount() int { return s.nreplicas }
 
 // ShardReplicas snapshots shard i's replicas for /varz.
 func (s *Set) ShardReplicas(i int) []ReplicaVarz {
@@ -317,7 +232,7 @@ func (s *Set) ShardHealth(i int) string {
 		return HealthDown
 	}
 	st := &s.shards[i]
-	if st.health == nil || !st.health.isDown() {
+	if st.health == nil || st.health.State() != breaker.Open {
 		return HealthPrimary
 	}
 	for _, r := range st.replicas {

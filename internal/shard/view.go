@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/breaker"
 	"dsks/internal/metrics"
 )
 
@@ -129,39 +130,33 @@ func noCancel() {}
 // runLeg performs one leg's unit of work under the failover protocol:
 //
 //   - a shard with no replicas just runs on its view;
-//   - a primary marked down serves from the freshest replica within the
-//     staleness bound, except for one recovery probe per cooldown
-//     window, which tries the primary (and heals it on success);
-//   - a healthy primary runs with capped-backoff retries on transient
-//     errors; if it outlives the hedging delay, a replica races it and
-//     the first answer wins; if it fails for good, the leg fails over to
-//     a replica before giving up.
+//   - a primary its breaker refuses (marked down, and no probe due) is
+//     skipped: the leg serves from the freshest replica within the
+//     staleness bound;
+//   - otherwise the primary runs with capped-backoff retries on transient
+//     errors (none for the recovery probe, which decides health as fast as
+//     possible); if it outlives the hedging delay, a replica races it and
+//     the first answer wins; if it fails for good, the leg fails over to a
+//     replica before giving up.
 //
-// Health accounting mirrors the server breaker: only shard-class errors
-// count against the primary — client-class errors (bad query, canceled
-// context) are the request's fault and stay neutral.
+// prior, when set, stands for a first primary attempt that already failed
+// (a cursor's pull): the ladder starts at its backoff, unhedged.
 //
 // The returned release ends the context the stream was opened under; the
 // cursor calls it when it is done with the stream.
-func runLeg(ctx context.Context, mv *MultiView, si int, ops legOps) (opened, context.CancelFunc, error) {
+func runLeg(ctx context.Context, mv *MultiView, si int, prior error, ops legOps) (opened, context.CancelFunc, error) {
 	s := mv.set
-	st := &s.shards[si]
 	if mv.direct(si) {
 		val, err := ops.primary(ctx)
 		return val, noCancel, err
 	}
-	probe, ok := st.health.allowPrimary()
+	tk, ok := s.shards[si].health.Allow()
 	if !ok {
 		s.failTotal.Add(1)
 		val, err := ops.replica(ctx)
 		return val, noCancel, err
 	}
-	retries := s.legRetries
-	if probe {
-		// A probe decides health as fast as possible: no retries.
-		retries = 0
-	}
-	return racePrimary(ctx, mv, si, retries, true, nil, ops)
+	return racePrimary(ctx, mv, si, prior, tk, ops)
 }
 
 // direct reports a leg with nowhere to fail over to: its shard has no
@@ -182,12 +177,21 @@ type legOutcome struct {
 // first together with the release of its context. Each side runs under its
 // own context: the loser's is canceled when the race is decided, and a
 // loser that answers anyway discards its product itself, so nothing it
-// holds outlives it. hedge false runs the same ladder unraced — retries,
-// then failover — and prior, when set, stands for a first primary attempt
-// that already failed (a cursor's pull): the ladder starts at its backoff.
-func racePrimary(ctx context.Context, mv *MultiView, si, retries int, hedge bool, prior error, ops legOps) (opened, context.CancelFunc, error) {
+// holds outlives it.
+//
+// tk is the primary's breaker ticket, ended when the race is: success or
+// failure as the primary side answered, and neutral when it answered
+// nothing about the shard — a client-class error, or a race the replica
+// won while the primary was still running. Only shard-class errors count
+// against the primary.
+func racePrimary(ctx context.Context, mv *MultiView, si int, prior error, tk breaker.Ticket, ops legOps) (opened, context.CancelFunc, error) {
 	s := mv.set
-	st := &s.shards[si]
+	outcome := breaker.Neutral
+	defer func() { tk.End(outcome) }()
+	retries := s.legRetries
+	if tk.Probe() {
+		retries = 0
+	}
 	pctx, pcancel := context.WithCancel(ctx)
 	rctx, rcancel := context.WithCancel(ctx)
 	// decided is claimed once, by the side that answers first or by this
@@ -237,7 +241,7 @@ func racePrimary(ctx context.Context, mv *MultiView, si, retries int, hedge bool
 	})
 
 	var hedgeC <-chan time.Time
-	if hedge && s.hedgeAfter > 0 {
+	if prior == nil && s.hedgeAfter > 0 {
 		ht := time.NewTimer(s.hedgeAfter)
 		defer ht.Stop()
 		hedgeC = ht.C
@@ -260,7 +264,7 @@ func racePrimary(ctx context.Context, mv *MultiView, si, retries int, hedge bool
 		case out := <-ch:
 			if out.err == nil {
 				if out.primary {
-					st.health.recordSuccess()
+					outcome = breaker.Success
 					rcancel()
 					return out.val, pcancel, nil
 				}
@@ -277,7 +281,7 @@ func racePrimary(ctx context.Context, mv *MultiView, si, retries int, hedge bool
 					// product is on its way: take it.
 					continue
 				}
-				st.health.recordFailure()
+				outcome = breaker.Failure
 				pErr = out.err
 				if !launched {
 					s.failTotal.Add(1)

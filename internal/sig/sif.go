@@ -38,8 +38,8 @@ type Options struct {
 	Partition Partitioner
 	// Log supplies the per-edge query log; required when MaxCuts > 0.
 	Log LogSource
-	// SelectivityOrder enables rarest-term-first probing in the inner
-	// inverted file (off = the paper's query-order baseline).
+	// SelectivityOrder reads the inner inverted file's lists rarest term
+	// first (off = the paper's query-order baseline).
 	SelectivityOrder bool
 }
 

@@ -215,13 +215,6 @@ func (b *BufferPool) SetChecksums(on bool) {
 	b.sumMu.Unlock()
 }
 
-// ChecksumsEnabled reports whether the pool verifies page checksums.
-func (b *BufferPool) ChecksumsEnabled() bool {
-	b.sumMu.Lock()
-	defer b.sumMu.Unlock()
-	return b.sums != nil
-}
-
 // SetRetry configures the transient-read-fault retry policy: at most max
 // retries, sleeping base, 2*base, 4*base, ... between attempts. max 0
 // disables retries; base 0 keeps the default backoff.
@@ -282,13 +275,6 @@ func (b *BufferPool) SetCapacity(n int) error {
 	defer b.mu.Unlock()
 	b.capacity = n
 	return b.evictToLocked(n)
-}
-
-// Capacity returns the pool's frame count.
-func (b *BufferPool) Capacity() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.capacity
 }
 
 // Stats returns the pool's I/O counters.

@@ -140,3 +140,18 @@ func (l *LogFile) Close() error {
 	defer l.mu.Unlock()
 	return l.f.Close()
 }
+
+// SyncDir fsyncs a directory so the entries created, renamed or removed in
+// it are durable.
+func SyncDir(path string) error {
+	d, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	serr := d.Sync()
+	cerr := d.Close()
+	if serr != nil {
+		return fmt.Errorf("storage: syncing directory %s: %w", path, serr)
+	}
+	return cerr
+}

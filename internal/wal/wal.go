@@ -186,7 +186,7 @@ func Open(dir string, fromLSN uint64, opts Options) (*Log, []Record, error) {
 	}
 	l.seg = seg
 	l.durableOff = seg.Size()
-	if err := syncDir(dir); err != nil {
+	if err := storage.SyncDir(dir); err != nil {
 		seg.Close()
 		return nil, nil, err
 	}
@@ -332,7 +332,7 @@ func (l *Log) rotateLocked() error {
 	if l.inj != nil {
 		nf.SetInjector(l.inj)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := storage.SyncDir(l.dir); err != nil {
 		nf.Close()
 		return err
 	}
@@ -413,7 +413,7 @@ func (l *Log) Checkpoint(upto uint64) error {
 		l.compactions.Add(1)
 	}
 	if len(drop) > 0 {
-		return syncDir(l.dir)
+		return storage.SyncDir(l.dir)
 	}
 	return nil
 }
@@ -476,19 +476,4 @@ func (l *Log) Close() error {
 	}
 	l.dur.Broadcast()
 	return err
-}
-
-// syncDir fsyncs a directory so entries created, renamed or removed in
-// it are durable.
-func syncDir(path string) error {
-	d, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("wal: syncing directory %s: %w", path, serr)
-	}
-	return cerr
 }

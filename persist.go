@@ -14,6 +14,7 @@ import (
 	"dsks/internal/dataset"
 	"dsks/internal/graph"
 	"dsks/internal/obj"
+	"dsks/internal/storage"
 )
 
 // Database persistence: SaveTo snapshots the road network, the live object
@@ -168,21 +169,6 @@ func writeSnapshotFile(path string, write func(io.Writer) error) (manifestEntry,
 		return manifestEntry{}, fmt.Errorf("dsks: closing %s: %w", filepath.Base(path), err)
 	}
 	return manifestEntry{Size: cw.n, CRC32C: h.Sum32()}, nil
-}
-
-// syncDir fsyncs a directory so the entries created (or renamed) inside
-// it are durable.
-func syncDir(path string) error {
-	d, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("dsks: syncing directory %s: %w", path, serr)
-	}
-	return cerr
 }
 
 // SaveTo snapshots the database into dir (created if needed): the road
@@ -357,7 +343,7 @@ func (db *DB) saveSnapshot(dir string, oracleBytes []byte) (walLSN uint64, err e
 	if err := fireSaveHook("sync-staging"); err != nil {
 		return 0, fail(err)
 	}
-	if err := syncDir(tmp); err != nil {
+	if err := storage.SyncDir(tmp); err != nil {
 		return 0, fail(err)
 	}
 
@@ -384,7 +370,7 @@ func (db *DB) saveSnapshot(dir string, oracleBytes []byte) (walLSN uint64, err e
 	if err := fireSaveHook("sync-parent"); err != nil {
 		return 0, err
 	}
-	if err := syncDir(parent); err != nil {
+	if err := storage.SyncDir(parent); err != nil {
 		return 0, err
 	}
 	if err := fireSaveHook("cleanup-prev"); err != nil {
