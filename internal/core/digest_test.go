@@ -22,15 +22,18 @@ import (
 )
 
 // comDigestFile holds one line per cell of TestCOMAnswerDigest's grid:
-// world, oracle, λ, k, the digest of the cell's answers and the cell's
-// total pair distances, both recorded before COM skipped pairs by their
-// upper bound (DivParams.PairBound).
+// world, oracle, λ, k, the digest of the cell's answers with their work
+// flags, the cell's total pair distances, both recorded before COM
+// skipped pairs by their upper bound (DivParams.PairBound), and the
+// digest of the answers alone.
 const comDigestFile = "testdata/com_digest.txt"
 
 // TestCOMAnswerDigest pins Algorithm 6's answers over a (world, oracle, λ,
-// k) grid to digests recorded from an earlier build: per query, the object
-// IDs in order, the bits of F, Pruned and EarlyTerminate. A change that
-// only saves work leaves every digest as it is. The pair skip never adds
+// k) grid to digests recorded from an earlier build. The answers digest
+// takes per query the object IDs in order, their distances and the bits
+// of F; no change may move it. The other digest adds Pruned and
+// EarlyTerminate, which a change to the pruning rules moves and
+// re-records with its reason. The pair skip never adds
 // a pair distance, and at λ = ½ it skips none: there every pair's bound is
 // 1/(k−1), the largest θ possible (k = 1 computes no pair at all).
 //
@@ -65,8 +68,9 @@ func TestCOMAnswerDigest(t *testing.T) {
 			for _, lambda := range []float64{0, 0.25, 0.5, 0.75, 0.8, 1} {
 				for _, k := range []int{1, 2, 3, 5, 10} {
 					cell := fmt.Sprintf("%s %s %v %d", w.name, onOff, lambda, k)
-					h := sha256.New()
+					h, ha := sha256.New(), sha256.New()
 					put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+					putA := func(v uint64) { ha.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 					pairs := int64(0)
 					for qi, wq := range w.ws {
 						res, err := core.Run(context.Background(), net, loader, harness.DivQueryOf(wq, k, lambda))
@@ -82,10 +86,14 @@ func TestCOMAnswerDigest(t *testing.T) {
 							early = false
 						}
 						put(uint64(len(res.Candidates)))
+						putA(uint64(len(res.Candidates)))
 						for _, c := range res.Candidates {
 							put(uint64(c.Ref.ID))
+							putA(uint64(c.Ref.ID))
+							putA(math.Float64bits(c.Dist))
 						}
 						put(math.Float64bits(res.F))
+						putA(math.Float64bits(res.F))
 						put(uint64(res.Stats.Pruned))
 						put(boolBit(early))
 						pairs += res.Stats.PairDistCalcs
@@ -96,8 +104,11 @@ func TestCOMAnswerDigest(t *testing.T) {
 						t.Errorf("%s: not in %s", cell, comDigestFile)
 						continue
 					}
+					if got := hex.EncodeToString(ha.Sum(nil)[:8]); got != rec.answers {
+						t.Errorf("%s: answers digest %s, recorded %s", cell, got, rec.answers)
+					}
 					if got := hex.EncodeToString(h.Sum(nil)[:8]); got != rec.digest {
-						t.Errorf("%s: answers digest %s, recorded %s", cell, got, rec.digest)
+						t.Errorf("%s: answers and work flags digest %s, recorded %s", cell, got, rec.digest)
 					}
 					if pairs > rec.pairs || (lambda == 0.5 && k > 1 && pairs != rec.pairs) {
 						t.Errorf("%s: %d pair distances, recorded %d", cell, pairs, rec.pairs)
@@ -119,8 +130,9 @@ func boolBit(b bool) uint64 {
 }
 
 type comDigest struct {
-	digest string
-	pairs  int64
+	digest  string
+	pairs   int64
+	answers string
 }
 
 // readCOMDigests returns the recorded cells of comDigestFile by their
@@ -140,14 +152,14 @@ func readCOMDigests(t *testing.T) map[string]comDigest {
 			continue
 		}
 		fs := strings.Fields(line)
-		if len(fs) != 6 {
+		if len(fs) != 7 {
 			t.Fatalf("%s: bad line %q", comDigestFile, line)
 		}
 		pairs, err := strconv.ParseInt(fs[5], 10, 64)
 		if err != nil {
 			t.Fatalf("%s: bad line %q: %v", comDigestFile, line, err)
 		}
-		cells[strings.Join(fs[:4], " ")] = comDigest{digest: fs[4], pairs: pairs}
+		cells[strings.Join(fs[:4], " ")] = comDigest{digest: fs[4], pairs: pairs, answers: fs[6]}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
