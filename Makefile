@@ -36,8 +36,9 @@ lint:
 # reference, the frontier's node table against a Go map, the clustered
 # B+-tree against a sorted map, the GET decoder against the url.Values
 # reference, the response encoder against encoding/json, the WAL record
-# decoder against its encoder, and the router's leg merge over arbitrary
-# leg partitions.
+# decoder against its encoder, the router's leg merge over arbitrary
+# leg partitions, the oracle file loader against its writer, and the
+# collective query's early stop against the drain-then-greedy answer.
 fuzz-smoke:
 	$(GO) test -run FuzzZOrder -fuzz FuzzZOrder -fuzztime $(FUZZTIME) ./internal/geo/
 	$(GO) test -run FuzzLoadGraph -fuzz FuzzLoadGraph -fuzztime $(FUZZTIME) ./internal/graph/
@@ -49,6 +50,8 @@ fuzz-smoke:
 	$(GO) test -run FuzzResponseEncode -fuzz FuzzResponseEncode -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run FuzzLegMerge -fuzz FuzzLegMerge -fuzztime $(FUZZTIME) ./internal/shard/
+	$(GO) test -run FuzzOracleLoad -fuzz FuzzOracleLoad -fuzztime $(FUZZTIME) ./internal/alt/
+	$(GO) test -run FuzzCollectiveStop -fuzz FuzzCollectiveStop -fuzztime $(FUZZTIME) ./internal/core/
 
 # bench runs the benchmark spine BENCHMARK.json declares: four served
 # workloads, end-to-end metrics with their regression bounds

@@ -70,6 +70,24 @@ func accountCases(w dsks.WorkloadQuery, k int, deltaMax float64) []accountCase {
 	}
 }
 
+// unheldTerm returns a vocabulary term no object of ds holds.
+func unheldTerm(t *testing.T, ds *dsks.Dataset) dsks.TermID {
+	t.Helper()
+	held := make([]bool, ds.VocabSize)
+	for id := 0; id < ds.Objects.Len(); id++ {
+		for _, term := range ds.Objects.Get(dsks.ObjectID(id)).Terms {
+			held[term] = true
+		}
+	}
+	for term, h := range held {
+		if !h {
+			return dsks.TermID(term)
+		}
+	}
+	t.Fatal("every vocabulary term is held by some object")
+	return 0
+}
+
 // expiringCtx is a deadline without a clock: its Err reports
 // context.DeadlineExceeded from the n-th poll on. The expansion polls
 // between steps and before every page read, so the deadline lands
@@ -207,9 +225,19 @@ func TestQueryAccounting(t *testing.T) {
 
 	// A deadline that lands mid-expansion: an unbounded range and a k no
 	// query can fill force the expansion over the whole network, far past
-	// the context's budget of polls.
+	// the context's budget of polls. The collective query stops once its
+	// group is final, so its query gets a term no object holds: its cover
+	// never completes.
+	deadlineCases := accountCases(ws[0], ds.Objects.Len(), 1e9)
+	uncoverable := ws[0]
+	uncoverable.Terms = append(uncoverable.Terms[:len(uncoverable.Terms):len(uncoverable.Terms)], unheldTerm(t, ds))
+	for i, c := range accountCases(uncoverable, ds.Objects.Len(), 1e9) {
+		if c.kind == dsks.KindCollective {
+			deadlineCases[i] = c
+		}
+	}
 	for _, target := range targets {
-		for _, c := range accountCases(ws[0], ds.Objects.Len(), 1e9) {
+		for _, c := range deadlineCases {
 			tag := target.name + "/" + string(c.kind) + "/deadline"
 			fresh()
 			_, err := c.run(expireAfter(200), target.q)

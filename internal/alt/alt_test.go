@@ -3,9 +3,11 @@ package alt
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -248,6 +250,67 @@ func TestLoadRejections(t *testing.T) {
 func reseal(b []byte) {
 	sum := crc32.Checksum(b[headerSize:], crcTable)
 	b[12], b[13], b[14], b[15] = byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24)
+}
+
+// FuzzOracleLoad: for arbitrary bytes, Load either fails wrapping
+// ErrBadOracle or returns an oracle whose WriteTo reproduces the bytes it
+// accepted, and it never panics. Each input is tried as given and with its
+// payload checksum resealed, so the checks behind the CRC are reached too.
+// The graph's node count is the file's own when that is at most 16, so a
+// header can pass the node-count check without a large payload.
+func FuzzOracleLoad(f *testing.F) {
+	g := graph.New()
+	a, b := g.AddNode(pt(0, 0)), g.AddNode(pt(1, 0))
+	c, d := g.AddNode(pt(10, 10)), g.AddNode(pt(11, 10))
+	if _, err := g.AddEdge(a, b, 1); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := g.AddEdge(c, d, 2.5); err != nil {
+		f.Fatal(err)
+	}
+	g.Freeze()
+	for _, cfg := range []Config{{Landmarks: 1, Seed: 1}, {Landmarks: 2, Seed: 7}, {Landmarks: 4, Seed: 3}} {
+		o, err := Build(g, testPool(8), cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := o.WriteTo(context.Background(), &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		try := func(data []byte) {
+			nodes := g.NumNodes()
+			if len(data) >= headerSize {
+				if n := binary.LittleEndian.Uint64(data[16:]); n <= 16 {
+					nodes = int(n)
+				}
+			}
+			o, err := Load(bytes.NewReader(data), nodes, testPool(8), Config{})
+			if err != nil {
+				if !errors.Is(err, ErrBadOracle) {
+					t.Fatalf("err = %v, want ErrBadOracle", err)
+				}
+				return
+			}
+			var buf bytes.Buffer
+			if err := o.WriteTo(context.Background(), &buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("accepted %d bytes, WriteTo wrote back %d different ones", len(data), buf.Len())
+			}
+		}
+		try(data)
+		if len(data) >= headerSize {
+			resealed := slices.Clone(data)
+			reseal(resealed)
+			try(resealed)
+		}
+	})
 }
 
 // TestBuildRejections: empty graphs and over-budget landmark counts are

@@ -12,25 +12,52 @@ import (
 	"dsks/internal/harness"
 )
 
+// boundDraw draws the DivParams the two bound quick-checks share: λ is
+// uniform on a third of the draws, exactly ½ (where θ's diversity and
+// relevance trade evenly) on a third and 0.8 on the rest.
+func boundDraw(rng *rand.Rand) core.DivParams {
+	return core.DivParams{
+		K:        2 + rng.Intn(10),
+		Lambda:   []float64{rng.Float64(), 0.5, 0.8}[rng.Intn(3)],
+		DeltaMax: 100 + rng.Float64()*1000,
+	}
+}
+
+// pathSum draws a pairwise distance for two objects at distances dU and
+// dV from the query, up to the path through it: on a third of the draws
+// that path exactly, on a sixth one ulp above it, the rounding PairBound's
+// slack is for.
+func pathSum(rng *rand.Rand, dU, dV float64) float64 {
+	switch rng.Intn(6) {
+	case 0, 1:
+		return dU + dV
+	case 2:
+		return math.Nextafter(dU+dV, math.Inf(1))
+	}
+	return rng.Float64() * (dU + dV)
+}
+
 // TestUnvisitedPairBoundSound verifies the soundness of Algorithm 6's
 // global pruning bound: for any two objects at distance >= gamma from the
 // query (both within DeltaMax), their true θ never exceeds
-// UnvisitedPairBound(gamma).
+// UnvisitedPairBound(gamma). A quarter of the pairs sit at the point where
+// the bound's diversity saturates, dU = dV = DeltaMax/(1+1e-9). The bound
+// is also at most the paper's, which gives the pair diversity 1.
 func TestUnvisitedPairBoundSound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := core.DivParams{
-			K:        2 + rng.Intn(10),
-			Lambda:   rng.Float64(),
-			DeltaMax: 100 + rng.Float64()*1000,
-		}
+		p := boundDraw(rng)
 		gamma := rng.Float64() * p.DeltaMax
-		// Two hypothetical unvisited objects: distances in [gamma, DeltaMax],
-		// pairwise distance at most dU + dV (<= 2 DeltaMax).
+		// Two hypothetical unvisited objects: distances in [gamma, DeltaMax].
 		dU := gamma + rng.Float64()*(p.DeltaMax-gamma)
 		dV := gamma + rng.Float64()*(p.DeltaMax-gamma)
-		dUV := rng.Float64() * (dU + dV)
-		return p.ThetaFromDists(dU, dV, dUV) <= p.UnvisitedPairBound(gamma)+1e-12
+		if rng.Intn(4) == 0 {
+			dU = max(gamma, p.DeltaMax/(1+1e-9))
+			dV = dU
+		}
+		bound := p.UnvisitedPairBound(gamma)
+		paper := p.Theta(p.Rel(gamma), p.Rel(gamma), 1)
+		return p.ThetaFromDists(dU, dV, pathSum(rng, dU, dV)) <= bound+1e-12 && bound <= paper
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -38,22 +65,28 @@ func TestUnvisitedPairBoundSound(t *testing.T) {
 }
 
 // TestVisitedUnvisitedBoundSound verifies the per-object pruning bound:
-// for a visited object at distance dV and any unvisited object (distance
-// >= gamma, pairwise distance <= dV + DeltaMax), the true θ never exceeds
-// VisitedUnvisitedBound(dV, gamma).
+// for a visited object at distance dVisited and any unvisited object at
+// dU >= gamma, whose pairwise distance is at most dVisited + dU (the path
+// through the query), the true θ never exceeds
+// VisitedUnvisitedBound(dVisited, gamma). A quarter of the pairs sit where
+// the bound's diversity saturates, dVisited + dU = 2·DeltaMax/(1+1e-9).
+// The bound is also at most the paper's, which takes the pairwise distance
+// to be dVisited + DeltaMax; that one is given PairBound's 1e-9 slack, or
+// at λ = 0 the two would differ by it alone.
 func TestVisitedUnvisitedBoundSound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := core.DivParams{
-			K:        2 + rng.Intn(10),
-			Lambda:   rng.Float64(),
-			DeltaMax: 100 + rng.Float64()*1000,
-		}
+		p := boundDraw(rng)
 		gamma := rng.Float64() * p.DeltaMax
 		dVisited := rng.Float64() * p.DeltaMax
 		dU := gamma + rng.Float64()*(p.DeltaMax-gamma) // unvisited object
-		dUV := rng.Float64() * (dVisited + p.DeltaMax) // through the query
-		return p.ThetaFromDists(dVisited, dU, dUV) <= p.VisitedUnvisitedBound(dVisited, gamma)+1e-12
+		if rng.Intn(4) == 0 {
+			dVisited = p.DeltaMax * (1 - 1e-9*rng.Float64())
+			dU = min(max(2*p.DeltaMax/(1+1e-9)-dVisited, gamma), p.DeltaMax)
+		}
+		bound := p.VisitedUnvisitedBound(dVisited, gamma)
+		paper := p.Theta(p.Rel(dVisited), p.Rel(gamma), p.Div((dVisited+p.DeltaMax)*(1+1e-9)))
+		return p.ThetaFromDists(dVisited, dU, pathSum(rng, dVisited, dU)) <= bound+1e-12 && bound <= paper
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -131,51 +164,65 @@ func TestPairBoundSound(t *testing.T) {
 }
 
 // TestBoundsOnRealExpansion checks the bounds against actual objects from
-// a real expansion: every pair of candidates arriving after the frontier
-// gamma must satisfy both bounds.
+// real expansions, on both test worlds and at every λ the digest grid
+// runs: every pair of candidates arriving after the frontier gamma, and
+// every arrived candidate against each of them, must satisfy the bounds.
 func TestBoundsOnRealExpansion(t *testing.T) {
-	sys, ws := testWorld(t, 55)
-	g := sys.DS.Graph
-	params := core.DivParams{K: 6, Lambda: 0.7, DeltaMax: ws[0].DeltaMax}
+	dense, denseWs := denseWorld(t)
+	small, smallWs := testWorld(t, 55)
 	checked := 0
-	for _, wq := range ws[:6] {
-		q := harness.SKQueryOf(wq)
-		res, err := sys.RunSK(context.Background(), harness.KindSIF, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := res.Candidates
-		params.DeltaMax = q.DeltaMax
-		for i := 0; i < len(cands); i++ {
-			gamma := cands[i].Dist
-			// All candidates from i onward are "unvisited" at frontier gamma.
-			for a := i; a < len(cands); a++ {
-				for b := a + 1; b < len(cands); b++ {
-					dAB := g.NetworkDist(cands[a].Ref.Pos(), cands[b].Ref.Pos())
-					theta := params.ThetaFromDists(cands[a].Dist, cands[b].Dist, dAB)
-					if theta > params.UnvisitedPairBound(gamma)+1e-9 {
-						t.Fatalf("unvisited pair bound violated: θ=%v > bound=%v (γ=%v)",
-							theta, params.UnvisitedPairBound(gamma), gamma)
-					}
-					checked++
+	for _, w := range []struct {
+		sys *harness.System
+		ws  []dataset.Query
+	}{{dense, denseWs}, {small, smallWs}} {
+		g := w.sys.DS.Graph
+		for _, wq := range w.ws[:6] {
+			q := harness.SKQueryOf(wq)
+			res, err := w.sys.RunSK(context.Background(), harness.KindSIF, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands := res.Candidates
+			dist := make([][]float64, len(cands))
+			for a := range cands {
+				dist[a] = make([]float64, len(cands))
+				for b := range cands {
+					dist[a][b] = g.NetworkDist(cands[a].Ref.Pos(), cands[b].Ref.Pos())
 				}
 			}
-			// Visited (arrived before i) against unvisited (from i on).
-			for v := 0; v < i; v++ {
-				for u := i; u < len(cands); u++ {
-					dVU := g.NetworkDist(cands[v].Ref.Pos(), cands[u].Ref.Pos())
-					theta := params.ThetaFromDists(cands[v].Dist, cands[u].Dist, dVU)
-					bound := params.VisitedUnvisitedBound(cands[v].Dist, gamma)
-					if theta > bound+1e-9 {
-						t.Fatalf("visited/unvisited bound violated: θ=%v > bound=%v", theta, bound)
+			for _, lambda := range []float64{0, 0.25, 0.5, 0.75, 0.8, 1} {
+				params := core.DivParams{K: 6, Lambda: lambda, DeltaMax: q.DeltaMax}
+				theta := func(a, b int) float64 {
+					return params.ThetaFromDists(cands[a].Dist, cands[b].Dist, dist[a][b])
+				}
+				for i := range cands {
+					gamma := cands[i].Dist
+					// All candidates from i onward are "unvisited" at frontier gamma.
+					bound := params.UnvisitedPairBound(gamma)
+					for a := i; a < len(cands); a++ {
+						for b := a + 1; b < len(cands); b++ {
+							if th := theta(a, b); th > bound+1e-9 {
+								t.Fatalf("λ=%v: unvisited pair bound violated: θ=%v > bound=%v (γ=%v)", lambda, th, bound, gamma)
+							}
+							checked++
+						}
 					}
-					checked++
+					// Visited (arrived before i) against unvisited (from i on).
+					for v := 0; v < i; v++ {
+						bound := params.VisitedUnvisitedBound(cands[v].Dist, gamma)
+						for u := i; u < len(cands); u++ {
+							if th := theta(v, u); th > bound+1e-9 {
+								t.Fatalf("λ=%v: visited/unvisited bound violated: θ=%v > bound=%v (γ=%v)", lambda, th, bound, gamma)
+							}
+							checked++
+						}
+					}
 				}
 			}
 		}
 	}
 	if checked == 0 {
-		t.Skip("no candidate pairs to check")
+		t.Fatal("no candidate pairs to check; test is vacuous")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -63,18 +64,32 @@ func (q CollectiveQuery) Expansion() (SKQuery, bool) {
 // Kind is metrics.KindCollective.
 func (CollectiveQuery) Kind() metrics.QueryKind { return metrics.KindCollective }
 
-// Answer is the collective query over src. It drains src, then runs the
-// classic weighted set-cover greedy (ln|T|-approximate for the sum cost)
-// over the arrivals in (distance, ID) order: objects are chosen by the
-// lowest distance per newly covered term until every term is covered, ties
-// going to the earlier arrival. Each arrival's covered terms are the ones
-// its OR load matched. The greedy's time is Trace.Diversify.
+// Answer is the collective query over src: the classic weighted set-cover
+// greedy (ln|T|-approximate for the sum cost) over the arrivals in
+// (distance, ID) order, choosing objects by the lowest distance per newly
+// covered term until every term is covered, ties going to the earlier
+// arrival. Each arrival's covered terms are the ones its OR load matched.
+//
+// It reads src only until the group is final. Once the arrivals cover
+// every term, the greedy runs over them after each arrival. An object not
+// yet arrived is no nearer than γ, the latest arrival's distance, and
+// covers at most a round's open terms; so once every round's pick has a
+// distance per term below γ over that round's open count (coverFinal), no
+// later arrival can win or tie a round, the group is the one the whole
+// stream would give, and src is stopped with Stats.EarlyTerminate. A
+// query with a term nothing in range holds reads src to the end. The
+// greedy's time is Trace.Diversify.
 func (q CollectiveQuery) Answer(_ context.Context, src ArrivalSource, _ ccam.Network, res *Result) error {
-	type cand struct {
-		Candidate
-		covers index.TermSet
-	}
-	var cands []cand
+	skq, _ := q.Expansion()
+	n := len(skq.Terms)
+	var (
+		cands   []coverCand
+		missing = n               // terms no arrival holds yet
+		held    = make([]bool, n) // term position -> some arrival holds it
+		picks   []Candidate
+		rounds  []coverRound
+		busy    time.Duration
+	)
 	for {
 		c, ok, err := src.Next()
 		if err != nil {
@@ -83,24 +98,81 @@ func (q CollectiveQuery) Answer(_ context.Context, src ArrivalSource, _ ccam.Net
 		if !ok {
 			break
 		}
-		cands = append(cands, cand{c, src.Terms()})
+		start := time.Now()
+		a := coverCand{c, src.Terms()}
+		// A single node emits equal distances in discovery order; keeping
+		// the (distance, ID) order makes the group independent of how the
+		// arrivals were merged.
+		i := sort.Search(len(cands), func(i int) bool { return candidateBefore(c, cands[i].Candidate) })
+		cands = slices.Insert(cands, i, a)
+		for t := range held {
+			if !held[t] && a.covers.Has(t) {
+				held[t] = true
+				missing--
+			}
+		}
+		final := false
+		if missing == 0 {
+			picks, rounds, _ = setCover(cands, n)
+			final = coverFinal(rounds, c.Dist)
+		}
+		busy += time.Since(start)
+		if final {
+			src.Stop()
+			res.Stats.EarlyTerminate = true
+			break
+		}
 	}
-	skq, _ := q.Expansion()
-	terms := skq.Terms
 	start := time.Now()
-	// A single node emits equal distances in discovery order; sorting
-	// makes the group independent of how the arrivals were merged.
-	sort.Slice(cands, func(i, j int) bool { return candidateBefore(cands[i].Candidate, cands[j].Candidate) })
-	uncovered := make([]int, len(terms)) // positions in terms
-	for i := range uncovered {
-		uncovered[i] = i
+	var uncovered []int
+	if missing > 0 {
+		picks, _, uncovered = setCover(cands, n)
 	}
-	group := &CollectiveResult{}
-	for len(uncovered) > 0 {
+	group := &CollectiveResult{Objects: picks, Covered: len(uncovered) == 0}
+	for _, c := range picks {
+		group.Cost += c.Dist
+	}
+	for _, t := range uncovered {
+		group.Uncovered = append(group.Uncovered, skq.Terms[t])
+	}
+	sort.Slice(group.Objects, func(i, j int) bool { return candidateBefore(group.Objects[i], group.Objects[j]) })
+	res.Collective = group
+	res.Trace.Diversify = busy + time.Since(start)
+	return nil
+}
+
+// coverCand is an arrival with the query terms it holds.
+type coverCand struct {
+	Candidate
+	covers index.TermSet
+}
+
+// coverRound is one round of the set-cover greedy: the distance per newly
+// covered term its pick won at, and the number of terms open when it
+// began.
+type coverRound struct {
+	ratio float64
+	open  int
+}
+
+// setCover is the set-cover greedy over cands, which are in (distance, ID)
+// order, for the term positions 0 to n-1: each round picks the candidate
+// with the lowest distance per open term it holds, the earlier one on a
+// tie, until every term is covered or no candidate holds an open one. It
+// returns the picks in the order chosen, the rounds, and the positions
+// left open.
+func setCover(cands []coverCand, n int) ([]Candidate, []coverRound, []int) {
+	var picks []Candidate
+	var rounds []coverRound
+	open := make([]int, n)
+	for i := range open {
+		open[i] = i
+	}
+	for len(open) > 0 {
 		best, bestRatio := -1, math.Inf(1)
 		for i, c := range cands {
 			gain := 0
-			for _, t := range uncovered {
+			for _, t := range open {
 				if c.covers.Has(t) {
 					gain++
 				}
@@ -117,24 +189,24 @@ func (q CollectiveQuery) Answer(_ context.Context, src ArrivalSource, _ ccam.Net
 			break // some terms cannot be covered in range
 		}
 		b := cands[best]
-		group.Objects = append(group.Objects, b.Candidate)
-		group.Cost += b.Dist
-		kept := uncovered[:0]
-		for _, t := range uncovered {
-			if !b.covers.Has(t) {
-				kept = append(kept, t)
-			}
+		picks = append(picks, b.Candidate)
+		rounds = append(rounds, coverRound{ratio: bestRatio, open: len(open)})
+		open = slices.DeleteFunc(open, b.covers.Has)
+	}
+	return picks, rounds, open
+}
+
+// coverFinal reports whether no candidate at distance gamma or farther
+// could win or tie a round of the greedy rounds describe: one holds at
+// most a round's open terms, so its distance per term is at least gamma
+// over their count.
+func coverFinal(rounds []coverRound, gamma float64) bool {
+	for _, r := range rounds {
+		if r.ratio >= gamma/float64(r.open) {
+			return false
 		}
-		uncovered = kept
 	}
-	group.Covered = len(uncovered) == 0
-	for _, t := range uncovered {
-		group.Uncovered = append(group.Uncovered, terms[t])
-	}
-	sort.Slice(group.Objects, func(i, j int) bool { return candidateBefore(group.Objects[i], group.Objects[j]) })
-	res.Collective = group
-	res.Trace.Diversify = time.Since(start)
-	return nil
+	return true
 }
 
 // candidateBefore is the arrival order: distance, then ID.

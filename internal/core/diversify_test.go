@@ -521,7 +521,7 @@ func (s *sliceArrivals) Stop()                { s.stopped++ }
 // SEQ, kNN, ranked and collective — must reproduce core.Run on the same
 // query: the payload, F, Pruned, PairDistCalcs and the early stop. It must
 // read exactly the arrivals the expansion emitted, and stop the source
-// exactly when COM terminates early.
+// exactly when COM or the collective query terminates early.
 func TestDiversifyArrivalsSourceIndependence(t *testing.T) {
 	ds, err := dataset.GeneratePreset(dataset.PresetNA, 400, 21)
 	if err != nil {
@@ -559,7 +559,7 @@ func TestDiversifyArrivalsSourceIndependence(t *testing.T) {
 		}, false},
 		{"collective", func(wq dataset.Query, _ int) core.Query {
 			return core.CollectiveQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: wq.DeltaMax}
-		}, false},
+		}, true},
 	}
 	payload := func(r core.Result) core.Result {
 		return core.Result{Candidates: r.Candidates, F: r.F, Ranked: r.Ranked, Collective: r.Collective}
@@ -621,7 +621,8 @@ func TestDiversifyArrivalsSourceIndependence(t *testing.T) {
 				answered++
 			}
 		}
-		if answered == 0 || (fam.name == "COM" || fam.name == "ranked") && early == 0 || fam.name == "COM" && pruned == 0 {
+		if answered == 0 || (fam.name == "COM" || fam.name == "ranked" || fam.name == "collective") && early == 0 ||
+			fam.name == "COM" && pruned == 0 {
 			t.Fatalf("%s: vacuous workload: %d answered, %d early stops, %d pruned objects", fam.name, answered, early, pruned)
 		}
 	}

@@ -30,7 +30,9 @@ func (n countingNet) Adjacency(ctx context.Context, id graph.NodeID) ([]ccam.Adj
 // and may not change. The answers were recorded before the memo existed,
 // from runs whose objective was checked against graph.NetworkDist; the
 // work counters were re-recorded when COM began to skip pairs whose bound
-// is below θ_T. The engine's Adjacency
+// is below θ_T, and the nodes popped of queries 9 and 13 when Algorithm
+// 6's unvisited-object bounds took the path through the query: both stop
+// their expansion sooner, at the same answer. The engine's Adjacency
 // calls are one per distinct node it settles (engineNodes), not one per
 // settle (settled, below). The expansion settles each node once, memo or
 // not.
@@ -53,8 +55,8 @@ func TestAdjacencyMemoFetchesEachNodeOnce(t *testing.T) {
 	}{
 		{0, 24, 20, 161, 30, 51, []obj.ID{1092, 5095, 2347, 116, 2978, 3897}},
 		{3, 22, 15, 921, 214, 458, []obj.ID{1461, 895, 4482, 1781, 2401, 5423}},
-		{9, 6, 1, 42, 42, 42, []obj.ID{2944, 592, 4117, 3881, 3698, 2056}},
-		{13, 5, 2, 25, 25, 25, []obj.ID{2589, 1792, 1414, 3446, 164, 630}},
+		{9, 2, 1, 42, 42, 42, []obj.ID{2944, 592, 4117, 3881, 3698, 2056}},
+		{13, 1, 2, 25, 25, 25, []obj.ID{2589, 1792, 1414, 3446, 164, 630}},
 	} {
 		q := harness.DivQueryOf(ws[tc.query], 6, 0.8)
 		net := countingNet{ccam.InMemory{G: g}, make(map[graph.NodeID]int)}

@@ -71,19 +71,26 @@ func (p DivParams) PairBound(dU, dV float64) float64 {
 }
 
 // UnvisitedPairBound is the upper bound of θ between two unvisited objects
-// when the expansion frontier is gamma (both at distance >= gamma, pairwise
-// distance <= 2·DeltaMax): the bound of Algorithm 6 lines 5–7.
+// when the expansion frontier is gamma, the bound of Algorithm 6 lines
+// 5–7: the largest PairBound over two distances in [gamma, DeltaMax]. The
+// paper's bound gives the pair the diversity of two objects 2·DeltaMax
+// apart; the path through the query bounds it as it does a visited pair.
+// PairBound depends on a pair only through s = dU + dV, and is linear in s
+// until its diversity saturates at s·(1+1e-9) = 2·DeltaMax, so the
+// largest value is at gamma, at DeltaMax or at that point.
 func (p DivParams) UnvisitedPairBound(gamma float64) float64 {
-	r := p.Rel(gamma)
-	return p.Theta(r, r, 1)
+	sat := min(max(p.DeltaMax/(1+1e-9), gamma), p.DeltaMax)
+	return max(p.PairBound(gamma, gamma), p.PairBound(p.DeltaMax, p.DeltaMax), p.PairBound(sat, sat))
 }
 
 // VisitedUnvisitedBound is the upper bound of θ between a visited object at
-// distance dVisited and any unvisited object, with frontier gamma: the
-// unvisited object's relevance is at most Rel(gamma) and their pairwise
-// distance at most dVisited + DeltaMax (through the query).
+// distance dVisited and any unvisited object, with frontier gamma, the
+// bound of Algorithm 6 lines 8–14: the largest PairBound(dVisited, dU) over
+// dU in [gamma, DeltaMax], found at the same three points as
+// UnvisitedPairBound's.
 func (p DivParams) VisitedUnvisitedBound(dVisited, gamma float64) float64 {
-	return p.Theta(p.Rel(dVisited), p.Rel(gamma), p.Div(dVisited+p.DeltaMax))
+	sat := min(max(2*p.DeltaMax/(1+1e-9)-dVisited, gamma), p.DeltaMax)
+	return max(p.PairBound(dVisited, gamma), p.PairBound(dVisited, p.DeltaMax), p.PairBound(dVisited, sat))
 }
 
 // SetObjective evaluates f(S) as the sum of θ over all unordered pairs of

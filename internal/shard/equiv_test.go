@@ -126,7 +126,9 @@ func collectiveQueries(t *testing.T, ds *dsks.Dataset, n int, seed int64) []dsks
 // Algorithm 6 over the single node's arrival sequence — the identical
 // diversified answer at the identical cost, before and after the same
 // mutations. A router kNN computes at most one candidate per extra leg
-// beyond the single node's: the head the merge compared.
+// beyond the single node's: the head the merge compared. So does a
+// collective query, which on 4 shards stops early exactly when the single
+// node does.
 func TestShardSingleNodeEquivalence(t *testing.T) {
 	single, sets, ds := equivFixture(t, []int{1, 2, 4}, dsks.Options{Index: dsks.IndexSIF})
 	ctx := context.Background()
@@ -142,7 +144,7 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 		// More terms than one word of a term set holds.
 		dsks.CollectiveQuery{Pos: ws[2].Pos, Terms: firstTerms(70), DeltaMax: 2 * ws[2].DeltaMax})
 
-	early, pruned, multiLeg := 0, int64(0), 0
+	early, pruned, multiLeg, colEarly := 0, int64(0), 0, 0
 	check := func(phase string) {
 		t.Helper()
 		sv, err := single.View(ctx)
@@ -233,7 +235,22 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 			}
 
 			for qi, cq := range cqs {
-				requireSameCollective(t, tag+"collective "+itoa(qi), sv, mv, cq)
+				// The group is final after the same arrivals on both
+				// sides. A router that stops early has computed at most
+				// one more candidate per extra leg, the head the merge
+				// compared; one that drains has computed the same ones.
+				sres, mres := requireSameCollective(t, tag+"collective "+itoa(qi), sv, mv, cq)
+				single, routed, extra := sres.Stats.Candidates, mres.Stats.Candidates, int64(0)
+				if legs := int64(len(mv.Meta().Queried)); sres.Stats.EarlyTerminate && legs > 0 {
+					extra = legs - 1
+				}
+				if set.Shards() == 4 && (sres.Stats.EarlyTerminate != mres.Stats.EarlyTerminate || routed < single || routed > single+extra) {
+					t.Fatalf("%scollective %d: early stop %v after %d candidates, single node %v after %d", tag, qi,
+						mres.Stats.EarlyTerminate, routed, sres.Stats.EarlyTerminate, single)
+				}
+				if sres.Stats.EarlyTerminate {
+					colEarly++
+				}
 			}
 
 			// A query no shard can hold a match for routes nowhere: an
@@ -285,8 +302,9 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 	}
 
 	check("after mutations")
-	if early == 0 || pruned == 0 || multiLeg == 0 {
-		t.Fatalf("vacuous workload: %d early stops, %d pruned objects, %d multi-leg merges", early, pruned, multiLeg)
+	if early == 0 || pruned == 0 || multiLeg == 0 || colEarly == 0 {
+		t.Fatalf("vacuous workload: %d early stops, %d pruned objects, %d multi-leg merges, %d early collective stops",
+			early, pruned, multiLeg, colEarly)
 	}
 
 	// Double-remove classifies identically.
@@ -505,18 +523,19 @@ func requireSameRanked(t *testing.T, tag string, want, got []dsks.RankedResult) 
 // requireSameCollective runs cq on the single node and on the router and
 // asserts one group: the same members at the same distances, the same
 // cost, and the same uncovered terms.
-func requireSameCollective(t *testing.T, tag string, sv *dsks.View, mv *MultiView, cq dsks.CollectiveQuery) {
+func requireSameCollective(t *testing.T, tag string, sv *dsks.View, mv *MultiView, cq dsks.CollectiveQuery) (want, got dsks.Result) {
 	t.Helper()
 	ctx := context.Background()
 	want, err := sv.SearchCollective(ctx, cq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mv.SearchCollective(ctx, cq)
+	got, err = mv.SearchCollective(ctx, cq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameGroup(t, tag, *want.Collective, *got.Collective)
+	return want, got
 }
 
 func requireSameGroup(t *testing.T, tag string, want, got dsks.CollectiveResult) {

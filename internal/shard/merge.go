@@ -16,8 +16,8 @@ import (
 // routed legs' streams, the arrival sequence of the unsharded expansion
 // (legMerge), pulled on the request goroutine. So every family answers
 // exactly as one node does: lowering the merge's radius (ranked) lowers
-// every leg's, stopping it (kNN, COM's early stop) stops every leg, and
-// COM's pair distances run on the replicated network.
+// every leg's, stopping it (kNN, the early stops of COM and collective)
+// stops every leg, and COM's pair distances run on the replicated network.
 
 // Search drains the merged boolean stream: every object within δmax that
 // contains every keyword, in non-decreasing distance.
@@ -37,8 +37,9 @@ func (mv *MultiView) SearchRanked(ctx context.Context, q dsks.RankedQuery) (dsks
 	return mv.query(ctx, q)
 }
 
-// SearchCollective drains the merged OR stream within δmax and runs the
-// set-cover greedy over it, mixing objects across shards as one node does.
+// SearchCollective runs the set-cover greedy over the merged OR stream
+// within δmax, mixing objects across shards as one node does, and stops
+// every leg once the group is final.
 func (mv *MultiView) SearchCollective(ctx context.Context, q dsks.CollectiveQuery) (dsks.Result, error) {
 	return mv.query(ctx, q)
 }
