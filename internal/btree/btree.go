@@ -8,11 +8,17 @@
 // The tree supports point lookup, ordered range scans, upsert and sorted
 // bulk loading (the construction path of the indexes).
 //
-// Tree state is split in two: the immutable Meta value (root page, height,
-// counts) and the page source the operation runs against. Every operation
-// exists in a form parameterized over storage.PageReader / storage.Pager —
-// GetAt, ScanAt, PutAt — so reads can run against an LSN-pinned
-// storage.PageView and mutations against a copy-on-write
+// Only the leaves are pages. The level above them is a directory held in
+// memory, as CCAM keeps its node-to-page map: the low key and the page of
+// every leaf, in key order. A lookup binary-searches it and reads one
+// page, so the leaves a query reads never evict an inner page it would
+// read next.
+//
+// Tree state is split in two: the immutable Meta value (the directory and
+// the counts) and the page source the operation runs against. Every
+// operation exists in a form parameterized over storage.PageReader /
+// storage.Pager — GetAt, ScanAt, PutAt — so reads can run against an
+// LSN-pinned storage.PageView and mutations against a copy-on-write
 // storage.WriteBatch (the MVCC query path), while the Tree handle binds a
 // Meta to a concrete buffer pool for the single-threaded build path and
 // tests.
@@ -23,27 +29,22 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dsks/internal/storage"
 )
 
-// Page layouts.
+// Leaf layout:
 //
-//	common header: kind uint16 (1 = leaf, 2 = internal), count uint16
-//	leaf:     next uint32 (PageID of right sibling), then the slot
-//	          directory, count × (key u64, end u16) in key order, then the
-//	          cell area: value i occupies [end(i-1), end(i)) of it, with
+//	header:   kind uint16 (1 = leaf), count uint16
+//	slots:    count × (key u64, end u16) in key order
+//	cells:    value i occupies [end(i-1), end(i)) of the cell area, with
 //	          end(-1) = 0. Slots and cells are contiguous, so a leaf is
 //	          rewritten whole when an entry is added, grows or shrinks.
-//	internal: count × key u64, (count+1) × child u32
 const (
-	kindLeaf     = 1
-	kindInternal = 2
+	kindLeaf = 1
 
-	headerSize = 4
-	leafMeta   = headerSize + 4
-	slotSize   = 10
+	leafMeta = 4
+	slotSize = 10
 	// leafSpace is what a leaf has for slots and cells together.
 	leafSpace = storage.PageSize - leafMeta
 	// MaxValueSize bounds a value so that any leaf has room for four
@@ -51,10 +52,9 @@ const (
 	// within a page, however the sizes fall.
 	MaxValueSize = leafSpace/4 - slotSize
 
-	internalMeta = headerSize
-	// MaxInternalKeys is the number of separator keys an internal page holds.
-	// Each key is 8 bytes and each of the count+1 children is 4 bytes.
-	MaxInternalKeys = (storage.PageSize - internalMeta - 4) / 12
+	// dirEntrySize is what the directory holds per leaf: its low key and
+	// its page.
+	dirEntrySize = 8 + 4
 )
 
 // ErrNotFound is returned by Get for absent keys.
@@ -65,19 +65,34 @@ var ErrNotFound = errors.New("btree: key not found")
 var ErrValueTooLarge = errors.New("btree: value exceeds MaxValueSize")
 
 // Meta is the versioned root state of a tree: everything needed to read or
-// mutate it besides the pages themselves. Meta is a small value; copying
-// it is how the MVCC layer snapshots a tree — a mutation through PutAt
-// updates the caller's copy, leaving every previously published Meta
-// reading its old root unchanged.
+// mutate it besides the pages themselves. Copying it is how the MVCC layer
+// snapshots a tree. The directory slices of a Meta are never written: a
+// put through PutAt that splits a leaf gives the caller's copy new ones,
+// so every previously published Meta keeps reading its own leaves.
 type Meta struct {
-	Root   storage.PageID
-	Height int // 1 = root is a leaf
+	// Lows and Leaves are the leaf directory, in key order: Leaves[i] is
+	// the page of leaf i, which holds the keys in [Lows[i], Lows[i+1]).
+	// Lows[0] is 0 and every other Lows[i] is its leaf's first key, since
+	// no key is ever removed from a tree. A Meta made by NewAt or BulkLoad
+	// lists at least one leaf.
+	Lows   []uint64
+	Leaves []storage.PageID
 	Count  int // number of keys stored
-	Pages  int // pages the tree occupies
 }
 
-// SizeBytes returns the on-disk footprint of the tree.
-func (m Meta) SizeBytes() int64 { return int64(m.Pages) * storage.PageSize }
+// SizeBytes returns the tree's footprint: a page per leaf, and the
+// directory's low key and page number per leaf.
+func (m Meta) SizeBytes() int64 { return int64(len(m.Leaves)) * (storage.PageSize + dirEntrySize) }
+
+// leafFor returns the directory slot of the leaf that holds or would hold
+// key.
+func (m Meta) leafFor(key uint64) int {
+	i, found := slices.BinarySearch(m.Lows, key)
+	if !found {
+		i-- // Lows[0] is 0, so a key not found lies past slot 0
+	}
+	return i
+}
 
 // Tree binds a Meta to a buffer pool: the handle of the build path and of
 // single-threaded callers. Concurrent readers use GetAt/ScanAt with a
@@ -87,7 +102,7 @@ type Tree struct {
 	m    Meta
 }
 
-// New creates an empty tree (a single empty leaf as root).
+// New creates an empty tree (a single empty leaf).
 func New(pool *storage.BufferPool) (*Tree, error) {
 	m, err := NewAt(pool)
 	if err != nil {
@@ -105,13 +120,11 @@ func (t *Tree) Meta() Meta { return t.m }
 // Len returns the number of keys stored.
 func (t *Tree) Len() int { return t.m.Count }
 
-// Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { return t.m.Height }
+// NumPages returns the number of pages the tree occupies: its leaves,
+// one to a directory slot.
+func (t *Tree) NumPages() int { return len(t.m.Leaves) }
 
-// NumPages returns the number of pages the tree occupies.
-func (t *Tree) NumPages() int { return t.m.Pages }
-
-// SizeBytes returns the on-disk footprint of the tree.
+// SizeBytes returns the tree's footprint (see Meta.SizeBytes).
 func (t *Tree) SizeBytes() int64 { return t.m.SizeBytes() }
 
 // Get returns the value stored under key, or ErrNotFound (see GetAt for
@@ -133,31 +146,24 @@ func (t *Tree) Put(key uint64, value []byte) error {
 	return PutAt(t.pool, &t.m, key, value)
 }
 
-// NewAt writes an empty tree (a single empty leaf as root) through p and
-// returns its Meta.
+// NewAt writes an empty tree (a single empty leaf) through p and returns
+// its Meta.
 func NewAt(p storage.Pager) (Meta, error) {
-	var m Meta
-	leaf, err := newPageAt(p, &m, kindLeaf)
+	leaf, err := newLeafAt(p)
 	if err != nil {
 		return Meta{}, err
 	}
-	m.Root = leaf
-	m.Height = 1
-	return m, nil
+	return Meta{Lows: []uint64{0}, Leaves: []storage.PageID{leaf}}, nil
 }
 
-func newPageAt(p storage.Pager, m *Meta, kind uint16) (storage.PageID, error) {
+func newLeafAt(p storage.Pager) (storage.PageID, error) {
 	pg, err := p.Allocate()
 	if err != nil {
 		return storage.InvalidPageID, err
 	}
-	pg.PutUint16(0, kind)
+	pg.PutUint16(0, kindLeaf)
 	pg.PutUint16(2, 0)
-	if kind == kindLeaf {
-		pg.PutUint32(headerSize, uint32(storage.InvalidPageID))
-	}
 	p.MarkDirty(pg.ID())
-	m.Pages++
 	return pg.ID(), nil
 }
 
@@ -166,10 +172,6 @@ func newPageAt(p storage.Pager, m *Meta, kind uint16) (storage.PageID, error) {
 func pageKind(p *storage.Page) uint16 { return p.Uint16(0) }
 func pageCount(p *storage.Page) int   { return int(p.Uint16(2)) }
 func setCount(p *storage.Page, n int) { p.PutUint16(2, uint16(n)) }
-func leafNext(p *storage.Page) storage.PageID {
-	return storage.PageID(p.Uint32(headerSize))
-}
-func setLeafNext(p *storage.Page, id storage.PageID) { p.PutUint32(headerSize, uint32(id)) }
 
 func leafKey(p *storage.Page, i int) uint64 { return p.Uint64(leafMeta + i*slotSize) }
 
@@ -230,11 +232,10 @@ func leafEntries(p *storage.Page) ([]Entry, error) {
 
 // writeLeaf lays entries (which must fit) out as leaf p. The image is
 // assembled aside first, because the values may alias p itself.
-func writeLeaf(p *storage.Page, entries []Entry, next storage.PageID) {
+func writeLeaf(p *storage.Page, entries []Entry) {
 	var img storage.Page
 	img.PutUint16(0, kindLeaf)
 	setCount(&img, len(entries))
-	setLeafNext(&img, next)
 	data := img.Data()
 	cells := data[leafMeta+len(entries)*slotSize:]
 	end := 0
@@ -246,46 +247,28 @@ func writeLeaf(p *storage.Page, entries []Entry, next storage.PageID) {
 	copy(p.Data(), data)
 }
 
-func internalKey(p *storage.Page, i int) uint64       { return p.Uint64(internalMeta + i*8) }
-func setInternalKey(p *storage.Page, i int, k uint64) { p.PutUint64(internalMeta+i*8, k) }
-
-func childOff(i int) int { return internalMeta + MaxInternalKeys*8 + i*4 }
-func internalChild(p *storage.Page, i int) storage.PageID {
-	return storage.PageID(p.Uint32(childOff(i)))
-}
-func setInternalChild(p *storage.Page, i int, id storage.PageID) {
-	p.PutUint32(childOff(i), uint32(id))
-}
-
 // --- lookup ---------------------------------------------------------------
 
-// findLeafAt descends to the leaf that would contain key and returns it:
-// one page request per level, so a lookup costs exactly Meta.Height of
-// them.
-func findLeafAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) (*storage.Page, error) {
-	id := m.Root
-	for {
-		p, err := r.GetCtx(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if pageKind(p) == kindLeaf {
-			return p, nil
-		}
-		n := pageCount(p)
-		// First separator strictly greater than key; descend left of it.
-		i := sort.Search(n, func(i int) bool { return internalKey(p, i) > key })
-		id = internalChild(p, i)
+// leafAt reads leaf i of the directory through r: the one page request of
+// a lookup. A done ctx aborts it before the read.
+func leafAt(ctx context.Context, r storage.PageReader, m Meta, i int) (*storage.Page, error) {
+	p, err := r.GetCtx(ctx, m.Leaves[i])
+	if err != nil {
+		return nil, err
 	}
+	if k := pageKind(p); k != kindLeaf {
+		return nil, fmt.Errorf("btree: directory slot %d names page %d of kind %d: %w", i, p.ID(), k, storage.ErrCorruptPage)
+	}
+	return p, nil
 }
 
-// GetAt returns the value stored under key in the tree rooted at m, read
-// through r, or ErrNotFound. A done ctx aborts the descent before the next
-// page read. The value aliases the leaf page it was read from: through a
-// pinned view or the pool that page is immutable; through a Pager it is
-// good until the caller next writes the tree.
+// GetAt returns the value stored under key in the tree m, read through r,
+// or ErrNotFound. A done ctx aborts it before the page read. The value
+// aliases the leaf page it was read from: through a pinned view or the
+// pool that page is immutable; through a Pager it is good until the
+// caller next writes the tree.
 func GetAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) ([]byte, error) {
-	p, err := findLeafAt(ctx, r, m, key)
+	p, err := leafAt(ctx, r, m, m.leafFor(key))
 	if err != nil {
 		return nil, err
 	}
@@ -298,22 +281,22 @@ func GetAt(ctx context.Context, r storage.PageReader, m Meta, key uint64) ([]byt
 }
 
 // ScanAt calls fn for every (key, value) with lo <= key <= hi in the tree
-// rooted at m, read through r, in ascending key order, until fn returns
-// false or the range is exhausted. The values alias their leaf pages (see
-// GetAt).
+// m, read through r, in ascending key order, until fn returns false or the
+// range is exhausted. It reads only the leaves whose key ranges meet
+// [lo, hi]. The values alias their leaf pages (see GetAt).
 func ScanAt(r storage.PageReader, m Meta, lo, hi uint64, fn func(key uint64, val []byte) bool) error {
-	p, err := findLeafAt(context.Background(), r, m, lo)
-	if err != nil {
-		return err
-	}
-	for {
+	for i := m.leafFor(lo); i < len(m.Leaves) && m.Lows[i] <= hi; i++ {
+		p, err := leafAt(context.Background(), r, m, i)
+		if err != nil {
+			return err
+		}
 		n := pageCount(p)
-		for i := leafSearch(p, n, lo); i < n; i++ {
-			k := leafKey(p, i)
+		for j := leafSearch(p, n, lo); j < n; j++ {
+			k := leafKey(p, j)
 			if k > hi {
 				return nil
 			}
-			v, err := leafValue(p, n, i)
+			v, err := leafValue(p, n, j)
 			if err != nil {
 				return err
 			}
@@ -321,53 +304,34 @@ func ScanAt(r storage.PageReader, m Meta, lo, hi uint64, fn func(key uint64, val
 				return nil
 			}
 		}
-		next := leafNext(p)
-		if next == storage.InvalidPageID {
-			return nil
-		}
-		if p, err = r.Get(next); err != nil {
-			return err
-		}
 	}
+	return nil
 }
 
 // --- put ------------------------------------------------------------------
 
-type splitResult struct {
-	split   bool
-	sepKey  uint64 // first key of the new right sibling
-	newPage storage.PageID
-}
-
-// PutAt stores value under key in the tree rooted at *m through p,
-// replacing what the key held, and updates *m in place (root, height,
-// counts). A value that no longer fits its leaf splits it. Against a
-// WriteBatch every modified page is a private copy, so a failed put leaves
-// the published tree untouched.
+// PutAt stores value under key in the tree *m through p, replacing what
+// the key held, and updates *m in place (directory, counts). A value that
+// no longer fits its leaf splits it, and *m gets a new directory with the
+// right half in it; the old slices are left as they were, for whoever
+// else holds them. Against a WriteBatch every modified page is a private
+// copy, so a failed put leaves the published tree untouched.
 func PutAt(p storage.Pager, m *Meta, key uint64, value []byte) error {
 	if len(value) > MaxValueSize {
 		return fmt.Errorf("%w: %d bytes under key %d, limit %d", ErrValueTooLarge, len(value), key, MaxValueSize)
 	}
-	res, added, err := putIntoAt(p, m, m.Root, Entry{key, value})
+	i := m.leafFor(key)
+	pg, err := leafAt(context.Background(), p, *m, i)
 	if err != nil {
 		return err
 	}
-	if res.split {
-		newRoot, err := newPageAt(p, m, kindInternal)
-		if err != nil {
-			return err
-		}
-		pg, err := p.Get(newRoot)
-		if err != nil {
-			return err
-		}
-		setCount(pg, 1)
-		setInternalKey(pg, 0, res.sepKey)
-		setInternalChild(pg, 0, m.Root)
-		setInternalChild(pg, 1, res.newPage)
-		p.MarkDirty(newRoot)
-		m.Root = newRoot
-		m.Height++
+	right, added, err := putLeafAt(p, pg, Entry{key, value})
+	if err != nil {
+		return err
+	}
+	if right.page != storage.InvalidPageID {
+		m.Lows = inserted(m.Lows, i+1, right.low)
+		m.Leaves = inserted(m.Leaves, i+1, right.page)
 	}
 	if added {
 		m.Count++
@@ -375,33 +339,29 @@ func PutAt(p storage.Pager, m *Meta, key uint64, value []byte) error {
 	return nil
 }
 
-// putIntoAt reports, beside a split of page id, whether e's key is new.
-func putIntoAt(p storage.Pager, m *Meta, id storage.PageID, e Entry) (splitResult, bool, error) {
-	pg, err := p.Get(id)
-	if err != nil {
-		return splitResult{}, false, err
-	}
-	if pageKind(pg) == kindLeaf {
-		return putLeafAt(p, m, pg, e)
-	}
-	n := pageCount(pg)
-	i := sort.Search(n, func(i int) bool { return internalKey(pg, i) > e.Key })
-	res, added, err := putIntoAt(p, m, internalChild(pg, i), e)
-	if err != nil || !res.split {
-		return splitResult{}, added, err
-	}
-	// Re-fetch: the child put may have evicted our frame.
-	if pg, err = p.Get(id); err != nil {
-		return splitResult{}, false, err
-	}
-	res, err = insertInternalKeyAt(p, m, id, pg, res.sepKey, res.newPage)
-	return res, added, err
+// inserted returns a new slice holding s with v at index i; s itself is
+// not written.
+func inserted[T any](s []T, i int, v T) []T {
+	out := make([]T, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
 }
 
-func putLeafAt(p storage.Pager, m *Meta, pg *storage.Page, e Entry) (splitResult, bool, error) {
+// dirEntry is a directory slot: a leaf's low key and its page.
+type dirEntry struct {
+	low  uint64
+	page storage.PageID
+}
+
+// putLeafAt stores e in leaf pg and reports whether e's key is new. When e
+// no longer fits, the leaf splits and the right half's slot comes back;
+// otherwise the zero slot, whose page is InvalidPageID.
+func putLeafAt(p storage.Pager, pg *storage.Page, e Entry) (dirEntry, bool, error) {
 	entries, err := leafEntries(pg)
 	if err != nil {
-		return splitResult{}, false, err
+		return dirEntry{}, false, err
 	}
 	i := leafSearch(pg, len(entries), e.Key)
 	added := i == len(entries) || entries[i].Key != e.Key
@@ -416,9 +376,9 @@ func putLeafAt(p storage.Pager, m *Meta, pg *storage.Page, e Entry) (splitResult
 	}
 	id := pg.ID()
 	if total <= leafSpace {
-		writeLeaf(pg, entries, leafNext(pg))
+		writeLeaf(pg, entries)
 		p.MarkDirty(id)
-		return splitResult{}, added, nil
+		return dirEntry{}, added, nil
 	}
 	// Split where the left half first reaches half the bytes. No entry
 	// exceeds a quarter of leafSpace and total is under five quarters, so
@@ -428,92 +388,24 @@ func putLeafAt(p storage.Pager, m *Meta, pg *storage.Page, e Entry) (splitResult
 		left += entrySize(entries[cut])
 		cut++
 	}
-	rightID, err := newPageAt(p, m, kindLeaf)
+	rightID, err := newLeafAt(p)
 	if err != nil {
-		return splitResult{}, false, err
+		return dirEntry{}, false, err
 	}
 	// Re-fetch both pages (allocation may evict). The entries still alias
 	// the page object read above, which eviction leaves intact.
-	next := leafNext(pg)
 	right, err := p.Get(rightID)
 	if err != nil {
-		return splitResult{}, false, err
+		return dirEntry{}, false, err
 	}
-	writeLeaf(right, entries[cut:], next)
+	writeLeaf(right, entries[cut:])
 	p.MarkDirty(rightID)
 	if pg, err = p.Get(id); err != nil {
-		return splitResult{}, false, err
+		return dirEntry{}, false, err
 	}
-	writeLeaf(pg, entries[:cut], rightID)
+	writeLeaf(pg, entries[:cut])
 	p.MarkDirty(id)
-	return splitResult{split: true, sepKey: entries[cut].Key, newPage: rightID}, added, nil
-}
-
-func insertInternalKeyAt(p storage.Pager, m *Meta, id storage.PageID, pg *storage.Page, sep uint64, newChild storage.PageID) (splitResult, error) {
-	n := pageCount(pg)
-	i := sort.Search(n, func(i int) bool { return internalKey(pg, i) > sep })
-	if n < MaxInternalKeys {
-		for j := n; j > i; j-- {
-			setInternalKey(pg, j, internalKey(pg, j-1))
-		}
-		for j := n + 1; j > i+1; j-- {
-			setInternalChild(pg, j, internalChild(pg, j-1))
-		}
-		setInternalKey(pg, i, sep)
-		setInternalChild(pg, i+1, newChild)
-		setCount(pg, n+1)
-		p.MarkDirty(id)
-		return splitResult{}, nil
-	}
-	// Split internal node.
-	keys := make([]uint64, 0, n+1)
-	children := make([]storage.PageID, 0, n+2)
-	for j := 0; j < n; j++ {
-		keys = append(keys, internalKey(pg, j))
-	}
-	for j := 0; j <= n; j++ {
-		children = append(children, internalChild(pg, j))
-	}
-	keys = append(keys, 0)
-	copy(keys[i+1:], keys[i:])
-	keys[i] = sep
-	children = append(children, storage.InvalidPageID)
-	copy(children[i+2:], children[i+1:])
-	children[i+1] = newChild
-
-	rightID, err := newPageAt(p, m, kindInternal)
-	if err != nil {
-		return splitResult{}, err
-	}
-	left, err := p.Get(id)
-	if err != nil {
-		return splitResult{}, err
-	}
-	total := n + 1
-	mid := total / 2 // keys[mid] moves up
-	setCount(left, mid)
-	for j := 0; j < mid; j++ {
-		setInternalKey(left, j, keys[j])
-	}
-	for j := 0; j <= mid; j++ {
-		setInternalChild(left, j, children[j])
-	}
-	p.MarkDirty(id)
-
-	right, err := p.Get(rightID)
-	if err != nil {
-		return splitResult{}, err
-	}
-	rn := total - mid - 1
-	setCount(right, rn)
-	for j := 0; j < rn; j++ {
-		setInternalKey(right, j, keys[mid+1+j])
-	}
-	for j := 0; j <= rn; j++ {
-		setInternalChild(right, j, children[mid+1+j])
-	}
-	p.MarkDirty(rightID)
-	return splitResult{split: true, sepKey: keys[mid], newPage: rightID}, nil
+	return dirEntry{low: entries[cut].Key, page: rightID}, added, nil
 }
 
 // --- bulk load --------------------------------------------------------------
@@ -534,23 +426,15 @@ func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 			return nil, fmt.Errorf("%w: %d bytes under key %d, limit %d", ErrValueTooLarge, len(e.Value), e.Key, MaxValueSize)
 		}
 	}
-	t := &Tree{pool: pool}
 	if len(entries) == 0 {
 		return New(pool)
 	}
-
-	// Fill leaves left to right.
-	type nodeRef struct {
-		id       storage.PageID
-		firstKey uint64
-	}
-	var level []nodeRef
-	var prevLeaf storage.PageID = storage.InvalidPageID
+	t := &Tree{pool: pool}
 	for start, end := 0, 0; start < len(entries); start = end {
 		for used := 0; end < len(entries) && used+entrySize(entries[end]) <= leafSpace; end++ {
 			used += entrySize(entries[end])
 		}
-		id, err := newPageAt(pool, &t.m, kindLeaf)
+		id, err := newLeafAt(pool)
 		if err != nil {
 			return nil, err
 		}
@@ -558,60 +442,15 @@ func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		writeLeaf(p, entries[start:end], storage.InvalidPageID)
+		writeLeaf(p, entries[start:end])
 		pool.MarkDirty(id)
-		if prevLeaf != storage.InvalidPageID {
-			pp, err := pool.Get(prevLeaf)
-			if err != nil {
-				return nil, err
-			}
-			setLeafNext(pp, id)
-			pool.MarkDirty(prevLeaf)
+		low := entries[start].Key
+		if start == 0 {
+			low = 0
 		}
-		prevLeaf = id
-		level = append(level, nodeRef{id, entries[start].Key})
+		t.m.Lows = append(t.m.Lows, low)
+		t.m.Leaves = append(t.m.Leaves, id)
 	}
-	t.m.Height = 1
-
-	// Build internal levels until a single root remains.
-	perNode := MaxInternalKeys * 3 / 4
-	if perNode < 2 {
-		perNode = 2
-	}
-	for len(level) > 1 {
-		var next []nodeRef
-		for start, end := 0, 0; start < len(level); start = end {
-			end = start + perNode + 1
-			if end > len(level) {
-				end = len(level)
-			}
-			// Avoid a trailing group with a single child.
-			if end < len(level) && len(level)-end == 1 {
-				end--
-			}
-			id, err := newPageAt(pool, &t.m, kindInternal)
-			if err != nil {
-				return nil, err
-			}
-			p, err := pool.Get(id)
-			if err != nil {
-				return nil, err
-			}
-			nk := end - start - 1
-			setCount(p, nk)
-			for j := 0; j < nk; j++ {
-				setInternalKey(p, j, level[start+1+j].firstKey)
-			}
-			for j := 0; j <= nk; j++ {
-				setInternalChild(p, j, level[start+j].id)
-			}
-			pool.MarkDirty(id)
-			next = append(next, nodeRef{id, level[start].firstKey})
-		}
-		level = next
-		t.m.Height++
-	}
-	t.m.Root = level[0].id
 	t.m.Count = len(entries)
 	if err := pool.Flush(); err != nil {
 		return nil, err

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -47,47 +49,67 @@ func mustGet(t testing.TB, tr *Tree, key uint64, want []byte) {
 
 func head(b []byte) []byte { return b[:min(len(b), 12)] }
 
-// leaves walks the leaf chain from the leftmost leaf and checks what every
-// leaf must satisfy: keys ascending within and across leaves, cells within
-// the page.
+// leaves reads every leaf the directory lists, in directory order, and
+// checks what the directory and every leaf must satisfy: one slot per
+// leaf page, each page listed once; low keys ascending from 0, each
+// leaf's first key its low key (but the first leaf's, whose bound is 0)
+// and every key below the next leaf's low key; keys ascending within and
+// across leaves; cells within the page; no empty leaf but a lone one.
 func leaves(t testing.TB, r storage.PageReader, m Meta) [][]Entry {
 	t.Helper()
-	p, err := findLeafAt(context.Background(), r, m, 0)
-	if err != nil {
-		t.Fatal(err)
+	if len(m.Lows) != len(m.Leaves) || len(m.Leaves) == 0 {
+		t.Fatalf("directory of %d low keys and %d pages", len(m.Lows), len(m.Leaves))
 	}
+	if m.Lows[0] != 0 {
+		t.Fatalf("the first leaf's low key is %d, want 0", m.Lows[0])
+	}
+	listed := map[storage.PageID]int{}
 	var out [][]Entry
 	var last uint64
 	seen := false
-	for {
+	for i, id := range m.Leaves {
+		if j, dup := listed[id]; dup {
+			t.Fatalf("directory slots %d and %d both name page %d", j, i, id)
+		}
+		listed[id] = i
+		if i > 0 && m.Lows[i] <= m.Lows[i-1] {
+			t.Fatalf("directory slot %d: low key %d after %d", i, m.Lows[i], m.Lows[i-1])
+		}
+		p, err := r.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		es, err := leafEntries(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(es) == 0 && len(m.Leaves) > 1 {
+			t.Fatalf("leaf %d (slot %d) is empty", id, i)
+		}
+		if i > 0 && len(es) > 0 && es[0].Key != m.Lows[i] {
+			t.Fatalf("slot %d: leaf %d opens with key %d, the directory says %d", i, id, es[0].Key, m.Lows[i])
+		}
 		used := 0
 		for _, e := range es {
 			if seen && e.Key <= last {
-				t.Fatalf("leaf %d: key %d after %d", p.ID(), e.Key, last)
+				t.Fatalf("leaf %d: key %d after %d", id, e.Key, last)
+			}
+			if i+1 < len(m.Lows) && e.Key >= m.Lows[i+1] {
+				t.Fatalf("leaf %d (slot %d) holds key %d, at or past the next leaf's low key %d", id, i, e.Key, m.Lows[i+1])
 			}
 			last, seen = e.Key, true
 			used += entrySize(e)
 		}
 		if used > leafSpace {
-			t.Fatalf("leaf %d holds %d bytes of %d", p.ID(), used, leafSpace)
+			t.Fatalf("leaf %d holds %d bytes of %d", id, used, leafSpace)
 		}
 		cp := make([]Entry, len(es))
 		for i, e := range es {
 			cp[i] = Entry{e.Key, append([]byte(nil), e.Value...)}
 		}
 		out = append(out, cp)
-		next := leafNext(p)
-		if next == storage.InvalidPageID {
-			return out
-		}
-		if p, err = r.Get(next); err != nil {
-			t.Fatal(err)
-		}
 	}
+	return out
 }
 
 // checkModel compares the whole tree with a sorted map: a full scan, a
@@ -134,7 +156,7 @@ func checkModel(t testing.TB, p storage.PageReader, m Meta, model map[uint64][]b
 		n += len(l)
 	}
 	if n != len(model) {
-		t.Fatalf("leaf chain holds %d keys, model %d", n, len(model))
+		t.Fatalf("the leaves hold %d keys, model %d", n, len(model))
 	}
 }
 
@@ -143,8 +165,8 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree: len=%d height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || tr.NumPages() != 1 {
+		t.Fatalf("empty tree: len=%d leaves=%d", tr.Len(), tr.NumPages())
 	}
 	if _, err := tr.Get(42); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get on empty = %v", err)
@@ -215,15 +237,15 @@ func TestInsertManyWithSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 5000 // forces multiple leaf and internal splits
+	const n = 5000 // forces many leaf splits
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, i := range perm {
 		if err := tr.Put(uint64(i)*3, val(uint64(i), i%90)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tr.Height() < 2 {
-		t.Errorf("expected splits, height = %d", tr.Height())
+	if tr.NumPages() < 2 {
+		t.Errorf("expected splits, %d leaves", tr.NumPages())
 	}
 	for i := 0; i < n; i++ {
 		mustGet(t, tr, uint64(i)*3, val(uint64(i), i%90))
@@ -350,27 +372,37 @@ func TestBulkLoad(t *testing.T) {
 	}
 }
 
-// TestBulkLoadLinksEveryLeaf loads leaf counts around the internal fan-out
-// and reads every key back through the root: when a level ends one node
-// past a full group, the group before it gives up its last child so the
-// trailing parent gets two, and that child must still hang under a parent.
+// TestBulkLoadLinksEveryLeaf: the directory a bulk load builds lists every
+// leaf once, in key order, and nothing else: every page the load wrote is
+// a listed leaf, each leaf's low key is its first key (0 for the first),
+// and every key reads back through the directory.
 func TestBulkLoadLinksEveryLeaf(t *testing.T) {
-	fanout := MaxInternalKeys*3/4 + 1
-	for _, nLeaves := range []int{fanout, fanout + 1, fanout + 2, 2*fanout + 1} {
+	for _, nLeaves := range []int{1, 2, 3, 257, 1000} {
 		entries := make([]Entry, nLeaves*fixedPerLeaf)
 		for i := range entries {
-			entries[i] = Entry{Key: uint64(i) * 3, Value: fixed(uint64(i))}
+			entries[i] = Entry{Key: uint64(i)*3 + 5, Value: fixed(uint64(i))}
 		}
 		pool := newPool(256)
 		tr, err := BulkLoad(pool, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(leaves(t, pool, tr.Meta())); got != nLeaves {
-			t.Fatalf("%d entries of %d to a leaf built %d leaves, want %d", len(entries), fixedPerLeaf, got, nLeaves)
+		m := tr.Meta()
+		ls := leaves(t, pool, m)
+		if len(ls) != nLeaves || tr.NumPages() != nLeaves || pool.File().NumPages() != nLeaves {
+			t.Fatalf("%d entries of %d to a leaf: %d leaves listed, %d counted, %d pages written; want %d",
+				len(entries), fixedPerLeaf, len(ls), tr.NumPages(), pool.File().NumPages(), nLeaves)
+		}
+		for i, l := range ls {
+			if len(l) != fixedPerLeaf || (i > 0 && m.Lows[i] != entries[i*fixedPerLeaf].Key) {
+				t.Fatalf("slot %d: %d entries under low key %d; want %d under %d", i, len(l), m.Lows[i], fixedPerLeaf, entries[i*fixedPerLeaf].Key)
+			}
 		}
 		for _, e := range entries {
 			mustGet(t, tr, e.Key, e.Value)
+		}
+		if _, err := tr.Get(0); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(0) below every key = %v, want ErrNotFound", err)
 		}
 	}
 }
@@ -477,8 +509,8 @@ func TestLeafFilledToTheByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bulk.NumPages() != 1 || bulk.Height() != 1 {
-		t.Fatalf("bulk load of a leaf's worth: %d pages, height %d", bulk.NumPages(), bulk.Height())
+	if bulk.NumPages() != 1 {
+		t.Fatalf("bulk load of a leaf's worth: %d pages", bulk.NumPages())
 	}
 	checkModel(t, pool, bulk.Meta(), model)
 
@@ -521,8 +553,8 @@ func TestLeafFilledToTheByte(t *testing.T) {
 	if err := tr.Put(35, model[35]); err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumPages() != 3 || tr.Height() != 2 {
-		t.Fatalf("one byte over: %d pages, height %d; want a split into 2 leaves under a root", tr.NumPages(), tr.Height())
+	if tr.NumPages() != 2 {
+		t.Fatalf("one byte over: %d pages; want a split into 2 leaves", tr.NumPages())
 	}
 	checkModel(t, pool, tr.Meta(), model)
 }
@@ -562,7 +594,7 @@ func TestValueGrowsAcrossSplit(t *testing.T) {
 
 // TestFirstLastKeyOfLeaf reads, replaces and grows the first and last key
 // of every leaf, and probes the gaps across each leaf border, in a tree of
-// height 3.
+// thousands of leaves.
 func TestFirstLastKeyOfLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	model := map[uint64][]byte{}
@@ -576,8 +608,8 @@ func TestFirstLastKeyOfLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Height() != 3 {
-		t.Fatalf("height %d, want 3", tr.Height())
+	if tr.NumPages() < 4000 {
+		t.Fatalf("%d leaves, want thousands", tr.NumPages())
 	}
 	for _, l := range leaves(t, pool, tr.Meta()) {
 		for _, e := range []Entry{l[0], l[len(l)-1]} {
@@ -699,7 +731,7 @@ func TestLeafRejectsDamagedSlot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pg, err := pool.Get(tr.Meta().Root)
+		pg, err := pool.Get(tr.Meta().Leaves[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -812,8 +844,8 @@ func TestModelBasedOps(t *testing.T) {
 		pool := newPool([]int{3, 16, 256}[seed%3])
 		tr, model := startTree(t, pool, seed%2 == 1)
 		modelOps(t, pool, tr, model, ops)
-		if tr.Height() < 2 {
-			t.Fatalf("seed %d: 6000 ops left a tree of height %d", seed, tr.Height())
+		if tr.NumPages() < 2 {
+			t.Fatalf("seed %d: 6000 ops left a tree of %d leaves", seed, tr.NumPages())
 		}
 	}
 }
@@ -833,54 +865,87 @@ func FuzzBTreeOps(f *testing.F) {
 	})
 }
 
-// TestPinnedViewOutlivesSplit: a reader pinned before a put that grows a
-// value and splits its leaf keeps reading the tree it pinned, while the
-// batch's reader and a later view see the new one.
+// TestPinnedViewOutlivesSplit: readers pinned before puts that split
+// leaves keep reading the trees they pinned, batch after batch, while each
+// batch's writer reads its own writes and a view at the commit LSN sees
+// the new tree. A split gives the writer's Meta a new directory; every
+// directory published before it stays as it was, element for element.
 func TestPinnedViewOutlivesSplit(t *testing.T) {
-	entries := make([]Entry, 2*fixedPerLeaf)
-	old := map[uint64][]byte{}
+	entries := make([]Entry, 4*fixedPerLeaf)
+	model := map[uint64][]byte{}
 	for i := range entries {
-		entries[i] = Entry{uint64(i), fixed(uint64(i))}
-		old[uint64(i)] = entries[i].Value
+		k := uint64(i) * 2 // odd keys are free for the batches
+		entries[i] = Entry{k, fixed(k)}
+		model[k] = entries[i].Value
 	}
 	pool := newPool(64)
 	tr, err := BulkLoad(pool, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	published := tr.Meta()
-	pinned := pool.ViewAt(0)
-
-	batch := pool.NewBatch(1)
-	next := published
-	grown := val(77, MaxValueSize)
-	if err := PutAt(batch, &next, 77, grown); err != nil {
+	type version struct {
+		m      Meta
+		lows   []uint64
+		leaves []storage.PageID
+		model  map[uint64][]byte
+		view   storage.PageReader
+		lsn    uint64
+	}
+	pin := func(m Meta, model map[uint64][]byte, lsn uint64) version {
+		return version{m, slices.Clone(m.Lows), slices.Clone(m.Leaves), maps.Clone(model), pool.ViewAt(lsn), lsn}
+	}
+	checkPinned := func(vs []version, when string) {
+		t.Helper()
+		for _, v := range vs {
+			if !slices.Equal(v.m.Lows, v.lows) || !slices.Equal(v.m.Leaves, v.leaves) {
+				t.Fatalf("%s: the directory published at LSN %d was written", when, v.lsn)
+			}
+			checkModel(t, v.view, v.m, v.model)
+		}
+	}
+	versions := []version{pin(tr.Meta(), model, 0)}
+	rng := rand.New(rand.NewSource(7))
+	for lsn := uint64(1); lsn <= 5; lsn++ {
+		batch := pool.NewBatch(lsn)
+		next := versions[len(versions)-1].m
+		// Values of MaxValueSize under new keys across the tree until
+		// three of them have split a leaf.
+		for splits, tries := 0, 0; splits < 3; tries++ {
+			if tries == 200 {
+				t.Fatalf("batch %d: 200 puts of %d bytes split %d leaves", lsn, MaxValueSize, splits)
+			}
+			k := uint64(rng.Intn(len(entries)))*2 + 1
+			if _, held := model[k]; held {
+				continue
+			}
+			leaves := len(next.Leaves)
+			model[k] = val(k, MaxValueSize)
+			if err := PutAt(batch, &next, k, model[k]); err != nil {
+				t.Fatal(err)
+			}
+			if len(next.Leaves) > leaves {
+				splits++
+			}
+		}
+		checkModel(t, batch, next, model) // the writer reads its own writes
+		checkPinned(versions, "unpublished")
+		pool.Publish(batch, nil)
+		checkPinned(versions, "published above the pins")
+		versions = append(versions, pin(next, model, lsn))
+		checkModel(t, versions[len(versions)-1].view, next, model) // a view at the commit LSN sees it
+	}
+	last := versions[len(versions)-1]
+	if err := pool.FoldTo(last.lsn); err != nil {
 		t.Fatal(err)
 	}
-	if next.Pages == published.Pages {
-		t.Fatal("the put split no leaf")
-	}
-	now := map[uint64][]byte{}
-	for k, v := range old {
-		now[k] = v
-	}
-	now[77] = grown
-
-	checkModel(t, batch, next, now)       // the writer reads its own write
-	checkModel(t, pinned, published, old) // unpublished: invisible
-	pool.Publish(batch, nil)
-	checkModel(t, pinned, published, old)    // published above the pin: still invisible
-	checkModel(t, pool.ViewAt(1), next, now) // a view at the commit LSN sees it
-	if err := pool.FoldTo(1); err != nil {
-		t.Fatal(err)
-	}
-	checkModel(t, pool, next, now)
+	checkModel(t, pool, last.m, model)
 }
 
-// TestGetCostsOneRequestPerLevel: the descent hands its leaf to the
-// caller and the value lives in that leaf, so a lookup, a put that splits
-// nothing and the first leaf of a scan each make exactly Meta.Height page
-// requests, hit or miss, found or not, whatever the value's size.
+// TestGetCostsOneRequestPerLevel: the directory is in memory and the value
+// lives in the leaf it names, so a lookup, a put that splits nothing and a
+// scan within one leaf each make exactly one page request, hit or miss,
+// found or not, whatever the value's size and however many leaves the
+// tree has.
 func TestGetCostsOneRequestPerLevel(t *testing.T) {
 	for _, n := range []int{1, 150, 5_000, 60_000} {
 		entries := make([]Entry, n)
@@ -896,9 +961,8 @@ func TestGetCostsOneRequestPerLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		height := int64(tr.Height())
-		if n == 60_000 && height != 3 {
-			t.Fatalf("60k keys built a tree of height %d; the test wants the served index's 3", height)
+		if n == 60_000 && tr.NumPages() < 200 {
+			t.Fatalf("60k keys built %d leaves; the test wants hundreds", tr.NumPages())
 		}
 		io := pool.Stats()
 		requests := func(op func()) int64 {
@@ -907,21 +971,56 @@ func TestGetCostsOneRequestPerLevel(t *testing.T) {
 			return io.LogicalRead.Load() - before
 		}
 		for _, key := range []uint64{0, uint64(n/2) * 3, uint64((n-1)/500*500) * 3, uint64(n-1) * 3, uint64(n)*3 + 1, 1} {
-			if got := requests(func() { _, _ = tr.Get(key) }); got != height {
-				t.Errorf("n=%d: Get(%d) made %d page requests, want the height %d", n, key, got, height)
+			if got := requests(func() { _, _ = tr.Get(key) }); got != 1 {
+				t.Errorf("n=%d: Get(%d) made %d page requests, want 1", n, key, got)
 			}
 		}
 		if got := requests(func() {
 			if err := tr.Put(0, val(0, 5)); err != nil {
 				t.Error(err)
 			}
-		}); got != height {
-			t.Errorf("n=%d: a Put that shrinks a value made %d page requests, want %d", n, got, height)
+		}); got != 1 {
+			t.Errorf("n=%d: a Put that shrinks a value made %d page requests, want 1", n, got)
+		}
+		// The whole of the middle leaf: the scan stops at the next leaf's
+		// low key without reading it.
+		m := tr.Meta()
+		mid := len(m.Lows) / 2
+		lo, hi := m.Lows[mid], ^uint64(0)
+		if mid+1 < len(m.Lows) {
+			hi = m.Lows[mid+1] - 1
 		}
 		if got := requests(func() {
-			_ = tr.Scan(0, 0, func(_, _ uint64) bool { return true })
-		}); got != height {
-			t.Errorf("n=%d: a one-leaf Scan made %d page requests, want %d", n, got, height)
+			_ = tr.Scan(lo, hi, func(_, _ uint64) bool { return true })
+		}); got != 1 {
+			t.Errorf("n=%d: a Scan of one whole leaf made %d page requests, want 1", n, got)
 		}
+	}
+}
+
+// TestDirectoryRejectsNonLeaf: a directory slot that names a page which is
+// not a leaf is reported as a corrupt page, not read as one.
+func TestDirectoryRejectsNonLeaf(t *testing.T) {
+	pool := newPool(8)
+	tr, err := New(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Put(1, val(1, 20)); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := pool.Get(tr.Meta().Leaves[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.PutUint16(0, kindLeaf+1)
+	if _, err := tr.Get(1); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Errorf("Get = %v, want ErrCorruptPage", err)
+	}
+	if err := tr.Scan(0, 9, func(_, _ uint64) bool { return true }); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Errorf("Scan = %v, want ErrCorruptPage", err)
+	}
+	if err := tr.Put(2, nil); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Errorf("Put = %v, want ErrCorruptPage", err)
 	}
 }

@@ -11,7 +11,8 @@ import (
 
 // countDigestFile holds every count series of every figure and ablation at
 // testCfg, one line per series: figure, name, then the (x, y) points with
-// their shortest exact decimal form.
+// their shortest exact decimal form. Lines opening with '#' say why the
+// series last moved; the comparison skips them.
 const countDigestFile = "testdata/count_digest.txt"
 
 // countKinds are the name prefixes (before the first '/') of the series
@@ -39,8 +40,9 @@ func counted(fig, name string) bool {
 // compares every count series with the recorded ones, bit for bit. The
 // counts repeat exactly for a seed, so a change that only moves code
 // leaves the file as it is. On a mismatch the test logs this build's
-// digest in full; to record a deliberate change, copy that output into
-// testdata/count_digest.txt.
+// digest in full; to record a deliberate change, copy the lines that
+// moved from that output into testdata/count_digest.txt and say why in
+// its '#' lines.
 func TestExperimentCountDigest(t *testing.T) {
 	var b strings.Builder
 	for _, f := range Figures {
@@ -65,13 +67,19 @@ func TestExperimentCountDigest(t *testing.T) {
 		}
 	}
 	got := b.String()
-	want, err := os.ReadFile(countDigestFile)
+	raw, err := os.ReadFile(countDigestFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			want.WriteString(line)
+		}
+	}
+	if got != want.String() {
 		t.Logf("this build's %s:\n%s", countDigestFile, got)
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		gl, wl := strings.Split(got, "\n"), strings.Split(want.String(), "\n")
 		for i := 0; i < len(gl) || i < len(wl); i++ {
 			var g, w string
 			if i < len(gl) {
@@ -81,7 +89,7 @@ func TestExperimentCountDigest(t *testing.T) {
 				w = wl[i]
 			}
 			if g != w {
-				t.Fatalf("%s line %d:\n got  %s\n want %s", countDigestFile, i+1, g, w)
+				t.Fatalf("%s series %d:\n got  %s\n want %s", countDigestFile, i+1, g, w)
 			}
 		}
 	}

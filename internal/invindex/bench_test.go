@@ -13,9 +13,9 @@ import (
 // BenchmarkLoadObjects is one AND probe of two terms through the pool.
 // allocs/op is the figure to watch: 17 with a map per term, 5 with the
 // intersection kept in the first term's slice. pages/op is the page
-// requests of the probe: the tree's height per term read (the second term
-// is skipped when the first finds nothing), with nothing on top for the
-// hop to a list on another page.
+// requests of the probe: one leaf per term read (the second term is
+// skipped when the first finds nothing), with nothing on top for the hop
+// to a list on another page.
 func BenchmarkLoadObjects(b *testing.B) {
 	_, col, _, loader, stats := buildFixture(b, 5000, 1)
 	edges := col.Edges()

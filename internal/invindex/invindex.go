@@ -7,12 +7,12 @@
 //
 // The paper's entry points at its list; here the entry is the list. The
 // tree is clustered (package btree stores variable-length values in its
-// leaves), so the descent for a key ends on the page that holds its
-// postings and a probe costs the tree's height in page requests, not the
-// height plus a hop to a list that is 16 to 64 bytes long. Only a list too
-// long to share a leaf (more than MaxInlineRecords postings) lives outside
-// the tree, in an overflow heap of 4KB pages where long lists span
-// consecutive pages, and the entry holds its address.
+// leaves) and its leaf directory is held in memory, so a probe reads one
+// page, the leaf that holds the key's postings: not a descent through
+// inner pages, nor a hop to a list that is 16 to 64 bytes long. Only a
+// list too long to share a leaf (more than MaxInlineRecords postings)
+// lives outside the tree, in an overflow heap of 4KB pages where long
+// lists span consecutive pages, and the entry holds its address.
 //
 // The package also exposes the per-term posting statistics the signature
 // layer (package sig) builds on.
@@ -141,8 +141,9 @@ func edgeKey(t obj.TermID, zcode uint64) uint64 {
 // reader needs to resolve queries against a fixed snapshot and a mutator
 // needs to extend the index. A published Roots value must never be mutated;
 // mutators work on a copy (InsertObjectAt / RemoveObjectAt clone the
-// TermPostings slice on first write, so a shallow struct copy is a safe
-// starting point).
+// TermPostings slice on first write, and a leaf split gives the tree's
+// Meta a new directory, so a shallow struct copy is a safe starting
+// point).
 type Roots struct {
 	Tree btree.Meta
 
@@ -346,9 +347,9 @@ func newHeapPageAt(p storage.Pager, r *Roots) error {
 
 // readList decodes the list a B+-tree value stands for, keeping the
 // postings on edge e (all of them for allEdges). An inline value is
-// decoded where it lies, in the leaf the descent ended on; an overflow
-// address is followed through pr over the list's consecutive heap pages,
-// which is the one case a probe costs more than the tree's height.
+// decoded where it lies, in the leaf the probe read; an overflow address
+// is followed through pr over the list's consecutive heap pages, which is
+// the one case a probe costs more than that one page.
 func readList(ctx context.Context, pr storage.PageReader, v []byte, e graph.EdgeID) ([]Posting, error) {
 	if !isOverflowRef(v) {
 		return appendPostings(make([]Posting, 0, len(v)/postingSize), v, e), nil
@@ -460,7 +461,7 @@ func (idx *Index) TermPostings(t obj.TermID, e graph.EdgeID, zcode uint64) ([]Po
 }
 
 // TermPostingsCtx is TermPostings with cancellation: a done ctx aborts the
-// B+-tree descent or the overflow walk before the next page read.
+// leaf read or the overflow walk before the next page read.
 func (idx *Index) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
 	return idx.termPostingsAt(ctx, idx.pool, &idx.roots, t, e, zcode)
 }
@@ -664,8 +665,8 @@ func (idx *Index) ListPages(t obj.TermID) int {
 	return (n + recordsPerPage - 1) / recordsPerPage
 }
 
-// SizeBytes returns the on-disk footprint: the B+-tree, whose leaves hold
-// the lists, plus the overflow heap.
+// SizeBytes returns the footprint: the B+-tree, whose leaves hold the
+// lists, with its in-memory leaf directory, plus the overflow heap.
 func (idx *Index) SizeBytes() int64 {
 	return int64(idx.roots.PostingPages)*storage.PageSize + idx.roots.Tree.SizeBytes()
 }

@@ -182,10 +182,11 @@ func TestPostingChainSpansPages(t *testing.T) {
 	}
 }
 
-// TestProbeCostsTheHeight: a probe of a list that lives in its leaf makes
-// exactly Meta.Height page requests, found or not; a list in the overflow
-// heap costs the pages of its chain on top, and is the only thing the
-// overflow counter counts.
+// TestProbeCostsTheHeight: the tree's directory is in memory, so a probe of
+// a list that lives in its leaf makes exactly one page request, found or
+// not, however many leaves the tree has; a list in the overflow heap costs
+// the pages of its chain on top, and is the only thing the overflow
+// counter counts.
 func TestProbeCostsTheHeight(t *testing.T) {
 	g, col, idx, _, stats := buildFixture(t, 6000, 9)
 	hot := graph.EdgeID(3)
@@ -198,9 +199,8 @@ func TestProbeCostsTheHeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	height := int64(idx.Roots().Tree.Height)
-	if height < 2 {
-		t.Fatalf("a tree of height %d: the fixture is too small to show a descent", height)
+	if leaves := len(idx.Roots().Tree.Leaves); leaves < 2 {
+		t.Fatalf("a tree of %d leaves: the fixture is too small to show a directory search", leaves)
 	}
 	coder := GraphZCoder{G: g}
 	requests := func(term obj.TermID, e graph.EdgeID) (int64, int) {
@@ -218,8 +218,8 @@ func TestProbeCostsTheHeight(t *testing.T) {
 				continue
 			}
 			got, n := requests(term, e)
-			if got != height {
-				t.Fatalf("probe of term %d on edge %d (%d postings) made %d page requests, want the height %d", term, e, n, got, height)
+			if got != 1 {
+				t.Fatalf("probe of term %d on edge %d (%d postings) made %d page requests, want 1", term, e, n, got)
 			}
 			if n > 0 {
 				inline++
@@ -233,8 +233,8 @@ func TestProbeCostsTheHeight(t *testing.T) {
 	if idx.OverflowReads() != 0 {
 		t.Fatalf("probes of inline lists counted %d overflow reads", idx.OverflowReads())
 	}
-	if got, n := requests(7, hot); got != height+3 || n < long {
-		t.Fatalf("probe of the %d-posting list made %d page requests and found %d, want the height %d plus a chain of 3", long, got, n, height)
+	if got, n := requests(7, hot); got != 1+3 || n < long {
+		t.Fatalf("probe of the %d-posting list made %d page requests and found %d, want 1 plus a chain of 3", long, got, n)
 	}
 	if idx.OverflowReads() != 1 {
 		t.Fatalf("one probe of the overflow list counted %d overflow reads", idx.OverflowReads())
@@ -594,11 +594,11 @@ func TestListCrossesOverflowBoundAndBack(t *testing.T) {
 		t.Fatalf("emptied lists left %d keys, want the 2 that were built", roots.Tree.Count)
 	}
 	// Removing what is not there changes nothing.
-	pages := roots.Tree.Pages
+	pages := len(roots.Tree.Leaves)
 	if err := idx.RemoveObjectAt(pool, &roots, coder.EdgeZCode(eid), 0, []obj.TermID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if roots.TermPostings[0] != 0 || roots.TermPostings[1] != 0 || roots.Tree.Pages != pages {
+	if roots.TermPostings[0] != 0 || roots.TermPostings[1] != 0 || len(roots.Tree.Leaves) != pages {
 		t.Fatalf("a second removal moved the roots: %+v", roots)
 	}
 }
@@ -640,7 +640,7 @@ func TestPinnedReaderKeepsItsList(t *testing.T) {
 	}
 
 	cur := built
-	pages := cur.Tree.Pages
+	leaves := len(cur.Tree.Leaves)
 	nextID := obj.ID(col.Len())
 	for lsn := uint64(1); lsn <= MaxInlineRecords+5; lsn++ {
 		batch, next := pool.NewBatch(lsn), cur
@@ -653,8 +653,8 @@ func TestPinnedReaderKeepsItsList(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if cur.Tree.Pages == pages || cur.PostingPages == built.PostingPages {
-		t.Fatalf("the commits split no leaf (%d pages) or never overflowed (%d heap pages)", cur.Tree.Pages, cur.PostingPages)
+	if len(cur.Tree.Leaves) == leaves || cur.PostingPages == built.PostingPages {
+		t.Fatalf("the commits split no leaf (%d leaves) or never overflowed (%d heap pages)", len(cur.Tree.Leaves), cur.PostingPages)
 	}
 	now, err := loader.At(pool.ViewAt(MaxInlineRecords+5), &cur).LoadObjects(context.Background(), hot, []obj.TermID{term})
 	if err != nil || len(now) != len(old)+MaxInlineRecords+5 {
