@@ -37,8 +37,9 @@ lint:
 # B+-tree against a sorted map, the GET decoder against the url.Values
 # reference, the response encoder against encoding/json, the WAL record
 # decoder against its encoder, the router's leg merge over arbitrary
-# leg partitions, the oracle file loader against its writer, and the
-# collective query's early stop against the drain-then-greedy answer.
+# leg partitions, the shard-set manifest decoder against its invariants,
+# the oracle file loader against its writer, and the collective query's
+# early stop against the drain-then-greedy answer.
 fuzz-smoke:
 	$(GO) test -run FuzzZOrder -fuzz FuzzZOrder -fuzztime $(FUZZTIME) ./internal/geo/
 	$(GO) test -run FuzzLoadGraph -fuzz FuzzLoadGraph -fuzztime $(FUZZTIME) ./internal/graph/
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzResponseEncode -fuzz FuzzResponseEncode -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run FuzzWALRecord -fuzz FuzzWALRecord -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run FuzzLegMerge -fuzz FuzzLegMerge -fuzztime $(FUZZTIME) ./internal/shard/
+	$(GO) test -run FuzzSetManifest -fuzz FuzzSetManifest -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -run FuzzOracleLoad -fuzz FuzzOracleLoad -fuzztime $(FUZZTIME) ./internal/alt/
 	$(GO) test -run FuzzCollectiveStop -fuzz FuzzCollectiveStop -fuzztime $(FUZZTIME) ./internal/core/
 

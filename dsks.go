@@ -878,6 +878,10 @@ func (db *DB) Version() uint64 { return db.version.Load() }
 // it across shard databases) must not modify it.
 func (db *DB) Graph() *Graph { return db.eng.Graph }
 
+// VocabSize is the vocabulary size the database was opened with: every
+// term a query or an insert names is below it.
+func (db *DB) VocabSize() int { return db.eng.VocabSize }
+
 // ObjectCount is the total number of object IDs the database has ever
 // allocated, tombstones included (compare LiveObjects). IDs below it are
 // addressable by Object.

@@ -6,15 +6,18 @@ import (
 	"testing"
 
 	"dsks"
+	"dsks/internal/experiments/baselines"
 	"dsks/internal/harness"
+	"dsks/internal/sig"
 )
 
 // TestEngineMatchesHarness proves the database and the experiments harness
 // are two clients of one engine: the same seeded dataset, SIF with the
-// oracle on, opened once as a DB and once through harness.Build, has the
-// same index footprint and — from a cold start, over a seeded workload of
-// all five query families — returns identical answers at identical cost,
-// disk reads included. Page layout, build order and pool sizing are
+// oracle on, opened once as a DB and once through the harness with the
+// served options (harness.Build itself keeps the paper's query order), has
+// the same index footprint and — from a cold start, over a seeded workload
+// of all five query families — returns identical answers at identical
+// cost, disk reads included. Page layout, build order and pool sizing are
 // therefore the same on both paths.
 func TestEngineMatchesHarness(t *testing.T) {
 	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 11)
@@ -25,8 +28,12 @@ func TestEngineMatchesHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := harness.Build(ds, []harness.IndexKind{harness.KindSIF}, harness.Options{Oracle: true, OracleSeed: 3})
+	sys, err := harness.Build(ds, nil, harness.Options{Oracle: true, OracleSeed: 3})
 	if err != nil {
+		t.Fatal(err)
+	}
+	served := func(so *sig.Options) { so.SelectivityOrder = true }
+	if err := sys.Attach(harness.KindSIF, baselines.Variant(harness.KindSIF, ds.Objects, ds.VocabSize, served)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := db.IndexSizeBytes(), sys.IndexSize[harness.KindSIF]; got != want {

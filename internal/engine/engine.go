@@ -350,15 +350,18 @@ func (n *Network) Attach(kind IndexKind, build func(pool *storage.BufferPool) (i
 	return e, n.settle(pool)
 }
 
-// SigOptions returns the signature options the served build of kind uses:
-// SIF-P partitions sig's default top fraction of edges with the greedy,
+// SigOptions returns the signature options the served build of kind uses.
+// All three probe the inverted file rarest term first, each by the
+// posting counts of the snapshot it reads (a shard by its own). SIF-P
+// partitions sig's default top fraction of edges with the greedy,
 // Options.SIFPCuts cuts each, against the frequency-based query log (the
-// paper's defaults); IF and SIF take none.
+// paper's defaults); IF and SIF partition nothing.
 func (n *Network) SigOptions(kind IndexKind) sig.Options {
-	if kind != KindSIFP {
-		return sig.Options{}
+	so := sig.Options{SelectivityOrder: true}
+	if kind == KindSIFP {
+		so.MaxCuts, so.Log = n.Opts.SIFPCuts, &sig.FreqLog{L: 3, N: 16, Seed: 99}
 	}
-	return sig.Options{MaxCuts: n.Opts.SIFPCuts, Log: &sig.FreqLog{L: 3, N: 16, Seed: 99}}
+	return so
 }
 
 // BuildIndex attaches one of the three versioned object indexes of

@@ -11,6 +11,7 @@ import (
 	"dsks/internal/dataset"
 	"dsks/internal/engine"
 	"dsks/internal/obj"
+	"dsks/internal/sig"
 	"dsks/internal/storage"
 )
 
@@ -204,6 +205,8 @@ func (c *countingPages) GetCtx(ctx context.Context, id storage.PageID) (*storage
 // for a page its memo admitted — the first 16 distinct pages it touches —
 // and no query holds more than the pool's frame count. With 4 frames the
 // queries are wider than the bound, and the pages past it go to the pool.
+// The queries name three keywords: a rarest-first probe of two stops too
+// early for any query to touch more than 4 pages of this small index.
 func TestQueryReadsAnIndexPageOnce(t *testing.T) {
 	for _, frames := range []int{16, 4} {
 		t.Run(fmt.Sprintf("%d frames", frames), func(t *testing.T) { queryReadsAnIndexPageOnce(t, frames) })
@@ -212,7 +215,13 @@ func TestQueryReadsAnIndexPageOnce(t *testing.T) {
 
 func queryReadsAnIndexPageOnce(t *testing.T, frames int) {
 	const readers, rounds = 4, 3
-	ds, ws := testData(t)
+	ds, _ := testData(t)
+	ws, err := dataset.GenerateWorkload(ds.Objects, ds.VocabSize, dataset.WorkloadConfig{
+		NumQueries: 36, Keywords: 3, DeltaMaxPerKeyword: 800, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := openEngine(t, ds, engine.KindSIF, frames)
 	roots, view := e.Versions.Roots(), e.Pool.ViewAt(0)
 
@@ -292,5 +301,64 @@ func TestUnversionedIndexHasNoMemo(t *testing.T) {
 	}
 	if _, err := e.Run(context.Background(), engine.Snapshot{}, core.RankedQuery{Pos: ws[0].Pos, Terms: ws[0].Terms, K: 3, Alpha: 0.5}); err == nil {
 		t.Error("a ranked query on IR, which has no union loads, succeeded")
+	}
+}
+
+// TestRarestFirstReadsFewerIndexPages is the served probe order's count
+// verdict: over one network, each kind built as served (rarest term
+// first) and in the paper's query order replays one seeded AND workload
+// of three-keyword boolean, diversified and kNN queries on one goroutine,
+// each query from a cold pool. The answers are identical, and the served
+// build reads strictly fewer index pages.
+func TestRarestFirstReadsFewerIndexPages(t *testing.T) {
+	ds, err := dataset.GeneratePreset(dataset.PresetNA, 200, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := dataset.GenerateWorkload(ds.Objects, ds.VocabSize, dataset.WorkloadConfig{
+		NumQueries: 60, Keywords: 3, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := engine.NewNetwork(ds.Graph, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []engine.IndexKind{engine.KindIF, engine.KindSIF, engine.KindSIFP} {
+		served := net.SigOptions(kind)
+		if !served.SelectivityOrder {
+			t.Fatalf("%s is not served rarest first", kind)
+		}
+		paper := served
+		paper.SelectivityOrder = false
+		var answers [2][]engine.Result
+		var reads [2]int64
+		for b, so := range []sig.Options{served, paper} {
+			e, err := net.BuildIndex(kind, ds.Objects, ds.VocabSize, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range ws {
+				if err := e.ResetIO(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := runFamily(e, engine.Snapshot{}, i%3, w)
+				if err != nil {
+					t.Fatalf("%s query %d: %v", kind, i, err)
+				}
+				answers[b] = append(answers[b], res)
+				reads[b] += e.Pool.Stats().DiskRead.Load()
+			}
+		}
+		for i := range answers[0] {
+			if !reflect.DeepEqual(answers[0][i], answers[1][i]) {
+				t.Errorf("%s query %d (family %d): served %+v, query order %+v", kind, i, i%3, answers[0][i], answers[1][i])
+			}
+		}
+		t.Logf("%s: %d index page reads rarest first, %d in query order", kind, reads[0], reads[1])
+		if reads[0] >= reads[1] {
+			t.Errorf("%s: rarest first reads no fewer index pages than query order", kind)
+		}
 	}
 }

@@ -338,11 +338,12 @@ func AblationCompaction(cfg Config) (*Result, error) {
 }
 
 // AblationSelectivity quantifies the rarest-term-first probe order — an
-// engineering improvement over the paper's query-order baseline that is
-// off by default because it narrows the IF-vs-SIF gap the evaluation
-// reproduces: the inverted file alone recovers much of the signature's
-// benefit when it can discover empty intersections after one cheap list
-// read.
+// engineering improvement over the paper's query-order baseline. The
+// served indexes probe rarest first; the other experiments keep the
+// paper's order because rarest first narrows the IF-vs-SIF gap the
+// evaluation reproduces: the inverted file alone recovers much of the
+// signature's benefit when it can discover empty intersections after one
+// cheap list read.
 func AblationSelectivity(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	r := newResult("Ablation: rarest-term-first probe order (NA, l = 3)",

@@ -83,12 +83,14 @@ func SIFG(c *obj.Collection, vocabSize, topX int) Builder {
 }
 
 // Variant builds one of the engine's three versioned indexes with the
-// signature options it is served with (Network.SigOptions), changed by
-// edit when edit is non-nil: another query log, the exact partitioner, the
-// rarest-first probe order.
+// signature options it is served with (Network.SigOptions) but the
+// paper's probe order, the query's, then changed by edit when edit is
+// non-nil: another query log, the exact partitioner, the rarest-first
+// probe order.
 func Variant(kind engine.IndexKind, c *obj.Collection, vocabSize int, edit func(*sig.Options)) Builder {
 	return func(net *engine.Network) (*engine.Engine, error) {
 		so := net.SigOptions(kind)
+		so.SelectivityOrder = false
 		if edit != nil {
 			edit(&so)
 		}

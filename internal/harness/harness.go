@@ -79,7 +79,9 @@ type System struct {
 	pools   []*storage.BufferPool
 }
 
-// Build lays ds out on disk and constructs the requested index kinds.
+// Build lays ds out on disk and constructs the requested index kinds. IF,
+// SIF and SIF-P are built as served (baselines.Variant) but probe in the
+// paper's query order, the order the evaluation's figures are measured in.
 func Build(ds *dataset.Dataset, kinds []IndexKind, opts Options) (*System, error) {
 	net, err := engine.NewNetwork(ds.Graph, opts)
 	if err != nil {

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"dsks/internal/btree"
@@ -502,11 +501,12 @@ func (z GraphZCoder) EdgeZCode(e graph.EdgeID) uint64 { return geo.ZCode(z.G.Edg
 type Loader struct {
 	Idx   *Index
 	Coder EdgeZCoder
-	// SelectivityOrder probes the rarest query term first so empty
-	// intersections short-circuit after the cheapest list read. Off by
-	// default: the paper's baselines probe in query order, and enabling
-	// it narrows the IF-vs-SIF gap the evaluation reproduces (see the
-	// ablation-selectivity experiment).
+	// SelectivityOrder probes the query's terms rarest first, by the
+	// posting counts of the reader's own snapshot, so an empty
+	// intersection stops after the rarest term's list read. The served
+	// indexes turn it on (engine.Network.SigOptions). Off is the paper's
+	// query order, which the experiments keep: the evaluation's IF-vs-SIF
+	// gap is measured in it (see the ablation-selectivity experiment).
 	SelectivityOrder bool
 }
 
@@ -549,16 +549,19 @@ func (rd Reader) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.Edge
 func byObject(a, b Posting) int { return cmp.Compare(a.Object, b.Object) }
 
 // LoadObjects implements index.Loader: it loads R_t for every query term
-// and returns the intersection (rarest-first when SelectivityOrder is on).
-// The lists of one edge hold a handful of postings, so the intersection is
-// a merge of object-sorted slices kept in the first term's slice, not a
-// map per term.
+// and returns the intersection, stopping at the first empty list
+// (rarest term first when SelectivityOrder is on). The lists of one edge
+// hold a handful of postings, so the intersection is a merge of
+// object-sorted slices kept in the first term's slice, not a map per
+// term; it comes out in object order whatever order the terms are read
+// in.
 func (rd Reader) LoadObjects(ctx context.Context, e graph.EdgeID, terms []obj.TermID) ([]index.ObjectRef, error) {
 	if len(terms) == 0 {
 		return nil, nil
 	}
+	var order [stackTerms]obj.TermID
 	if rd.SelectivityOrder {
-		terms = bySelectivity(rd.Roots.TermPostings, terms)
+		terms = rarestFirst(append(order[:0], terms...), rd.Roots.TermPostings)
 	}
 	z := rd.Coder.EdgeZCode(e)
 	var inter []Posting
@@ -641,14 +644,20 @@ func (idx *Index) PostingsRead() int64 { return idx.postingsRead.Load() }
 // ResetPostingsRead zeroes the posting-read counter.
 func (idx *Index) ResetPostingsRead() { idx.postingsRead.Store(0) }
 
-// bySelectivity returns the terms ordered by ascending global posting
-// count (rarest first); the input is not modified.
-func bySelectivity(termPostings []int32, terms []obj.TermID) []obj.TermID {
-	out := append([]obj.TermID(nil), terms...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return termPostings[out[i]] < termPostings[out[j]]
-	})
-	return out
+// stackTerms is how many query terms LoadObjects orders in an array on
+// its stack; a longer list is copied to the heap.
+const stackTerms = 8
+
+// rarestFirst sorts terms in place by ascending posting count, keeping
+// query order among equal counts, and returns them. It is an insertion
+// sort: a query names a handful of terms, and it allocates nothing.
+func rarestFirst(terms []obj.TermID, counts []int32) []obj.TermID {
+	for i := 1; i < len(terms); i++ {
+		for j := i; j > 0 && counts[terms[j]] < counts[terms[j-1]]; j-- {
+			terms[j], terms[j-1] = terms[j-1], terms[j]
+		}
+	}
+	return terms
 }
 
 // recordsPerPage is the packing density of a page of nothing but postings.

@@ -2,9 +2,11 @@ package invindex
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -896,5 +898,165 @@ func TestBuildMatchesReference(t *testing.T) {
 				t.Errorf("%d keys for %d terms: the edges do not share a Z-cell", n, fx.vocab)
 			}
 		})
+	}
+}
+
+// TestRarestFirstMatchesQueryOrder: the probe order changes which lists a
+// probe reads, never what it returns. Random one-to-four-term lists on
+// occupied edges — with duplicate terms, distinct terms of equal count, a
+// term whose list on the edge overflowed to the heap and terms absent
+// from the edge — return the same refs rarest first as in query order,
+// through random insert and remove batches that reorder the terms' counts.
+func TestRarestFirstMatchesQueryOrder(t *testing.T) {
+	const vocab = 20
+	g, col, idx, _, _ := buildFixture(t, 400, 11)
+	coder, pool, ctx := GraphZCoder{G: g}, idx.Pool(), context.Background()
+	roots := idx.Roots()
+	rng := rand.New(rand.NewSource(12))
+	insert := func(e graph.EdgeID, terms []obj.TermID) {
+		pos := graph.Position{Edge: e, Offset: rng.Float64() * g.Edge(e).Length}
+		id := col.Add(pos, terms)
+		if err := idx.InsertObjectAt(pool, &roots, coder.EdgeZCode(e), id, e, pos.Offset, col.Get(id).Terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A burst of objects on one edge gives term 0 an overflow list there.
+	burst := col.Edges()[0]
+	for i := 0; i <= MaxInlineRecords; i++ {
+		insert(burst, []obj.TermID{0, obj.TermID(1 + rng.Intn(vocab-1))})
+	}
+	if v, err := btree.GetAt(ctx, pool, roots.Tree, edgeKey(0, coder.EdgeZCode(burst))); err != nil || !isOverflowRef(v) {
+		t.Fatalf("term 0 on edge %d: %d-byte value, err %v; want an overflow list", burst, len(v), err)
+	}
+
+	var dup, tie, overflow, absent, flip bool
+	var prev []obj.TermID
+	for batch := 0; batch < 20; batch++ {
+		for i := 0; i < 8; i++ {
+			terms := make([]obj.TermID, 1+rng.Intn(3))
+			for j := range terms {
+				terms[j] = obj.TermID(rng.Intn(vocab))
+			}
+			insert(graph.EdgeID(rng.Intn(g.NumEdges())), terms)
+		}
+		for i := 0; i < 4; i++ {
+			id := obj.ID(rng.Intn(col.Len()))
+			if col.Removed(id) {
+				continue
+			}
+			o := col.Get(id)
+			if err := idx.RemoveObjectAt(pool, &roots, coder.EdgeZCode(o.Pos.Edge), id, o.Terms); err != nil {
+				t.Fatal(err)
+			}
+			if err := col.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		order := make([]obj.TermID, vocab)
+		for i := range order {
+			order[i] = obj.TermID(i)
+		}
+		order = rarestFirst(order, roots.TermPostings)
+		flip = flip || prev != nil && !slices.Equal(order, prev)
+		prev = order
+
+		queryOrder := Reader{Idx: idx, PR: pool, Roots: &roots, Coder: coder}
+		rarest := queryOrder
+		rarest.SelectivityOrder = true
+		edges := col.Edges()
+		for probe := 0; probe < 40; probe++ {
+			e := edges[rng.Intn(len(edges))]
+			if probe%8 == 0 {
+				e = burst
+			}
+			on := col.OnEdge(e)
+			terms := make([]obj.TermID, 1+rng.Intn(4))
+			for j := range terms {
+				if rng.Intn(2) == 0 {
+					ts := col.Get(on[rng.Intn(len(on))]).Terms
+					terms[j] = ts[rng.Intn(len(ts))]
+				} else {
+					terms[j] = obj.TermID(rng.Intn(vocab))
+				}
+			}
+			want, err := queryOrder.LoadObjects(ctx, e, terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rarest.LoadObjects(ctx, e, terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("batch %d, edge %d, terms %v", batch, e, terms)
+			same := len(got) == len(want)
+			for i := 0; same && i < len(got); i++ {
+				same = got[i].ID == want[i].ID && got[i].Edge == want[i].Edge &&
+					math.Float64bits(got[i].Offset) == math.Float64bits(want[i].Offset)
+			}
+			if !same {
+				t.Fatalf("%s: rarest first %v, query order %v", what, got, want)
+			}
+			if scan := bruteLoad(col, e, obj.NormalizeTerms(slices.Clone(terms))); len(want) != len(scan) {
+				t.Fatalf("%s: %d objects, a scan of the edge finds %d", what, len(want), len(scan))
+			}
+
+			empty := 0
+			for i, a := range terms {
+				if ps, err := queryOrder.TermPostingsCtx(ctx, a, e, coder.EdgeZCode(e)); err != nil {
+					t.Fatal(err)
+				} else if len(ps) == 0 {
+					empty++
+				}
+				overflow = overflow || e == burst && a == 0
+				for _, b := range terms[:i] {
+					dup = dup || a == b
+					tie = tie || a != b && roots.TermPostings[a] == roots.TermPostings[b]
+				}
+			}
+			absent = absent || 0 < empty && empty < len(terms)
+		}
+	}
+	if !dup || !tie || !overflow || !absent || !flip {
+		t.Fatalf("cases not covered: duplicate %v, tie %v, overflow %v, absent term %v, reordered counts %v",
+			dup, tie, overflow, absent, flip)
+	}
+}
+
+// TestRarestFirstAllocatesNothing: ordering a probe's terms costs no
+// allocation. A probe whose terms all hold the object it finds reads every
+// list in either order, and allocates as often rarest first as in query
+// order, most common term first.
+func TestRarestFirstAllocatesNothing(t *testing.T) {
+	_, col, idx, loader, _ := buildFixture(t, 400, 13)
+	roots := idx.Roots()
+	counts := roots.TermPostings
+	var e graph.EdgeID
+	var terms []obj.TermID
+	for id := range col.Len() {
+		o := col.Get(obj.ID(id))
+		ts := slices.Clone(o.Terms)
+		slices.SortStableFunc(ts, func(a, b obj.TermID) int { return cmp.Compare(counts[b], counts[a]) })
+		if len(ts) >= 3 && counts[ts[0]] > counts[ts[len(ts)-1]] {
+			e, terms = o.Pos.Edge, ts
+			break
+		}
+	}
+	if terms == nil {
+		t.Fatal("no object carries three terms of different counts")
+	}
+	queryOrder := loader.At(idx.Pool(), &roots)
+	rarest := queryOrder
+	rarest.SelectivityOrder = true
+	ctx := context.Background()
+	allocs := func(rd Reader) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if refs, err := rd.LoadObjects(ctx, e, terms); err != nil || len(refs) == 0 {
+				t.Fatalf("edge %d, terms %v: %d objects, err %v", e, terms, len(refs), err)
+			}
+		})
+	}
+	if got, want := allocs(rarest), allocs(queryOrder); got != want {
+		t.Errorf("edge %d, terms %v: %v allocations per probe rarest first, %v in query order", e, terms, got, want)
 	}
 }

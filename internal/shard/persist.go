@@ -67,8 +67,10 @@ func (s *Set) SaveTo(dir string) error {
 	for i, bits := range s.termBits {
 		m.TermBits[i] = append([]uint64(nil), bits...)
 	}
+	// A shard's next local ID is read off its ID map, which s.mu guards
+	// with the homes, not off nextLocal, which its insert latch guards.
 	for i := range s.shards {
-		m.NextLocal[i] = s.shards[i].nextLocal
+		m.NextLocal[i] = dsks.ObjectID(len(s.shards[i].globals))
 	}
 	s.mu.RUnlock()
 
@@ -101,22 +103,64 @@ func installManifest(dir string, blob []byte) error {
 	return storage.SyncDir(dir)
 }
 
+// decodeSetManifest parses a set manifest and checks everything the
+// reopen indexes or sizes by before anything is allocated: version 1, at
+// least one shard, a vocabulary of at least one term with one bitmap of
+// its words per shard, a next local ID per shard that is not negative,
+// and every home either burned (shard -1) or a shard of the set and a
+// local ID below that shard's next one. Any violation is ErrBadManifest.
+func decodeSetManifest(blob []byte) (setManifest, error) {
+	var m setManifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		return m, fmt.Errorf("shard: decoding set manifest: %w: %w", ErrBadManifest, err)
+	}
+	if m.Version != 1 || m.Shards < 1 || len(m.TermBits) != m.Shards || len(m.NextLocal) != m.Shards {
+		return m, fmt.Errorf("shard: set manifest version %d with %d shards: %w", m.Version, m.Shards, ErrBadManifest)
+	}
+	if m.VocabSize < 1 {
+		return m, fmt.Errorf("shard: set manifest vocabulary of %d: %w", m.VocabSize, ErrBadManifest)
+	}
+	words := (m.VocabSize + 63) / 64
+	for i, bits := range m.TermBits {
+		if len(bits) != words {
+			return m, fmt.Errorf("shard: set manifest term bitmap of shard %d has %d words, vocabulary %d needs %d: %w",
+				i, len(bits), m.VocabSize, words, ErrBadManifest)
+		}
+	}
+	for i, n := range m.NextLocal {
+		if n < 0 {
+			return m, fmt.Errorf("shard: set manifest next local ID %d for shard %d: %w", n, i, ErrBadManifest)
+		}
+	}
+	for g, h := range m.Homes {
+		if h[0] == -1 {
+			continue
+		}
+		if h[0] < 0 || h[0] >= int64(m.Shards) || h[1] < 0 || h[1] >= int64(m.NextLocal[h[0]]) {
+			return m, fmt.Errorf("shard: manifest maps object %d to local ID %d of shard %d of %d: %w",
+				g, h[1], h[0], m.Shards, ErrBadManifest)
+		}
+	}
+	return m, nil
+}
+
 // OpenSetPath reopens a sharded snapshot written by SaveTo. Every shard
 // database is reopened with its own pool, WAL dir and snapshot dir (the
 // template options' WALDir is a parent directory, as in Open);
 // a shard whose WAL replays past its snapshot gets its extra objects
-// re-registered with fresh global IDs.
+// re-registered with fresh global IDs. The manifest's vocabulary must be
+// the shards'. A shard behind the manifest lost the objects past its own
+// count, and their global IDs are burned: SaveTo snapshots each shard
+// before it records the manifest, so inserts that race it without a WAL
+// to replay them are in the manifest only.
 func OpenSetPath(dir string, opts Options) (*Set, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, setManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading set manifest: %w: %w", ErrBadManifest, err)
 	}
-	var m setManifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("shard: decoding set manifest: %w: %w", ErrBadManifest, err)
-	}
-	if m.Version != 1 || m.Shards < 1 || len(m.TermBits) != m.Shards || len(m.NextLocal) != m.Shards {
-		return nil, fmt.Errorf("shard: set manifest version %d with %d shards: %w", m.Version, m.Shards, ErrBadManifest)
+	m, err := decodeSetManifest(blob)
+	if err != nil {
+		return nil, err
 	}
 
 	dbs := make([]*dsks.DB, m.Shards)
@@ -138,6 +182,10 @@ func OpenSetPath(dir string, opts Options) (*Set, error) {
 		if g == nil {
 			g = db.Graph()
 		}
+		if db.VocabSize() != m.VocabSize {
+			closeAll()
+			return nil, fmt.Errorf("shard: manifest vocabulary %d, shard %d's %d: %w", m.VocabSize, i, db.VocabSize(), ErrBadManifest)
+		}
 	}
 
 	part, err := Split(g, m.Shards)
@@ -148,16 +196,15 @@ func OpenSetPath(dir string, opts Options) (*Set, error) {
 	s := newSet(g, m.VocabSize, part, opts)
 	for i := range s.shards {
 		s.shards[i].db = dbs[i]
-		s.shards[i].nextLocal = m.NextLocal[i]
+		s.shards[i].nextLocal = min(m.NextLocal[i], dsks.ObjectID(dbs[i].ObjectCount()))
 	}
 	s.homes = make([]home, len(m.Homes))
 	for g, h := range m.Homes {
+		if h[0] >= 0 && dsks.ObjectID(h[1]) >= s.shards[h[0]].nextLocal {
+			h[0] = -1
+		}
 		s.homes[g] = home{shard: int32(h[0]), local: dsks.ObjectID(h[1])}
 		if h[0] >= 0 {
-			if int(h[0]) >= m.Shards {
-				s.Close()
-				return nil, fmt.Errorf("shard: manifest maps object %d to shard %d of %d: %w", g, h[0], m.Shards, ErrBadManifest)
-			}
 			sh := &s.shards[h[0]]
 			for int(h[1]) >= len(sh.globals) {
 				sh.globals = append(sh.globals, -1)
@@ -166,9 +213,7 @@ func OpenSetPath(dir string, opts Options) (*Set, error) {
 		}
 	}
 	for i, bits := range m.TermBits {
-		if len(bits) == len(s.termBits[i]) {
-			copy(s.termBits[i], bits)
-		}
+		copy(s.termBits[i], bits)
 	}
 	for i := range s.shards {
 		s.reconcile(i)

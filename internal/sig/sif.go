@@ -39,7 +39,9 @@ type Options struct {
 	// Log supplies the per-edge query log; required when MaxCuts > 0.
 	Log LogSource
 	// SelectivityOrder reads the inner inverted file's lists rarest term
-	// first (off = the paper's query-order baseline).
+	// first, so a probe stops at the rarest term's empty list. The served
+	// indexes turn it on (engine.Network.SigOptions); off is the paper's
+	// query order, which the experiments keep.
 	SelectivityOrder bool
 }
 

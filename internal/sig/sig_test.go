@@ -628,3 +628,107 @@ func TestLoadObjectsAnyEmptyTerms(t *testing.T) {
 		t.Errorf("empty terms: %v, %v", got, err)
 	}
 }
+
+// TestRarestFirstMatchesQueryOrder: behind the signature test too, SIF
+// and SIF-P built rarest first answer a probe as they do in query order —
+// the same IDs, edges and offset bits — over random one-to-four-term lists
+// of signed and unsigned terms, duplicates included, through random insert
+// and remove batches.
+func TestRarestFirstMatchesQueryOrder(t *testing.T) {
+	const vocab = 15
+	for _, opts := range []Options{{}, {MaxCuts: 3, TopFraction: 0.3, Log: &FreqLog{L: 2, N: 10, Seed: 3}}} {
+		opts.SelectivityOrder = true
+		g := testGraph(t, 60, 23)
+		rng := rand.New(rand.NewSource(24))
+		skewed := func() []obj.TermID {
+			ts := make([]obj.TermID, 1+rng.Intn(4))
+			for j := range ts {
+				ts[j] = obj.TermID(rng.Intn(1 + rng.Intn(vocab)))
+			}
+			return ts
+		}
+		position := func() graph.Position {
+			e := graph.EdgeID(rng.Intn(g.NumEdges()))
+			return graph.Position{Edge: e, Offset: rng.Float64() * g.Edge(e).Length}
+		}
+		col := obj.NewCollection()
+		for i := 0; i < 3000; i++ {
+			col.Add(position(), skewed())
+		}
+		pool := storage.NewBufferPool(storage.NewPageFile(), 512, nil)
+		inv, err := invindex.Build(g, col, vocab, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := BuildSIF(g, col, vocab, inv, invindex.GraphZCoder{G: g}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		signed := 0
+		for term := range vocab {
+			if s.HasSignature(obj.TermID(term)) {
+				signed++
+			}
+		}
+		if signed == 0 || signed == vocab {
+			t.Fatalf("MaxCuts %d: %d of %d terms signed; want signed and unsigned terms", opts.MaxCuts, signed, vocab)
+		}
+
+		invRoots, sigRoots := inv.Roots(), s.Roots()
+		found := 0
+		for batch := 0; batch < 10; batch++ {
+			for i := 0; i < 10; i++ {
+				pos := position()
+				id := col.Add(pos, skewed())
+				if err := s.InsertObjectAt(pool, &invRoots, &sigRoots, id, pos.Edge, pos.Offset, col.Get(id).Terms); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5; i++ {
+				id := obj.ID(rng.Intn(col.Len()))
+				if col.Removed(id) {
+					continue
+				}
+				o := col.Get(id)
+				if err := s.RemoveObjectAt(pool, &invRoots, id, o.Pos.Edge, o.Terms); err != nil {
+					t.Fatal(err)
+				}
+				if err := col.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rarest := s.ReaderAt(pool, &invRoots, &sigRoots)
+			if !rarest.inner.SelectivityOrder {
+				t.Fatal("BuildSIF dropped Options.SelectivityOrder")
+			}
+			queryOrder := *rarest
+			queryOrder.inner.SelectivityOrder = false
+			edges := col.Edges()
+			for probe := 0; probe < 50; probe++ {
+				e, terms := edges[rng.Intn(len(edges))], skewed()
+				want, err := queryOrder.LoadObjects(context.Background(), e, terms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rarest.LoadObjects(context.Background(), e, terms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				found += len(want)
+				same := len(got) == len(want)
+				for i := 0; same && i < len(got); i++ {
+					same = got[i].ID == want[i].ID && got[i].Edge == want[i].Edge &&
+						math.Float64bits(got[i].Offset) == math.Float64bits(want[i].Offset)
+				}
+				if !same {
+					t.Fatalf("MaxCuts %d, batch %d, edge %d, terms %v: rarest first %v, query order %v",
+						opts.MaxCuts, batch, e, terms, got, want)
+				}
+			}
+		}
+		t.Logf("MaxCuts %d: %d of %d terms signed, %d objects found", opts.MaxCuts, signed, vocab, found)
+		if found == 0 {
+			t.Fatalf("MaxCuts %d: every probe came back empty; the test is vacuous", opts.MaxCuts)
+		}
+	}
+}
