@@ -32,7 +32,8 @@ lint:
 
 # fuzz-smoke is CI's fuzz-smoke job: FUZZTIME of each fuzz target, and
 # the one list of them. In order: the Z-order round trip, the graph
-# loader, the page round trip, the traversal kernel against the in-memory
+# loader, CCAM's page placement against its one-page rule, the page
+# round trip, the traversal kernel against the in-memory
 # reference, the frontier's node table against a Go map, the clustered
 # B+-tree against a sorted map, the GET decoder against the url.Values
 # reference, the response encoder against encoding/json, the WAL record
@@ -43,6 +44,7 @@ lint:
 fuzz-smoke:
 	$(GO) test -run FuzzZOrder -fuzz FuzzZOrder -fuzztime $(FUZZTIME) ./internal/geo/
 	$(GO) test -run FuzzLoadGraph -fuzz FuzzLoadGraph -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run FuzzCCAMBuild -fuzz FuzzCCAMBuild -fuzztime $(FUZZTIME) ./internal/ccam/
 	$(GO) test -run FuzzPageRoundTrip -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run FuzzFrontierVsReference -fuzz FuzzFrontierVsReference -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run FuzzNodeTable -fuzz FuzzNodeTable -fuzztime $(FUZZTIME) ./internal/core/

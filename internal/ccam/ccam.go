@@ -1,18 +1,19 @@
 // Package ccam implements the connectivity-clustered access method of
 // Shekhar & Liu, the disk-based road-network representation the paper
-// adopts: node adjacency lists are clustered into 4KB pages by the Z-order
-// of the node locations, recursively two-way-partitioned until each group's
-// adjacency lists fit into one page. Traversal fetches pages through an LRU
-// buffer pool, so spatially/topologically close nodes tend to share pages
-// and the expansion enjoys access locality. The memory-resident directory
-// addresses a node's entry by (page, byte offset), so a lookup is one
-// buffer-pool fetch and the decode of that entry alone.
+// adopts: node adjacency lists are clustered into 4KB pages by
+// connectivity, each page grown breadth first from a Z-order seed over its
+// nodes' neighbours. Traversal fetches pages through an LRU buffer pool,
+// so an expansion along the network's edges stays on few pages. The
+// memory-resident directory addresses a node's entry by (page, byte
+// offset), so a lookup is one buffer-pool fetch and the decode of that
+// entry alone.
 package ccam
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dsks/internal/geo"
 	"dsks/internal/graph"
@@ -79,58 +80,82 @@ type File struct {
 }
 
 // Build lays out g's adjacency lists into pages of the pool's file and
-// returns the resulting File. Nodes are sorted by the Z-order code of their
-// locations and the ordered sequence is recursively split in two until each
-// group fits into a single page.
+// returns the resulting File. Every page is a connected region of the
+// network where it can be (growPages), so an expansion reads few pages.
 func Build(g *Graph, pool *storage.BufferPool) (*File, error) {
-	n := g.NumNodes()
-	order := make([]graph.NodeID, n)
-	for i := range order {
-		order[i] = graph.NodeID(i)
+	groups, err := growPages(g)
+	if err != nil {
+		return nil, err
 	}
-	codes := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		codes[i] = geo.ZCode(g.Node(graph.NodeID(i)).Loc)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := codes[order[i]], codes[order[j]]
-		if ci != cj {
-			return ci < cj
-		}
-		return order[i] < order[j]
-	})
+	return writePages(g, pool, groups)
+}
 
+// zOrder returns g's nodes sorted by the Z-order code of their locations,
+// ties by node ID.
+func zOrder(g *Graph) []graph.NodeID {
+	order, codes := make([]graph.NodeID, g.NumNodes()), make([]uint64, g.NumNodes())
+	for i := range order {
+		order[i], codes[i] = graph.NodeID(i), geo.ZCode(g.Node(graph.NodeID(i)).Loc)
+	}
+	slices.SortFunc(order, func(a, b graph.NodeID) int { return cmp.Or(cmp.Compare(codes[a], codes[b]), cmp.Compare(a, b)) })
+	return order
+}
+
+// growPages assigns every node to one page, by connectivity. A page
+// starts at the lowest-Z node not yet placed and grows breadth first over
+// unplaced neighbours, in g.Adjacent order, until the next entry does not
+// fit; a region that runs dry before its page is full continues from the
+// next unplaced node in Z order.
+func growPages(g *Graph) ([][]graph.NodeID, error) {
+	seeds, placed := zOrder(g), make([]bool, g.NumNodes())
+	var groups [][]graph.NodeID
+	var queue []graph.NodeID
+	size := storage.PageSize // the open page's bytes; full before the first
+	for next := 0; ; {
+		if len(queue) == 0 {
+			for next < len(seeds) && placed[seeds[next]] {
+				next++
+			}
+			if next == len(seeds) {
+				return groups, nil
+			}
+			queue = append(queue, seeds[next])
+		}
+		nd := queue[0]
+		if queue = queue[1:]; placed[nd] {
+			continue
+		}
+		if sz := nodeEntrySize(g.Degree(nd)); size+sz <= storage.PageSize {
+			placed[nd], size = true, size+sz
+			groups[len(groups)-1] = append(groups[len(groups)-1], nd)
+		} else if size == pageHeaderSize {
+			return nil, fmt.Errorf("ccam: node %d adjacency list (%d edges) exceeds one page", nd, g.Degree(nd))
+		} else { // open the next page at the lowest-Z unplaced node
+			groups, queue, size = append(groups, nil), nil, pageHeaderSize
+			continue
+		}
+		for _, eid := range g.Adjacent(nd) {
+			if o := g.Edge(eid).OtherEnd(nd); !placed[o] {
+				queue = append(queue, o)
+			}
+		}
+	}
+}
+
+// writePages writes groups, one page each in order, into the pool's file
+// and returns the File that addresses them.
+func writePages(g *Graph, pool *storage.BufferPool, groups [][]graph.NodeID) (*File, error) {
+	n := g.NumNodes()
 	f := &File{pool: pool, dir: make([]storage.PageID, n), slot: make([]uint16, n), numNodes: n}
 	f.edges = make([]EdgeInfo, g.NumEdges())
 	for i := range f.edges {
 		e := g.Edge(graph.EdgeID(i))
 		f.edges[i] = EdgeInfo{N1: e.N1, N2: e.N2, Length: e.Length, Weight: e.Weight}
 	}
-
-	var emit func(group []graph.NodeID) error
-	emit = func(group []graph.NodeID) error {
-		if len(group) == 0 {
-			return nil
+	for _, group := range groups {
+		if err := f.writeGroup(g, group); err != nil {
+			return nil, err
 		}
-		size := pageHeaderSize
-		for _, nd := range group {
-			size += nodeEntrySize(g.Degree(nd))
-		}
-		if size > storage.PageSize {
-			if len(group) == 1 {
-				return fmt.Errorf("ccam: node %d adjacency list (%d edges) exceeds one page",
-					group[0], g.Degree(group[0]))
-			}
-			mid := len(group) / 2
-			if err := emit(group[:mid]); err != nil {
-				return err
-			}
-			return emit(group[mid:])
-		}
-		return f.writeGroup(g, group)
-	}
-	if err := emit(order); err != nil {
-		return nil, err
 	}
 	if err := pool.Flush(); err != nil {
 		return nil, err

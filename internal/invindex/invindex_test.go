@@ -129,18 +129,32 @@ func TestLoadObjectsEmptyTerm(t *testing.T) {
 	}
 }
 
+// TestLoadObjectsUnknownTerm probes term 19 on every edge: every object
+// returned carries it, and an edge where no object carries it returns
+// nothing. The fixture must have edges of both kinds.
 func TestLoadObjectsUnknownTerm(t *testing.T) {
-	g, _, _, loader, _ := buildFixture(t, 100, 4)
+	g, col, _, loader, _ := buildFixture(t, 100, 4)
+	absent, found := 0, 0
 	for e := 0; e < g.NumEdges(); e++ {
 		got, err := loader.LoadObjects(context.Background(), graph.EdgeID(e), []obj.TermID{19})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Term 19 may or may not exist; just ensure no crash and that all
-		// returned objects really carry it.
 		for _, r := range got {
-			_ = r
+			if !col.Get(r.ID).HasTerm(19) || r.Edge != graph.EdgeID(e) {
+				t.Fatalf("edge %d: object %d on edge %d lacks term 19", e, r.ID, r.Edge)
+			}
 		}
+		found += len(got)
+		if len(bruteLoad(col, graph.EdgeID(e), []obj.TermID{19})) == 0 {
+			if len(got) != 0 {
+				t.Fatalf("edge %d carries no term 19, the probe returned %v", e, got)
+			}
+			absent++
+		}
+	}
+	if absent == 0 || found == 0 {
+		t.Fatalf("term 19 is absent from %d edges and found %d times; want both", absent, found)
 	}
 }
 

@@ -74,8 +74,8 @@ type Partition struct {
 }
 
 // Split partitions the road network into n edge-disjoint shards by
-// recursive two-way bisection of the Z-order node ordering — the same
-// rule ccam.Build uses to cluster nodes into pages, lifted one level up.
+// recursive two-way bisection of the Z-order node ordering, so each
+// shard is a contiguous run of the Z curve.
 func Split(g *graph.Graph, n int) (*Partition, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shard: %w: nil graph", ErrBadShardCount)

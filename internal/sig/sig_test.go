@@ -434,18 +434,21 @@ func TestQueryLogModels(t *testing.T) {
 	}
 }
 
-// buildSIFFixture assembles graph + objects + IF + SIF variants.
+// buildSIFFixture assembles graph + objects + IF + SIF variants. Terms
+// are drawn skewed toward low IDs, so the common terms' lists outgrow one
+// page and are signed while the rare ones are not; the fixture fails
+// unless some signature rejects some edge.
 func buildSIFFixture(t testing.TB, opts Options, seed int64) (*graph.Graph, *obj.Collection, *SIF) {
 	t.Helper()
-	g := testGraph(t, 60, seed)
+	g := testGraph(t, 120, seed)
 	rng := rand.New(rand.NewSource(seed + 1))
 	const vocab = 15
 	col := obj.NewCollection()
-	for i := 0; i < 600; i++ {
+	for i := 0; i < 1200; i++ {
 		e := graph.EdgeID(rng.Intn(g.NumEdges()))
 		ts := make([]obj.TermID, 1+rng.Intn(3))
 		for j := range ts {
-			ts[j] = obj.TermID(rng.Intn(vocab))
+			ts[j] = obj.TermID(rng.Intn(1 + rng.Intn(vocab)))
 		}
 		col.Add(graph.Position{Edge: e, Offset: rng.Float64() * g.Edge(e).Length}, ts)
 	}
@@ -461,7 +464,32 @@ func buildSIFFixture(t testing.TB, opts Options, seed int64) (*graph.Graph, *obj
 	if err != nil {
 		t.Fatal(err)
 	}
+	signed, rejecting := 0, 0
+	for term := range obj.TermID(vocab) {
+		if s.HasSignature(term) {
+			signed++
+			for e := range graph.EdgeID(g.NumEdges()) {
+				if !s.passesIn(s.roots.Sigs, e, []obj.TermID{term}) {
+					rejecting++
+				}
+			}
+		}
+	}
+	if rejecting == 0 {
+		t.Fatalf("seed %d: %d of %d terms signed and no signature rejects an edge; the signature test goes unexercised", seed, signed, vocab)
+	}
 	return g, col, s
+}
+
+// requireRejected fails unless the signature test rejected an edge among
+// the probes s has counted.
+func requireRejected(t *testing.T, s *SIF) {
+	t.Helper()
+	c := s.Counters()
+	if c.SigRejected == 0 {
+		t.Fatalf("no probe was rejected by a signature: %+v", c)
+	}
+	t.Logf("%+v", c)
 }
 
 func TestSIFNeverLosesObjects(t *testing.T) {
@@ -492,6 +520,7 @@ func TestSIFNeverLosesObjects(t *testing.T) {
 			}
 		}
 	}
+	requireRejected(t, s)
 }
 
 func TestSIFPartitionedNeverLosesObjects(t *testing.T) {
@@ -516,6 +545,7 @@ func TestSIFPartitionedNeverLosesObjects(t *testing.T) {
 			t.Fatalf("edge %d terms %v: got %d, want %d", e, ts, len(got), want)
 		}
 	}
+	requireRejected(t, s)
 }
 
 func TestSIFCountsFalseHits(t *testing.T) {
@@ -538,6 +568,7 @@ func TestSIFCountsFalseHits(t *testing.T) {
 	if c.Probes+c.SigRejected != 300 {
 		t.Errorf("probe+reject = %d, want 300", c.Probes+c.SigRejected)
 	}
+	requireRejected(t, s)
 }
 
 func TestSIFPReducesFalseHits(t *testing.T) {
@@ -566,6 +597,8 @@ func TestSIFPReducesFalseHits(t *testing.T) {
 	if b.TrueHits != a.TrueHits {
 		t.Errorf("true hits differ: SIF %d vs SIF-P %d", a.TrueHits, b.TrueHits)
 	}
+	requireRejected(t, sif)
+	requireRejected(t, sifp)
 }
 
 func TestSignatureSizeSmallerThanInvertedFile(t *testing.T) {
@@ -619,6 +652,7 @@ func TestLoadObjectsAnyMatchesBruteForce(t *testing.T) {
 	if nonEmpty == 0 {
 		t.Fatal("all union probes empty; test is vacuous")
 	}
+	requireRejected(t, s)
 }
 
 func TestLoadObjectsAnyEmptyTerms(t *testing.T) {
