@@ -378,6 +378,15 @@ func TestTypedErrors(t *testing.T) {
 	if err := db.Remove(dsks.ObjectID(12345)); !errors.Is(err, dsks.ErrUnknownObject) {
 		t.Errorf("remove unknown object: err = %v, want ErrUnknownObject", err)
 	}
+	// A route and a distance name the same sentinel for an edge outside
+	// the network.
+	on := dsks.Position{Edge: edges[0], Offset: 0}
+	if _, err := db.ShortestRoute(on, dsks.Position{Edge: 999, Offset: 0}); !errors.Is(err, dsks.ErrUnknownEdge) {
+		t.Errorf("route to a bad edge: err = %v, want ErrUnknownEdge", err)
+	}
+	if _, err := db.NetworkDistance(context.Background(), dsks.Position{Edge: 999, Offset: 0}, on); !errors.Is(err, dsks.ErrUnknownEdge) {
+		t.Errorf("distance from a bad edge: err = %v, want ErrUnknownEdge", err)
+	}
 
 	// The query paths classify the same violations instead of letting the
 	// index structures hit them unguarded (a term beyond the vocabulary

@@ -147,10 +147,11 @@ var (
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 	// ErrUnknownObject reports an ObjectID that does not name a live object.
 	ErrUnknownObject = errors.New("dsks: unknown object")
-	// ErrUnknownEdge reports an EdgeID outside the road network.
-	ErrUnknownEdge = errors.New("dsks: unknown edge")
+	// ErrUnknownEdge reports an EdgeID outside the road network, for a
+	// query, an insert, a network distance or a route alike.
+	ErrUnknownEdge = graph.ErrUnknownEdge
 	// ErrTermOutOfRange reports a TermID at or beyond the vocabulary size.
-	ErrTermOutOfRange = errors.New("dsks: term outside vocabulary")
+	ErrTermOutOfRange = engine.ErrTermOutOfRange
 	// ErrBadOptions reports invalid Options passed to Open.
 	ErrBadOptions = engine.ErrBadOptions
 	// ErrBadSnapshot reports a saved database directory that OpenPath
@@ -318,11 +319,6 @@ type DB struct {
 	// never overwrite the bytes of a newer one.
 	foldMu sync.Mutex
 
-	// version counts committed mutations (Insert/Remove). Result caches
-	// historically keyed on it; prefer View.LSN, which identifies the
-	// exact snapshot a result came from. Read with Version.
-	version atomic.Uint64
-
 	// wal is the write-ahead log, nil unless Options.WALDir was set.
 	// Mutators append under mu (so LSN order equals apply order) but wait
 	// for durability outside it — an fsync never stalls queries.
@@ -395,7 +391,7 @@ func (db *DB) attachWAL(opts Options, walFrom uint64) error {
 	db.wal = l
 	db.appliedLSN = walFrom
 	for _, r := range records {
-		if err := db.applyRecord(r); err != nil {
+		if err := db.replay(r); err != nil {
 			l.Close()
 			return err
 		}
@@ -403,40 +399,22 @@ func (db *DB) attachWAL(opts Options, walFrom uint64) error {
 	return nil
 }
 
-// applyRecord replays one log record over the in-memory state. Replay
-// re-validates everything the live mutation validated and additionally
-// checks that inserts reassign exactly the object ID the log recorded —
-// any divergence means the log does not belong to the opened state, and
-// fails with an error matching ErrBadWAL.
-func (db *DB) applyRecord(r wal.Record) error {
-	switch r.Type {
-	case wal.RecInsert:
-		pos := Position{Edge: EdgeID(r.Edge), Offset: r.Offset}
-		terms := make([]TermID, len(r.Terms))
-		for i, t := range r.Terms {
-			terms[i] = TermID(t)
-		}
-		if err := db.checkPosTerms("insert", pos, terms); err != nil {
-			return fmt.Errorf("%w: replaying insert at LSN %d: %w", ErrBadWAL, r.LSN, err)
-		}
-		id, err := db.applyInsertAt(r.LSN, db.eng.Graph.Clamp(pos), terms)
-		if err != nil {
-			return fmt.Errorf("dsks: replaying insert at LSN %d: %w", r.LSN, err)
-		}
-		if id != ObjectID(r.ID) {
-			return fmt.Errorf("%w: replaying LSN %d assigned object %d where the log recorded %d",
-				ErrBadWAL, r.LSN, id, r.ID)
-		}
-	case wal.RecRemove:
-		id := ObjectID(r.ID)
-		if err := db.checkRemove(id); err != nil {
-			return fmt.Errorf("%w: replaying remove at LSN %d: %w", ErrBadWAL, r.LSN, err)
-		}
-		if err := db.applyRemoveAt(r.LSN, id); err != nil {
-			return fmt.Errorf("dsks: replaying remove at LSN %d: %w", r.LSN, err)
-		}
-	default:
-		return fmt.Errorf("%w: record type %d at LSN %d", ErrBadWAL, r.Type, r.LSN)
+// replay applies one logged record — read back from the database's own
+// log at open, or shipped from a primary — over the in-memory state. It
+// runs a live mutation's check and apply, and additionally checks that an
+// insert reassigns exactly the object ID the log recorded: any divergence
+// means the log does not belong to the opened state, and fails with an
+// error matching ErrBadWAL before anything changes.
+func (db *DB) replay(r wal.Record) error {
+	err := db.check(r)
+	if n := db.eng.Objects.Len(); err == nil && r.Type == wal.RecInsert && int(r.ID) != n {
+		err = fmt.Errorf("the log recorded object %d where the collection assigns %d", r.ID, n)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: replaying LSN %d: %w", ErrBadWAL, r.LSN, err)
+	}
+	if err := db.apply(r); err != nil {
+		return fmt.Errorf("dsks: replaying LSN %d: %w", r.LSN, err)
 	}
 	db.appliedLSN = r.LSN
 	return nil
@@ -490,27 +468,6 @@ func (db *DB) SetTraceHook(h TraceHook) { db.eng.SetTraceHook(h) }
 // diversified), ranked searches fill Ranked, and collective searches fill
 // Collective.
 type Result = engine.Result
-
-// checkPosTerms validates what the index structures index into without
-// bounds checks of their own, for a query or an insert (op names which):
-// the position's edge must exist in the road network, its offset must be
-// finite (core.CheckOffset), and every term must fall inside the
-// vocabulary. Violations of the first and the last fail with errors
-// matching ErrUnknownEdge and ErrTermOutOfRange.
-func (db *DB) checkPosTerms(op string, pos Position, terms []TermID) error {
-	if pos.Edge < 0 || int(pos.Edge) >= db.eng.Graph.NumEdges() {
-		return fmt.Errorf("dsks: %s on edge %d: %w", op, pos.Edge, ErrUnknownEdge)
-	}
-	if err := core.CheckOffset(pos); err != nil {
-		return fmt.Errorf("dsks: %s on edge %d: %w", op, pos.Edge, err)
-	}
-	for _, t := range terms {
-		if t < 0 || int(t) >= db.eng.VocabSize {
-			return fmt.Errorf("dsks: term %d with vocabulary of %d: %w", t, db.eng.VocabSize, ErrTermOutOfRange)
-		}
-	}
-	return nil
-}
 
 // oneShot runs one query against a view opened for the call.
 func oneShot[Q any](ctx context.Context, db *DB, q Q, run func(*View, context.Context, Q) (Result, error)) (Result, error) {
@@ -617,7 +574,7 @@ func (db *DB) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
 // queries are never blocked and never observe a half-applied mutation:
 // views opened before the swap keep reading the old version, views opened
 // after it see the new one. Concurrent Insert/Remove calls serialize on
-// the writer latch. A successful insert bumps Version.
+// the writer latch. A successful insert publishes a new commit LSN.
 //
 // With a write-ahead log attached (Options.WALDir), the insert is logged
 // before it is applied and acknowledged only once its record is fsynced;
@@ -645,43 +602,121 @@ func (db *DB) Insert(pos Position, terms []TermID) (ObjectID, error) {
 // itself uses internally, exposed for layers (like a shard router) that
 // must record bookkeeping against the assigned ID before blocking.
 func (db *DB) InsertAsync(pos Position, terms []TermID) (ObjectID, uint64, error) {
-	db.mu.Lock()
-	if err := db.checkPosTerms("insert", pos, terms); err != nil {
-		db.mu.Unlock()
+	r := wal.Record{Type: wal.RecInsert, Edge: int32(pos.Edge), Offset: pos.Offset, Terms: make([]int32, len(terms))}
+	for i, t := range terms {
+		r.Terms[i] = int32(t)
+	}
+	r, err := db.commit(r)
+	if err != nil {
 		return 0, 0, err
 	}
-	pos = db.eng.Graph.Clamp(pos)
-	lsn := db.roots.Load().lsn + 1
+	return ObjectID(r.ID), r.LSN, nil
+}
+
+// commit is the one path of a live mutation, under the write latch: r is
+// checked, stamped with its commit LSN (an insert also with the object ID
+// the collection will assign and its clamped offset, so replay can verify
+// it reassigns the same ID), appended to the log when one is attached,
+// and applied. It returns the stamped record; the durability wait is the
+// caller's, after the latch is released.
+func (db *DB) commit(r wal.Record) (wal.Record, error) {
+	db.mu.Lock()
+	if err := db.check(r); err != nil {
+		db.mu.Unlock()
+		return r, err
+	}
+	if r.Type == wal.RecInsert {
+		r.ID = int32(db.eng.Objects.Len())
+		r.Offset = db.eng.Graph.Clamp(recordPos(r)).Offset
+	}
+	r.LSN = db.roots.Load().lsn + 1
 	if db.wal != nil {
-		rec := wal.Record{
-			Type: wal.RecInsert,
-			// The ID the collection will assign, recorded so replay can
-			// verify it reassigns the same one.
-			ID:     int32(db.eng.Objects.Len()),
-			Edge:   int32(pos.Edge),
-			Offset: pos.Offset,
-			Terms:  make([]int32, len(terms)),
-		}
-		for i, t := range terms {
-			rec.Terms[i] = int32(t)
-		}
-		var err error
-		if lsn, err = db.wal.Append(rec); err != nil {
+		lsn, err := db.wal.Append(r)
+		if err != nil {
 			db.mu.Unlock()
-			return 0, 0, fmt.Errorf("dsks: logging insert: %w", err)
+			return r, fmt.Errorf("dsks: logging object %d: %w", r.ID, err)
 		}
 		// The record exists whether or not the apply below succeeds, so
 		// snapshots must claim it — replaying it over a state that
 		// already allocated the ID would misnumber everything after it.
-		db.appliedLSN = lsn
+		r.LSN, db.appliedLSN = lsn, lsn
 	}
-	id, err := db.applyInsertAt(lsn, pos, terms)
+	err := db.apply(r)
 	db.mu.Unlock()
 	if err != nil {
-		return 0, 0, err
+		return r, err
 	}
 	db.reclaim()
-	return id, lsn, nil
+	return r, nil
+}
+
+// check validates a mutation without changing anything: an insert's
+// position and terms (engine.CheckPosTerms), or that a removed object is
+// live. Callers hold the write latch.
+func (db *DB) check(r wal.Record) error {
+	switch r.Type {
+	case wal.RecInsert:
+		return engine.CheckPosTerms(db.eng.Graph, db.eng.VocabSize, "insert", recordPos(r), recordTerms(r))
+	case wal.RecRemove:
+		col := db.eng.Objects
+		if id := ObjectID(r.ID); id < 0 || int(id) >= col.Len() || col.Removed(id) {
+			return fmt.Errorf("dsks: remove object %d: %w", id, ErrUnknownObject)
+		}
+		return nil
+	}
+	return fmt.Errorf("dsks: record type %d", r.Type)
+}
+
+// apply performs a checked, stamped mutation copy-on-write at the
+// record's commit LSN: the index mutation runs against a private page
+// batch and cloned roots, and only after it succeeds is the collection
+// changed and the new version published (a failed index mutation drops
+// the batch unpublished: no reader ever saw anything). The pool installs
+// the pages first (invisible — no reader is pinned at the new LSN yet)
+// and then runs the root swap that makes the LSN reachable. Signatures
+// are unchanged by removes (bits stay set), so the new version shares
+// them. Callers hold the write latch.
+func (db *DB) apply(r wal.Record) error {
+	cur := db.roots.Load()
+	col := db.eng.Objects
+	id := ObjectID(r.ID)
+	batch := db.eng.Pool.NewBatch(r.LSN)
+	idx := *cur.idx
+	next := &dbRoots{lsn: r.LSN, live: cur.live, idx: &idx}
+	if r.Type == wal.RecInsert {
+		pos := db.eng.Graph.Clamp(recordPos(r))
+		// Collection.Add normalizes terms; the index must see the same set.
+		terms := obj.NormalizeTerms(recordTerms(r))
+		if err := db.eng.Versions.InsertObjectAt(batch, &idx, id, pos, terms); err != nil {
+			return err
+		}
+		if got := col.Add(pos, terms); got != id {
+			return fmt.Errorf("dsks: insert assigned object %d where the index recorded %d", got, id)
+		}
+		next.live++
+	} else {
+		o := col.Get(id)
+		if err := db.eng.Versions.RemoveObjectAt(batch, &idx, id, o.Pos.Edge, o.Terms); err != nil {
+			return err
+		}
+		if err := col.Remove(id); err != nil {
+			return err
+		}
+		next.live--
+	}
+	db.eng.Pool.Publish(batch, func() { db.roots.Store(next) })
+	return nil
+}
+
+// recordPos and recordTerms decode an insert record's object.
+func recordPos(r wal.Record) Position { return Position{Edge: EdgeID(r.Edge), Offset: r.Offset} }
+
+func recordTerms(r wal.Record) []TermID {
+	terms := make([]TermID, len(r.Terms))
+	for i, t := range r.Terms {
+		terms[i] = TermID(t)
+	}
+	return terms
 }
 
 // WaitDurable blocks until the WAL record at lsn is fsynced (group
@@ -733,59 +768,21 @@ func (db *DB) TailWAL(fromLSN uint64) (*WALTailer, error) {
 // follower at its previous version.
 func (db *DB) ApplyShipped(r WALRecord) error {
 	db.mu.Lock()
-	if db.wal != nil {
-		db.mu.Unlock()
-		return fmt.Errorf("%w: shipped record applied to a database with its own log", ErrBadWAL)
+	var err error
+	switch want := db.roots.Load().lsn + 1; {
+	case db.wal != nil:
+		err = fmt.Errorf("%w: shipped record applied to a database with its own log", ErrBadWAL)
+	case r.LSN != want:
+		err = fmt.Errorf("%w: shipped record at LSN %d where %d was expected", ErrBadWAL, r.LSN, want)
+	default:
+		err = db.replay(r)
 	}
-	if want := db.roots.Load().lsn + 1; r.LSN != want {
-		db.mu.Unlock()
-		return fmt.Errorf("%w: shipped record at LSN %d where %d was expected", ErrBadWAL, r.LSN, want)
-	}
-	err := db.applyRecord(r)
 	db.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	db.reclaim()
 	return nil
-}
-
-// applyInsertAt performs a validated insert copy-on-write at commit LSN
-// lsn: the index mutation runs against a private page batch and cloned
-// roots with the ID the collection will assign; only after it succeeds is
-// the collection extended and the new version published. Callers hold the
-// write latch. pos must already be clamped.
-func (db *DB) applyInsertAt(lsn uint64, pos Position, terms []TermID) (ObjectID, error) {
-	cur := db.roots.Load()
-	col := db.eng.Objects
-	// The ID the collection will assign below; indexing it before col.Add
-	// means a failed index mutation leaves the collection untouched.
-	id := ObjectID(col.Len())
-	// Collection.Add normalizes terms; the index must see the same set.
-	normTerms := obj.NormalizeTerms(append([]TermID(nil), terms...))
-
-	batch := db.eng.Pool.NewBatch(lsn)
-	idx := *cur.idx
-	if err := db.eng.Versions.InsertObjectAt(batch, &idx, id, pos, normTerms); err != nil {
-		// The batch is dropped unpublished: no reader ever saw anything.
-		return 0, err
-	}
-	got := col.Add(pos, append([]TermID(nil), terms...))
-	if got != id {
-		return 0, fmt.Errorf("dsks: insert assigned object %d where the index recorded %d", got, id)
-	}
-	db.publish(batch, &dbRoots{lsn: lsn, live: cur.live + 1, idx: &idx})
-	return id, nil
-}
-
-// publish installs a mutation's pages and roots as the current version.
-// The pool installs the pages first (invisible — no reader is pinned at
-// the new LSN yet) and then runs the root swap that makes the LSN
-// reachable; the order is Publish's, not the caller's. Callers hold the
-// write latch.
-func (db *DB) publish(batch *storage.WriteBatch, next *dbRoots) {
-	db.eng.Pool.Publish(batch, func() { db.roots.Store(next) })
-	db.version.Add(1)
 }
 
 // reclaim folds page versions every live view has moved past back into
@@ -806,72 +803,18 @@ func (db *DB) reclaim() {
 // Remove follows Insert's copy-on-write protocol: the next version is
 // built privately and published atomically, so concurrent queries are
 // never blocked and views opened earlier still see the object. A
-// successful remove bumps Version. With a write-ahead log attached it is
-// logged before applied and acknowledged once fsynced.
+// successful remove publishes a new commit LSN. With a write-ahead log
+// attached it is logged before applied and acknowledged once fsynced.
 func (db *DB) Remove(id ObjectID) error {
-	db.mu.Lock()
-	if err := db.checkRemove(id); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	lsn := db.roots.Load().lsn + 1
-	if db.wal != nil {
-		var err error
-		if lsn, err = db.wal.Append(wal.Record{Type: wal.RecRemove, ID: int32(id)}); err != nil {
-			db.mu.Unlock()
-			return fmt.Errorf("dsks: logging remove: %w", err)
-		}
-		db.appliedLSN = lsn
-	}
-	err := db.applyRemoveAt(lsn, id)
-	db.mu.Unlock()
+	r, err := db.commit(wal.Record{Type: wal.RecRemove, ID: int32(id)})
 	if err != nil {
 		return err
 	}
-	db.reclaim()
-	if db.wal != nil {
-		if werr := db.wal.WaitDurable(lsn); werr != nil {
-			return fmt.Errorf("dsks: remove of object %d applied but not durable: %w", id, werr)
-		}
+	if werr := db.WaitDurable(r.LSN); werr != nil {
+		return fmt.Errorf("dsks: remove of object %d applied but not durable: %w", id, werr)
 	}
 	return nil
 }
-
-// checkRemove validates a remove without changing anything; callers hold
-// the write latch.
-func (db *DB) checkRemove(id ObjectID) error {
-	col := db.eng.Objects
-	if id < 0 || int(id) >= col.Len() || col.Removed(id) {
-		return fmt.Errorf("dsks: remove object %d: %w", id, ErrUnknownObject)
-	}
-	return nil
-}
-
-// applyRemoveAt performs a validated remove copy-on-write at commit LSN
-// lsn (see applyInsertAt); callers hold the write latch. Signatures are
-// unchanged by removes (bits stay set), so the new version shares them.
-func (db *DB) applyRemoveAt(lsn uint64, id ObjectID) error {
-	cur := db.roots.Load()
-	col := db.eng.Objects
-	o := col.Get(id)
-
-	batch := db.eng.Pool.NewBatch(lsn)
-	idx := *cur.idx
-	if err := db.eng.Versions.RemoveObjectAt(batch, &idx, id, o.Pos.Edge, o.Terms); err != nil {
-		return err
-	}
-	if err := col.Remove(id); err != nil {
-		return err
-	}
-	db.publish(batch, &dbRoots{lsn: lsn, live: cur.live - 1, idx: &idx})
-	return nil
-}
-
-// Version returns the database's mutation counter: the number of
-// successful Insert and Remove calls since Open (replayed log records
-// count too). Prefer LSN (or View.LSN), which names the exact published
-// version a reader observes.
-func (db *DB) Version() uint64 { return db.version.Load() }
 
 // Graph exposes the road network the database was opened with. The
 // graph is immutable once frozen; callers (the shard router replicates
@@ -888,9 +831,8 @@ func (db *DB) VocabSize() int { return db.eng.VocabSize }
 func (db *DB) ObjectCount() int { return db.eng.Objects.Len() }
 
 // Object reports an allocated object's position and terms, and whether
-// it is still live; ok is false for IDs that were never allocated. The
-// shard router uses it to rebuild its ID maps after a WAL replay moved a
-// shard past the state the router last saw.
+// it is still live; ok is false for IDs that were never allocated: what
+// a WAL replay restored can be read back object by object.
 func (db *DB) Object(id ObjectID) (pos Position, terms []TermID, live, ok bool) {
 	col := db.eng.Objects
 	if id < 0 || int(id) >= col.Len() {
@@ -938,16 +880,10 @@ func (db *DB) NetworkDistance(ctx context.Context, a, b Position) (float64, erro
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	g := db.eng.Graph
-	for _, p := range [2]Position{a, b} {
-		if p.Edge < 0 || int(p.Edge) >= g.NumEdges() {
-			return 0, fmt.Errorf("dsks: network distance at edge %d: %w", p.Edge, ErrUnknownEdge)
-		}
-		if err := core.CheckOffset(p); err != nil {
-			return 0, fmt.Errorf("dsks: network distance at edge %d: %w", p.Edge, err)
-		}
+	if err := db.checkEnds(a, b, "network distance"); err != nil {
+		return 0, err
 	}
-	d := g.NetworkDist(a, b)
+	d := db.eng.Graph.NetworkDist(a, b)
 	if math.IsInf(d, 1) {
 		return 0, fmt.Errorf("dsks: network distance between edges %d and %d: %w", a.Edge, b.Edge, ErrNoPath)
 	}
@@ -960,14 +896,23 @@ type Route = graph.Route
 // ShortestRoute returns the least-cost path between two positions — the
 // traversed edges in order plus the total cost — for presenting results
 // ("how do I get there") rather than just ranking them. A position's
-// offset must be finite.
+// offset must be finite, and a position on an edge outside the network
+// fails with an error matching ErrUnknownEdge.
 func (db *DB) ShortestRoute(a, b Position) (Route, error) {
-	for _, p := range [2]Position{a, b} {
-		if err := core.CheckOffset(p); err != nil {
-			return Route{}, fmt.Errorf("dsks: route at edge %d: %w", p.Edge, err)
-		}
+	if err := db.checkEnds(a, b, "route"); err != nil {
+		return Route{}, err
 	}
 	return db.eng.Graph.ShortestRoute(a, b)
+}
+
+// checkEnds validates both ends of a distance or a route.
+func (db *DB) checkEnds(a, b Position, op string) error {
+	for _, p := range [2]Position{a, b} {
+		if err := engine.CheckPosTerms(db.eng.Graph, db.eng.VocabSize, op, p, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // IndexSizeBytes returns the on-disk footprint of the object index.

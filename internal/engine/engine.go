@@ -112,6 +112,31 @@ type Options struct {
 // a query; the public package re-exports it.
 var ErrBadOptions = errors.New("dsks: bad options")
 
+// ErrTermOutOfRange reports a TermID at or beyond the vocabulary size; the
+// public package re-exports it.
+var ErrTermOutOfRange = errors.New("dsks: term outside vocabulary")
+
+// CheckPosTerms validates what the index structures index into without
+// bounds checks of their own, for a query, an insert or a distance (op
+// names which): the position's edge must exist in g, its offset must be
+// finite (core.CheckOffset), and every term must fall inside a vocabulary
+// of vocab terms. Violations of the first and the last fail with errors
+// matching graph.ErrUnknownEdge and ErrTermOutOfRange.
+func CheckPosTerms(g *graph.Graph, vocab int, op string, pos graph.Position, terms []obj.TermID) error {
+	if pos.Edge < 0 || int(pos.Edge) >= g.NumEdges() {
+		return fmt.Errorf("dsks: %s on edge %d: %w", op, pos.Edge, graph.ErrUnknownEdge)
+	}
+	if err := core.CheckOffset(pos); err != nil {
+		return fmt.Errorf("dsks: %s on edge %d: %w", op, pos.Edge, err)
+	}
+	for _, t := range terms {
+		if t < 0 || int(t) >= vocab {
+			return fmt.Errorf("dsks: term %d with vocabulary of %d: %w", t, vocab, ErrTermOutOfRange)
+		}
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.BufferFraction <= 0 {
 		o.BufferFraction = 0.02

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,20 +18,6 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkInsertTree(b *testing.B) {
-	tr, err := New(newPool(2048))
-	if err != nil {
-		b.Fatal(err)
-	}
-	es := randomEntriesBench(1_000_000, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(es[i%len(es)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSearchSmallWindow(b *testing.B) {
 	tr, err := BulkLoad(newPool(2048), randomEntriesBench(50_000, 3))
 	if err != nil {
@@ -41,7 +28,7 @@ func BenchmarkSearchSmallWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x, y := rng.Float64()*geo.WorldMax, rng.Float64()*geo.WorldMax
 		q := geo.Rect{MinX: x, MinY: y, MaxX: x + 50, MaxY: y + 50}
-		if err := tr.Search(q, func(Entry) bool { return true }); err != nil {
+		if err := tr.SearchCtx(context.Background(), q, func(Entry) bool { return true }); err != nil {
 			b.Fatal(err)
 		}
 	}

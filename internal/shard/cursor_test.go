@@ -245,7 +245,7 @@ func divQuery(t *testing.T, ds *dsks.Dataset) dsks.DivQuery {
 // diversifyTraced runs a diversified query the way SearchDiversified does,
 // keeping the cursors so the test can see how each leg ended.
 func diversifyTraced(ctx context.Context, mv *MultiView, q dsks.DivQuery) (dsks.Result, []*legCursor, error) {
-	targets := mv.set.routed(q.Pos, q.DeltaMax, q.Terms, true)
+	targets := mv.routed(q.Pos, q.DeltaMax, q.Terms, true)
 	cursors := mv.cursors(ctx, targets, q.SKQuery)
 	res, _, err := mv.merge(ctx, targets, cursors, q)
 	return res, cursors, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -718,5 +719,63 @@ func requireGroupNear(t *testing.T, tag string, want, got dsks.CollectiveResult)
 	}
 	if !same {
 		t.Fatalf("%s: group %+v, want %+v", tag, got, want)
+	}
+}
+
+// TestRoutingDropsAShardThatLostATerm: once every holder of a term on one
+// shard is removed, a boolean query on that term leaves the shard out —
+// the router asks the shard's pinned view, whose posting counts a remove
+// lowers — and still answers as the single node does.
+func TestRoutingDropsAShardThatLostATerm(t *testing.T) {
+	single, sets, ds := equivFixture(t, []int{4}, dsks.Options{Index: dsks.IndexSIF})
+	set := sets[0]
+	ctx := context.Background()
+	const term, lost = dsks.TermID(0), 1
+	var holders []dsks.ObjectID
+	for id := 0; id < ds.Objects.Len(); id++ {
+		o := ds.Objects.Get(dsks.ObjectID(id))
+		if o.HasTerm(term) && int(set.Partition().Owner[o.Pos.Edge]) == lost {
+			holders = append(holders, o.ID)
+		}
+	}
+	if len(holders) == 0 {
+		t.Fatalf("no object on shard %d holds term %d", lost, term)
+	}
+	q := dsks.SKQuery{Pos: ds.Objects.Get(holders[0]).Pos, Terms: []dsks.TermID{term}, DeltaMax: 1e9}
+
+	search := func(phase string) []int {
+		t.Helper()
+		want, err := single.Search(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mv, err := set.View(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mv.Close()
+		got, err := mv.Search(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortCandidates(want.Candidates)
+		sortCandidates(got.Candidates)
+		requireSameCandidates(t, phase, want.Candidates, got.Candidates)
+		return mv.Meta().Queried
+	}
+
+	if queried := search("before"); !slices.Contains(queried, lost) {
+		t.Fatalf("before the removes shard %d was not queried: %v", lost, queried)
+	}
+	for _, id := range holders {
+		if err := single.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := set.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if queried := search("after"); slices.Contains(queried, lost) {
+		t.Fatalf("shard %d holds no object with term %d and was queried: %v", lost, term, queried)
 	}
 }

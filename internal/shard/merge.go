@@ -8,6 +8,7 @@ import (
 
 	"dsks"
 	"dsks/internal/core"
+	"dsks/internal/engine"
 )
 
 // Every MultiView query family runs the way one node runs it: the
@@ -68,10 +69,10 @@ func (mv *MultiView) query(ctx context.Context, q core.Query) (res dsks.Result, 
 		return dsks.Result{}, dsks.ErrViewClosed
 	}
 	skq, or := q.Expansion()
-	if err := mv.set.guard(skq.Pos, skq.Terms); err != nil {
+	if err := engine.CheckPosTerms(mv.set.g, mv.set.vocab, "query", skq.Pos, skq.Terms); err != nil {
 		return dsks.Result{}, err
 	}
-	targets := mv.set.routed(skq.Pos, skq.DeltaMax, skq.Terms, !or)
+	targets := mv.routed(skq.Pos, skq.DeltaMax, skq.Terms, !or)
 	cursors := mv.cursors(ctx, targets, skq)
 	if or {
 		for _, c := range cursors {
@@ -80,6 +81,44 @@ func (mv *MultiView) query(ctx context.Context, q core.Query) (res dsks.Result, 
 	}
 	res, own, err = mv.merge(ctx, targets, cursors, q)
 	return res, err
+}
+
+// routed lists the shards a query with the given position, radius and
+// terms must visit. Distance pruning uses the partition's sound lower
+// bound networkDist >= MinCostRatio·euclid against each region MBR; term
+// pruning asks each shard's pinned view which terms it holds (the
+// question Algorithm 2 asks of an edge) — with allTerms set (the
+// boolean/diversified/kNN AND semantics) a shard missing any query term
+// is skipped, otherwise (ranked/collective OR semantics) only a shard
+// missing every term is. The views' posting counts are exact at their
+// LSNs, so a shard left out holds no candidate at the pinned vector.
+func (mv *MultiView) routed(pos dsks.Position, radius float64, terms []dsks.TermID, allTerms bool) []int {
+	s := mv.set
+	pt := s.g.PointAt(pos.Edge, pos.Offset)
+	out := make([]int, 0, len(s.shards))
+	for i, v := range mv.views {
+		lb, nonEmpty := s.part.LowerBound(i, pt)
+		if !nonEmpty || (radius > 0 && lb > radius) {
+			continue
+		}
+		if len(terms) > 0 && !holds(v, terms, allTerms) {
+			continue
+		}
+		out = append(out, i)
+	}
+	return out
+}
+
+// holds reports whether view v holds every term (allTerms) or any term of
+// terms.
+func holds(v *dsks.View, terms []dsks.TermID, allTerms bool) bool {
+	for _, t := range terms {
+		if v.HoldsTerm(t) != allTerms {
+			// A missing term fails AND; a held one satisfies OR.
+			return !allTerms
+		}
+	}
+	return allTerms
 }
 
 // merge runs q's answer over the cursors' merged streams, then ends every

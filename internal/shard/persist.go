@@ -15,17 +15,16 @@ import (
 const setManifestName = "shard-set.json"
 
 // setManifest persists the router's state next to the per-shard
-// snapshots: the shard count, the global↔local ID maps and the term
-// bitmaps. The per-shard LSN vector is recorded for diagnostics; a
-// reopened shard may legitimately sit past it after replaying its WAL
-// tail, in which case OpenSetPath reconciles the extra objects.
+// snapshots: the shard count, the vocabulary and the global↔local ID
+// maps. Which terms a shard holds is its own snapshot's to say; the term
+// bitmaps and LSN vector that manifests of earlier builds carry are
+// ignored. A reopened shard may legitimately sit past the manifest after
+// replaying its WAL tail; OpenSetPath reconciles the extra objects.
 type setManifest struct {
 	Version   int             `json:"version"`
 	Shards    int             `json:"shards"`
 	VocabSize int             `json:"vocabSize"`
 	Homes     [][2]int64      `json:"homes"` // global -> (shard, local); shard -1 = burned
-	TermBits  [][]uint64      `json:"termBits"`
-	LSNs      []uint64        `json:"lsns"`
 	NextLocal []dsks.ObjectID `json:"nextLocal"`
 }
 
@@ -57,15 +56,10 @@ func (s *Set) SaveTo(dir string) error {
 		Shards:    len(s.shards),
 		VocabSize: s.vocab,
 		Homes:     make([][2]int64, len(s.homes)),
-		TermBits:  make([][]uint64, len(s.termBits)),
-		LSNs:      s.LSNs(),
 		NextLocal: make([]dsks.ObjectID, len(s.shards)),
 	}
 	for g, h := range s.homes {
 		m.Homes[g] = [2]int64{int64(h.shard), int64(h.local)}
-	}
-	for i, bits := range s.termBits {
-		m.TermBits[i] = append([]uint64(nil), bits...)
 	}
 	// A shard's next local ID is read off its ID map, which s.mu guards
 	// with the homes, not off nextLocal, which its insert latch guards.
@@ -105,27 +99,20 @@ func installManifest(dir string, blob []byte) error {
 
 // decodeSetManifest parses a set manifest and checks everything the
 // reopen indexes or sizes by before anything is allocated: version 1, at
-// least one shard, a vocabulary of at least one term with one bitmap of
-// its words per shard, a next local ID per shard that is not negative,
-// and every home either burned (shard -1) or a shard of the set and a
-// local ID below that shard's next one. Any violation is ErrBadManifest.
+// least one shard, a vocabulary of at least one term, a next local ID per
+// shard that is not negative, and every home either burned (shard -1) or
+// a shard of the set and a local ID below that shard's next one. Any
+// violation is ErrBadManifest.
 func decodeSetManifest(blob []byte) (setManifest, error) {
 	var m setManifest
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return m, fmt.Errorf("shard: decoding set manifest: %w: %w", ErrBadManifest, err)
 	}
-	if m.Version != 1 || m.Shards < 1 || len(m.TermBits) != m.Shards || len(m.NextLocal) != m.Shards {
+	if m.Version != 1 || m.Shards < 1 || len(m.NextLocal) != m.Shards {
 		return m, fmt.Errorf("shard: set manifest version %d with %d shards: %w", m.Version, m.Shards, ErrBadManifest)
 	}
 	if m.VocabSize < 1 {
 		return m, fmt.Errorf("shard: set manifest vocabulary of %d: %w", m.VocabSize, ErrBadManifest)
-	}
-	words := (m.VocabSize + 63) / 64
-	for i, bits := range m.TermBits {
-		if len(bits) != words {
-			return m, fmt.Errorf("shard: set manifest term bitmap of shard %d has %d words, vocabulary %d needs %d: %w",
-				i, len(bits), m.VocabSize, words, ErrBadManifest)
-		}
 	}
 	for i, n := range m.NextLocal {
 		if n < 0 {
@@ -211,9 +198,6 @@ func OpenSetPath(dir string, opts Options) (*Set, error) {
 			}
 			sh.globals[h[1]] = dsks.ObjectID(g)
 		}
-	}
-	for i, bits := range m.TermBits {
-		copy(s.termBits[i], bits)
 	}
 	for i := range s.shards {
 		s.reconcile(i)

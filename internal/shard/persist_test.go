@@ -136,15 +136,14 @@ func TestSetSavedUnderInsertsReopens(t *testing.T) {
 
 // FuzzSetManifest: decodeSetManifest never panics, rejects with
 // ErrBadManifest, and every manifest it accepts is one OpenSetPath can
-// index and size by without a check of its own: version 1, one term
-// bitmap of the vocabulary's words and one next local ID (not negative)
-// per shard, and every home burned or a local ID below its shard's next.
+// index and size by without a check of its own: version 1, one next local
+// ID (not negative) per shard, and every home burned or a local ID below
+// its shard's next. The last seed carries term bitmaps and must decode:
+// JSON fields the manifest does not name are ignored.
 func FuzzSetManifest(f *testing.F) {
 	valid := setManifest{
 		Version: 1, Shards: 2, VocabSize: 70,
 		Homes:     [][2]int64{{0, 0}, {1, 0}, {-1, 0}, {0, 1}},
-		TermBits:  [][]uint64{{1, 2}, {3, 4}},
-		LSNs:      []uint64{4, 2},
 		NextLocal: []dsks.ObjectID{2, 1},
 	}
 	blob, err := json.Marshal(valid)
@@ -157,7 +156,7 @@ func FuzzSetManifest(f *testing.F) {
 		func(m *setManifest) { m.VocabSize = -1000 },
 		func(m *setManifest) { m.Homes = [][2]int64{{1, 300_000_000}} },
 		func(m *setManifest) { m.Homes = [][2]int64{{-2, 0}} },
-		func(m *setManifest) { m.TermBits = [][]uint64{{1}, {3}} },
+		func(m *setManifest) { m.NextLocal = []dsks.ObjectID{2} },
 	} {
 		m := valid
 		edit(&m)
@@ -167,7 +166,11 @@ func FuzzSetManifest(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":1,"shards":1,"vocabSize":1,"termBits":[[0]],"nextLocal":[0]}`))
+	old := []byte(`{"version":1,"shards":1,"vocabSize":1,"termBits":[[0]],"nextLocal":[0]}`)
+	if _, err := decodeSetManifest(old); err != nil {
+		f.Fatalf("a manifest with term bitmaps: %v", err)
+	}
+	f.Add(old)
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		m, err := decodeSetManifest(blob)
@@ -177,14 +180,13 @@ func FuzzSetManifest(f *testing.F) {
 			}
 			return
 		}
-		if m.Version != 1 || m.Shards < 1 || len(m.TermBits) != m.Shards || len(m.NextLocal) != m.Shards || m.VocabSize < 1 {
-			t.Fatalf("accepted version %d, %d shards, %d bitmaps, %d next local IDs, vocabulary %d",
-				m.Version, m.Shards, len(m.TermBits), len(m.NextLocal), m.VocabSize)
+		if m.Version != 1 || m.Shards < 1 || len(m.NextLocal) != m.Shards || m.VocabSize < 1 {
+			t.Fatalf("accepted version %d, %d shards, %d next local IDs, vocabulary %d",
+				m.Version, m.Shards, len(m.NextLocal), m.VocabSize)
 		}
-		for i := range m.TermBits {
-			if len(m.TermBits[i]) != (m.VocabSize+63)/64 || m.NextLocal[i] < 0 {
-				t.Fatalf("accepted shard %d with a %d-word bitmap for vocabulary %d and next local ID %d",
-					i, len(m.TermBits[i]), m.VocabSize, m.NextLocal[i])
+		for i, n := range m.NextLocal {
+			if n < 0 {
+				t.Fatalf("accepted shard %d with next local ID %d", i, n)
 			}
 		}
 		for g, h := range m.Homes {

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -41,24 +42,23 @@ func waitReplicasConverged(t *testing.T, set *Set) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		behind := false
+		behind := ""
 		for i := range set.shards {
 			lsn := set.shards[i].db.LSN()
 			for _, rep := range set.shards[i].replicas {
 				if err := rep.Err(); err != nil {
 					t.Fatalf("replica %d of shard %d died: %v", rep.idx, i, err)
 				}
-				if rep.AppliedLSN() < lsn {
-					behind = true
+				if at := rep.AppliedLSN(); at < lsn {
+					behind = fmt.Sprintf("replica %d of shard %d at LSN %d, its primary at %d", rep.idx, i, at, lsn)
 				}
 			}
 		}
-		if !behind {
+		if behind == "" {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replicas did not converge: primaries %v, replicas %v",
-				set.LSNs(), set.Health())
+			t.Fatalf("replicas did not converge: %s; health %v", behind, set.Health())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -188,7 +188,7 @@ func answerEveryFamily(t *testing.T, set *Set, ds *dsks.Dataset) familyAnswers {
 // drainStream pulls q's merged leg stream (the arrival sequence of the
 // diversified family) to its end.
 func drainStream(ctx context.Context, mv *MultiView, q dsks.SKQuery) ([]dsks.Candidate, error) {
-	cursors := mv.cursors(ctx, mv.set.routed(q.Pos, q.DeltaMax, q.Terms, true), q)
+	cursors := mv.cursors(ctx, mv.routed(q.Pos, q.DeltaMax, q.Terms, true), q)
 	sources := make([]core.ArrivalSource, len(cursors))
 	for i, c := range cursors {
 		sources[i] = c

@@ -43,8 +43,6 @@ const (
 	CounterFanoutLegs = "router_fanout_legs_total"
 	CounterPrunedLegs = "router_pruned_legs_total"
 	CounterPartial    = "router_partial_total"
-	CounterInserts    = "router_inserts_total"
-	CounterRemoves    = "router_removes_total"
 )
 
 // Options configures a shard set.
@@ -115,8 +113,7 @@ type shardState struct {
 
 // Set is an N-way sharded database: one dsks.DB per partition group, all
 // sharing the (replicated, immutable) road network, plus the routing
-// state — the partition summary, the global↔local object ID maps and the
-// per-shard term-presence bitmaps.
+// state — the partition summary and the global↔local object ID maps.
 type Set struct {
 	g     *dsks.Graph
 	vocab int
@@ -157,11 +154,10 @@ type Set struct {
 	// independently.
 	seq atomic.Uint64
 
-	// mu guards homes, every shard's globals slice and termBits. All
-	// critical sections are pure memory operations.
-	mu       sync.RWMutex
-	homes    []home
-	termBits [][]uint64
+	// mu guards homes and every shard's globals slice. All critical
+	// sections are pure memory operations.
+	mu    sync.RWMutex
+	homes []home
 
 	closed atomic.Bool
 }
@@ -193,7 +189,7 @@ func Open(g *dsks.Graph, objects *dsks.Collection, vocabSize, n int, opts Option
 		o := objects.Get(oid)
 		owner := int(part.Owner[o.Pos.Edge])
 		local := cols[owner].Add(o.Pos, append([]dsks.TermID(nil), o.Terms...))
-		s.record(owner, local, o.Terms)
+		s.record(owner, local)
 	}
 
 	for i := range s.shards {
@@ -262,12 +258,7 @@ func (s *Set) checkReplication() error {
 func (s *Set) reconcile(i int) {
 	sh := &s.shards[i]
 	for int(sh.nextLocal) < sh.db.ObjectCount() {
-		local := sh.nextLocal
-		_, terms, _, ok := sh.db.Object(local)
-		if !ok {
-			break
-		}
-		s.record(i, local, terms)
+		s.record(i, sh.nextLocal)
 		sh.nextLocal++
 	}
 }
@@ -297,14 +288,11 @@ func newSet(g *dsks.Graph, vocabSize int, part *Partition, opts Options) *Set {
 		failTotal:  reg.Counter(CounterFailovers),
 		repApplied: reg.Counter(GaugeReplicaApplied),
 		repLag:     reg.Counter(GaugeReplicaLag),
-		termBits:   make([][]uint64, part.Shards),
 	}
 	if s.nreplicas < 0 {
 		s.nreplicas = 0
 	}
-	words := (vocabSize + 63) / 64
 	for i := range s.shards {
-		s.termBits[i] = make([]uint64, words)
 		s.shards[i].reqs = reg.Counter(fmt.Sprintf("shard%d_requests_total", i))
 		s.shards[i].errs = reg.Counter(fmt.Sprintf("shard%d_errors_total", i))
 		if s.nreplicas > 0 {
@@ -331,9 +319,9 @@ func shardOptions(o dsks.Options, i int) dsks.Options {
 	return o
 }
 
-// record notes a (shard, local) → global assignment and folds the terms
-// into the shard's presence bitmap. Callers must not hold s.mu.
-func (s *Set) record(owner int, local dsks.ObjectID, terms []dsks.TermID) dsks.ObjectID {
+// record notes a (shard, local) → global assignment. Callers must not
+// hold s.mu.
+func (s *Set) record(owner int, local dsks.ObjectID) dsks.ObjectID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	global := dsks.ObjectID(len(s.homes))
@@ -343,12 +331,6 @@ func (s *Set) record(owner int, local dsks.ObjectID, terms []dsks.TermID) dsks.O
 		sh.globals = append(sh.globals, -1)
 	}
 	sh.globals[local] = global
-	bits := s.termBits[owner]
-	for _, t := range terms {
-		if t >= 0 && int(t) < s.vocab {
-			bits[t/64] |= 1 << (uint(t) % 64)
-		}
-	}
 	return global
 }
 
@@ -421,15 +403,6 @@ func (s *Set) Snapshot() metrics.Snapshot {
 
 // Seq is the router's mutation clock (see Insert).
 func (s *Set) Seq() uint64 { return s.seq.Load() }
-
-// LSNs is the current per-shard commit LSN vector.
-func (s *Set) LSNs() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i := range s.shards {
-		out[i] = s.shards[i].db.LSN()
-	}
-	return out
-}
 
 // DurableLSNs is the per-shard durable LSN vector.
 func (s *Set) DurableLSNs() []uint64 {
@@ -516,25 +489,6 @@ func (s *Set) ResetIO() error {
 	return first
 }
 
-// checkMutation mirrors the per-shard databases' validation so a bad
-// mutation is rejected before a global ID is reserved: without this, a
-// failed insert would burn an ID and the set's ID sequence would drift
-// from an unsharded database fed the same history.
-func (s *Set) checkMutation(pos dsks.Position, terms []dsks.TermID) error {
-	if pos.Edge < 0 || int(pos.Edge) >= s.g.NumEdges() {
-		return fmt.Errorf("shard: insert on edge %d: %w", pos.Edge, dsks.ErrUnknownEdge)
-	}
-	if err := core.CheckOffset(pos); err != nil {
-		return fmt.Errorf("shard: insert on edge %d: %w", pos.Edge, err)
-	}
-	for _, t := range terms {
-		if t < 0 || int(t) >= s.vocab {
-			return fmt.Errorf("shard: term %d with vocabulary of %d: %w", t, s.vocab, dsks.ErrTermOutOfRange)
-		}
-	}
-	return nil
-}
-
 // Insert routes the object to the shard owning its edge and returns the
 // global object ID plus the router's mutation sequence number (monotone
 // over the whole set; per-shard LSNs advance independently and are
@@ -549,7 +503,9 @@ func (s *Set) Insert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectID, uin
 	if s.closed.Load() {
 		return 0, 0, ErrClosed
 	}
-	if err := s.checkMutation(pos, terms); err != nil {
+	// Checked here as the shard will check it, so a bad insert is the
+	// client's error, not a failure of the shard it would be routed to.
+	if err := engine.CheckPosTerms(s.g, s.vocab, "insert", pos, terms); err != nil {
 		return 0, 0, err
 	}
 	owner := int(s.part.Owner[pos.Edge])
@@ -568,7 +524,7 @@ func (s *Set) Insert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectID, uin
 			owner, local, sh.nextLocal, ErrShardDown)
 	}
 	sh.nextLocal++
-	global := s.record(owner, local, terms)
+	global := s.record(owner, local)
 	sh.insMu.Unlock()
 
 	seq := s.seq.Add(1)
@@ -634,74 +590,6 @@ func (s *Set) lookupGlobal(shardIdx int, local dsks.ObjectID) (dsks.ObjectID, bo
 	}
 	g := sh.globals[local]
 	return g, g >= 0
-}
-
-// routed lists the shards a query with the given position, radius and
-// terms must visit. Distance pruning uses the partition's sound lower
-// bound networkDist >= MinCostRatio·euclid against each region MBR; term
-// pruning uses the per-shard presence bitmaps — with allTerms set (the
-// boolean/diversified/kNN AND semantics) a shard missing any query term
-// is skipped, otherwise (ranked/collective OR semantics) only a shard
-// missing every term is. Bits are set on insert and never cleared on
-// remove, so the bitmap is conservative: it can cost a wasted leg, never
-// a missed candidate.
-func (s *Set) routed(pos dsks.Position, radius float64, terms []dsks.TermID, allTerms bool) []int {
-	pt := s.g.PointAt(pos.Edge, pos.Offset)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.shards))
-	for i := range s.shards {
-		lb, nonEmpty := s.part.LowerBound(i, pt)
-		if !nonEmpty {
-			continue
-		}
-		if radius > 0 && lb > radius {
-			continue
-		}
-		if len(terms) > 0 && !s.termsPresentLocked(i, terms, allTerms) {
-			continue
-		}
-		out = append(out, i)
-	}
-	return out
-}
-
-// termsPresentLocked reports whether shard i can contain a match for the
-// query terms; callers hold s.mu.
-func (s *Set) termsPresentLocked(i int, terms []dsks.TermID, allTerms bool) bool {
-	bits := s.termBits[i]
-	any := false
-	for _, t := range terms {
-		if t < 0 || int(t) >= s.vocab {
-			// Out-of-range terms are the shards' problem to reject;
-			// don't let the bitmap mask the error.
-			return true
-		}
-		present := bits[t/64]&(1<<(uint(t)%64)) != 0
-		if allTerms && !present {
-			return false
-		}
-		any = any || present
-	}
-	if allTerms {
-		return true
-	}
-	return any
-}
-
-// guard mirrors dsks.View's query validation: the edge must exist and
-// every term must be inside the vocabulary, classified with the same
-// sentinels.
-func (s *Set) guard(pos dsks.Position, terms []dsks.TermID) error {
-	if pos.Edge < 0 || int(pos.Edge) >= s.g.NumEdges() {
-		return fmt.Errorf("shard: query on edge %d: %w", pos.Edge, dsks.ErrUnknownEdge)
-	}
-	for _, t := range terms {
-		if t < 0 || int(t) >= s.vocab {
-			return fmt.Errorf("shard: query term %d with vocabulary of %d: %w", t, s.vocab, dsks.ErrTermOutOfRange)
-		}
-	}
-	return nil
 }
 
 // View pins one read view per shard — all pinned before any result is

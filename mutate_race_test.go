@@ -116,9 +116,9 @@ func TestMutationsRacingSearches(t *testing.T) {
 				}
 			}
 
-			// Every mutation committed: the version counter saw all of them.
-			if got, want := db.Version(), uint64(mutators*iterations*2); got != want {
-				t.Fatalf("Version() = %d, want %d", got, want)
+			// Every mutation committed: the commit clock saw all of them.
+			if got, want := db.LSN(), uint64(mutators*iterations*2); got != want {
+				t.Fatalf("LSN() = %d, want %d", got, want)
 			}
 			// The object set is back to the seed state.
 			after, err := db.SearchDiversified(context.Background(), query)
@@ -213,8 +213,8 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 		}
 	}
 
-	if got, want := db.Version(), uint64(mutators*iterations*2); got != want {
-		t.Fatalf("Version() = %d, want %d", got, want)
+	if got, want := db.LSN(), uint64(mutators*iterations*2); got != want {
+		t.Fatalf("LSN() = %d, want %d", got, want)
 	}
 	// A final save then restore: the churn must round-trip exactly.
 	if err := db.SaveTo(snapDir); err != nil {

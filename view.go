@@ -92,12 +92,21 @@ func (v *View) LSN() uint64 { return v.roots.lsn }
 // LiveObjects returns the number of live objects visible in this view.
 func (v *View) LiveObjects() int { return v.roots.live }
 
+// HoldsTerm reports whether some object visible in this view contains
+// term t: the view's inverted file has a posting for it. It is exact at
+// the view's LSN, so a remove of a term's last holder clears it; a term
+// outside the vocabulary is held by nothing.
+func (v *View) HoldsTerm(t TermID) bool {
+	n := v.roots.idx.Inv.TermPostings
+	return t >= 0 && int(t) < len(n) && n[t] > 0
+}
+
 // guard validates the view and the query envelope.
 func (v *View) guard(pos Position, terms []TermID) error {
 	if v.closed.Load() {
 		return ErrViewClosed
 	}
-	return v.db.checkPosTerms("query", pos, terms)
+	return engine.CheckPosTerms(v.db.eng.Graph, v.db.eng.VocabSize, "query", pos, terms)
 }
 
 // run runs one query family, at pos over terms, against the view's
