@@ -67,7 +67,7 @@ bench:
 # bench-smoke is CI's "Micro-benchmarks (smoke)" step: one iteration of
 # every Benchmark* in the packages a layer's cost is judged by, so they
 # keep compiling and running. This is the one list of those packages.
-BENCH_PKGS = ./internal/core/ ./internal/ccam/ ./internal/graph/ ./internal/rtree/ ./internal/shard/ \
+BENCH_PKGS = ./internal/core/ ./internal/ccam/ ./internal/graph/ ./internal/rtree/ ./snap/ ./internal/shard/ \
 	./internal/btree/ ./internal/invindex/ ./internal/sig/ ./internal/storage/ ./internal/engine/ \
 	./internal/server/ ./internal/experiments/baselines/
 

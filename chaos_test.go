@@ -15,6 +15,19 @@ import (
 // must stay loadable, and injected storage faults must surface as typed
 // errors (or be retried away) without ever corrupting query results.
 
+// setFaults arms a fault campaign on every page store and the WAL of db.
+func setFaults(t testing.TB, db *DB, cfg fault.Config) {
+	t.Helper()
+	in, err := fault.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetInjector(in)
+}
+
+// clearFaults disarms fault injection on db.
+func clearFaults(db *DB) { db.SetInjector(nil) }
+
 // newChaosDB builds a small in-memory database with a handful of objects.
 func newChaosDB(t *testing.T, opts Options) (*DB, *Vocabulary, Position) {
 	t.Helper()
@@ -154,9 +167,7 @@ func TestDBChecksumDetectsBitFlip(t *testing.T) {
 	if err := db.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1, Mode: fault.ModeFlipBit, Seed: 11}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, db, fault.Config{Op: fault.OpRead, EveryN: 1, Mode: fault.ModeFlipBit, Seed: 11})
 	_, err := chaosQuery(t, db, vocab, origin)
 	if !errors.Is(err, ErrCorruptPage) {
 		t.Fatalf("query over flipped pages err = %v, want ErrCorruptPage", err)
@@ -171,7 +182,7 @@ func TestDBChecksumDetectsBitFlip(t *testing.T) {
 
 	// Healing the medium restores service; the detected page was never
 	// admitted to the buffer, so no poisoned data lingers.
-	db.ClearFaults()
+	clearFaults(db)
 	res, err := chaosQuery(t, db, vocab, origin)
 	if err != nil {
 		t.Fatalf("query after clearing faults: %v", err)
@@ -191,9 +202,7 @@ func TestDBTransientFaultRetriedToSuccess(t *testing.T) {
 	}
 	// The cooled query reads two pages, one of the network and the index
 	// leaf that holds the list, so the campaign strikes the second.
-	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 2, MaxFaults: 2, Transient: true}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, db, fault.Config{Op: fault.OpRead, EveryN: 2, MaxFaults: 2, Transient: true})
 	res, err := chaosQuery(t, db, vocab, origin)
 	if err != nil {
 		t.Fatalf("query under transient faults failed: %v", err)
@@ -218,9 +227,7 @@ func TestDBPermanentFaultFailsQueryThenRecovers(t *testing.T) {
 	if err := db.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, db, fault.Config{Op: fault.OpRead, EveryN: 1})
 	_, err := chaosQuery(t, db, vocab, origin)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("query under permanent faults err = %v, want injected fault", err)
@@ -228,23 +235,8 @@ func TestDBPermanentFaultFailsQueryThenRecovers(t *testing.T) {
 	if fault.IsTransient(err) {
 		t.Error("permanent fault reported as transient")
 	}
-	db.ClearFaults()
+	clearFaults(db)
 	if res, err := chaosQuery(t, db, vocab, origin); err != nil || len(res.Candidates) == 0 {
 		t.Fatalf("recovery query: %v (candidates %d)", err, len(res.Candidates))
-	}
-}
-
-// TestSetFaultSpecRejectsGarbage: a fault campaign that cannot run is an
-// option error, not a silent no-op.
-func TestSetFaultSpecRejectsGarbage(t *testing.T) {
-	db, _, _ := newChaosDB(t, Options{Index: IndexIF})
-	for _, bad := range []fault.Config{
-		{Op: "bogus", EveryN: 1}, // unknown op
-		{Probability: 2},         // probability outside [0,1]
-		{Op: fault.OpRead},       // no trigger
-	} {
-		if err := db.SetFaults(bad); !errors.Is(err, ErrBadOptions) {
-			t.Errorf("SetFaults(%+v) err = %v, want ErrBadOptions", bad, err)
-		}
 	}
 }

@@ -59,7 +59,6 @@ import (
 	"dsks/internal/alt"
 	"dsks/internal/core"
 	"dsks/internal/engine"
-	"dsks/internal/fault"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
 	"dsks/internal/index"
@@ -184,14 +183,6 @@ var (
 // NewGraph returns an empty road network; add nodes and edges, then call
 // Freeze before opening a database over it.
 func NewGraph() *Graph { return graph.New() }
-
-// Snapper maps arbitrary planar points (e.g. raw POI coordinates) to
-// their closest road segment, the preprocessing the paper applies before
-// indexing. Build one per network and reuse it across points.
-type Snapper = graph.Snapper
-
-// NewSnapper builds the network R-tree used for snapping.
-func NewSnapper(g *Graph) (*Snapper, error) { return graph.NewSnapper(g) }
 
 // NewVocabulary returns an empty keyword dictionary.
 func NewVocabulary() *Vocabulary { return obj.NewVocabulary() }
@@ -826,21 +817,8 @@ func (db *DB) Graph() *Graph { return db.eng.Graph }
 func (db *DB) VocabSize() int { return db.eng.VocabSize }
 
 // ObjectCount is the total number of object IDs the database has ever
-// allocated, tombstones included (compare LiveObjects). IDs below it are
-// addressable by Object.
+// allocated, tombstones included (compare LiveObjects).
 func (db *DB) ObjectCount() int { return db.eng.Objects.Len() }
-
-// Object reports an allocated object's position and terms, and whether
-// it is still live; ok is false for IDs that were never allocated: what
-// a WAL replay restored can be read back object by object.
-func (db *DB) Object(id ObjectID) (pos Position, terms []TermID, live, ok bool) {
-	col := db.eng.Objects
-	if id < 0 || int(id) >= col.Len() {
-		return Position{}, nil, false, false
-	}
-	o := col.Get(id)
-	return o.Pos, append([]TermID(nil), o.Terms...), !col.Removed(id), true
-}
 
 // LSN returns the commit LSN of the current published version: the WAL
 // LSN of the last applied mutation (databases without a WAL count
@@ -960,36 +938,14 @@ func (db *DB) ResetIO() error {
 	return db.eng.ResetIO()
 }
 
-// SetFaults installs a deterministic fault-injection campaign on every
-// page store and the write-ahead log of the database, replacing any
-// previous campaign. For example
-//
-//	fault.Config{Op: fault.OpRead, EveryN: 100, MaxFaults: 20, Transient: true}
-//
-// fails every 100th read, 20 times, retryably. Campaigns are seeded and
-// deterministic: the same config over the same operation sequence injects
-// the same faults. An invalid config is rejected with an error matching
-// ErrBadOptions and leaves the previous campaign in place. Intended for
-// chaos tests, not production serving.
-func (db *DB) SetFaults(cfg fault.Config) error {
-	in, err := fault.New(cfg)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadOptions, err)
-	}
+// SetInjector installs a fault injector on every page store and the
+// write-ahead log of the database, replacing any previous one; nil
+// clears it. Tests build one with fault.New (internal/fault). Pages
+// already corrupted stay corrupt until rewritten (and are detected when
+// read if Options.Checksums is enabled).
+func (db *DB) SetInjector(in storage.Injector) {
 	db.eng.SetInjector(in)
 	if db.wal != nil {
 		db.wal.SetInjector(in)
-	}
-	return nil
-}
-
-// ClearFaults removes any fault-injection campaign installed with
-// SetFaults. Already-corrupted pages are not healed: a page that took
-// a bit flip stays corrupt until rewritten (and is detected when read if
-// Options.Checksums is enabled).
-func (db *DB) ClearFaults() {
-	db.eng.SetInjector(nil)
-	if db.wal != nil {
-		db.wal.SetInjector(nil)
 	}
 }

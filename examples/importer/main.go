@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/snap"
 )
 
 // rawPOI is what an external feed would deliver: coordinates + text.
@@ -62,7 +63,7 @@ func main() {
 	}
 
 	// Ingestion: snap + tokenize + collect.
-	snapper, err := dsks.NewSnapper(g)
+	snapper, err := snap.New(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,9 @@ func deps(t *testing.T, patterns ...string) map[string]bool {
 // the experiments harness or anything under internal/experiments (the
 // drivers and their baselines: SEQ, SIF-G, the partition DP, the replayed
 // query log, IR and C1), and the engine itself knows neither the harness
-// nor the dataset generators.
+// nor the dataset generators. The served packages link neither the fault
+// injector (only tests arm one, through DB.SetInjector) nor the R-tree
+// (only the preprocessing snapper and the IR baseline stand on it).
 func TestLayering(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool not on PATH")
@@ -40,6 +42,14 @@ func TestLayering(t *testing.T) {
 		for dep := range closure {
 			if dep == "dsks/internal/harness" || dep == "dsks/internal/experiments" || strings.HasPrefix(dep, "dsks/internal/experiments/") {
 				t.Errorf("%s links %s", pkg, dep)
+			}
+		}
+		switch pkg {
+		case "dsks", "dsks/cmd/dsks-serve", "dsks/internal/shard", "dsks/internal/server", "dsks/internal/engine":
+			for _, dep := range []string{"dsks/internal/fault", "dsks/internal/rtree"} {
+				if closure[dep] {
+					t.Errorf("%s links %s", pkg, dep)
+				}
 			}
 		}
 		if pkg == "dsks/cmd/dsks-serve" && !closure["dsks/internal/engine"] {

@@ -9,9 +9,9 @@
 // pins theirs).
 //
 // A campaign is a typed Config. The injector is installed on a page store
-// with storage.PageFile.SetInjector and on a log with wal.Log.SetInjector;
-// tests arm a whole database with dsks.DB.SetFaults and one shard with
-// shard.Set.SetShardFaults.
+// with storage.PageFile.SetInjector, on a log with wal.Log.SetInjector,
+// and on a whole database (one shard: shard.Set.DB(i)) with
+// dsks.DB.SetInjector. Only tests import this package.
 package fault
 
 import (

@@ -146,3 +146,17 @@ func TestTornWriteLimitsPrefix(t *testing.T) {
 		t.Fatalf("flip-mode BeforeOp failed the op: %v", err)
 	}
 }
+
+// TestNewRejectsGarbage: a campaign that cannot run is an error, not a
+// silent no-op.
+func TestNewRejectsGarbage(t *testing.T) {
+	for _, bad := range []Config{
+		{Op: "bogus", EveryN: 1}, // unknown op
+		{Probability: 2},         // probability outside [0,1]
+		{Op: OpRead},             // no trigger
+	} {
+		if in, err := New(bad); err == nil {
+			t.Errorf("New(%+v) = %v, want an error", bad, in)
+		}
+	}
+}

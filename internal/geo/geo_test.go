@@ -50,12 +50,6 @@ func TestRectBasics(t *testing.T) {
 	if r != (Rect{0, 1, 2, 3}) {
 		t.Fatalf("RectOf = %+v", r)
 	}
-	if r.Area() != 4 {
-		t.Errorf("Area = %v", r.Area())
-	}
-	if r.Margin() != 4 {
-		t.Errorf("Margin = %v", r.Margin())
-	}
 	if got := r.Center(); got != (Point{1, 2}) {
 		t.Errorf("Center = %v", got)
 	}
@@ -69,11 +63,8 @@ func TestEmptyRect(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyRect not empty")
 	}
-	if e.Area() != 0 {
-		t.Errorf("empty area = %v", e.Area())
-	}
 	e.ExpandPoint(Point{1, 1})
-	if e.IsEmpty() || e.Area() != 0 {
+	if e.IsEmpty() {
 		t.Errorf("single point rect: %+v", e)
 	}
 	e.ExpandPoint(Point{3, 2})
@@ -104,18 +95,19 @@ func TestRectIntersects(t *testing.T) {
 	}
 }
 
-func TestRectUnionEnlargement(t *testing.T) {
-	a := Rect{0, 0, 1, 1}
-	b := Rect{2, 2, 3, 3}
-	u := a.Union(b)
+func TestRectExpand(t *testing.T) {
+	u := Rect{0, 0, 1, 1}
+	u.Expand(Rect{2, 2, 3, 3})
 	if u != (Rect{0, 0, 3, 3}) {
-		t.Fatalf("Union = %+v", u)
+		t.Fatalf("MBR union = %+v", u)
 	}
-	if got := a.Enlargement(b); got != 8 {
-		t.Errorf("Enlargement = %v, want 8", got)
+	u.Expand(Rect{0, 0, 0.5, 0.5})
+	if u != (Rect{0, 0, 3, 3}) {
+		t.Errorf("expanding by a contained rect = %+v", u)
 	}
-	if got := a.Enlargement(Rect{0, 0, 0.5, 0.5}); got != 0 {
-		t.Errorf("Enlargement of contained = %v", got)
+	u.Expand(EmptyRect())
+	if u != (Rect{0, 0, 3, 3}) {
+		t.Errorf("expanding by the empty rect = %+v", u)
 	}
 }
 
@@ -206,26 +198,20 @@ func TestZOrderLocality(t *testing.T) {
 	}
 }
 
-func TestScaler(t *testing.T) {
-	src := Rect{100, 200, 300, 400}
-	s := NewScaler(src)
-	got := s.Scale(Point{100, 200})
-	if got != (Point{0, 0}) {
-		t.Errorf("min corner -> %v", got)
+func TestPointSegment(t *testing.T) {
+	a, b := Point{X: 0, Y: 0}, Point{X: 10, Y: 0}
+	d, off := PointSegment(Point{X: 5, Y: 4}, a, b)
+	if math.Abs(d-4) > 1e-12 || math.Abs(off-5) > 1e-12 {
+		t.Errorf("mid: d=%v off=%v", d, off)
 	}
-	got = s.Scale(Point{300, 400})
-	if math.Abs(got.X-WorldMax) > 1e-9 || math.Abs(got.Y-WorldMax) > 1e-9 {
-		t.Errorf("max corner -> %v", got)
+	// Beyond the end: clamps to b.
+	d, off = PointSegment(Point{X: 13, Y: 4}, a, b)
+	if math.Abs(d-5) > 1e-12 || math.Abs(off-10) > 1e-12 {
+		t.Errorf("clamp: d=%v off=%v", d, off)
 	}
-	// Aspect ratio preserved for non-square sources.
-	s2 := NewScaler(Rect{0, 0, 200, 100})
-	got = s2.Scale(Point{200, 100})
-	if math.Abs(got.X-WorldMax) > 1e-9 || math.Abs(got.Y-WorldMax/2) > 1e-9 {
-		t.Errorf("aspect ratio broken: %v", got)
-	}
-	// Degenerate source maps to origin.
-	s3 := NewScaler(Rect{5, 5, 5, 5})
-	if got := s3.Scale(Point{5, 5}); got != (Point{0, 0}) {
-		t.Errorf("degenerate scaler -> %v", got)
+	// Degenerate segment.
+	d, off = PointSegment(Point{X: 3, Y: 4}, a, a)
+	if math.Abs(d-5) > 1e-12 || off != 0 {
+		t.Errorf("degenerate: d=%v off=%v", d, off)
 	}
 }

@@ -94,36 +94,8 @@ func (r Rect) Intersects(s Rect) bool {
 	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
 }
 
-// Area returns the area of r; the empty rectangle has area 0.
-func (r Rect) Area() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxX - r.MinX) * (r.MaxY - r.MinY)
-}
-
-// Margin returns half the perimeter of r.
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxX - r.MinX) + (r.MaxY - r.MinY)
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() Point { return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2} }
-
-// Union returns the MBR of r and s.
-func (r Rect) Union(s Rect) Rect {
-	out := r
-	out.Expand(s)
-	return out
-}
-
-// Enlargement returns the area increase needed for r to include s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
 
 // MinDist returns the minimum Euclidean distance from p to any point of r.
 // If p is inside r the distance is 0.
@@ -149,27 +121,4 @@ func PointSegment(p, a, b Point) (dist, offset float64) {
 	}
 	closest := Point{a.X + t*abx, a.Y + t*aby}
 	return p.Dist(closest), t * math.Sqrt(den)
-}
-
-// Scaler maps points from an arbitrary source bounding box into the
-// [0, WorldMax]² world used by the experiments, preserving the aspect ratio.
-type Scaler struct {
-	src   Rect
-	scale float64
-}
-
-// NewScaler builds a Scaler for the given source bounding box. A degenerate
-// source box (zero extent) maps everything to the origin.
-func NewScaler(src Rect) *Scaler {
-	ext := math.Max(src.MaxX-src.MinX, src.MaxY-src.MinY)
-	s := 0.0
-	if ext > 0 {
-		s = WorldMax / ext
-	}
-	return &Scaler{src: src, scale: s}
-}
-
-// Scale maps p into the world coordinate space.
-func (s *Scaler) Scale(p Point) Point {
-	return Point{(p.X - s.src.MinX) * s.scale, (p.Y - s.src.MinY) * s.scale}
 }

@@ -55,19 +55,3 @@ func BenchmarkNetworkDist(b *testing.B) {
 		g.NetworkDist(a, c)
 	}
 }
-
-func BenchmarkSnap(b *testing.B) {
-	g := benchGraph(b, 5_000)
-	s, err := NewSnapper(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := geo.Point{X: rng.Float64() * geo.WorldMax, Y: rng.Float64() * geo.WorldMax}
-		if _, _, err := s.Snap(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

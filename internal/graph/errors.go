@@ -10,7 +10,4 @@ var (
 	ErrUnknownEdge = errors.New("graph: unknown edge")
 	// ErrNoPath reports endpoints that no chain of road segments connects.
 	ErrNoPath = errors.New("graph: no path between the endpoints")
-	// ErrEmptyNetwork reports a spatial operation on a network with no
-	// edges (e.g. snapping a point onto nothing).
-	ErrEmptyNetwork = errors.New("graph: empty network")
 )

@@ -124,9 +124,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	if rec := get(t, h, searchURL(ws[0]), nil); rec.Code != http.StatusOK {
 		t.Fatalf("baseline query status %d: %s", rec.Code, rec.Body.String())
 	}
-	if err := db.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, db, fault.Config{Op: fault.OpRead, EveryN: 1})
 	// Cool the buffer pools so the campaign bites: a warm pool never
 	// reaches the faulting page stores.
 	if err := db.ResetIO(); err != nil {
@@ -169,7 +167,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 
 	// Heal the medium. Inside the cooldown the breaker still sheds; past
 	// it, the next query is the probe, it succeeds and service recovers.
-	db.ClearFaults()
+	clearFaults(db)
 	if rec := get(t, h, searchURL(ws[0]), nil); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healed, inside the cooldown: status %d, want 503", rec.Code)
 	}

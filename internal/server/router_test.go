@@ -253,9 +253,7 @@ func TestRouterFirstErrorWins500(t *testing.T) {
 // inserts on the other shards still ack with an id and an lsn.
 func TestRouterInsertsAroundAPoisonedShardWAL(t *testing.T) {
 	h, set, _ := routerWith(t, shard.Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}}, Config{})
-	if err := set.SetShardFaults(1, fault.Config{Op: fault.OpSync, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, set.DB(1), fault.Config{Op: fault.OpSync, EveryN: 1})
 	tried := make([]int, set.Shards())
 	for e, owner := range set.Partition().Owner {
 		if tried[owner] == 2 {
@@ -340,15 +338,15 @@ func downShard(t *testing.T, set *shard.Set, si int) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaults(si, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, set.DB(si), fault.Config{Op: fault.OpRead, EveryN: 1})
 }
 
 // healShards clears every shard's faults and cools the pools.
 func healShards(t *testing.T, set *shard.Set) {
 	t.Helper()
-	set.ClearFaults()
+	for i := 0; i < set.Shards(); i++ {
+		clearFaults(set.DB(i))
+	}
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dsks"
+	"dsks/internal/fault"
 	"dsks/internal/shard"
 )
 
@@ -46,6 +47,19 @@ func openTestDB(t testing.TB, opts dsks.Options) (*dsks.DB, []dsks.WorkloadQuery
 	}
 	return db, ws
 }
+
+// setFaults arms a fault campaign on every page store and the WAL of db.
+func setFaults(t testing.TB, db *dsks.DB, cfg fault.Config) {
+	t.Helper()
+	in, err := fault.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetInjector(in)
+}
+
+// clearFaults disarms fault injection on db.
+func clearFaults(db *dsks.DB) { db.SetInjector(nil) }
 
 // checkNoPins fails t, once the test and its deferred calls are done,
 // when a read view is still pinned on the backend: a handler that never

@@ -299,9 +299,7 @@ func killPrimary(t *testing.T, set *Set, si int) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaults(si, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, set.DB(si), fault.Config{Op: fault.OpRead, EveryN: 1})
 }
 
 func consecutiveFailures(h *breaker.Breaker) int { return h.Failures() }
@@ -391,9 +389,7 @@ func midStreamFault(t *testing.T, set *Set, q dsks.SKQuery, maxFaults int) int {
 		if err := set.ResetIO(); err != nil {
 			t.Fatal(err)
 		}
-		if err := set.SetShardFaults(si, fault.Config{Op: fault.OpRead, EveryN: int(first) + 1, MaxFaults: maxFaults}); err != nil {
-			t.Fatal(err)
-		}
+		setFaults(t, set.DB(si), fault.Config{Op: fault.OpRead, EveryN: int(first) + 1, MaxFaults: maxFaults})
 		return si
 	}
 	t.Fatal("no shard's leg reads a page after its first candidate: no pull to fail")
@@ -688,7 +684,7 @@ func TestCursorPartialResult(t *testing.T) {
 	q := divQuery(t, ds)
 	ctx := context.Background()
 	killPrimary(t, set, 1)
-	defer set.ClearFaults()
+	defer clearFaults(set)
 
 	mv, err := set.View(ctx)
 	if err != nil {
@@ -736,16 +732,12 @@ func TestCursorFirstErrorWins(t *testing.T) {
 	ctx := context.Background()
 	// Shard 0 lives on its replica; shard 2 has no path left.
 	killPrimary(t, set, 0)
-	if err := set.SetShardFaults(2, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, set.DB(2), fault.Config{Op: fault.OpRead, EveryN: 1})
 	rep := set.shards[2].replicas[0].db
 	if err := rep.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.SetFaults(fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, rep, fault.Config{Op: fault.OpRead, EveryN: 1})
 	merges := set.Snapshot().Queries[KindMerge]
 
 	mv, err := set.View(ctx)

@@ -26,6 +26,23 @@ func testSet(t *testing.T, n int, opts Options) (*Set, *dsks.Dataset) {
 	return set, ds
 }
 
+// setFaults arms a fault campaign on every page store and the WAL of db.
+func setFaults(t testing.TB, db *dsks.DB, cfg fault.Config) {
+	t.Helper()
+	in, err := fault.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetInjector(in)
+}
+
+// clearFaults disarms fault injection on every shard's primary.
+func clearFaults(set *Set) {
+	for i := 0; i < set.Shards(); i++ {
+		set.DB(i).SetInjector(nil)
+	}
+}
+
 // checkNoPins fails t, once the test and its deferred calls are done,
 // when a read view is still pinned on any database behind b (a Set's
 // primaries and replicas, or one DB): a MultiView, a replica leg or a
@@ -80,10 +97,8 @@ func TestFanoutFirstErrorWins(t *testing.T) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaults(2, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
-	defer set.ClearFaults()
+	setFaults(t, set.DB(2), fault.Config{Op: fault.OpRead, EveryN: 1})
+	defer clearFaults(set)
 	mv2, err := set.View(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +113,7 @@ func TestFanoutFirstErrorWins(t *testing.T) {
 	}
 
 	// Recovery: clearing the faults restores full answers.
-	set.ClearFaults()
+	clearFaults(set)
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +146,8 @@ func TestFanoutPartialResultPolicy(t *testing.T) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaults(1, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
-	defer set.ClearFaults()
+	setFaults(t, set.DB(1), fault.Config{Op: fault.OpRead, EveryN: 1})
+	defer clearFaults(set)
 
 	mv2, err := set.View(ctx)
 	if err != nil {
@@ -435,9 +448,7 @@ func TestPoisonedShardWALReopens(t *testing.T) {
 		}
 	}
 
-	if err := set.SetShardFaults(1, fault.Config{Op: fault.OpSync, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, set.DB(1), fault.Config{Op: fault.OpSync, EveryN: 1})
 	for si := range edges {
 		for _, e := range edges[si][1:] {
 			err := insert(si, e)
@@ -455,10 +466,23 @@ func TestPoisonedShardWALReopens(t *testing.T) {
 
 	reopened := open()
 	defer func() { _ = reopened.Close() }()
+	ctx := context.Background()
 	for _, a := range acked {
-		pos, terms, live, ok := reopened.DB(a.shard).Object(a.local)
-		if !ok || !live || pos != a.pos || len(terms) != 1 || terms[0] != a.term {
-			t.Fatalf("acked insert %+v reopened as (%v, %v, live %v, ok %v)", a, pos, terms, live, ok)
+		v, err := reopened.DB(a.shard).View(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := v.Search(ctx, dsks.SKQuery{Pos: a.pos, Terms: []dsks.TermID{a.term}, DeltaMax: 1e-9})
+		v.Close()
+		if err != nil {
+			t.Fatalf("acked insert %+v: %v", a, err)
+		}
+		found := false
+		for _, c := range res.Candidates {
+			found = found || (c.Ref.ID == a.local && c.Ref.Pos() == a.pos)
+		}
+		if !found {
+			t.Fatalf("acked insert %+v missing from its position's answer %v", a, res.Candidates)
 		}
 	}
 	if len(acked) != 4+3*2 {

@@ -244,9 +244,7 @@ func TestReplicaFailoverServesFullResults(t *testing.T) {
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.SetShardFaults(0, fault.Config{Op: fault.OpRead, EveryN: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setFaults(t, set.DB(0), fault.Config{Op: fault.OpRead, EveryN: 1})
 	for i := 0; i < 3; i++ {
 		requireSameFamilies(t, "failover "+itoa(i), want, answerEveryFamily(t, set, ds))
 	}
@@ -258,7 +256,7 @@ func TestReplicaFailoverServesFullResults(t *testing.T) {
 	}
 
 	// Heal the primary: the next query's probe reclaims it.
-	set.ClearFaults()
+	clearFaults(set)
 	if err := set.ResetIO(); err != nil {
 		t.Fatal(err)
 	}

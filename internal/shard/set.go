@@ -14,7 +14,6 @@ import (
 	"dsks/internal/ccam"
 	"dsks/internal/core"
 	"dsks/internal/engine"
-	"dsks/internal/fault"
 	"dsks/internal/metrics"
 )
 
@@ -460,22 +459,6 @@ func (s *Set) Close() error {
 		}
 	}
 	return first
-}
-
-// SetShardFaults arms a fault campaign on one shard only — the lever
-// tests use to take a single shard down.
-func (s *Set) SetShardFaults(i int, cfg fault.Config) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("shard: %w: no shard %d", ErrBadShardCount, i)
-	}
-	return s.shards[i].db.SetFaults(cfg)
-}
-
-// ClearFaults disarms fault injection on every shard.
-func (s *Set) ClearFaults() {
-	for i := range s.shards {
-		s.shards[i].db.ClearFaults()
-	}
 }
 
 // ResetIO cools every shard's buffer pools and I/O counters.
