@@ -39,8 +39,9 @@ lint:
 # reference, the response encoder against encoding/json, the WAL record
 # decoder against its encoder, the router's leg merge over arbitrary
 # leg partitions, the shard-set manifest decoder against its invariants,
-# the oracle file loader against its writer, and the collective query's
-# early stop against the drain-then-greedy answer.
+# the oracle file loader against its writer, the collective query's
+# early stop against the drain-then-greedy answer, and a snapshot's
+# meta.json, which OpenPath opens or rejects as a bad snapshot.
 fuzz-smoke:
 	$(GO) test -run FuzzZOrder -fuzz FuzzZOrder -fuzztime $(FUZZTIME) ./internal/geo/
 	$(GO) test -run FuzzLoadGraph -fuzz FuzzLoadGraph -fuzztime $(FUZZTIME) ./internal/graph/
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzSetManifest -fuzz FuzzSetManifest -fuzztime $(FUZZTIME) ./internal/shard/
 	$(GO) test -run FuzzOracleLoad -fuzz FuzzOracleLoad -fuzztime $(FUZZTIME) ./internal/alt/
 	$(GO) test -run FuzzCollectiveStop -fuzz FuzzCollectiveStop -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run FuzzOpenPathMeta -fuzz FuzzOpenPathMeta -fuzztime $(FUZZTIME) .
 
 # bench runs the benchmark spine BENCHMARK.json declares: four served
 # workloads, end-to-end metrics with their regression bounds

@@ -81,9 +81,9 @@ type File struct {
 
 // Build lays out g's adjacency lists into pages of the pool's file and
 // returns the resulting File. Every page is a connected region of the
-// network where it can be (growPages), so an expansion reads few pages.
-func Build(g *Graph, pool *storage.BufferPool) (*File, error) {
-	groups, err := growPages(g)
+// network where it can be (GrowPages), so an expansion reads few pages.
+func Build(g *graph.Graph, pool *storage.BufferPool) (*File, error) {
+	groups, err := GrowPages(g)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func Build(g *Graph, pool *storage.BufferPool) (*File, error) {
 
 // zOrder returns g's nodes sorted by the Z-order code of their locations,
 // ties by node ID.
-func zOrder(g *Graph) []graph.NodeID {
+func zOrder(g *graph.Graph) []graph.NodeID {
 	order, codes := make([]graph.NodeID, g.NumNodes()), make([]uint64, g.NumNodes())
 	for i := range order {
 		order[i], codes[i] = graph.NodeID(i), geo.ZCode(g.Node(graph.NodeID(i)).Loc)
@@ -101,12 +101,14 @@ func zOrder(g *Graph) []graph.NodeID {
 	return order
 }
 
-// growPages assigns every node to one page, by connectivity. A page
+// GrowPages assigns every node to one page, by connectivity, and returns
+// the pages' nodes in page order: Build writes group i as the file's i-th
+// page, and the inverted file orders its keys by the same regions. A page
 // starts at the lowest-Z node not yet placed and grows breadth first over
 // unplaced neighbours, in g.Adjacent order, until the next entry does not
 // fit; a region that runs dry before its page is full continues from the
 // next unplaced node in Z order.
-func growPages(g *Graph) ([][]graph.NodeID, error) {
+func GrowPages(g *graph.Graph) ([][]graph.NodeID, error) {
 	seeds, placed := zOrder(g), make([]bool, g.NumNodes())
 	var groups [][]graph.NodeID
 	var queue []graph.NodeID
@@ -144,7 +146,7 @@ func growPages(g *Graph) ([][]graph.NodeID, error) {
 
 // writePages writes groups, one page each in order, into the pool's file
 // and returns the File that addresses them.
-func writePages(g *Graph, pool *storage.BufferPool, groups [][]graph.NodeID) (*File, error) {
+func writePages(g *graph.Graph, pool *storage.BufferPool, groups [][]graph.NodeID) (*File, error) {
 	n := g.NumNodes()
 	f := &File{pool: pool, dir: make([]storage.PageID, n), slot: make([]uint16, n), numNodes: n}
 	f.edges = make([]EdgeInfo, g.NumEdges())
@@ -163,7 +165,7 @@ func writePages(g *Graph, pool *storage.BufferPool, groups [][]graph.NodeID) (*F
 	return f, nil
 }
 
-func (f *File) writeGroup(g *Graph, group []graph.NodeID) error {
+func (f *File) writeGroup(g *graph.Graph, group []graph.NodeID) error {
 	page, err := f.pool.Allocate()
 	if err != nil {
 		return err
@@ -241,9 +243,6 @@ func (f *File) EdgeInfo(e graph.EdgeID) (EdgeInfo, error) {
 	}
 	return f.edges[e], nil
 }
-
-// Graph is a minimal alias used by Build; it matches *graph.Graph.
-type Graph = graph.Graph
 
 // InMemory adapts a *graph.Graph to the Network interface with zero I/O
 // cost; it is used by tests and by CPU-only distance computations.

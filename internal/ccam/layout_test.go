@@ -185,7 +185,7 @@ func TestGrownPagesCutExpansionMisses(t *testing.T) {
 		for e := range g.NumEdges() {
 			mean += g.Edge(graph.EdgeID(e)).Weight / float64(g.NumEdges())
 		}
-		grown, err := growPages(g)
+		grown, err := GrowPages(g)
 		if err != nil {
 			t.Fatal(err)
 		}

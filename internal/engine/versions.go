@@ -62,7 +62,7 @@ func (v ifVersions) ReaderAt(pr storage.PageReader, r *Roots) index.Loader {
 }
 
 func (v ifVersions) InsertObjectAt(p storage.Pager, r *Roots, id obj.ID, pos graph.Position, terms []obj.TermID) error {
-	return v.l.Idx.InsertObjectAt(p, &r.Inv, v.l.Coder.EdgeZCode(pos.Edge), id, pos.Edge, pos.Offset, terms)
+	return v.l.Idx.InsertObjectAt(p, &r.Inv, v.l.Coder.EdgeZCode(pos.Edge), id, pos.Offset, terms)
 }
 
 func (v ifVersions) RemoveObjectAt(p storage.Pager, r *Roots, id obj.ID, e graph.EdgeID, terms []obj.TermID) error {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"dsks/internal/geo"
 )
@@ -61,6 +62,9 @@ type Graph struct {
 	edges  []Edge
 	adj    [][]EdgeID // adjacency: node -> incident edges
 	frozen bool
+	// ranks is the table EdgeRanks memoises, built once under ranksOnce.
+	ranksOnce sync.Once
+	ranks     []uint32
 }
 
 // New returns an empty graph.
@@ -126,6 +130,18 @@ func (g *Graph) Freeze() {
 	g.frozen = true
 }
 
+// EdgeRanks returns the per-edge table rank makes of the frozen graph g,
+// calling rank once per graph: g holds one such table, the inverted
+// file's key order, and every caller passes the same rank. The slice must
+// not be modified. An unfrozen graph can grow, so it gets a fresh table.
+func (g *Graph) EdgeRanks(rank func(*Graph) []uint32) []uint32 {
+	if !g.frozen {
+		return rank(g)
+	}
+	g.ranksOnce.Do(func() { g.ranks = rank(g) })
+	return g.ranks
+}
+
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
@@ -169,7 +185,7 @@ func (g *Graph) EdgeMBR(id EdgeID) geo.Rect {
 }
 
 // EdgeCenter returns the center point of the edge's segment; its Z-order
-// code is the B+-tree key of the edge in the inverted indexes.
+// code orders the edges of one CCAM region in the inverted file's keys.
 func (g *Graph) EdgeCenter(id EdgeID) geo.Point {
 	e := g.edges[id]
 	return geo.RectOf(g.nodes[e.N1].Loc, g.nodes[e.N2].Loc).Center()

@@ -1,15 +1,22 @@
 // Package invindex implements the inverted indexing technique of Section
 // 3.1 (the paper's IF structure): for each keyword t, the edges carrying an
-// object with t are organized in a disk-resident B+-tree whose key is the
-// Z-ordering code of the edge's center point, and each tree entry holds the
-// posting list of the objects (with their offset from the edge's reference
-// node).
+// object with t are organized in a disk-resident B+-tree, and each tree
+// entry holds the posting list of the objects on one edge (with their
+// offset from the edge's reference node).
+//
+// The paper keys an edge by the Z-code of its center point. Here edge e's
+// key under term t is t<<42 | rank(e), e's position in (CCAM region,
+// Z-code of the center, edge ID) order, where e's region is the lower CCAM
+// page of its end nodes (ccam.GrowPages): the lists an expansion probes
+// lie on few leaves as its adjacency lists lie on few pages, and within a
+// region the paper's Z-order keeps nearby edges together. A key names
+// one edge, so a record need not say which.
 //
 // The paper's entry points at its list; here the entry is the list. The
 // tree is clustered (package btree stores variable-length values in its
 // leaves) and its leaf directory is held in memory, so a probe reads one
 // page, the leaf that holds the key's postings: not a descent through
-// inner pages, nor a hop to a list that is 16 to 64 bytes long. Only a
+// inner pages, nor a hop to a list that is 12 to 48 bytes long. Only a
 // list too long to share a leaf (more than MaxInlineRecords postings)
 // lives outside the tree, in an overflow heap of 4KB pages where long
 // lists span consecutive pages, and the entry holds its address.
@@ -37,6 +44,7 @@ import (
 	"sync/atomic"
 
 	"dsks/internal/btree"
+	"dsks/internal/ccam"
 	"dsks/internal/geo"
 	"dsks/internal/graph"
 	"dsks/internal/index"
@@ -45,16 +53,17 @@ import (
 )
 
 // Posting is one record of an inverted list: an object containing the term,
-// on the keyed edge.
+// on the keyed edge. The edge is not stored; a decoded posting carries the
+// edge it was probed for.
 type Posting struct {
 	Object obj.ID
 	Edge   graph.EdgeID
 	Offset float64
 }
 
-// A posting is a 16-byte record (object uint32, edge uint32, offset
-// float64), in a leaf and in the overflow heap alike. A list is kept
-// sorted by (edge, offset, object).
+// A posting is a 12-byte record (object uint32, offset float64), in a
+// leaf and in the overflow heap alike. A list holds the postings of one
+// edge, sorted by (offset, object).
 //
 // The B+-tree value of a key is its list: the records back to back, none
 // for a key whose objects were all removed. A list of more than
@@ -62,7 +71,7 @@ type Posting struct {
 // overflow heap instead and the value is its overflowRefSize-byte
 // address, which no whole number of records is long.
 const (
-	postingSize     = 16
+	postingSize     = 12
 	overflowRefSize = 8
 )
 
@@ -74,40 +83,19 @@ const MaxInlineRecords = btree.MaxValueSize / postingSize
 // isOverflowRef tells the address of an overflow list from a list.
 func isOverflowRef(v []byte) bool { return len(v) == overflowRefSize }
 
-// allEdges as the edge of appendPostings keeps every record.
-const allEdges graph.EdgeID = -1
-
-// appendPostings decodes the records packed in b onto out, keeping those
-// on edge e (a list may also hold the postings of edges whose centers
-// share e's Z-cell).
+// appendPostings decodes the records packed in b onto out as postings on
+// edge e, the edge of their key.
 func appendPostings(out []Posting, b []byte, e graph.EdgeID) []Posting {
 	for ; len(b) >= postingSize; b = b[postingSize:] {
-		p := Posting{
-			Object: obj.ID(binary.LittleEndian.Uint32(b)),
-			Edge:   graph.EdgeID(binary.LittleEndian.Uint32(b[4:])),
-			Offset: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-		}
-		if e == allEdges || p.Edge == e {
-			out = append(out, p)
-		}
+		out = append(out, Posting{obj.ID(binary.LittleEndian.Uint32(b)), e, math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))})
 	}
 	return out
 }
 
-// putPostings packs ps into b, which must hold len(ps) records.
-func putPostings(b []byte, ps []Posting) {
-	for _, p := range ps {
-		binary.LittleEndian.PutUint32(b, uint32(p.Object))
-		binary.LittleEndian.PutUint32(b[4:], uint32(p.Edge))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(p.Offset))
-		b = b[postingSize:]
-	}
-}
-
-func sortPostings(ps []Posting) {
-	slices.SortFunc(ps, func(a, b Posting) int {
-		return cmp.Or(cmp.Compare(a.Edge, b.Edge), cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Object, b.Object))
-	})
+// putPosting packs one record into b.
+func putPosting(b []byte, id obj.ID, offset float64) {
+	binary.LittleEndian.PutUint32(b, uint32(id))
+	binary.LittleEndian.PutUint64(b[4:], math.Float64bits(offset))
 }
 
 // An overflow list is addressed by (start page, start offset, count); a
@@ -128,12 +116,39 @@ func unpackListRef(v uint64) (page storage.PageID, off, count int) {
 const maxListRecords = 1<<20 - 1
 
 // edgeKey composes the B+-tree key of (term, edge): the term in the high
-// bits, the Z-order code of the edge's center in the low bits. Two edges of
-// a term may share a Z-cell; their postings are merged under one key and
-// disambiguated by the Edge field of each posting, preserving the paper's
-// "key of an edge is the Z-ordering code of its center point" clustering.
-func edgeKey(t obj.TermID, zcode uint64) uint64 {
-	return uint64(t)<<42 | (zcode & ((1 << 42) - 1))
+// bits, the edge's rank (rankEdges) in the low 42. No two edges share a
+// rank, so a key names one edge and a term's keys run in rank order.
+func edgeKey(t obj.TermID, rank uint64) uint64 {
+	return uint64(t)<<42 | (rank & ((1 << 42) - 1))
+}
+
+// rankEdges sorts g's edges by (CCAM region, Z-code of the center, edge
+// ID) and returns each edge's position, the key order the package doc
+// gives; g.EdgeRanks(rankEdges) memoises it on g. A graph whose nodes CCAM
+// cannot page (an adjacency list larger than a page) is one region.
+func rankEdges(g *graph.Graph) []uint32 {
+	page := make([]int32, g.NumNodes())
+	if groups, err := ccam.GrowPages(g); err == nil {
+		for i, group := range groups {
+			for _, n := range group {
+				page[n] = int32(i)
+			}
+		}
+	}
+	n := g.NumEdges()
+	order, region, z := make([]graph.EdgeID, n), make([]int32, n), make([]uint64, n)
+	for i := range order {
+		e := g.Edge(graph.EdgeID(i))
+		order[i], region[i], z[i] = e.ID, min(page[e.N1], page[e.N2]), geo.ZCode(g.EdgeCenter(e.ID))
+	}
+	slices.SortFunc(order, func(a, b graph.EdgeID) int {
+		return cmp.Or(cmp.Compare(region[a], region[b]), cmp.Compare(z[a], z[b]), cmp.Compare(a, b))
+	})
+	ranks := make([]uint32, n)
+	for r, e := range order {
+		ranks[e] = uint32(r)
+	}
+	return ranks
 }
 
 // Roots is the versioned root state of the inverted file: everything a
@@ -159,7 +174,7 @@ type Roots struct {
 }
 
 // Index is the IF structure: one logical inverted file per keyword, all
-// sharing a single clustered B+-tree keyed by (term, edge-Z-code) whose
+// sharing a single clustered B+-tree keyed by (term, edge rank) whose
 // leaves hold the posting lists. All reads go through the buffer pool, so
 // page fetches are counted as disk accesses.
 type Index struct {
@@ -181,28 +196,23 @@ type Index struct {
 // its metrics registry). Call it before the first query.
 func (idx *Index) CountOverflowReads(c *atomic.Int64) { idx.overflowReads = c }
 
-// OverflowReads returns how many query-time probes read an overflow list.
-func (idx *Index) OverflowReads() int64 { return idx.overflowReads.Load() }
-
 // Build constructs the inverted index for all objects in c over graph g.
 // vocabSize is the vocabulary size |V|.
 //
 // Nothing is sorted but the occupied edges. A counting sort by term lays
 // every posting out in the arena in the order the tree wants it: the edges
-// are visited by (Z-cell, edge ID) and Collection.OnEdge lists an edge's
-// objects by (offset, ID), so a term's slots fill in (key, edge, offset,
-// object) order, which is the order of the keys of the tree and of the
-// records of a list. The lists are then runs of one Z-cell in the arena and
-// are handed to the bulk load where they lie.
+// are visited by rank and Collection.OnEdge lists an edge's objects by
+// (offset, ID), so a term's slots fill in (key, offset, object) order,
+// which is the order of the keys of the tree and of the records of a list.
+// The lists are then runs of one edge in the arena and are handed to the
+// bulk load where they lie.
 func Build(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.BufferPool) (*Index, error) {
 	idx := &Index{pool: pool, overflowReads: new(atomic.Int64)}
 	counts := make([]int32, vocabSize)
 	idx.roots.TermPostings = counts
 
 	edges := c.Edges()
-	cellOf := make([]uint64, g.NumEdges()) // edge -> the Z-cell part of its keys
 	for _, e := range edges {
-		cellOf[e] = edgeKey(0, geo.ZCode(g.EdgeCenter(e)))
 		for _, id := range c.OnEdge(e) {
 			for _, t := range c.Get(id).Terms {
 				if int(t) >= vocabSize {
@@ -212,57 +222,50 @@ func Build(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.Buffe
 			}
 		}
 	}
-	slices.SortFunc(edges, func(a, b graph.EdgeID) int {
-		return cmp.Or(cmp.Compare(cellOf[a], cellOf[b]), cmp.Compare(a, b))
-	})
+	rank := g.EdgeRanks(rankEdges)
+	slices.SortFunc(edges, func(a, b graph.EdgeID) int { return cmp.Compare(rank[a], rank[b]) })
 
-	// next[t] is the arena slot of term t's next posting and last[t] the
-	// cell (plus one) of its previous one: a posting in another cell opens
-	// a key.
-	next, last := make([]int, vocabSize), make([]uint64, vocabSize)
+	// next[t] is term t's next arena slot and last[t] the rank+1 of its last
+	// posting's edge (another edge opens a key); edgeAt[slot] is slot's edge.
+	next, last := make([]int, vocabSize), make([]uint32, vocabSize)
 	total, keys := 0, 0
 	for t, n := range counts {
 		next[t] = total
 		total += int(n)
 	}
-	arena := make([]byte, total*postingSize)
+	arena, edgeAt := make([]byte, total*postingSize), make([]graph.EdgeID, total)
 	for _, e := range edges {
-		cell := cellOf[e] + 1
 		for _, id := range c.OnEdge(e) {
 			o := c.Get(id)
-			rec := [1]Posting{{Object: id, Edge: e, Offset: o.Pos.Offset}}
 			for _, t := range o.Terms {
-				putPostings(arena[next[t]*postingSize:], rec[:])
+				putPosting(arena[next[t]*postingSize:], id, o.Pos.Offset)
+				edgeAt[next[t]] = e
 				next[t]++
-				if last[t] != cell {
-					last[t] = cell
-					keys++
+				if last[t] != rank[e]+1 {
+					last[t], keys = rank[e]+1, keys+1
 				}
 			}
 		}
 	}
 
-	// One entry per run of a Z-cell within a term; the few runs too long
+	// One entry per run of an edge within a term; the few runs too long
 	// for a leaf go to the overflow heap now, in key order.
-	cellAt := func(slot int) uint64 {
-		return cellOf[binary.LittleEndian.Uint32(arena[slot*postingSize+4:])]
-	}
 	entries := make([]btree.Entry, 0, keys)
 	for t, start := 0, 0; t < vocabSize; t++ {
 		for end := next[t]; start < end; {
-			cell, run := cellAt(start), start+1
-			for run < end && cellAt(run) == cell {
+			e, run := edgeAt[start], start+1
+			for run < end && edgeAt[run] == e {
 				run++
 			}
 			value := arena[start*postingSize : run*postingSize : run*postingSize]
 			if run-start > MaxInlineRecords {
-				ref, err := writeOverflowAt(pool, &idx.roots, appendPostings(nil, value, allEdges))
+				ref, err := writeOverflowAt(pool, &idx.roots, value)
 				if err != nil {
 					return nil, err
 				}
 				value = binary.LittleEndian.AppendUint64(nil, ref)
 			}
-			entries = append(entries, btree.Entry{Key: edgeKey(obj.TermID(t), cell), Value: value})
+			entries = append(entries, btree.Entry{Key: edgeKey(obj.TermID(t), uint64(rank[e])), Value: value})
 			start = run
 		}
 	}
@@ -282,25 +285,30 @@ func Build(g *graph.Graph, c *obj.Collection, vocabSize int, pool *storage.Buffe
 // the overflow heap through p (advancing r's write cursor) when they are
 // too many to share a leaf.
 func appendListValue(dst []byte, p storage.Pager, r *Roots, ps []Posting) ([]byte, error) {
-	sortPostings(ps)
-	if len(ps) > MaxInlineRecords {
-		ref, err := writeOverflowAt(p, r, ps)
-		if err != nil {
-			return nil, err
-		}
-		return binary.LittleEndian.AppendUint64(dst, ref), nil
-	}
+	slices.SortFunc(ps, func(a, b Posting) int {
+		return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Object, b.Object))
+	})
 	at, size := len(dst), len(ps)*postingSize
 	dst = slices.Grow(dst, size)[:at+size]
-	putPostings(dst[at:], ps)
-	return dst, nil
+	for i, rec := range ps {
+		putPosting(dst[at+i*postingSize:], rec.Object, rec.Offset)
+	}
+	if len(ps) <= MaxInlineRecords {
+		return dst, nil
+	}
+	ref, err := writeOverflowAt(p, r, dst[at:])
+	if err != nil {
+		return nil, err
+	}
+	return binary.LittleEndian.AppendUint64(dst[:at], ref), nil
 }
 
-// writeOverflowAt appends the sorted postings to the overflow heap through
-// p and returns the packed list address, advancing r's write cursor.
-func writeOverflowAt(p storage.Pager, r *Roots, ps []Posting) (uint64, error) {
-	if len(ps) > maxListRecords {
-		return 0, fmt.Errorf("invindex: posting list of %d records exceeds the %d cap", len(ps), maxListRecords)
+// writeOverflowAt appends the packed, sorted records recs to the overflow
+// heap through p and returns the list address, advancing r's write cursor.
+func writeOverflowAt(p storage.Pager, r *Roots, recs []byte) (uint64, error) {
+	n := len(recs) / postingSize
+	if n > maxListRecords {
+		return 0, fmt.Errorf("invindex: posting list of %d records exceeds the %d cap", n, maxListRecords)
 	}
 	// A list that does not fit in the current page's remainder starts on a
 	// fresh page, so that multi-page lists always occupy consecutively
@@ -308,13 +316,13 @@ func writeOverflowAt(p storage.Pager, r *Roots, ps []Posting) (uint64, error) {
 	// (During the initial build heap pages are consecutive anyway; after
 	// the build, B+-tree pages interleave in the file.)
 	remainder := (storage.PageSize - r.CurOff) / postingSize
-	if r.CurPage == storage.InvalidPageID || len(ps) > remainder {
+	if r.CurPage == storage.InvalidPageID || n > remainder {
 		if err := newHeapPageAt(p, r); err != nil {
 			return 0, err
 		}
 	}
 	startPage, startOff := r.CurPage, r.CurOff
-	for rest := ps; len(rest) > 0; {
+	for rest := recs; len(rest) > 0; {
 		if r.CurOff+postingSize > storage.PageSize {
 			if err := newHeapPageAt(p, r); err != nil {
 				return 0, err
@@ -324,13 +332,12 @@ func writeOverflowAt(p storage.Pager, r *Roots, ps []Posting) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		k := min(len(rest), (storage.PageSize-r.CurOff)/postingSize)
-		putPostings(page.Data()[r.CurOff:], rest[:k])
+		k := copy(page.Data()[r.CurOff:], rest[:min(len(rest), (storage.PageSize-r.CurOff)/postingSize*postingSize)])
 		p.MarkDirty(r.CurPage)
-		r.CurOff += k * postingSize
+		r.CurOff += k
 		rest = rest[k:]
 	}
-	return packListRef(startPage, startOff, len(ps)), nil
+	return packListRef(startPage, startOff, n), nil
 }
 
 func newHeapPageAt(p storage.Pager, r *Roots) error {
@@ -344,11 +351,11 @@ func newHeapPageAt(p storage.Pager, r *Roots) error {
 	return nil
 }
 
-// readList decodes the list a B+-tree value stands for, keeping the
-// postings on edge e (all of them for allEdges). An inline value is
-// decoded where it lies, in the leaf the probe read; an overflow address
-// is followed through pr over the list's consecutive heap pages, which is
-// the one case a probe costs more than that one page.
+// readList decodes the list a B+-tree value stands for as postings on
+// edge e, the edge of its key. An inline value is decoded where it lies,
+// in the leaf the probe read; an overflow address is followed through pr
+// over the list's consecutive heap pages, which is the one case a probe
+// costs more than that one page.
 func readList(ctx context.Context, pr storage.PageReader, v []byte, e graph.EdgeID) ([]Posting, error) {
 	if !isOverflowRef(v) {
 		return appendPostings(make([]Posting, 0, len(v)/postingSize), v, e), nil
@@ -369,15 +376,6 @@ func readList(ctx context.Context, pr storage.PageReader, v []byte, e graph.Edge
 	return out, nil
 }
 
-// listLen is the number of records in the list a value stands for.
-func listLen(v []byte) int {
-	if !isOverflowRef(v) {
-		return len(v) / postingSize
-	}
-	_, _, count := unpackListRef(binary.LittleEndian.Uint64(v))
-	return count
-}
-
 // rewriteListAt replaces the list under key in the tree of r with what
 // edit makes of it (nil for an absent key), through p. edit reports
 // whether it changed anything; an unchanged list writes no page.
@@ -385,7 +383,7 @@ func rewriteListAt(p storage.Pager, r *Roots, key uint64, edit func([]Posting) (
 	var ps []Posting
 	old, err := btree.GetAt(context.Background(), p, r.Tree, key)
 	if err == nil {
-		ps, err = readList(context.Background(), p, old, allEdges)
+		ps, err = readList(context.Background(), p, old, graph.InvalidEdge)
 	} else if errors.Is(err, btree.ErrNotFound) {
 		err = nil
 	}
@@ -411,14 +409,14 @@ func rewriteListAt(p storage.Pager, r *Roots, key uint64, edit func([]Posting) (
 // MaxInlineRecords is written out to the overflow heap's tail (and
 // rewritten there from then on, the abandoned space being the usual
 // inverted-file amplification of in-place updates).
-func (idx *Index) InsertObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj.ID, e graph.EdgeID, offset float64, terms []obj.TermID) error {
+func (idx *Index) InsertObjectAt(p storage.Pager, r *Roots, key uint64, id obj.ID, offset float64, terms []obj.TermID) error {
 	r.TermPostings = append([]int32(nil), r.TermPostings...)
-	rec := Posting{Object: id, Edge: e, Offset: offset}
+	rec := Posting{Object: id, Offset: offset}
 	for _, t := range terms {
 		if int(t) >= len(r.TermPostings) {
 			return fmt.Errorf("invindex: term %d outside vocabulary of %d", t, len(r.TermPostings))
 		}
-		if _, err := rewriteListAt(p, r, edgeKey(t, zcode), func(ps []Posting) ([]Posting, bool) {
+		if _, err := rewriteListAt(p, r, edgeKey(t, key), func(ps []Posting) ([]Posting, bool) {
 			return append(ps, rec), true
 		}); err != nil {
 			return err
@@ -433,13 +431,13 @@ func (idx *Index) InsertObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj
 // without the object's record, back into the leaf once it is short enough.
 // A key whose last posting goes keeps an empty list. Removing an object
 // absent from a term's list is ignored for that term.
-func (idx *Index) RemoveObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj.ID, terms []obj.TermID) error {
+func (idx *Index) RemoveObjectAt(p storage.Pager, r *Roots, key uint64, id obj.ID, terms []obj.TermID) error {
 	r.TermPostings = append([]int32(nil), r.TermPostings...)
 	for _, t := range terms {
 		if int(t) >= len(r.TermPostings) {
 			return fmt.Errorf("invindex: term %d outside vocabulary of %d", t, len(r.TermPostings))
 		}
-		removed, err := rewriteListAt(p, r, edgeKey(t, zcode), func(ps []Posting) ([]Posting, bool) {
+		removed, err := rewriteListAt(p, r, edgeKey(t, key), func(ps []Posting) ([]Posting, bool) {
 			kept := slices.DeleteFunc(ps, func(rec Posting) bool { return rec.Object == id })
 			return kept, len(kept) < len(ps)
 		})
@@ -453,48 +451,26 @@ func (idx *Index) RemoveObjectAt(p storage.Pager, r *Roots, zcode uint64, id obj
 	return nil
 }
 
-// TermPostings returns term t's postings on edge e (the R_t of Algorithm
-// 2), loading them from disk. zcode must be the Z-code of e's center.
-func (idx *Index) TermPostings(t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
-	return idx.TermPostingsCtx(context.Background(), t, e, zcode)
-}
-
-// TermPostingsCtx is TermPostings with cancellation: a done ctx aborts the
-// leaf read or the overflow walk before the next page read.
-func (idx *Index) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
-	return idx.termPostingsAt(ctx, idx.pool, &idx.roots, t, e, zcode)
-}
-
-func (idx *Index) termPostingsAt(ctx context.Context, pr storage.PageReader, r *Roots, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
-	v, err := btree.GetAt(ctx, pr, r.Tree, edgeKey(t, zcode))
-	if errors.Is(err, btree.ErrNotFound) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	idx.postingsRead.Add(int64(listLen(v)))
-	if isOverflowRef(v) {
-		idx.overflowReads.Add(1)
-	}
-	return readList(ctx, pr, v, e)
-}
-
-// EdgeZCoder supplies the Z-code of an edge's center (implemented by the
-// road network graph); it is injected so that query processing does not
-// depend on the full in-memory graph.
+// EdgeZCoder supplies an edge's key cell, the low bits of its keys (the
+// paper's Z-code of the edge's center; here the edge's rank, see the
+// package doc); it is injected so that query processing does not depend
+// on the full in-memory graph.
 type EdgeZCoder interface {
 	EdgeZCode(e graph.EdgeID) uint64
 }
 
-// GraphZCoder adapts a *graph.Graph to EdgeZCoder.
+// GraphZCoder adapts a *graph.Graph to EdgeZCoder: EdgeZCode(e) is e's
+// rank, the key cell Build files e's lists under. The rank table is
+// memoised on the graph, so a probe costs one slice lookup, and a
+// GraphZCoder over any graph value of the same network finds the keys an
+// index built over another wrote.
 type GraphZCoder struct{ G *graph.Graph }
 
 // EdgeZCode implements EdgeZCoder.
-func (z GraphZCoder) EdgeZCode(e graph.EdgeID) uint64 { return geo.ZCode(z.G.EdgeCenter(e)) }
+func (z GraphZCoder) EdgeZCode(e graph.EdgeID) uint64 { return uint64(z.G.EdgeRanks(rankEdges)[e]) }
 
-// Loader is the query-time handle of the IF index: it resolves edge
-// Z-codes through the coder and intersects the per-term posting lists
+// Loader is the query-time handle of the IF index: it resolves edge key
+// cells through the coder and intersects the per-term posting lists
 // with AND semantics (Algorithm 2 without the signature test). Its methods
 // read the live roots through the buffer pool; At binds the same logic to
 // a pinned page view and a published Roots snapshot for latch-free reads.
@@ -540,10 +516,23 @@ type Reader struct {
 	SelectivityOrder bool
 }
 
-// TermPostingsCtx returns term t's postings on edge e at this reader's
-// snapshot.
-func (rd Reader) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.EdgeID, zcode uint64) ([]Posting, error) {
-	return rd.Idx.termPostingsAt(ctx, rd.PR, rd.Roots, t, e, zcode)
+// TermPostingsCtx returns term t's postings on edge e, whose key cell is
+// key (the R_t of Algorithm 2), at this reader's snapshot. A done ctx
+// aborts the leaf read or the overflow walk before the next page read.
+func (rd Reader) TermPostingsCtx(ctx context.Context, t obj.TermID, e graph.EdgeID, key uint64) ([]Posting, error) {
+	v, err := btree.GetAt(ctx, rd.PR, rd.Roots.Tree, edgeKey(t, key))
+	if errors.Is(err, btree.ErrNotFound) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if isOverflowRef(v) {
+		rd.Idx.overflowReads.Add(1)
+	}
+	ps, err := readList(ctx, rd.PR, v, e)
+	rd.Idx.postingsRead.Add(int64(len(ps)))
+	return ps, err
 }
 
 func byObject(a, b Posting) int { return cmp.Compare(a.Object, b.Object) }
@@ -660,18 +649,17 @@ func rarestFirst(terms []obj.TermID, counts []int32) []obj.TermID {
 	return terms
 }
 
-// recordsPerPage is the packing density of a page of nothing but postings.
-const recordsPerPage = storage.PageSize / postingSize
+// sigPageRecords is the records of one page of the 16-byte postings the
+// signature layer's one-page rule was set at (ListPages). It stays when
+// the record shrank to 12 bytes, so the set of signed terms, every
+// signature bit and SIF's false hits stay as they were.
+const sigPageRecords = storage.PageSize / 16
 
 // ListPages returns the approximate number of pages term t's postings
-// fill (at recordsPerPage density, wherever they lie); the signature layer
+// fill (at sigPageRecords density, wherever they lie); the signature layer
 // skips terms whose inverted file fits in a single page.
 func (idx *Index) ListPages(t obj.TermID) int {
-	n := int(idx.roots.TermPostings[t])
-	if n == 0 {
-		return 0
-	}
-	return (n + recordsPerPage - 1) / recordsPerPage
+	return (int(idx.roots.TermPostings[t]) + sigPageRecords - 1) / sigPageRecords
 }
 
 // SizeBytes returns the footprint: the B+-tree, whose leaves hold the

@@ -24,6 +24,9 @@ import (
 	"dsks/internal/storage"
 )
 
+// recordsPerPage is the packing density of an overflow page.
+const recordsPerPage = storage.PageSize / postingSize
+
 // buildFixture creates a small graph with objects and the index over them.
 func buildFixture(t testing.TB, nObjects int, seed int64) (*graph.Graph, *obj.Collection, *Index, *Loader, *storage.IOStats) {
 	t.Helper()
@@ -64,6 +67,11 @@ func buildFixture(t testing.TB, nObjects int, seed int64) (*graph.Graph, *obj.Co
 		t.Fatal(err)
 	}
 	return g, col, idx, &Loader{Idx: idx, Coder: GraphZCoder{G: g}}, stats
+}
+
+// termPostings reads term t's postings on edge e at idx's live roots.
+func termPostings(idx *Index, t obj.TermID, e graph.EdgeID, key uint64) ([]Posting, error) {
+	return Reader{Idx: idx, PR: idx.pool, Roots: &idx.roots}.TermPostingsCtx(context.Background(), t, e, key)
 }
 
 // bruteLoad is the reference implementation of Algorithm 2.
@@ -170,7 +178,7 @@ func TestPostingChainSpansPages(t *testing.T) {
 	}
 	g.Freeze()
 	col := obj.NewCollection()
-	const many = 700 // > 255 postings per page
+	const many = 700 // > 341 postings per page
 	for i := 0; i < many; i++ {
 		col.Add(graph.Position{Edge: eid, Offset: float64(i) / many * 100}, []obj.TermID{0})
 	}
@@ -193,8 +201,8 @@ func TestPostingChainSpansPages(t *testing.T) {
 	if len(got) != many {
 		t.Fatalf("chain read returned %d of %d postings", len(got), many)
 	}
-	if idx.OverflowReads() != 1 {
-		t.Fatalf("one probe of an overflow list counted %d overflow reads", idx.OverflowReads())
+	if idx.overflowReads.Load() != 1 {
+		t.Fatalf("one probe of an overflow list counted %d overflow reads", idx.overflowReads.Load())
 	}
 }
 
@@ -221,7 +229,7 @@ func TestProbeCostsTheHeight(t *testing.T) {
 	coder := GraphZCoder{G: g}
 	requests := func(term obj.TermID, e graph.EdgeID) (int64, int) {
 		before := stats.Snapshot().LogicalRead
-		ps, err := idx.TermPostings(term, e, coder.EdgeZCode(e))
+		ps, err := termPostings(idx, term, e, coder.EdgeZCode(e))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,14 +254,14 @@ func TestProbeCostsTheHeight(t *testing.T) {
 	if inline == 0 || longest < 2 {
 		t.Fatalf("%d probes found a list, the longest of %d postings: the test is vacuous", inline, longest)
 	}
-	if idx.OverflowReads() != 0 {
-		t.Fatalf("probes of inline lists counted %d overflow reads", idx.OverflowReads())
+	if idx.overflowReads.Load() != 0 {
+		t.Fatalf("probes of inline lists counted %d overflow reads", idx.overflowReads.Load())
 	}
 	if got, n := requests(7, hot); got != 1+3 || n < long {
 		t.Fatalf("probe of the %d-posting list made %d page requests and found %d, want 1 plus a chain of 3", long, got, n)
 	}
-	if idx.OverflowReads() != 1 {
-		t.Fatalf("one probe of the overflow list counted %d overflow reads", idx.OverflowReads())
+	if idx.overflowReads.Load() != 1 {
+		t.Fatalf("one probe of the overflow list counted %d overflow reads", idx.overflowReads.Load())
 	}
 }
 
@@ -287,14 +295,14 @@ func TestIndexCountsIO(t *testing.T) {
 }
 
 func TestEdgeKeyOrderingByZCode(t *testing.T) {
-	// Keys of the same term must order primarily by Z-code so that
-	// spatially adjacent edges are adjacent in the B+-tree.
+	// Keys of the same term order by the edge's rank, so that edges of one
+	// CCAM region, in Z-order within it, are adjacent in the B+-tree.
 	k1 := edgeKey(5, 100)
 	k2 := edgeKey(5, 200)
 	if k1 >= k2 {
-		t.Error("keys not ordered by z-code")
+		t.Error("keys not ordered by rank")
 	}
-	// Different terms never collide even with identical z-codes.
+	// Different terms never collide even with identical ranks.
 	if edgeKey(5, 100) == edgeKey(6, 100) {
 		t.Error("term separation broken")
 	}
@@ -342,9 +350,12 @@ func TestZCellCollisionHandled(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Freeze()
+	if geo.ZCode(g.EdgeCenter(e1)) != geo.ZCode(g.EdgeCenter(e2)) {
+		t.Fatal("centers no longer collide; adjust epsilon")
+	}
 	coder := GraphZCoder{G: g}
-	if coder.EdgeZCode(e1) != coder.EdgeZCode(e2) {
-		t.Skip("centers no longer collide; adjust epsilon")
+	if coder.EdgeZCode(e1) == coder.EdgeZCode(e2) {
+		t.Fatalf("edges %d and %d share the key cell %d", e1, e2, coder.EdgeZCode(e1))
 	}
 	col := obj.NewCollection()
 	a := col.Add(graph.Position{Edge: e1, Offset: 0}, []obj.TermID{0})
@@ -434,7 +445,7 @@ func TestDynamicModel(t *testing.T) {
 			}
 			nextID++
 			o := col.Get(id)
-			if err := idx.InsertObjectAt(idx.Pool(), &roots, coder.EdgeZCode(e), id, e, pos.Offset, o.Terms); err != nil {
+			if err := idx.InsertObjectAt(idx.Pool(), &roots, coder.EdgeZCode(e), id, pos.Offset, o.Terms); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -564,7 +575,7 @@ func TestListCrossesOverflowBoundAndBack(t *testing.T) {
 		pos := graph.Position{Edge: eid, Offset: 100 - float64(n)/2}
 		id := col.Add(pos, []obj.TermID{0})
 		added = append(added, id)
-		if err := idx.InsertObjectAt(pool, &roots, coder.EdgeZCode(eid), id, eid, pos.Offset, []obj.TermID{0}); err != nil {
+		if err := idx.InsertObjectAt(pool, &roots, coder.EdgeZCode(eid), id, pos.Offset, []obj.TermID{0}); err != nil {
 			t.Fatal(err)
 		}
 		if inline := n <= MaxInlineRecords; inline != (roots.PostingPages == 0) {
@@ -572,7 +583,7 @@ func TestListCrossesOverflowBoundAndBack(t *testing.T) {
 		}
 		check(fmt.Sprintf("grown to %d", n))
 	}
-	if idx.OverflowReads() == 0 {
+	if idx.overflowReads.Load() == 0 {
 		t.Fatal("probes of a list past the bound counted no overflow read")
 	}
 	inlineAgainPages := 0
@@ -584,11 +595,11 @@ func TestListCrossesOverflowBoundAndBack(t *testing.T) {
 		if err := col.Remove(id); err != nil {
 			t.Fatal(err)
 		}
-		before := idx.OverflowReads()
+		before := idx.overflowReads.Load()
 		check(fmt.Sprintf("shrunk by %d", i+1))
 		left := MaxInlineRecords + 10 - (i + 1)
-		if inline := left <= MaxInlineRecords; inline != (idx.OverflowReads() == before) {
-			t.Fatalf("a list of %d postings (bound %d): overflow reads %d -> %d", left, MaxInlineRecords, before, idx.OverflowReads())
+		if inline := left <= MaxInlineRecords; inline != (idx.overflowReads.Load() == before) {
+			t.Fatalf("a list of %d postings (bound %d): overflow reads %d -> %d", left, MaxInlineRecords, before, idx.overflowReads.Load())
 		}
 		// Only a list still past the bound is rewritten in the heap.
 		if left == MaxInlineRecords {
@@ -660,7 +671,7 @@ func TestPinnedReaderKeepsItsList(t *testing.T) {
 	nextID := obj.ID(col.Len())
 	for lsn := uint64(1); lsn <= MaxInlineRecords+5; lsn++ {
 		batch, next := pool.NewBatch(lsn), cur
-		if err := idx.InsertObjectAt(batch, &next, coder.EdgeZCode(hot), nextID, hot, float64(lsn)/1000, []obj.TermID{term}); err != nil {
+		if err := idx.InsertObjectAt(batch, &next, coder.EdgeZCode(hot), nextID, float64(lsn)/1000, []obj.TermID{term}); err != nil {
 			t.Fatal(err)
 		}
 		nextID++
@@ -724,8 +735,9 @@ func buildReference(g *graph.Graph, c *obj.Collection, vocabSize int, pool *stor
 		postings []Posting
 	}
 	byKey := make(map[uint64]*listEntry)
+	rank := rankEdges(g)
 	for _, e := range c.Edges() {
-		z := geo.ZCode(g.EdgeCenter(e))
+		z := uint64(rank[e])
 		for _, id := range c.OnEdge(e) {
 			o := c.Get(id)
 			for _, t := range o.Terms {
@@ -776,9 +788,9 @@ func TestBuildMatchesReference(t *testing.T) {
 		g     *graph.Graph
 		col   *obj.Collection
 		vocab int
-		// overflow, sharedKeys: what the fixture must contain to test
+		// overflow, sharedCell: what the fixture must contain to test
 		// what its name says.
-		overflow, sharedKeys bool
+		overflow, sharedCell bool
 	}
 	var fixtures []fixture
 	for _, p := range []struct {
@@ -798,8 +810,8 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 
 	// Three edges from one node whose centers share a Z-cell: every term
-	// has one key, whose postings go by (edge, offset, object) although
-	// the objects arrive edge by edge in the opposite order.
+	// has a key on each edge, whose postings go by (offset, object)
+	// although the objects arrive in the opposite order.
 	shared := graph.New()
 	shared.AddNode(geo.Point{X: 0, Y: 0})
 	shared.AddNode(geo.Point{X: 1e-7, Y: 0})
@@ -817,7 +829,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		sharedCol.Add(graph.Position{Edge: e, Offset: float64(60-i) / 100}, []obj.TermID{obj.TermID(i % 2), 2})
 		sharedCol.Add(graph.Position{Edge: e, Offset: float64(60-i) / 100}, []obj.TermID{2}) // an offset tie
 	}
-	fixtures = append(fixtures, fixture{name: "shared Z-cell", g: shared, col: sharedCol, vocab: 3, sharedKeys: true})
+	fixtures = append(fixtures, fixture{name: "shared Z-cell", g: shared, col: sharedCol, vocab: 3, sharedCell: true})
 
 	// One term on one edge MaxInlineRecords times, once more, and enough
 	// for a chain of pages, beside short lists: the bound and the heap.
@@ -908,8 +920,8 @@ func TestBuildMatchesReference(t *testing.T) {
 			if fx.overflow && want.Roots().PostingPages < 4 {
 				t.Errorf("%d overflow pages: the fixture does not reach the heap", want.Roots().PostingPages)
 			}
-			if n := want.Tree().Len(); fx.sharedKeys && n != fx.vocab {
-				t.Errorf("%d keys for %d terms: the edges do not share a Z-cell", n, fx.vocab)
+			if n := want.Tree().Len(); fx.sharedCell && n != 3*fx.vocab {
+				t.Errorf("%d keys for %d terms on 3 edges: edges of one Z-cell share a key", n, fx.vocab)
 			}
 		})
 	}
@@ -930,7 +942,7 @@ func TestRarestFirstMatchesQueryOrder(t *testing.T) {
 	insert := func(e graph.EdgeID, terms []obj.TermID) {
 		pos := graph.Position{Edge: e, Offset: rng.Float64() * g.Edge(e).Length}
 		id := col.Add(pos, terms)
-		if err := idx.InsertObjectAt(pool, &roots, coder.EdgeZCode(e), id, e, pos.Offset, col.Get(id).Terms); err != nil {
+		if err := idx.InsertObjectAt(pool, &roots, coder.EdgeZCode(e), id, pos.Offset, col.Get(id).Terms); err != nil {
 			t.Fatal(err)
 		}
 	}

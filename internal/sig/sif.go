@@ -198,8 +198,7 @@ func (s *SIF) slotOf(e graph.EdgeID, offset float64) int32 {
 // always probed, which remains sound).
 func (s *SIF) InsertObjectAt(p storage.Pager, inv *invindex.Roots, r *Roots, id obj.ID, e graph.EdgeID, offset float64, terms []obj.TermID) error {
 	terms = obj.NormalizeTerms(append([]obj.TermID(nil), terms...))
-	z := s.inner.Coder.EdgeZCode(e)
-	if err := s.inner.Idx.InsertObjectAt(p, inv, z, id, e, offset, terms); err != nil {
+	if err := s.inner.Idx.InsertObjectAt(p, inv, s.inner.Coder.EdgeZCode(e), id, offset, terms); err != nil {
 		return err
 	}
 	slot := s.slotOf(e, offset)

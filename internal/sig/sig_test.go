@@ -2,6 +2,8 @@ package sig
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 
 	"math"
 	"math/rand"
@@ -763,6 +765,46 @@ func TestRarestFirstMatchesQueryOrder(t *testing.T) {
 		t.Logf("MaxCuts %d: %d of %d terms signed, %d objects found", opts.MaxCuts, signed, vocab, found)
 		if found == 0 {
 			t.Fatalf("MaxCuts %d: every probe came back empty; the test is vacuous", opts.MaxCuts)
+		}
+	}
+}
+
+// TestSignedTermDigest pins the signature layer against changes to the
+// inverted file below it: on NA/20, the terms SIF and SIF-P sign and every
+// bit of their signatures hash to the digests recorded while a posting was
+// 16 bytes. The one-page rule counts a term's postings at that page
+// density (invindex.ListPages), so the record size does not move it.
+func TestSignedTermDigest(t *testing.T) {
+	ds, err := dataset.GeneratePreset(dataset.PresetNA, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, col := ds.Graph, ds.Objects
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"SIF", Options{}, "256 terms 8b167ab2f70009ef"},
+		{"SIF-P", Options{MaxCuts: 3, TopFraction: 0.1, Log: &FreqLog{L: 3, N: 16, Seed: 99}}, "256 terms 17a5e4abd9ff3717"},
+	} {
+		inv, err := invindex.Build(g, col, ds.VocabSize, storage.NewBufferPool(storage.NewPageFile(), 1<<16, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := BuildSIF(g, col, ds.VocabSize, inv, invindex.GraphZCoder{G: g}, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, signed := sha256.New(), 0
+		for term, ts := range s.roots.Sigs {
+			if ts != nil {
+				signed++
+				fmt.Fprintf(h, "%d %d %v\n", term, ts.n, ts.set)
+			}
+		}
+		if got := fmt.Sprintf("%d terms %x", signed, h.Sum(nil)[:8]); got != tc.want {
+			t.Errorf("%s: signed %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

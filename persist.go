@@ -3,6 +3,7 @@ package dsks
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -516,23 +517,24 @@ func OpenPath(dir string, opts Options) (*DB, error) {
 	default:
 		return nil, fmt.Errorf("%w: unsupported format version %d", ErrBadSnapshot, meta.Format)
 	}
+	// meta.json's configuration gets the caller's options check, and what
+	// fails it is a bad snapshot. The caller's non-zero fields win (an IR
+	// snapshot opens with Options.Index set).
+	saved := Options{
+		BufferFraction: meta.BufferFraction,
+		PartitionCuts:  meta.PartitionCuts,
+		Landmarks:      meta.OracleLandmarks,
+		OracleSeed:     meta.OracleSeed,
+	}
 	if opts.Index == "" {
-		switch meta.Index {
-		case "", IndexIF, IndexSIF, IndexSIFP:
-		default:
-			return nil, fmt.Errorf("%w: unknown index kind %q", ErrBadSnapshot, meta.Index)
-		}
-		opts.Index = meta.Index
+		saved.Index = meta.Index
 	}
-	if meta.BufferFraction < 0 || meta.PartitionCuts < 0 {
-		return nil, fmt.Errorf("%w: negative bufferFraction or partitionCuts", ErrBadSnapshot)
+	if err := saved.validate(); err != nil {
+		return nil, fmt.Errorf("%w: meta.json: %v", ErrBadSnapshot, err)
 	}
-	if opts.BufferFraction == 0 {
-		opts.BufferFraction = meta.BufferFraction
-	}
-	if opts.PartitionCuts == 0 {
-		opts.PartitionCuts = meta.PartitionCuts
-	}
+	opts.Index = cmp.Or(opts.Index, saved.Index)
+	opts.BufferFraction = cmp.Or(opts.BufferFraction, saved.BufferFraction)
+	opts.PartitionCuts = cmp.Or(opts.PartitionCuts, saved.PartitionCuts)
 	gf, err := os.Open(filepath.Join(dir, "graph"))
 	if err != nil {
 		return nil, fmt.Errorf("%w: missing graph: %w", ErrBadSnapshot, err)
@@ -566,14 +568,10 @@ func OpenPath(dir string, opts Options) (*DB, error) {
 	// — if it is missing, truncated, corrupt or mismatched, openDB's
 	// harness rebuilds the oracle from the graph instead.
 	oraclePath := ""
-	if meta.OracleLandmarks > 0 && !opts.Oracle {
+	if saved.Landmarks > 0 && !opts.Oracle {
 		opts.Oracle = true
-		if opts.Landmarks == 0 {
-			opts.Landmarks = meta.OracleLandmarks
-		}
-		if opts.OracleSeed == 0 {
-			opts.OracleSeed = meta.OracleSeed
-		}
+		opts.Landmarks = cmp.Or(opts.Landmarks, saved.Landmarks)
+		opts.OracleSeed = cmp.Or(opts.OracleSeed, saved.OracleSeed)
 	}
 	if opts.Oracle {
 		oraclePath = filepath.Join(dir, "oracle")

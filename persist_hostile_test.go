@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,7 +19,7 @@ import (
 // — never a panic, never a silently wrong database.
 
 // saveTiny saves a small database into a fresh directory and returns it.
-func saveTiny(t *testing.T) string {
+func saveTiny(t testing.TB) string {
 	t.Helper()
 	db, _, _, _ := buildTinyCity(t)
 	dir := filepath.Join(t.TempDir(), "snap")
@@ -106,7 +107,7 @@ func TestOpenPathUndecodableMeta(t *testing.T) {
 
 // downgradeToV1 rewrites a saved snapshot as the legacy format-1 layout
 // (no manifest), applying edit to the decoded meta first.
-func downgradeToV1(t *testing.T, dir string, edit func(map[string]any)) {
+func downgradeToV1(t testing.TB, dir string, edit func(map[string]any)) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
@@ -185,6 +186,90 @@ func TestOpenPathNegativeConfiguration(t *testing.T) {
 		})
 		wantBadSnapshot(t, dir, "negative "+key)
 	}
+}
+
+// TestOpenPathBadLandmarkCount: a landmark count past what the oracle
+// takes, saved in meta.json, is a bad snapshot, not bad options of the
+// caller's; the same count passed by the caller is bad options.
+func TestOpenPathBadLandmarkCount(t *testing.T) {
+	dir := saveTiny(t)
+	downgradeToV1(t, dir, func(meta map[string]any) {
+		meta["oracleLandmarks"] = 600
+	})
+	wantBadSnapshot(t, dir, "oracleLandmarks 600")
+	if _, err := dsks.OpenPath(dir, dsks.Options{}); errors.Is(err, dsks.ErrBadOptions) {
+		t.Fatalf("oracleLandmarks 600 in meta.json: err = %v, which blames the caller's options", err)
+	}
+	good := saveTiny(t)
+	if _, err := dsks.OpenPath(good, dsks.Options{Oracle: true, Landmarks: 600}); !errors.Is(err, dsks.ErrBadOptions) || errors.Is(err, dsks.ErrBadSnapshot) {
+		t.Fatalf("Landmarks 600 passed to OpenPath: err = %v, want ErrBadOptions alone", err)
+	}
+}
+
+// FuzzOpenPathMeta opens a saved tiny snapshot in the format-1 layout,
+// which has no manifest to verify meta.json against, under arbitrary
+// meta.json bytes: OpenPath opens it or fails with ErrBadSnapshot, and
+// never panics.
+func FuzzOpenPathMeta(f *testing.F) {
+	src := saveTiny(f)
+	downgradeToV1(f, src, nil)
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(src, e.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(files["meta.json"], &meta); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(files["meta.json"])
+	for _, kv := range []struct {
+		key string
+		v   any
+	}{
+		{"oracleLandmarks", 600}, {"bufferFraction", -1}, {"partitionCuts", -1}, {"index", "IR"},
+		{"format", 2}, {"vocabSize", 1 << 40}, {"oracleSeed", -1}, {"allocated", 7},
+	} {
+		edited := maps.Clone(meta)
+		edited[kv.key] = kv.v
+		raw, err := json.Marshal(edited)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, raw := range []string{"", "null", "[]", "{}", `{"format":1}`, `{"format":1,"bufferFraction":1e308}`} {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := filepath.Join(t.TempDir(), "snap")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range files {
+			if name == "meta.json" {
+				b = raw
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := dsks.OpenPath(dir, dsks.Options{})
+		if err != nil {
+			if !errors.Is(err, dsks.ErrBadSnapshot) {
+				t.Fatalf("meta.json %q: err = %v, want ErrBadSnapshot", raw, err)
+			}
+			return
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestOpenPathIRSnapshot: a snapshot whose meta.json names IR, a kind the
