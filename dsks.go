@@ -393,13 +393,14 @@ func (db *DB) attachWAL(opts Options, walFrom uint64) error {
 // replay applies one logged record — read back from the database's own
 // log at open, or shipped from a primary — over the in-memory state. It
 // runs a live mutation's check and apply, and additionally checks that an
-// insert reassigns exactly the object ID the log recorded: any divergence
-// means the log does not belong to the opened state, and fails with an
-// error matching ErrBadWAL before anything changes.
+// insert was logged over exactly the collection length it finds, and so
+// reassigns exactly the object ID the log recorded: any divergence means
+// the log does not belong to the opened state, and fails with an error
+// matching ErrBadWAL before anything changes.
 func (db *DB) replay(r wal.Record) error {
 	err := db.check(r)
-	if n := db.eng.Objects.Len(); err == nil && r.Type == wal.RecInsert && int(r.ID) != n {
-		err = fmt.Errorf("the log recorded object %d where the collection assigns %d", r.ID, n)
+	if n := db.eng.Objects.Len(); err == nil && r.Type == wal.RecInsert && (r.Skipped < 0 || int(r.ID-r.Skipped) != n) {
+		err = fmt.Errorf("the log recorded object %d over %d IDs where the collection holds %d", r.ID, r.ID-r.Skipped, n)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: replaying LSN %d: %w", ErrBadWAL, r.LSN, err)
@@ -574,7 +575,7 @@ func (db *DB) Stream(ctx context.Context, q SKQuery) (*Stream, error) {
 // is indeterminate: it was never acknowledged and never published, but
 // the log record exists, so a restart replays it.
 func (db *DB) Insert(pos Position, terms []TermID) (ObjectID, error) {
-	id, lsn, err := db.InsertAsync(pos, terms)
+	id, lsn, err := db.InsertAsync(-1, pos, terms)
 	if err != nil {
 		return 0, err
 	}
@@ -584,16 +585,18 @@ func (db *DB) Insert(pos Position, terms []TermID) (ObjectID, error) {
 	return id, nil
 }
 
-// InsertAsync is Insert without the durability wait: it appends the WAL
-// record, applies and publishes the mutation, and returns the assigned
-// object ID plus the commit LSN immediately — before the record is
-// fsynced. Callers that need the Insert acknowledgment contract follow
-// up with WaitDurable(lsn) once they have released any latches of their
-// own; this is the same append-under-latch, sync-outside split the DB
-// itself uses internally, exposed for layers (like a shard router) that
-// must record bookkeeping against the assigned ID before blocking.
-func (db *DB) InsertAsync(pos Position, terms []TermID) (ObjectID, uint64, error) {
-	r := wal.Record{Type: wal.RecInsert, Edge: int32(pos.Edge), Offset: pos.Offset, Terms: make([]int32, len(terms))}
+// InsertAsync is Insert without the durability wait, under a chosen
+// object ID: it appends the WAL record, applies and publishes the
+// mutation, and returns the object ID plus the commit LSN immediately —
+// before the record is fsynced. A negative id takes the next ID, as
+// Insert does; any other id must be at least ObjectCount(), and the IDs
+// it skips become tombstones that never held an object. A shard router
+// uses it to store each object under its set-wide ID. Callers that need
+// the Insert acknowledgment contract follow up with WaitDurable(lsn) once
+// they have released any latches of their own; this is the same
+// append-under-latch, sync-outside split the DB itself uses internally.
+func (db *DB) InsertAsync(id ObjectID, pos Position, terms []TermID) (ObjectID, uint64, error) {
+	r := wal.Record{Type: wal.RecInsert, ID: int32(id), Edge: int32(pos.Edge), Offset: pos.Offset, Terms: make([]int32, len(terms))}
 	for i, t := range terms {
 		r.Terms[i] = int32(t)
 	}
@@ -605,11 +608,12 @@ func (db *DB) InsertAsync(pos Position, terms []TermID) (ObjectID, uint64, error
 }
 
 // commit is the one path of a live mutation, under the write latch: r is
-// checked, stamped with its commit LSN (an insert also with the object ID
-// the collection will assign and its clamped offset, so replay can verify
-// it reassigns the same ID), appended to the log when one is attached,
-// and applied. It returns the stamped record; the durability wait is the
-// caller's, after the latch is released.
+// checked, stamped with its commit LSN (an insert also with its object ID
+// — the next one when r.ID is negative — the IDs it skipped and its
+// clamped offset, so replay can verify it reassigns the same ID),
+// appended to the log when one is attached, and applied. It returns the
+// stamped record; the durability wait is the caller's, after the latch
+// is released.
 func (db *DB) commit(r wal.Record) (wal.Record, error) {
 	db.mu.Lock()
 	if err := db.check(r); err != nil {
@@ -617,7 +621,14 @@ func (db *DB) commit(r wal.Record) (wal.Record, error) {
 		return r, err
 	}
 	if r.Type == wal.RecInsert {
-		r.ID = int32(db.eng.Objects.Len())
+		n := int32(db.eng.Objects.Len())
+		if r.ID < 0 {
+			r.ID = n
+		} else if r.ID < n {
+			db.mu.Unlock()
+			return r, fmt.Errorf("dsks: insert as object %d, below the %d IDs already assigned", r.ID, n)
+		}
+		r.Skipped = r.ID - n
 		r.Offset = db.eng.Graph.Clamp(recordPos(r)).Offset
 	}
 	r.LSN = db.roots.Load().lsn + 1
@@ -681,6 +692,7 @@ func (db *DB) apply(r wal.Record) error {
 		if err := db.eng.Versions.InsertObjectAt(batch, &idx, id, pos, terms); err != nil {
 			return err
 		}
+		col.Pad(int(id)) // the IDs the insert skipped never held an object
 		if got := col.Add(pos, terms); got != id {
 			return fmt.Errorf("dsks: insert assigned object %d where the index recorded %d", got, id)
 		}

@@ -249,3 +249,41 @@ func TestCollectionRemove(t *testing.T) {
 		t.Errorf("Edges after clearing = %v", c.Edges())
 	}
 }
+
+func TestCollectionPad(t *testing.T) {
+	c := NewCollection()
+	c.Grow(5)
+	if c.Len() != 0 {
+		t.Fatalf("Len after Grow = %d", c.Len())
+	}
+	e := graph.EdgeID(2)
+	c.Add(graph.Position{Edge: e, Offset: 1}, []TermID{0})
+	c.Pad(4)
+	c.Pad(3) // shorter than the collection: nothing changes
+	if c.Len() != 4 || c.Live() != 1 {
+		t.Fatalf("Len/Live after Pad(4) = %d/%d, want 4/1", c.Len(), c.Live())
+	}
+	for id := ID(1); id < 4; id++ {
+		if !c.Removed(id) || c.Get(id).ID != id {
+			t.Errorf("padded ID %d: removed %v, object %+v", id, c.Removed(id), *c.Get(id))
+		}
+		if err := c.Remove(id); err == nil {
+			t.Errorf("remove of padded ID %d accepted", id)
+		}
+	}
+	if got := c.Tombstones(); !reflect.DeepEqual(got, []ID{1, 2, 3}) {
+		t.Errorf("Tombstones = %v", got)
+	}
+	if got := c.Add(graph.Position{Edge: e, Offset: 0.5}, []TermID{1}); got != 4 {
+		t.Errorf("Add after Pad assigned %d, want 4", got)
+	}
+	if on := c.OnEdge(e); !reflect.DeepEqual(on, []ID{4, 0}) {
+		t.Errorf("OnEdge = %v, want [4 0]", on)
+	}
+	if got := c.Edges(); !reflect.DeepEqual(got, []graph.EdgeID{e}) {
+		t.Errorf("Edges = %v, want only %d", got, e)
+	}
+	if freq := c.TermFrequencies(2); freq[0] != 1 || freq[1] != 1 {
+		t.Errorf("freq = %v", freq)
+	}
+}

@@ -119,6 +119,23 @@ func (c *Collection) Remove(id ID) error {
 	return nil
 }
 
+// Grow reserves room for n IDs in all, so a collection built up to a
+// known length allocates its ID space once.
+func (c *Collection) Grow(n int) {
+	c.objects = slices.Grow(c.objects, max(0, n-len(c.objects)))
+	c.removed = slices.Grow(c.removed, max(0, n-len(c.removed)))
+}
+
+// Pad extends the ID space to n IDs: every new ID is a tombstone that
+// never held an object, so OnEdge listings and term frequencies do not
+// see it. A collection already n IDs long is left as it is.
+func (c *Collection) Pad(n int) {
+	for id := len(c.objects); id < n; id++ {
+		c.objects = append(c.objects, Object{ID: ID(id)})
+		c.removed = append(c.removed, true)
+	}
+}
+
 // Removed reports whether id has been tombstoned.
 func (c *Collection) Removed(id ID) bool {
 	return id >= 0 && int(id) < len(c.objects) && c.removed[id]

@@ -12,7 +12,7 @@ import (
 )
 
 // legMerge is the k-way merge of the legs' arrival streams: the next
-// arrival overall is the least (distance, global ID) among the legs' heads.
+// arrival overall is the least (distance, object ID) among the legs' heads.
 // Shards are edge-disjoint and every leg measures distance on the full
 // network, so the merged sequence is the one an unsharded expansion
 // produces, and every query family runs over it unchanged
@@ -114,14 +114,13 @@ type opened struct {
 	// rv is the replica view st reads, pinned for it; nil for a stream on
 	// the request's own pinned view.
 	rv   *dsks.View
-	next dsks.Candidate // global ID
-	ok   bool           // false: st is exhausted
+	next dsks.Candidate
+	ok   bool // false: st is exhausted
 }
 
 // legCursor is one routed shard's leg of a query: the shard's stream —
 // boolean, or OR for ranked and collective — pulled one candidate at a
-// time on the request goroutine, its object IDs rewritten to global ones
-// as they are pulled. The failover protocol's unit is the cursor's open
+// time on the request goroutine. The failover protocol's unit is the cursor's open
 // (the stream's eager first edge load plus the first pull, which is where
 // a dead shard shows — retried, hedged and failed over by runLeg) and then
 // each later pull (one node settle: retried and failed over, never
@@ -153,7 +152,7 @@ type legCursor struct {
 	err error       // the failure that ended the leg, classified by legError
 }
 
-// legKey is a leg's position: the (distance, global ID) of the last
+// legKey is a leg's position: the (distance, object ID) of the last
 // candidate the merge took from it, where a replacement stream resumes.
 // The zero key is the start of the leg.
 type legKey struct {
@@ -219,9 +218,8 @@ func (c *legCursor) openOn(ctx context.Context, v, rv *dsks.View, after legKey, 
 	return o, err
 }
 
-// advance pulls st's next candidate under its global ID. A replacement
-// stream is fast-forwarded past the after key (the zero key skips
-// nothing). The sequence is deterministic for a pinned LSN; a replica
+// advance pulls st's next candidate. A replacement stream is
+// fast-forwarded past the after key (the zero key skips nothing). The sequence is deterministic for a pinned LSN; a replica
 // within the staleness bound may differ by what it has not applied yet.
 func (c *legCursor) advance(st *dsks.Stream, after legKey) (dsks.Candidate, bool, error) {
 	for {
@@ -229,7 +227,6 @@ func (c *legCursor) advance(st *dsks.Stream, after legKey) (dsks.Candidate, bool
 		if err != nil || !ok {
 			return dsks.Candidate{}, false, err
 		}
-		cand.Ref.ID = c.mv.set.globalOf(c.shard, cand.Ref.ID)
 		if after.taken && (cand.Dist < after.dist || (cand.Dist == after.dist && cand.Ref.ID <= after.id)) {
 			continue
 		}

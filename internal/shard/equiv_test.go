@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -14,14 +15,23 @@ import (
 )
 
 // equivFixture builds the same dataset behind an unsharded database and
-// behind one shard set per entry of ns.
+// behind one shard set per entry of ns. With opts.WALDir set, each of them
+// logs to a directory of its own below it, so a second call with the same
+// options reopens every side over its log.
 func equivFixture(t testing.TB, ns []int, opts dsks.Options) (*dsks.DB, []*Set, *dsks.Dataset) {
 	t.Helper()
 	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := dsks.OpenDataset(ds, opts)
+	walDir := func(name string) dsks.Options {
+		o := opts
+		if o.WALDir != "" {
+			o.WALDir = filepath.Join(o.WALDir, name)
+		}
+		return o
+	}
+	single, err := dsks.OpenDataset(ds, walDir("single"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +47,7 @@ func equivFixture(t testing.TB, ns []int, opts dsks.Options) (*dsks.DB, []*Set, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := Open(ds2.Graph, ds2.Objects, ds2.VocabSize, n, Options{DB: opts})
+		set, err := Open(ds2.Graph, ds2.Objects, ds2.VocabSize, n, Options{DB: walDir(fmt.Sprintf("set-%d", n))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +141,8 @@ func collectiveQueries(t *testing.T, ds *dsks.Dataset, n int, seed int64) []dsks
 // collective query, which on 4 shards stops early exactly when the single
 // node does.
 func TestShardSingleNodeEquivalence(t *testing.T) {
-	single, sets, ds := equivFixture(t, []int{1, 2, 4}, dsks.Options{Index: dsks.IndexSIF})
+	opts := dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}
+	single, sets, ds := equivFixture(t, []int{1, 2, 4}, opts)
 	ctx := context.Background()
 	ws := workloadQueries(t, ds, 25, 11)
 	cqs := collectiveQueries(t, ds, 50, 11)
@@ -302,13 +313,39 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 		}
 	}
 
+	// The inserted objects lie at their own queries' positions: ask those
+	// too, so every later phase compares answers that hold fresh IDs.
+	ws = append(ws, ws2...)
 	check("after mutations")
 	if early == 0 || pruned == 0 || multiLeg == 0 || colEarly == 0 {
 		t.Fatalf("vacuous workload: %d early stops, %d pruned objects, %d multi-leg merges, %d early collective stops",
 			early, pruned, multiLeg, colEarly)
 	}
 
-	// Double-remove classifies identically.
+	// Crash-replay: close every side without a save and reopen it over
+	// the same dataset and its own log. Replay alone restores the
+	// mutations, and the sets must hold them under the IDs they acked.
+	if err := single.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range sets {
+		if err := set.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	single, sets, _ = equivFixture(t, []int{1, 2, 4}, opts)
+	want := int(firstFresh) + len(ws2) - len(victims)
+	if got := single.LiveObjects(); got != want {
+		t.Fatalf("single node replayed to %d live objects, want %d", got, want)
+	}
+	for _, set := range sets {
+		if got := set.LiveObjects(); got != want {
+			t.Fatalf("%d-shard set replayed to %d live objects, want %d", set.Shards(), got, want)
+		}
+	}
+	check("after crash-replay")
+
+	// Double-remove classifies identically, after the replay too.
 	if err := single.Remove(victims[0]); err == nil {
 		t.Fatal("single-node double remove accepted")
 	}

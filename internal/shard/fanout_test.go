@@ -399,6 +399,84 @@ func TestShardGroupCommitUnderConcurrentInserters(t *testing.T) {
 	t.Logf("group commit: %d records over %d fsyncs", synced, fsyncs)
 }
 
+// TestConcurrentInsertsKeepTheirIDs: writers inserting at once into every
+// shard of a set each get an ID of their own, the IDs run densely past
+// the input collection, and after a reopen over the WALs every acked ID
+// answers for the object it was acked for — the IDs a shard takes rise in
+// its commit order even while the shards commit concurrently.
+func TestConcurrentInsertsKeepTheirIDs(t *testing.T) {
+	const shards, writers, per = 4, 8, 12
+	opts := Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}}
+	set, ds := testSet(t, shards, opts)
+	var edges [shards][]dsks.EdgeID
+	for e, owner := range set.Partition().Owner {
+		edges[owner] = append(edges[owner], dsks.EdgeID(e))
+	}
+	pos := func(k int) dsks.Position {
+		return dsks.Position{Edge: edges[k%shards][k/shards], Offset: 0.5}
+	}
+	acked := make([]dsks.ObjectID, writers*per)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				k := w*per + i
+				id, _, err := set.Insert(pos(k), []dsks.TermID{0})
+				if err != nil {
+					t.Errorf("concurrent insert %d: %v", k, err)
+					return
+				}
+				acked[k] = id
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	seen := make(map[dsks.ObjectID]bool, len(acked))
+	for k, id := range acked {
+		if seen[id] || int(id) < ds.Objects.Len() || int(id) >= ds.Objects.Len()+len(acked) {
+			t.Fatalf("insert %d acked ID %d (duplicate: %v)", k, id, seen[id])
+		}
+		seen[id] = true
+	}
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(again.Graph, again.Objects, again.VocabSize, shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	ctx := context.Background()
+	mv, err := reopened.View(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mv.Close()
+	for k, id := range acked {
+		res, err := mv.Search(ctx, dsks.SKQuery{Pos: pos(k), Terms: []dsks.TermID{0}, DeltaMax: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, c := range res.Candidates {
+			found = found || (c.Ref.ID == id && c.Ref.Pos() == pos(k))
+		}
+		if !found {
+			t.Fatalf("acked object %d of insert %d does not answer at %+v after the reopen: %v", id, k, pos(k), res.Candidates)
+		}
+	}
+}
+
 // TestPoisonedShardWALReopens: a shard whose log failed a sync refuses
 // its inserts while the other shards keep acknowledging theirs; closing
 // the set reports the sticky sync error, and a set reopened on the same
@@ -429,7 +507,7 @@ func TestPoisonedShardWALReopens(t *testing.T) {
 	}
 	type ack struct {
 		shard int
-		local dsks.ObjectID
+		id    dsks.ObjectID
 		pos   dsks.Position
 		term  dsks.TermID
 	}
@@ -438,7 +516,7 @@ func TestPoisonedShardWALReopens(t *testing.T) {
 		pos, term := dsks.Position{Edge: e, Offset: 0.5}, dsks.TermID(len(acked)%set.VocabSize())
 		id, _, err := set.Insert(pos, []dsks.TermID{term})
 		if err == nil {
-			acked = append(acked, ack{si, set.homes[id].local, pos, term})
+			acked = append(acked, ack{si, id, pos, term})
 		}
 		return err
 	}
@@ -479,7 +557,7 @@ func TestPoisonedShardWALReopens(t *testing.T) {
 		}
 		found := false
 		for _, c := range res.Candidates {
-			found = found || (c.Ref.ID == a.local && c.Ref.Pos() == a.pos)
+			found = found || (c.Ref.ID == a.id && c.Ref.Pos() == a.pos)
 		}
 		if !found {
 			t.Fatalf("acked insert %+v missing from its position's answer %v", a, res.Candidates)

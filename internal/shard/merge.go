@@ -13,7 +13,7 @@ import (
 
 // Every MultiView query family runs the way one node runs it: the
 // family's Answer in core over an arrival source. One node's source is its
-// own expansion; the router's is the (distance, global ID) merge of the
+// own expansion; the router's is the (distance, object ID) merge of the
 // routed legs' streams, the arrival sequence of the unsharded expansion
 // (legMerge), pulled on the request goroutine. So every family answers
 // exactly as one node does: lowering the merge's radius (ranked) lowers

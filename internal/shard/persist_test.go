@@ -1,11 +1,12 @@
 package shard
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,11 +16,9 @@ import (
 
 // TestOpenSetPathRejectsHostileManifest: a saved two-shard set whose
 // manifest was edited fails to reopen with ErrBadManifest, without a panic
-// and before an edited count could size an allocation: a negative local
-// ID, a negative vocabulary, a local ID past its shard's next one, a
-// vocabulary other than the shards' and a home on a shard outside the set.
-// A next local ID raised past the objects its shard holds sizes nothing
-// either: the home past them is burned. The manifest as saved reopens.
+// and before an edited count could size an allocation: a negative
+// vocabulary, a vocabulary other than the shards' and version 1, whose
+// shard-local IDs the shards no longer use. The manifest as saved reopens.
 func TestOpenSetPathRejectsHostileManifest(t *testing.T) {
 	opts := Options{DB: dsks.Options{Index: dsks.IndexSIF}}
 	set, _ := testSet(t, 2, opts)
@@ -36,11 +35,9 @@ func TestOpenSetPathRejectsHostileManifest(t *testing.T) {
 		name string
 		edit func(m *setManifest)
 	}{
-		{"negative local ID", func(m *setManifest) { m.Homes[0][1] = -3 }},
 		{"negative vocabulary", func(m *setManifest) { m.VocabSize = -1000 }},
-		{"local ID past its shard's next", func(m *setManifest) { m.Homes[0][1] = 300_000_000 }},
 		{"vocabulary other than the shards'", func(m *setManifest) { m.VocabSize++ }},
-		{"home on a shard outside the set", func(m *setManifest) { m.Homes[0][0] = 2 }},
+		{"version 1", func(m *setManifest) { m.Version = 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var m setManifest
@@ -64,42 +61,155 @@ func TestOpenSetPathRejectsHostileManifest(t *testing.T) {
 		})
 	}
 
-	var m setManifest
-	if err := json.Unmarshal(saved, &m); err != nil {
+	if err := os.WriteFile(path, saved, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	shard := m.Homes[0][0]
-	m.Homes[0][1], m.NextLocal[shard] = 300_000_000, 300_000_001
-	raised, err := json.Marshal(m)
+	s, err := OpenSetPath(dir, opts)
 	if err != nil {
+		t.Fatalf("OpenSetPath: %v", err)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, blob := range [][]byte{raised, saved} {
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenSetPath(dir, opts)
+}
+
+// TestAckedIDsSurviveRestart: a 4-shard set with a WAL, inserted into
+// round-robin in reverse shard order, is reopened through both paths —
+// Open over the log with no save, and OpenSetPath over a save that four
+// more inserts outran — and every acked ID answers for its own object at
+// its own position, and Remove by an acked ID removes that object.
+func TestAckedIDsSurviveRestart(t *testing.T) {
+	const shards = 4
+	generate := func(t *testing.T) *dsks.Dataset {
+		ds, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
 		if err != nil {
-			t.Fatalf("OpenSetPath: %v", err)
-		}
-		sh := &s.shards[shard]
-		if n := sh.db.ObjectCount(); int(sh.nextLocal) != n || len(sh.globals) > n {
-			t.Errorf("shard %d holds %d objects, the router's next local ID is %d and it maps %d", shard, n, sh.nextLocal, len(sh.globals))
-		}
-		if burned := s.homes[0].shard < 0; burned != bytes.Equal(blob, raised) {
-			t.Errorf("object 0 burned: %v", burned)
-		}
-		if err := s.Close(); err != nil {
 			t.Fatal(err)
+		}
+		return ds
+	}
+	type ack struct {
+		id   dsks.ObjectID
+		pos  dsks.Position
+		term dsks.TermID
+	}
+	// insert adds n objects round-robin over the shards, last shard
+	// first, each on an edge of its own with a term of its own.
+	insert := func(t *testing.T, set *Set, acked []ack, n int) []ack {
+		var edges [shards][]dsks.EdgeID
+		for e, owner := range set.Partition().Owner {
+			edges[owner] = append(edges[owner], dsks.EdgeID(e))
+		}
+		for k := len(acked); n > 0; k, n = k+1, n-1 {
+			si := shards - 1 - k%shards
+			pos := dsks.Position{Edge: edges[si][k/shards], Offset: 0.5}
+			term := dsks.TermID(k % set.VocabSize())
+			id, _, err := set.Insert(pos, []dsks.TermID{term})
+			if err != nil {
+				t.Fatalf("insert %d on shard %d: %v", k, si, err)
+			}
+			acked = append(acked, ack{id, pos, term})
+		}
+		return acked
+	}
+	// at reports whether the object at a's position answers under a's ID,
+	// and whether any object with a's term is left at that position.
+	at := func(t *testing.T, set *Set, a ack) (own, left bool) {
+		ctx := context.Background()
+		mv, err := set.View(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mv.Close()
+		res, err := mv.Search(ctx, dsks.SKQuery{Pos: a.pos, Terms: []dsks.TermID{a.term}, DeltaMax: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Candidates {
+			if c.Ref.Pos() == a.pos {
+				left = true
+				own = own || c.Ref.ID == a.id
+			}
+		}
+		return own, left
+	}
+	check := func(t *testing.T, set *Set, acked []ack) {
+		t.Helper()
+		missing := 0
+		for _, a := range acked {
+			if own, _ := at(t, set, a); !own {
+				missing++
+			}
+		}
+		if missing > 0 {
+			t.Fatalf("%d of %d acked IDs do not answer at their position after the reopen", missing, len(acked))
+		}
+		live := set.LiveObjects()
+		for _, a := range acked {
+			if own, _ := at(t, set, a); !own {
+				t.Fatalf("acked object %d left its position before it was removed", a.id)
+			}
+			if _, err := set.Remove(a.id); err != nil {
+				t.Fatalf("remove of acked object %d: %v", a.id, err)
+			}
+			if _, left := at(t, set, a); left {
+				t.Fatalf("remove of acked object %d left its object at %+v", a.id, a.pos)
+			}
+		}
+		if got := set.LiveObjects(); got != live-len(acked) {
+			t.Fatalf("%d live objects after %d removes, want %d", got, len(acked), live-len(acked))
 		}
 	}
+
+	t.Run("Open over the WAL", func(t *testing.T) {
+		opts := Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}}
+		open := func() *Set {
+			ds := generate(t)
+			set, err := Open(ds.Graph, ds.Objects, ds.VocabSize, shards, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = set.Close() })
+			checkNoPins(t, set)
+			return set
+		}
+		set := open()
+		acked := insert(t, set, nil, 12)
+		if err := set.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, open(), acked)
+	})
+
+	t.Run("OpenSetPath over a save and the WAL", func(t *testing.T) {
+		opts := Options{DB: dsks.Options{Index: dsks.IndexSIF, WALDir: t.TempDir()}}
+		ds := generate(t)
+		set, err := Open(ds.Graph, ds.Objects, ds.VocabSize, shards, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := insert(t, set, nil, 12)
+		dir := t.TempDir()
+		if err := set.SaveTo(dir); err != nil {
+			t.Fatal(err)
+		}
+		acked = insert(t, set, acked, 4)
+		if err := set.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenSetPath(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = reopened.Close() })
+		checkNoPins(t, reopened)
+		check(t, reopened, acked)
+	})
 }
 
 // TestSetSavedUnderInsertsReopens: snapshots of a set without a WAL taken
 // while inserts run reopen, and take the next insert. Each shard is saved
-// before the manifest, so the manifest counts objects its shard's snapshot
-// lacks; the reopened router burns their IDs instead of expecting local
-// IDs the shard will never assign.
+// at its own moment, so the shards' snapshots end at different IDs; the
+// reopened set gives the next insert an ID past every ID a shard holds.
 func TestSetSavedUnderInsertsReopens(t *testing.T) {
 	opts := Options{DB: dsks.Options{Index: dsks.IndexSIF}}
 	set, ds := testSet(t, 2, opts)
@@ -127,36 +237,40 @@ func TestSetSavedUnderInsertsReopens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("save %d: %v", i, err)
 		}
-		_, _, err = s.Insert(o.Pos, o.Terms)
+		held := 0
+		for j := 0; j < s.Shards(); j++ {
+			held = max(held, s.DB(j).ObjectCount())
+		}
+		id, _, err := s.Insert(o.Pos, o.Terms)
 		if cerr := s.Close(); err != nil || cerr != nil {
 			t.Fatalf("save %d: insert after the reopen: %v; close: %v", i, err, cerr)
+		}
+		if int(id) < held {
+			t.Fatalf("save %d: insert after the reopen took ID %d, below the %d IDs a shard holds", i, id, held)
 		}
 	}
 }
 
 // FuzzSetManifest: decodeSetManifest never panics, rejects with
 // ErrBadManifest, and every manifest it accepts is one OpenSetPath can
-// index and size by without a check of its own: version 1, one next local
-// ID (not negative) per shard, and every home burned or a local ID below
-// its shard's next. The last seed carries term bitmaps and must decode:
-// JSON fields the manifest does not name are ignored.
+// size by without a check of its own: version 2, at least one shard and a
+// vocabulary of at least one term. A version-1 manifest, which maps
+// shard-local IDs, is refused, and so is a version this build does not
+// know. The last seed carries the fields of earlier
+// builds (term bitmaps, ID maps) and must decode: JSON fields the manifest
+// does not name are ignored.
 func FuzzSetManifest(f *testing.F) {
-	valid := setManifest{
-		Version: 1, Shards: 2, VocabSize: 70,
-		Homes:     [][2]int64{{0, 0}, {1, 0}, {-1, 0}, {0, 1}},
-		NextLocal: []dsks.ObjectID{2, 1},
-	}
+	valid := setManifest{Version: 2, Shards: 2, VocabSize: 70}
 	blob, err := json.Marshal(valid)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(blob)
 	for _, edit := range []func(m *setManifest){
-		func(m *setManifest) { m.Homes = [][2]int64{{0, -3}} },
 		func(m *setManifest) { m.VocabSize = -1000 },
-		func(m *setManifest) { m.Homes = [][2]int64{{1, 300_000_000}} },
-		func(m *setManifest) { m.Homes = [][2]int64{{-2, 0}} },
-		func(m *setManifest) { m.NextLocal = []dsks.ObjectID{2} },
+		func(m *setManifest) { m.Shards = 0 },
+		func(m *setManifest) { m.Version = 1 },
+		func(m *setManifest) { m.Version = 3 },
 	} {
 		m := valid
 		edit(&m)
@@ -166,9 +280,14 @@ func FuzzSetManifest(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Add([]byte(`{}`))
-	old := []byte(`{"version":1,"shards":1,"vocabSize":1,"termBits":[[0]],"nextLocal":[0]}`)
+	v1 := []byte(`{"version":1,"shards":2,"vocabSize":70,"homes":[[0,0],[1,0],[-1,0],[0,1]],"nextLocal":[2,1]}`)
+	if _, err := decodeSetManifest(v1); !errors.Is(err, ErrBadManifest) || !strings.Contains(err.Error(), "version 1") {
+		f.Fatalf("a version-1 manifest: %v, want ErrBadManifest naming the version", err)
+	}
+	f.Add(v1)
+	old := []byte(`{"version":2,"shards":1,"vocabSize":1,"termBits":[[0]],"homes":[[0,0]],"nextLocal":[1]}`)
 	if _, err := decodeSetManifest(old); err != nil {
-		f.Fatalf("a manifest with term bitmaps: %v", err)
+		f.Fatalf("a manifest with the fields of earlier builds: %v", err)
 	}
 	f.Add(old)
 
@@ -180,19 +299,8 @@ func FuzzSetManifest(f *testing.F) {
 			}
 			return
 		}
-		if m.Version != 1 || m.Shards < 1 || len(m.NextLocal) != m.Shards || m.VocabSize < 1 {
-			t.Fatalf("accepted version %d, %d shards, %d next local IDs, vocabulary %d",
-				m.Version, m.Shards, len(m.NextLocal), m.VocabSize)
-		}
-		for i, n := range m.NextLocal {
-			if n < 0 {
-				t.Fatalf("accepted shard %d with next local ID %d", i, n)
-			}
-		}
-		for g, h := range m.Homes {
-			if h[0] != -1 && (h[0] < 0 || h[0] >= int64(m.Shards) || h[1] < 0 || h[1] >= int64(m.NextLocal[h[0]])) {
-				t.Fatalf("accepted object %d at local ID %d of shard %d", g, h[1], h[0])
-			}
+		if m.Version != 2 || m.Shards < 1 || m.VocabSize < 1 {
+			t.Fatalf("accepted version %d, %d shards, vocabulary %d", m.Version, m.Shards, m.VocabSize)
 		}
 	})
 }

@@ -300,26 +300,9 @@ func (s *Set) refreshReplicaGauges() {
 	s.repLag.Store(int64(maxLag))
 }
 
-// cloneCollection rebuilds an object collection ID-for-ID: the replica
-// seeding path needs the primary's exact pre-replay base so shipped
-// records reassign identical IDs. Tombstoned IDs are re-allocated and
-// re-tombstoned to keep the numbering aligned.
-func cloneCollection(src *dsks.Collection) *dsks.Collection {
-	dst := dsks.NewCollection()
-	for id := 0; id < src.Len(); id++ {
-		oid := dsks.ObjectID(id)
-		o := src.Get(oid)
-		dst.Add(o.Pos, append([]dsks.TermID(nil), o.Terms...))
-		if src.Removed(oid) {
-			_ = dst.Remove(oid)
-		}
-	}
-	return dst
-}
-
 // startReplicas opens shard i's replicas over the given base states.
-// Exactly one of seeds (fresh collections cloned before the primary's
-// WAL replay, base LSN 0) or snapDir (a shard snapshot directory whose
+// Exactly one of seeds (fresh collections, built apart from the primary's,
+// base LSN 0) or snapDir (a shard snapshot directory whose
 // manifest carries the base LSN) is used. The tail loops are NOT started
 // here: they call refreshReplicaGauges, which walks every shard's
 // replica slice, so launchReplicas runs them only once the whole set is

@@ -401,9 +401,13 @@ func TestReplicaPoisonedTailStopsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	walDir := t.TempDir()
-	// The replica's base must be cloned before the primary opens: the
-	// primary keeps (and mutates) the collection it is given.
-	base := cloneCollection(ds.Objects)
+	// The replica needs a base of its own: the primary keeps (and
+	// mutates) the collection it is given.
+	same, err := dsks.GeneratePreset(dsks.PresetSYN, 1000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := same.Objects
 	primary, err := dsks.Open(ds.Graph, ds.Objects, ds.VocabSize,
 		dsks.Options{Index: dsks.IndexSIF, WALDir: walDir})
 	if err != nil {

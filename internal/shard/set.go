@@ -79,27 +79,14 @@ type Options struct {
 	Seed uint64
 }
 
-// home locates a global object inside the set. shard < 0 marks a burned
-// ID (an insert that failed after reservation).
-type home struct {
-	shard int32
-	local dsks.ObjectID
-}
-
-// shardState is one shard's database plus its slice of the ID maps.
+// shardState is one shard's database and its routing counters.
 type shardState struct {
 	db *dsks.DB
-	// insMu serializes inserts into this shard so the local ID the
-	// collection will assign is known before the insert is published —
-	// the global↔local mapping is recorded while insMu is still held,
-	// and the durability wait happens after it is released (the same
-	// append-under-latch, fsync-outside protocol the WAL itself uses).
+	// insMu serializes inserts into this shard, so the set-wide IDs it
+	// takes rise in commit order; the durability wait happens after it
+	// is released (the same append-under-latch, fsync-outside protocol
+	// the WAL itself uses).
 	insMu sync.Mutex
-	// nextLocal is the local ID the shard's collection assigns next;
-	// guarded by insMu.
-	nextLocal dsks.ObjectID
-	// globals maps local object IDs to global ones; guarded by Set.mu.
-	globals []dsks.ObjectID
 	// reqs / errs count fan-out legs sent to / failed on this shard.
 	reqs *atomic.Int64
 	errs *atomic.Int64
@@ -112,7 +99,9 @@ type shardState struct {
 
 // Set is an N-way sharded database: one dsks.DB per partition group, all
 // sharing the (replicated, immutable) road network, plus the routing
-// state — the partition summary and the global↔local object ID maps.
+// state — the partition summary and the next object ID. Each shard stores
+// the objects it owns under their set-wide IDs; every other ID below its
+// collection's length is a tombstone that never held an object.
 type Set struct {
 	g     *dsks.Graph
 	vocab int
@@ -153,19 +142,18 @@ type Set struct {
 	// independently.
 	seq atomic.Uint64
 
-	// mu guards homes and every shard's globals slice. All critical
-	// sections are pure memory operations.
-	mu    sync.RWMutex
-	homes []home
+	// nextID is the object ID the next insert takes. It is taken under
+	// the owner shard's insert latch; an insert that fails leaves its ID
+	// unused.
+	nextID atomic.Int64
 
 	closed atomic.Bool
 }
 
 // Open partitions the road network n ways and opens one database per
-// shard over the objects it owns. Tombstoned objects of the input
-// collection are skipped; the global IDs of the survivors are their
-// positions in collection order, so a fresh (tombstone-free) collection
-// yields the same IDs an unsharded dsks.Open would assign.
+// shard over the objects it owns, each under its ID in objects — the ID
+// an unsharded dsks.Open gives it. Tombstoned objects of the input
+// collection stay tombstones.
 func Open(g *dsks.Graph, objects *dsks.Collection, vocabSize, n int, opts Options) (*Set, error) {
 	part, err := Split(g, n)
 	if err != nil {
@@ -176,45 +164,45 @@ func Open(g *dsks.Graph, objects *dsks.Collection, vocabSize, n int, opts Option
 		return nil, err
 	}
 
-	cols := make([]*dsks.Collection, n)
-	for i := range cols {
-		cols[i] = dsks.NewCollection()
-	}
-	for id := 0; id < objects.Len(); id++ {
-		oid := dsks.ObjectID(id)
-		if objects.Removed(oid) {
-			continue
-		}
-		o := objects.Get(oid)
-		owner := int(part.Owner[o.Pos.Edge])
-		local := cols[owner].Add(o.Pos, append([]dsks.TermID(nil), o.Terms...))
-		s.record(owner, local)
-	}
-
 	for i := range s.shards {
-		// Replica bases must be cloned BEFORE the primary opens: opening
-		// replays the shard's WAL tail into cols[i], and the replicas
+		// Each replica gets a base of its own: the primary replays its
+		// WAL tail into the collection it opens over, and the replicas
 		// re-apply exactly those records through the tailer instead.
 		var seeds []*dsks.Collection
 		for j := 0; j < s.nreplicas; j++ {
-			seeds = append(seeds, cloneCollection(cols[i]))
+			seeds = append(seeds, shardObjects(objects, part, i))
 		}
-		db, err := dsks.Open(g, cols[i], vocabSize, shardOptions(s.template, i))
+		db, err := dsks.Open(g, shardObjects(objects, part, i), vocabSize, shardOptions(s.template, i))
 		if err != nil {
 			s.closeOpened(i)
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
 		}
 		s.shards[i].db = db
-		s.shards[i].nextLocal = dsks.ObjectID(cols[i].Len())
-		s.reconcile(i)
 		if err := s.startReplicas(i, seeds, ""); err != nil {
 			s.closeOpened(i + 1)
 			return nil, err
 		}
 	}
+	s.startIDs(objects.Len())
 	s.initSearchNet()
 	s.launchReplicas()
 	return s, nil
+}
+
+// shardObjects is shard i's collection: every live object of objects on
+// an edge the shard owns, under its ID there. Every other ID below the
+// last it owns is a tombstone that never held an object.
+func shardObjects(objects *dsks.Collection, part *Partition, i int) *dsks.Collection {
+	col := dsks.NewCollection()
+	col.Grow(objects.Len())
+	for id := 0; id < objects.Len(); id++ {
+		o := objects.Get(dsks.ObjectID(id))
+		if !objects.Removed(o.ID) && int(part.Owner[o.Pos.Edge]) == i {
+			col.Pad(id)
+			col.Add(o.Pos, append([]dsks.TermID(nil), o.Terms...))
+		}
+	}
+	return col
 }
 
 // initSearchNet builds the network the router-side merge engine runs
@@ -248,18 +236,14 @@ func (s *Set) checkReplication() error {
 	return nil
 }
 
-// reconcile registers objects shard i's database holds beyond the
-// router's bookkeeping — the tail a WAL replay applied during open.
-// Replayed objects get fresh global IDs in deterministic (shard, local)
-// order; the pre-crash global numbering of unsnapshotted mutations is
-// not recoverable from per-shard logs (the interleaving lived only in
-// the router), so a restart renumbers them.
-func (s *Set) reconcile(i int) {
-	sh := &s.shards[i]
-	for int(sh.nextLocal) < sh.db.ObjectCount() {
-		s.record(i, sh.nextLocal)
-		sh.nextLocal++
+// startIDs sets the next object ID past n and past every ID a shard
+// holds, its WAL's replayed tail included, so no acknowledged ID is ever
+// taken again. Open-time only.
+func (s *Set) startIDs(n int) {
+	for i := range s.shards {
+		n = max(n, s.shards[i].db.ObjectCount())
 	}
+	s.nextID.Store(int64(n))
 }
 
 // newSet builds the routing state common to Open and OpenSetPath.
@@ -316,21 +300,6 @@ func shardOptions(o dsks.Options, i int) dsks.Options {
 		o.WALDir = filepath.Join(o.WALDir, fmt.Sprintf("shard-%d", i))
 	}
 	return o
-}
-
-// record notes a (shard, local) → global assignment. Callers must not
-// hold s.mu.
-func (s *Set) record(owner int, local dsks.ObjectID) dsks.ObjectID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	global := dsks.ObjectID(len(s.homes))
-	s.homes = append(s.homes, home{shard: int32(owner), local: local})
-	sh := &s.shards[owner]
-	for int(local) >= len(sh.globals) {
-		sh.globals = append(sh.globals, -1)
-	}
-	sh.globals[local] = global
-	return global
 }
 
 // closeOpened closes the first n shards' databases and replicas (error
@@ -472,16 +441,16 @@ func (s *Set) ResetIO() error {
 	return first
 }
 
-// Insert routes the object to the shard owning its edge and returns the
-// global object ID plus the router's mutation sequence number (monotone
-// over the whole set; per-shard LSNs advance independently and are
-// reported per query in the result envelope).
+// Insert routes the object to the shard owning its edge and returns its
+// object ID plus the router's mutation sequence number (monotone over the
+// whole set; per-shard LSNs advance independently and are reported per
+// query in the result envelope).
 //
 // Protocol: the shard's insert latch serializes inserts into that shard;
-// the insert is applied and published and the global↔local mapping
-// recorded while the latch is held (pure memory plus a buffered WAL
-// append — no fsync), then the latch is released and the durability wait
-// runs outside it.
+// the ID is taken and the insert applied and published while the latch is
+// held (pure memory plus a buffered WAL append — no fsync), then the latch
+// is released and the durability wait runs outside it. An insert that
+// fails leaves its ID unused: no shard holds it.
 func (s *Set) Insert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectID, uint64, error) {
 	if s.closed.Load() {
 		return 0, 0, ErrClosed
@@ -495,84 +464,37 @@ func (s *Set) Insert(pos dsks.Position, terms []dsks.TermID) (dsks.ObjectID, uin
 	sh := &s.shards[owner]
 
 	sh.insMu.Lock()
-	local, lsn, err := sh.db.InsertAsync(pos, terms)
+	id, lsn, err := sh.db.InsertAsync(dsks.ObjectID(s.nextID.Add(1)-1), pos, terms)
+	sh.insMu.Unlock()
 	if err != nil {
-		sh.insMu.Unlock()
 		return 0, 0, fmt.Errorf("shard: insert into shard %d: %w: %w", owner, ErrShardDown, err)
 	}
-	if local != sh.nextLocal {
-		// Defensive: something other than this Set mutated the shard.
-		sh.insMu.Unlock()
-		return 0, 0, fmt.Errorf("shard: shard %d assigned local ID %d where the router expected %d: %w",
-			owner, local, sh.nextLocal, ErrShardDown)
-	}
-	sh.nextLocal++
-	global := s.record(owner, local)
-	sh.insMu.Unlock()
 
 	seq := s.seq.Add(1)
 	if werr := sh.db.WaitDurable(lsn); werr != nil {
-		return global, seq, fmt.Errorf("shard: insert of object %d applied on shard %d but not durable: %w: %w",
-			global, owner, ErrShardDown, werr)
+		return id, seq, fmt.Errorf("shard: insert of object %d applied on shard %d but not durable: %w: %w",
+			id, owner, ErrShardDown, werr)
 	}
-	return global, seq, nil
+	return id, seq, nil
 }
 
-// Remove tombstones the object in its home shard.
+// Remove tombstones the object in the shard that holds it. Each shard is
+// asked in turn; one that does not hold id live refuses it before
+// anything is logged.
 func (s *Set) Remove(id dsks.ObjectID) (uint64, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	s.mu.RLock()
-	var h home
-	ok := id >= 0 && int(id) < len(s.homes)
-	if ok {
-		h = s.homes[int(id)]
-		ok = h.shard >= 0
-	}
-	s.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("shard: remove object %d: %w", id, dsks.ErrUnknownObject)
-	}
-	if err := s.shards[h.shard].db.Remove(h.local); err != nil {
-		if errors.Is(err, dsks.ErrUnknownObject) {
-			return 0, err
+	for i := range s.shards {
+		err := s.shards[i].db.Remove(id)
+		if err == nil {
+			return s.seq.Add(1), nil
 		}
-		return 0, fmt.Errorf("shard: remove on shard %d: %w: %w", h.shard, ErrShardDown, err)
+		if !errors.Is(err, dsks.ErrUnknownObject) {
+			return 0, fmt.Errorf("shard: remove on shard %d: %w: %w", i, ErrShardDown, err)
+		}
 	}
-	return s.seq.Add(1), nil
-}
-
-// globalOf translates a shard-local object ID to its global ID. The fast
-// path is one read-locked map lookup. A miss can only mean the lookup
-// raced the sliver between an insert's publish and its mapping record;
-// both happen under the shard's insert latch, so acquiring and releasing
-// that latch once guarantees the mapping is visible on the retry.
-func (s *Set) globalOf(shardIdx int, local dsks.ObjectID) dsks.ObjectID {
-	if g, ok := s.lookupGlobal(shardIdx, local); ok {
-		return g
-	}
-	sh := &s.shards[shardIdx]
-	sh.insMu.Lock()
-	//lint:ignore SA2001 the critical section is intentionally empty: the
-	// latch acquisition orders this reader after the racing insert's
-	// mapping record (see the function comment).
-	sh.insMu.Unlock()
-	if g, ok := s.lookupGlobal(shardIdx, local); ok {
-		return g
-	}
-	return -1
-}
-
-func (s *Set) lookupGlobal(shardIdx int, local dsks.ObjectID) (dsks.ObjectID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sh := &s.shards[shardIdx]
-	if local < 0 || int(local) >= len(sh.globals) {
-		return -1, false
-	}
-	g := sh.globals[local]
-	return g, g >= 0
+	return 0, fmt.Errorf("shard: remove object %d: %w", id, dsks.ErrUnknownObject)
 }
 
 // View pins one read view per shard — all pinned before any result is

@@ -17,6 +17,7 @@ func FuzzWALRecord(f *testing.F) {
 		{LSN: 2, Type: RecInsert, ID: 0, Edge: 0, Offset: 0},
 		{LSN: math.MaxUint64, Type: RecInsert, ID: -1, Edge: math.MaxInt32, Offset: math.Inf(-1), Terms: []int32{-5}},
 		{LSN: 3, Type: RecRemove, ID: 7},
+		{LSN: 4, Type: RecInsert, ID: 1000, Skipped: 997, Edge: 37, Offset: 0.5, Terms: []int32{2}},
 	} {
 		enc, err := appendRecord(nil, r)
 		if err != nil {

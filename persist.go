@@ -598,14 +598,11 @@ func restoreIDSpace(col *Collection, allocated int, tombstones []ObjectID) (*Col
 		dead[id] = true
 	}
 	out := NewCollection()
+	out.Grow(allocated)
 	next := ObjectID(0) // next dense snapshot ID to place
 	for id := 0; id < allocated; id++ {
 		if dead[ObjectID(id)] {
-			// Burn the ID: allocate a placeholder and tombstone it.
-			placeholder := out.Add(Position{}, nil)
-			if err := out.Remove(placeholder); err != nil {
-				return nil, fmt.Errorf("%w: restoring tombstone %d: %w", ErrBadSnapshot, id, err)
-			}
+			out.Pad(id + 1)
 			continue
 		}
 		o := col.Get(next)

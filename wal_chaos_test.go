@@ -144,6 +144,80 @@ func TestWALMismatchedBaseRejected(t *testing.T) {
 	}
 }
 
+// TestWALSkippedIDsMismatchedBaseRejected is TestWALMismatchedBaseRejected
+// for a log whose insert skipped IDs, as a shard's inserts skip the IDs
+// the other shards hold. The record carries the length it was assigned
+// over, so a base one object short and a base one object long are both
+// refused, though the logged ID lies past either; the base it was logged
+// over replays it, skipped IDs and all. An ID below the IDs already
+// assigned is refused before anything is logged.
+func TestWALSkippedIDsMismatchedBaseRejected(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	g, objects, vocab, _, edges := walBase(t)
+	base := objects.Len()
+	opts := Options{Index: IndexSIF, WALDir: walDir}
+	db, err := Open(g, objects, vocab.Size(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wine, err := vocab.LookupAll([]string{"wine"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := Position{Edge: edges[1], Offset: 10}
+	id, lsn, err := db.InsertAsync(ObjectID(base+3), pos, wine)
+	if err != nil || id != ObjectID(base+3) {
+		t.Fatalf("InsertAsync(%d) = %d, %v", base+3, id, err)
+	}
+	if err := db.WaitDurable(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.InsertAsync(ObjectID(base+1), pos, wine); err == nil {
+		t.Fatalf("InsertAsync(%d) accepted below %d assigned IDs", base+1, db.ObjectCount())
+	}
+	if db.LSN() != lsn {
+		t.Fatalf("a refused insert moved the LSN from %d to %d", lsn, db.LSN())
+	}
+	db.Close()
+
+	for _, tc := range []struct {
+		name string
+		edit func(*Collection, Position) *Collection
+	}{
+		{"one object short", func(c *Collection, _ Position) *Collection {
+			short := NewCollection()
+			for id := ObjectID(0); int(id) < c.Len()-1; id++ {
+				short.Add(c.Get(id).Pos, c.Get(id).Terms)
+			}
+			return short
+		}},
+		{"one object long", func(c *Collection, p Position) *Collection {
+			c.Add(p, nil)
+			return c
+		}},
+	} {
+		g2, objects2, vocab2, origin, _ := walBase(t)
+		if _, err := Open(g2, tc.edit(objects2, origin), vocab2.Size(), opts); !errors.Is(err, ErrBadWAL) {
+			t.Fatalf("Open over a base %s = %v, want ErrBadWAL", tc.name, err)
+		}
+	}
+
+	g3, objects3, vocab3, _, _ := walBase(t)
+	db3, err := Open(g3, objects3, vocab3.Size(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db3.Close()
+	if db3.ObjectCount() != base+4 || db3.LiveObjects() != base+1 {
+		t.Fatalf("replay over the logged base: %d IDs, %d live; want %d, %d", db3.ObjectCount(), db3.LiveObjects(), base+4, base+1)
+	}
+	for id := base; id < base+3; id++ {
+		if !objects3.Removed(ObjectID(id)) {
+			t.Fatalf("skipped ID %d is not a tombstone after the replay", id)
+		}
+	}
+}
+
 // TestWALCrashAtEveryMutationFaultPoint injects a fault at each I/O
 // step of the mutation path — the append write (failed outright or
 // torn) and the group-commit fsync — then reopens and verifies the
