@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint fuzz-smoke serve bench bench-smoke size
+.PHONY: all build test race lint fuzz-smoke serve bench bench-smoke size examples
 
 all: build test lint
 
@@ -58,6 +58,17 @@ fuzz-smoke:
 	$(GO) test -run FuzzOracleLoad -fuzz FuzzOracleLoad -fuzztime $(FUZZTIME) ./internal/alt/
 	$(GO) test -run FuzzCollectiveStop -fuzz FuzzCollectiveStop -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run FuzzOpenPathMeta -fuzz FuzzOpenPathMeta -fuzztime $(FUZZTIME) .
+
+# examples runs the four example programs, the public API's only
+# end-to-end users; each checks its own story and exits non-zero when a
+# step fails, which fails the target.
+EXAMPLES = quickstart citysearch tourplanner importer
+
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 # bench runs the benchmark spine BENCHMARK.json declares: four served
 # workloads, end-to-end metrics with their regression bounds

@@ -12,11 +12,7 @@ import (
 
 // querier is the query surface DB and View share, signature for signature.
 type querier interface {
-	Search(context.Context, dsks.SKQuery) (dsks.Result, error)
-	SearchDiversified(context.Context, dsks.DivQuery) (dsks.Result, error)
-	SearchKNN(context.Context, dsks.KNNQuery) (dsks.Result, error)
-	SearchRanked(context.Context, dsks.RankedQuery) (dsks.Result, error)
-	SearchCollective(context.Context, dsks.CollectiveQuery) (dsks.Result, error)
+	Query(context.Context, dsks.Query) (dsks.Result, error)
 	Stream(context.Context, dsks.SKQuery) (*dsks.Stream, error)
 }
 
@@ -35,19 +31,19 @@ func accountCases(w dsks.WorkloadQuery, k int, deltaMax float64) []accountCase {
 	skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: deltaMax}
 	return []accountCase{
 		{kind: dsks.KindSearch, run: func(ctx context.Context, q querier) (dsks.Result, error) {
-			return q.Search(ctx, skq)
+			return q.Query(ctx, skq)
 		}},
 		{kind: dsks.KindDiversified, run: func(ctx context.Context, q querier) (dsks.Result, error) {
-			return q.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: k, Lambda: 0.8})
+			return q.Query(ctx, dsks.DivQuery{SKQuery: skq, K: k, Lambda: 0.8})
 		}},
 		{kind: dsks.KindKNN, run: func(ctx context.Context, q querier) (dsks.Result, error) {
-			return q.SearchKNN(ctx, dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: k, MaxDist: deltaMax})
+			return q.Query(ctx, dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: k, MaxDist: deltaMax})
 		}},
 		{kind: dsks.KindRanked, run: func(ctx context.Context, q querier) (dsks.Result, error) {
-			return q.SearchRanked(ctx, dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: k, Alpha: 0.5, DeltaMax: deltaMax})
+			return q.Query(ctx, dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: k, Alpha: 0.5, DeltaMax: deltaMax})
 		}},
 		{kind: dsks.KindCollective, run: func(ctx context.Context, q querier) (dsks.Result, error) {
-			return q.SearchCollective(ctx, dsks.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: deltaMax})
+			return q.Query(ctx, dsks.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: deltaMax})
 		}},
 		{kind: dsks.KindStream, stream: true, run: func(ctx context.Context, q querier) (dsks.Result, error) {
 			s, err := q.Stream(ctx, skq)

@@ -68,7 +68,7 @@ func chaosQuery(t *testing.T, db *DB, vocab *Vocabulary, origin Position) (Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db.Search(context.Background(), SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
+	return db.Query(context.Background(), SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
 }
 
 func TestSaveToCrashAtEveryPoint(t *testing.T) {

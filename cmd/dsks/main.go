@@ -155,7 +155,7 @@ func runQuery(ctx context.Context, db *dsks.DB,
 		if kk <= 0 {
 			kk = 10
 		}
-		res, err := v.SearchRanked(ctx, dsks.RankedQuery{
+		res, err := v.Query(ctx, dsks.RankedQuery{
 			Pos: skq.Pos, Terms: skq.Terms, K: kk, Alpha: alpha, DeltaMax: skq.DeltaMax,
 		})
 		if err != nil {
@@ -168,7 +168,7 @@ func runQuery(ctx context.Context, db *dsks.DB,
 				i+1, r.Ref.ID, r.Score, r.Matched, len(skq.Terms), r.Dist)
 		}
 	case knn > 0:
-		res, err := v.SearchKNN(ctx, dsks.KNNQuery{
+		res, err := v.Query(ctx, dsks.KNNQuery{
 			Pos: skq.Pos, Terms: skq.Terms, K: knn, MaxDist: skq.DeltaMax,
 		})
 		if err != nil {
@@ -181,7 +181,7 @@ func runQuery(ctx context.Context, db *dsks.DB,
 				i+1, c.Ref.ID, c.Ref.Edge, c.Dist)
 		}
 	case k <= 0:
-		res, err := v.Search(ctx, skq)
+		res, err := v.Query(ctx, skq)
 		if err != nil {
 			return err
 		}
@@ -196,7 +196,7 @@ func runQuery(ctx context.Context, db *dsks.DB,
 				i+1, c.Ref.ID, c.Ref.Edge, c.Dist)
 		}
 	default:
-		res, err := v.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: k, Lambda: lambda})
+		res, err := v.Query(ctx, dsks.DivQuery{SKQuery: skq, K: k, Lambda: lambda})
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,7 @@ func TestConcurrentQueries(t *testing.T) {
 	// Sequential baseline.
 	want := make([][]dsks.Candidate, len(ws))
 	for i, q := range ws {
-		res, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		res, err := db.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestConcurrentQueries(t *testing.T) {
 			for rep := 0; rep < 4; rep++ {
 				i := (worker + rep) % len(ws)
 				q := ws[i]
-				res, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+				res, err := db.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 				if err != nil {
 					errs <- err
 					return
@@ -58,7 +58,7 @@ func TestConcurrentQueries(t *testing.T) {
 					return
 				}
 				// Diversified queries interleaved too.
-				if _, err := db.SearchDiversified(context.Background(), dsks.DivQuery{
+				if _, err := db.Query(context.Background(), dsks.DivQuery{
 					SKQuery: dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax},
 					K:       4, Lambda: 0.8,
 				}); err != nil {

@@ -33,23 +33,23 @@ func TestPreCanceledQueries(t *testing.T) {
 
 	skq := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
 	queries := map[string]func() error{
-		"search": func() error { _, err := db.Search(ctx, skq); return err },
+		"search": func() error { _, err := db.Query(ctx, skq); return err },
 		"diversified": func() error {
-			_, err := db.SearchDiversified(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+			_, err := db.Query(ctx, dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 			return err
 		},
 		"knn": func() error {
-			_, err := db.SearchKNN(ctx, dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
+			_, err := db.Query(ctx, dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
 			return err
 		},
 		"ranked": func() error {
-			_, err := db.SearchRanked(ctx, dsks.RankedQuery{
+			_, err := db.Query(ctx, dsks.RankedQuery{
 				Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500,
 			})
 			return err
 		},
 		"collective": func() error {
-			_, err := db.SearchCollective(ctx, dsks.CollectiveQuery{
+			_, err := db.Query(ctx, dsks.CollectiveQuery{
 				Pos: origin, Terms: terms, DeltaMax: 500,
 			})
 			return err
@@ -103,7 +103,7 @@ func TestDeadlineExceededMidExpansion(t *testing.T) {
 	defer cancel()
 	// An unbounded range forces the expansion over the whole network:
 	// hundreds of cold page misses at 1ms each, far past the 5ms deadline.
-	_, err = db.Search(ctx, dsks.SKQuery{
+	_, err = db.Query(ctx, dsks.SKQuery{
 		Pos: anchor.Pos, Terms: anchor.Terms[:1], DeltaMax: 1e9,
 	})
 	if !errors.Is(err, dsks.ErrDeadlineExceeded) {
@@ -197,28 +197,28 @@ func TestMetricsMatchGroundTruth(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		res, err := db.Search(context.Background(), skq)
+		res, err := db.Query(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		add(dsks.KindSearch, res)
 	}
-	div, err := db.SearchDiversified(context.Background(), dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+	div, err := db.Query(context.Background(), dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindDiversified, div)
-	knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
+	knn, err := db.Query(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindKNN, knn)
-	rk, err := db.SearchRanked(context.Background(), dsks.RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500})
+	rk, err := db.Query(context.Background(), dsks.RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	add(dsks.KindRanked, rk)
-	cl, err := db.SearchCollective(context.Background(), dsks.CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	cl, err := db.Query(context.Background(), dsks.CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestMetricsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := db.Search(context.Background(), skq); err != nil {
+				if _, err := db.Query(context.Background(), skq); err != nil {
 					t.Error(err)
 					return
 				}
@@ -298,10 +298,10 @@ func TestTraceHook(t *testing.T) {
 		mu.Unlock()
 	})
 	skq := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
-	if _, err := db.Search(context.Background(), skq); err != nil {
+	if _, err := db.Query(context.Background(), skq); err != nil {
 		t.Fatal(err)
 	}
-	div, err := db.SearchDiversified(context.Background(), dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
+	div, err := db.Query(context.Background(), dsks.DivQuery{SKQuery: skq, K: 2, Lambda: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestTraceHook(t *testing.T) {
 	// Uninstall: no further calls.
 	db.SetTraceHook(nil)
 	before := len(seen)
-	if _, err := db.Search(context.Background(), skq); err != nil {
+	if _, err := db.Query(context.Background(), skq); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != before {
@@ -392,23 +392,23 @@ func TestTypedErrors(t *testing.T) {
 	// index structures hit them unguarded (a term beyond the vocabulary
 	// used to panic inside the SIF signature test).
 	badEdge := dsks.SKQuery{Pos: dsks.Position{Edge: 999, Offset: 0}, Terms: terms, DeltaMax: 100}
-	if _, err := db.Search(context.Background(), badEdge); !errors.Is(err, dsks.ErrUnknownEdge) {
+	if _, err := db.Query(context.Background(), badEdge); !errors.Is(err, dsks.ErrUnknownEdge) {
 		t.Errorf("search on bad edge: err = %v, want ErrUnknownEdge", err)
 	}
 	badTerm := dsks.SKQuery{Pos: dsks.Position{Edge: edges[0], Offset: 0}, Terms: []dsks.TermID{9999}, DeltaMax: 100}
-	if _, err := db.Search(context.Background(), badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.Query(context.Background(), badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchDiversified(context.Background(), dsks.DivQuery{SKQuery: badTerm, K: 2, Lambda: 0.5}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.Query(context.Background(), dsks.DivQuery{SKQuery: badTerm, K: 2, Lambda: 0.5}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("diversified search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.Query(context.Background(), dsks.KNNQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("kNN search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchRanked(context.Background(), dsks.RankedQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2, Alpha: 0.5, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.Query(context.Background(), dsks.RankedQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, K: 2, Alpha: 0.5, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("ranked search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
-	if _, err := db.SearchCollective(context.Background(), dsks.CollectiveQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
+	if _, err := db.Query(context.Background(), dsks.CollectiveQuery{Pos: badTerm.Pos, Terms: badTerm.Terms, DeltaMax: 100}); !errors.Is(err, dsks.ErrTermOutOfRange) {
 		t.Errorf("collective search with bad term: err = %v, want ErrTermOutOfRange", err)
 	}
 	if _, err := db.Stream(context.Background(), badTerm); !errors.Is(err, dsks.ErrTermOutOfRange) {
@@ -447,7 +447,7 @@ func TestInsertClampRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 1e6})
+	res, err := db.Query(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestPublicSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	res, err := db.Query(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPublicSearchRangeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 30})
+	res, err := db.Query(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPublicDiversified(t *testing.T) {
 		K:       2,
 		Lambda:  0.3, // diversity-leaning: expect the far place in the pair
 	}
-	com, err := db.SearchDiversified(context.Background(), q)
+	com, err := db.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPublicAllIndexKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Search(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 100})
+		res, err := db.Query(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 100})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -165,7 +165,7 @@ func TestPublicGenerateAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range ws {
-		if _, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
+		if _, err := db.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
 			t.Fatal(err)
 		}
 	}

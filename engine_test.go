@@ -59,23 +59,23 @@ func TestEngineMatchesHarness(t *testing.T) {
 		var gotErr, wantErr error
 		switch i % 5 {
 		case 0:
-			got, gotErr = db.Search(ctx, skq)
+			got, gotErr = db.Query(ctx, skq)
 			want, wantErr = sys.RunSK(ctx, kind, skq)
 		case 1:
 			q := dsks.DivQuery{SKQuery: skq, K: 4, Lambda: 0.8}
-			got, gotErr = db.SearchDiversified(ctx, q)
+			got, gotErr = db.Query(ctx, q)
 			want, wantErr = sys.RunDiv(ctx, kind, harness.AlgoCOM, q)
 		case 2:
 			q := dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 4, MaxDist: w.DeltaMax}
-			got, gotErr = db.SearchKNN(ctx, q)
+			got, gotErr = db.Query(ctx, q)
 			want, wantErr = sys.RunKNN(ctx, kind, q)
 		case 3:
 			q := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 4, Alpha: 0.5, DeltaMax: w.DeltaMax}
-			got, gotErr = db.SearchRanked(ctx, q)
+			got, gotErr = db.Query(ctx, q)
 			want, wantErr = sys.RunRanked(ctx, kind, q)
 		case 4:
 			q := dsks.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
-			got, gotErr = db.SearchCollective(ctx, q)
+			got, gotErr = db.Query(ctx, q)
 			want, wantErr = sys.RunCollective(ctx, kind, q)
 		}
 		if gotErr != nil || wantErr != nil {

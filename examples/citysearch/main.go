@@ -50,7 +50,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, q := range queries {
-			if _, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
+			if _, err := db.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	q := queries[0]
-	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+	res, err := db.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 	if err != nil {
 		log.Fatal(err)
 	}

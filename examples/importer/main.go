@@ -103,7 +103,7 @@ func main() {
 	// aborts cleanly if the deadline passes mid-expansion.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	res, err := db.SearchKNN(ctx, dsks.KNNQuery{Pos: luigi, Terms: terms, K: 5})
+	res, err := db.Query(ctx, dsks.KNNQuery{Pos: luigi, Terms: terms, K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func main() {
 	defer view.Close()
 
 	// Plain boolean search: everything serving both, nearest first.
-	res, err := view.Search(ctx, dsks.SKQuery{Pos: where, Terms: terms, DeltaMax: 800})
+	res, err := view.Query(ctx, dsks.SKQuery{Pos: where, Terms: terms, DeltaMax: 800})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func main() {
 	// p1 and p2 are only 30m apart, so even though p2 is the second
 	// closest match, the diversified result swaps it for the far cluster's
 	// p4 (the paper's S2 = {p1, p4} over S1 = {p1, p2}).
-	div, err := view.SearchDiversified(ctx, dsks.DivQuery{
+	div, err := view.Query(ctx, dsks.DivQuery{
 		SKQuery: dsks.SKQuery{Pos: where, Terms: terms, DeltaMax: 800},
 		K:       2,
 		Lambda:  0.4,

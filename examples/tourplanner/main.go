@@ -41,7 +41,7 @@ func main() {
 	var venue dsks.WorkloadQuery
 	best := 0
 	for _, q := range queries {
-		res, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		res, err := db.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("effect of the relevance/diversity trade-off (k = 4, snapshot LSN %d):\n", view.LSN())
 	for _, lambda := range []float64{0.9, 0.7, 0.5} {
-		res, err := view.SearchDiversified(ctx, dsks.DivQuery{
+		res, err := view.Query(ctx, dsks.DivQuery{
 			SKQuery: dsks.SKQuery{Pos: venue.Pos, Terms: venue.Terms, DeltaMax: venue.DeltaMax},
 			K:       4,
 			Lambda:  lambda,
@@ -108,7 +108,7 @@ func main() {
 	var reads, pruned int64
 	var early int
 	for _, q := range queries {
-		res, err := view.SearchDiversified(ctx, dsks.DivQuery{
+		res, err := view.Query(ctx, dsks.DivQuery{
 			SKQuery: dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax},
 			K:       10,
 			Lambda:  0.8,
@@ -134,7 +134,7 @@ func main() {
 	// navigates away: every search honors its context.
 	ctx, cancel := context.WithCancel(ctx)
 	cancel() // the user already left
-	_, err = db.SearchDiversified(ctx, dsks.DivQuery{
+	_, err = db.Query(ctx, dsks.DivQuery{
 		SKQuery: dsks.SKQuery{Pos: venue.Pos, Terms: venue.Terms, DeltaMax: venue.DeltaMax},
 		K:       4,
 		Lambda:  0.8,

@@ -34,7 +34,7 @@ func TestInsertVisibleToQueries(t *testing.T) {
 			}
 
 			origin := dsks.Position{Edge: e.ID, Offset: 0}
-			res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: normalized(terms), DeltaMax: 1e9})
+			res, err := db.Query(context.Background(), dsks.SKQuery{Pos: origin, Terms: normalized(terms), DeltaMax: 1e9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestInsertGrowsExistingList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 1e9})
+	res, err := db.Query(context.Background(), dsks.SKQuery{Pos: dsks.Position{Edge: e}, Terms: terms, DeltaMax: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRemoveHidesFromQueries(t *testing.T) {
 			ran := false
 			for _, wq := range ws {
 				q := dsks.SKQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: wq.DeltaMax}
-				before, err := db.Search(context.Background(), q)
+				before, err := db.Query(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func TestRemoveHidesFromQueries(t *testing.T) {
 				if err := db.Remove(victim); err != nil {
 					t.Fatal(err)
 				}
-				after, err := db.Search(context.Background(), q)
+				after, err := db.Query(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,7 +188,7 @@ func TestInsertAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	res, err := db.Query(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 				terms = terms[:2]
 			}
 			q := dsks.SKQuery{Pos: anchor.Pos, Terms: terms, DeltaMax: 800}
-			res, err := db.Search(context.Background(), q)
+			res, err := db.Query(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}

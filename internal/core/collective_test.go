@@ -403,7 +403,7 @@ func TestCollectiveStopMatchesDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameCover(t, fmt.Sprintf("one node, query %d", qi), *got.Collective, want)
-		routed, err := mv.SearchCollective(ctx, q)
+		routed, err := mv.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -536,18 +536,15 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 }
 
 // family is the runner of one query family: build makes the family's
-// query from the request, search runs it on the view, and the response is
-// the envelope of its Result, labeled with the family's kind.
-func family[Q interface {
-	Validate() error
-	Kind() dsks.QueryKind
-}](build func(*queryRequest) Q, search func(QueryView, context.Context, Q) (dsks.Result, error)) runner {
+// query from the request, the view runs it, and the response is the
+// envelope of its Result, labeled with the family's kind.
+func family[Q dsks.Query](build func(*queryRequest) Q) runner {
 	return func(ctx context.Context, v QueryView, req *queryRequest) (*queryResponse, error) {
 		q := build(req)
 		if err := q.Validate(); err != nil {
 			return nil, badRequest(err)
 		}
-		res, err := search(v, ctx, q)
+		res, err := v.Query(ctx, q)
 		if err != nil && !errors.Is(err, shard.ErrPartialResult) {
 			return nil, err
 		}

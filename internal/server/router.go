@@ -42,11 +42,7 @@ type Backend interface {
 // QueryView is one pinned read snapshot: the query surface a *dsks.View
 // and a *shard.MultiView share.
 type QueryView interface {
-	Search(ctx context.Context, q dsks.SKQuery) (dsks.Result, error)
-	SearchDiversified(ctx context.Context, q dsks.DivQuery) (dsks.Result, error)
-	SearchKNN(ctx context.Context, q dsks.KNNQuery) (dsks.Result, error)
-	SearchRanked(ctx context.Context, q dsks.RankedQuery) (dsks.Result, error)
-	SearchCollective(ctx context.Context, q dsks.CollectiveQuery) (dsks.Result, error)
+	Query(ctx context.Context, q dsks.Query) (dsks.Result, error)
 	NetworkDistance(ctx context.Context, a, b dsks.Position) (float64, error)
 	Close()
 }

@@ -163,11 +163,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/varz", s.handleVarz)
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
-	s.mux.HandleFunc("/v1/search", s.queryEndpoint("search", family((*queryRequest).skQuery, QueryView.Search)))
-	s.mux.HandleFunc("/v1/diversified", s.queryEndpoint("diversified", family((*queryRequest).divQuery, QueryView.SearchDiversified)))
-	s.mux.HandleFunc("/v1/knn", s.queryEndpoint("knn", family((*queryRequest).knnQuery, QueryView.SearchKNN)))
-	s.mux.HandleFunc("/v1/ranked", s.queryEndpoint("ranked", family((*queryRequest).rankedQuery, QueryView.SearchRanked)))
-	s.mux.HandleFunc("/v1/collective", s.queryEndpoint("collective", family((*queryRequest).collectiveQuery, QueryView.SearchCollective)))
+	s.mux.HandleFunc("/v1/search", s.queryEndpoint("search", family((*queryRequest).skQuery)))
+	s.mux.HandleFunc("/v1/diversified", s.queryEndpoint("diversified", family((*queryRequest).divQuery)))
+	s.mux.HandleFunc("/v1/knn", s.queryEndpoint("knn", family((*queryRequest).knnQuery)))
+	s.mux.HandleFunc("/v1/ranked", s.queryEndpoint("ranked", family((*queryRequest).rankedQuery)))
+	s.mux.HandleFunc("/v1/collective", s.queryEndpoint("collective", family((*queryRequest).collectiveQuery)))
 	s.mux.HandleFunc("/v1/distance", s.queryEndpoint("distance", s.runDistance))
 	s.mux.HandleFunc("/v1/insert", s.handleInsert)
 	s.mux.HandleFunc("/v1/remove", s.handleRemove)

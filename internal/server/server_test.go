@@ -132,7 +132,7 @@ func TestSearchEndpointMatchesLibrary(t *testing.T) {
 	h := New(db, Config{}).Handler()
 
 	for _, q := range ws[:4] {
-		want, err := db.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+		want, err := db.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		if err != nil {
 			t.Fatal(err)
 		}

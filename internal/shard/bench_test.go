@@ -32,7 +32,7 @@ func BenchmarkRouterDiversified(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := ws[i%len(ws)]
-		res, err := mv.SearchDiversified(ctx, dsks.DivQuery{
+		res, err := mv.Query(ctx, dsks.DivQuery{
 			SKQuery: dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}, K: 5, Lambda: 0.8,
 		})
 		if err != nil {

@@ -242,7 +242,7 @@ func divQuery(t *testing.T, ds *dsks.Dataset) dsks.DivQuery {
 	return q
 }
 
-// diversifyTraced runs a diversified query the way SearchDiversified does,
+// diversifyTraced runs a diversified query the way Query does,
 // keeping the cursors so the test can see how each leg ended.
 func diversifyTraced(ctx context.Context, mv *MultiView, q dsks.DivQuery) (dsks.Result, []*legCursor, error) {
 	targets := mv.routed(q.Pos, q.DeltaMax, q.Terms, true)
@@ -263,7 +263,7 @@ func requireLegsEnded(t *testing.T, cursors []*legCursor, q dsks.DivQuery) {
 		if c.rv == nil {
 			continue
 		}
-		if _, err := c.rv.Search(context.Background(), q.SKQuery); !errors.Is(err, dsks.ErrViewClosed) {
+		if _, err := c.rv.Query(context.Background(), q.SKQuery); !errors.Is(err, dsks.ErrViewClosed) {
 			t.Fatalf("shard %d's replica view outlived the query (search on it: %v)", c.shard, err)
 		}
 	}
@@ -282,7 +282,7 @@ func failoverFixture(t *testing.T, opts Options) (*Set, dsks.DivQuery, dsks.Resu
 		t.Fatal(err)
 	}
 	defer mv.Close()
-	want, err := mv.SearchDiversified(context.Background(), q)
+	want, err := mv.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func TestShardProbeExpiredDeadlineReleasesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = mv.SearchDiversified(expired, q)
+	_, err = mv.Query(expired, q)
 	mv.Close()
 	if !errors.Is(err, dsks.ErrDeadlineExceeded) {
 		t.Fatalf("query past its deadline: %v, want ErrDeadlineExceeded", err)
@@ -604,7 +604,7 @@ func TestShardProbeExpiredDeadlineReleasesSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mv.Close()
-	got, err := mv.SearchDiversified(ctx, q)
+	got, err := mv.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +703,7 @@ func TestCursorPartialResult(t *testing.T) {
 
 	// The surviving arrivals are the partial boolean answer, already in
 	// merge order.
-	survivors, err := mv.Search(ctx, q.SKQuery)
+	survivors, err := mv.Query(ctx, q.SKQuery)
 	if !errors.Is(err, ErrPartialResult) {
 		t.Fatalf("partial boolean search: %v", err)
 	}
@@ -758,8 +758,8 @@ func TestCursorFirstErrorWins(t *testing.T) {
 	}
 
 	// The public path records the failure: one KindMerge sample, an error.
-	if _, err := mv.SearchDiversified(ctx, q); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("SearchDiversified err = %v, want ErrShardDown", err)
+	if _, err := mv.Query(ctx, q); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("Query err = %v, want ErrShardDown", err)
 	}
 	after := set.Snapshot().Queries[KindMerge]
 	if after.Count-merges.Count != 1 || after.Errors-merges.Errors != 1 || after.Canceled != merges.Canceled {
@@ -803,7 +803,7 @@ func TestCursorCanceledMidMerge(t *testing.T) {
 		}
 		const never = int64(1) << 40
 		probe := cancelAfter(never)
-		if _, err := mv.SearchDiversified(probe, q); err != nil {
+		if _, err := mv.Query(probe, q); err != nil {
 			t.Fatal(err)
 		}
 		polls := never - probe.polls.Load()
@@ -812,7 +812,7 @@ func TestCursorCanceledMidMerge(t *testing.T) {
 		}
 
 		merges := set.Snapshot().Queries[KindMerge]
-		_, err = mv.SearchDiversified(cancelAfter(polls/2), q)
+		_, err = mv.Query(cancelAfter(polls/2), q)
 		if !errors.Is(err, dsks.ErrCanceled) || errors.Is(err, ErrPartialResult) {
 			t.Fatalf("partial=%v: err = %v, want ErrCanceled", partial, err)
 		}
@@ -855,14 +855,14 @@ func TestSearchDiversifiedRejectionsAreRecorded(t *testing.T) {
 	unknown := q
 	unknown.Pos.Edge = dsks.EdgeID(ds.Graph.NumEdges() + 1)
 	merges := set.Snapshot().Queries[KindMerge]
-	if _, err := mv.SearchDiversified(ctx, bad); err == nil {
+	if _, err := mv.Query(ctx, bad); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := mv.SearchDiversified(ctx, unknown); !errors.Is(err, dsks.ErrUnknownEdge) {
+	if _, err := mv.Query(ctx, unknown); !errors.Is(err, dsks.ErrUnknownEdge) {
 		t.Fatalf("unknown edge err = %v", err)
 	}
 	mv.Close()
-	if _, err := mv.SearchDiversified(ctx, q); !errors.Is(err, dsks.ErrViewClosed) {
+	if _, err := mv.Query(ctx, q); !errors.Is(err, dsks.ErrViewClosed) {
 		t.Fatalf("closed view err = %v", err)
 	}
 	after := set.Snapshot().Queries[KindMerge]

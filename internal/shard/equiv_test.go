@@ -176,11 +176,11 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 				skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
 
 				// Boolean range search: identical candidate sets.
-				sres, err := sv.Search(ctx, skq)
+				sres, err := sv.Query(ctx, skq)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mres, err := mv.Search(ctx, skq)
+				mres, err := mv.Query(ctx, skq)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,11 +189,11 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 
 				// kNN: identical distance profile, ties tolerated at the cut.
 				knn := dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 5}
-				skres, err := sv.SearchKNN(ctx, knn)
+				skres, err := sv.Query(ctx, knn)
 				if err != nil {
 					t.Fatal(err)
 				}
-				mkres, err := mv.SearchKNN(ctx, knn)
+				mkres, err := mv.Query(ctx, knn)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,11 +207,11 @@ func TestShardSingleNodeEquivalence(t *testing.T) {
 				// Ranked: the same objects at the same scores in the same order.
 				for _, alpha := range []float64{0, 0.5, 1} {
 					rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: alpha, DeltaMax: w.DeltaMax}
-					srres, err := sv.SearchRanked(ctx, rq)
+					srres, err := sv.Query(ctx, rq)
 					if err != nil {
 						t.Fatal(err)
 					}
-					mrres, err := mv.SearchRanked(ctx, rq)
+					mrres, err := mv.Query(ctx, rq)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -416,7 +416,7 @@ func TestDiversifiedKOneStopsAtTheFirstArrival(t *testing.T) {
 	answered := 0
 	for qi, w := range workloadQueries(t, ds, 25, 11) {
 		skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
-		all, err := sv.Search(ctx, skq)
+		all, err := sv.Query(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestDiversifiedKOneStopsAtTheFirstArrival(t *testing.T) {
 			if legs := len(mv.Meta().Queried); res.Stats.Candidates > int64(legs) {
 				t.Fatalf("%s: the router's legs emitted %d arrivals over %d legs", tag, res.Stats.Candidates, legs)
 			}
-			one, err := sv.SearchDiversified(ctx, dq)
+			one, err := sv.Query(ctx, dq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -467,11 +467,11 @@ func TestDiversifiedKOneStopsAtTheFirstArrival(t *testing.T) {
 func requireSameDiversified(t *testing.T, tag string, sv *dsks.View, mv *MultiView, dq dsks.DivQuery) dsks.Result {
 	t.Helper()
 	ctx := context.Background()
-	want, err := sv.SearchDiversified(ctx, dq)
+	want, err := sv.Query(ctx, dq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mv.SearchDiversified(ctx, dq)
+	got, err := mv.Query(ctx, dq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,11 +564,11 @@ func requireSameRanked(t *testing.T, tag string, want, got []dsks.RankedResult) 
 func requireSameCollective(t *testing.T, tag string, sv *dsks.View, mv *MultiView, cq dsks.CollectiveQuery) (want, got dsks.Result) {
 	t.Helper()
 	ctx := context.Background()
-	want, err := sv.SearchCollective(ctx, cq)
+	want, err := sv.Query(ctx, cq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = mv.SearchCollective(ctx, cq)
+	got, err = mv.Query(ctx, cq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func TestCollectiveMatchesReference(t *testing.T) {
 		for qi, cq := range cqs {
 			want := referenceCollective(ds.Graph, ds.Objects, cq)
 			tag := fmt.Sprintf("seed %d, query %d", seed, qi)
-			got, err := sv.SearchCollective(ctx, cq)
+			got, err := sv.Query(ctx, cq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -782,7 +782,7 @@ func TestRoutingDropsAShardThatLostATerm(t *testing.T) {
 
 	search := func(phase string) []int {
 		t.Helper()
-		want, err := single.Search(ctx, q)
+		want, err := single.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -791,7 +791,7 @@ func TestRoutingDropsAShardThatLostATerm(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mv.Close()
-		got, err := mv.Search(ctx, q)
+		got, err := mv.Query(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}

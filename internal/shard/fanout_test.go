@@ -79,7 +79,7 @@ func TestFanoutFirstErrorWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mv.Close()
-	if _, err := mv.Search(ctx, q); err != nil {
+	if _, err := mv.Query(ctx, q); err != nil {
 		t.Fatalf("healthy fan-out: %v", err)
 	}
 	if m := mv.Meta(); len(m.Queried) != 4 || m.Partial {
@@ -104,7 +104,7 @@ func TestFanoutFirstErrorWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mv2.Close()
-	_, err = mv2.Search(ctx, q)
+	_, err = mv2.Query(ctx, q)
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("degraded fan-out err = %v, want ErrShardDown", err)
 	}
@@ -122,7 +122,7 @@ func TestFanoutFirstErrorWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mv3.Close()
-	if _, err := mv3.Search(ctx, q); err != nil {
+	if _, err := mv3.Query(ctx, q); err != nil {
 		t.Fatalf("recovered fan-out: %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestFanoutPartialResultPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := mv.Search(ctx, q)
+	full, err := mv.Query(ctx, q)
 	mv.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestFanoutPartialResultPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mv2.Close()
-	res, err := mv2.Search(ctx, q)
+	res, err := mv2.Query(ctx, q)
 	if !errors.Is(err, ErrPartialResult) {
 		t.Fatalf("partial policy err = %v, want ErrPartialResult", err)
 	}
@@ -198,25 +198,25 @@ func TestFanoutClientErrorsFailWhole(t *testing.T) {
 		}
 		q := wideQuery(t, ds)
 		q.Pos.Edge = dsks.EdgeID(ds.Graph.NumEdges() + 5)
-		if _, err := mv.Search(ctx, q); !errors.Is(err, dsks.ErrUnknownEdge) {
+		if _, err := mv.Query(ctx, q); !errors.Is(err, dsks.ErrUnknownEdge) {
 			t.Fatalf("partial=%v: unknown edge err = %v", partial, err)
 		}
 		q2 := wideQuery(t, ds)
 		q2.Terms = []dsks.TermID{dsks.TermID(ds.VocabSize + 3)}
-		if _, err := mv.Search(ctx, q2); !errors.Is(err, dsks.ErrTermOutOfRange) {
+		if _, err := mv.Query(ctx, q2); !errors.Is(err, dsks.ErrTermOutOfRange) {
 			t.Fatalf("partial=%v: bad term err = %v", partial, err)
 		}
-		if _, err := mv.Search(ctx, dsks.SKQuery{Pos: wideQuery(t, ds).Pos, DeltaMax: 100}); err == nil ||
+		if _, err := mv.Query(ctx, dsks.SKQuery{Pos: wideQuery(t, ds).Pos, DeltaMax: 100}); err == nil ||
 			errors.Is(err, ErrPartialResult) {
 			t.Fatalf("partial=%v: empty terms err = %v", partial, err)
 		}
 		canceled, cancel := context.WithCancel(ctx)
 		cancel()
-		if _, err := mv.Search(canceled, wideQuery(t, ds)); !errors.Is(err, dsks.ErrCanceled) {
+		if _, err := mv.Query(canceled, wideQuery(t, ds)); !errors.Is(err, dsks.ErrCanceled) {
 			t.Fatalf("partial=%v: canceled ctx err = %v", partial, err)
 		}
 		mv.Close()
-		if _, err := mv.Search(ctx, wideQuery(t, ds)); !errors.Is(err, dsks.ErrViewClosed) {
+		if _, err := mv.Query(ctx, wideQuery(t, ds)); !errors.Is(err, dsks.ErrViewClosed) {
 			t.Fatalf("partial=%v: closed view err = %v", partial, err)
 		}
 		_ = set.Close()
@@ -245,7 +245,7 @@ func TestFanoutPanicIsolation(t *testing.T) {
 	}
 	// The views remain owned and closable; queries still work after the
 	// panic (nothing was torn down behind the view's back).
-	if _, err := mv.views[0].Search(ctx, dsks.SKQuery{Pos: dsks.Position{Edge: 0}, Terms: []dsks.TermID{0}, DeltaMax: 10}); err != nil {
+	if _, err := mv.views[0].Query(ctx, dsks.SKQuery{Pos: dsks.Position{Edge: 0}, Terms: []dsks.TermID{0}, DeltaMax: 10}); err != nil {
 		t.Fatalf("sibling view broken after panic: %v", err)
 	}
 }
@@ -289,7 +289,7 @@ func TestShardConcurrentMutationsAndQueries(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := mv.Search(ctx, q)
+				res, err := mv.Query(ctx, q)
 				mv.Close()
 				if err != nil {
 					t.Error(err)
@@ -320,7 +320,7 @@ func TestSetSaveAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mv.Search(ctx, q)
+	want, err := mv.Query(ctx, q)
 	mv.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestSetSaveAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mv2.Close()
-	got, err := mv2.Search(ctx, q)
+	got, err := mv2.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestConcurrentInsertsKeepTheirIDs(t *testing.T) {
 	}
 	defer mv.Close()
 	for k, id := range acked {
-		res, err := mv.Search(ctx, dsks.SKQuery{Pos: pos(k), Terms: []dsks.TermID{0}, DeltaMax: 1e-9})
+		res, err := mv.Query(ctx, dsks.SKQuery{Pos: pos(k), Terms: []dsks.TermID{0}, DeltaMax: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,7 +550,7 @@ func TestPoisonedShardWALReopens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := v.Search(ctx, dsks.SKQuery{Pos: a.pos, Terms: []dsks.TermID{a.term}, DeltaMax: 1e-9})
+		res, err := v.Query(ctx, dsks.SKQuery{Pos: a.pos, Terms: []dsks.TermID{a.term}, DeltaMax: 1e-9})
 		v.Close()
 		if err != nil {
 			t.Fatalf("acked insert %+v: %v", a, err)

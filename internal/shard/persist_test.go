@@ -120,7 +120,7 @@ func TestAckedIDsSurviveRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mv.Close()
-		res, err := mv.Search(ctx, dsks.SKQuery{Pos: a.pos, Terms: []dsks.TermID{a.term}, DeltaMax: 1e-9})
+		res, err := mv.Query(ctx, dsks.SKQuery{Pos: a.pos, Terms: []dsks.TermID{a.term}, DeltaMax: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func TestReplicasConvergeAndAnswerIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pv.Search(ctx, q)
+		want, err := pv.Query(ctx, q)
 		pv.Close()
 		if err != nil {
 			t.Fatalf("shard %d primary: %v", i, err)
@@ -119,7 +119,7 @@ func TestReplicasConvergeAndAnswerIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rv.Search(ctx, q)
+			got, err := rv.Query(ctx, q)
 			rv.Close()
 			if err != nil {
 				t.Fatalf("shard %d replica %d: %v", i, rep.idx, err)
@@ -160,16 +160,16 @@ func answerEveryFamily(t *testing.T, set *Set, ds *dsks.Dataset) familyAnswers {
 		out  *dsks.Result
 		do   func() (dsks.Result, error)
 	}{
-		{"search", &a.search, func() (dsks.Result, error) { return mv.Search(ctx, q) }},
-		{"diversified", &a.div, func() (dsks.Result, error) { return mv.SearchDiversified(ctx, dq) }},
+		{"search", &a.search, func() (dsks.Result, error) { return mv.Query(ctx, q) }},
+		{"diversified", &a.div, func() (dsks.Result, error) { return mv.Query(ctx, dq) }},
 		{"knn", &a.knn, func() (dsks.Result, error) {
-			return mv.SearchKNN(ctx, dsks.KNNQuery{Pos: q.Pos, Terms: q.Terms, K: 10})
+			return mv.Query(ctx, dsks.KNNQuery{Pos: q.Pos, Terms: q.Terms, K: 10})
 		}},
 		{"ranked", &a.ranked, func() (dsks.Result, error) {
-			return mv.SearchRanked(ctx, dsks.RankedQuery{Pos: q.Pos, Terms: q.Terms, K: 10, Alpha: 0.5, DeltaMax: q.DeltaMax})
+			return mv.Query(ctx, dsks.RankedQuery{Pos: q.Pos, Terms: q.Terms, K: 10, Alpha: 0.5, DeltaMax: q.DeltaMax})
 		}},
 		{"collective", &a.collective, func() (dsks.Result, error) {
-			return mv.SearchCollective(ctx, dsks.CollectiveQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+			return mv.Query(ctx, dsks.CollectiveQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 		}},
 	} {
 		if *run.out, err = run.do(); err != nil {
@@ -281,7 +281,7 @@ func TestReplicaHedgedReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mv.Search(ctx, q)
+		res, err := mv.Query(ctx, q)
 		mv.Close()
 		if err != nil {
 			t.Fatalf("hedged query %d: %v", i, err)
@@ -476,7 +476,7 @@ func TestReplicaPoisonedTailStopsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Search(context.Background(), wideQuery(t, ds)); err != nil {
+	if _, err := v.Query(context.Background(), wideQuery(t, ds)); err != nil {
 		t.Fatalf("poisoned replica stopped serving: %v", err)
 	}
 	v.Close()
@@ -524,7 +524,7 @@ func TestSetSaveReopenWithReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pv.Search(ctx, q)
+		want, err := pv.Query(ctx, q)
 		pv.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -533,7 +533,7 @@ func TestSetSaveReopenWithReplicas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rv.Search(ctx, q)
+		got, err := rv.Query(ctx, q)
 		rv.Close()
 		if err != nil {
 			t.Fatal(err)

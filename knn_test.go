@@ -28,12 +28,12 @@ func TestSearchKNNMatchesRangeSearch(t *testing.T) {
 	checked := 0
 	for _, wq := range ws {
 		// Reference: a very wide range search, truncated to k.
-		full, err := db.Search(context.Background(), dsks.SKQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: 1e9})
+		full, err := db.Query(context.Background(), dsks.SKQuery{Pos: wq.Pos, Terms: wq.Terms, DeltaMax: 1e9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3, 10} {
-			knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: wq.Pos, Terms: wq.Terms, K: k})
+			knn, err := db.Query(context.Background(), dsks.KNNQuery{Pos: wq.Pos, Terms: wq.Terms, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestSearchKNNMaxDistCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchor := ds.Objects.Get(0)
-	knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{
+	knn, err := db.Query(context.Background(), dsks.KNNQuery{
 		Pos: anchor.Pos, Terms: anchor.Terms[:1], K: 100, MaxDist: 200,
 	})
 	if err != nil {
@@ -89,13 +89,13 @@ func TestSearchKNNValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 0}); err == nil {
+	if _, err := db.Query(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, K: 3}); err == nil {
+	if _, err := db.Query(context.Background(), dsks.KNNQuery{Pos: origin, K: 3}); err == nil {
 		t.Error("empty terms accepted")
 	}
-	if _, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 3, MaxDist: -1}); err == nil {
+	if _, err := db.Query(context.Background(), dsks.KNNQuery{Pos: origin, Terms: terms, K: 3, MaxDist: -1}); err == nil {
 		t.Error("negative MaxDist accepted")
 	}
 }
@@ -107,7 +107,7 @@ func TestStreamMatchesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500}
-	full, err := db.Search(context.Background(), q)
+	full, err := db.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestKNNDistancesSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 		anchor := ds.Objects.Get(obj.ID(seed % 10))
-		knn, err := db.SearchKNN(context.Background(), dsks.KNNQuery{Pos: anchor.Pos, Terms: anchor.Terms[:1], K: 20})
+		knn, err := db.Query(context.Background(), dsks.KNNQuery{Pos: anchor.Pos, Terms: anchor.Terms[:1], K: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestPublicRanked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.SearchRanked(context.Background(), dsks.RankedQuery{
+	r, err := db.Query(context.Background(), dsks.RankedQuery{
 		Pos: origin, Terms: terms, K: 3, Alpha: 0.5, DeltaMax: 500,
 	})
 	if err != nil {
@@ -218,7 +218,7 @@ func TestPublicCollective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := db.SearchCollective(context.Background(), dsks.CollectiveQuery{
+	cr, err := db.Query(context.Background(), dsks.CollectiveQuery{
 		Pos: origin, Terms: terms, DeltaMax: 500,
 	})
 	if err != nil {

@@ -107,14 +107,14 @@ func everyViewQuery(db *DB, origin, far Position, terms []TermID) error {
 	defer v.Close()
 	sk := SKQuery{Pos: origin, Terms: terms[:1], DeltaMax: 1000}
 	for name, run := range map[string]func() (Result, error){
-		"search":      func() (Result, error) { return v.Search(ctx, sk) },
-		"diversified": func() (Result, error) { return v.SearchDiversified(ctx, DivQuery{SKQuery: sk, K: 2, Lambda: 0.5}) },
-		"knn":         func() (Result, error) { return v.SearchKNN(ctx, KNNQuery{Pos: origin, Terms: sk.Terms, K: 2}) },
+		"search":      func() (Result, error) { return v.Query(ctx, sk) },
+		"diversified": func() (Result, error) { return v.Query(ctx, DivQuery{SKQuery: sk, K: 2, Lambda: 0.5}) },
+		"knn":         func() (Result, error) { return v.Query(ctx, KNNQuery{Pos: origin, Terms: sk.Terms, K: 2}) },
 		"ranked": func() (Result, error) {
-			return v.SearchRanked(ctx, RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 1000})
+			return v.Query(ctx, RankedQuery{Pos: origin, Terms: terms, K: 2, Alpha: 0.5, DeltaMax: 1000})
 		},
 		"collective": func() (Result, error) {
-			return v.SearchCollective(ctx, CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
+			return v.Query(ctx, CollectiveQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
 		},
 	} {
 		if _, err := run(); err != nil {

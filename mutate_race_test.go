@@ -10,7 +10,7 @@ import (
 )
 
 // TestMutationsRacingSearches is the serving-layer interleaving: Insert
-// and Remove racing SearchDiversified (and the other one-shot query
+// and Remove racing one-shot diversified queries (and the other query
 // families) from many goroutines. The database write latch must make
 // every query observe the index either entirely before or entirely after
 // each mutation — run with -race to exercise the synchronization. The
@@ -47,7 +47,7 @@ func TestMutationsRacingSearches(t *testing.T) {
 				},
 				K: 4, Lambda: 0.7,
 			}
-			base, err := db.SearchDiversified(context.Background(), query)
+			base, err := db.Query(context.Background(), query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestMutationsRacingSearches(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < iterations; i++ {
-						res, err := db.SearchDiversified(context.Background(), query)
+						res, err := db.Query(context.Background(), query)
 						if err != nil {
 							errs <- err
 							return
@@ -82,7 +82,7 @@ func TestMutationsRacingSearches(t *testing.T) {
 							return
 						}
 						// The boolean family shares the same latch.
-						if _, err := db.Search(context.Background(), query.SKQuery); err != nil {
+						if _, err := db.Query(context.Background(), query.SKQuery); err != nil {
 							errs <- err
 							return
 						}
@@ -121,7 +121,7 @@ func TestMutationsRacingSearches(t *testing.T) {
 				t.Fatalf("LSN() = %d, want %d", got, want)
 			}
 			// The object set is back to the seed state.
-			after, err := db.SearchDiversified(context.Background(), query)
+			after, err := db.Query(context.Background(), query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				if _, err := db.Search(context.Background(), query); err != nil {
+				if _, err := db.Query(context.Background(), query); err != nil {
 					errs <- err
 					return
 				}
@@ -221,7 +221,7 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := db.LiveObjects()
-	base, err := db.Search(context.Background(), query)
+	base, err := db.Query(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestWALMutationsRacingSaveAndSearches(t *testing.T) {
 	if got := back.LiveObjects(); got != want {
 		t.Fatalf("LiveObjects after restore = %d, want %d", got, want)
 	}
-	res, err := back.Search(context.Background(), query)
+	res, err := back.Query(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,54 +77,54 @@ func checkOracleEquivalence(t *testing.T, phase string, base, assisted *dsks.DB,
 		skq := dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
 		dq := dsks.DivQuery{SKQuery: skq, K: 4, Lambda: 0.5}
 
-		want, err := base.SearchDiversified(ctx, dq)
+		want, err := base.Query(ctx, dq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := assisted.SearchDiversified(ctx, dq)
+		got, err := assisted.Query(ctx, dq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": diversified "+itoa(qi), want, got)
 
-		want, err = base.Search(ctx, skq)
+		want, err = base.Query(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.Search(ctx, skq)
+		got, err = assisted.Query(ctx, skq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": search "+itoa(qi), want, got)
 
 		knn := dsks.KNNQuery{Pos: w.Pos, Terms: w.Terms, K: 5}
-		want, err = base.SearchKNN(ctx, knn)
+		want, err = base.Query(ctx, knn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchKNN(ctx, knn)
+		got, err = assisted.Query(ctx, knn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": knn "+itoa(qi), want, got)
 
 		rq := dsks.RankedQuery{Pos: w.Pos, Terms: w.Terms, K: 5, Alpha: 0.5, DeltaMax: w.DeltaMax}
-		want, err = base.SearchRanked(ctx, rq)
+		want, err = base.Query(ctx, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchRanked(ctx, rq)
+		got, err = assisted.Query(ctx, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, phase+": ranked "+itoa(qi), want, got)
 
 		cq := dsks.CollectiveQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax}
-		want, err = base.SearchCollective(ctx, cq)
+		want, err = base.Query(ctx, cq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = assisted.SearchCollective(ctx, cq)
+		got, err = assisted.Query(ctx, cq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func divAnswers(t *testing.T, db *dsks.DB, ws []dsks.WorkloadQuery) []dsks.Resul
 	t.Helper()
 	out := make([]dsks.Result, len(ws))
 	for i, w := range ws {
-		res, err := db.SearchDiversified(context.Background(), dsks.DivQuery{
+		res, err := db.Query(context.Background(), dsks.DivQuery{
 			SKQuery: dsks.SKQuery{Pos: w.Pos, Terms: w.Terms, DeltaMax: w.DeltaMax},
 			K:       4, Lambda: 0.5,
 		})

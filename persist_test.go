@@ -37,11 +37,11 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	// distances.
 	for _, q := range ws {
 		skq := dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax}
-		a, err := db.Search(context.Background(), skq)
+		a, err := db.Query(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.Search(context.Background(), skq)
+		b, err := back.Query(context.Background(), skq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestOpenPathKeepsPersistedConfiguration(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range ws {
-			res, err := d.Search(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
+			res, err := d.Query(context.Background(), dsks.SKQuery{Pos: q.Pos, Terms: q.Terms, DeltaMax: q.DeltaMax})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestOpenPathKeepsPersistedConfiguration(t *testing.T) {
 func TestSaveExcludesRemoved(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, _ := vocab.LookupAll([]string{"pizza"})
-	before, err := db.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	before, err := db.Query(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSaveExcludesRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := back.Search(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
+	after, err := back.Query(context.Background(), dsks.SKQuery{Pos: origin, Terms: terms, DeltaMax: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

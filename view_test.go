@@ -51,7 +51,7 @@ func TestViewSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer old.Close()
-	base, err := old.Search(ctx, viewTestQuery)
+	base, err := old.Query(ctx, viewTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestViewSnapshotIsolation(t *testing.T) {
 	if got := old.LiveObjects(); got != oldLive {
 		t.Fatalf("pinned view LiveObjects moved: %d -> %d", oldLive, got)
 	}
-	again, err := old.Search(ctx, viewTestQuery)
+	again, err := old.Query(ctx, viewTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestViewSnapshotIsolation(t *testing.T) {
 	if got, want := fresh.LiveObjects(), oldLive+1; got != want {
 		t.Fatalf("fresh view LiveObjects = %d, want %d", got, want)
 	}
-	after, err := fresh.Search(ctx, viewTestQuery)
+	after, err := fresh.Query(ctx, viewTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +129,18 @@ func TestViewClosedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Search(ctx, viewTestQuery); err != nil {
+	if _, err := v.Query(ctx, viewTestQuery); err != nil {
 		t.Fatal(err)
 	}
 	v.Close()
 	v.Close() // idempotent
 
-	if _, err := v.Search(ctx, viewTestQuery); !errors.Is(err, dsks.ErrViewClosed) {
-		t.Fatalf("Search on closed view: err = %v, want ErrViewClosed", err)
+	if _, err := v.Query(ctx, viewTestQuery); !errors.Is(err, dsks.ErrViewClosed) {
+		t.Fatalf("Query(SKQuery) on closed view: err = %v, want ErrViewClosed", err)
 	}
 	dq := dsks.DivQuery{SKQuery: viewTestQuery, K: 2, Lambda: 0.5}
-	if _, err := v.SearchDiversified(ctx, dq); !errors.Is(err, dsks.ErrViewClosed) {
-		t.Fatalf("SearchDiversified on closed view: err = %v, want ErrViewClosed", err)
+	if _, err := v.Query(ctx, dq); !errors.Is(err, dsks.ErrViewClosed) {
+		t.Fatalf("Query(DivQuery) on closed view: err = %v, want ErrViewClosed", err)
 	}
 	if _, err := v.Stream(ctx, viewTestQuery); !errors.Is(err, dsks.ErrViewClosed) {
 		t.Fatalf("Stream on closed view: err = %v, want ErrViewClosed", err)
@@ -153,8 +153,8 @@ func TestViewClosedErrors(t *testing.T) {
 // TestViewCloseDeterministic closes one view from many goroutines at
 // once and checks the lifecycle stays deterministic: the pin is
 // released exactly once (the race detector would flag a double-unpin),
-// every query method — including the ranked, kNN, and collective
-// entry points not covered above — fails with ErrViewClosed
+// every query family — including the ranked, kNN, and collective
+// ones not covered above — fails with ErrViewClosed
 // afterwards, and the database remains fully usable.
 func TestViewCloseDeterministic(t *testing.T) {
 	db := viewTestDB(t, dsks.Options{Index: dsks.IndexIF})
@@ -170,19 +170,13 @@ func TestViewCloseDeterministic(t *testing.T) {
 	coll := dsks.CollectiveQuery{Pos: viewTestQuery.Pos, Terms: []dsks.TermID{0, 1}, DeltaMax: 1e9}
 	dq := dsks.DivQuery{SKQuery: viewTestQuery, K: 2, Lambda: 0.5}
 
-	// Each entry point works on the open view, so a post-close failure
-	// below can only come from the closed check, not the query itself.
-	if _, err := v.SearchKNN(ctx, knn); err != nil {
-		t.Fatalf("SearchKNN on open view: %v", err)
-	}
-	if _, err := v.SearchRanked(ctx, ranked); err != nil {
-		t.Fatalf("SearchRanked on open view: %v", err)
-	}
-	if _, err := v.SearchCollective(ctx, coll); err != nil {
-		t.Fatalf("SearchCollective on open view: %v", err)
-	}
-	if _, err := v.SearchDiversified(ctx, dq); err != nil {
-		t.Fatalf("SearchDiversified on open view: %v", err)
+	// Each family works on the open view, so a post-close failure below
+	// can only come from the closed check, not the query itself.
+	families := []dsks.Query{knn, ranked, coll, dq}
+	for _, q := range families {
+		if _, err := v.Query(ctx, q); err != nil {
+			t.Fatalf("Query(%T) on open view: %v", q, err)
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -195,17 +189,10 @@ func TestViewCloseDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 
-	if _, err := v.SearchKNN(ctx, knn); !errors.Is(err, dsks.ErrViewClosed) {
-		t.Fatalf("SearchKNN on closed view: err = %v, want ErrViewClosed", err)
-	}
-	if _, err := v.SearchRanked(ctx, ranked); !errors.Is(err, dsks.ErrViewClosed) {
-		t.Fatalf("SearchRanked on closed view: err = %v, want ErrViewClosed", err)
-	}
-	if _, err := v.SearchCollective(ctx, coll); !errors.Is(err, dsks.ErrViewClosed) {
-		t.Fatalf("SearchCollective on closed view: err = %v, want ErrViewClosed", err)
-	}
-	if _, err := v.SearchDiversified(ctx, dq); !errors.Is(err, dsks.ErrViewClosed) {
-		t.Fatalf("SearchDiversified on closed view: err = %v, want ErrViewClosed", err)
+	for _, q := range families {
+		if _, err := v.Query(ctx, q); !errors.Is(err, dsks.ErrViewClosed) {
+			t.Fatalf("Query(%T) on closed view: err = %v, want ErrViewClosed", q, err)
+		}
 	}
 
 	// The racing Close calls released the single pin without corrupting
@@ -244,7 +231,7 @@ func TestReaderStarvation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := seed.Search(ctx, viewTestQuery)
+	base, err := seed.Query(ctx, viewTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +305,7 @@ func TestReaderStarvation(t *testing.T) {
 				}
 				// The query itself runs latch-free, racing later inserts;
 				// its answer must still match the pinned commit point.
-				res, err := v.Search(ctx, viewTestQuery)
+				res, err := v.Query(ctx, viewTestQuery)
 				if err != nil {
 					v.Close()
 					errs <- err
@@ -364,7 +351,7 @@ func TestViewPinnedAcrossSaveAndCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pinned.Close()
-	base, err := pinned.Search(ctx, viewTestQuery)
+	base, err := pinned.Query(ctx, viewTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +400,7 @@ func TestViewPinnedAcrossSaveAndCheckpoint(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, err := v.Search(ctx, viewTestQuery); err != nil {
+			if _, err := v.Query(ctx, viewTestQuery); err != nil {
 				v.Close()
 				errs <- err
 				return
@@ -436,7 +423,7 @@ func TestViewPinnedAcrossSaveAndCheckpoint(t *testing.T) {
 	if got := pinned.LiveObjects(); got != pinLive {
 		t.Fatalf("pinned LiveObjects after churn = %d, want %d", got, pinLive)
 	}
-	res, err := pinned.Search(ctx, viewTestQuery)
+	res, err := pinned.Query(ctx, viewTestQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

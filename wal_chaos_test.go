@@ -55,7 +55,7 @@ func searchIDs(t *testing.T, db *DB, vocab *Vocabulary, origin Position, word st
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Search(context.Background(), SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
+	res, err := db.Query(context.Background(), SKQuery{Pos: origin, Terms: terms, DeltaMax: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,11 +112,11 @@ func TestWALReplayMatchesPureInMemoryReplay(t *testing.T) {
 	origin := dsks.Position{Edge: 0, Offset: 0}
 	for term := 0; term < vocab; term++ {
 		q := dsks.SKQuery{Pos: origin, Terms: []dsks.TermID{dsks.TermID(term)}, DeltaMax: 1e9}
-		a, err := restored.Search(context.Background(), q)
+		a, err := restored.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("term %d: restored search: %v", term, err)
 		}
-		b, err := shadow.Search(context.Background(), q)
+		b, err := shadow.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("term %d: shadow search: %v", term, err)
 		}
