@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"time"
 
 	"dsks/internal/ccam"
@@ -57,6 +58,19 @@ type Result struct {
 	// Elapsed.
 	Trace Trace
 }
+
+// Check is q.Validate for a q that may be nil. The families' methods take
+// values, so a nil pointer to one (a *DivQuery, say) satisfies Query but
+// panics in Validate; Check turns it, like a nil interface, into an error.
+func Check(q Query) error {
+	if v := reflect.ValueOf(q); q == nil || v.Kind() == reflect.Pointer && v.IsNil() {
+		return errNilQuery
+	}
+	return q.Validate()
+}
+
+// errNilQuery reports a nil Query, or a nil pointer to a family.
+var errNilQuery = errors.New("core: nil query")
 
 // Run answers q on one node: it opens q's expansion over loader, runs
 // q.Answer over its arrivals, and adds the expansion's counters and stage
