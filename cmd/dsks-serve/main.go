@@ -46,62 +46,98 @@ func main() {
 	}
 }
 
-func run() error {
-	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		dbDir   = flag.String("db", "", "open a database snapshot (dsks.SaveTo directory) instead of generating")
-		preset  = flag.String("preset", "SYN", "generated dataset preset (SYN, NA, TW, SF); ignored with -db")
-		scale   = flag.Int("scale", 200, "scale denominator for generated presets")
-		seed    = flag.Int64("seed", 1, "random seed for generated presets")
-		kind    = flag.String("index", "SIF", "object index: IF, SIF, SIF-P")
-		iolat   = flag.Duration("iolat", 0, "synthetic I/O latency per buffer miss")
-		buffer  = flag.Float64("buffer", 0, "buffer pool fraction (0 = library default)")
-		maxIn   = flag.Int("max-inflight", 16, "queries executing concurrently")
-		queue   = flag.Int("queue-depth", 64, "requests waiting for an execution slot (beyond: 429)")
-		defTO   = flag.Duration("default-timeout", 2*time.Second, "per-request deadline when the client sends none")
-		maxTO   = flag.Duration("max-timeout", 30*time.Second, "cap on client-requested deadlines")
-		cache   = flag.Int("cache-size", 4096, "result cache capacity in entries (negative disables)")
-		drainTO = flag.Duration("drain-timeout", 10*time.Second, "shutdown drain budget for in-flight queries")
+// cli is dsks-serve's command line, declared on one flag set.
+type cli struct {
+	fs *flag.FlagSet
 
-		walDir = flag.String("wal", "", "write-ahead log directory: mutations are durable before they are acked")
+	addr, dbDir, preset, kind, walDir                               string
+	scale, maxIn, queue, cache, landmarks, degradeN, breakN, shards int
+	replicas, legRetries                                            int
+	seed                                                            int64
+	iolat, defTO, maxTO, drainTO, breakerTO, hedgeAfter             time.Duration
+	buffer                                                          float64
+	oracle, checksums, partialRes                                   bool
+	maxStale                                                        uint64
+}
 
-		oracle    = flag.Bool("oracle", false, "build the ALT landmark distance oracle at startup (accelerates diversified queries)")
-		landmarks = flag.Int("landmarks", 0, "landmark count for -oracle (0 = library default)")
-		checksums = flag.Bool("checksums", false, "verify per-page CRC32C checksums on every buffer miss")
-		degradeN  = flag.Int("degrade-after", 3, "consecutive storage errors before the server reports degraded")
-		breakN    = flag.Int("break-after", 5, "consecutive storage errors before the circuit breaker opens")
-		breakerTO = flag.Duration("breaker-cooldown", time.Second, "open-circuit cooldown before a half-open probe")
+// newCLI declares dsks-serve's flags on fs.
+func newCLI(fs *flag.FlagSet) *cli {
+	c := &cli{fs: fs}
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.dbDir, "db", "", "open a database snapshot (dsks.SaveTo directory) instead of generating")
+	fs.StringVar(&c.preset, "preset", "SYN", "generated dataset preset (SYN, NA, TW, SF); ignored with -db")
+	fs.IntVar(&c.scale, "scale", 200, "scale denominator for generated presets")
+	fs.Int64Var(&c.seed, "seed", 1, "random seed for generated presets")
+	fs.StringVar(&c.kind, "index", "SIF", "object index: IF, SIF, SIF-P")
+	fs.DurationVar(&c.iolat, "iolat", 0, "synthetic I/O latency per buffer miss")
+	fs.Float64Var(&c.buffer, "buffer", 0, "buffer pool fraction (0 = library default)")
+	fs.IntVar(&c.maxIn, "max-inflight", 16, "queries executing concurrently")
+	fs.IntVar(&c.queue, "queue-depth", 64, "requests waiting for an execution slot (beyond: 429)")
+	fs.DurationVar(&c.defTO, "default-timeout", 2*time.Second, "per-request deadline when the client sends none")
+	fs.DurationVar(&c.maxTO, "max-timeout", 30*time.Second, "cap on client-requested deadlines")
+	fs.IntVar(&c.cache, "cache-size", 4096, "result cache capacity in entries (negative disables)")
+	fs.DurationVar(&c.drainTO, "drain-timeout", 10*time.Second, "shutdown drain budget for in-flight queries")
 
-		shards     = flag.Int("shards", 1, "shard the road network N ways and serve through the scatter-gather router")
-		partialRes = flag.Bool("partial-results", false, "sharded: answer with merged survivors (HTTP 206) when a shard fails, instead of failing the query")
-		replicas   = flag.Int("replicas", 0, "sharded: WAL-shipped read replicas per shard (requires -wal); reads fail over to them when a primary dies")
-		hedgeAfter = flag.Duration("hedge-after", 25*time.Millisecond, "sharded: race a replica against a primary leg slower than this (0 disables hedging)")
-		maxStale   = flag.Uint64("max-staleness", 4096, "sharded: max log records a failover replica may lag behind the pinned primary LSN (0 = unbounded)")
-		legRetries = flag.Int("leg-retries", 2, "sharded: transient-error retries per fan-out leg before failing over")
-	)
-	flag.Parse()
+	fs.StringVar(&c.walDir, "wal", "", "write-ahead log directory: mutations are durable before they are acked")
 
+	fs.BoolVar(&c.oracle, "oracle", false, "build the ALT landmark distance oracle at startup (accelerates diversified queries)")
+	fs.IntVar(&c.landmarks, "landmarks", 0, "landmark count for -oracle (0 = library default)")
+	fs.BoolVar(&c.checksums, "checksums", false, "verify per-page CRC32C checksums on every buffer miss")
+	fs.IntVar(&c.degradeN, "degrade-after", 3, "consecutive storage errors before the server reports degraded")
+	fs.IntVar(&c.breakN, "break-after", 5, "consecutive storage errors before the circuit breaker opens")
+	fs.DurationVar(&c.breakerTO, "breaker-cooldown", time.Second, "open-circuit cooldown before a half-open probe")
+
+	fs.IntVar(&c.shards, "shards", 1, "shard the road network N ways and serve through the scatter-gather router")
+	fs.BoolVar(&c.partialRes, "partial-results", false, "sharded: answer with merged survivors (HTTP 206) when a shard fails, instead of failing the query")
+	fs.IntVar(&c.replicas, "replicas", 0, "sharded: WAL-shipped read replicas per shard (requires -wal); reads fail over to them when a primary dies")
+	fs.DurationVar(&c.hedgeAfter, "hedge-after", 25*time.Millisecond, "sharded: race a replica against a primary leg slower than this (0 disables hedging)")
+	fs.Uint64Var(&c.maxStale, "max-staleness", 4096, "sharded: max log records a failover replica may lag behind the pinned primary LSN (0 = unbounded)")
+	fs.IntVar(&c.legRetries, "leg-retries", 2, "sharded: transient-error retries per fan-out leg before failing over")
+	return c
+}
+
+// dbOptions maps the flags to database options. A snapshot (-db) carries
+// its own index kind, buffer fraction and oracle landmarks and seed, and
+// dsks.OpenPath keeps a saved value where the option is zero: so with
+// -db, only the flags the command line sets override the snapshot.
+func (c *cli) dbOptions() dsks.Options {
 	opts := dsks.Options{
-		Index:          indexKind(*kind),
-		IOLatency:      *iolat,
-		BufferFraction: *buffer,
-		Checksums:      *checksums,
-		Oracle:         *oracle,
-		Landmarks:      *landmarks,
-		OracleSeed:     uint64(*seed),
-		WALDir:         *walDir,
+		Index:          indexKind(c.kind),
+		IOLatency:      c.iolat,
+		BufferFraction: c.buffer,
+		Checksums:      c.checksums,
+		Oracle:         c.oracle,
+		Landmarks:      c.landmarks,
+		OracleSeed:     uint64(c.seed),
+		WALDir:         c.walDir,
 	}
+	if c.dbDir != "" {
+		set := map[string]bool{}
+		c.fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if !set["index"] {
+			opts.Index = ""
+		}
+		if !set["seed"] {
+			opts.OracleSeed = 0
+		}
+	}
+	return opts
+}
 
+func run() error {
+	c := newCLI(flag.CommandLine)
+	flag.Parse()
+	opts := c.dbOptions()
 	cfg := server.Config{
-		Addr:            *addr,
-		MaxInflight:     *maxIn,
-		QueueDepth:      *queue,
-		DefaultTimeout:  *defTO,
-		MaxTimeout:      *maxTO,
-		CacheSize:       cacheSize(*cache),
-		DegradeAfter:    *degradeN,
-		BreakAfter:      *breakN,
-		BreakerCooldown: *breakerTO,
+		Addr:            c.addr,
+		MaxInflight:     c.maxIn,
+		QueueDepth:      c.queue,
+		DefaultTimeout:  c.defTO,
+		MaxTimeout:      c.maxTO,
+		CacheSize:       cacheSize(c.cache),
+		DegradeAfter:    c.degradeN,
+		BreakAfter:      c.breakN,
+		BreakerCooldown: c.breakerTO,
 	}
 
 	// The backend: one database, or an N-way shard set behind the router.
@@ -111,23 +147,24 @@ func run() error {
 		setup        string // where set-up went, for the banner
 		closeBackend func() error
 		durable      func() string
+		kind         dsks.IndexKind // the kind opened, a snapshot's own with -db
 	)
-	if *shards > 1 {
-		set, d, generated, err := openSet(*dbDir, *preset, *scale, *seed, *shards, shard.Options{
-			DB: opts, Partial: *partialRes,
-			Replicas: *replicas, HedgeAfter: *hedgeAfter,
-			MaxStaleness: *maxStale, LegRetries: *legRetries,
-			Seed: uint64(*seed),
+	if c.shards > 1 {
+		set, d, generated, err := openSet(c.dbDir, c.preset, c.scale, c.seed, c.shards, shard.Options{
+			DB: opts, Partial: c.partialRes,
+			Replicas: c.replicas, HedgeAfter: c.hedgeAfter,
+			MaxStaleness: c.maxStale, LegRetries: c.legRetries,
+			Seed: uint64(c.seed),
 		})
 		if err != nil {
 			return err
 		}
 		policy := "first-error-wins"
-		if *partialRes {
+		if c.partialRes {
 			policy = "partial-results"
 		}
-		if *replicas > 0 {
-			policy += fmt.Sprintf(", %d replicas/shard, hedge %s, staleness bound %d", *replicas, *hedgeAfter, *maxStale)
+		if c.replicas > 0 {
+			policy += fmt.Sprintf(", %d replicas/shard, hedge %s, staleness bound %d", c.replicas, c.hedgeAfter, c.maxStale)
 		}
 		srv = server.NewRouter(set, cfg)
 		desc = fmt.Sprintf("%s over %d shards (%s)", d, set.Shards(), policy)
@@ -136,16 +173,18 @@ func run() error {
 			times = times.Add(set.DB(i).SetupTimes())
 		}
 		setup = fmt.Sprintf("generate %v, %v (the shards' primaries, summed)", generated.Round(time.Millisecond), times)
+		kind = set.DB(0).Options().Index
 		closeBackend = set.Close
 		durable = func() string { return fmt.Sprintf("durable LSNs %v", set.DurableLSNs()) }
 	} else {
-		db, d, generated, err := openDB(*dbDir, *preset, *scale, *seed, opts)
+		db, d, generated, err := openDB(c.dbDir, c.preset, c.scale, c.seed, opts)
 		if err != nil {
 			return err
 		}
 		srv = server.New(db, cfg)
 		desc = d
 		setup = fmt.Sprintf("generate %v, %v", generated.Round(time.Millisecond), db.SetupTimes())
+		kind = db.Options().Index
 		closeBackend = db.Close
 		durable = func() string { return fmt.Sprintf("durable LSN %d", db.DurableLSN()) }
 	}
@@ -158,10 +197,10 @@ func run() error {
 		return err
 	}
 	fmt.Printf("dsks-serve: serving %s on %s (index %s, max-inflight %d, queue %d, cache %d)\n",
-		desc, srv.Addr(), opts.Index, *maxIn, *queue, *cache)
+		desc, srv.Addr(), kind, c.maxIn, c.queue, c.cache)
 	fmt.Printf("dsks-serve: set-up: %s\n", setup)
-	if *walDir != "" {
-		fmt.Printf("dsks-serve: write-ahead log in %s (%s)\n", *walDir, durable())
+	if c.walDir != "" {
+		fmt.Printf("dsks-serve: write-ahead log in %s (%s)\n", c.walDir, durable())
 	}
 
 	select {
@@ -171,7 +210,7 @@ func run() error {
 	}
 	stop()
 	fmt.Println("dsks-serve: draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
+	drainCtx, cancel := context.WithTimeout(context.Background(), c.drainTO)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("drain: %w", err)

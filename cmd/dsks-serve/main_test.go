@@ -4,16 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
+
+	"dsks"
 )
 
 // These tests run dsks-serve as a process: the test binary starts itself
@@ -222,6 +226,64 @@ func TestKill9KeepsEveryAckedInsert(t *testing.T) {
 	}
 	if err := r.wait(); err != nil {
 		t.Fatalf("exit after SIGTERM: %v\n%s", err, r.output())
+	}
+}
+
+// TestSnapshotKeepsItsConfiguration: -db serves a snapshot as it was
+// saved — an IF index and an oracle seeded 7, loaded from the snapshot's
+// file rather than rebuilt — although the -index and -seed defaults
+// (SIF, 1) say otherwise; only the flags the command line sets override
+// it. The banner names the kind that was opened.
+func TestSnapshotKeepsItsConfiguration(t *testing.T) {
+	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := dsks.OpenDataset(ds, dsks.Options{Index: dsks.IndexIF, Oracle: true, OracleSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snap")
+	if err := db.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	for _, tc := range []struct {
+		args   []string
+		kind   dsks.IndexKind
+		seed   uint64
+		loaded bool // the saved oracle file served, no rebuild
+	}{
+		{args: nil, kind: dsks.IndexIF, seed: 7, loaded: true},
+		{args: []string{"-index", "SIF", "-seed", "3"}, kind: dsks.IndexSIF, seed: 3},
+	} {
+		fs := flag.NewFlagSet("dsks-serve", flag.ContinueOnError)
+		c := newCLI(fs)
+		if err := fs.Parse(append([]string{"-db", dir}, tc.args...)); err != nil {
+			t.Fatal(err)
+		}
+		db, err := dsks.OpenPath(dir, c.dbOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := db.Options()
+		if got.Index != tc.kind || got.OracleSeed != tc.seed || db.DistanceOracle() == nil {
+			t.Errorf("-db %v opened index %s, oracle seed %d (oracle %v); want %s and %d",
+				tc.args, got.Index, got.OracleSeed, db.DistanceOracle() != nil, tc.kind, tc.seed)
+		}
+		if loaded := db.SetupTimes().Oracle == 0; loaded != tc.loaded {
+			t.Errorf("-db %v: oracle loaded from the snapshot = %v, want %v", tc.args, loaded, tc.loaded)
+		}
+		db.Close()
+	}
+
+	c := boot(t, func(p *os.Process) { _ = p.Signal(syscall.SIGTERM) }, "-db", dir)
+	if err := c.wait(); err != nil {
+		t.Fatalf("exit after SIGTERM: %v\n%s", err, c.output())
+	}
+	if !strings.Contains(c.output(), " (index IF,") {
+		t.Errorf("the banner does not name the snapshot's kind IF:\n%s", c.output())
 	}
 }
 

@@ -203,75 +203,11 @@ const (
 	IndexSIFP = engine.KindSIFP
 )
 
-// Options configures a database.
-type Options struct {
-	// Index picks the object index structure; empty defaults to SIF-P.
-	Index IndexKind
-	// BufferFraction sizes the LRU buffer pools as a fraction of each
-	// page file (default 0.02, the paper's setting).
-	BufferFraction float64
-	// IOLatency injects a synthetic delay per buffer miss, making
-	// response times I/O-dominated like a spinning-disk testbed. On
-	// Linux a miss blocks its thread in the kernel for the latency, as a
-	// real pread would, so it pays the configured seek and not the Go
-	// timer's 1ms floor.
-	IOLatency time.Duration
-	// PartitionCuts is the SIF-P per-edge cut budget (default 3).
-	PartitionCuts int
-	// Checksums enables per-page CRC32C verification in the buffer
-	// pools: every page write-back is stamped and every buffer miss
-	// verified, so silent media corruption surfaces as an error matching
-	// ErrCorruptPage instead of wrong query results. Off by default to
-	// keep the paper's byte-exact I/O accounting unchanged.
-	Checksums bool
-	// WALDir, when set, makes mutations durable through a write-ahead
-	// log in this directory: Insert and Remove append a record and are
-	// acknowledged only once a group commit has fsynced it, Open and
-	// OpenPath replay the log over the opened state, and SaveTo
-	// checkpoints it (rotating and deleting segments the snapshot made
-	// redundant). Empty disables logging (mutations live until SaveTo).
-	// A group commit gathers for 2ms or 64 records, whichever comes
-	// first (docs/DURABILITY.md).
-	WALDir string
-	// Oracle builds the landmark (ALT) distance oracle at open time and
-	// routes diversified queries through the landmark-assisted distance
-	// engine: triangle-inequality bounds prune or pinch most pairwise
-	// distances and goal-directed A* shrinks the rest, with results
-	// bit-identical to the unassisted engine (docs/DISTANCE.md). SaveTo
-	// persists the oracle with the snapshot, and OpenPath re-enables it
-	// automatically for snapshots that carry one.
-	Oracle bool
-	// Landmarks is the oracle's landmark count (0 = the default 16;
-	// at most 512). More landmarks mean tighter bounds and a bigger
-	// oracle; see docs/DISTANCE.md for tuning.
-	Landmarks int
-	// OracleSeed seeds the deterministic landmark selection (0 = seed 1).
-	// The same graph, landmark count and seed always pick the same
-	// landmarks, so rebuilt and loaded oracles agree.
-	OracleSeed uint64
-}
-
-// validate rejects option values that cannot configure a database.
-func (o Options) validate() error {
-	switch o.Index {
-	case "", IndexIF, IndexSIF, IndexSIFP:
-	default:
-		return fmt.Errorf("%w: unknown index kind %q", ErrBadOptions, o.Index)
-	}
-	if o.BufferFraction < 0 || math.IsNaN(o.BufferFraction) || math.IsInf(o.BufferFraction, 0) {
-		return fmt.Errorf("%w: BufferFraction must be finite and non-negative, got %v", ErrBadOptions, o.BufferFraction)
-	}
-	if o.IOLatency < 0 {
-		return fmt.Errorf("%w: IOLatency must be non-negative, got %v", ErrBadOptions, o.IOLatency)
-	}
-	if o.PartitionCuts < 0 {
-		return fmt.Errorf("%w: PartitionCuts must be non-negative, got %d", ErrBadOptions, o.PartitionCuts)
-	}
-	if o.Landmarks < 0 || o.Landmarks > alt.MaxLandmarks {
-		return fmt.Errorf("%w: Landmarks must be in [0, %d], got %d", ErrBadOptions, alt.MaxLandmarks, o.Landmarks)
-	}
-	return nil
-}
+// Options configures a database: the index kind, the buffer pools, the
+// write-ahead log (WALDir) and the landmark oracle. Zero values take the
+// documented defaults; Validate rejects the values no database can take,
+// with an error matching ErrBadOptions.
+type Options = engine.Options
 
 // DB is an opened database: the disk-resident road network and object
 // index, ready for queries. Reads and writes follow a single-writer /
@@ -342,22 +278,7 @@ func openDB(g *Graph, objects *Collection, vocabSize int, opts Options, walFrom 
 	if g == nil || objects == nil {
 		return nil, fmt.Errorf("%w: nil graph or collection", ErrBadOptions)
 	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if opts.Index == "" {
-		opts.Index = IndexSIFP
-	}
-	eng, err := engine.Open(g, objects, vocabSize, opts.Index, engine.Options{
-		BufferFraction:  opts.BufferFraction,
-		IOLatency:       opts.IOLatency,
-		SIFPCuts:        opts.PartitionCuts,
-		Checksums:       opts.Checksums,
-		Oracle:          opts.Oracle,
-		OracleLandmarks: opts.Landmarks,
-		OracleSeed:      opts.OracleSeed,
-		OracleFile:      oraclePath,
-	})
+	eng, err := engine.Open(g, objects, vocabSize, opts, oraclePath)
 	if err != nil {
 		return nil, err
 	}
@@ -885,6 +806,11 @@ func (db *DB) checkEnds(a, b Position, op string) error {
 	}
 	return nil
 }
+
+// Options returns the options the database runs with: the caller's,
+// with a snapshot's saved configuration merged in (OpenPath) and the
+// defaults applied.
+func (db *DB) Options() Options { return db.eng.Opts }
 
 // IndexSizeBytes returns the on-disk footprint of the object index.
 func (db *DB) IndexSizeBytes() int64 { return db.eng.SizeBytes }

@@ -105,6 +105,9 @@ func New(degradeAfter, breakAfter int, cooldown time.Duration, c Counters) *Brea
 		cooldown: cooldown, counters: c, Now: time.Now}
 }
 
+// Cooldown is how long the breaker stays open before its probe.
+func (b *Breaker) Cooldown() time.Duration { return b.cooldown }
+
 // State reports the current state.
 func (b *Breaker) State() State {
 	b.mu.Lock()

@@ -30,14 +30,13 @@ func TestBuildEvictsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := engine.Options{Oracle: true}
-	net, err := engine.NewNetwork(ds.Graph, opts)
+	net, err := engine.NewNetwork(ds.Graph, engine.Options{Oracle: true}, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := []*engine.Engine{attachIR(t, net, ds)}
 	for _, kind := range []engine.IndexKind{engine.KindIF, engine.KindSIF, engine.KindSIFP} {
-		e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, kind, opts)
+		e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, engine.Options{Index: kind, Oracle: true}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +72,7 @@ func BenchmarkOpen(b *testing.B) {
 			var ccam, inverted, signatures, sizing time.Duration
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, kind, engine.Options{})
+				e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, engine.Options{Index: kind}, "")
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -11,6 +11,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync/atomic"
 	"time"
@@ -67,45 +68,71 @@ const (
 // the data has outgrown the inline bound.
 const CounterOverflowReads = "index_overflow_list_reads_total"
 
-// Options configures a build.
+// Options configures a database: its object index, its buffer pools,
+// its write-ahead log and its landmark oracle. The public dsks.Options is
+// this type; the experiments harness builds with it too, choosing its own
+// index kinds and logging nothing.
 type Options struct {
+	// Index picks the object index structure; empty defaults to SIF-P.
+	Index IndexKind
 	// BufferFraction sizes every LRU pool as this fraction of the network
-	// dataset (the paper sets the buffer to 2% of the network dataset
-	// size, independent of which object index is attached — a bigger
-	// index must not buy itself a bigger cache). Zero defaults to 0.02,
-	// with a floor of 16 frames so tiny test datasets stay functional.
+	// dataset, whichever index is attached (default 0.02, the paper's
+	// setting, with a floor of 16 frames for tiny datasets).
 	BufferFraction float64
-	// IOLatency injects a synthetic per-miss delay (zero = none),
-	// waited in the kernel on Linux (storage.BufferPool.SetIOLatency).
+	// IOLatency injects a synthetic delay per buffer miss, waited in the
+	// kernel on Linux as a real pread would (no 1ms timer floor), making
+	// response times I/O-dominated like a spinning-disk testbed.
 	IOLatency time.Duration
-	// SIFPCuts is the cut budget of SIF-P (paper default 3).
-	SIFPCuts int
-	// BufferFrames, when positive, fixes every pool's frame count
-	// directly, overriding BufferFraction (used by the buffer-sweep
-	// experiment).
-	BufferFrames int
-	// Checksums enables per-page CRC32C verification in every buffer
-	// pool: stamped on write-back, checked on miss, a mismatch failing
-	// the read with storage.ErrCorruptPage. Off by default so the
-	// paper's byte-exact I/O accounting is unchanged.
+	// PartitionCuts is the SIF-P per-edge cut budget (default 3).
+	PartitionCuts int
+	// Checksums enables per-page CRC32C verification in the buffer
+	// pools: stamped on write-back, verified on every miss, so silent
+	// media corruption fails the read with storage.ErrCorruptPage instead
+	// of returning wrong results. Off by default to keep the paper's
+	// byte-exact I/O accounting unchanged.
 	Checksums bool
-	// Oracle builds (or loads) the landmark distance oracle and routes
-	// diversified queries through the landmark-assisted distance engine
-	// (docs/DISTANCE.md). Off by default: results are bit-identical
-	// either way, but the paper's baseline cost accounting assumes the
-	// unassisted engine.
+	// WALDir, when set, makes mutations durable through a write-ahead
+	// log in this directory: Insert and Remove are acknowledged only once
+	// a group commit (2ms or 64 records, docs/DURABILITY.md) has fsynced
+	// their record, Open and OpenPath replay the log over the opened
+	// state, and SaveTo checkpoints it. Empty disables logging.
+	WALDir string
+	// Oracle builds the landmark (ALT) distance oracle at open time and
+	// routes diversified queries through the landmark-assisted distance
+	// engine, with results bit-identical to the unassisted one
+	// (docs/DISTANCE.md). Off by default: the paper's cost accounting
+	// assumes the unassisted engine. SaveTo persists the oracle, and
+	// OpenPath re-enables it for snapshots that carry one.
 	Oracle bool
-	// OracleLandmarks is the landmark count (default alt.DefaultLandmarks,
-	// max alt.MaxLandmarks).
-	OracleLandmarks int
-	// OracleSeed seeds the deterministic landmark selection (0 = seed 1).
+	// Landmarks is the oracle's landmark count (0 = the default 16; at
+	// most 512): more landmarks, tighter bounds and a bigger oracle.
+	Landmarks int
+	// OracleSeed seeds the deterministic landmark selection (0 = seed 1),
+	// so rebuilt and loaded oracles agree.
 	OracleSeed uint64
-	// OracleFile, when set with Oracle, is a persisted oracle to load
-	// instead of rebuilding. A file that is missing, truncated, corrupt
-	// or built with a different landmark count/seed is discarded and the
-	// oracle is rebuilt from the graph — a bad oracle file never fails the
-	// build.
-	OracleFile string
+}
+
+// Validate rejects option values that cannot configure a database, with
+// an error matching ErrBadOptions.
+func (o Options) Validate() error {
+	switch o.Index {
+	case "", KindIF, KindSIF, KindSIFP:
+	default:
+		return fmt.Errorf("%w: unknown index kind %q", ErrBadOptions, o.Index)
+	}
+	if o.BufferFraction < 0 || math.IsNaN(o.BufferFraction) || math.IsInf(o.BufferFraction, 0) {
+		return fmt.Errorf("%w: BufferFraction must be finite and non-negative, got %v", ErrBadOptions, o.BufferFraction)
+	}
+	if o.IOLatency < 0 {
+		return fmt.Errorf("%w: IOLatency must be non-negative, got %v", ErrBadOptions, o.IOLatency)
+	}
+	if o.PartitionCuts < 0 {
+		return fmt.Errorf("%w: PartitionCuts must be non-negative, got %d", ErrBadOptions, o.PartitionCuts)
+	}
+	if o.Landmarks < 0 || o.Landmarks > alt.MaxLandmarks {
+		return fmt.Errorf("%w: Landmarks must be in [0, %d], got %d", ErrBadOptions, alt.MaxLandmarks, o.Landmarks)
+	}
+	return nil
 }
 
 // ErrBadOptions reports an option value that cannot configure a build or
@@ -138,11 +165,14 @@ func CheckPosTerms(g *graph.Graph, vocab int, op string, pos graph.Position, ter
 }
 
 func (o Options) withDefaults() Options {
+	if o.Index == "" {
+		o.Index = KindSIFP
+	}
 	if o.BufferFraction <= 0 {
 		o.BufferFraction = 0.02
 	}
-	if o.SIFPCuts == 0 {
-		o.SIFPCuts = 3
+	if o.PartitionCuts == 0 {
+		o.PartitionCuts = 3
 	}
 	return o
 }
@@ -176,8 +206,7 @@ type Network struct {
 	NetworkBuildTime time.Duration
 
 	// Oracle is the landmark distance oracle, nil unless Options.Oracle
-	// was set. OracleBuildTime is zero when it was loaded from
-	// Options.OracleFile.
+	// was set. OracleBuildTime is zero when it was loaded from a file.
 	Oracle          *alt.Oracle
 	OracleBuildTime time.Duration
 
@@ -201,8 +230,13 @@ func (h heldPages) observe(n int64) {
 }
 
 // NewNetwork lays the road network out in CCAM pages and, with
-// Options.Oracle, builds or loads the landmark oracle.
-func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
+// Options.Oracle, builds the landmark oracle or loads it from oracleFile.
+// A file that is missing, truncated, corrupt or built with another
+// landmark count or seed is discarded and the oracle rebuilt from the
+// graph: a bad oracle file never fails the build. frames, when positive,
+// fixes every pool's frame count, overriding Options.BufferFraction (the
+// buffer-sweep experiment's knob).
+func NewNetwork(g *graph.Graph, opts Options, frames int, oracleFile string) (*Network, error) {
 	n := &Network{Opts: opts.withDefaults(), Graph: g, Metrics: metrics.NewRegistry()}
 	n.pagesHeld = heldPages{
 		total:   n.Metrics.Counter(CounterPagesHeld),
@@ -219,7 +253,7 @@ func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 	n.NetworkBuildTime = time.Since(start)
 	// The paper's buffer budget: a fraction of the network dataset size,
 	// identical for every index structure (or an explicit frame count).
-	n.frames = n.Opts.BufferFrames
+	n.frames = frames
 	if n.frames <= 0 {
 		n.frames = storage.FramesForBudget(int64(float64(pool.File().SizeBytes()) * n.Opts.BufferFraction))
 		if n.frames < 16 {
@@ -233,7 +267,7 @@ func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 
 	var lo core.LandmarkOracle
 	if n.Opts.Oracle {
-		if err := n.attachOracle(); err != nil {
+		if err := n.attachOracle(oracleFile); err != nil {
 			return nil, err
 		}
 		lo = n.Oracle
@@ -249,15 +283,15 @@ func NewNetwork(g *graph.Graph, opts Options) (*Network, error) {
 
 // attachOracle gives the landmark oracle its own page file and pool, so
 // oracle reads show up in IOStats and the buffer accounting like any
-// other structure. A persisted file that fails validation
+// other structure. A persisted file (empty: none) that fails validation
 // (alt.ErrBadOracle covers truncation, corruption and config mismatches)
 // is discarded and the oracle rebuilt from the graph — degrade, never
 // fail.
-func (n *Network) attachOracle() error {
+func (n *Network) attachOracle(file string) error {
 	pool := n.newPool("oracle")
-	cfg := alt.Config{Landmarks: n.Opts.OracleLandmarks, Seed: n.Opts.OracleSeed}
-	if n.Opts.OracleFile != "" {
-		if f, ferr := os.Open(n.Opts.OracleFile); ferr == nil {
+	cfg := alt.Config{Landmarks: n.Opts.Landmarks, Seed: n.Opts.OracleSeed}
+	if file != "" {
+		if f, ferr := os.Open(file); ferr == nil {
 			if o, lerr := alt.Load(f, n.Graph.NumNodes(), pool, cfg); lerr == nil {
 				n.Oracle = o
 			}
@@ -350,13 +384,18 @@ type Engine struct {
 	pools []*storage.BufferPool // the network's pools, then Pool: what a query can read
 }
 
-// Open builds the network and one object index of the given kind over it.
-func Open(g *graph.Graph, objects *obj.Collection, vocabSize int, kind IndexKind, opts Options) (*Engine, error) {
-	n, err := NewNetwork(g, opts)
+// Open validates opts and builds the network and one object index of
+// kind Options.Index over it; oracleFile is a persisted oracle to load
+// (NewNetwork).
+func Open(g *graph.Graph, objects *obj.Collection, vocabSize int, opts Options, oracleFile string) (*Engine, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	n, err := NewNetwork(g, opts, 0, oracleFile)
 	if err != nil {
 		return nil, err
 	}
-	return n.BuildIndex(kind, objects, vocabSize, n.SigOptions(kind))
+	return n.BuildIndex(n.Opts.Index, objects, vocabSize, n.SigOptions(n.Opts.Index))
 }
 
 // Attach builds one object index on its own page file and pool: build
@@ -379,12 +418,12 @@ func (n *Network) Attach(kind IndexKind, build func(pool *storage.BufferPool) (i
 // All three probe the inverted file rarest term first, each by the
 // posting counts of the snapshot it reads (a shard by its own). SIF-P
 // partitions sig's default top fraction of edges with the greedy,
-// Options.SIFPCuts cuts each, against the frequency-based query log (the
-// paper's defaults); IF and SIF partition nothing.
+// Options.PartitionCuts cuts each, against the frequency-based query log
+// (the paper's defaults); IF and SIF partition nothing.
 func (n *Network) SigOptions(kind IndexKind) sig.Options {
 	so := sig.Options{SelectivityOrder: true}
 	if kind == KindSIFP {
-		so.MaxCuts, so.Log = n.Opts.SIFPCuts, &sig.FreqLog{L: 3, N: 16, Seed: 99}
+		so.MaxCuts, so.Log = n.Opts.PartitionCuts, &sig.FreqLog{L: 3, N: 16, Seed: 99}
 	}
 	return so
 }

@@ -97,10 +97,7 @@ func TestIndexMatchesLinearScan(t *testing.T) {
 		for hotList() < invindex.MaxInlineRecords-2 {
 			col.Add(graph.Position{Edge: hot, Offset: rng.Float64() * length}, []obj.TermID{hotTerm, obj.TermID(rng.Intn(vocab))})
 		}
-		e, err := engine.Open(ds.Graph, col, vocab, kind, engine.Options{BufferFrames: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := openFrames(t, ds.Graph, col, vocab, kind, 16)
 		overflow := e.Metrics.Counter(engine.CounterOverflowReads)
 
 		cur, lsn := e.Versions.Roots(), uint64(0)

@@ -10,6 +10,7 @@ import (
 	"dsks/internal/core"
 	"dsks/internal/dataset"
 	"dsks/internal/engine"
+	"dsks/internal/graph"
 	"dsks/internal/obj"
 	"dsks/internal/sig"
 	"dsks/internal/storage"
@@ -32,7 +33,17 @@ func testData(t *testing.T) (*dataset.Dataset, []dataset.Query) {
 
 func openEngine(t *testing.T, ds *dataset.Dataset, kind engine.IndexKind, frames int) *engine.Engine {
 	t.Helper()
-	e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, kind, engine.Options{BufferFrames: frames})
+	return openFrames(t, ds.Graph, ds.Objects, ds.VocabSize, kind, frames)
+}
+
+// openFrames is engine.Open with every pool fixed at frames frames.
+func openFrames(t *testing.T, g *graph.Graph, objects *obj.Collection, vocab int, kind engine.IndexKind, frames int) *engine.Engine {
+	t.Helper()
+	net, err := engine.NewNetwork(g, engine.Options{}, frames, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := net.BuildIndex(kind, objects, vocab, net.SigOptions(kind))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +297,7 @@ func queryReadsAnIndexPageOnce(t *testing.T, frames int) {
 // pool; the run path leaves it alone.
 func TestUnversionedIndexHasNoMemo(t *testing.T) {
 	ds, ws := testData(t)
-	net, err := engine.NewNetwork(ds.Graph, engine.Options{BufferFrames: 16})
+	net, err := engine.NewNetwork(ds.Graph, engine.Options{}, 16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +332,7 @@ func TestRarestFirstReadsFewerIndexPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := engine.NewNetwork(ds.Graph, engine.Options{})
+	net, err := engine.NewNetwork(ds.Graph, engine.Options{}, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,11 +248,11 @@ func AblationOracle(cfg Config) (*Result, error) {
 		{"blind engine", harness.Options{IOLatency: cfg.IOLatency}},
 		{"oracle l=16", harness.Options{
 			IOLatency: cfg.IOLatency,
-			Oracle:    true, OracleLandmarks: 16, OracleSeed: uint64(cfg.Seed) + 1,
+			Oracle:    true, Landmarks: 16, OracleSeed: uint64(cfg.Seed) + 1,
 		}},
 		{"oracle l=64", harness.Options{
 			IOLatency: cfg.IOLatency,
-			Oracle:    true, OracleLandmarks: 64, OracleSeed: uint64(cfg.Seed) + 1,
+			Oracle:    true, Landmarks: 64, OracleSeed: uint64(cfg.Seed) + 1,
 		}},
 	}
 	var baseline []float64 // per-query F of the blind run, for the identity check

@@ -14,7 +14,7 @@ func BenchmarkSearchSEQ(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, engine.KindSIF, engine.Options{})
+	e, err := engine.Open(ds.Graph, ds.Objects, ds.VocabSize, engine.Options{Index: engine.KindSIF}, "")
 	if err != nil {
 		b.Fatal(err)
 	}

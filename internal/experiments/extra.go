@@ -26,10 +26,9 @@ func ExtraBufferSweep(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for _, frames := range []int{2, 4, 8, 16, 32, 64, 128} {
-		sys, err := harness.Build(ds, []harness.IndexKind{harness.KindSIF}, harness.Options{
-			BufferFrames: frames,
-			IOLatency:    cfg.IOLatency,
-		})
+		sys, err := harness.BuildFrames(ds, []harness.IndexKind{harness.KindSIF}, harness.Options{
+			IOLatency: cfg.IOLatency,
+		}, frames)
 		if err != nil {
 			return nil, err
 		}

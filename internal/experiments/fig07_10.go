@@ -156,7 +156,7 @@ func Fig9(cfg Config) (*Result, error) {
 
 	for _, cuts := range fig9Cuts {
 		sysP, err := harness.Build(ds, []harness.IndexKind{harness.KindSIFP}, harness.Options{
-			SIFPCuts: cuts,
+			PartitionCuts: cuts,
 		})
 		if err != nil {
 			return nil, err

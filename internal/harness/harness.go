@@ -41,7 +41,8 @@ const (
 	KindC1   = baselines.KindC1
 )
 
-// Options configures a system build.
+// Options configures a system build; Index and WALDir are ignored (Build
+// takes its kinds, and a system logs nothing).
 type Options = engine.Options
 
 // DivAlgo selects the diversified search algorithm.
@@ -83,7 +84,14 @@ type System struct {
 // SIF and SIF-P are built as served (baselines.Variant) but probe in the
 // paper's query order, the order the evaluation's figures are measured in.
 func Build(ds *dataset.Dataset, kinds []IndexKind, opts Options) (*System, error) {
-	net, err := engine.NewNetwork(ds.Graph, opts)
+	return BuildFrames(ds, kinds, opts, 0)
+}
+
+// BuildFrames is Build with every buffer pool fixed at frames frames when
+// frames is positive, overriding Options.BufferFraction: the buffer
+// sweep's budget.
+func BuildFrames(ds *dataset.Dataset, kinds []IndexKind, opts Options, frames int) (*System, error) {
+	net, err := engine.NewNetwork(ds.Graph, opts, frames, "")
 	if err != nil {
 		return nil, err
 	}

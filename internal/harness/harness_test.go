@@ -226,7 +226,7 @@ func TestOracleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assisted, err := Build(ds, []IndexKind{KindSIF}, Options{Oracle: true, OracleLandmarks: 8, OracleSeed: 7})
+		assisted, err := Build(ds, []IndexKind{KindSIF}, Options{Oracle: true, Landmarks: 8, OracleSeed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -420,7 +420,7 @@ func (s *Server) queryEndpoint(kind string, run runner) http.HandlerFunc {
 		// (500) is a failure.
 		tk, admitted := s.health.Allow()
 		if !admitted {
-			w.Header().Set("Retry-After", retryAfter(s.cfg.BreakerCooldown))
+			w.Header().Set("Retry-After", retryAfter(s.health.Cooldown()))
 			writeError(w, http.StatusServiceUnavailable, "storage degraded: circuit breaker open")
 			return
 		}

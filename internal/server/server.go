@@ -47,18 +47,20 @@ type Config struct {
 	// default (4096), negative disables caching.
 	CacheSize int
 	// DegradeAfter is the count of consecutive storage-class errors that
-	// moves health from healthy to degraded (default 3).
+	// moves health from healthy to degraded (default 3, breaker.New's).
 	DegradeAfter int
 	// BreakAfter is the count of consecutive storage-class errors that
 	// opens the circuit: queries are shed with 503 + Retry-After until a
-	// half-open probe succeeds (default 5).
+	// half-open probe succeeds (default 5, and never below DegradeAfter).
 	BreakAfter int
 	// BreakerCooldown is how long the breaker stays open before it lets
-	// one probe query through (default 1s).
+	// one probe query through (default 1s, breaker.New's).
 	BreakerCooldown time.Duration
 }
 
-// withDefaults fills the zero fields.
+// withDefaults fills the zero fields, except the breaker's own:
+// breaker.New defaults DegradeAfter and BreakerCooldown and keeps
+// BreakAfter at or above DegradeAfter.
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8080"
@@ -81,17 +83,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize < 0 {
 		c.CacheSize = 0
 	}
-	if c.DegradeAfter <= 0 {
-		c.DegradeAfter = 3
-	}
 	if c.BreakAfter <= 0 {
 		c.BreakAfter = 5
-	}
-	if c.BreakAfter < c.DegradeAfter {
-		c.BreakAfter = c.DegradeAfter
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	return c
 }
@@ -240,7 +233,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	if st == breaker.Open {
 		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", retryAfter(s.cfg.BreakerCooldown))
+		w.Header().Set("Retry-After", retryAfter(s.health.Cooldown()))
 	}
 	body := map[string]any{
 		"status": st.String(),

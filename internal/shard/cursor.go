@@ -308,7 +308,7 @@ func (c *legCursor) fail(err error) (dsks.Candidate, bool, error) {
 	c.done = true
 	c.err = legError(c.shard, err)
 	c.mv.set.shards[c.shard].errs.Add(1)
-	if c.mv.set.partial && !clientClass(err) {
+	if c.mv.set.opts.Partial && !clientClass(err) {
 		return dsks.Candidate{}, false, nil
 	}
 	return dsks.Candidate{}, false, c.err

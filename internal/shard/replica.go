@@ -254,7 +254,7 @@ func (s *Set) Health() []string {
 
 // freshestReplica selects shard i's best failover target: the live
 // replica with the highest AppliedLSN, provided it sits within the
-// staleness bound of the LSN the request pinned (want). maxStale 0
+// staleness bound of the LSN the request pinned (want). MaxStaleness 0
 // means unbounded.
 func (s *Set) freshestReplica(i int, want uint64) (*Replica, error) {
 	var best *Replica
@@ -269,9 +269,9 @@ func (s *Set) freshestReplica(i int, want uint64) (*Replica, error) {
 	if best == nil {
 		return nil, fmt.Errorf("shard: shard %d: %w: no live replica", i, ErrShardUnavailable)
 	}
-	if applied := best.AppliedLSN(); s.maxStale > 0 && applied+s.maxStale < want {
+	if applied := best.AppliedLSN(); s.opts.MaxStaleness > 0 && applied+s.opts.MaxStaleness < want {
 		return nil, fmt.Errorf("shard: shard %d: %w: freshest replica at LSN %d is %d behind pinned LSN %d (bound %d): %w",
-			i, ErrReplicaLagging, applied, want-applied, want, s.maxStale, ErrShardUnavailable)
+			i, ErrReplicaLagging, applied, want-applied, want, s.opts.MaxStaleness, ErrShardUnavailable)
 	}
 	return best, nil
 }
@@ -279,7 +279,7 @@ func (s *Set) freshestReplica(i int, want uint64) (*Replica, error) {
 // refreshReplicaGauges recomputes the set-level replication gauges from
 // every replica's atomics; replica loops call it on each apply and poll.
 func (s *Set) refreshReplicaGauges() {
-	if s.nreplicas == 0 {
+	if s.opts.Replicas == 0 {
 		return
 	}
 	minApplied, maxLag := ^uint64(0), uint64(0)
@@ -310,12 +310,12 @@ func (s *Set) refreshReplicaGauges() {
 func (s *Set) startReplicas(i int, seeds []*dsks.Collection, snapDir string) error {
 	st := &s.shards[i]
 	primary := st.db
-	st.replicas = make([]*Replica, 0, s.nreplicas)
+	st.replicas = make([]*Replica, 0, s.opts.Replicas)
 	// A replica has no WAL of its own: the primary's log is the single
 	// source of truth.
-	opts := s.template
+	opts := s.opts.DB
 	opts.WALDir = ""
-	for j := 0; j < s.nreplicas; j++ {
+	for j := 0; j < s.opts.Replicas; j++ {
 		var (
 			rdb *dsks.DB
 			err error
@@ -334,7 +334,7 @@ func (s *Set) startReplicas(i int, seeds []*dsks.Collection, snapDir string) err
 			return fmt.Errorf("shard: tailing shard %d for replica %d: %w", i, j, err)
 		}
 		poll := Backoff{Base: replicaPollBase, Cap: replicaPollCap,
-			Seed: s.seed ^ splitmix64(uint64(i)<<16|uint64(j))}
+			Seed: s.opts.Seed ^ splitmix64(uint64(i)<<16|uint64(j))}
 		rep := newReplica(i, j, rdb, tail, primary.DurableLSN, poll, s.refreshReplicaGauges)
 		st.replicas = append(st.replicas, rep)
 	}

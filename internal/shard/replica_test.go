@@ -300,7 +300,7 @@ func TestFreshestReplicaStalenessBound(t *testing.T) {
 	healthy.applied.Store(5)
 	dead := &Replica{serr: errors.New("poisoned"), target: func() uint64 { return 9 }}
 	dead.applied.Store(9) // fresher, but terminal — must never be picked
-	s := &Set{maxStale: 2, shards: make([]shardState, 1)}
+	s := &Set{opts: Options{MaxStaleness: 2}, shards: make([]shardState, 1)}
 	s.shards[0].replicas = []*Replica{healthy, dead}
 
 	if rep, err := s.freshestReplica(0, 7); err != nil || rep != healthy {
@@ -311,8 +311,8 @@ func TestFreshestReplicaStalenessBound(t *testing.T) {
 		t.Fatalf("past the bound err = %v, want ErrReplicaLagging and ErrShardUnavailable", err)
 	}
 
-	// maxStale 0 means unbounded.
-	s.maxStale = 0
+	// MaxStaleness 0 means unbounded.
+	s.opts.MaxStaleness = 0
 	if rep, err := s.freshestReplica(0, 1<<40); err != nil || rep != healthy {
 		t.Fatalf("unbounded: (%v, %v), want the healthy replica", rep, err)
 	}

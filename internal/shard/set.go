@@ -116,15 +116,9 @@ type Set struct {
 	// configuration, so shard 0's oracle serves the router too.
 	searchNet ccam.Network
 	shards    []shardState
-	partial   bool
-	template  dsks.Options
-
-	// Replication / failover configuration (see Options).
-	nreplicas  int
-	maxStale   uint64
-	hedgeAfter time.Duration
-	legRetries int
-	seed       uint64
+	// opts is the set's configuration, Replicas clamped at zero; opts.DB
+	// is the template of every shard database.
+	opts Options
 
 	reg        *metrics.Registry
 	legsTotal  *atomic.Int64
@@ -169,10 +163,10 @@ func Open(g *dsks.Graph, objects *dsks.Collection, vocabSize, n int, opts Option
 		// WAL tail into the collection it opens over, and the replicas
 		// re-apply exactly those records through the tailer instead.
 		var seeds []*dsks.Collection
-		for j := 0; j < s.nreplicas; j++ {
+		for j := 0; j < s.opts.Replicas; j++ {
 			seeds = append(seeds, shardObjects(objects, part, i))
 		}
-		db, err := dsks.Open(g, shardObjects(objects, part, i), vocabSize, shardOptions(s.template, i))
+		db, err := dsks.Open(g, shardObjects(objects, part, i), vocabSize, shardOptions(s.opts.DB, i))
 		if err != nil {
 			s.closeOpened(i)
 			return nil, fmt.Errorf("shard: opening shard %d: %w", i, err)
@@ -229,9 +223,9 @@ func (s *Set) initSearchNet() {
 // checkReplication validates the replication options: the WAL is the
 // shipping medium, so replicas without a log directory cannot exist.
 func (s *Set) checkReplication() error {
-	if s.nreplicas > 0 && s.template.WALDir == "" {
+	if s.opts.Replicas > 0 && s.opts.DB.WALDir == "" {
 		return fmt.Errorf("shard: %d replicas per shard need DB.WALDir (the WAL is the shipping medium): %w",
-			s.nreplicas, dsks.ErrBadOptions)
+			s.opts.Replicas, dsks.ErrBadOptions)
 	}
 	return nil
 }
@@ -248,6 +242,7 @@ func (s *Set) startIDs(n int) {
 
 // newSet builds the routing state common to Open and OpenSetPath.
 func newSet(g *dsks.Graph, vocabSize int, part *Partition, opts Options) *Set {
+	opts.Replicas = max(opts.Replicas, 0)
 	reg := metrics.NewRegistry()
 	s := &Set{
 		g:          g,
@@ -255,13 +250,7 @@ func newSet(g *dsks.Graph, vocabSize int, part *Partition, opts Options) *Set {
 		part:       part,
 		net:        &ccam.InMemory{G: g},
 		shards:     make([]shardState, part.Shards),
-		partial:    opts.Partial,
-		template:   opts.DB,
-		nreplicas:  opts.Replicas,
-		maxStale:   opts.MaxStaleness,
-		hedgeAfter: opts.HedgeAfter,
-		legRetries: opts.LegRetries,
-		seed:       opts.Seed,
+		opts:       opts,
 		reg:        reg,
 		legsTotal:  reg.Counter(CounterFanoutLegs),
 		pruneTotal: reg.Counter(CounterPrunedLegs),
@@ -272,13 +261,10 @@ func newSet(g *dsks.Graph, vocabSize int, part *Partition, opts Options) *Set {
 		repApplied: reg.Counter(GaugeReplicaApplied),
 		repLag:     reg.Counter(GaugeReplicaLag),
 	}
-	if s.nreplicas < 0 {
-		s.nreplicas = 0
-	}
 	for i := range s.shards {
 		s.shards[i].reqs = reg.Counter(fmt.Sprintf("shard%d_requests_total", i))
 		s.shards[i].errs = reg.Counter(fmt.Sprintf("shard%d_errors_total", i))
-		if s.nreplicas > 0 {
+		if opts.Replicas > 0 {
 			s.shards[i].health = newShardHealth(opts.DownAfter, opts.DownCooldown)
 		}
 	}

@@ -188,7 +188,7 @@ func racePrimary(ctx context.Context, mv *MultiView, si int, prior error, tk bre
 	s := mv.set
 	outcome := breaker.Neutral
 	defer func() { tk.End(outcome) }()
-	retries := s.legRetries
+	retries := s.opts.LegRetries
 	if tk.Probe() {
 		retries = 0
 	}
@@ -219,7 +219,7 @@ func racePrimary(ctx context.Context, mv *MultiView, si int, prior error, tk bre
 	}
 
 	side(true, func() (opened, error) {
-		bo := Backoff{Base: legRetryBase, Cap: legRetryCap, Seed: s.seed ^ splitmix64(uint64(si))}
+		bo := Backoff{Base: legRetryBase, Cap: legRetryCap, Seed: s.opts.Seed ^ splitmix64(uint64(si))}
 		var val opened
 		err := prior
 		for attempt := 0; ; attempt++ {
@@ -241,8 +241,8 @@ func racePrimary(ctx context.Context, mv *MultiView, si int, prior error, tk bre
 	})
 
 	var hedgeC <-chan time.Time
-	if prior == nil && s.hedgeAfter > 0 {
-		ht := time.NewTimer(s.hedgeAfter)
+	if prior == nil && s.opts.HedgeAfter > 0 {
+		ht := time.NewTimer(s.opts.HedgeAfter)
 		defer ht.Stop()
 		hedgeC = ht.C
 	}
@@ -352,7 +352,7 @@ func (mv *MultiView) gather(targets []int, cursors []*legCursor, res *dsks.Resul
 	}
 	// A client-class error (bad query, canceled context) fails the
 	// request whole under either policy: every leg saw the same query.
-	if !mv.set.partial || len(fails) == len(cursors) || clientClass(primary) {
+	if !mv.set.opts.Partial || len(fails) == len(cursors) || clientClass(primary) {
 		return primary
 	}
 	mv.set.partTotal.Add(1)

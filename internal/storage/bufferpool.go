@@ -215,10 +215,11 @@ func (b *BufferPool) SetChecksums(on bool) {
 	b.sumMu.Unlock()
 }
 
-// SetRetry configures the transient-read-fault retry policy: at most max
+// setRetry configures the transient-read-fault retry policy: at most max
 // retries, sleeping base, 2*base, 4*base, ... between attempts. max 0
-// disables retries; base 0 keeps the default backoff.
-func (b *BufferPool) SetRetry(max int, base time.Duration) {
+// disables retries; base 0 keeps the default backoff. Only tests vary it;
+// every served pool keeps the defaults.
+func (b *BufferPool) setRetry(max int, base time.Duration) {
 	b.mu.Lock()
 	if max < 0 {
 		max = 0

@@ -71,7 +71,7 @@ func TestMissWaitsItsLatency(t *testing.T) {
 
 	// (d) Two transient faults wait out the backoff 300µs, then 600µs.
 	pool.SetIOLatency(0)
-	pool.SetRetry(2, 300*time.Microsecond)
+	pool.setRetry(2, 300*time.Microsecond)
 	in, err := fault.New(fault.Config{Op: fault.OpRead, EveryN: 1, MaxFaults: 2, Transient: true})
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +82,6 @@ func TestMissWaitsItsLatency(t *testing.T) {
 		t.Fatalf("read with two transient faults failed: %v", err)
 	}
 	if got, want := time.Since(start), 900*time.Microsecond; got < want {
-		t.Errorf("two retries under SetRetry(2, 300µs) took %v, want at least %v", got, want)
+		t.Errorf("two retries under setRetry(2, 300µs) took %v, want at least %v", got, want)
 	}
 }

@@ -84,7 +84,7 @@ func TestChecksumOffAdmitsCorruption(t *testing.T) {
 
 func TestTransientReadFaultIsRetried(t *testing.T) {
 	pool, f, id := newPoolWithPage(t)
-	pool.SetRetry(3, 10*time.Microsecond)
+	pool.setRetry(3, 10*time.Microsecond)
 
 	// Two transient failures, then success: the retry loop absorbs both.
 	in, err := fault.New(fault.Config{Op: fault.OpRead, EveryN: 1, MaxFaults: 2, Transient: true})
@@ -106,7 +106,7 @@ func TestTransientReadFaultIsRetried(t *testing.T) {
 
 func TestPermanentFaultIsNotRetried(t *testing.T) {
 	pool, f, id := newPoolWithPage(t)
-	pool.SetRetry(5, 10*time.Microsecond)
+	pool.setRetry(5, 10*time.Microsecond)
 
 	in, err := fault.New(fault.Config{Op: fault.OpRead, EveryN: 1}) // permanent
 	if err != nil {
@@ -123,7 +123,7 @@ func TestPermanentFaultIsNotRetried(t *testing.T) {
 
 func TestRetryBudgetExhausts(t *testing.T) {
 	pool, f, id := newPoolWithPage(t)
-	pool.SetRetry(2, 10*time.Microsecond)
+	pool.setRetry(2, 10*time.Microsecond)
 
 	// More consecutive transient faults than the retry budget.
 	in, err := fault.New(fault.Config{Op: fault.OpRead, EveryN: 1, Transient: true})
@@ -145,7 +145,7 @@ func TestRetryBudgetExhausts(t *testing.T) {
 
 func TestRetryHonorsCancellation(t *testing.T) {
 	pool, f, id := newPoolWithPage(t)
-	pool.SetRetry(10, 50*time.Millisecond)
+	pool.setRetry(10, 50*time.Millisecond)
 
 	in, err := fault.New(fault.Config{Op: fault.OpRead, EveryN: 1, Transient: true})
 	if err != nil {

@@ -69,7 +69,7 @@ func TestTailFromMidpointSkipsCoveredRecords(t *testing.T) {
 
 func TestTailCrossesSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, 0, Options{SegmentBytes: 64})
+	l, _ := mustOpen(t, dir, 0, Options{segmentBytes: 64})
 	defer l.Close()
 	tl := l.TailFrom(0)
 	defer tl.Close()

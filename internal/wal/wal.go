@@ -5,10 +5,10 @@
 //
 // Mutators append a record, then block in WaitDurable until a group-
 // commit goroutine has batched their record — together with every other
-// record appended in the same window — into one fsync. SyncEvery and
-// SyncInterval bound the batch (64 records, 2ms by default; the dsks
-// package keeps the defaults), and every acknowledgment follows the fsync
-// that covers its record. On startup, Open scans the log's segments,
+// record appended in the same window — into one fsync. A batch closes at
+// 64 records or after a 2ms window, whichever comes first (unexported
+// Options fields that only this package's tests vary), and every
+// acknowledgment follows the fsync that covers its record. On startup, Open scans the log's segments,
 // verifies every record's CRC and the density of the LSN chain, truncates
 // a torn tail (bytes a crash left half-written, never acknowledged),
 // rejects mid-log corruption with an error matching ErrCorrupt, and
@@ -65,30 +65,31 @@ func fireCrashHook(point string) error {
 
 // Options configures a log.
 type Options struct {
-	// SyncEvery caps how many records accumulate before the group-commit
-	// goroutine fsyncs without waiting out the interval (default 64).
-	SyncEvery int
-	// SyncInterval is the gathering window an unfilled batch waits for
-	// more committers (default 2ms).
-	SyncInterval time.Duration
-	// SegmentBytes is the rotation threshold for the active segment
-	// (default 4 MiB). Rotation happens at quiescent points (after a
-	// sync that left nothing pending, and at every Checkpoint).
-	SegmentBytes int64
 	// Metrics receives the log's counters (wal_appends_total,
 	// wal_fsyncs_total, ...); nil uses a private registry.
 	Metrics *metrics.Registry
+
+	// syncEvery caps how many records accumulate before the group-commit
+	// goroutine fsyncs without waiting out the interval (default 64).
+	syncEvery int
+	// syncInterval is the gathering window an unfilled batch waits for
+	// more committers (default 2ms).
+	syncInterval time.Duration
+	// segmentBytes is the rotation threshold for the active segment
+	// (default 4 MiB). Rotation happens at quiescent points (after a
+	// sync that left nothing pending, and at every Checkpoint).
+	segmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 64
+	if o.syncEvery <= 0 {
+		o.syncEvery = 64
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 2 * time.Millisecond
+	if o.syncInterval <= 0 {
+		o.syncInterval = 2 * time.Millisecond
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 4 << 20
 	}
 	if o.Metrics == nil {
 		o.Metrics = metrics.NewRegistry()
@@ -278,10 +279,10 @@ func (l *Log) syncLoop() {
 			l.mu.Unlock()
 			return
 		}
-		if !l.closing && l.written-l.durable < uint64(l.opts.SyncEvery) {
+		if !l.closing && l.written-l.durable < uint64(l.opts.syncEvery) {
 			// Gathering window: let concurrent committers join the batch.
 			l.mu.Unlock()
-			time.Sleep(l.opts.SyncInterval)
+			time.Sleep(l.opts.syncInterval)
 			l.mu.Lock()
 		}
 		target := l.written
@@ -304,7 +305,7 @@ func (l *Log) syncLoop() {
 			l.durableOff = targetOff
 			l.durableLSN.Store(int64(target))
 		}
-		if l.durable == l.written && l.seg.Size() >= l.opts.SegmentBytes {
+		if l.durable == l.written && l.seg.Size() >= l.opts.segmentBytes {
 			// Quiescent and oversized: rotate so compaction has a
 			// boundary to cut at. Pending records never span a rotation.
 			if rerr := l.rotateLocked(); rerr != nil {

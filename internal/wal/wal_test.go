@@ -113,8 +113,8 @@ func TestReplaySkipsSnapshotCoveredRecords(t *testing.T) {
 func TestGroupCommitBatchesConcurrentAppends(t *testing.T) {
 	reg := metrics.NewRegistry()
 	l, _ := mustOpen(t, t.TempDir(), 0, Options{
-		SyncEvery:    32,
-		SyncInterval: 5 * time.Millisecond,
+		syncEvery:    32,
+		syncInterval: 5 * time.Millisecond,
 		Metrics:      reg,
 	})
 	defer l.Close()
@@ -392,7 +392,7 @@ func TestCheckpointKeepsUncoveredSegments(t *testing.T) {
 
 func TestSegmentRotationAtSizeThreshold(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, 0, Options{SegmentBytes: 64})
+	l, _ := mustOpen(t, dir, 0, Options{segmentBytes: 64})
 	for i := int32(0); i < 6; i++ {
 		appendWait(t, l, insertRec(i))
 	}
@@ -408,7 +408,7 @@ func TestSegmentRotationAtSizeThreshold(t *testing.T) {
 }
 
 func TestCloseDrainsPendingThenRefuses(t *testing.T) {
-	l, _ := mustOpen(t, t.TempDir(), 0, Options{SyncInterval: 50 * time.Millisecond})
+	l, _ := mustOpen(t, t.TempDir(), 0, Options{syncInterval: 50 * time.Millisecond})
 	lsn, err := l.Append(insertRec(1))
 	if err != nil {
 		t.Fatal(err)

@@ -292,7 +292,7 @@ func (db *DB) saveSnapshot(dir string, oracleBytes []byte) (walLSN uint64, err e
 		Format:         dbMetaFormat,
 		Index:          db.eng.Kind,
 		BufferFraction: db.eng.Opts.BufferFraction,
-		PartitionCuts:  db.eng.Opts.SIFPCuts,
+		PartitionCuts:  db.eng.Opts.PartitionCuts,
 		VocabSize:      db.eng.VocabSize,
 		WALLSN:         walLSN,
 		Allocated:      col.Len(),
@@ -529,12 +529,19 @@ func OpenPath(dir string, opts Options) (*DB, error) {
 	if opts.Index == "" {
 		saved.Index = meta.Index
 	}
-	if err := saved.validate(); err != nil {
+	if err := saved.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: meta.json: %v", ErrBadSnapshot, err)
 	}
 	opts.Index = cmp.Or(opts.Index, saved.Index)
 	opts.BufferFraction = cmp.Or(opts.BufferFraction, saved.BufferFraction)
 	opts.PartitionCuts = cmp.Or(opts.PartitionCuts, saved.PartitionCuts)
+	// A snapshot that carried an oracle re-enables it, and the saved
+	// landmark count and seed stand unless opts sets them, so the
+	// snapshot's oracle file loads; if it is missing, truncated, corrupt
+	// or mismatched, the engine rebuilds the oracle from the graph.
+	opts.Oracle = opts.Oracle || saved.Landmarks > 0
+	opts.Landmarks = cmp.Or(opts.Landmarks, saved.Landmarks)
+	opts.OracleSeed = cmp.Or(opts.OracleSeed, saved.OracleSeed)
 	gf, err := os.Open(filepath.Join(dir, "graph"))
 	if err != nil {
 		return nil, fmt.Errorf("%w: missing graph: %w", ErrBadSnapshot, err)
@@ -562,21 +569,7 @@ func OpenPath(dir string, opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	// Re-enable the oracle for snapshots that carried one (or when the
-	// caller asks for it): the persisted configuration wins unless opts
-	// overrides it, and the snapshot's oracle file is offered for loading
-	// — if it is missing, truncated, corrupt or mismatched, openDB's
-	// harness rebuilds the oracle from the graph instead.
-	oraclePath := ""
-	if saved.Landmarks > 0 && !opts.Oracle {
-		opts.Oracle = true
-		opts.Landmarks = cmp.Or(opts.Landmarks, saved.Landmarks)
-		opts.OracleSeed = cmp.Or(opts.OracleSeed, saved.OracleSeed)
-	}
-	if opts.Oracle {
-		oraclePath = filepath.Join(dir, "oracle")
-	}
-	return openDB(g, col, vocab, opts, meta.WALLSN, oraclePath)
+	return openDB(g, col, vocab, opts, meta.WALLSN, filepath.Join(dir, "oracle"))
 }
 
 // restoreIDSpace rebuilds the collection with its original object IDs.

@@ -107,6 +107,63 @@ func TestOpenPathKeepsPersistedConfiguration(t *testing.T) {
 	}
 }
 
+// TestOpenPathMerge: each saved option survives a reopen with zero
+// options, and a non-zero caller value wins. Oracle: true alone keeps the
+// saved landmark count and seed, so the snapshot's oracle file loads
+// (no build time) instead of being rebuilt; a caller's landmark count or
+// seed rebuilds it.
+func TestOpenPathMerge(t *testing.T) {
+	ds, err := dsks.GeneratePreset(dsks.PresetSYN, 2000, 111)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := dsks.Options{Index: dsks.IndexIF, BufferFraction: 0.05, PartitionCuts: 5, Oracle: true, Landmarks: 8, OracleSeed: 7}
+	db, err := dsks.OpenDataset(ds, saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := db.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	with := func(edit func(*dsks.Options)) dsks.Options {
+		o := saved
+		edit(&o)
+		return o
+	}
+	for _, tc := range []struct {
+		name   string
+		opts   dsks.Options
+		want   dsks.Options
+		loaded bool // the saved oracle file served, no rebuild
+	}{
+		{"zero options", dsks.Options{}, saved, true},
+		{"Oracle alone", dsks.Options{Oracle: true}, saved, true},
+		{"Index", dsks.Options{Index: dsks.IndexSIFP}, with(func(o *dsks.Options) { o.Index = dsks.IndexSIFP }), true},
+		{"BufferFraction", dsks.Options{BufferFraction: 0.5}, with(func(o *dsks.Options) { o.BufferFraction = 0.5 }), true},
+		{"PartitionCuts", dsks.Options{PartitionCuts: 2}, with(func(o *dsks.Options) { o.PartitionCuts = 2 }), true},
+		{"Landmarks", dsks.Options{Landmarks: 4}, with(func(o *dsks.Options) { o.Landmarks = 4 }), false},
+		{"OracleSeed", dsks.Options{OracleSeed: 3}, with(func(o *dsks.Options) { o.OracleSeed = 3 }), false},
+	} {
+		back, err := dsks.OpenPath(dir, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := back.Options(); got != tc.want {
+			t.Errorf("%s: reopened with %+v, want %+v", tc.name, got, tc.want)
+		}
+		if o := back.DistanceOracle(); o == nil || o.NumLandmarks() != tc.want.Landmarks {
+			t.Errorf("%s: oracle %v, want %d landmarks", tc.name, o, tc.want.Landmarks)
+		}
+		if loaded := back.SetupTimes().Oracle == 0; loaded != tc.loaded {
+			t.Errorf("%s: oracle loaded from the snapshot = %v, want %v", tc.name, loaded, tc.loaded)
+		}
+		back.Close()
+	}
+}
+
 func TestSaveExcludesRemoved(t *testing.T) {
 	db, vocab, origin, _ := buildTinyCity(t)
 	terms, _ := vocab.LookupAll([]string{"pizza"})
